@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race short bench benchsmoke benchjson check fuzz cover api apicheck corpus corpussmoke adversary-smoke
+.PHONY: all build vet test race short bench benchsmoke benchjson benchmark-test check fuzz cover api apicheck corpus corpussmoke adversary-smoke
 
 # Per-target budget for the fuzz smoke pass (see `fuzz` below).
 FUZZTIME ?= 30s
@@ -43,6 +43,12 @@ benchsmoke:
 BENCHJSON ?= bench.json
 benchjson:
 	$(GO) run ./cmd/kshot-bench -json -table2 -table3 -table5 -pipeline -fleet -rollout -provision -dispatch -detect -detect-trials 5 -detect-ops 5000 -iters 1 -o $(BENCHJSON) > /dev/null
+
+# The repo benchmark (benchmark/) is its own Go module, so the root
+# `go test ./...` never builds it; this vets it and runs its smoke and
+# unit tests against the current tree.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Public API surface snapshot. `make api` regenerates api.txt from the
 # package's exported declarations; `make apicheck` fails when the

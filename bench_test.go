@@ -236,13 +236,13 @@ func BenchmarkPipelinedApplyAll(b *testing.B) {
 	b.ReportMetric(100*p.PauseReduction(), "pause_reduction_pct")
 }
 
-// BenchmarkProvision measures target provisioning two ways: cold (the
-// paper's boot — kernel build, machine bring-up, SMM lock, eager
-// server registration, bootstrap SMI) versus forked from a cached
-// template (COW frames, per-fork secrets, SMRAM lock; server attach
-// and bootstrap SMI deferred to first contact). The forked/cold ns/op
-// ratio is the template-fork payoff; systems_per_sec is the fleet
-// provisioning rate either mode sustains.
+// BenchmarkProvision measures target provisioning two ways: cold, with
+// no template cache (each System boots a single-use template — kernel
+// build, machine bring-up — and forks it once), versus forked from a
+// cached template (COW frames, per-fork secrets, SMRAM lock). Neither
+// touches the server: attach and the bootstrap SMI wait for first
+// contact. The forked/cold ns/op ratio is the template-cache payoff;
+// systems_per_sec is the fleet provisioning rate either mode sustains.
 func BenchmarkProvision(b *testing.B) {
 	entry, _ := LookupCVE("CVE-2014-0196")
 	srv, err := NewPatchServer(WithTreeProvider(TreeProviderFor(entry)))

@@ -52,7 +52,7 @@ func run(args []string, stdout io.Writer) error {
 		trace     = fs.Bool("trace", false, "per-CVE phase breakdown with metrics and event trace")
 		fleet     = fs.Bool("fleet", false, "fleet distribution: cold vs warm build-cache delivery")
 		rollout   = fs.Bool("rollout", false, "fleet rollout: staged canary waves across simulated targets")
-		provision = fs.Bool("provision", false, "provisioning throughput: cold boot vs template fork")
+		provision = fs.Bool("provision", false, "provisioning throughput: uncached vs template-cache fork")
 		dispatch  = fs.Bool("dispatch", false, "execution-engine comparison: oracle interpreter vs predecoded blocks")
 		dispops   = fs.Uint64("dispatch-ops", 2000, "workload operations per engine for -dispatch")
 		detect    = fs.Bool("detect", false, "introspection: tamper-detection latency vs sweep period, plus overhead")
@@ -62,8 +62,7 @@ func run(args []string, stdout io.Writer) error {
 		targets   = fs.Int("targets", 500, "fleet size for -rollout")
 		domains   = fs.Int("domains", 4, "failure domains for -rollout")
 		rollcves  = fs.Int("rollout-cves", 2, "CVE batch size for -rollout")
-		rollcold  = fs.Bool("rollout-cold", false, "cold-boot every -rollout target instead of template-forking")
-		provcold  = fs.Int("prov-cold", 5, "cold boots to average for -provision")
+		provcold  = fs.Int("prov-cold", 5, "uncached provisionings (single-use template each) to average for -provision")
 		provforks = fs.Int("prov-forks", 200, "template forks to average for -provision")
 		iters     = fs.Int("iters", 3, "repetitions per measurement")
 		patches   = fs.Int("patches", 100, "patch storm size for -overhead")
@@ -271,33 +270,24 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *rollout {
-		mode := "template-fork"
-		if *rollcold {
-			mode = "cold-boot"
-		}
-		progress("running fleet rollout (%d targets, %d domains, %d CVEs, staged waves, %s provisioning)...\n",
-			*targets, *domains, *rollcves, mode)
-		rr, err := evalharness.RunRolloutBenchOpts(evalharness.RolloutBenchOptions{
-			Targets: *targets, Domains: *domains, CVEs: *rollcves, Concurrency: 4,
-			TemplateFork: !*rollcold,
-		})
+		progress("running fleet rollout (%d targets, %d domains, %d CVEs, staged waves)...\n",
+			*targets, *domains, *rollcves)
+		rr, err := evalharness.RunRolloutBench(*targets, *domains, *rollcves, 4)
 		if err != nil {
 			return err
 		}
 		if *jsonOut {
 			results["rollout"] = rr
 		} else {
-			fmt.Fprintf(out, "Fleet rollout (%d targets in %d domains, %d CVEs, canary → %%-waves, %s provisioning):\n",
-				rr.Targets, rr.Domains, rr.CVEs, mode)
+			fmt.Fprintf(out, "Fleet rollout (%d targets in %d domains, %d CVEs, canary → %%-waves, template-fork provisioning):\n",
+				rr.Targets, rr.Domains, rr.CVEs)
 			fmt.Fprintf(out, "  waves: %d; patched %d, failed %d, rolled back %d\n",
 				rr.Waves, rr.Patched, rr.Failed, rr.RolledBk)
 			fmt.Fprintf(out, "  throughput: %.1f targets/s (wall %v)\n", rr.TargetsPerSec, rr.Wall)
 			fmt.Fprintf(out, "  provisioning: %v mean per target (%.0f systems/s)\n",
 				rr.ProvisionMean, rr.ProvisionPerSec)
-			if rr.TemplateFork {
-				fmt.Fprintf(out, "  template cache: %d misses, %d hits, %d forks\n",
-					rr.TemplateMisses, rr.TemplateHits, rr.TemplateForks)
-			}
+			fmt.Fprintf(out, "  template cache: %d misses, %d hits, %d forks\n",
+				rr.TemplateMisses, rr.TemplateHits, rr.TemplateForks)
 			fmt.Fprintf(out, "  per-target virtual SMM pause: mean %sus, p99 %sus\n",
 				report.Us(rr.MeanPause), report.Us(rr.P99Pause))
 			fmt.Fprintln(out)
@@ -305,7 +295,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *provision {
-		progress("running provisioning throughput (%d cold boots vs %d template forks)...\n",
+		progress("running provisioning throughput (%d uncached vs %d template forks)...\n",
 			*provcold, *provforks)
 		pr, err := evalharness.RunProvisionBench(*provcold, *provforks)
 		if err != nil {
@@ -314,9 +304,9 @@ func run(args []string, stdout io.Writer) error {
 		if *jsonOut {
 			results["provision"] = pr
 		} else {
-			fmt.Fprintf(out, "Provisioning throughput (one configuration, %d cold boots vs %d forks):\n",
+			fmt.Fprintf(out, "Provisioning throughput (one configuration, %d uncached vs %d forks):\n",
 				pr.ColdBoots, pr.Forks)
-			fmt.Fprintf(out, "  cold boot:     %v per system (%.0f systems/s)\n", pr.ColdMean, pr.ColdPerSec)
+			fmt.Fprintf(out, "  uncached:      %v per system (%.0f systems/s)\n", pr.ColdMean, pr.ColdPerSec)
 			fmt.Fprintf(out, "  template fork: %v per system (%.0f systems/s), %.1fx\n", pr.ForkMean, pr.ForkPerSec, pr.Speedup)
 			fmt.Fprintf(out, "  template boot (one-time): %v\n", pr.TemplateBoot)
 			fmt.Fprintf(out, "  fresh-fork resident split: %d B shared, %d B private\n", pr.SharedBytes, pr.PrivateBytes)

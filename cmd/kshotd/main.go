@@ -1,7 +1,8 @@
 // Command kshotd is the target-machine side of KShot: it boots the
 // simulated machine with a kernel vulnerable to the requested CVEs,
-// provisions SMM and the SGX preparation enclave, connects to the
-// remote patch server, and live-patches each CVE — printing the
+// provisions SMM, then at the first patch connects to the remote patch
+// server and loads the SGX preparation enclave, and live-patches each
+// CVE — printing the
 // exploit result before and after, the per-stage timing, and the
 // introspection status.
 //
@@ -44,7 +45,6 @@ func run(args []string) error {
 	cves := fs.String("cves", "CVE-2014-0196,CVE-2016-5195,CVE-2017-17806", "comma-separated CVEs to patch")
 	rollback := fs.Bool("rollback", false, "roll each patch back after applying (demonstration)")
 	standalone := fs.Bool("standalone", false, "start an in-process patch server")
-	template := fs.Bool("template", false, "provision by COW-forking a booted template instead of a cold boot")
 	obsAddr := fs.String("obs", "", "serve /metrics and /trace on this address while patching")
 	introPeriod := fs.Duration("introspect", 0, "enable event-driven introspection, sweeping kernel text at this period (0 disables)")
 	if err := fs.Parse(args); err != nil {
@@ -100,28 +100,18 @@ func run(args []string) error {
 	if *introPeriod > 0 {
 		sysOpts.Introspection = &introspect.Config{SweepEvery: *introPeriod}
 	}
-	if *template {
-		cache := core.NewTemplateCache()
-		defer cache.Close()
-		cache.SetObserver(hooks)
-		sysOpts.TemplateCache = cache
-	}
 	fmt.Printf("booting target machine: kernel %s, %d vulnerable subsystems\n", *version, len(entries))
 	sys, err := core.NewSystemCtx(context.Background(), sysOpts)
 	if err != nil {
 		return err
 	}
 	defer sys.Close()
-	if *template {
-		fmt.Println("forked from template; SMM locked, server attach on first patch")
-	} else {
-		fmt.Println("SMM locked, enclave attested, channel keys established")
-	}
+	fmt.Println("forked from template; SMM locked, server attach on first patch")
 
 	if hooks != nil {
 		sys.SetObserver(hooks)
-		// Resident-frame split of the target's physical memory: under
-		// -template the private gauge is the fork's marginal footprint.
+		// Resident-frame split of the target's physical memory: the
+		// private gauge is the fork's marginal footprint.
 		hooks.GaugeFunc(obs.GaugeMemSharedBytes, func() int64 {
 			return int64(sys.Machine.Mem.ResidentStats().SharedBytes)
 		})

@@ -28,8 +28,8 @@ func waitGoroutines(t *testing.T, before int) {
 
 // TestRunLeavesNoGoroutines drives a full kshotd run with every
 // server-shaped feature on — standalone patch server, -obs metrics
-// HTTP server, -template cache booter, -introspect background sweep —
-// and asserts nothing outlives run(): listeners, sweep loops, and the
+// HTTP server, -introspect background sweep — and asserts nothing
+// outlives run(): listeners, sweep loops, and the single-use
 // template's machine are all torn down on the defer path.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	if testing.Short() {
@@ -38,7 +38,6 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	err := run([]string{
 		"-standalone",
-		"-template",
 		"-obs", "127.0.0.1:0",
 		"-introspect", "1ms",
 		"-cves", "CVE-2014-0196",
@@ -49,9 +48,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestRunObsServerOnly pins the -obs teardown on the non-template
-// path, where the listener defer is the only thing stopping the
-// metrics server.
+// TestRunObsServerOnly pins the -obs teardown without -introspect,
+// where the listener defer is the only thing stopping the metrics
+// server.
 func TestRunObsServerOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a full system")

@@ -34,8 +34,9 @@ func main() {
 	defer srv.Close()
 	srv.RegisterPatch(entry.SourcePatch())
 
-	// The target machine: boots the vulnerable kernel, locks SMRAM,
-	// loads the preparation enclave, and attests to the server.
+	// The target machine: boots the vulnerable kernel and locks SMRAM.
+	// It loads the preparation enclave and attests to the server at the
+	// first patch.
 	fmt.Println("booting target machine (kernel 4.4, vulnerable to", entry.CVE+")...")
 	sys, err := kshot.New(
 		kshot.WithVersion("4.4"),

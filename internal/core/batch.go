@@ -120,7 +120,7 @@ type BatchReport struct {
 // BatchReport.Failed without sinking the rest; the error return is
 // reserved for cancellation.
 func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOption) (*BatchReport, error) {
-	if err := s.ensureAttached(ctx); err != nil {
+	if err := s.Attach(ctx); err != nil {
 		return nil, err
 	}
 	var cfg applyConfig

@@ -118,6 +118,11 @@ func TestApplyAllRollbackOrdering(t *testing.T) {
 
 func TestApplyAllCancellationLeavesSystemConsistent(t *testing.T) {
 	d := newDeployment(t, "4.4", 0, batchCVEs[:2]...)
+	// Attach first: cancellation must reach the pipeline itself, not
+	// stop at first contact.
+	if err := d.System.Attach(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rep, err := d.System.ApplyAll(ctx, []string{batchCVEs[0], batchCVEs[1]})
@@ -220,6 +225,11 @@ func TestApplyAllRetriesOnlyActiveMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
+	// First contact up front: the release below keys off the first SMI,
+	// which must be the batch's, not the channel bootstrap.
+	if err := sys.Attach(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	// Park vCPU 0 inside spin_gadget.
 	if err := sys.Kernel.WriteGlobal("gadget_release", 0); err != nil {

@@ -21,7 +21,6 @@ package core
 
 import (
 	"context"
-	cryptorand "crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -100,11 +99,11 @@ type Options struct {
 	RequestRetries int
 	RetryBackoff   time.Duration
 
-	// TemplateCache, when set, provisions the System by COW-forking a
-	// cached template machine for this configuration instead of
-	// cold-booting one (see template.go). The first provisioning per
-	// (version, ftrace, inline, extra-files, dispatch, vCPUs) config
-	// pays the full boot; every subsequent one is a fork.
+	// TemplateCache, when set, shares booted template machines across
+	// Systems (see template.go): the first System per (version, ftrace,
+	// inline, extra-files, dispatch, vCPUs) config pays the full boot,
+	// and every later one only forks it. Without a cache each System
+	// boots a single-use template and forks it once.
 	TemplateCache *TemplateCache
 
 	// Introspection, when non-nil, enables the event-driven
@@ -139,13 +138,11 @@ type System struct {
 	Clock   *timing.Clock
 	Model   timing.Model
 
-	// platform/enclave/prog/client are nil on a forked System until
-	// first server use: fork-time provisioning is deliberately
-	// network-free, and ensureAttached performs the dial, attested
-	// hello, and enclave load lazily (overlapping with rollout wave
-	// scheduling instead of sitting on the provisioning critical
-	// path). Cold-booted Systems attach eagerly during NewSystem, as
-	// the paper's workflow describes.
+	// platform/enclave/prog/client are nil until first server use:
+	// provisioning is deliberately network-free, and Attach
+	// performs the dial, attested hello, and enclave load lazily
+	// (overlapping with rollout wave scheduling instead of sitting on
+	// the provisioning critical path).
 	platform *sgx.Platform
 	enclave  *sgx.Enclave
 	prog     *sgxprep.Program
@@ -154,19 +151,19 @@ type System struct {
 
 	// attachMu serializes the lazy attach; after it completes, client
 	// and friends are immutable. needBootstrap (also under attachMu)
-	// marks a forked System whose bootstrap key-exchange SMI is still
-	// pending.
+	// marks a System whose bootstrap key-exchange SMI is still pending,
+	// including after an attach that succeeded when the SMI did not.
 	attachMu      sync.Mutex
 	needBootstrap bool
 
 	// Retained so ApplyAll can dial extra attested fetch connections,
-	// and (for forks) so the lazy attach can build the enclave.
+	// and so the lazy attach can build the enclave.
 	serverAddr  string
 	meas        sgx.Measurement
 	attKey      []byte
 	hashAlg     kcrypto.HashAlg
 	rng         io.Reader
-	sessionRoot []byte // non-nil on forks: derived-session channel root
+	sessionRoot []byte // derived-session channel root, shared with the SMM handler
 
 	// Client resilience knobs (see Options).
 	dialRetries    int
@@ -237,42 +234,32 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// NewSystem boots the target machine, locks down SMM, attests and
-// loads the preparation enclave, and registers with the patch server.
+// NewSystem provisions a target: it forks a booted template machine,
+// installs fresh per-target SMM secrets, and locks SMRAM. Registration
+// with the patch server, the enclave load, and the channel bootstrap
+// happen at first contact (the first Apply, ApplyAll or Rollback), so
+// NewSystem never touches the network.
 func NewSystem(opts Options) (*System, error) {
 	return NewSystemCtx(context.Background(), opts)
 }
 
 // NewSystemCtx is NewSystem with provisioning-time cancellation: ctx
-// is checked between boot stages (kernel build, machine boot, SMM
-// provisioning, server registration), so a halted rollout stops
-// booting stragglers instead of finishing every in-flight cold boot.
-// When Options.TemplateCache is set, provisioning forks a cached
-// template instead of cold-booting.
+// is checked between boot stages (kernel build, machine boot, fork),
+// so a halted rollout stops booting stragglers. Every System is a
+// fork: of Options.TemplateCache's template for this configuration
+// when a cache is set, else of a single-use template booted here and
+// closed right after the fork.
 func NewSystemCtx(ctx context.Context, opts Options) (*System, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = withDefaults(opts)
-	var s *System
-	if opts.TemplateCache != nil {
-		var err error
-		if s, err = opts.TemplateCache.System(ctx, opts); err != nil {
-			return nil, err
-		}
-	} else {
-		m, k, info, err := bootTarget(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		if s, err = provisionCold(ctx, opts, m, k, info); err != nil {
-			m.Stop()
-			return nil, err
-		}
+	s, err := provision(ctx, opts)
+	if err != nil {
+		return nil, err
 	}
-	// Introspection wiring is per-System (a fork never inherits its
-	// template's hooks), so it lands here — the common tail of both
-	// provisioning paths.
+	// Introspection wiring is per-System: a fork never inherits its
+	// template's hooks.
 	if opts.Introspection != nil {
 		if err := s.EnableIntrospection(*opts.Introspection); err != nil {
 			s.Close()
@@ -282,9 +269,8 @@ func NewSystemCtx(ctx context.Context, opts Options) (*System, error) {
 	return s, nil
 }
 
-// withDefaults canonicalizes the zero-value options — the same
-// defaults whether a System is cold-booted or template-forked, and
-// the basis of the template cache key.
+// withDefaults canonicalizes the zero-value options, the basis of the
+// template cache key.
 func withDefaults(opts Options) Options {
 	if opts.Version == "" {
 		opts.Version = "4.4"
@@ -304,8 +290,7 @@ func withDefaults(opts Options) Options {
 
 // bootTarget builds the (vulnerable) kernel tree, boots the machine,
 // and runs kernel_init — everything a target needs before any
-// per-target secret exists. It is the shared front half of cold
-// provisioning and template construction.
+// per-target secret exists. NewTemplate stops here.
 func bootTarget(ctx context.Context, opts Options) (*machine.Machine, *kernel.Kernel, patchserver.OSInfo, error) {
 	var info patchserver.OSInfo
 	if err := ctx.Err(); err != nil {
@@ -355,11 +340,11 @@ func bootTarget(ctx context.Context, opts Options) (*machine.Machine, *kernel.Ke
 	return m, k, info, nil
 }
 
-// provisionSMM installs the per-target SMM state on a booted machine:
-// controller, fresh status-attestation key, patching handler (in DH
-// mode, or derived-session mode when sessionRoot is set), and the
-// SMRAM lock. This always happens per target — never in the template —
-// so every fork's SMRAM holds its own secrets before it is sealed.
+// provisionSMM installs the per-target SMM state on a forked machine:
+// controller, fresh status-attestation key, patching handler keyed
+// with the fork's channel root, and the SMRAM lock. This always
+// happens per target — never in the template — so every fork's SMRAM
+// holds its own secrets before it is sealed.
 func provisionSMM(opts Options, m *machine.Machine, k *kernel.Kernel, clock *timing.Clock, model timing.Model, rng io.Reader, sessionRoot []byte) (*smm.Controller, *smmpatch.Handler, []byte, error) {
 	ctrl, err := smm.NewController(m, kernel.SMRAMBase, clock, model)
 	if err != nil {
@@ -394,64 +379,14 @@ func provisionSMM(opts Options, m *machine.Machine, k *kernel.Kernel, clock *tim
 	return ctrl, handler, attKey, nil
 }
 
-// provisionCold finishes a cold boot the paper's way: SMM lock, eager
-// server registration, eager enclave load, and the bootstrap
-// key-exchange SMI.
-func provisionCold(ctx context.Context, opts Options, m *machine.Machine, k *kernel.Kernel, info patchserver.OSInfo) (*System, error) {
-	clock := &timing.Clock{}
-	model := timing.Calibrated()
-
-	rng := opts.Rand
-	if rng == nil {
-		rng = cryptorand.Reader
-	}
-	ctrl, handler, attKey, err := provisionSMM(opts, m, k, clock, model, rng, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	s := &System{
-		Machine:    m,
-		Kernel:     k,
-		SMM:        ctrl,
-		Handler:    handler,
-		Clock:      clock,
-		Model:      model,
-		info:       info,
-		serverAddr: opts.ServerAddr,
-		meas:       sgx.MeasureIdentity(sgxprep.Identity(opts.Version)),
-		attKey:     attKey,
-		hashAlg:    opts.HashAlg,
-		rng:        opts.Rand,
-
-		dialRetries:    opts.DialRetries,
-		requestRetries: opts.RequestRetries,
-		retryBackoff:   opts.RetryBackoff,
-
-		helperPriv: mem.PrivUser,
-	}
-	// Register with the patch server under the enclave's expected
-	// measurement and load the preparation enclave, eagerly.
-	if err := s.attach(ctx); err != nil {
-		return nil, err
-	}
-	// Bootstrap the SMM channel key.
-	if err := ctrl.Trigger(smmpatch.CmdKeyExchange, 0); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// ensureAttached lazily performs the server-facing half of
-// provisioning for a forked System: dial, attested hello, SGX
-// platform construction, and the enclave load. It is a no-op once
-// attached (cold-booted Systems attach during NewSystem). Safe for
-// concurrent callers.
-func (s *System) ensureAttached(ctx context.Context) error {
+// Attach performs the server-facing half of provisioning — dial,
+// attested hello, SGX platform construction, the enclave load, and
+// the bootstrap key-exchange SMI. Apply, ApplyAll and Rollback call it
+// at first contact; harnesses call it up front to keep that one-time
+// work out of what they trace or fault-inject. A failed step is
+// retried by the next call; once all of them succeeded it is a no-op.
+// Safe for concurrent callers.
+func (s *System) Attach(ctx context.Context) error {
 	s.attachMu.Lock()
 	defer s.attachMu.Unlock()
 	if s.client == nil {
@@ -459,11 +394,9 @@ func (s *System) ensureAttached(ctx context.Context) error {
 			return err
 		}
 	}
-	// Forked Systems also defer the bootstrap key-exchange SMI to first
-	// contact: the fork's SMRAM is locked and keyed at Fork time, but
-	// publishing the channel nonce writes guest memory, and deferring it
-	// keeps a fresh fork's private frame count at zero. Cold boots run
-	// the SMI during provisioning and never set needBootstrap.
+	// The fork's SMRAM is locked and keyed at Fork time, but publishing
+	// the channel nonce writes guest memory, so the SMI waits for first
+	// contact too: a fresh fork's private frame count stays at zero.
 	if s.needBootstrap {
 		if err := s.SMM.Trigger(smmpatch.CmdKeyExchange, 0); err != nil {
 			return err
@@ -474,19 +407,19 @@ func (s *System) ensureAttached(ctx context.Context) error {
 }
 
 // attach performs the dial + hello + enclave-load sequence. Callers
-// hold attachMu or are single-threaded construction paths.
+// hold attachMu.
 func (s *System) attach(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	client, err := patchserver.Dial(s.serverAddr, s.dialOptions()...)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrFetch, err)
 	}
 	serverKey, err := client.HelloWithAttestation(s.info, s.meas, s.attKey)
 	if err != nil {
 		client.Close()
-		return err
+		return fmt.Errorf("%w: %w", ErrFetch, err)
 	}
 	if err := ctx.Err(); err != nil {
 		client.Close()
@@ -549,7 +482,7 @@ func (s *System) SetFaultInjector(fi *faultinject.Set) {
 	s.Machine.Mem.SetFaultInjector(fi)
 	s.SMM.SetFaultInjector(fi)
 	s.Handler.SetFaultInjector(fi)
-	// Server-facing layers exist only after attach; ensureAttached
+	// Server-facing layers exist only after attach; Attach
 	// re-applies the stored set to them.
 	if s.platform != nil {
 		s.platform.SetFaultInjector(fi)
@@ -676,7 +609,7 @@ func (s *System) dialOptions() []patchserver.DialOption {
 // reloaded, re-attested against the measurement registered with the
 // server, and the call retried once. The enclave holds no state the
 // reload cannot rebuild — sessions are re-derived per package from the
-// SMM public key passed in the arguments.
+// SMM nonce passed in the arguments.
 func (s *System) ecall(fn int, args []byte) ([]byte, error) {
 	out, err := s.enclave.ECall(fn, args)
 	if err == nil || !errors.Is(err, sgx.ErrDestroyed) {
@@ -722,7 +655,7 @@ func (s *System) Close() {
 // and is checked between stages; cancellation never interrupts an SMI
 // already raised, so the system stays consistent.
 func (s *System) Apply(ctx context.Context, cve string) (*Report, error) {
-	if err := s.ensureAttached(ctx); err != nil {
+	if err := s.Attach(ctx); err != nil {
 		return nil, err
 	}
 	st := StageTimes{}
@@ -788,7 +721,7 @@ func (s *System) applyPrepared(ctx context.Context, cve string, blob []byte, st 
 
 // Rollback undoes the most recently applied patch (§V-C).
 func (s *System) Rollback(ctx context.Context, cve string) (*Report, error) {
-	if err := s.ensureAttached(ctx); err != nil {
+	if err := s.Attach(ctx); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {

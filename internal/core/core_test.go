@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -341,28 +342,56 @@ func TestNewSystemErrors(t *testing.T) {
 	if _, err := NewSystem(Options{Version: "9.9", ServerAddr: "127.0.0.1:1"}); err == nil {
 		t.Error("bad version accepted")
 	}
-	if _, err := NewSystem(Options{Version: "4.4", ServerAddr: "127.0.0.1:1"}); err == nil {
-		t.Error("dead server accepted")
+	e, _ := cvebench.Get("CVE-2014-0196")
+	opts := Options{Version: "4.4", ExtraFiles: map[string]string{e.File: e.Vuln}}
+
+	// A dead server is not NewSystem's concern: provisioning never
+	// touches the network, and the fresh System owns no private frames.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	opts.ServerAddr = ln.Addr().String()
+	ln.Close()
+	sys, err := NewSystem(opts)
+	if err != nil {
+		t.Fatalf("NewSystem with a dead server: %v", err)
+	}
+	defer sys.Close()
+	if st := sys.Machine.Mem.ResidentStats(); st.PrivateBytes != 0 {
+		t.Errorf("uncached System owns %d private bytes before first contact, want 0", st.PrivateBytes)
+	}
+	// First contact fails; once the server is up at that address, the
+	// next Apply retries the attach instead of using a half-attached
+	// System.
+	if _, err := sys.Apply(context.Background(), e.CVE); err == nil {
+		t.Fatal("Apply against a dead server succeeded")
+	}
+	live, err := patchserver.NewServer(opts.ServerAddr, cvebench.TreeProviderFor(e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	live.RegisterPatch(e.SourcePatch())
+	if _, err := sys.Apply(context.Background(), e.CVE); err != nil {
+		t.Fatalf("Apply after the server came up: %v", err)
+	}
+
 	// A server that does not know the vulnerable subsystem cannot
 	// patch it; Apply fails cleanly.
-	e, _ := cvebench.Get("CVE-2014-0196")
 	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	srv.RegisterPatch(e.SourcePatch())
-	sys, err := NewSystem(Options{
-		Version:    "4.4",
-		ExtraFiles: map[string]string{e.File: e.Vuln},
-		ServerAddr: srv.Addr(),
-	})
+	opts.ServerAddr = srv.Addr()
+	unknown, err := NewSystem(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
-	if _, err := sys.Apply(context.Background(), e.CVE); err == nil {
+	defer unknown.Close()
+	if _, err := unknown.Apply(context.Background(), e.CVE); err == nil {
 		t.Error("patch for unknown subsystem applied")
 	} else if !strings.Contains(err.Error(), "unknown file") && err == nil {
 		t.Errorf("unexpected error: %v", err)

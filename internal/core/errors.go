@@ -16,8 +16,9 @@ import (
 //	case errors.Is(err, core.ErrFetch):        // network/server trouble
 //	}
 var (
-	// ErrFetch classifies Stage-1 failures: the helper could not
-	// download the encrypted patch from the remote server.
+	// ErrFetch classifies Stage-1 failures: the helper could not reach
+	// the remote server (including at first contact) or download the
+	// encrypted patch from it.
 	ErrFetch = errors.New("core: patch fetch failed")
 
 	// ErrEnclavePrepare classifies Stage-2 failures: the SGX enclave

@@ -23,20 +23,21 @@ import (
 	"kshot/internal/timing"
 )
 
-// Template-fork provisioning: booting a target is dominated by the
-// kernel build and machine bring-up, yet every System for the same
-// (version, ftrace, inline, extra-files, dispatch, vCPUs) configuration
-// boots bit-identical memory. A Template pays that cost once, halting
-// just before anything per-target exists — no SMRAM, no keys, no RNG
-// state, no server connection — and Fork stamps out live Systems by
-// COW-sharing its frames. Everything secret is provisioned per fork,
-// after the fork: each one gets a fresh attestation key, a fresh
-// derived-session channel root, its own clock/model, and only then is
-// its SMRAM locked. The template itself never holds a secret a fork
-// could inherit.
+// Template-fork provisioning, the only way a System is built: booting
+// a target is dominated by the kernel build and machine bring-up, yet
+// every System for the same (version, ftrace, inline, extra-files,
+// dispatch, vCPUs) configuration boots bit-identical memory. A
+// Template pays that cost once, halting just before anything
+// per-target exists — no SMRAM, no keys, no RNG state, no server
+// connection — and Fork stamps out live Systems by COW-sharing its
+// frames. Everything secret is provisioned per fork, after the fork:
+// each one gets a fresh attestation key, a fresh derived-session
+// channel root, its own clock/model, and only then is its SMRAM
+// locked. The template itself never holds a secret a fork could
+// inherit.
 
-// ErrTemplateClosed is returned by Fork and TemplateCache.System after
-// Close.
+// ErrTemplateClosed is returned by Fork, and by NewSystemCtx through a
+// closed TemplateCache.
 var ErrTemplateClosed = errors.New("core: template closed")
 
 // Template is an immutable booted target machine used as a COW fork
@@ -125,7 +126,7 @@ func (t *Template) forkEntropy(opts Options, n int) ([]byte, error) {
 // a per-fork derived-session root, SMM handler install, and SMRAM
 // lock. No network and no guest-memory write happens here; the server
 // attach and the bootstrap key-exchange SMI are deferred to first use
-// (see System.ensureAttached).
+// (see System.Attach).
 //
 // Per-fork options (ServerAddr, HashAlg, Rand, CheckActiveness, retry
 // knobs) are honored from opts; configuration baked into the template
@@ -193,13 +194,11 @@ func (t *Template) Fork(ctx context.Context, opts Options) (*System, error) {
 
 		helperPriv: mem.PrivUser,
 
-		// The bootstrap key-exchange SMI (which publishes the channel
-		// nonce — in derived-session mode charging the same virtual
-		// KeyGen cost a cold boot pays, keeping forked and cold stage
-		// metrics identical) is deferred to first server contact along
-		// with the attach. Until then the fork has written nothing: its
-		// private frame set is empty and its marginal memory cost is
-		// exactly zero.
+		// The bootstrap key-exchange SMI, which publishes the channel
+		// nonce, is deferred to first server contact along with the
+		// attach. Until then the fork has written nothing: its private
+		// frame set is empty and its marginal memory cost is exactly
+		// zero.
 		needBootstrap: true,
 	}
 	return s, nil
@@ -226,9 +225,9 @@ func templateKey(opts Options) string {
 
 // TemplateCacheStats is a point-in-time view of cache traffic.
 type TemplateCacheStats struct {
-	// Hits counts System calls served by an already-built (or
-	// in-flight) template; Misses counts the calls that paid a cold
-	// template boot; Forks counts successfully forked Systems.
+	// Hits counts provisionings served by an already-built (or
+	// in-flight) template; Misses counts the ones that paid a template
+	// boot; Forks counts successfully forked Systems.
 	Hits, Misses, Forks int64
 	// Templates is the number of distinct configurations cached.
 	Templates int
@@ -242,9 +241,9 @@ type tcEntry struct {
 	err   error
 }
 
-// TemplateCache provisions Systems by forking one cached template per
-// configuration. The first System for a configuration boots the
-// template (concurrent requests for the same configuration wait on
+// TemplateCache shares one booted template per configuration among
+// the Systems provisioned with it as Options.TemplateCache. The first
+// System for a configuration boots the template (concurrent requests for the same configuration wait on
 // that one boot — singleflight); every later System is a COW fork.
 // Failed template boots are not cached: the slot is cleared so a later
 // call retries.
@@ -286,12 +285,20 @@ func (c *TemplateCache) Stats() TemplateCacheStats {
 	}
 }
 
-// System provisions a System for opts through the cache: fork the
-// configuration's template, booting it first if this is the first
-// request for the configuration. NewSystemCtx routes here when
-// Options.TemplateCache is set.
-func (c *TemplateCache) System(ctx context.Context, opts Options) (*System, error) {
-	opts = withDefaults(opts)
+// provision forks a System for canonicalized opts: from the
+// singleflight template of opts.TemplateCache when set, else from a
+// single-use template booted for this System alone and closed once
+// forked (the fork keeps the shared frames alive).
+func provision(ctx context.Context, opts Options) (*System, error) {
+	c := opts.TemplateCache
+	if c == nil {
+		tpl, err := NewTemplate(ctx, opts)
+		if err != nil {
+			return nil, err
+		}
+		defer tpl.Close()
+		return tpl.Fork(ctx, opts)
+	}
 	tpl, err := c.template(ctx, opts)
 	if err != nil {
 		return nil, err

@@ -114,7 +114,12 @@ func newSizeRig(maxPayload int, alg kcrypto.HashAlg) (*sizeRig, error) {
 		m.Stop()
 		return nil, err
 	}
-	handler, err := smmpatch.New(smmpatch.Config{Reserved: res, KernelVersion: rigVersion})
+	serverKey := make([]byte, 32)
+	for i := range serverKey {
+		serverKey[i] = byte(i * 7)
+	}
+	sessionRoot := kcrypto.DeriveKey(serverKey, []byte("session root"))
+	handler, err := smmpatch.New(smmpatch.Config{Reserved: res, KernelVersion: rigVersion, SessionRoot: sessionRoot})
 	if err != nil {
 		m.Stop()
 		return nil, err
@@ -128,10 +133,6 @@ func newSizeRig(maxPayload int, alg kcrypto.HashAlg) (*sizeRig, error) {
 		return nil, err
 	}
 
-	serverKey := make([]byte, 32)
-	for i := range serverKey {
-		serverKey[i] = byte(i * 7)
-	}
 	serverSess, err := kcrypto.NewSession(serverKey, nil)
 	if err != nil {
 		m.Stop()
@@ -144,6 +145,7 @@ func newSizeRig(maxPayload int, alg kcrypto.HashAlg) (*sizeRig, error) {
 		HashAlg:       alg,
 		Clock:         clock,
 		Model:         model,
+		SessionRoot:   sessionRoot,
 	})
 	if err != nil {
 		m.Stop()
@@ -381,7 +383,9 @@ type Deployment struct {
 }
 
 // NewDeployment provisions a system vulnerable to the given CVEs, with
-// a patch server that can fix them.
+// a patch server that can fix them, and makes the system's first
+// contact (server attach, enclave load, channel bootstrap SMI) so that
+// experiments, traces and injected faults see patching work only.
 func NewDeployment(version string, numVCPUs int, alg kcrypto.HashAlg, entries ...*cvebench.Entry) (*Deployment, error) {
 	return NewDeploymentDispatch(version, numVCPUs, alg, isa.DispatchBlocks, entries...)
 }
@@ -411,7 +415,12 @@ func NewDeploymentDispatch(version string, numVCPUs int, alg kcrypto.HashAlg, d 
 		srv.Close()
 		return nil, err
 	}
-	return &Deployment{Server: srv, System: sys, Entries: entries}, nil
+	dep := &Deployment{Server: srv, System: sys, Entries: entries}
+	if err := sys.Attach(context.Background()); err != nil {
+		dep.Close()
+		return nil, err
+	}
+	return dep, nil
 }
 
 // Close releases the deployment.

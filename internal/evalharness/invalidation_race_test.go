@@ -2,14 +2,16 @@ package evalharness
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"kshot/internal/core"
 	"kshot/internal/cvebench"
 	"kshot/internal/isa"
-	"kshot/internal/kcrypto"
+	"kshot/internal/patchserver"
 )
 
 // TestBlockInvalidationUnderConcurrentApply patches a kernel out from
@@ -23,17 +25,34 @@ import (
 // the engine recorded cache flushes and fresh decodes, and that
 // rollback flips behaviour back. Run under -race (CI does) this also
 // proves the epoch/flush path is data-race free.
+//
+// The system runs with the activeness check on: an SMI that pauses
+// vCPU 1 inside the function would otherwise let the trampoline write
+// land on the bytes it resumes at, so Apply retries until the workload
+// is paused outside the target, as an operator would.
 func TestBlockInvalidationUnderConcurrentApply(t *testing.T) {
 	e, ok := cvebench.Get("CVE-2014-4157")
 	if !ok {
 		t.Fatal("CVE-2014-4157 not in registry")
 	}
-	d, err := NewDeploymentDispatch("4.4", 2, kcrypto.HashSHA256, isa.DispatchBlocks, e)
+	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(e))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	sys := d.System
+	defer srv.Close()
+	srv.RegisterPatch(e.SourcePatch())
+	sys, err := core.NewSystem(core.Options{
+		Version:         "4.4",
+		NumVCPUs:        2,
+		Dispatch:        isa.DispatchBlocks,
+		ExtraFiles:      map[string]string{e.File: e.Vuln},
+		ServerAddr:      srv.Addr(),
+		CheckActiveness: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
 
 	if r, err := e.Exploit(sys.Kernel, 0); err != nil || !r.Vulnerable {
 		t.Fatalf("pre-apply exploit: vulnerable=%v, err=%v", r.Vulnerable, err)
@@ -89,8 +108,14 @@ func TestBlockInvalidationUnderConcurrentApply(t *testing.T) {
 	// Let the workload populate vCPU 1's block cache, then patch it out
 	// from under the loop.
 	waitFor("warmup", func() bool { return iterations.Load() >= 20 })
-	if _, err := sys.Apply(context.Background(), e.CVE); err != nil {
-		t.Fatalf("apply mid-run: %v", err)
+	for {
+		_, err := sys.Apply(context.Background(), e.CVE)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, core.ErrTargetActive) {
+			t.Fatalf("apply mid-run: %v", err)
+		}
 	}
 	// The workload must observe the fix — the next dispatches run the
 	// patched text, not a stale block.

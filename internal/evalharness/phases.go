@@ -83,9 +83,10 @@ type PhaseBreakdown struct {
 // RunPhaseBreakdown deploys the full Table I suite through the batched
 // ApplyAll pipeline with observability hooks installed, one
 // conflict-free wave per deployment, and maps each patch's stage times
-// onto the paper's phase vocabulary. The boot-time key-exchange SMI
-// happens before the hooks are installed, so the trace and metrics
-// cover exactly the patching work.
+// onto the paper's phase vocabulary. Each deployment makes first
+// contact (server attach and the key-exchange SMI) before the hooks
+// are installed, so the trace and metrics cover exactly the patching
+// work.
 func RunPhaseBreakdown(opts PhaseOptions) (*PhaseBreakdown, error) {
 	if opts.Version == "" {
 		opts.Version = "4.4"

@@ -11,13 +11,15 @@ import (
 )
 
 // Provisioning-throughput experiment: how fast can targets for one
-// kernel configuration be stood up, cold-booting each one (kernel
-// build + machine boot + SMM lock + eager server registration) versus
-// COW-forking a booted template (per-fork SMM secrets + SMRAM lock,
-// server attach deferred)? The ratio is the template-fork payoff; the
-// resident-byte split shows the marginal memory cost of a fork.
+// kernel configuration be stood up, uncached (each System boots a
+// single-use template: kernel build + machine boot, then one fork)
+// versus forking one shared booted template (per-fork SMM secrets +
+// SMRAM lock)? Neither touches the server: attach waits for first
+// contact. The ratio is the template-cache payoff; the resident-byte
+// split shows the marginal memory cost of a fork.
 
-// ProvisionBenchResult reports cold versus forked provisioning rates.
+// ProvisionBenchResult reports uncached ("cold") versus forked
+// provisioning rates.
 type ProvisionBenchResult struct {
 	ColdBoots int `json:"cold_boots"`
 	Forks     int `json:"forks"`
@@ -46,9 +48,9 @@ func closeAll(systems []*core.System) {
 	}
 }
 
-// RunProvisionBench provisions cold cold-booted Systems and forks
-// forked ones from a single template, measuring both rates against
-// one shared patch server and the benchmark CVE configuration.
+// RunProvisionBench provisions cold Systems without a template cache
+// and forks forked ones from a single template, measuring both rates
+// against one shared patch server and the benchmark CVE configuration.
 func RunProvisionBench(cold, forked int) (*ProvisionBenchResult, error) {
 	if cold < 1 {
 		cold = 3
@@ -83,7 +85,7 @@ func RunProvisionBench(cold, forked int) (*ProvisionBenchResult, error) {
 		sys, err := core.NewSystemCtx(ctx, opts)
 		if err != nil {
 			closeAll(coldSystems)
-			return nil, fmt.Errorf("cold boot %d: %w", i, err)
+			return nil, fmt.Errorf("uncached provision %d: %w", i, err)
 		}
 		coldSystems = append(coldSystems, sys)
 	}

@@ -15,8 +15,8 @@ import (
 
 // RolloutBenchResult is the fleet-rollout experiment: one coordinator
 // driving a CVE batch across a simulated fleet in staged canary waves,
-// every target booting its own machine and fetching from one shared
-// patch server. Throughput is wall-clock (the real coordinator and
+// every target forked from one cached template and fetching from one
+// shared patch server. Throughput is wall-clock (the real coordinator and
 // server are being measured); the pause percentiles are virtual SMM
 // time (the paper's downtime metric).
 type RolloutBenchResult struct {
@@ -35,9 +35,8 @@ type RolloutBenchResult struct {
 	P99Pause  time.Duration `json:"p99_target_pause_ns"`
 
 	// Provisioning accounting: how much of the rollout went into
-	// standing targets up, and at what rate. With TemplateFork set the
-	// template-cache counters show how the fleet shared boots.
-	TemplateFork    bool          `json:"template_fork"`
+	// standing targets up, and at what rate; the template-cache
+	// counters show how the fleet shared boots.
 	ProvisionMean   time.Duration `json:"provision_mean_ns"`
 	ProvisionPerSec float64       `json:"provisions_per_sec"`
 	TemplateHits    int64         `json:"template_hits,omitempty"`
@@ -45,34 +44,13 @@ type RolloutBenchResult struct {
 	TemplateForks   int64         `json:"template_forks,omitempty"`
 }
 
-// RolloutBenchOptions parameterizes RunRolloutBenchOpts. The zero
-// value gets the historical defaults (2 targets, 1 domain, 2 CVEs,
-// concurrency 4, cold boots).
-type RolloutBenchOptions struct {
-	Targets     int
-	Domains     int
-	CVEs        int
-	Concurrency int
-
-	// TemplateFork provisions the fleet by COW-forking one cached
-	// template per configuration instead of cold-booting every target.
-	TemplateFork bool
-}
-
 // RunRolloutBench measures the rollout orchestrator end to end:
 // targets simulated machines across domains failure domains, patching
 // cves CVEs from the benchmark registry in staged waves of
-// concurrency-bounded parallelism. Targets are cold-booted; use
-// RunRolloutBenchOpts to fork them from a template instead.
+// concurrency-bounded parallelism. Every target is a fork of one
+// cached template. Out-of-range arguments get the defaults: 2 targets,
+// 1 domain, 2 CVEs, concurrency 4.
 func RunRolloutBench(targets, domains, cves, concurrency int) (*RolloutBenchResult, error) {
-	return RunRolloutBenchOpts(RolloutBenchOptions{
-		Targets: targets, Domains: domains, CVEs: cves, Concurrency: concurrency,
-	})
-}
-
-// RunRolloutBenchOpts is RunRolloutBench with the full option set.
-func RunRolloutBenchOpts(o RolloutBenchOptions) (*RolloutBenchResult, error) {
-	targets, domains, cves, concurrency := o.Targets, o.Domains, o.CVEs, o.Concurrency
 	if targets < 2 {
 		targets = 2
 	}
@@ -111,16 +89,13 @@ func RunRolloutBenchOpts(o RolloutBenchOptions) (*RolloutBenchResult, error) {
 		}
 	}
 
+	cache := core.NewTemplateCache()
+	defer cache.Close()
 	sysOpts := core.Options{
-		Version:    "4.4",
-		ExtraFiles: files,
-		ServerAddr: srv.Addr(),
-	}
-	var cache *core.TemplateCache
-	if o.TemplateFork {
-		cache = core.NewTemplateCache()
-		defer cache.Close()
-		sysOpts.TemplateCache = cache
+		Version:       "4.4",
+		ExtraFiles:    files,
+		ServerAddr:    srv.Addr(),
+		TemplateCache: cache,
 	}
 	// Provisioning rate is accounted inside the provisioner so it
 	// reflects exactly what the orchestrator paid, wave scheduling and
@@ -163,8 +138,6 @@ func RunRolloutBenchOpts(o RolloutBenchOptions) (*RolloutBenchResult, error) {
 		Failed:   res.Failed,
 		RolledBk: res.RolledBack,
 		Wall:     wall,
-
-		TemplateFork: o.TemplateFork,
 	}
 	if wall > 0 {
 		out.TargetsPerSec = float64(targets) / wall.Seconds()
@@ -175,10 +148,8 @@ func RunRolloutBenchOpts(o RolloutBenchOptions) (*RolloutBenchResult, error) {
 			out.ProvisionPerSec = float64(n) / (time.Duration(provNanos.Load())).Seconds()
 		}
 	}
-	if cache != nil {
-		st := cache.Stats()
-		out.TemplateHits, out.TemplateMisses, out.TemplateForks = st.Hits, st.Misses, st.Forks
-	}
+	st := cache.Stats()
+	out.TemplateHits, out.TemplateMisses, out.TemplateForks = st.Hits, st.Misses, st.Forks
 
 	pauses := make([]time.Duration, 0, len(res.Targets))
 	var sum time.Duration

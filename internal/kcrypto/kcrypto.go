@@ -1,13 +1,15 @@
 // Package kcrypto implements the cryptographic primitives KShot uses
-// between its trusted components: finite-field Diffie-Hellman key
-// agreement for the SGX↔SMM shared-memory channel (§V-B/§V-C), an
-// AES-CTR session cipher for patch package transport, SHA-256 payload
-// verification, and the cheaper SDBM hash the paper suggests as an
-// alternative verification function (§VI-C2).
+// between its trusted components: HMAC key derivation for the SGX↔SMM
+// shared-memory channel (§V-B/§V-C), an AES-CTR session cipher for
+// patch package transport, SHA-256 payload verification and status
+// MACs, and the cheaper SDBM hash the paper suggests as an alternative
+// verification function (§VI-C2).
 //
-// The DH private key on the SMM side is regenerated before every
-// kernel patch, which is KShot's defense against replay of previously
-// captured patch packages.
+// The paper agrees each channel key by Diffie-Hellman; this
+// reproduction instead derives it from a root both endpoints are
+// provisioned with, mixed with a nonce the SMM side regenerates
+// before every kernel patch — KShot's defense against replay of
+// previously captured patch packages.
 package kcrypto
 
 import (
@@ -18,91 +20,10 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
-	"math/big"
 )
 
-// modp2048 is the RFC 3526 group 14 prime (2048-bit MODP), the
-// standard choice for classic finite-field Diffie-Hellman.
-const modp2048Hex = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-	"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-	"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-	"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
-	"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
-	"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
-	"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
-	"670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B" +
-	"E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9" +
-	"DE2BCBF6955817183995497CEA956AE515D2261898FA0510" +
-	"15728E5A8AACAA68FFFFFFFFFFFFFFFF"
-
-var (
-	dhPrime = mustHexBig(modp2048Hex)
-	dhGen   = big.NewInt(2)
-	// dhPrivBits keeps exponent arithmetic fast while retaining the
-	// standard >= 2x security-level margin.
-	dhPrivBytes = 32
-)
-
-func mustHexBig(s string) *big.Int {
-	v, ok := new(big.Int).SetString(s, 16)
-	if !ok {
-		panic("kcrypto: bad prime constant")
-	}
-	return v
-}
-
-// KeyPair is one side's ephemeral Diffie-Hellman key pair.
-type KeyPair struct {
-	priv *big.Int
-	pub  *big.Int
-}
-
-// GenerateKeyPair creates an ephemeral DH key pair using entropy from
-// r (crypto/rand.Reader in production; a deterministic reader in
-// tests).
-func GenerateKeyPair(r io.Reader) (*KeyPair, error) {
-	if r == nil {
-		r = rand.Reader
-	}
-	buf := make([]byte, dhPrivBytes)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("dh keygen: %w", err)
-	}
-	priv := new(big.Int).SetBytes(buf)
-	// Guard against degenerate exponents.
-	if priv.Sign() == 0 {
-		priv.SetInt64(2)
-	}
-	pub := new(big.Int).Exp(dhGen, priv, dhPrime)
-	return &KeyPair{priv: priv, pub: pub}, nil
-}
-
-// PublicBytes returns the public key as a fixed-width big-endian blob
-// suitable for writing into the mem_RW exchange area.
-func (kp *KeyPair) PublicBytes() []byte {
-	return kp.pub.FillBytes(make([]byte, dhPrime.BitLen()/8))
-}
-
-// SharedSecret derives the 32-byte session key from the peer's public
-// key blob: SHA-256(g^ab mod p).
-func (kp *KeyPair) SharedSecret(peerPub []byte) ([]byte, error) {
-	peer := new(big.Int).SetBytes(peerPub)
-	if peer.Sign() <= 0 || peer.Cmp(dhPrime) >= 0 {
-		return nil, fmt.Errorf("dh: peer public key out of range")
-	}
-	// Reject the degenerate subgroup elements 1 and p-1.
-	one := big.NewInt(1)
-	pm1 := new(big.Int).Sub(dhPrime, one)
-	if peer.Cmp(one) == 0 || peer.Cmp(pm1) == 0 {
-		return nil, fmt.Errorf("dh: degenerate peer public key")
-	}
-	shared := new(big.Int).Exp(peer, kp.priv, dhPrime)
-	sum := sha256.Sum256(shared.FillBytes(make([]byte, dhPrime.BitLen()/8)))
-	return sum[:], nil
-}
-
-// Session is a symmetric transport cipher derived from a DH shared
-// secret. Each encryption uses a fresh random nonce carried with the
+// Session is a symmetric transport cipher keyed by a derived channel
+// key. Each encryption uses a fresh random nonce carried with the
 // ciphertext.
 type Session struct {
 	block cipher.Block
@@ -216,11 +137,10 @@ func VerifyMAC(key, data []byte, mac [DigestSize]byte) bool {
 // DeriveKey derives a 32-byte subkey from root and the given context
 // parts via HMAC-SHA256 (a one-block HKDF-expand). Parts are
 // length-prefixed, so distinct part boundaries can never collide. It
-// is the ratchet primitive of the derived-session channel used by
-// template forks: both endpoints hold the fork's session root and mix
-// in the fresh per-package nonces each side publishes through mem_RW,
-// replacing the per-package DH exponentiation with one MAC while
-// keeping the same publish/consume dataflow.
+// is the ratchet primitive of the SGX↔SMM channel: both endpoints
+// hold the System's session root and mix in the fresh per-package
+// nonces each side publishes through mem_RW, in place of the paper's
+// per-package DH exponentiation, keeping its publish/consume dataflow.
 func DeriveKey(root []byte, parts ...[]byte) []byte {
 	h := hmac.New(sha256.New, root)
 	var lp [8]byte

@@ -19,70 +19,6 @@ func (d *detRand) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestDHAgreement(t *testing.T) {
-	rng := newDetRand(1)
-	a, err := GenerateKeyPair(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateKeyPair(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ka, err := a.SharedSecret(b.PublicBytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := b.SharedSecret(a.PublicBytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ka, kb) {
-		t.Error("shared secrets differ")
-	}
-	if len(ka) != 32 {
-		t.Errorf("key length %d, want 32", len(ka))
-	}
-}
-
-func TestDHFreshKeysDiffer(t *testing.T) {
-	// The anti-replay property depends on every patch getting a new
-	// key: two independent exchanges must not produce the same secret.
-	rng := newDetRand(2)
-	peer, _ := GenerateKeyPair(rng)
-	k1p, _ := GenerateKeyPair(rng)
-	k2p, _ := GenerateKeyPair(rng)
-	k1, _ := k1p.SharedSecret(peer.PublicBytes())
-	k2, _ := k2p.SharedSecret(peer.PublicBytes())
-	if bytes.Equal(k1, k2) {
-		t.Error("two ephemeral exchanges yielded the same key")
-	}
-}
-
-func TestDHRejectsDegenerateKeys(t *testing.T) {
-	kp, _ := GenerateKeyPair(newDetRand(3))
-	width := len(kp.PublicBytes())
-	cases := map[string][]byte{
-		"zero": make([]byte, width),
-		"one":  append(make([]byte, width-1), 1),
-		"huge": bytes.Repeat([]byte{0xFF}, width+8),
-	}
-	for name, pub := range cases {
-		if _, err := kp.SharedSecret(pub); err == nil {
-			t.Errorf("%s public key accepted", name)
-		}
-	}
-}
-
-func TestDHPublicBytesFixedWidth(t *testing.T) {
-	for i := int64(0); i < 5; i++ {
-		kp, _ := GenerateKeyPair(newDetRand(i + 10))
-		if len(kp.PublicBytes()) != 256 {
-			t.Fatalf("public key width %d, want 256", len(kp.PublicBytes()))
-		}
-	}
-}
-
 func TestSessionRoundTrip(t *testing.T) {
 	key := make([]byte, 32)
 	s, err := NewSession(key, newDetRand(4))
@@ -129,20 +65,15 @@ func TestSessionErrors(t *testing.T) {
 }
 
 // Property: decrypt(encrypt(m)) == m for arbitrary payloads, across
-// independently derived (but matching) DH session keys.
+// session keys each endpoint derives independently from the shared
+// root and the fresh nonce and salt the two sides publish.
 func TestQuickEndToEndChannel(t *testing.T) {
 	rng := newDetRand(7)
-	f := func(msg []byte) bool {
-		a, err := GenerateKeyPair(rng)
-		if err != nil {
-			return false
-		}
-		b, err := GenerateKeyPair(rng)
-		if err != nil {
-			return false
-		}
-		ka, _ := a.SharedSecret(b.PublicBytes())
-		kb, _ := b.SharedSecret(a.PublicBytes())
+	root := make([]byte, 32)
+	rng.Read(root)
+	f := func(msg []byte, nonce, salt [32]byte) bool {
+		ka := DeriveKey(root, nonce[:], salt[:])
+		kb := DeriveKey(append([]byte(nil), root...), nonce[:], salt[:])
 		sa, err := NewSession(ka, rng)
 		if err != nil {
 			return false
@@ -160,6 +91,31 @@ func TestQuickEndToEndChannel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDeriveKeyFreshInputsDiffer pins the anti-replay property of the
+// channel: a new nonce, salt, or root gives a new key, and the length
+// prefixes keep shifted part boundaries from colliding.
+func TestDeriveKeyFreshInputsDiffer(t *testing.T) {
+	root := bytes.Repeat([]byte{1}, 32)
+	base := DeriveKey(root, []byte("nonce-1"), []byte("salt"))
+	if len(base) != 32 {
+		t.Fatalf("key length %d, want 32", len(base))
+	}
+	if !bytes.Equal(base, DeriveKey(root, []byte("nonce-1"), []byte("salt"))) {
+		t.Error("derivation not deterministic")
+	}
+	others := map[string][]byte{
+		"nonce":    DeriveKey(root, []byte("nonce-2"), []byte("salt")),
+		"salt":     DeriveKey(root, []byte("nonce-1"), []byte("salT")),
+		"root":     DeriveKey(bytes.Repeat([]byte{2}, 32), []byte("nonce-1"), []byte("salt")),
+		"boundary": DeriveKey(root, []byte("nonce-1s"), []byte("alt")),
+	}
+	for name, k := range others {
+		if bytes.Equal(base, k) {
+			t.Errorf("changing the %s left the key unchanged", name)
+		}
 	}
 }
 
@@ -216,16 +172,6 @@ func TestHashAlgString(t *testing.T) {
 	}
 	if HashAlg(42).String() == "" {
 		t.Error("unknown HashAlg empty string")
-	}
-}
-
-func TestGenerateKeyPairDefaultEntropy(t *testing.T) {
-	kp, err := GenerateKeyPair(nil) // crypto/rand
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kp.PublicBytes()) != 256 {
-		t.Error("default-entropy keypair malformed")
 	}
 }
 

@@ -5,8 +5,8 @@ import "fmt"
 // KShot reserves 18 MB of physical memory at boot (§V-B of the paper),
 // split into three logical parts with asymmetric kernel-side access:
 //
-//   - mem_RW: small read/write area used for the Diffie-Hellman key
-//     exchange between the SGX enclave and the SMM handler.
+//   - mem_RW: small read/write area used for the per-patch channel
+//     rekeying between the SGX enclave and the SMM handler.
 //   - mem_W: write-only (from the kernel/user point of view) staging
 //     area where the untrusted helper application deposits the
 //     encrypted patch package. The kernel can write it but cannot read
@@ -20,7 +20,7 @@ const (
 	// ReservedTotalSize is the paper's 18 MB boot-time reservation.
 	ReservedTotalSize = 18 << 20
 
-	// MemRWSize holds DH public keys and handshake state.
+	// MemRWSize holds the channel nonce/salt and handshake state.
 	MemRWSize = 64 << 10
 
 	// MemWSize stages the encrypted patch package plus rollback

@@ -22,7 +22,6 @@ type multiFixture struct {
 	serverKey []byte
 	bps       []*patch.BinaryPatch
 	place     patch.Placement
-	smmKey    *kcrypto.KeyPair
 }
 
 func vulnFn(i int) string {
@@ -92,6 +91,7 @@ func newMultiFixture(t *testing.T, n int) *multiFixture {
 		Placement:     place,
 		Model:         timing.Calibrated(),
 		Rand:          rng,
+		SessionRoot:   testRoot,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,13 +105,9 @@ func newMultiFixture(t *testing.T, n int) *multiFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smmKey, err := kcrypto.GenerateKeyPair(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return &multiFixture{
 		prog: prog, enclave: enclave, serverKey: serverKey,
-		bps: bps, place: place, smmKey: smmKey,
+		bps: bps, place: place,
 	}
 }
 
@@ -136,19 +132,7 @@ func (f *multiFixture) serverBlob(t *testing.T, bp *patch.BinaryPatch) []byte {
 // returns the plaintext package.
 func (f *multiFixture) open(t *testing.T, ct, enclavePub []byte) *patch.Package {
 	t.Helper()
-	shared, err := f.smmKey.SharedSecret(enclavePub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := kcrypto.NewSession(shared, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := sess.Decrypt(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := patch.Unmarshal(wire)
+	pkg, err := patch.Unmarshal(openSealed(t, ct, enclavePub))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +155,7 @@ func TestPrepareManyCursorChaining(t *testing.T) {
 	}
 	args, err := EncodeArgs(BatchPrepareArgs{
 		ServerBlobs: blobs,
-		SMMPub:      f.smmKey.PublicBytes(),
+		SMMPub:      testNonce,
 		MemXCursor:  startX,
 		DataCursor:  startD,
 	})
@@ -197,7 +181,7 @@ func TestPrepareManyCursorChaining(t *testing.T) {
 	for i := range blobs {
 		args, err := EncodeArgs(PrepareArgs{
 			ServerBlob: blobs[i],
-			SMMPub:     f.smmKey.PublicBytes(),
+			SMMPub:     testNonce,
 			MemXCursor: curX,
 			DataCursor: curD,
 		})
@@ -281,7 +265,7 @@ func TestPrepareManyBadMemberConsumesNothing(t *testing.T) {
 	good := [][]byte{f.serverBlob(t, f.bps[0]), f.serverBlob(t, f.bps[2])}
 	blobs := [][]byte{good[0], []byte("not a sealed blob"), good[1]}
 
-	args, err := EncodeArgs(BatchPrepareArgs{ServerBlobs: blobs, SMMPub: f.smmKey.PublicBytes()})
+	args, err := EncodeArgs(BatchPrepareArgs{ServerBlobs: blobs, SMMPub: testNonce})
 	if err != nil {
 		t.Fatal(err)
 	}

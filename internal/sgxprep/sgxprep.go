@@ -4,9 +4,10 @@
 // verifies it inside the EPC, preprocesses it against the running
 // kernel's symbol table (mem_X placement, relocation resolution,
 // trampoline computation — the heavy lifting that would otherwise
-// extend the OS pause if done in SMM), performs its half of the
-// Diffie-Hellman exchange with the SMM handler, and returns the
-// encrypted patch package for the helper to stage into mem_W.
+// extend the OS pause if done in SMM), seals it under a per-package
+// key derived from the channel root it shares with the SMM handler,
+// and returns the encrypted patch package for the helper to stage
+// into mem_W.
 //
 // Plaintext patch bytes and key material exist only inside the
 // enclave: the helper sees ciphertext in, ciphertext out.
@@ -36,8 +37,8 @@ const (
 	// FnPrepareRollback builds an encrypted rollback command package.
 	FnPrepareRollback = 2
 	// FnPrepareBatch preprocesses many patch blobs in one ECALL,
-	// sealing each member with its own ephemeral key against the same
-	// SMM public key, for batched SMI delivery.
+	// sealing each member with its own salt against the same SMM
+	// nonce, for batched SMI delivery.
 	FnPrepareBatch = 3
 )
 
@@ -54,7 +55,7 @@ type PrepareArgs struct {
 	// ServerBlob is the encrypted BinaryPatch from the remote server.
 	ServerBlob []byte
 
-	// SMMPub is the SMM handler's published DH public key, read from
+	// SMMPub is the SMM handler's published channel nonce, read from
 	// mem_RW by the helper.
 	SMMPub []byte
 
@@ -78,8 +79,8 @@ type BatchPrepareArgs struct {
 	// ServerBlobs are the encrypted BinaryPatches, one per member.
 	ServerBlobs [][]byte
 
-	// SMMPub is the SMM handler's published DH public key; every
-	// member is sealed against it with a fresh enclave ephemeral key.
+	// SMMPub is the SMM handler's published channel nonce; every
+	// member is sealed against it with a fresh enclave salt.
 	SMMPub []byte
 
 	// MemXCursor/DataCursor are the SMM handler's allocation cursors
@@ -113,7 +114,7 @@ type Result struct {
 	// Ciphertext is the encrypted patch package for mem_W.
 	Ciphertext []byte
 
-	// EnclavePub is the enclave's DH public key for mem_RW.
+	// EnclavePub is the enclave's per-package salt for mem_RW.
 	EnclavePub []byte
 
 	// ID echoes the patch ID; MemXUsed/DataUsed report the allocation
@@ -159,14 +160,12 @@ type Config struct {
 	// Rand is the entropy source (crypto/rand when nil).
 	Rand io.Reader
 
-	// SessionRoot, when 32 bytes, switches the SGX↔SMM channel into
-	// derived-session mode (template forks): sealForSMM draws a fresh
-	// random 32-byte salt instead of an ephemeral DH pair and seals
-	// with HMAC(root, smmNonce, salt), publishing the salt through the
-	// EnclavePub slot. The same root is provisioned into the fork's
-	// SMM handler before SMRAM lock. Nil keeps the paper's DH
-	// exchange. See smmpatch.Config.SessionRoot for the protocol
-	// rationale.
+	// SessionRoot is the 32-byte SGX↔SMM channel root (required):
+	// sealForSMM draws a fresh random 32-byte salt per package and
+	// seals with HMAC(root, smmNonce, salt), publishing the salt
+	// through the EnclavePub slot. The same root is provisioned into
+	// the SMM handler before SMRAM lock. See smmpatch.Config.SessionRoot
+	// for the protocol rationale.
 	SessionRoot []byte
 }
 
@@ -186,8 +185,8 @@ func New(cfg Config) (*Program, error) {
 	if len(cfg.ServerKey) != 32 {
 		return nil, errors.New("sgxprep: server key must be 32 bytes")
 	}
-	if len(cfg.SessionRoot) != 0 && len(cfg.SessionRoot) != 32 {
-		return nil, errors.New("sgxprep: session root must be 32 bytes")
+	if len(cfg.SessionRoot) != 32 {
+		return nil, fmt.Errorf("sgxprep: session root must be 32 bytes, got %d", len(cfg.SessionRoot))
 	}
 	if cfg.HashAlg == 0 {
 		cfg.HashAlg = kcrypto.HashSHA256
@@ -305,7 +304,7 @@ func (p *Program) prepare(env *sgx.Env, in PrepareArgs) ([]byte, error) {
 
 // prepareBatch is the prepare-many ECALL: each server blob is
 // decrypted, preprocessed at the running cursor, and sealed with its
-// own ephemeral key against the shared SMM public key. Preprocessing
+// own salt against the shared SMM nonce. Preprocessing
 // costs are computed directly from the model (not clock spans) so the
 // per-member numbers stay exact when pipelined fetches advance the
 // shared clock concurrently.
@@ -389,34 +388,16 @@ func (p *Program) prepareRollback(_ *sgx.Env, in RollbackArgs) ([]byte, error) {
 	return gobEncode(res)
 }
 
-// sealForSMM performs the enclave's half of the channel exchange and
-// encrypts the wire package for the mem_W channel: the paper's
-// ephemeral-DH half in cold-boot mode, or a fresh ratchet salt mixed
-// with the fork's session root in derived-session mode. Either way
-// the enclave contributes fresh per-package entropy through the
-// EnclavePub slot, so the SMM side's consume-once replay protection
-// behaves identically in both modes.
-func (p *Program) sealForSMM(wire, smmPub []byte) (*Result, error) {
-	var shared, pub []byte
-	if len(p.cfg.SessionRoot) != 0 {
-		salt := make([]byte, 32)
-		if _, err := io.ReadFull(p.rng, salt); err != nil {
-			return nil, fmt.Errorf("sgxprep: salt: %w", err)
-		}
-		shared = kcrypto.DeriveKey(p.cfg.SessionRoot, smmPub, salt)
-		pub = salt
-	} else {
-		kp, err := kcrypto.GenerateKeyPair(p.rng)
-		if err != nil {
-			return nil, err
-		}
-		shared, err = kp.SharedSecret(smmPub)
-		if err != nil {
-			return nil, fmt.Errorf("sgxprep: key agreement: %w", err)
-		}
-		pub = kp.PublicBytes()
+// sealForSMM encrypts the wire package for the mem_W channel under
+// HMAC(root, smmNonce, salt) with a fresh salt, which the enclave
+// contributes through the EnclavePub slot. The SMM side consumes its
+// nonce per package, so a sealed package never opens twice.
+func (p *Program) sealForSMM(wire, smmNonce []byte) (*Result, error) {
+	salt := make([]byte, 32)
+	if _, err := io.ReadFull(p.rng, salt); err != nil {
+		return nil, fmt.Errorf("sgxprep: salt: %w", err)
 	}
-	session, err := kcrypto.NewSession(shared, p.rng)
+	session, err := kcrypto.NewSession(kcrypto.DeriveKey(p.cfg.SessionRoot, smmNonce, salt), p.rng)
 	if err != nil {
 		return nil, err
 	}
@@ -424,7 +405,7 @@ func (p *Program) sealForSMM(wire, smmPub []byte) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Ciphertext: ct, EnclavePub: pub}, nil
+	return &Result{Ciphertext: ct, EnclavePub: salt}, nil
 }
 
 func gobEncode(v any) ([]byte, error) {

@@ -44,6 +44,29 @@ const fixedSrc = `
 .endfunc
 `
 
+// testRoot is the channel root the fixtures share with the SMM side
+// the tests play; testNonce stands in for the handler's published
+// nonce.
+var (
+	testRoot  = bytes.Repeat([]byte{0x42}, 32)
+	testNonce = bytes.Repeat([]byte{0x17}, 32)
+)
+
+// openSealed decrypts a sealed package the way the SMM handler does
+// and returns its wire bytes.
+func openSealed(t *testing.T, ct, salt []byte) []byte {
+	t.Helper()
+	sess, err := kcrypto.NewSession(kcrypto.DeriveKey(testRoot, testNonce, salt), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := sess.Decrypt(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
 // fixture builds a loaded enclave plus the material around it.
 type fixture struct {
 	prog      *Program
@@ -52,7 +75,6 @@ type fixture struct {
 	preImg    patch.ImagePair
 	bp        *patch.BinaryPatch
 	place     patch.Placement
-	smmKey    *kcrypto.KeyPair
 }
 
 func newFixture(t *testing.T, alg kcrypto.HashAlg) *fixture {
@@ -98,6 +120,7 @@ func newFixture(t *testing.T, alg kcrypto.HashAlg) *fixture {
 		HashAlg:       alg,
 		Model:         timing.Calibrated(),
 		Rand:          rng,
+		SessionRoot:   testRoot,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,14 +134,10 @@ func newFixture(t *testing.T, alg kcrypto.HashAlg) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smmKey, err := kcrypto.GenerateKeyPair(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return &fixture{
 		prog: prog, enclave: enclave, serverKey: serverKey,
 		preImg: patch.ImagePair{Img: preImg, Unit: preUnit},
-		bp:     bp, place: place, smmKey: smmKey,
+		bp:     bp, place: place,
 	}
 }
 
@@ -144,7 +163,7 @@ func (f *fixture) prepare(t *testing.T) *Result {
 	t.Helper()
 	args, err := EncodeArgs(PrepareArgs{
 		ServerBlob: f.serverBlob(t),
-		SMMPub:     f.smmKey.PublicBytes(),
+		SMMPub:     testNonce,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,19 +185,8 @@ func TestPrepareProducesDecryptablePackage(t *testing.T) {
 	if res.ID != "CVE-FIX" || res.PayloadBytes == 0 || res.MemXUsed == 0 {
 		t.Errorf("result = %+v", res)
 	}
-	// The SMM side can decrypt with its private key.
-	shared, err := f.smmKey.SharedSecret(res.EnclavePub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := kcrypto.NewSession(shared, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := sess.Decrypt(res.Ciphertext)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The SMM side can decrypt with the shared root and its nonce.
+	wire := openSealed(t, res.Ciphertext, res.EnclavePub)
 	pkg, err := patch.Unmarshal(wire)
 	if err != nil {
 		t.Fatalf("unmarshal prepared package: %v", err)
@@ -200,7 +208,7 @@ func TestPrepareProducesDecryptablePackage(t *testing.T) {
 
 func TestPrepareRollbackPackage(t *testing.T) {
 	f := newFixture(t, kcrypto.HashSHA256)
-	args, err := EncodeArgs(RollbackArgs{ID: "CVE-FIX", SMMPub: f.smmKey.PublicBytes()})
+	args, err := EncodeArgs(RollbackArgs{ID: "CVE-FIX", SMMPub: testNonce})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +220,7 @@ func TestPrepareRollbackPackage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, _ := f.smmKey.SharedSecret(res.EnclavePub)
-	sess, _ := kcrypto.NewSession(shared, nil)
-	wire, err := sess.Decrypt(res.Ciphertext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := patch.Unmarshal(wire)
+	pkg, err := patch.Unmarshal(openSealed(t, res.Ciphertext, res.EnclavePub))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +235,7 @@ func TestRejectsWrongServerKey(t *testing.T) {
 	sess, _ := kcrypto.NewSession(wrong, nil)
 	plain, _ := EncodeArgs(f.bp)
 	ct, _ := sess.Encrypt(plain)
-	args, _ := EncodeArgs(PrepareArgs{ServerBlob: ct, SMMPub: f.smmKey.PublicBytes()})
+	args, _ := EncodeArgs(PrepareArgs{ServerBlob: ct, SMMPub: testNonce})
 	if _, err := f.enclave.ECall(FnPrepare, args); err == nil {
 		t.Error("blob under wrong key accepted")
 	}
@@ -242,7 +244,7 @@ func TestRejectsWrongServerKey(t *testing.T) {
 func TestRejectsVersionMismatch(t *testing.T) {
 	f := newFixture(t, kcrypto.HashSHA256)
 	f.bp.KernelVersion = "3.14"
-	args, _ := EncodeArgs(PrepareArgs{ServerBlob: f.serverBlob(t), SMMPub: f.smmKey.PublicBytes()})
+	args, _ := EncodeArgs(PrepareArgs{ServerBlob: f.serverBlob(t), SMMPub: testNonce})
 	_, err := f.enclave.ECall(FnPrepare, args)
 	if err == nil || !strings.Contains(err.Error(), "3.14") {
 		t.Errorf("version mismatch not rejected: %v", err)
@@ -265,6 +267,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{
 		ServerKey:     make([]byte, 32),
+		SessionRoot:   testRoot,
 		KernelSymbols: []isa.Symbol{{Name: "x"}, {Name: "x"}},
 	}); err == nil {
 		t.Error("duplicate symbols accepted")
@@ -284,13 +287,7 @@ func TestIdentityIncludesVersion(t *testing.T) {
 func TestSDBMAlgCarriedInPackage(t *testing.T) {
 	f := newFixture(t, kcrypto.HashSDBM)
 	res := f.prepare(t)
-	shared, _ := f.smmKey.SharedSecret(res.EnclavePub)
-	sess, _ := kcrypto.NewSession(shared, nil)
-	wire, err := sess.Decrypt(res.Ciphertext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := patch.Unmarshal(wire)
+	pkg, err := patch.Unmarshal(openSealed(t, res.Ciphertext, res.EnclavePub))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,6 +102,7 @@ func newActiveRig(t *testing.T) *rig {
 		CheckActiveness: true,
 		TextBase:        kernel.TextBase,
 		TextSize:        kernel.TextRegionSize,
+		SessionRoot:     testRoot,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,9 +16,9 @@ import (
 // Batched SMI delivery (multi-package staging, §V-C extended): the
 // helper stages N independently sealed patch packages into mem_W as a
 // directory, then raises a single CmdProcessBatch SMI. The handler
-// consumes one SMM DH key pair for the whole batch — each member is
-// sealed by the enclave with its own ephemeral key against the same
-// published SMM public key — decrypts, verifies, and applies every
+// consumes one SMM channel nonce for the whole batch — each member is
+// sealed by the enclave with its own salt against the same published
+// nonce — decrypts, verifies, and applies every
 // member on the paused machine, and publishes per-member outcome codes
 // in mem_RW. One world switch and one key generation are paid for N
 // patches instead of N world switches, which is where the pipelined
@@ -27,7 +27,7 @@ import (
 // mem_W directory layout at offPackage:
 //
 //	magic "KSBT" (4) | u32 member count | members...
-//	member: u32 pub len | enclave pub | u32 ct len | ciphertext
+//	member: u32 salt len | enclave salt | u32 ct len | ciphertext
 //
 // mem_RW results mailbox at offBatchResults:
 //
@@ -51,8 +51,7 @@ var ErrBadBatch = errors.New("smmpatch: malformed batch staging directory")
 
 // BatchMember is one sealed package in a staging directory.
 type BatchMember struct {
-	// EnclavePub is the enclave's ephemeral DH public key this member
-	// was sealed with.
+	// EnclavePub is the enclave salt this member was sealed with.
 	EnclavePub []byte
 	// Ciphertext is the sealed patch package.
 	Ciphertext []byte
@@ -62,13 +61,13 @@ type BatchMember struct {
 // single world switch.
 func (h *Handler) handleBatch(ctx *smm.Context, _ uint64) error {
 	h.lastBatch = nil
-	if h.key == nil {
+	if h.nonce == nil {
 		return h.fail(ctx, ErrNoSession)
 	}
-	// One channel credential serves the whole batch and is consumed by
-	// it (replay of any member dies with the rekey below).
-	key := h.key
-	h.key = nil
+	// One channel nonce serves the whole batch and is consumed by it
+	// (replay of any member dies with the rekey below).
+	nonce := h.nonce
+	h.nonce = nil
 	defer func() {
 		_ = h.rekey(ctx)
 	}()
@@ -99,7 +98,7 @@ func (h *Handler) handleBatch(ctx *smm.Context, _ uint64) error {
 			break
 		}
 		bd := Breakdown{KeyGen: keyGenShare}
-		codes[i] = h.processBatchMember(ctx, key, m, &bd)
+		codes[i] = h.processBatchMember(ctx, nonce, m, &bd)
 		if codes[i] == StatusPatched {
 			applied++
 			h.observeOutcome(h.lastJournalID(), bd, h.journalPayloadBytes(), obs.CtrApplied)
@@ -123,8 +122,8 @@ func (h *Handler) handleBatch(ctx *smm.Context, _ uint64) error {
 // decrypt/verify, and the transactional apply, mapping the outcome to
 // a mailbox status code. Member-level errors are deliberately not
 // propagated: the batch continues.
-func (h *Handler) processBatchMember(ctx *smm.Context, key *chanKey, m BatchMember, bd *Breakdown) uint32 {
-	session, err := h.sessionFor(key, m.EnclavePub)
+func (h *Handler) processBatchMember(ctx *smm.Context, nonce []byte, m BatchMember, bd *Breakdown) uint32 {
+	session, err := h.sessionFor(nonce, m.EnclavePub)
 	if err != nil {
 		return StatusError
 	}

@@ -2,145 +2,55 @@ package smmpatch
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
-	"kshot/internal/kcrypto"
-	"kshot/internal/kernel"
-	"kshot/internal/machine"
 	"kshot/internal/mem"
 	"kshot/internal/patch"
-	"kshot/internal/smm"
+	"kshot/internal/sgxprep"
 	"kshot/internal/timing"
 )
 
-// Derived-session mode (template-fork provisioning): the handler and
-// the enclave share a 32-byte channel root and derive per-package
-// session keys from (root, SMM nonce, enclave salt) instead of running
-// a DH exchange. These tests drive the handler the way sgxprep's
-// sealForSMM does in root mode.
+// The SGX↔SMM channel: the handler and the enclave share a 32-byte
+// channel root and derive per-package session keys from (root, SMM
+// nonce, enclave salt). The rig's sealPackage plays sgxprep's
+// sealForSMM.
 
 var testRoot = bytes.Repeat([]byte{0x42}, 32)
 
-// newRootRig is newRig with SessionRoot installed.
-func newRootRig(t *testing.T) *rig {
-	t.Helper()
-	st, err := kernel.BaseTree("4.4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.AddFile("cve/gadget.asm", rigVuln)
-	preImg, preUnit, err := st.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := st.Clone()
-	if err := post.Apply(kernel.SourcePatch{ID: "RIG", Files: map[string]string{"cve/gadget.asm": rigFixed}}); err != nil {
-		t.Fatal(err)
-	}
-	postImg, postUnit, err := post.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := machine.New(machine.Config{NumVCPUs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Stop)
-	k, err := kernel.Boot(m, preImg, st.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := smm.NewController(m, kernel.SMRAMBase, &timing.Clock{}, timing.Calibrated())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := New(Config{
-		Reserved:      k.Res,
-		KernelVersion: "4.4",
-		Rand:          &detRand{r: rand.New(rand.NewSource(7))},
-		SessionRoot:   testRoot,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Register(ctrl); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctrl.Lock(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctrl.Trigger(CmdKeyExchange, 0); err != nil {
-		t.Fatal(err)
-	}
-	return &rig{
-		m: m, k: k, ctrl: ctrl, h: h,
-		preImg:  patch.ImagePair{Img: preImg, Unit: preUnit},
-		postImg: patch.ImagePair{Img: postImg, Unit: postUnit},
-	}
-}
-
-// sealRootPackage plays the enclave's root-mode role: read the
-// published SMM nonce, draw a salt, derive the session key from the
-// shared root, encrypt, and stage salt + ciphertext.
-func (r *rig) sealRootPackage(t *testing.T, wire []byte) {
-	t.Helper()
-	nonce, err := ReadSMMPub(r.m.Mem, mem.PrivKernel, r.k.Res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nonce) != 32 {
-		t.Fatalf("published nonce is %d bytes, want 32", len(nonce))
-	}
-	salt := make([]byte, 32)
-	rnd := &detRand{r: rand.New(rand.NewSource(11))}
-	if _, err := rnd.Read(salt); err != nil {
-		t.Fatal(err)
-	}
-	shared := kcrypto.DeriveKey(testRoot, nonce, salt)
-	sess, err := kcrypto.NewSession(shared, &detRand{r: rand.New(rand.NewSource(12))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := sess.Encrypt(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := StageBlob(r.m.Mem, mem.PrivKernel, EnclavePubAddr(r.k.Res), salt); err != nil {
-		t.Fatal(err)
-	}
-	if err := StageBlob(r.m.Mem, mem.PrivKernel, PackageAddr(r.k.Res), ct); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestSessionRootAppliesPatch applies two patches back to back: the
+// nonce each SMI publishes on its way out keys the next package, so
+// steady-state patching needs no further key-exchange SMI, and every
+// package charges the model's per-patch key-generation cost.
 func TestSessionRootAppliesPatch(t *testing.T) {
-	r := newRootRig(t)
+	r := newRig(t)
+	rollback, err := patch.MarshalRollback("RIG-ROOT-1", "4.4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wire := range [][]byte{r.wirePatch(t, "RIG-ROOT-1"), rollback} {
+		r.sealPackage(t, wire)
+		if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+			t.Fatalf("process: %v", err)
+		}
+		if bd := r.h.LastBreakdown(); bd.KeyGen != timing.Calibrated().KeyGen {
+			t.Errorf("KeyGen charge = %v, want %v", bd.KeyGen, timing.Calibrated().KeyGen)
+		}
+	}
+	if got := r.h.Applied(); len(got) != 0 {
+		t.Errorf("journal = %v after apply + rollback", got)
+	}
 	if v, err := r.k.Call(0, "gadget", 0xdead); err != nil || v != 99 {
-		t.Fatalf("pre-patch gadget = %d, %v", v, err)
-	}
-	r.sealRootPackage(t, r.wirePatch(t, "RIG-ROOT-1"))
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
-		t.Fatalf("process: %v", err)
-	}
-	if v, err := r.k.Call(0, "gadget", 0xdead); err != nil || v != 0xdead+1 {
-		t.Fatalf("post-patch gadget = %d, %v", v, err)
-	}
-	// Root mode charges the same virtual key-generation cost as DH
-	// mode, so forked and cold-booted stage metrics stay identical.
-	bd := r.h.LastBreakdown()
-	if bd.KeyGen != timing.Calibrated().KeyGen {
-		t.Errorf("root-mode KeyGen charge = %v, want %v", bd.KeyGen, timing.Calibrated().KeyGen)
+		t.Fatalf("post-rollback gadget = %d, %v", v, err)
 	}
 }
 
 func TestSessionRootNonceRotates(t *testing.T) {
-	r := newRootRig(t)
+	r := newRig(t)
 	n1, err := ReadSMMPub(r.m.Mem, mem.PrivKernel, r.k.Res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.sealRootPackage(t, r.wirePatch(t, "RIG-ROOT-1"))
+	r.sealPackage(t, r.wirePatch(t, "RIG-ROOT-1"))
 	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -153,59 +63,33 @@ func TestSessionRootNonceRotates(t *testing.T) {
 	}
 }
 
+// TestSessionRootReplayRejected seals a package under another
+// System's root — what a sibling fork's enclave would produce against
+// this handler's current nonce — and requires the handler to reject
+// it: roots are per System, so packages never cross between targets.
 func TestSessionRootReplayRejected(t *testing.T) {
-	r := newRootRig(t)
-	r.sealRootPackage(t, r.wirePatch(t, "RIG-ROOT-1"))
-
-	// Capture the staged salt + ciphertext.
-	lenBuf := make([]byte, 4)
-	if err := r.m.Mem.Read(mem.PrivSMM, PackageAddr(r.k.Res), lenBuf); err != nil {
-		t.Fatal(err)
-	}
-	n := int(uint32(lenBuf[0]) | uint32(lenBuf[1])<<8 | uint32(lenBuf[2])<<16 | uint32(lenBuf[3])<<24)
-	captured := make([]byte, n)
-	if err := r.m.Mem.Read(mem.PrivSMM, PackageAddr(r.k.Res)+4, captured); err != nil {
-		t.Fatal(err)
-	}
-	capturedSalt := make([]byte, 36)
-	if err := r.m.Mem.Read(mem.PrivSMM, EnclavePubAddr(r.k.Res), capturedSalt); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Roll back so a successful replay would be visible.
-	rbWire, err := patch.MarshalRollback("RIG-ROOT-1", "4.4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.sealRootPackage(t, rbWire)
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// Replay the captured salt + ciphertext: the nonce rotated with
-	// the rekey, the derived key differs, and decryption fails.
-	if err := r.m.Mem.Write(mem.PrivKernel, EnclavePubAddr(r.k.Res), capturedSalt); err != nil {
-		t.Fatal(err)
-	}
-	if err := StageBlob(r.m.Mem, mem.PrivKernel, PackageAddr(r.k.Res), captured); err != nil {
-		t.Fatal(err)
-	}
+	r := newRig(t)
+	sibling := bytes.Repeat([]byte{0x43}, 32)
+	r.sealPackageUnder(t, sibling, r.wirePatch(t, "RIG-ROOT-1"))
 	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err == nil {
-		t.Fatal("replayed root-mode package accepted")
+		t.Fatal("package sealed under a sibling's root accepted")
 	}
 	if v, _ := r.k.Call(0, "gadget", 0xdead); v != 99 {
-		t.Error("replay had an effect")
+		t.Error("cross-root package had an effect")
+	}
+	// The failed attempt consumed the nonce like any other; the
+	// handler's own root still works on the fresh one.
+	r.sealPackage(t, r.wirePatch(t, "RIG-ROOT-1"))
+	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+		t.Fatalf("own-root package after rejection: %v", err)
 	}
 }
 
 func TestSessionRootEmptySaltRejected(t *testing.T) {
-	r := newRootRig(t)
+	r := newRig(t)
 	// Stage a package with a zero-length salt blob: session derivation
 	// must fail rather than derive from an empty peer contribution.
-	r.sealRootPackage(t, r.wirePatch(t, "RIG-ROOT-1"))
+	r.sealPackage(t, r.wirePatch(t, "RIG-ROOT-1"))
 	if err := StageBlob(r.m.Mem, mem.PrivKernel, EnclavePubAddr(r.k.Res), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -214,9 +98,29 @@ func TestSessionRootEmptySaltRejected(t *testing.T) {
 	}
 }
 
+// TestSessionRootLengthValidated requires both channel endpoints to
+// refuse any root that is not exactly 32 bytes, a missing one
+// included: there is no keyless or Diffie-Hellman fallback.
 func TestSessionRootLengthValidated(t *testing.T) {
-	if _, err := New(Config{Reserved: mustReserved(t), KernelVersion: "4.4", SessionRoot: []byte{1, 2, 3}}); err == nil {
-		t.Fatal("3-byte session root accepted")
+	roots := map[string][]byte{
+		"nil":     nil,
+		"empty":   {},
+		"3-byte":  {1, 2, 3},
+		"33-byte": bytes.Repeat([]byte{1}, 33),
+	}
+	for name, root := range roots {
+		if _, err := New(Config{Reserved: mustReserved(t), KernelVersion: "4.4", SessionRoot: root}); err == nil {
+			t.Errorf("smmpatch.New accepted a %s session root", name)
+		}
+		if _, err := sgxprep.New(sgxprep.Config{ServerKey: make([]byte, 32), KernelVersion: "4.4", SessionRoot: root}); err == nil {
+			t.Errorf("sgxprep.New accepted a %s session root", name)
+		}
+	}
+	if _, err := New(Config{Reserved: mustReserved(t), KernelVersion: "4.4", SessionRoot: testRoot}); err != nil {
+		t.Errorf("smmpatch.New rejected a 32-byte root: %v", err)
+	}
+	if _, err := sgxprep.New(sgxprep.Config{ServerKey: make([]byte, 32), KernelVersion: "4.4", SessionRoot: testRoot}); err != nil {
+		t.Errorf("sgxprep.New rejected a 32-byte root: %v", err)
 	}
 }
 

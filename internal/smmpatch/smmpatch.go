@@ -1,6 +1,6 @@
 // Package smmpatch implements KShot's SMM-resident live patching
-// handler (§V-C, §V-D): per-patch Diffie-Hellman key generation, patch
-// package fetch from mem_W, decryption, integrity verification,
+// handler (§V-C, §V-D): per-patch channel rekeying, patch package
+// fetch from mem_W, decryption, integrity verification,
 // global-variable edits, payload installation into mem_X, trampoline
 // insertion, rollback from an SMRAM-held journal, and introspection
 // that detects (and repairs) malicious patch reversion.
@@ -35,8 +35,8 @@ import (
 // SMI command codes (the APM-port bytes the helper writes to enter the
 // handler).
 const (
-	// CmdKeyExchange makes SMM generate a fresh DH key pair and
-	// publish its public key in mem_RW.
+	// CmdKeyExchange makes SMM generate a fresh channel nonce and
+	// publish it in mem_RW.
 	CmdKeyExchange smm.Command = 0x4B
 	// CmdProcessPackage makes SMM fetch, decrypt, verify, and execute
 	// the package staged in mem_W (patch or rollback).
@@ -58,9 +58,9 @@ const (
 
 // mem_RW layout: the key exchange and status mailbox.
 const (
-	// offEnclavePub: u32 length + enclave public key (helper-written).
+	// offEnclavePub: u32 length + enclave salt (helper-written).
 	offEnclavePub = 0x0
-	// offSMMPub: u32 length + SMM public key (SMM-written).
+	// offSMMPub: u32 length + SMM channel nonce (SMM-written).
 	offSMMPub = 0x4000
 	// offStatus: u32 status + u64 SMI sequence + 32-byte attestation
 	// digest (SMM-written; read by the helper/remote server for the
@@ -160,8 +160,10 @@ type Handler struct {
 	fi            *faultinject.Set
 	obs           *obs.Hooks
 
-	// SMRAM-resident state.
-	key      *chanKey
+	// SMRAM-resident state. nonce is the published, unconsumed channel
+	// credential: the next package or batch SMI consumes it and
+	// publishes a fresh one on the way out.
+	nonce    []byte
 	journal  []appliedPatch
 	memXUsed uint64
 	dataUsed uint64
@@ -182,8 +184,8 @@ type Config struct {
 	Reserved      *mem.Reserved
 	KernelVersion string
 
-	// Rand is the entropy source for DH key generation (crypto/rand
-	// when nil; deterministic in tests).
+	// Rand is the entropy source for channel nonces (crypto/rand when
+	// nil; deterministic in tests).
 	Rand io.Reader
 
 	// CheckActiveness enables the conservative pre-patch activeness
@@ -206,27 +208,15 @@ type Config struct {
 	// server out of band). Nil disables authentication.
 	AttestationKey []byte
 
-	// SessionRoot, when 32 bytes, switches the SGX↔SMM channel into
-	// derived-session mode: instead of an ephemeral DH pair, the
-	// handler publishes a fresh random 32-byte nonce in mem_RW and the
-	// per-package transport key is HMAC(root, nonce, enclaveSalt). The
-	// root is provisioned into SMRAM before lock (template forking:
-	// the fork's core provisions the same root into the enclave), so
-	// the publish/consume anti-replay discipline — one credential per
-	// package, regenerated before leaving SMM — is unchanged, while
-	// the per-package modular exponentiations disappear. Nil keeps the
-	// paper's DH exchange.
+	// SessionRoot is the 32-byte SGX↔SMM channel root (required). The
+	// handler publishes a fresh random 32-byte nonce in mem_RW, and
+	// the per-package transport key is HMAC(root, nonce, enclaveSalt).
+	// The root is provisioned into SMRAM before lock, and core
+	// provisions the same root into the enclave, in place of the
+	// paper's Diffie-Hellman agreement. The anti-replay discipline is
+	// the paper's: one credential per package, regenerated before
+	// leaving SMM.
 	SessionRoot []byte
-}
-
-// chanKey is the handler's published, unconsumed channel credential:
-// an ephemeral DH key pair in the paper's cold-boot mode, or a fresh
-// ratchet nonce in derived-session (template fork) mode. Exactly one
-// field is set; either way the credential is consumed by the next
-// package/batch SMI and regenerated on the way out.
-type chanKey struct {
-	kp    *kcrypto.KeyPair
-	nonce []byte
 }
 
 // New builds the handler.
@@ -234,7 +224,7 @@ func New(cfg Config) (*Handler, error) {
 	if cfg.Reserved == nil {
 		return nil, errors.New("smmpatch: nil reserved region")
 	}
-	if len(cfg.SessionRoot) != 0 && len(cfg.SessionRoot) != 32 {
+	if len(cfg.SessionRoot) != 32 {
 		return nil, fmt.Errorf("smmpatch: session root must be 32 bytes, got %d", len(cfg.SessionRoot))
 	}
 	rng := cfg.Rand
@@ -354,8 +344,8 @@ func (h *Handler) Register(ctrl *smm.Controller) error {
 	return ctrl.Register(CmdWatchText, h.handleWatchText)
 }
 
-// handleKeyExchange generates a fresh DH key pair and publishes the
-// public key in mem_RW. It bootstraps the channel; afterwards every
+// handleKeyExchange generates a fresh channel nonce and publishes it
+// in mem_RW. It bootstraps the channel; afterwards every
 // package-processing SMI rekeys on its way out.
 func (h *Handler) handleKeyExchange(ctx *smm.Context, _ uint64) error {
 	if err := h.rekey(ctx); err != nil {
@@ -364,38 +354,25 @@ func (h *Handler) handleKeyExchange(ctx *smm.Context, _ uint64) error {
 	return h.status(ctx, StatusKeyReady, nil)
 }
 
-// HasKey reports whether a published, unconsumed channel credential
-// (DH key or ratchet nonce) is available.
-func (h *Handler) HasKey() bool { return h.key != nil }
+// HasKey reports whether a published, unconsumed channel nonce is
+// available.
+func (h *Handler) HasKey() bool { return h.nonce != nil }
 
-// rekey generates and publishes a fresh channel credential
-// (anti-replay: it changes before every patch). In DH mode that is an
-// ephemeral key pair; in derived-session mode a fresh ratchet nonce.
-// Both modes charge the model's key-generation cost: the virtual time
-// models the paper's protocol step, so forked (derived-session) and
-// cold-booted (DH) targets report bit-identical stage metrics even
-// though the host-side arithmetic differs enormously.
+// rekey generates and publishes a fresh channel nonce (anti-replay: it
+// changes before every patch). It charges the model's key-generation
+// cost: the virtual time models the paper's per-patch DH step, so
+// stage metrics match the paper's protocol even though the host-side
+// work is one random read.
 func (h *Handler) rekey(ctx *smm.Context) error {
 	ctx.Charge(ctx.Model().KeyGen, 0, 0)
-	if len(h.sessionRoot) != 0 {
-		nonce := make([]byte, 32)
-		if _, err := io.ReadFull(h.rng, nonce); err != nil {
-			return fmt.Errorf("smmpatch: nonce: %w", err)
-		}
-		if err := h.writeBlob(ctx, h.res.RWBase()+offSMMPub, nonce); err != nil {
-			return err
-		}
-		h.key = &chanKey{nonce: nonce}
-		return nil
+	nonce := make([]byte, 32)
+	if _, err := io.ReadFull(h.rng, nonce); err != nil {
+		return fmt.Errorf("smmpatch: nonce: %w", err)
 	}
-	kp, err := kcrypto.GenerateKeyPair(h.rng)
-	if err != nil {
-		return fmt.Errorf("smmpatch: keygen: %w", err)
-	}
-	if err := h.writeBlob(ctx, h.res.RWBase()+offSMMPub, kp.PublicBytes()); err != nil {
+	if err := h.writeBlob(ctx, h.res.RWBase()+offSMMPub, nonce); err != nil {
 		return err
 	}
-	h.key = &chanKey{kp: kp}
+	h.nonce = nonce
 	return nil
 }
 
@@ -404,11 +381,11 @@ func (h *Handler) rekey(ctx *smm.Context) error {
 func (h *Handler) handlePackage(ctx *smm.Context, _ uint64) error {
 	h.lastBreakdown = Breakdown{KeyGen: ctx.Model().KeyGen}
 
-	// Derive the session key from the enclave's public blob in mem_RW.
-	if h.key == nil {
+	// Derive the session key from the enclave's salt in mem_RW.
+	if h.nonce == nil {
 		return h.fail(ctx, ErrNoSession)
 	}
-	session, err := h.deriveSession(ctx, h.key)
+	session, err := h.deriveSession(ctx, h.nonce)
 	if err != nil {
 		return h.fail(ctx, err)
 	}
@@ -417,7 +394,7 @@ func (h *Handler) handlePackage(ctx *smm.Context, _ uint64) error {
 	// one is generated and published before leaving SMM — the paper's
 	// "dynamically changed before each kernel patch" — so steady-state
 	// patching needs no separate key-exchange SMI.
-	h.key = nil
+	h.nonce = nil
 	defer func() {
 		// A rekey failure only delays the next patch (the operator
 		// re-bootstraps with CmdKeyExchange); it must not mask the
@@ -461,37 +438,24 @@ func (h *Handler) handlePackage(ctx *smm.Context, _ uint64) error {
 	}
 }
 
-// deriveSession reads the enclave's public blob (ephemeral DH key, or
-// ratchet salt in derived-session mode) from mem_RW and derives the
-// package transport session from the given channel credential.
-func (h *Handler) deriveSession(ctx *smm.Context, key *chanKey) (*kcrypto.Session, error) {
-	peerPub, err := h.readBlob(ctx, h.res.RWBase()+offEnclavePub, 4096)
+// deriveSession reads the enclave's salt from mem_RW and derives the
+// package transport session from it and the given channel nonce.
+func (h *Handler) deriveSession(ctx *smm.Context, nonce []byte) (*kcrypto.Session, error) {
+	salt, err := h.readBlob(ctx, h.res.RWBase()+offEnclavePub, 4096)
 	if err != nil {
-		return nil, fmt.Errorf("smmpatch: read enclave key: %w", err)
+		return nil, fmt.Errorf("smmpatch: read enclave salt: %w", err)
 	}
-	return h.sessionFor(key, peerPub)
+	return h.sessionFor(nonce, salt)
 }
 
-// sessionFor derives a transport session from the channel credential
-// and a peer (enclave ephemeral) public blob. In DH mode the key is
-// SHA-256 of the shared group element; in derived-session mode it is
-// HMAC(root, smmNonce, enclaveSalt) — both sides contribute fresh
-// entropy per package, so the replay properties match.
-func (h *Handler) sessionFor(key *chanKey, peerPub []byte) (*kcrypto.Session, error) {
-	var shared []byte
-	if key.kp != nil {
-		var err error
-		shared, err = key.kp.SharedSecret(peerPub)
-		if err != nil {
-			return nil, fmt.Errorf("smmpatch: key agreement: %w", err)
-		}
-	} else {
-		if len(peerPub) == 0 {
-			return nil, fmt.Errorf("smmpatch: empty enclave salt")
-		}
-		shared = kcrypto.DeriveKey(h.sessionRoot, key.nonce, peerPub)
+// sessionFor derives a transport session keyed HMAC(root, smmNonce,
+// enclaveSalt): both sides contribute fresh entropy per package, so a
+// captured package never decrypts under a later nonce.
+func (h *Handler) sessionFor(nonce, salt []byte) (*kcrypto.Session, error) {
+	if len(salt) == 0 {
+		return nil, fmt.Errorf("smmpatch: empty enclave salt")
 	}
-	session, err := kcrypto.NewSession(shared, h.rng)
+	session, err := kcrypto.NewSession(kcrypto.DeriveKey(h.sessionRoot, nonce, salt), h.rng)
 	if err != nil {
 		return nil, fmt.Errorf("smmpatch: session: %w", err)
 	}
@@ -965,8 +929,8 @@ func ReadStatusRecord(m *mem.Physical, priv mem.Priv, res *mem.Reserved) (Status
 }
 
 // StageBlob writes a length-prefixed blob at the given privilege: the
-// untrusted helper uses it to stage the enclave public key (mem_RW)
-// and the encrypted package (mem_W).
+// untrusted helper uses it to stage the enclave salt (mem_RW) and the
+// encrypted package (mem_W).
 func StageBlob(m *mem.Physical, priv mem.Priv, addr uint64, data []byte) error {
 	var lenBuf [4]byte
 	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(data)))
@@ -976,17 +940,18 @@ func StageBlob(m *mem.Physical, priv mem.Priv, addr uint64, data []byte) error {
 	return m.Write(priv, addr+4, data)
 }
 
-// EnclavePubAddr returns where the helper stages the enclave's public
-// key.
+// EnclavePubAddr returns where the helper stages the enclave's
+// per-package salt.
 func EnclavePubAddr(res *mem.Reserved) uint64 { return res.RWBase() + offEnclavePub }
 
-// SMMPubAddr returns where SMM publishes its public key.
+// SMMPubAddr returns where SMM publishes its channel nonce.
 func SMMPubAddr(res *mem.Reserved) uint64 { return res.RWBase() + offSMMPub }
 
 // PackageAddr returns where the helper stages the encrypted package.
 func PackageAddr(res *mem.Reserved) uint64 { return res.WBase() + offPackage }
 
-// ReadSMMPub reads SMM's published public key at the given privilege.
+// ReadSMMPub reads SMM's published channel nonce at the given
+// privilege.
 func ReadSMMPub(m *mem.Physical, priv mem.Priv, res *mem.Reserved) ([]byte, error) {
 	var lenBuf [4]byte
 	if err := m.Read(priv, SMMPubAddr(res), lenBuf[:]); err != nil {
@@ -994,7 +959,7 @@ func ReadSMMPub(m *mem.Physical, priv mem.Priv, res *mem.Reserved) ([]byte, erro
 	}
 	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
 	if n <= 0 || n > 4096 {
-		return nil, fmt.Errorf("smm public key: bad length %d", n)
+		return nil, fmt.Errorf("smm channel nonce: bad length %d", n)
 	}
 	out := make([]byte, n)
 	if err := m.Read(priv, SMMPubAddr(res)+4, out); err != nil {

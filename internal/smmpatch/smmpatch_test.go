@@ -91,7 +91,12 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := New(Config{Reserved: k.Res, KernelVersion: "4.4", Rand: &detRand{r: rand.New(rand.NewSource(7))}})
+	h, err := New(Config{
+		Reserved:      k.Res,
+		KernelVersion: "4.4",
+		Rand:          &detRand{r: rand.New(rand.NewSource(7))},
+		SessionRoot:   testRoot,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,23 +116,29 @@ func newRig(t *testing.T) *rig {
 	}
 }
 
-// sealPackage plays the enclave role: prepare, marshal, DH against the
-// SMM public key, encrypt, stage.
+// sealPackage plays the enclave role under testRoot: read the
+// published SMM nonce, draw a salt, derive the session key, encrypt,
+// and stage salt + ciphertext.
 func (r *rig) sealPackage(t *testing.T, wire []byte) {
 	t.Helper()
-	smmPub, err := ReadSMMPub(r.m.Mem, mem.PrivKernel, r.k.Res)
+	r.sealPackageUnder(t, testRoot, wire)
+}
+
+// sealPackageUnder is sealPackage with an explicit channel root.
+func (r *rig) sealPackageUnder(t *testing.T, root, wire []byte) {
+	t.Helper()
+	nonce, err := ReadSMMPub(r.m.Mem, mem.PrivKernel, r.k.Res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kp, err := kcrypto.GenerateKeyPair(&detRand{r: rand.New(rand.NewSource(9))})
-	if err != nil {
+	if len(nonce) != 32 {
+		t.Fatalf("published nonce is %d bytes, want 32", len(nonce))
+	}
+	salt := make([]byte, 32)
+	if _, err := (&detRand{r: rand.New(rand.NewSource(11))}).Read(salt); err != nil {
 		t.Fatal(err)
 	}
-	shared, err := kp.SharedSecret(smmPub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := kcrypto.NewSession(shared, &detRand{r: rand.New(rand.NewSource(10))})
+	sess, err := kcrypto.NewSession(kcrypto.DeriveKey(root, nonce, salt), &detRand{r: rand.New(rand.NewSource(12))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +146,7 @@ func (r *rig) sealPackage(t *testing.T, wire []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := StageBlob(r.m.Mem, mem.PrivKernel, EnclavePubAddr(r.k.Res), kp.PublicBytes()); err != nil {
+	if err := StageBlob(r.m.Mem, mem.PrivKernel, EnclavePubAddr(r.k.Res), salt); err != nil {
 		t.Fatal(err)
 	}
 	if err := StageBlob(r.m.Mem, mem.PrivKernel, PackageAddr(r.k.Res), ct); err != nil {
@@ -205,8 +216,8 @@ func TestReplayRejected(t *testing.T) {
 	if err := r.m.Mem.Read(mem.PrivSMM, PackageAddr(r.k.Res)+4, captured); err != nil {
 		t.Fatal(err)
 	}
-	capturedPub := make([]byte, 260)
-	if err := r.m.Mem.Read(mem.PrivSMM, EnclavePubAddr(r.k.Res), capturedPub); err != nil {
+	capturedSalt := make([]byte, 36)
+	if err := r.m.Mem.Read(mem.PrivSMM, EnclavePubAddr(r.k.Res), capturedSalt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -223,10 +234,10 @@ func TestReplayRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Replay the captured ciphertext + public key. The SMM private
-	// key has rotated, so the session key differs and decryption
-	// yields garbage that fails validation.
-	if err := r.m.Mem.Write(mem.PrivKernel, EnclavePubAddr(r.k.Res), capturedPub); err != nil {
+	// Replay the captured salt + ciphertext. The SMM nonce has
+	// rotated, so the session key differs and decryption yields
+	// garbage that fails validation.
+	if err := r.m.Mem.Write(mem.PrivKernel, EnclavePubAddr(r.k.Res), capturedSalt); err != nil {
 		t.Fatal(err)
 	}
 	if err := StageBlob(r.m.Mem, mem.PrivKernel, PackageAddr(r.k.Res), captured); err != nil {
@@ -302,7 +313,7 @@ func TestNoSessionKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := New(Config{Reserved: k.Res, KernelVersion: "4.4"})
+	h, err := New(Config{Reserved: k.Res, KernelVersion: "4.4", SessionRoot: testRoot})
 	if err != nil {
 		t.Fatal(err)
 	}

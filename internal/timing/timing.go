@@ -55,7 +55,7 @@ type Model struct {
 	// SMM world switch and fixed SMM-side costs (§VI-C2).
 	SMMEntry time.Duration // CPU switch into SMM
 	SMMExit  time.Duration // RSM back to protected mode
-	KeyGen   time.Duration // per-patch Diffie-Hellman key generation in SMM
+	KeyGen   time.Duration // per-patch key generation in SMM (the paper's DH step), charged per rekey
 
 	// SGX-side stages (Table II), fixed + per-byte.
 	FetchFixed   time.Duration

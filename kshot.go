@@ -10,7 +10,7 @@
 // 5-byte jmp/call rel32 encodings, a multi-vCPU interpreter, SMRAM/SMI
 // semantics, and an EPC with enclave-only pages. Every mechanism of
 // the paper — binary diffing, inlining analysis, trampoline patching,
-// ftrace-aware redirection, DH-keyed SGX→SMM transport, rollback, and
+// ftrace-aware redirection, per-patch rekeyed SGX→SMM transport, rollback, and
 // introspection — executes as real code against that machine.
 //
 // Every constructor in the package shares one configuration idiom:
@@ -334,11 +334,12 @@ func WithDialBackoff(d time.Duration) Option {
 	}
 }
 
-// TemplateCache provisions Systems by COW-forking one cached template
-// machine per kernel configuration instead of cold-booting every
-// target: the first System for a (version, ftrace, inline,
-// extra-files, dispatch, vCPUs) configuration pays the full boot, and
-// every later one forks its clean memory. Each fork is provisioned
+// TemplateCache shares one booted template machine per kernel
+// configuration among Systems. Every System is a COW fork of a
+// template; without a cache each one boots its own single-use
+// template. With one, the first System for a (version, ftrace,
+// inline, extra-files, dispatch, vCPUs) configuration pays the full
+// boot, and every later one only forks its clean memory. Each fork is provisioned
 // with its own SMM attestation key, channel root, clock, and SMRAM
 // lock — nothing secret is shared. Share one cache across a fleet via
 // WithTemplateCache or SystemProvisioner's WithTemplateCache option.
@@ -353,7 +354,8 @@ type TemplateCacheStats = core.TemplateCacheStats
 func NewTemplateCache() *TemplateCache { return core.NewTemplateCache() }
 
 // WithTemplateCache provisions the System by forking tc's cached
-// template for this configuration instead of cold-booting one.
+// template for this configuration instead of booting a single-use
+// one.
 func WithTemplateCache(tc *TemplateCache) Option {
 	return func(o *Options) error {
 		if tc == nil {
@@ -413,17 +415,21 @@ var (
 	WithSyncFetch    = core.WithSyncFetch
 )
 
-// New boots a simulated target machine with the given options, locks
-// down SMM, attests and loads the preparation enclave, and registers
-// with the patch server.
+// New provisions a simulated target machine with the given options:
+// it forks a booted template machine and locks down SMM with fresh
+// per-target secrets. New never touches the network: the System
+// registers with the patch server, attests and loads the preparation
+// enclave, and bootstraps its SGX↔SMM channel at first contact — the
+// first Apply, ApplyAll or Rollback (or an explicit System.Attach),
+// which retries whatever step failed on an earlier call.
 func New(opts ...Option) (*System, error) {
 	return NewCtx(context.Background(), opts...)
 }
 
 // NewCtx is New with provisioning-time cancellation: ctx is checked
-// between boot stages (kernel build, machine boot, SMM provisioning,
-// server registration), so callers provisioning fleets can abandon
-// in-flight boots when the rollout is halted.
+// between boot stages (kernel build, machine boot, fork), so callers
+// provisioning fleets can abandon in-flight boots when the rollout is
+// halted.
 func NewCtx(ctx context.Context, opts ...Option) (*System, error) {
 	var o Options
 	for _, opt := range opts {
@@ -631,11 +637,12 @@ func NewRollout(opts ...RolloutOption) (*Rollout, error) {
 }
 
 // SystemProvisioner is the standard fleet provisioner: each target
-// boots a fresh simulated System dialed at the shared patch server,
-// with any extra New options applied after the address. Provisioning
-// honors ctx — a halted rollout stops booting stragglers. Pass
-// WithTemplateCache(cache) in opts to fork targets from cached
-// templates instead of cold-booting each one.
+// gets a fresh simulated System pointed at the shared patch server,
+// with any extra New options applied after the address; it registers
+// with the server at its first patch. Provisioning honors ctx — a
+// halted rollout stops booting stragglers. Pass
+// WithTemplateCache(cache) in opts to fork every target from one
+// cached template per configuration instead of booting one each.
 func SystemProvisioner(serverAddr string, opts ...Option) Provisioner {
 	return func(ctx context.Context, t RolloutTarget) (Patcher, error) {
 		sys, err := NewCtx(ctx, append([]Option{WithServerAddr(serverAddr)}, opts...)...)
