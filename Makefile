@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSparseMemAccess -fuzztime=$(FUZZTIME) -run '^$$' ./internal/mem/
 	$(GO) test -fuzz=FuzzForkMem -fuzztime=$(FUZZTIME) -run '^$$' ./internal/mem/
 	$(GO) test -fuzz=FuzzServerFrame -fuzztime=$(FUZZTIME) -run '^$$' ./internal/patchserver/
+	$(GO) test -fuzz=FuzzECallEnvelope -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sgxprep/
 	$(GO) test -fuzz=FuzzCorpusCase -fuzztime=$(FUZZTIME) -run '^$$' ./internal/corpusgen/
 	$(GO) test -fuzz=FuzzEventChannel -fuzztime=$(FUZZTIME) -run '^$$' ./internal/introspect/
 

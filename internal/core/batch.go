@@ -144,19 +144,15 @@ func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOptio
 	// Stage-1 connection pool: each worker gets its own attested
 	// connection so server-side patch builds genuinely overlap (the
 	// server's channel-key cache hands every connection the key this
-	// system's enclave holds). A failed dial falls back to sharing the
-	// boot-time connection, which is mutex-guarded.
+	// system's enclave holds). The attached client is worker 0, so a
+	// one-batch run dials nothing. A failed extra dial falls back to
+	// sharing the attached client, which is mutex-guarded.
 	nbatches := (len(cves) + batchSize - 1) / batchSize
-	poolSize := workers
-	if poolSize > nbatches {
-		poolSize = nbatches
-	}
-	if poolSize < 1 {
-		poolSize = 1
-	}
+	poolSize := max(1, min(workers, nbatches))
 	fetchers := make(chan *patchserver.Client, poolSize)
+	fetchers <- s.client
 	var dialed []*patchserver.Client
-	for i := 0; i < poolSize; i++ {
+	for i := 1; i < poolSize; i++ {
 		if c, err := patchserver.Dial(s.serverAddr, s.dialOptions()...); err == nil {
 			if _, err := c.HelloWithAttestation(s.info, s.meas, s.attKey); err == nil {
 				c.SetFaultInjector(s.fi)
@@ -279,16 +275,12 @@ func (b *batchBackend) DeliverBatch(ctx context.Context, members []*pipeline.Mem
 	for i, m := range members {
 		blobs[i] = m.Blob
 	}
-	args, err := sgxprep.EncodeArgs(sgxprep.BatchPrepareArgs{
+	out, err := s.ecall(sgxprep.FnPrepareBatch, sgxprep.EncodeBatchPrepareArgs(&sgxprep.BatchPrepareArgs{
 		ServerBlobs: blobs,
 		SMMPub:      smmPub,
 		MemXCursor:  memX,
 		DataCursor:  data,
-	})
-	if err != nil {
-		return err
-	}
-	out, err := s.ecall(sgxprep.FnPrepareBatch, args)
+	}))
 	if err != nil {
 		return fmt.Errorf("%w: batch: %w", ErrEnclavePrepare, err)
 	}

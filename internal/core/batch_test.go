@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"kshot/internal/cvebench"
+	"kshot/internal/faultinject"
 	"kshot/internal/kernel"
+	"kshot/internal/obs"
 	"kshot/internal/patchserver"
 	"kshot/internal/smmpatch"
 )
@@ -84,6 +86,72 @@ func TestApplyAllBatchedSingleSMI(t *testing.T) {
 	last := sts[len(sts)-1]
 	if last.Code != smmpatch.StatusBatchDone || !last.Authentic {
 		t.Errorf("batch status = %+v", last)
+	}
+}
+
+// TestApplyAllReusesAttachedConnection pins the fetch pool's size: the
+// attached client is worker 0, so a one-batch ApplyAll opens no
+// connection, two workers over two batches open exactly one more, and
+// a failed extra dial falls back to sharing the attached client.
+func TestApplyAllReusesAttachedConnection(t *testing.T) {
+	entries := make([]*cvebench.Entry, len(batchCVEs))
+	extra := make(map[string]string, len(batchCVEs))
+	for i, id := range batchCVEs {
+		entries[i] = mustGet(t, id)
+		extra[entries[i].File] = entries[i].Vuln
+	}
+	hooks := obs.NewHooks(16, nil)
+	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entries...),
+		patchserver.WithServerObserver(hooks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	for _, e := range entries {
+		srv.RegisterPatch(e.SourcePatch())
+	}
+	sys, err := NewSystem(Options{
+		Version:    "4.4",
+		NumVCPUs:   2,
+		ExtraFiles: extra,
+		ServerAddr: srv.Addr(),
+		Rand:       &detRand{r: rand.New(rand.NewSource(5))},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	accepted := func() int64 { return hooks.Metrics.Counter(obs.CtrConnAccepted).Value() }
+	apply := func(cves []string, opts ...ApplyOption) {
+		t.Helper()
+		rep, err := sys.ApplyAll(context.Background(), cves, opts...)
+		if err != nil {
+			t.Fatalf("ApplyAll(%v): %v", cves, err)
+		}
+		if len(rep.Failed) > 0 {
+			t.Fatalf("ApplyAll(%v) failed %v", cves, rep.Failed)
+		}
+	}
+
+	if err := sys.Attach(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	apply(batchCVEs[:1])
+	if n := accepted(); n != 1 {
+		t.Errorf("after Attach and a one-batch ApplyAll: %d connections accepted, want 1", n)
+	}
+	apply(batchCVEs[1:3], WithBatchSize(1), WithFetchWorkers(2))
+	if n := accepted(); n != 2 {
+		t.Errorf("after a two-worker, two-batch ApplyAll: %d connections accepted, want 2", n)
+	}
+	sys.SetFaultInjector(faultinject.New(faultinject.Exact(
+		faultinject.Fault{Point: faultinject.DialError, Call: 0})))
+	apply(batchCVEs[3:], WithBatchSize(1), WithFetchWorkers(2))
+	if n := accepted(); n != 2 {
+		t.Errorf("after a failed extra dial: %d connections accepted, want 2 (the attached client shared)", n)
+	}
+	if got := sys.Applied(); len(got) != len(batchCVEs) {
+		t.Errorf("Applied() = %v", got)
 	}
 }
 

@@ -693,16 +693,12 @@ func (s *System) applyPrepared(ctx context.Context, cve string, blob []byte, st 
 		return nil, fmt.Errorf("core: read SMM key: %w", err)
 	}
 	memX, data := s.Handler.Cursors()
-	args, err := sgxprep.EncodeArgs(sgxprep.PrepareArgs{
+	out, err := s.ecall(sgxprep.FnPrepare, sgxprep.EncodePrepareArgs(&sgxprep.PrepareArgs{
 		ServerBlob: blob,
 		SMMPub:     smmPub,
 		MemXCursor: memX,
 		DataCursor: data,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out, err := s.ecall(sgxprep.FnPrepare, args)
+	}))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %w", ErrEnclavePrepare, cve, err)
 	}
@@ -731,11 +727,7 @@ func (s *System) Rollback(ctx context.Context, cve string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	args, err := sgxprep.EncodeArgs(sgxprep.RollbackArgs{ID: cve, SMMPub: smmPub})
-	if err != nil {
-		return nil, err
-	}
-	out, err := s.ecall(sgxprep.FnPrepareRollback, args)
+	out, err := s.ecall(sgxprep.FnPrepareRollback, sgxprep.EncodeRollbackArgs(&sgxprep.RollbackArgs{ID: cve, SMMPub: smmPub}))
 	if err != nil {
 		return nil, fmt.Errorf("%w: rollback %s: %w", ErrEnclavePrepare, cve, err)
 	}

@@ -193,7 +193,7 @@ func (r *sizeRig) syntheticBlob(id string, n int) ([]byte, error) {
 			Payload: payload,
 		}},
 	}
-	plain, err := sgxprep.EncodeArgs(bp)
+	plain, err := patch.Encode(bp)
 	if err != nil {
 		return nil, err
 	}
@@ -219,13 +219,9 @@ func (r *sizeRig) roundTrip(id string, n int) (SizePoint, error) {
 		return pt, err
 	}
 	memX, data := r.handler.Cursors()
-	args, err := sgxprep.EncodeArgs(sgxprep.PrepareArgs{
+	out, err := r.enclave.ECall(sgxprep.FnPrepare, sgxprep.EncodePrepareArgs(&sgxprep.PrepareArgs{
 		ServerBlob: blob, SMMPub: smmPub, MemXCursor: memX, DataCursor: data,
-	})
-	if err != nil {
-		return pt, err
-	}
-	out, err := r.enclave.ECall(sgxprep.FnPrepare, args)
+	}))
 	if err != nil {
 		return pt, err
 	}
@@ -269,11 +265,7 @@ func (r *sizeRig) rollback(id string) error {
 	if err != nil {
 		return err
 	}
-	args, err := sgxprep.EncodeArgs(sgxprep.RollbackArgs{ID: id, SMMPub: smmPub})
-	if err != nil {
-		return err
-	}
-	out, err := r.enclave.ECall(sgxprep.FnPrepareRollback, args)
+	out, err := r.enclave.ECall(sgxprep.FnPrepareRollback, sgxprep.EncodeRollbackArgs(&sgxprep.RollbackArgs{ID: id, SMMPub: smmPub}))
 	if err != nil {
 		return err
 	}

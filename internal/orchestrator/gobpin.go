@@ -10,8 +10,7 @@ import (
 // depends on what else the process gob-encoded first. This is what
 // makes a resumed coordinator's state file — and the chaos suite's
 // byte-identity replay witness — stable across processes. See the
-// matching pins in internal/patch, internal/sgxprep, and
-// internal/patchserver.
+// matching pin in internal/patch.
 func init() {
 	enc := gob.NewEncoder(io.Discard)
 	for _, v := range []any{&State{}, &Wave{}, &TargetState{}} {

@@ -1,9 +1,33 @@
 package patch
 
 import (
+	"bytes"
 	"encoding/gob"
 	"io"
 )
+
+// Encode is the plaintext encoding of a BinaryPatch: what the server
+// encrypts and the preparation enclave decodes. It is one gob stream.
+// It stays gob while the trust-boundary envelopes around it are
+// hand-written binary, because the ciphertext length is the input to
+// the virtual fetch time: another encoding would move every fetch
+// metric and the golden report.
+func Encode(bp *BinaryPatch) ([]byte, error) {
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(bp); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
+// Decode parses a BinaryPatch produced by Encode.
+func Decode(data []byte) (*BinaryPatch, error) {
+	var bp BinaryPatch
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&bp); err != nil {
+		return nil, err
+	}
+	return &bp, nil
+}
 
 // init pins encoding/gob's process-global type IDs for the patch wire
 // types. Gob assigns IDs from a global counter in first-encode order,

@@ -19,15 +19,16 @@
 // with context-aware dial/request retry over timing.WallClock and
 // per-operation I/O deadlines.
 //
-// The wire protocol is length-framed gob over TCP (stdlib net).
+// The wire protocol is length-prefixed binary frames over TCP (stdlib
+// net); see frame.go.
 package patchserver
 
 import (
+	"bufio"
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -558,7 +559,7 @@ func (s *Server) refuse(conn net.Conn) {
 	_, ob := s.hooks()
 	ob.Count(obs.CtrConnRefused, 1)
 	_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
-	_ = gob.NewEncoder(conn).Encode(&response{Err: "server at capacity"})
+	_, _ = conn.Write(appendResponse(nil, &response{Err: "server at capacity"}))
 	conn.Close()
 }
 
@@ -584,14 +585,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		ob.Count(obs.CtrConnLive, -1)
 		s.wg.Done()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	rd := bufio.NewReader(conn)
+	var out []byte // response frame, reused across requests
 	var sess *session
 
 	for {
 		// The idle deadline is armed before the shutdown check: if Close
 		// runs between the two, its SetReadDeadline(now) lands after ours
-		// and the Decode below fails immediately instead of idling. Only
+		// and the read below fails immediately instead of idling. Only
 		// Close aborts live sessions — a draining server keeps serving
 		// established connections until their clients leave.
 		if s.idleTimeout > 0 {
@@ -602,15 +603,20 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		default:
 		}
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return // EOF, timeout, or broken peer
+		body, err := readFrame(rd)
+		if err != nil {
+			return // EOF, timeout, oversized frame, or broken peer
 		}
-		resp := s.handle(&sess, &req)
+		req, err := decodeRequest(body)
+		if err != nil {
+			return // malformed frame
+		}
+		resp := s.handle(&sess, req)
 		if s.idleTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.idleTimeout))
 		}
-		if err := enc.Encode(resp); err != nil {
+		out = appendResponse(out[:0], resp)
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
@@ -708,7 +714,7 @@ func (s *Server) handlePatch(sess *session, req *request) *response {
 // BuildPatchBlob returns the encrypted binary patch for (info, cve),
 // encrypting for the given session. The underlying plaintext artifact
 // — rebuild pre/post kernels with the target's exact configuration,
-// extract the binary diff, gob-encode — is served from the bounded
+// extract the binary diff, encode — is served from the bounded
 // single-flight build cache: concurrent identical requests share one
 // build, later ones hit the cache. Encryption always runs per call, so
 // every session's ciphertext is keyed to its own channel. Exposed for
@@ -756,7 +762,7 @@ func (s *Server) BuildPatchBlob(info OSInfo, cve string, crypt *kcrypto.Session)
 
 // buildPlain performs the expensive part once per cache key: rebuild
 // the pre- and post-patch kernels with the target's configuration,
-// extract the function-level binary diff, and gob-encode it. The
+// extract the function-level binary diff, and encode it. The
 // result is plaintext — per-session encryption happens per request in
 // BuildPatchBlob, which is what keeps the cache safe to share across
 // targets (§V-A's confidentiality argument needs ciphertext per
@@ -791,7 +797,7 @@ func (s *Server) buildPlain(info OSInfo, sp kernel.SourcePatch) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	return gobEncode(bp)
+	return patch.Encode(bp)
 }
 
 // Client tuning defaults.
@@ -933,8 +939,7 @@ type Client struct {
 	// Close and the Set* methods never block behind an exchange.
 	connMu sync.Mutex
 	conn   net.Conn
-	enc    *gob.Encoder
-	dec    *gob.Decoder
+	rd     *bufio.Reader
 	closed bool
 	hello  *request // recorded attested hello, replayed on reconnect
 
@@ -966,8 +971,7 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 		return nil, err
 	}
 	c := &Client{
-		addr: addr, cfg: cfg, conn: conn,
-		enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn),
+		addr: addr, cfg: cfg, conn: conn, rd: bufio.NewReader(conn),
 		fi: cfg.fi, wall: cfg.wall, obs: cfg.obs,
 	}
 	return c, nil
@@ -1041,10 +1045,10 @@ func (c *Client) hooks() (*faultinject.Set, timing.WallClock, *obs.Hooks) {
 }
 
 // transport snapshots the current connection endpoints.
-func (c *Client) transport() (net.Conn, *gob.Encoder, *gob.Decoder) {
+func (c *Client) transport() (net.Conn, *bufio.Reader) {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
-	return c.conn, c.enc, c.dec
+	return c.conn, c.rd
 }
 
 // recordHello remembers a successful attested hello for replay after a
@@ -1074,9 +1078,9 @@ func (c *Client) reconnect(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	rd := bufio.NewReader(conn)
 	if hello != nil {
-		if err := c.exchangeOn(conn, enc, dec, []*request{hello}, nil); err != nil {
+		if err := c.exchangeOn(conn, rd, []*request{hello}, nil); err != nil {
 			conn.Close()
 			return fmt.Errorf("patchserver: hello replay: %w", err)
 		}
@@ -1088,7 +1092,7 @@ func (c *Client) reconnect(ctx context.Context) error {
 		return errors.New("patchserver: client closed")
 	}
 	old := c.conn
-	c.conn, c.enc, c.dec = conn, enc, dec
+	c.conn, c.rd = conn, rd
 	c.connMu.Unlock()
 	_ = old.Close()
 	return nil
@@ -1117,9 +1121,10 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 //
 // Cancellation is logical, not transport-level: when ctx fires, the
 // call returns immediately, but the exchange finishes in the
-// background under the connection mutex so the gob stream stays framed
-// and the client remains usable. (An abandoned fetch's responses are
-// drained and discarded; retries stop once ctx is done.)
+// background under the connection mutex, so the connection never holds
+// half-read responses and the client remains usable. (An abandoned
+// fetch's responses are drained and discarded; retries stop once ctx
+// is done.)
 func (c *Client) roundTrips(ctx context.Context, reqs []*request) ([]*response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -1162,38 +1167,44 @@ func (c *Client) roundTrips(ctx context.Context, reqs []*request) ([]*response, 
 
 // exchange runs one burst on the current connection. Callers hold c.mu.
 func (c *Client) exchange(reqs []*request) ([]*response, error) {
-	conn, enc, dec := c.transport()
+	conn, rd := c.transport()
 	resps := make([]*response, 0, len(reqs))
-	if err := c.exchangeOn(conn, enc, dec, reqs, &resps); err != nil {
+	if err := c.exchangeOn(conn, rd, reqs, &resps); err != nil {
 		return nil, err
 	}
 	return resps, nil
 }
 
-// exchangeOn writes reqs and reads their responses on the given
-// endpoints, arming per-operation I/O deadlines when configured. When
-// resps is nil the responses are still read (keeping the stream
-// framed) and checked for errors, but discarded — the hello-replay
-// path uses this.
-func (c *Client) exchangeOn(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, reqs []*request, resps *[]*response) error {
+// exchangeOn writes reqs as one burst and reads their responses on the
+// given endpoints, arming per-operation I/O deadlines when configured.
+// When resps is nil the responses are still read (so none is left
+// half-read on the connection) and checked for errors, but discarded —
+// the hello-replay path uses this.
+func (c *Client) exchangeOn(conn net.Conn, rd *bufio.Reader, reqs []*request, resps *[]*response) error {
+	var burst []byte
 	for _, req := range reqs {
-		if c.cfg.ioTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.ioTimeout))
-		}
-		if err := enc.Encode(req); err != nil {
-			return fmt.Errorf("patchserver send: %w", err)
-		}
+		burst = appendRequest(burst, req)
+	}
+	if c.cfg.ioTimeout > 0 {
+		_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.ioTimeout))
+	}
+	if _, err := conn.Write(burst); err != nil {
+		return fmt.Errorf("patchserver send: %w", err)
 	}
 	for range reqs {
 		if c.cfg.ioTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(c.cfg.ioTimeout))
 		}
-		var resp response
-		if err := dec.Decode(&resp); err != nil {
+		body, err := readFrame(rd)
+		if err != nil {
+			return fmt.Errorf("patchserver recv: %w", err)
+		}
+		resp, err := decodeResponse(body)
+		if err != nil {
 			return fmt.Errorf("patchserver recv: %w", err)
 		}
 		if resps != nil {
-			*resps = append(*resps, &resp)
+			*resps = append(*resps, resp)
 		} else if resp.Err != "" {
 			return errors.New(resp.Err)
 		}
@@ -1300,20 +1311,4 @@ func (c *Client) ReportStatus(code uint32, seq uint64, digest []byte) error {
 func (c *Client) ReportStatusMAC(code uint32, seq uint64, digest, mac []byte) error {
 	_, err := c.roundTrip(&request{Kind: kindStatus, Code: code, Seq: seq, Digest: digest, MAC: mac})
 	return err
-}
-
-func gobEncode(v any) ([]byte, error) {
-	var b netBuffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		return nil, err
-	}
-	return b.data, nil
-}
-
-// netBuffer is a minimal io.Writer over a byte slice.
-type netBuffer struct{ data []byte }
-
-func (b *netBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -67,8 +66,8 @@ func TestHelloAndFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bp patch.BinaryPatch
-	if err := decodeGobInto(plain, &bp); err != nil {
+	bp, err := patch.Decode(plain)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if bp.ID != entries[0].CVE || bp.KernelVersion != "4.4" || len(bp.Funcs) == 0 {
@@ -158,11 +157,11 @@ func TestConfigurationMattersToBlob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var bp patch.BinaryPatch
-		if err := decodeGobInto(plain, &bp); err != nil {
+		bp, err := patch.Decode(plain)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return &bp
+		return bp
 	}
 	traced := fetch(OSInfo{Version: "4.4", Ftrace: true, Inline: true})
 	plain := fetch(OSInfo{Version: "4.4", Ftrace: false, Inline: true})
@@ -224,11 +223,6 @@ func TestServerCloseIdempotent(t *testing.T) {
 	if _, err := Dial(srv.Addr()); err == nil {
 		t.Error("dial succeeded after close")
 	}
-}
-
-// decodeGobInto mirrors the enclave-side decode for test inspection.
-func decodeGobInto(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
 func TestAuthenticatedStatus(t *testing.T) {

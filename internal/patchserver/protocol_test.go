@@ -3,8 +3,11 @@ package patchserver
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,7 +36,7 @@ func assertServerStillServes(t *testing.T, srv *Server, cve string) {
 	}
 }
 
-// TestGarbageBytesKillOnlyThatSession writes non-gob garbage to a raw
+// TestGarbageBytesKillOnlyThatSession writes garbage to a raw
 // connection: the server must drop that session (EOF back to us) and
 // keep serving everyone else.
 func TestGarbageBytesKillOnlyThatSession(t *testing.T) {
@@ -45,7 +48,7 @@ func TestGarbageBytesKillOnlyThatSession(t *testing.T) {
 	}
 	defer raw.Close()
 	_ = raw.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := raw.Write([]byte("\xff\x03not a gob stream at all\x00\x00")); err != nil {
+	if _, err := raw.Write([]byte("\xff\x03not a frame at all\x00\x00")); err != nil {
 		t.Fatal(err)
 	}
 	// The server closes the broken session: our read drains to EOF.
@@ -56,28 +59,63 @@ func TestGarbageBytesKillOnlyThatSession(t *testing.T) {
 	assertServerStillServes(t, srv, entries[0].CVE)
 }
 
-// TestTruncatedStreamKillsOnlyThatSession sends a valid gob prefix and
-// hangs up mid-message: the server sees an unexpected EOF, drops the
-// session, and keeps serving.
+// TestTruncatedStreamKillsOnlyThatSession sends one whole status frame
+// and then half of a hello frame before hanging up: the first frame
+// reaches handle(), the truncated one ends the session, and the server
+// keeps serving.
 func TestTruncatedStreamKillsOnlyThatSession(t *testing.T) {
 	srv, entries := newTestServer(t, "CVE-2014-0196")
 
-	full, err := gobEncode(&request{Kind: kindHello, Info: OSInfo{Version: "4.4"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	status := appendRequest(nil, &request{Kind: kindStatus, Code: 2, Seq: 9})
+	hello := appendRequest(nil, &request{Kind: kindHello, Info: OSInfo{Version: "4.4"}})
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
 	_ = raw.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := raw.Write(full[:len(full)/2]); err != nil {
+	if _, err := raw.Write(append(status, hello[:len(hello)/2]...)); err != nil {
 		t.Fatal(err)
 	}
 	_ = raw.(*net.TCPConn).CloseWrite()
 	if _, err := io.Copy(io.Discard, raw); err != nil {
 		t.Fatalf("draining truncated session: %v", err)
+	}
+	if sts := srv.Statuses(); len(sts) != 1 || sts[0].Seq != 9 {
+		t.Errorf("statuses = %+v, want the one whole frame's report", sts)
+	}
+
+	assertServerStillServes(t, srv, entries[0].CVE)
+}
+
+// TestOversizedFrameRejected sends a length prefix one byte over the
+// frame cap: the server ends that session without allocating a body
+// for it, and keeps serving.
+func TestOversizedFrameRejected(t *testing.T) {
+	srv, entries := newTestServer(t, "CVE-2014-0196")
+
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	_ = raw.SetDeadline(time.Now().Add(5 * time.Second))
+	var hdr [frameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[:], maxFrame+1)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := raw.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	// The server closes the session on the header alone: no body is
+	// ever sent, so a server waiting for one would hit our deadline.
+	if _, err := io.Copy(io.Discard, raw); err != nil {
+		t.Fatalf("oversized frame did not end the session: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= maxFrame/2 {
+		t.Errorf("server allocated %d bytes for a rejected frame", grew)
 	}
 
 	assertServerStillServes(t, srv, entries[0].CVE)
@@ -110,34 +148,71 @@ func TestPatchBeforeHelloKeepsSessionAlive(t *testing.T) {
 
 // TestMidResponseDisconnect has a client hang up right after sending a
 // patch request, while the server is (or is about to be) writing the
-// response. Only that session dies.
+// response. The request still reaches handle() — the server builds the
+// patch — and only that session dies.
 func TestMidResponseDisconnect(t *testing.T) {
 	srv, entries := newTestServer(t, "CVE-2014-0196")
 
-	hello, err := gobEncode(&request{
+	burst := appendRequest(nil, &request{
 		Kind:        kindHello,
 		Info:        OSInfo{Version: "4.4", Ftrace: true, Inline: true},
 		Measurement: goodMeasurement("4.4"),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fetch, err := gobEncode(&request{Kind: kindPatch, CVE: entries[0].CVE})
-	if err != nil {
-		t.Fatal(err)
-	}
+	burst = appendRequest(burst, &request{Kind: kindPatch, CVE: entries[0].CVE})
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := raw.Write(append(hello, fetch...)); err != nil {
+	if _, err := raw.Write(burst); err != nil {
 		t.Fatal(err)
 	}
 	// Hang up without reading either response: the server's writes hit
 	// a dead peer.
 	raw.Close()
 
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Builds() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the pipelined patch request never reached handle()")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	assertServerStillServes(t, srv, entries[0].CVE)
+}
+
+// TestCapacityRefusalSurfacesOnClient: a connection shed at the full
+// gate reads the server's in-band refusal as its first response, so
+// the client reports the capacity error rather than a broken stream.
+func TestCapacityRefusalSurfacesOnClient(t *testing.T) {
+	e, ok := cvebench.Get("CVE-2014-0196")
+	if !ok {
+		t.Fatal("unknown CVE")
+	}
+	srv, err := NewServer("127.0.0.1:0", cvebench.TreeProviderFor(e),
+		WithMaxConns(1), WithAcceptWait(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
+	holder, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	if _, err := holder.Hello(info, goodMeasurement(info.Version)); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Hello(info, goodMeasurement(info.Version))
+	if err == nil || !strings.Contains(err.Error(), "server at capacity") {
+		t.Fatalf("hello past a full gate: err = %v, want the capacity refusal", err)
+	}
 }
 
 // TestSilentClientDoesNotBlockClose is the regression test for the

@@ -113,7 +113,7 @@ func newMultiFixture(t *testing.T, n int) *multiFixture {
 
 func (f *multiFixture) serverBlob(t *testing.T, bp *patch.BinaryPatch) []byte {
 	t.Helper()
-	plain, err := EncodeArgs(bp)
+	plain, err := patch.Encode(bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,16 +153,12 @@ func TestPrepareManyCursorChaining(t *testing.T) {
 	for i, bp := range f.bps {
 		blobs[i] = f.serverBlob(t, bp)
 	}
-	args, err := EncodeArgs(BatchPrepareArgs{
+	out, err := f.enclave.ECall(FnPrepareBatch, EncodeBatchPrepareArgs(&BatchPrepareArgs{
 		ServerBlobs: blobs,
 		SMMPub:      testNonce,
 		MemXCursor:  startX,
 		DataCursor:  startD,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := f.enclave.ECall(FnPrepareBatch, args)
+	}))
 	if err != nil {
 		t.Fatalf("FnPrepareBatch: %v", err)
 	}
@@ -179,16 +175,12 @@ func TestPrepareManyCursorChaining(t *testing.T) {
 	curX, curD := startX, startD
 	seq := make([]*Result, n)
 	for i := range blobs {
-		args, err := EncodeArgs(PrepareArgs{
+		out, err := f.enclave.ECall(FnPrepare, EncodePrepareArgs(&PrepareArgs{
 			ServerBlob: blobs[i],
 			SMMPub:     testNonce,
 			MemXCursor: curX,
 			DataCursor: curD,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := f.enclave.ECall(FnPrepare, args)
+		}))
 		if err != nil {
 			t.Fatalf("FnPrepare member %d: %v", i, err)
 		}
@@ -265,11 +257,7 @@ func TestPrepareManyBadMemberConsumesNothing(t *testing.T) {
 	good := [][]byte{f.serverBlob(t, f.bps[0]), f.serverBlob(t, f.bps[2])}
 	blobs := [][]byte{good[0], []byte("not a sealed blob"), good[1]}
 
-	args, err := EncodeArgs(BatchPrepareArgs{ServerBlobs: blobs, SMMPub: testNonce})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := f.enclave.ECall(FnPrepareBatch, args)
+	out, err := f.enclave.ECall(FnPrepareBatch, EncodeBatchPrepareArgs(&BatchPrepareArgs{ServerBlobs: blobs, SMMPub: testNonce}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,7 @@
 package sgxprep
 
 import (
-	"bytes"
 	"crypto/rand"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -50,7 +48,7 @@ const EnclavePages = 8
 // the EPC.
 const serverKeyOff = 0
 
-// PrepareArgs is the (gob-encoded) input of FnPrepare.
+// PrepareArgs is the input of FnPrepare (see EncodePrepareArgs).
 type PrepareArgs struct {
 	// ServerBlob is the encrypted BinaryPatch from the remote server.
 	ServerBlob []byte
@@ -99,8 +97,7 @@ type BatchMemberResult struct {
 	Prep time.Duration
 
 	// Err is the member's preparation failure, empty on success. It is
-	// a string because the result crosses the (gob-encoded) enclave
-	// boundary.
+	// a string because the result crosses the enclave boundary.
 	Err string
 }
 
@@ -232,20 +229,20 @@ func (p *Program) SetObserver(ob *obs.Hooks) { p.obs = ob }
 func (p *Program) ECall(env *sgx.Env, fn int, args []byte) ([]byte, error) {
 	switch fn {
 	case FnPrepare:
-		var in PrepareArgs
-		if err := gobDecode(args, &in); err != nil {
+		in, err := DecodePrepareArgs(args)
+		if err != nil {
 			return nil, fmt.Errorf("sgxprep: args: %w", err)
 		}
 		return p.prepare(env, in)
 	case FnPrepareRollback:
-		var in RollbackArgs
-		if err := gobDecode(args, &in); err != nil {
+		in, err := DecodeRollbackArgs(args)
+		if err != nil {
 			return nil, fmt.Errorf("sgxprep: args: %w", err)
 		}
 		return p.prepareRollback(env, in)
 	case FnPrepareBatch:
-		var in BatchPrepareArgs
-		if err := gobDecode(args, &in); err != nil {
+		in, err := DecodeBatchPrepareArgs(args)
+		if err != nil {
 			return nil, fmt.Errorf("sgxprep: args: %w", err)
 		}
 		return p.prepareBatch(env, in)
@@ -254,7 +251,7 @@ func (p *Program) ECall(env *sgx.Env, fn int, args []byte) ([]byte, error) {
 	}
 }
 
-func (p *Program) prepare(env *sgx.Env, in PrepareArgs) ([]byte, error) {
+func (p *Program) prepare(env *sgx.Env, in *PrepareArgs) ([]byte, error) {
 	// Decrypt the server blob with the key held in the EPC.
 	serverKey := make([]byte, 32)
 	if err := env.Read(serverKeyOff, serverKey); err != nil {
@@ -268,8 +265,8 @@ func (p *Program) prepare(env *sgx.Env, in PrepareArgs) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sgxprep: server blob: %w", err)
 	}
-	var bp patch.BinaryPatch
-	if err := gobDecode(plain, &bp); err != nil {
+	bp, err := patch.Decode(plain)
+	if err != nil {
 		return nil, fmt.Errorf("sgxprep: server blob decode: %w", err)
 	}
 	if bp.KernelVersion != p.cfg.KernelVersion {
@@ -279,7 +276,7 @@ func (p *Program) prepare(env *sgx.Env, in PrepareArgs) ([]byte, error) {
 	// Preprocess: placement, relocation, trampolines, packaging
 	// (Table II "Pre-processing", charged per payload byte).
 	start := p.cfg.Clock.Now()
-	prepared, err := patch.Prepare(&bp, p.symtab, p.cfg.Placement, in.MemXCursor, in.DataCursor)
+	prepared, err := patch.Prepare(bp, p.symtab, p.cfg.Placement, in.MemXCursor, in.DataCursor)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +296,7 @@ func (p *Program) prepare(env *sgx.Env, in PrepareArgs) ([]byte, error) {
 	res.MemXUsed = prepared.MemXUsed
 	res.DataUsed = prepared.DataUsed
 	res.PayloadBytes = bp.PayloadBytes()
-	return gobEncode(res)
+	return encodeResult(res), nil
 }
 
 // prepareBatch is the prepare-many ECALL: each server blob is
@@ -308,7 +305,7 @@ func (p *Program) prepare(env *sgx.Env, in PrepareArgs) ([]byte, error) {
 // costs are computed directly from the model (not clock spans) so the
 // per-member numbers stay exact when pipelined fetches advance the
 // shared clock concurrently.
-func (p *Program) prepareBatch(env *sgx.Env, in BatchPrepareArgs) ([]byte, error) {
+func (p *Program) prepareBatch(env *sgx.Env, in *BatchPrepareArgs) ([]byte, error) {
 	serverKey := make([]byte, 32)
 	if err := env.Read(serverKeyOff, serverKey); err != nil {
 		return nil, err
@@ -328,8 +325,8 @@ func (p *Program) prepareBatch(env *sgx.Env, in BatchPrepareArgs) ([]byte, error
 			mr.Err = fmt.Sprintf("server blob: %v", err)
 			continue
 		}
-		var bp patch.BinaryPatch
-		if err := gobDecode(plain, &bp); err != nil {
+		bp, err := patch.Decode(plain)
+		if err != nil {
 			mr.Err = fmt.Sprintf("server blob decode: %v", err)
 			continue
 		}
@@ -338,7 +335,7 @@ func (p *Program) prepareBatch(env *sgx.Env, in BatchPrepareArgs) ([]byte, error
 			mr.Err = fmt.Sprintf("patch for kernel %q, running %q", bp.KernelVersion, p.cfg.KernelVersion)
 			continue
 		}
-		prepared, err := patch.Prepare(&bp, p.symtab, p.cfg.Placement, curX, curD)
+		prepared, err := patch.Prepare(bp, p.symtab, p.cfg.Placement, curX, curD)
 		if err != nil {
 			mr.Err = err.Error()
 			continue
@@ -370,10 +367,10 @@ func (p *Program) prepareBatch(env *sgx.Env, in BatchPrepareArgs) ([]byte, error
 		curD += prepared.DataUsed
 	}
 	p.lastPre = Breakdown{Preprocess: total}
-	return gobEncode(out)
+	return encodeBatchResult(&out), nil
 }
 
-func (p *Program) prepareRollback(_ *sgx.Env, in RollbackArgs) ([]byte, error) {
+func (p *Program) prepareRollback(_ *sgx.Env, in *RollbackArgs) ([]byte, error) {
 	wire, err := patch.MarshalRollback(in.ID, p.cfg.KernelVersion)
 	if err != nil {
 		return nil, err
@@ -385,7 +382,7 @@ func (p *Program) prepareRollback(_ *sgx.Env, in RollbackArgs) ([]byte, error) {
 		return nil, err
 	}
 	res.ID = in.ID
-	return gobEncode(res)
+	return encodeResult(res), nil
 }
 
 // sealForSMM encrypts the wire package for the mem_W channel under
@@ -406,37 +403,4 @@ func (p *Program) sealForSMM(wire, smmNonce []byte) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Ciphertext: ct, EnclavePub: salt}, nil
-}
-
-func gobEncode(v any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-func gobDecode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
-// EncodeArgs gob-encodes ECALL arguments (helper-side convenience).
-func EncodeArgs(v any) ([]byte, error) { return gobEncode(v) }
-
-// DecodeResult decodes an ECALL result (helper-side convenience).
-func DecodeResult(data []byte) (*Result, error) {
-	var r Result
-	if err := gobDecode(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// DecodeBatchResult decodes a FnPrepareBatch result.
-func DecodeBatchResult(data []byte) (*BatchResult, error) {
-	var r BatchResult
-	if err := gobDecode(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }

@@ -77,7 +77,7 @@ type fixture struct {
 	place     patch.Placement
 }
 
-func newFixture(t *testing.T, alg kcrypto.HashAlg) *fixture {
+func newFixture(t testing.TB, alg kcrypto.HashAlg) *fixture {
 	t.Helper()
 	st, err := kernel.BaseTree("4.4")
 	if err != nil {
@@ -144,7 +144,7 @@ func newFixture(t *testing.T, alg kcrypto.HashAlg) *fixture {
 // serverBlob encrypts the binary patch the way the server does.
 func (f *fixture) serverBlob(t *testing.T) []byte {
 	t.Helper()
-	plain, err := EncodeArgs(f.bp)
+	plain, err := patch.Encode(f.bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +161,10 @@ func (f *fixture) serverBlob(t *testing.T) []byte {
 
 func (f *fixture) prepare(t *testing.T) *Result {
 	t.Helper()
-	args, err := EncodeArgs(PrepareArgs{
+	out, err := f.enclave.ECall(FnPrepare, EncodePrepareArgs(&PrepareArgs{
 		ServerBlob: f.serverBlob(t),
 		SMMPub:     testNonce,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := f.enclave.ECall(FnPrepare, args)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +204,7 @@ func TestPrepareProducesDecryptablePackage(t *testing.T) {
 
 func TestPrepareRollbackPackage(t *testing.T) {
 	f := newFixture(t, kcrypto.HashSHA256)
-	args, err := EncodeArgs(RollbackArgs{ID: "CVE-FIX", SMMPub: testNonce})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := f.enclave.ECall(FnPrepareRollback, args)
+	out, err := f.enclave.ECall(FnPrepareRollback, EncodeRollbackArgs(&RollbackArgs{ID: "CVE-FIX", SMMPub: testNonce}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,9 +225,9 @@ func TestRejectsWrongServerKey(t *testing.T) {
 	f := newFixture(t, kcrypto.HashSHA256)
 	wrong := make([]byte, 32)
 	sess, _ := kcrypto.NewSession(wrong, nil)
-	plain, _ := EncodeArgs(f.bp)
+	plain, _ := patch.Encode(f.bp)
 	ct, _ := sess.Encrypt(plain)
-	args, _ := EncodeArgs(PrepareArgs{ServerBlob: ct, SMMPub: testNonce})
+	args := EncodePrepareArgs(&PrepareArgs{ServerBlob: ct, SMMPub: testNonce})
 	if _, err := f.enclave.ECall(FnPrepare, args); err == nil {
 		t.Error("blob under wrong key accepted")
 	}
@@ -244,7 +236,7 @@ func TestRejectsWrongServerKey(t *testing.T) {
 func TestRejectsVersionMismatch(t *testing.T) {
 	f := newFixture(t, kcrypto.HashSHA256)
 	f.bp.KernelVersion = "3.14"
-	args, _ := EncodeArgs(PrepareArgs{ServerBlob: f.serverBlob(t), SMMPub: testNonce})
+	args := EncodePrepareArgs(&PrepareArgs{ServerBlob: f.serverBlob(t), SMMPub: testNonce})
 	_, err := f.enclave.ECall(FnPrepare, args)
 	if err == nil || !strings.Contains(err.Error(), "3.14") {
 		t.Errorf("version mismatch not rejected: %v", err)
