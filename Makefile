@@ -90,6 +90,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzECallEnvelope -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sgxprep/
 	$(GO) test -fuzz=FuzzCorpusCase -fuzztime=$(FUZZTIME) -run '^$$' ./internal/corpusgen/
 	$(GO) test -fuzz=FuzzEventChannel -fuzztime=$(FUZZTIME) -run '^$$' ./internal/introspect/
+	$(GO) test -fuzz=FuzzPatchDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/patch/
 
 # Generated-corpus differential verification. `corpussmoke` is the CI
 # gate: a fixed-seed 64-case sweep under -race. `corpus` is the full

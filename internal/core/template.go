@@ -3,15 +3,15 @@ package core
 import (
 	"context"
 	cryptorand "crypto/rand"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"kshot/internal/isa"
 	"kshot/internal/kcrypto"
 	"kshot/internal/kernel"
 	"kshot/internal/machine"
@@ -204,23 +204,16 @@ func (t *Template) Fork(ctx context.Context, opts Options) (*System, error) {
 	return s, nil
 }
 
-// templateKey canonicalizes the configuration axes a template bakes
-// in. Everything per-fork — server address, hash algorithm, entropy
-// source, activeness checking, retry knobs — is deliberately excluded,
-// so Systems differing only in those share one template.
-func templateKey(opts Options) string {
-	h := sha256.New()
-	names := make([]string, 0, len(opts.ExtraFiles))
-	for name := range opts.ExtraFiles {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(h, "%d:%s=%d:%s;", len(name), name, len(opts.ExtraFiles[name]), opts.ExtraFiles[name])
-	}
-	return fmt.Sprintf("v=%s ftrace=%t inline=%t dispatch=%d vcpus=%d files=%s",
-		opts.Version, !opts.DisableFtrace, !opts.DisableInline,
-		int(opts.Dispatch), opts.NumVCPUs, hex.EncodeToString(h.Sum(nil)))
+// templateKey is the scalar part of the configuration a template bakes
+// in; the cache matches the rest, ExtraFiles, per entry. Everything
+// per-fork — server address, hash algorithm, entropy source,
+// activeness checking, retry knobs — is deliberately excluded, so
+// Systems differing only in those share one template.
+type templateKey struct {
+	version        string
+	ftrace, inline bool
+	dispatch       isa.Dispatch
+	vcpus          int
 }
 
 // TemplateCacheStats is a point-in-time view of cache traffic.
@@ -234,8 +227,11 @@ type TemplateCacheStats struct {
 }
 
 // tcEntry is one singleflight slot: ready closes once the template
-// boot finished (tpl or err set, never both).
+// boot finished (tpl or err set, never both). files is the entry's own
+// copy of the configuration's ExtraFiles, so a caller editing its map
+// later cannot change what the entry matches.
 type tcEntry struct {
+	files map[string]string
 	ready chan struct{}
 	tpl   *Template
 	err   error
@@ -249,7 +245,7 @@ type tcEntry struct {
 // call retries.
 type TemplateCache struct {
 	mu      sync.Mutex
-	entries map[string]*tcEntry
+	entries map[templateKey][]*tcEntry
 	closed  bool
 
 	obs                 atomic.Pointer[obs.Hooks]
@@ -258,7 +254,7 @@ type TemplateCache struct {
 
 // NewTemplateCache builds an empty cache.
 func NewTemplateCache() *TemplateCache {
-	return &TemplateCache{entries: make(map[string]*tcEntry)}
+	return &TemplateCache{entries: make(map[templateKey][]*tcEntry)}
 }
 
 // SetObserver installs observability hooks; template-cache traffic is
@@ -275,7 +271,10 @@ func (c *TemplateCache) count(name string, ctr *atomic.Int64) {
 // Stats returns cache traffic counters.
 func (c *TemplateCache) Stats() TemplateCacheStats {
 	c.mu.Lock()
-	n := len(c.entries)
+	n := 0
+	for _, es := range c.entries {
+		n += len(es)
+	}
 	c.mu.Unlock()
 	return TemplateCacheStats{
 		Hits:      c.hits.Load(),
@@ -311,16 +310,35 @@ func provision(ctx context.Context, opts Options) (*System, error) {
 	return s, nil
 }
 
+// lookupLocked returns the entry for key whose files equal files, or
+// nil. Callers usually pass one shared map, and comparing two strings
+// that share their bytes stops at the pointer, so a hit walks the map
+// without reading file contents. Callers hold c.mu.
+func (c *TemplateCache) lookupLocked(key templateKey, files map[string]string) *tcEntry {
+	for _, e := range c.entries[key] {
+		if maps.Equal(e.files, files) {
+			return e
+		}
+	}
+	return nil
+}
+
 // template returns the singleflight template for opts' configuration.
 func (c *TemplateCache) template(ctx context.Context, opts Options) (*Template, error) {
-	key := templateKey(opts)
+	key := templateKey{
+		version:  opts.Version,
+		ftrace:   !opts.DisableFtrace,
+		inline:   !opts.DisableInline,
+		dispatch: opts.Dispatch,
+		vcpus:    opts.NumVCPUs,
+	}
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, ErrTemplateClosed
 	}
-	if e := c.entries[key]; e != nil {
+	if e := c.lookupLocked(key, opts.ExtraFiles); e != nil {
 		c.mu.Unlock()
 		c.count(obs.CtrTemplateHits, &c.hits)
 		select {
@@ -330,17 +348,19 @@ func (c *TemplateCache) template(ctx context.Context, opts Options) (*Template, 
 			return nil, ctx.Err()
 		}
 	}
-	e := &tcEntry{ready: make(chan struct{})}
-	c.entries[key] = e
+	e := &tcEntry{files: maps.Clone(opts.ExtraFiles), ready: make(chan struct{})}
+	c.entries[key] = append(c.entries[key], e)
 	c.mu.Unlock()
 	c.count(obs.CtrTemplateMisses, &c.misses)
 
 	tpl, err := NewTemplate(ctx, opts)
 	if err != nil {
-		// Don't cache failure — clear the slot so a later call retries
-		// (unless Close or a concurrent retry already replaced it).
+		// Don't cache failure — drop the slot so a later call retries
+		// (unless Close already cleared it).
 		c.mu.Lock()
-		if c.entries[key] == e {
+		if rest := slices.DeleteFunc(c.entries[key], func(x *tcEntry) bool { return x == e }); len(rest) > 0 {
+			c.entries[key] = rest
+		} else {
 			delete(c.entries, key)
 		}
 		c.mu.Unlock()
@@ -358,11 +378,11 @@ func (c *TemplateCache) template(ctx context.Context, opts Options) (*Template, 
 func (c *TemplateCache) Close() {
 	c.mu.Lock()
 	c.closed = true
-	entries := make([]*tcEntry, 0, len(c.entries))
-	for _, e := range c.entries {
-		entries = append(entries, e)
+	var entries []*tcEntry
+	for _, es := range c.entries {
+		entries = append(entries, es...)
 	}
-	c.entries = make(map[string]*tcEntry)
+	c.entries = make(map[templateKey][]*tcEntry)
 	c.mu.Unlock()
 	for _, e := range entries {
 		<-e.ready

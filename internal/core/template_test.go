@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -223,6 +224,46 @@ func TestTemplateCacheKeySeparatesConfigs(t *testing.T) {
 	if st := cache.Stats(); st.Templates != 3 {
 		t.Errorf("templates = %d, want 3 (ftrace and vCPUs split, activeness does not)", st.Templates)
 	}
+}
+
+// TestTemplateCacheMatchesExtraFilesByContent checks that the cache
+// matches ExtraFiles by content against its own copy: a distinct map
+// with equal content hits, a caller that edits its map after
+// provisioning has a new configuration and gets a miss and a template
+// of its own, and the original content still hits the first template.
+func TestTemplateCacheMatchesExtraFilesByContent(t *testing.T) {
+	f := newTemplateFixture(t, "CVE-2014-0196")
+	cache := NewTemplateCache()
+	t.Cleanup(cache.Close)
+	mk := func(files map[string]string) {
+		t.Helper()
+		opts := f.Opts
+		opts.ExtraFiles = files
+		opts.TemplateCache = cache
+		sys, err := NewSystemCtx(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sys.Close)
+	}
+	want := func(hits, misses int64, templates int) {
+		t.Helper()
+		if st := cache.Stats(); st.Hits != hits || st.Misses != misses || st.Templates != templates {
+			t.Fatalf("stats = %+v, want %d hits, %d misses, %d templates", st, hits, misses, templates)
+		}
+	}
+
+	files := maps.Clone(f.Opts.ExtraFiles)
+	mk(files)
+	mk(maps.Clone(files))
+	want(1, 1, 1)
+
+	files[f.Entry.File] = f.Entry.Fixed
+	mk(files)
+	want(1, 2, 2)
+
+	mk(f.Opts.ExtraFiles)
+	want(2, 2, 2)
 }
 
 func TestConcurrentForksFromOneTemplate(t *testing.T) {

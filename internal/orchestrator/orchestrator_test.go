@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -496,6 +497,56 @@ func TestResumeRejectsForeignState(t *testing.T) {
 	)
 	if !errors.Is(err, ErrStateMismatch) {
 		t.Fatalf("err = %v, want ErrStateMismatch", err)
+	}
+}
+
+// TestStateTargetLookup checks the binary-search lookup on a fleet
+// given in reverse order: every ID is found, IDs below, between and
+// above the sorted range are not, and a state resumed from a store
+// answers the same way.
+func TestStateTargetLookup(t *testing.T) {
+	targets := fleetTargets(16, 4)
+	slices.Reverse(targets)
+	check := func(st *State) {
+		t.Helper()
+		if len(st.Targets) != len(targets) {
+			t.Fatalf("%d targets in state, want %d", len(st.Targets), len(targets))
+		}
+		for i := range st.Targets {
+			if got := st.target(st.Targets[i].ID); got != &st.Targets[i] {
+				t.Errorf("target(%q) = %p, want element %d", st.Targets[i].ID, got, i)
+			}
+		}
+		for _, id := range []string{"", "a", "node-", "node-007", "node-16", "node-99", "zzz"} {
+			if got := st.target(id); got != nil {
+				t.Errorf("target(%q) = %+v, want nil", id, got)
+			}
+		}
+	}
+
+	store := &MemStore{}
+	mk := func() *Rollout {
+		t.Helper()
+		r, err := New(
+			WithTargets(targets),
+			WithCVEs("CVE-2016-0728", "CVE-2017-7184"),
+			WithProvisioner(newFakeFleet(nil).provision),
+			WithSeed(1),
+			WithStateStore(store),
+		)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		return r
+	}
+	r := mk()
+	check(r.st)
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	check(mk().st)
+	if got := (&State{}).target("node-00"); got != nil {
+		t.Errorf("empty state found %+v", got)
 	}
 }
 

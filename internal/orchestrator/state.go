@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sort"
 	"sync"
 	"time"
 )
@@ -122,12 +123,13 @@ type State struct {
 	Halted bool
 }
 
-// target returns the state record for id, or nil.
+// target returns the state record for id, or nil. Targets is sorted by
+// ID — New sorts the fleet and checkResume holds a resumed state to
+// that order — so the lookup is a binary search.
 func (st *State) target(id string) *TargetState {
-	for i := range st.Targets {
-		if st.Targets[i].ID == id {
-			return &st.Targets[i]
-		}
+	i := sort.Search(len(st.Targets), func(i int) bool { return st.Targets[i].ID >= id })
+	if i < len(st.Targets) && st.Targets[i].ID == id {
+		return &st.Targets[i]
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package patch
 import (
 	"bytes"
 	"encoding/gob"
-	"io"
 )
 
 // Encode is the plaintext encoding of a BinaryPatch: what the server
@@ -20,14 +19,16 @@ func Encode(bp *BinaryPatch) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Decode parses a BinaryPatch produced by Encode.
-func Decode(data []byte) (*BinaryPatch, error) {
-	var bp BinaryPatch
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&bp); err != nil {
-		return nil, err
-	}
-	return &bp, nil
-}
+// typePrefix is the run of type-definition messages every Encode
+// stream starts with, and valueTypeID the type ID of the value message
+// after it. A fresh gob encoder defines every type the value's type
+// reaches, whatever the value holds, and init pins the IDs inside those
+// definitions, so the prefix is one fixed byte string that Decode
+// compares instead of interpreting.
+var (
+	typePrefix  []byte
+	valueTypeID int64
+)
 
 // init pins encoding/gob's process-global type IDs for the patch wire
 // types. Gob assigns IDs from a global counter in first-encode order,
@@ -36,9 +37,10 @@ func Decode(data []byte) (*BinaryPatch, error) {
 // enough to shift ciphertext sizes, and therefore the virtual transfer
 // times derived from them, between otherwise identical runs. Encoding
 // one canonical value at init fixes the assignment order for every
-// importer.
+// importer, so a patch server and a kshotd in separate processes write
+// and expect the same prefix, which init captures from the same stream.
 func init() {
-	err := gob.NewEncoder(io.Discard).Encode(&BinaryPatch{
+	b, err := Encode(&BinaryPatch{
 		Funcs:    []FuncPatch{{Relocs: []Reloc{{}}}},
 		Globals:  []GlobalEdit{{}},
 		Warnings: []string{""},
@@ -46,4 +48,24 @@ func init() {
 	if err != nil {
 		panic("patch: gob type pin: " + err.Error())
 	}
+	if typePrefix, valueTypeID, err = splitTypePrefix(b); err != nil {
+		panic("patch: gob type prefix: " + err.Error())
+	}
+}
+
+// splitTypePrefix returns the messages of a gob stream ahead of its
+// first value message, and that value's type ID. Each message is a
+// length and a signed type ID; a type definition's ID is negative.
+func splitTypePrefix(stream []byte) ([]byte, int64, error) {
+	r := gobReader{buf: stream}
+	for r.err == nil {
+		rest := r.buf
+		n := r.count()
+		next := r.buf[n:]
+		if id := r.int(); r.err == nil && id > 0 {
+			return stream[:len(stream)-len(rest)], id, nil
+		}
+		r.buf = next
+	}
+	return nil, 0, r.err
 }
