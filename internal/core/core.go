@@ -434,7 +434,7 @@ func (s *System) attach(ctx context.Context) error {
 	prog, err := sgxprep.New(sgxprep.Config{
 		ServerKey:     serverKey,
 		KernelVersion: s.info.Version,
-		KernelSymbols: s.Kernel.Symbols().All(),
+		KernelSymbols: s.Kernel.Symbols(),
 		Placement:     s.Handler.Placement(),
 		HashAlg:       s.hashAlg,
 		Clock:         s.Clock,
@@ -638,7 +638,10 @@ func (s *System) reloadEnclave() error {
 	return nil
 }
 
-// Close releases the system's resources.
+// Close releases the system's resources. Memory goes last, once the
+// detector, enclave, client and machine have stopped: its exclusively
+// owned frames return to the frame pool for the next fork, and any
+// later access to the system's memory faults.
 func (s *System) Close() {
 	s.det.Stop()
 	if s.enclave != nil {
@@ -648,6 +651,7 @@ func (s *System) Close() {
 		_ = s.client.Close()
 	}
 	s.Machine.Stop()
+	s.Machine.Mem.Release()
 }
 
 // Apply live-patches the named CVE end to end and reports per-stage

@@ -214,6 +214,8 @@ type regionTable struct {
 	epoch  uint64
 	sorted []*Region // by Base, non-overlapping
 	byName map[string]*Region
+	// released marks the empty table Release publishes.
+	released bool
 }
 
 // at returns the region containing addr, by binary search.

@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -18,6 +20,10 @@ import (
 // snapshot therefore proves the frame's bytes are untouched, which is
 // what lets DiffFrames find dirty memory without comparing (or even
 // allocating) the clean majority.
+//
+// A released Physical (Release) hands its exclusively owned frames to
+// a package-wide pool; the next materialization anywhere takes one
+// back and clears only the 4 KiB blocks its last owner wrote.
 
 const (
 	// FrameShift is log2 of the frame size.
@@ -25,6 +31,13 @@ const (
 	// FrameSize is the allocation and copy-on-write granule of the
 	// sparse store.
 	FrameSize = 1 << FrameShift
+
+	// blockShift is log2 of the dirty-tracking block: a recycled
+	// frame is cleared in 4 KiB blocks, one dirty bit each.
+	blockShift = 12
+	// allBlocks is the dirty mask of a frame whose every block may be
+	// non-zero.
+	allBlocks = 1<<(FrameSize>>blockShift) - 1
 
 	// lockShards is the number of frame-lock shards. It must be a
 	// power of two no larger than 64 (shard sets are tracked in a
@@ -45,7 +58,45 @@ type frame struct {
 	// ever published to a second owner *after* shared is set, so a
 	// writer that observes shared==false holds the frame exclusively.
 	shared atomic.Bool
-	data   [FrameSize]byte
+	// dirty has bit i set when 4 KiB block i may be non-zero. Writers
+	// update it under the frame's shard lock; zeroFrame uses it to
+	// clear a recycled frame in only the blocks its last owner wrote.
+	dirty uint16
+	data  [FrameSize]byte
+}
+
+// framePool holds frames released by closed Physicals. Only frames no
+// snapshot or other Physical can reach (shared == false) ever enter
+// it. New returns zeroed frames with an empty dirty mask.
+var framePool = sync.Pool{New: func() any { return new(frame) }}
+
+// zeroFrame returns an exclusively owned all-zero frame, recycled from
+// the pool when one is available.
+func zeroFrame() *frame {
+	fr := framePool.Get().(*frame)
+	for d := fr.dirty; d != 0; d &= d - 1 {
+		b := bits.TrailingZeros16(d)
+		clear(fr.data[b<<blockShift : (b+1)<<blockShift])
+	}
+	fr.dirty = 0
+	return fr
+}
+
+// cloneFrame returns an exclusively owned copy of src — the
+// copy-on-write step for a shared frame.
+func cloneFrame(src *frame) *frame {
+	fr := framePool.Get().(*frame)
+	fr.data = src.data
+	fr.dirty = allBlocks
+	return fr
+}
+
+// blockMask returns the dirty bits of the blocks overlapped by the
+// in-frame span [off, off+n), n > 0.
+func blockMask(off, n uint64) uint16 {
+	first := off >> blockShift
+	last := (off + n - 1) >> blockShift
+	return uint16(uint32(1)<<(last+1) - uint32(1)<<first)
 }
 
 // shardMask returns the bitmask of lock shards covering frames
@@ -136,15 +187,14 @@ func (m *Physical) writeFrames(addr uint64, src []byte) {
 		fr := m.frames[idx].Load()
 		switch {
 		case fr == nil:
-			fr = new(frame)
+			fr = zeroFrame()
 			m.frames[idx].Store(fr)
 		case fr.shared.Load():
-			cl := new(frame)
-			cl.data = fr.data
-			fr = cl
+			fr = cloneFrame(fr)
 			m.frames[idx].Store(fr)
 		}
 		copy(fr.data[off:], part)
+		fr.dirty |= blockMask(off, uint64(len(part)))
 	})
 	m.unlockMask(mask, true)
 }
@@ -172,9 +222,7 @@ func (m *Physical) zeroFrames(addr, n uint64) {
 		fr := m.frames[idx].Load()
 		if fr != nil {
 			if fr.shared.Load() {
-				cl := new(frame)
-				cl.data = fr.data
-				fr = cl
+				fr = cloneFrame(fr)
 				m.frames[idx].Store(fr)
 			}
 			clear(fr.data[cur-base : end-base])
@@ -182,6 +230,40 @@ func (m *Physical) zeroFrames(addr, n uint64) {
 		cur = end
 	}
 	m.unlockMask(mask, true)
+}
+
+// Release ends m's lifetime and recycles its memory. Every frame slot
+// is emptied, and the frames m owned exclusively (shared == false) go
+// back to the frame pool; frames a snapshot, the fork template or a
+// sibling fork can still reach are only dropped, so their owners keep
+// them byte for byte. Release also publishes an empty region table:
+// any later Read, Write, Fetch or Zero faults as unmapped rather than
+// reading zeros. An access that validated just before Release runs
+// against the emptied slots under the shard locks, so it never reaches
+// a recycled frame. Releasing twice is a no-op.
+func (m *Physical) Release() {
+	m.mapMu.Lock()
+	tab := m.tab.Load()
+	if tab.released {
+		m.mapMu.Unlock()
+		return
+	}
+	m.tab.Store(&regionTable{epoch: tab.epoch + 1, byName: map[string]*Region{}, released: true})
+	m.codeGen.Add(1)
+	m.mapMu.Unlock()
+
+	m.lockMask(^uint64(0), true)
+	for i := range m.frames {
+		fr := m.frames[i].Load()
+		if fr == nil {
+			continue
+		}
+		m.frames[i].Store(nil)
+		if !fr.shared.Load() {
+			framePool.Put(fr)
+		}
+	}
+	m.unlockMask(^uint64(0), true)
 }
 
 // ResidentBytes returns the bytes of backing storage currently

@@ -141,12 +141,9 @@ func (p *Platform) Load(prog Program, npages int) (*Enclave, error) {
 		measurement: Measure(prog),
 	}
 	// Zero the pages (EADD of zeroed pages).
-	zero := make([]byte, PageSize)
-	for off := uint64(0); off < e.size; off += PageSize {
-		if err := p.phys.Write(mem.PrivEnclave, base+off, zero); err != nil {
-			e.Destroy()
-			return nil, fmt.Errorf("sgx: zeroing EPC: %w", err)
-		}
+	if err := p.phys.Zero(mem.PrivEnclave, base, e.size); err != nil {
+		e.Destroy()
+		return nil, fmt.Errorf("sgx: zeroing EPC: %w", err)
 	}
 	if err := prog.Init(e.env()); err != nil {
 		e.Destroy()
@@ -259,12 +256,9 @@ func (e *Enclave) Destroy() {
 		return
 	}
 	e.destroyed = true
-	zero := make([]byte, PageSize)
-	for off := uint64(0); off < e.size; off += PageSize {
-		// Scrub failures cannot happen on a mapped EPC; ignore by
-		// construction (the region exists for the platform lifetime).
-		_ = e.plat.phys.Write(mem.PrivEnclave, e.base+off, zero)
-	}
+	// Scrub failures cannot happen on a mapped EPC; ignore by
+	// construction (the region exists for the platform lifetime).
+	_ = e.plat.phys.Zero(mem.PrivEnclave, e.base, e.size)
 	e.plat.freePages(e.base, e.size)
 }
 

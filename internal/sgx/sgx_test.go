@@ -191,6 +191,40 @@ func TestDestroyScrubsPages(t *testing.T) {
 	}
 }
 
+// Load and Destroy scrub the EPC with mem.Zero, which validates like a
+// write of zeros: with the EPC unmapped, Load fails with exactly the
+// fault a zero-page write at the enclave base raises and frees its
+// pages, and Destroy still frees the pages it could not scrub.
+func TestScrubFaultsOnUnmappedEPC(t *testing.T) {
+	phys, p := newTestPlatform(t)
+	e, err := p.Load(&otherProg{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := phys.Unmap(RegionEPC); err != nil {
+		t.Fatal(err)
+	}
+	var want *mem.Fault
+	if err := phys.Write(mem.PrivEnclave, epcBase, make([]byte, PageSize)); !errors.As(err, &want) {
+		t.Fatalf("zero-page write on unmapped EPC: %v, want a fault", err)
+	}
+
+	e.Destroy()
+	// Every page is free again, so a full-size Load reaches its scrub.
+	_, err = p.Load(&otherProg{}, epcSize/PageSize)
+	var got *mem.Fault
+	if !errors.As(err, &got) || *got != *want {
+		t.Fatalf("Load on unmapped EPC: %v, want %v", err, want)
+	}
+
+	if _, err := phys.Map(RegionEPC, epcBase, epcSize, mem.Perms{Enclave: mem.PermRW}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Load(&otherProg{}, epcSize/PageSize); err != nil {
+		t.Errorf("pages leaked by the failed Load: %v", err)
+	}
+}
+
 func TestInitFailureUnwindsPages(t *testing.T) {
 	_, p := newTestPlatform(t)
 	if _, err := p.Load(&counterProg{initErr: errors.New("nope")}, 64); err == nil {

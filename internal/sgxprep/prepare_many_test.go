@@ -87,7 +87,7 @@ func newMultiFixture(t *testing.T, n int) *multiFixture {
 	prog, err := New(Config{
 		ServerKey:     serverKey,
 		KernelVersion: "4.4",
-		KernelSymbols: preImg.Symbols.All(),
+		KernelSymbols: preImg.Symbols,
 		Placement:     place,
 		Model:         timing.Calibrated(),
 		Rand:          rng,

@@ -139,9 +139,11 @@ type Config struct {
 	ServerKey []byte
 
 	// KernelVersion and KernelSymbols describe the running kernel
-	// (collected safely at boot, §V-B).
+	// (collected safely at boot, §V-B). The symbol table is read-only
+	// and shared by every enclave of one kernel image; nil means an
+	// empty table.
 	KernelVersion string
-	KernelSymbols []isa.Symbol
+	KernelSymbols *isa.SymTab
 
 	// Placement is the SMM handler's reserved memory layout.
 	Placement patch.Placement
@@ -195,9 +197,9 @@ func New(cfg Config) (*Program, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
-	symtab, err := isa.NewSymTab(cfg.KernelSymbols)
-	if err != nil {
-		return nil, fmt.Errorf("sgxprep: %w", err)
+	symtab := cfg.KernelSymbols
+	if symtab == nil {
+		symtab = &isa.SymTab{}
 	}
 	return &Program{cfg: cfg, rng: rng, symtab: symtab}, nil
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"kshot/internal/isa"
 	"kshot/internal/kcrypto"
 	"kshot/internal/kernel"
 	"kshot/internal/mem"
@@ -115,7 +114,7 @@ func newFixture(t testing.TB, alg kcrypto.HashAlg) *fixture {
 	prog, err := New(Config{
 		ServerKey:     serverKey,
 		KernelVersion: "4.4",
-		KernelSymbols: preImg.Symbols.All(),
+		KernelSymbols: preImg.Symbols,
 		Placement:     place,
 		HashAlg:       alg,
 		Model:         timing.Calibrated(),
@@ -256,13 +255,6 @@ func TestRejectsBadECall(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{ServerKey: []byte("short")}); err == nil {
 		t.Error("short server key accepted")
-	}
-	if _, err := New(Config{
-		ServerKey:     make([]byte, 32),
-		SessionRoot:   testRoot,
-		KernelSymbols: []isa.Symbol{{Name: "x"}, {Name: "x"}},
-	}); err == nil {
-		t.Error("duplicate symbols accepted")
 	}
 }
 
