@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race short bench benchsmoke benchjson benchmark-test check fuzz cover api apicheck corpus corpussmoke adversary-smoke
+.PHONY: all build fmt vet test race short bench benchsmoke benchjson benchmark-test check fuzz cover api apicheck corpus corpussmoke adversary-smoke
 
 # Per-target budget for the fuzz smoke pass (see `fuzz` below).
 FUZZTIME ?= 30s
@@ -17,6 +17,10 @@ all: check
 
 build:
 	$(GO) build ./...
+
+# The same format gate as CI's check job.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -42,7 +46,7 @@ benchsmoke:
 # runs; see cmd/kshot-bench -json.
 BENCHJSON ?= bench.json
 benchjson:
-	$(GO) run ./cmd/kshot-bench -json -table2 -table3 -table5 -pipeline -fleet -rollout -provision -dispatch -detect -detect-trials 5 -detect-ops 5000 -iters 1 -o $(BENCHJSON) > /dev/null
+	$(GO) run ./cmd/kshot-bench -json -table2 -table3 -table5 -pipeline -detect -detect-trials 5 -detect-ops 5000 -iters 1 -o $(BENCHJSON) > /dev/null
 
 # The repo benchmark (benchmark/) is its own Go module, so the root
 # `go test ./...` never builds it; this vets it and runs its smoke and
@@ -108,4 +112,4 @@ corpus:
 adversary-smoke:
 	$(GO) test -race -short -run 'TestReinfectDetected|TestReplayDetected|TestGroomDetected|TestAdversaryCampaign' ./internal/adversary/
 
-check: build vet test
+check: fmt build vet test

@@ -50,20 +50,9 @@ func run(args []string, stdout io.Writer) error {
 		pipeline  = fs.Bool("pipeline", false, "pipelined ApplyAll vs serial Apply")
 		overhead  = fs.Bool("overhead", false, "whole-system overhead")
 		trace     = fs.Bool("trace", false, "per-CVE phase breakdown with metrics and event trace")
-		fleet     = fs.Bool("fleet", false, "fleet distribution: cold vs warm build-cache delivery")
-		rollout   = fs.Bool("rollout", false, "fleet rollout: staged canary waves across simulated targets")
-		provision = fs.Bool("provision", false, "provisioning throughput: uncached vs template-cache fork")
-		dispatch  = fs.Bool("dispatch", false, "execution-engine comparison: oracle interpreter vs predecoded blocks")
-		dispops   = fs.Uint64("dispatch-ops", 2000, "workload operations per engine for -dispatch")
 		detect    = fs.Bool("detect", false, "introspection: tamper-detection latency vs sweep period, plus overhead")
 		dettrials = fs.Int("detect-trials", 20, "tamper injections per sweep period for -detect")
 		detops    = fs.Uint64("detect-ops", 20000, "workload operations for the -detect overhead columns")
-		clients   = fs.Int("clients", 16, "fleet size for -fleet")
-		targets   = fs.Int("targets", 500, "fleet size for -rollout")
-		domains   = fs.Int("domains", 4, "failure domains for -rollout")
-		rollcves  = fs.Int("rollout-cves", 2, "CVE batch size for -rollout")
-		provcold  = fs.Int("prov-cold", 5, "uncached provisionings (single-use template each) to average for -provision")
-		provforks = fs.Int("prov-forks", 200, "template forks to average for -provision")
 		iters     = fs.Int("iters", 3, "repetitions per measurement")
 		patches   = fs.Int("patches", 100, "patch storm size for -overhead")
 		batch     = fs.Int("batch", 8, "batch size for -pipeline")
@@ -87,10 +76,10 @@ func run(args []string, stdout io.Writer) error {
 		out = io.MultiWriter(stdout, f)
 	}
 
-	selected := *table1 || *table2 || *table3 || *fig4 || *fig5 || *table4 || *table5 || *rq1 || *pipeline || *overhead || *trace || *fleet || *rollout || *provision || *dispatch || *detect
+	selected := *table1 || *table2 || *table3 || *fig4 || *fig5 || *table4 || *table5 || *rq1 || *pipeline || *overhead || *trace || *detect
 	if *all || !selected {
-		*table1, *table2, *table3, *fig4, *fig5, *table4, *table5, *rq1, *pipeline, *overhead, *trace, *fleet, *rollout, *provision, *dispatch, *detect =
-			true, true, true, true, true, true, true, true, true, true, true, true, true, true, true, true
+		*table1, *table2, *table3, *fig4, *fig5, *table4, *table5, *rq1, *pipeline, *overhead, *trace, *detect =
+			true, true, true, true, true, true, true, true, true, true, true, true
 	}
 
 	// In JSON mode, data-bearing experiments accumulate here and are
@@ -247,86 +236,6 @@ func run(args []string, stdout io.Writer) error {
 			if err := evalharness.RenderPhaseReport(out, b); err != nil {
 				return err
 			}
-			fmt.Fprintln(out)
-		}
-	}
-
-	if *fleet {
-		progress("running fleet distribution (cold vs warm cache, %d clients, %d rounds)...\n", *clients, *iters)
-		fr, err := evalharness.RunFleetBench(*clients, *iters)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			results["fleet"] = fr
-		} else {
-			fmt.Fprintf(out, "Fleet distribution (%d clients, one CVE, real TCP loopback):\n", fr.Clients)
-			fmt.Fprintf(out, "  cold cache: %v per request (every wave rebuilds both kernels)\n", fr.ColdPer)
-			fmt.Fprintf(out, "  warm cache: %v per request (cached artifact, per-session encryption only)\n", fr.WarmPer)
-			fmt.Fprintf(out, "  speedup: %.1fx; kernel builds: %d for %d requests served\n",
-				fr.Speedup, fr.Builds, fr.Requests)
-			fmt.Fprintln(out)
-		}
-	}
-
-	if *rollout {
-		progress("running fleet rollout (%d targets, %d domains, %d CVEs, staged waves)...\n",
-			*targets, *domains, *rollcves)
-		rr, err := evalharness.RunRolloutBench(*targets, *domains, *rollcves, 4)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			results["rollout"] = rr
-		} else {
-			fmt.Fprintf(out, "Fleet rollout (%d targets in %d domains, %d CVEs, canary → %%-waves, template-fork provisioning):\n",
-				rr.Targets, rr.Domains, rr.CVEs)
-			fmt.Fprintf(out, "  waves: %d; patched %d, failed %d, rolled back %d\n",
-				rr.Waves, rr.Patched, rr.Failed, rr.RolledBk)
-			fmt.Fprintf(out, "  throughput: %.1f targets/s (wall %v)\n", rr.TargetsPerSec, rr.Wall)
-			fmt.Fprintf(out, "  provisioning: %v mean per target (%.0f systems/s)\n",
-				rr.ProvisionMean, rr.ProvisionPerSec)
-			fmt.Fprintf(out, "  template cache: %d misses, %d hits, %d forks\n",
-				rr.TemplateMisses, rr.TemplateHits, rr.TemplateForks)
-			fmt.Fprintf(out, "  per-target virtual SMM pause: mean %sus, p99 %sus\n",
-				report.Us(rr.MeanPause), report.Us(rr.P99Pause))
-			fmt.Fprintln(out)
-		}
-	}
-
-	if *provision {
-		progress("running provisioning throughput (%d uncached vs %d template forks)...\n",
-			*provcold, *provforks)
-		pr, err := evalharness.RunProvisionBench(*provcold, *provforks)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			results["provision"] = pr
-		} else {
-			fmt.Fprintf(out, "Provisioning throughput (one configuration, %d uncached vs %d forks):\n",
-				pr.ColdBoots, pr.Forks)
-			fmt.Fprintf(out, "  uncached:      %v per system (%.0f systems/s)\n", pr.ColdMean, pr.ColdPerSec)
-			fmt.Fprintf(out, "  template fork: %v per system (%.0f systems/s), %.1fx\n", pr.ForkMean, pr.ForkPerSec, pr.Speedup)
-			fmt.Fprintf(out, "  template boot (one-time): %v\n", pr.TemplateBoot)
-			fmt.Fprintf(out, "  fresh-fork resident split: %d B shared, %d B private\n", pr.SharedBytes, pr.PrivateBytes)
-			fmt.Fprintln(out)
-		}
-	}
-
-	if *dispatch {
-		progress("running execution-engine comparison (oracle vs blocks, %d ops each)...\n", *dispops)
-		dr, err := evalharness.RunDispatchBench("CVE-2014-4157", *dispops)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			results["dispatch"] = dr
-		} else {
-			fmt.Fprintf(out, "Execution engine (workload under patch, %s, %d ops per engine):\n", dr.CVE, dr.Oracle.Ops)
-			fmt.Fprintf(out, "  oracle (decode-switch): %.0f ops/s (wall %v)\n", dr.Oracle.OpsPerSec, dr.Oracle.Wall)
-			fmt.Fprintf(out, "  blocks (predecoded):    %.0f ops/s (wall %v)\n", dr.Blocks.OpsPerSec, dr.Blocks.Wall)
-			fmt.Fprintf(out, "  speedup: %.1fx; virtual stage metrics bit-identical across engines\n", dr.Speedup)
 			fmt.Fprintln(out)
 		}
 	}

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -61,5 +64,49 @@ func TestBadFlag(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-nonsense"}, &out); err == nil {
 		t.Error("unknown flag accepted")
+	}
+}
+
+// TestZeroCountsRejected: a count below 1 is an error from the
+// experiment, never a divide-by-zero panic or a silent default.
+func TestZeroCountsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig5", "-iters", "0"},
+		{"-table2", "-iters", "0"},
+		{"-overhead", "-patches", "0"},
+		{"-detect", "-detect-trials", "0"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var out strings.Builder
+			if err := run(args, &out); err == nil {
+				t.Errorf("run(%q) succeeded, want an error", args)
+			}
+		})
+	}
+}
+
+// TestJSONDocumentKeys pins the shape of the -json document: stdout is
+// exactly one JSON object whose keys are the selected data-bearing
+// experiments and nothing else.
+func TestJSONDocumentKeys(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-json", "-table2", "-table5", "-iters", "1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(strings.NewReader(out.String()))
+	var doc map[string]json.RawMessage
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("stdout is not a JSON object: %v\n%.300s", err, out.String())
+	}
+	if dec.More() {
+		t.Errorf("trailing output after the JSON document:\n%.300s", out.String())
+	}
+	var got []string
+	for k := range doc {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if want := []string{"size_sweep", "table5"}; !slices.Equal(got, want) {
+		t.Errorf("JSON keys %v, want exactly %v", got, want)
 	}
 }

@@ -278,7 +278,11 @@ type OverheadResult struct {
 
 // RunOverhead measures workload throughput with and without a storm of
 // `patches` apply+rollback cycles (each cycle is two SMM entries).
+// patches must be at least 1.
 func RunOverhead(patches int, window time.Duration) (*OverheadResult, error) {
+	if patches < 1 {
+		return nil, fmt.Errorf("overhead: patches %d, want at least 1", patches)
+	}
 	e, ok := cvebench.Get("CVE-2014-4608")
 	if !ok {
 		return nil, fmt.Errorf("benchmark CVE missing")

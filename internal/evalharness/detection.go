@@ -174,17 +174,17 @@ func (f *detectionFixture) measureWorkload(cfg *introspect.Config, ops uint64) (
 // RunDetectionBench measures tamper-detection latency at each sweep
 // period (trials injections per period) and the workload overhead of
 // enabling the event channel, sweeping at the fastest given period.
-// Zero-valued arguments select the defaults the EXPERIMENTS tables
-// use.
+// trials and ops must be at least 1; nil periods select the ones the
+// EXPERIMENTS tables use.
 func RunDetectionBench(trials int, periods []time.Duration, ops uint64) (*DetectionBenchResult, error) {
 	if trials < 1 {
-		trials = 20
+		return nil, fmt.Errorf("detection bench: trials %d, want at least 1", trials)
+	}
+	if ops == 0 {
+		return nil, fmt.Errorf("detection bench: ops 0, want at least 1")
 	}
 	if len(periods) == 0 {
 		periods = []time.Duration{200 * time.Microsecond, time.Millisecond, 5 * time.Millisecond}
-	}
-	if ops == 0 {
-		ops = 20000
 	}
 	f, err := newDetectionFixture("CVE-2014-0196")
 	if err != nil {

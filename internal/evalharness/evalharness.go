@@ -283,7 +283,11 @@ func (r *sizeRig) rollback(id string) error {
 }
 
 // RunSizePoint measures one size with `iters` repetitions, averaged.
+// iters must be at least 1.
 func RunSizePoint(size, iters int, alg kcrypto.HashAlg) (SizePoint, error) {
+	if iters < 1 {
+		return SizePoint{}, fmt.Errorf("size sweep: iters %d, want at least 1", iters)
+	}
 	rig, err := newSizeRig(size, alg)
 	if err != nil {
 		return SizePoint{}, err
@@ -383,8 +387,9 @@ func NewDeployment(version string, numVCPUs int, alg kcrypto.HashAlg, entries ..
 }
 
 // NewDeploymentDispatch is NewDeployment with an explicit vCPU
-// execution engine — the oracle interpreter for baseline benchmarks,
-// lockstep for the differential verification suites.
+// execution engine: the golden phase report renders under both blocks
+// and the oracle interpreter, and the differential verification suites
+// run lockstep.
 func NewDeploymentDispatch(version string, numVCPUs int, alg kcrypto.HashAlg, d isa.Dispatch, entries ...*cvebench.Entry) (*Deployment, error) {
 	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entries...))
 	if err != nil {
@@ -429,8 +434,11 @@ type CVEPoint struct {
 }
 
 // RunFigureCVEOnce measures one CVE with `iters` apply+rollback
-// cycles, averaged.
+// cycles, averaged. iters must be at least 1.
 func RunFigureCVEOnce(cve string, iters int) (CVEPoint, error) {
+	if iters < 1 {
+		return CVEPoint{}, fmt.Errorf("figure CVE %s: iters %d, want at least 1", cve, iters)
+	}
 	e, ok := cvebench.Get(cve)
 	if !ok {
 		return CVEPoint{}, fmt.Errorf("unknown CVE %q", cve)

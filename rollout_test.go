@@ -248,3 +248,58 @@ func TestRolloutResumeAcrossCoordinators(t *testing.T) {
 		t.Logf("resume skipped %d members in-wave", resumedSkips)
 	}
 }
+
+// TestRolloutTemplateCacheFleet drives the orchestrator and a shared
+// template cache together: one template boot serves the whole fleet,
+// every target is a fork, and each one is patched in canary-first
+// waves with a real virtual SMM pause.
+func TestRolloutTemplateCacheFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet rollout skipped in -short mode")
+	}
+	entry := FigureCVEs()[0]
+	srv, err := NewPatchServer(WithTreeProvider(TreeProviderFor(entry)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.RegisterPatch(entry.SourcePatch())
+
+	tc := NewTemplateCache()
+	defer tc.Close()
+	fleet := make([]RolloutTarget, 4)
+	for i := range fleet {
+		fleet[i] = RolloutTarget{ID: fmt.Sprintf("tc-%d", i), Domain: fmt.Sprintf("dom-%d", i%2)}
+	}
+	roll, err := NewRollout(
+		WithTargets(fleet),
+		WithCVEs(entry.CVE),
+		WithProvisioner(SystemProvisioner(srv.Addr(),
+			WithExtraFiles(map[string]string{entry.File: entry.Vuln}),
+			WithTemplateCache(tc))),
+		WithSeed(1),
+		WithWaveConcurrency(2),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := roll.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Patched != 4 || res.Failed != 0 || res.RolledBack != 0 {
+		t.Errorf("patched=%d failed=%d rolledBack=%d, want 4/0/0",
+			res.Patched, res.Failed, res.RolledBack)
+	}
+	if len(res.Waves) < 2 {
+		t.Errorf("want at least canary + one wave, got %d", len(res.Waves))
+	}
+	for _, ts := range res.Targets {
+		if ts.Pause <= 0 {
+			t.Errorf("%s: virtual pause %v, want > 0", ts.ID, ts.Pause)
+		}
+	}
+	if st := tc.Stats(); st.Misses != 1 || st.Forks != 4 {
+		t.Errorf("template cache misses=%d forks=%d, want 1 and 4", st.Misses, st.Forks)
+	}
+}
