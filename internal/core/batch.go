@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"kshot/internal/obs"
@@ -143,33 +144,33 @@ func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOptio
 
 	// Stage-1 connection pool: each worker gets its own attested
 	// connection so server-side patch builds genuinely overlap (the
-	// server's channel-key cache hands every connection the key this
-	// system's enclave holds). The attached client is worker 0, so a
-	// one-batch run dials nothing. A failed extra dial falls back to
-	// sharing the attached client, which is mutex-guarded.
+	// server derives the same channel key, the one this system's enclave
+	// holds, for each of them). The attached client is worker 0, so a
+	// one-batch run needs no other. The extras come from the System's
+	// idle pool and only the shortfall is dialed; a failed dial falls
+	// back to sharing the attached client, which is mutex-guarded.
 	nbatches := (len(cves) + batchSize - 1) / batchSize
 	poolSize := max(1, min(workers, nbatches))
 	fetchers := make(chan *patchserver.Client, poolSize)
 	fetchers <- s.client
-	var dialed []*patchserver.Client
-	for i := 1; i < poolSize; i++ {
-		if c, err := patchserver.Dial(s.serverAddr, s.dialOptions()...); err == nil {
-			if _, err := c.HelloWithAttestation(s.info, s.meas, s.attKey); err == nil {
-				c.SetFaultInjector(s.fi)
-				c.SetWallClock(s.wall)
-				c.SetObserver(s.obs)
-				dialed = append(dialed, c)
-				fetchers <- c
-				continue
-			}
-			_ = c.Close()
-		}
-		fetchers <- s.client
+	extras := s.takeFetchers(poolSize - 1)
+	for _, c := range extras {
+		fetchers <- c
+	}
+	for range poolSize - 1 - len(extras) {
+		fetchers <- s.dialFetcher()
 	}
 	defer func() {
-		for _, c := range dialed {
-			_ = c.Close()
+		// Reclaim every fetch slot before pooling the extras. A fetch
+		// worker Run left behind on cancellation hands its client back
+		// promptly, because Run's context is done by then.
+		var idle []*patchserver.Client
+		for range poolSize {
+			if c := <-fetchers; c != s.client {
+				idle = append(idle, c)
+			}
 		}
+		s.putFetchers(idle)
 	}()
 
 	entries0 := s.SMM.Entries()
@@ -207,6 +208,56 @@ func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOptio
 	return rep, runErr
 }
 
+// takeFetchers checks out up to n idle extra fetch clients, with the
+// System's current hooks re-applied.
+func (s *System) takeFetchers(n int) []*patchserver.Client {
+	s.fetchersMu.Lock()
+	k := max(0, len(s.idleFetchers)-n)
+	cs := slices.Clone(s.idleFetchers[k:])
+	clear(s.idleFetchers[k:])
+	s.idleFetchers = s.idleFetchers[:k]
+	s.fetchersMu.Unlock()
+	for _, c := range cs {
+		s.setFetcherHooks(c)
+	}
+	return cs
+}
+
+// putFetchers returns extra fetch clients to the idle pool, or closes
+// them once the System is closed.
+func (s *System) putFetchers(cs []*patchserver.Client) {
+	s.fetchersMu.Lock()
+	if !s.fetchersClosed {
+		s.idleFetchers = append(s.idleFetchers, cs...)
+		cs = nil
+	}
+	s.fetchersMu.Unlock()
+	for _, c := range cs {
+		_ = c.Close()
+	}
+}
+
+// dialFetcher dials and attests one extra fetch connection, or returns
+// the attached client when that fails.
+func (s *System) dialFetcher() *patchserver.Client {
+	c, err := patchserver.Dial(s.serverAddr, s.dialOptions()...)
+	if err != nil {
+		return s.client
+	}
+	if _, err := c.HelloWithAttestation(s.info, s.meas, s.attKey); err != nil {
+		_ = c.Close()
+		return s.client
+	}
+	s.setFetcherHooks(c)
+	return c
+}
+
+func (s *System) setFetcherHooks(c *patchserver.Client) {
+	c.SetFaultInjector(s.fi)
+	c.SetWallClock(s.wall)
+	c.SetObserver(s.obs)
+}
+
 // batchBackend adapts the System to the pipeline's Backend interface.
 type batchBackend struct {
 	s        *System
@@ -220,8 +271,14 @@ func (b *batchBackend) FetchMany(ctx context.Context, cves []string) ([]pipeline
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	defer func() { b.fetchers <- c }()
 	rs, err := c.FetchPatches(ctx, cves)
+	if err != nil && c != b.s.client {
+		// A transport failure leaves c's connection in doubt: close it
+		// and let the attached client take its fetch slot.
+		_ = c.Close()
+		c = b.s.client
+	}
+	b.fetchers <- c
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrFetch, err)
 	}

@@ -11,7 +11,6 @@ import (
 	"kshot/internal/cvebench"
 	"kshot/internal/faultinject"
 	"kshot/internal/kernel"
-	"kshot/internal/obs"
 	"kshot/internal/patchserver"
 	"kshot/internal/smmpatch"
 )
@@ -91,37 +90,12 @@ func TestApplyAllBatchedSingleSMI(t *testing.T) {
 
 // TestApplyAllReusesAttachedConnection pins the fetch pool's size: the
 // attached client is worker 0, so a one-batch ApplyAll opens no
-// connection, two workers over two batches open exactly one more, and
-// a failed extra dial falls back to sharing the attached client.
+// connection, two workers over two batches open exactly one more, a
+// later call reuses that one from the System's pool, and a call needing
+// more extras than the pool holds dials the shortfall, falling back to
+// sharing the attached client when that dial fails.
 func TestApplyAllReusesAttachedConnection(t *testing.T) {
-	entries := make([]*cvebench.Entry, len(batchCVEs))
-	extra := make(map[string]string, len(batchCVEs))
-	for i, id := range batchCVEs {
-		entries[i] = mustGet(t, id)
-		extra[entries[i].File] = entries[i].Vuln
-	}
-	hooks := obs.NewHooks(16, nil)
-	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entries...),
-		patchserver.WithServerObserver(hooks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	for _, e := range entries {
-		srv.RegisterPatch(e.SourcePatch())
-	}
-	sys, err := NewSystem(Options{
-		Version:    "4.4",
-		NumVCPUs:   2,
-		ExtraFiles: extra,
-		ServerAddr: srv.Addr(),
-		Rand:       &detRand{r: rand.New(rand.NewSource(5))},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sys.Close)
-	accepted := func() int64 { return hooks.Metrics.Counter(obs.CtrConnAccepted).Value() }
+	sys, _, accepted := newFetchPoolRig(t, 0)
 	apply := func(cves []string, opts ...ApplyOption) {
 		t.Helper()
 		rep, err := sys.ApplyAll(context.Background(), cves, opts...)
@@ -144,11 +118,16 @@ func TestApplyAllReusesAttachedConnection(t *testing.T) {
 	if n := accepted(); n != 2 {
 		t.Errorf("after a two-worker, two-batch ApplyAll: %d connections accepted, want 2", n)
 	}
-	sys.SetFaultInjector(faultinject.New(faultinject.Exact(
-		faultinject.Fault{Point: faultinject.DialError, Call: 0})))
-	apply(batchCVEs[3:], WithBatchSize(1), WithFetchWorkers(2))
+	rollbackAll(t, sys)
+	fi := faultinject.New(faultinject.Exact(
+		faultinject.Fault{Point: faultinject.DialError, Call: 0}))
+	sys.SetFaultInjector(fi)
+	apply(batchCVEs, WithBatchSize(2), WithFetchWorkers(3))
+	if fi.Fired() != 1 {
+		t.Errorf("injected DialError fired %d times, want 1 (the pool's shortfall is dialed)", fi.Fired())
+	}
 	if n := accepted(); n != 2 {
-		t.Errorf("after a failed extra dial: %d connections accepted, want 2 (the attached client shared)", n)
+		t.Errorf("after a failed extra dial: %d connections accepted, want 2 (pooled extra reused, the attached client shared)", n)
 	}
 	if got := sys.Applied(); len(got) != len(batchCVEs) {
 		t.Errorf("Applied() = %v", got)

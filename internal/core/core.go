@@ -188,6 +188,14 @@ type System struct {
 	// snapshot tracks the text KShot itself produced.
 	intr *introspect.Channel
 	det  *introspect.Detector
+
+	// idleFetchers holds the extra attested fetch clients ApplyAll
+	// dialed, idle between calls, so repeated ApplyAll calls reuse their
+	// connections (see takeFetchers). fetchersClosed is set by Close; a
+	// client handed back after it is closed instead.
+	fetchersMu     sync.Mutex
+	idleFetchers   []*patchserver.Client
+	fetchersClosed bool
 }
 
 // Validate checks the assembled options for values no deployment can
@@ -649,6 +657,14 @@ func (s *System) Close() {
 	}
 	if s.client != nil {
 		_ = s.client.Close()
+	}
+	s.fetchersMu.Lock()
+	s.fetchersClosed = true
+	idle := s.idleFetchers
+	s.idleFetchers = nil
+	s.fetchersMu.Unlock()
+	for _, c := range idle {
+		_ = c.Close()
 	}
 	s.Machine.Stop()
 	s.Machine.Mem.Release()

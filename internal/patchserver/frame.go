@@ -43,6 +43,18 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	return body, nil
 }
 
+// frameBuffered reports whether r already holds the whole next frame,
+// so reading it can neither block nor fail on I/O. A frame larger than
+// r's buffer never counts as buffered.
+func frameBuffered(r *bufio.Reader) bool {
+	n := r.Buffered()
+	if n < frameHeader {
+		return false
+	}
+	hdr, _ := r.Peek(frameHeader) // cannot fail or block: the header is buffered
+	return uint64(binary.LittleEndian.Uint32(hdr)) <= uint64(n-frameHeader)
+}
+
 // beginFrame reserves a frame header at the end of b; endFrame fills
 // it in once the body is appended.
 func beginFrame(b []byte) ([]byte, int) { return append(b, 0, 0, 0, 0), len(b) }

@@ -1,6 +1,7 @@
 package patchserver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -25,6 +26,8 @@ func fuzzSeedBytes() [][]byte {
 	})
 	patchReq := mk(&request{Kind: kindPatch, CVE: "CVE-2014-0196"})
 	status := mk(&request{Kind: kindStatus, Code: 1, Seq: 7, Digest: []byte{1, 2, 3}})
+	burst := bytes.Join([][]byte{hello, patchReq, patchReq, patchReq}, nil) // one coalesced answer
+	cutHeader := bytes.Join([][]byte{hello, patchReq[:2]}, nil)             // burst cut mid-header
 	return [][]byte{
 		hello,
 		patchReq,                      // patch before hello: in-band error
@@ -33,6 +36,8 @@ func fuzzSeedBytes() [][]byte {
 		hello[:len(hello)/2],          // truncated mid-frame
 		[]byte("\xff\x03garbage\x00"), // length prefix over the cap
 		{3, 0, 0, 0, 0, 0, 0},         // frame shorter than its fields
+		burst,
+		cutHeader,
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"bufio"
 	"context"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,6 +45,7 @@ import (
 	"kshot/internal/sgx"
 	"kshot/internal/sgxprep"
 	"kshot/internal/timing"
+	"kshot/internal/wire"
 )
 
 // OSInfo is what the target machine reports about itself — enough for
@@ -259,13 +259,18 @@ type Server struct {
 	closed   bool
 	wg       sync.WaitGroup
 
-	// channelKeys caches the server→enclave channel key per attested
-	// target identity (version + measurement + attestation key), so a
-	// target may open several helper connections — pipelined fetching —
-	// that all encrypt to the one key its enclave holds. Only attested
-	// hellos (non-empty AttKey) are cached; anonymous hellos keep the
-	// fresh-key-per-connection behavior.
-	channelKeys map[string][]byte
+	// keyRoot derives the server→enclave channel key of an attested
+	// target from its identity (version, build knobs, measurement and
+	// attestation key), so every helper connection a target opens —
+	// pipelined fetching, reconnects — encrypts to the one key its
+	// enclave holds, with no per-target state on the server. Anonymous
+	// hellos (empty AttKey) get a fresh random key per connection.
+	keyRoot []byte
+
+	// versions remembers the kernel versions the tree provider has
+	// served, so a hello checks a known version without rebuilding its
+	// source tree.
+	versions sync.Map
 
 	hooksMu sync.Mutex
 	fi      *faultinject.Set
@@ -319,6 +324,10 @@ func NewServer(addr string, trees TreeProvider, opts ...ServerOption) (*Server, 
 }
 
 func newServer(cfg serverConfig) (*Server, error) {
+	keyRoot := make([]byte, 32)
+	if _, err := io.ReadFull(rand.Reader, keyRoot); err != nil {
+		return nil, fmt.Errorf("patchserver: key root: %w", err)
+	}
 	ln, err := net.Listen("tcp", cfg.listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("patchserver: %w", err)
@@ -332,7 +341,7 @@ func newServer(cfg serverConfig) (*Server, error) {
 		cache:       newBuildCache(cfg.cacheCapacity),
 		patches:     make(map[string]kernel.SourcePatch),
 		conns:       make(map[net.Conn]struct{}),
-		channelKeys: make(map[string][]byte),
+		keyRoot:     keyRoot,
 		fi:          cfg.fi,
 		obs:         cfg.obs,
 	}
@@ -572,7 +581,28 @@ type session struct {
 }
 
 func (s *Server) serveConn(conn net.Conn) {
+	rd := bufio.NewReader(conn)
+	out := outBufs.Get().(*[]byte)
+	// Pending responses, written when the next request is not already
+	// buffered (see frameBuffered): a pipelined burst is answered with
+	// one write, and nothing is left pending across a read that could
+	// block or fail.
+	pending := (*out)[:0]
+	flush := func() error {
+		if len(pending) == 0 {
+			return nil
+		}
+		if s.idleTimeout > 0 {
+			_ = conn.SetWriteDeadline(time.Now().Add(s.idleTimeout))
+		}
+		_, err := conn.Write(pending)
+		pending = pending[:0]
+		return err
+	}
 	defer func() {
+		_ = flush() // whatever ended the session, answered requests get their responses
+		*out = pending
+		outBufs.Put(out)
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -585,8 +615,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		ob.Count(obs.CtrConnLive, -1)
 		s.wg.Done()
 	}()
-	rd := bufio.NewReader(conn)
-	var out []byte // response frame, reused across requests
 	var sess *session
 
 	for {
@@ -611,16 +639,21 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // malformed frame
 		}
-		resp := s.handle(&sess, req)
-		if s.idleTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(s.idleTimeout))
-		}
-		out = appendResponse(out[:0], resp)
-		if _, err := conn.Write(out); err != nil {
-			return
+		pending = appendResponse(pending, s.handle(&sess, req))
+		if len(pending) > flushThreshold || !frameBuffered(rd) {
+			if err := flush(); err != nil {
+				return
+			}
 		}
 	}
 }
+
+// flushThreshold bounds the response bytes a session holds back.
+const flushThreshold = 64 << 10
+
+// outBufs recycles per-session response buffers, so a short session
+// (one hello and one burst) does not grow a fresh buffer.
+var outBufs = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
 
 func (s *Server) handle(sess **session, req *request) *response {
 	switch req.Kind {
@@ -661,32 +694,21 @@ func (s *Server) handleHello(sess **session, req *request) *response {
 	if req.Measurement != expected {
 		return &response{Err: "enclave attestation failed: unexpected measurement"}
 	}
-	if _, err := s.trees(req.Info.Version); err != nil {
-		return &response{Err: fmt.Sprintf("unsupported kernel: %v", err)}
+	if _, known := s.versions.Load(req.Info.Version); !known {
+		if _, err := s.trees(req.Info.Version); err != nil {
+			return &response{Err: fmt.Sprintf("unsupported kernel: %v", err)}
+		}
+		s.versions.Store(req.Info.Version, struct{}{})
 	}
-	var cacheID string
+	var key []byte
 	if len(req.AttKey) > 0 {
-		sum := sha256.Sum256(req.AttKey)
-		cacheID = fmt.Sprintf("%s|%t|%t|%x|%x", req.Info.Version, req.Info.Ftrace, req.Info.Inline, req.Measurement, sum)
-	}
-	key := make([]byte, 32)
-	s.mu.Lock()
-	cached, ok := s.channelKeys[cacheID]
-	s.mu.Unlock()
-	if cacheID != "" && ok {
-		copy(key, cached)
+		key = kcrypto.DeriveKey(s.keyRoot, []byte(req.Info.Version),
+			wire.AppendBool(nil, req.Info.Ftrace), wire.AppendBool(nil, req.Info.Inline),
+			req.Measurement[:], req.AttKey)
 	} else {
+		key = make([]byte, 32)
 		if _, err := io.ReadFull(rand.Reader, key); err != nil {
 			return &response{Err: "server entropy failure"}
-		}
-		if cacheID != "" {
-			s.mu.Lock()
-			if prior, ok := s.channelKeys[cacheID]; ok {
-				copy(key, prior) // lost a racing hello: converge on its key
-			} else {
-				s.channelKeys[cacheID] = append([]byte(nil), key...)
-			}
-			s.mu.Unlock()
 		}
 	}
 	crypt, err := kcrypto.NewSession(key, nil)
@@ -861,7 +883,8 @@ func WithDialRetries(n int) DialOption {
 // reports may be duplicated by a retry, which the server tolerates.
 // Anonymous (non-attested) sessions receive a fresh channel key on
 // reconnect, so callers holding a kcrypto session should only enable
-// this together with an attested hello (whose key the server caches).
+// this together with an attested hello (whose key the server derives
+// from the target's identity, so a reconnect gets the same key).
 func WithRequestRetries(n int) DialOption {
 	return func(c *clientConfig) error {
 		if n < 0 {
@@ -1124,10 +1147,14 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 // background under the connection mutex, so the connection never holds
 // half-read responses and the client remains usable. (An abandoned
 // fetch's responses are drained and discarded; retries stop once ctx
-// is done.)
+// is done.) A context that can never be canceled runs the exchange on
+// the caller's goroutine.
 func (c *Client) roundTrips(ctx context.Context, reqs []*request) ([]*response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if ctx.Done() == nil {
+		return c.exchangeRetrying(ctx, reqs)
 	}
 	type outcome struct {
 		resps []*response
@@ -1135,26 +1162,7 @@ func (c *Client) roundTrips(ctx context.Context, reqs []*request) ([]*response, 
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		resps, err := c.exchange(reqs)
-		if err != nil {
-			_, wall, _ := c.hooks()
-			bo := timing.NewBackoff(wall, c.cfg.retryBackoff, 0)
-			for attempt := 0; attempt < c.cfg.requestRetries && ctx.Err() == nil; attempt++ {
-				if !bo.Sleep(ctx) {
-					break
-				}
-				if rerr := c.reconnect(ctx); rerr != nil {
-					err = rerr
-					continue
-				}
-				resps, err = c.exchange(reqs)
-				if err == nil {
-					break
-				}
-			}
-		}
+		resps, err := c.exchangeRetrying(ctx, reqs)
 		ch <- outcome{resps, err}
 	}()
 	select {
@@ -1163,6 +1171,32 @@ func (c *Client) roundTrips(ctx context.Context, reqs []*request) ([]*response, 
 	case out := <-ch:
 		return out.resps, out.err
 	}
+}
+
+// exchangeRetrying runs one burst under c.mu, reconnecting and
+// replaying it after a transport failure while request retries remain.
+func (c *Client) exchangeRetrying(ctx context.Context, reqs []*request) ([]*response, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resps, err := c.exchange(reqs)
+	if err != nil {
+		_, wall, _ := c.hooks()
+		bo := timing.NewBackoff(wall, c.cfg.retryBackoff, 0)
+		for attempt := 0; attempt < c.cfg.requestRetries && ctx.Err() == nil; attempt++ {
+			if !bo.Sleep(ctx) {
+				break
+			}
+			if rerr := c.reconnect(ctx); rerr != nil {
+				err = rerr
+				continue
+			}
+			resps, err = c.exchange(reqs)
+			if err == nil {
+				break
+			}
+		}
+	}
+	return resps, err
 }
 
 // exchange runs one burst on the current connection. Callers hold c.mu.
