@@ -118,6 +118,22 @@ func TestMemSyscallsUseHeap(t *testing.T) {
 	}
 }
 
+// TestCallAllocs pins the guest path's zero-allocation contract end
+// to end: once warm, a syscall's hop onto its vCPU and every load,
+// store, push and pop it executes allocate nothing.
+func TestCallAllocs(t *testing.T) {
+	k := bootVersion(t, "4.4")
+	call := func() {
+		if _, err := k.Call(0, "sys_checksum", HeapBase, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	if n := testing.AllocsPerRun(50, call); n != 0 {
+		t.Errorf("warm sys_checksum call: %v allocations, want 0", n)
+	}
+}
+
 func TestFtraceConfigAffectsBinary(t *testing.T) {
 	// The same source built with and without ftrace yields different
 	// function addresses/sizes — why the patch server needs the exact

@@ -58,8 +58,10 @@ type Machine struct {
 
 	gate pauseGate
 
-	mu      sync.Mutex
-	stopped bool
+	// quit is closed by Stop: runners exit, and a Call that has not
+	// been taken up returns ErrStopped.
+	quit     chan struct{}
+	stopOnce sync.Once
 }
 
 // New builds a machine with mapped per-vCPU stacks and started vCPU
@@ -74,7 +76,7 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Dispatch == isa.DispatchLockstep && cfg.NumVCPUs != 1 {
 		return nil, fmt.Errorf("machine: lockstep dispatch requires exactly 1 vCPU, got %d", cfg.NumVCPUs)
 	}
-	m := &Machine{Mem: mem.New(cfg.PhysSize), dispatch: cfg.Dispatch}
+	m := &Machine{Mem: mem.New(cfg.PhysSize), dispatch: cfg.Dispatch, quit: make(chan struct{})}
 	m.gate.init()
 
 	for i := 0; i < cfg.NumVCPUs; i++ {
@@ -88,17 +90,7 @@ func New(cfg Config) (*Machine, error) {
 		}); err != nil {
 			return nil, fmt.Errorf("machine: %w", err)
 		}
-		cpu := isa.New(m.Mem, mem.PrivKernel)
-		v := &VCPU{
-			ID:       i,
-			cpu:      cpu,
-			runner:   isa.NewRunner(cpu, cfg.Dispatch),
-			stackTop: base + StackSize,
-			machine:  m,
-			reqs:     make(chan *callReq),
-		}
-		m.vcpus = append(m.vcpus, v)
-		go v.run()
+		m.startVCPU(i)
 	}
 	return m, nil
 }
@@ -117,29 +109,34 @@ func New(cfg Config) (*Machine, error) {
 // Parent and child then run fully independently: separate pause
 // gates, separate code epochs, separate block caches.
 func (m *Machine) Fork() (*Machine, error) {
-	m.mu.Lock()
-	stopped := m.stopped
-	m.mu.Unlock()
-	if stopped {
+	select {
+	case <-m.quit:
 		return nil, ErrStopped
+	default:
 	}
-	child := &Machine{Mem: m.Mem.Fork(), dispatch: m.dispatch}
+	child := &Machine{Mem: m.Mem.Fork(), dispatch: m.dispatch, quit: make(chan struct{})}
 	child.gate.init()
 	for i := range m.vcpus {
-		base := StackRegionBase + uint64(i)*StackSize
-		cpu := isa.New(child.Mem, mem.PrivKernel)
-		v := &VCPU{
-			ID:       i,
-			cpu:      cpu,
-			runner:   isa.NewRunner(cpu, m.dispatch),
-			stackTop: base + StackSize,
-			machine:  child,
-			reqs:     make(chan *callReq),
-		}
-		child.vcpus = append(child.vcpus, v)
-		go v.run()
+		child.startVCPU(i)
 	}
 	return child, nil
+}
+
+// startVCPU adds vCPU i, whose stack region is already mapped, and
+// starts its runner goroutine.
+func (m *Machine) startVCPU(i int) {
+	cpu := isa.New(m.Mem, mem.PrivKernel)
+	v := &VCPU{
+		ID:       i,
+		cpu:      cpu,
+		runner:   isa.NewRunner(cpu, m.dispatch),
+		stackTop: StackRegionBase + uint64(i+1)*StackSize,
+		machine:  m,
+		start:    make(chan struct{}),
+		done:     make(chan callRes, 1),
+	}
+	m.vcpus = append(m.vcpus, v)
+	go v.run()
 }
 
 // NumVCPUs returns the vCPU count.
@@ -152,18 +149,10 @@ func (m *Machine) Dispatch() isa.Dispatch { return m.dispatch }
 func (m *Machine) VCPU(i int) *VCPU { return m.vcpus[i] }
 
 // Stop shuts down all vCPU runner goroutines. In-flight sessions
-// complete first. Stop is idempotent.
+// complete first; a Call still waiting for its vCPU returns
+// ErrStopped. Stop is idempotent and safe to race with Call.
 func (m *Machine) Stop() {
-	m.mu.Lock()
-	if m.stopped {
-		m.mu.Unlock()
-		return
-	}
-	m.stopped = true
-	m.mu.Unlock()
-	for _, v := range m.vcpus {
-		close(v.reqs)
-	}
+	m.stopOnce.Do(func() { close(m.quit) })
 }
 
 // SetIntrospect installs (or, with nil, removes) the execution-layer
@@ -244,12 +233,14 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 	return m.RestoreStates(s.States)
 }
 
-// callReq is one function-call session submitted to a vCPU.
+// callReq is one function-call session submitted to a vCPU. Each
+// vCPU reuses a single request, owned by whichever Call holds the
+// vCPU's mutex.
 type callReq struct {
 	entry    uint64
-	args     []uint64
+	args     [5]uint64
+	nargs    int
 	maxSteps int
-	done     chan callRes
 }
 
 type callRes struct {
@@ -266,7 +257,13 @@ type VCPU struct {
 	runner   isa.Runner
 	stackTop uint64
 	machine  *Machine
-	reqs     chan *callReq
+
+	// mu serializes Call sessions. Its holder owns req, hands it to
+	// the runner with a send on start, and takes the result from done.
+	mu    sync.Mutex
+	req   callReq
+	start chan struct{}
+	done  chan callRes
 }
 
 // EngineStats returns the vCPU's block-cache counters and true when the
@@ -286,9 +283,13 @@ func (v *VCPU) EngineStats() (isa.EngineStats, bool) {
 // sessions instruction by instruction, honoring the pause gate between
 // steps.
 func (v *VCPU) run() {
-	for req := range v.reqs {
-		res := v.execute(req)
-		req.done <- res
+	for {
+		select {
+		case <-v.start:
+			v.done <- v.execute(&v.req)
+		case <-v.machine.quit:
+			return
+		}
 	}
 }
 
@@ -302,9 +303,7 @@ func (v *VCPU) execute(req *callReq) callRes {
 	g.beginStep()
 	c.Reg = [isa.NumRegs]uint64{}
 	c.Reg[isa.RegSP] = v.stackTop
-	for i, a := range req.args {
-		c.Reg[1+i] = a
-	}
+	copy(c.Reg[1:], req.args[:req.nargs])
 	// Push the stop sentinel.
 	c.Reg[isa.RegSP] -= 8
 	err := c.M.WriteU64(c.Priv, c.Reg[isa.RegSP], isa.StopAddr)
@@ -348,16 +347,22 @@ func (v *VCPU) Call(entry uint64, maxSteps int, args ...uint64) (uint64, error) 
 	if len(args) > 5 {
 		return 0, fmt.Errorf("vcpu %d: too many arguments (%d)", v.ID, len(args))
 	}
-	req := &callReq{entry: entry, args: args, maxSteps: maxSteps, done: make(chan callRes, 1)}
-
-	v.machine.mu.Lock()
-	stopped := v.machine.stopped
-	v.machine.mu.Unlock()
-	if stopped {
+	quit := v.machine.quit
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	select {
+	case <-quit:
+		return 0, ErrStopped
+	default:
+	}
+	v.req.entry, v.req.maxSteps = entry, maxSteps
+	v.req.nargs = copy(v.req.args[:], args)
+	select {
+	case v.start <- struct{}{}:
+	case <-quit:
 		return 0, ErrStopped
 	}
-	v.reqs <- req
-	res := <-req.done
+	res := <-v.done
 	return res.ret, res.err
 }
 

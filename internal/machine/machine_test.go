@@ -261,3 +261,41 @@ func TestDefaults(t *testing.T) {
 		t.Errorf("default phys size = %d", m.Mem.Size())
 	}
 }
+
+// TestStopRacesCall stops a machine while four goroutines keep calling
+// vCPU 0. A Call that loses the race with Stop must return ErrStopped:
+// it must neither panic (a send on a closed channel) nor hang.
+func TestStopRacesCall(t *testing.T) {
+	for iter := 0; iter < 300; iter++ {
+		m, img := newTestMachine(t, 1)
+		e := entry(t, img, "spinny")
+		var started, finished sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			started.Add(1)
+			finished.Add(1)
+			go func() {
+				defer finished.Done()
+				started.Done()
+				for {
+					_, err := m.VCPU(0).Call(e, 10000, 20)
+					if err == ErrStopped {
+						return
+					}
+					if err != nil {
+						t.Errorf("call: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		started.Wait()
+		m.Stop()
+		done := make(chan struct{})
+		go func() { finished.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iteration %d: a Call racing Stop never returned", iter)
+		}
+	}
+}

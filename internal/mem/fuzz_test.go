@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -130,11 +131,16 @@ const fuzzPhysSize = 16 * FrameSize // 1 MiB: 16 frames, cheap to diff flat
 // FuzzSparseMemAccess feeds random op sequences to the sparse store
 // and the flat oracle and requires byte- and fault-identical behavior,
 // including across Map/Unmap epoch bumps (which must invalidate the
-// fetch RegionCache) and Snapshot/Restore cycles.
+// fetch RegionCache) and Snapshot/Restore cycles. ReadU64 and WriteU64
+// exercise the guest's 8-byte path, whose one-frame case takes a
+// single shard and whose straddling case takes two.
 func FuzzSparseMemAccess(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07})
 	f.Add([]byte{0x13, 0x37, 0xFF, 0x00, 0xAA, 0x55, 0x21, 0x42, 0x63, 0x84, 0xA5, 0xC6})
 	f.Add(bytes.Repeat([]byte{0x2F, 0x90, 0x04, 0x71}, 16))
+	// The committed seed 8354730546534ced, "00@", was a zero-length
+	// Read when ops were b[0] % 8; '(' keeps that op under % 10.
+	f.Add([]byte("(0@"))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := New(fuzzPhysSize)
 		ref := newRefMem(fuzzPhysSize)
@@ -152,11 +158,17 @@ func FuzzSparseMemAccess(f *testing.F) {
 
 		for step := 0; len(ops) > 0 && step < 512; step++ {
 			b := take(4)
-			op := b[0] % 8
+			op := b[0] % 10
 			priv := Priv(b[1]%4) + 1
 			addr := (uint64(b[2])<<8 | uint64(b[3])) * 67 % (fuzzPhysSize + FrameSize) // may exceed size
 			lb := take(2)
 			n := (uint64(lb[0])<<8 | uint64(lb[1])) % (FrameSize + 17) // spans ≤ 2 frame boundaries
+			if op >= 8 {
+				// 8-byte accesses ignore n; lb's first byte steps off
+				// the 67-byte address grid so every frame boundary is
+				// reachable.
+				addr += uint64(lb[0]) % 67
+			}
 
 			switch op {
 			case 0: // Read
@@ -242,6 +254,25 @@ func FuzzSparseMemAccess(f *testing.F) {
 						t.Fatalf("step %d: restore: %v", step, err)
 					}
 					copy(ref.data, refSnap)
+				}
+			case 8: // ReadU64
+				got, err := m.ReadU64(priv, addr)
+				want := ref.access(priv, Read, addr, 8)
+				if !sameFault(err, want) {
+					t.Fatalf("step %d: readU64(%v,%#x) fault mismatch: got %v want %v", step, priv, addr, err, want)
+				}
+				if err == nil && got != binary.LittleEndian.Uint64(ref.data[addr:]) {
+					t.Fatalf("step %d: readU64(%v,%#x) = %#x, oracle %#x", step, priv, addr, got, binary.LittleEndian.Uint64(ref.data[addr:]))
+				}
+			case 9: // WriteU64
+				v := n*0x9E3779B97F4A7C15 ^ uint64(b[1])
+				err := m.WriteU64(priv, addr, v)
+				want := ref.access(priv, Write, addr, 8)
+				if !sameFault(err, want) {
+					t.Fatalf("step %d: writeU64(%v,%#x) fault mismatch: got %v want %v", step, priv, addr, err, want)
+				}
+				if err == nil {
+					binary.LittleEndian.PutUint64(ref.data[addr:], v)
 				}
 			}
 		}

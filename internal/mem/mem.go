@@ -19,6 +19,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -649,29 +650,19 @@ func (m *Physical) Zero(priv Priv, addr, n uint64) error {
 	return nil
 }
 
-// ReadU64 reads a little-endian 64-bit value.
+// ReadU64 reads a little-endian 64-bit value. Like WriteU64 it
+// allocates nothing: every guest load, store, push and pop comes here.
 func (m *Physical) ReadU64(priv Priv, addr uint64) (uint64, error) {
 	var b [8]byte
 	if err := m.Read(priv, addr, b[:]); err != nil {
 		return 0, err
 	}
-	return leU64(b[:]), nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // WriteU64 writes a little-endian 64-bit value.
 func (m *Physical) WriteU64(priv Priv, addr uint64, v uint64) error {
 	var b [8]byte
-	putLEU64(b[:], v)
+	binary.LittleEndian.PutUint64(b[:], v)
 	return m.Write(priv, addr, b[:])
-}
-
-func leU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLEU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }

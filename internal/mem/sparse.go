@@ -115,88 +115,97 @@ func shardMask(first, last uint64) uint64 {
 // lockMask acquires the shards in mask, in ascending shard order (the
 // global lock order that makes multi-shard holders deadlock-free).
 func (m *Physical) lockMask(mask uint64, write bool) {
-	for i := 0; i < lockShards; i++ {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		if write {
-			m.shards[i].Lock()
+	for ; mask != 0; mask &= mask - 1 {
+		if mu := &m.shards[bits.TrailingZeros64(mask)]; write {
+			mu.Lock()
 		} else {
-			m.shards[i].RLock()
+			mu.RLock()
 		}
 	}
 }
 
 func (m *Physical) unlockMask(mask uint64, write bool) {
-	for i := 0; i < lockShards; i++ {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		if write {
-			m.shards[i].Unlock()
+	for ; mask != 0; mask &= mask - 1 {
+		if mu := &m.shards[bits.TrailingZeros64(mask)]; write {
+			mu.Unlock()
 		} else {
-			m.shards[i].RUnlock()
+			mu.RUnlock()
 		}
-	}
-}
-
-// frameSpan iterates the frames overlapped by [addr, addr+n) and calls
-// fn with the frame index and the intersection [off, off+len) relative
-// to the frame base, plus the matching slice of buf.
-func frameSpan(addr uint64, buf []byte, fn func(idx, off uint64, part []byte)) {
-	n := uint64(len(buf))
-	for cur := addr; cur < addr+n; {
-		idx := cur >> FrameShift
-		end := (idx + 1) << FrameShift
-		if end > addr+n {
-			end = addr + n
-		}
-		fn(idx, cur-(idx<<FrameShift), buf[cur-addr:end-addr])
-		cur = end
 	}
 }
 
 // readFrames copies [addr, addr+len(dst)) into dst. The span must be
-// pre-validated and in bounds.
+// pre-validated and in bounds. A span inside one frame — nearly every
+// guest access — takes that frame's shard directly.
 func (m *Physical) readFrames(addr uint64, dst []byte) {
-	first := addr >> FrameShift
-	last := (addr + uint64(len(dst)) - 1) >> FrameShift
+	first, last := addr>>FrameShift, (addr+uint64(len(dst))-1)>>FrameShift
+	if first == last {
+		mu := &m.shards[first&(lockShards-1)]
+		mu.RLock()
+		m.readFrame(addr, dst)
+		mu.RUnlock()
+		return
+	}
 	mask := shardMask(first, last)
 	m.lockMask(mask, false)
-	frameSpan(addr, dst, func(idx, off uint64, part []byte) {
-		if fr := m.frames[idx].Load(); fr != nil {
-			copy(part, fr.data[off:])
-		} else {
-			clear(part)
-		}
-	})
+	for off := 0; off < len(dst); {
+		off += m.readFrame(addr+uint64(off), dst[off:])
+	}
 	m.unlockMask(mask, false)
+}
+
+// readFrame copies bytes from addr into dst up to the end of addr's
+// frame and returns how many it copied. The caller holds the shard.
+func (m *Physical) readFrame(addr uint64, dst []byte) int {
+	off := addr & (FrameSize - 1)
+	if fr := m.frames[addr>>FrameShift].Load(); fr != nil {
+		return copy(dst, fr.data[off:])
+	}
+	n := min(len(dst), int(FrameSize-off))
+	clear(dst[:n])
+	return n
 }
 
 // writeFrames copies src to [addr, addr+len(src)), materializing or
 // cloning frames as needed. The span must be pre-validated and in
 // bounds. Holding every covered shard for the whole span keeps
 // multi-frame writes atomic with respect to concurrent readers, like
-// the single-mutex store this replaces.
+// the single-mutex store this replaces; a one-frame span takes its
+// shard directly.
 func (m *Physical) writeFrames(addr uint64, src []byte) {
-	first := addr >> FrameShift
-	last := (addr + uint64(len(src)) - 1) >> FrameShift
+	first, last := addr>>FrameShift, (addr+uint64(len(src))-1)>>FrameShift
+	if first == last {
+		mu := &m.shards[first&(lockShards-1)]
+		mu.Lock()
+		m.writeFrame(addr, src)
+		mu.Unlock()
+		return
+	}
 	mask := shardMask(first, last)
 	m.lockMask(mask, true)
-	frameSpan(addr, src, func(idx, off uint64, part []byte) {
-		fr := m.frames[idx].Load()
-		switch {
-		case fr == nil:
-			fr = zeroFrame()
-			m.frames[idx].Store(fr)
-		case fr.shared.Load():
-			fr = cloneFrame(fr)
-			m.frames[idx].Store(fr)
-		}
-		copy(fr.data[off:], part)
-		fr.dirty |= blockMask(off, uint64(len(part)))
-	})
+	for off := 0; off < len(src); {
+		off += m.writeFrame(addr+uint64(off), src[off:])
+	}
 	m.unlockMask(mask, true)
+}
+
+// writeFrame copies src to addr up to the end of addr's frame and
+// returns how many bytes it copied. A nil frame is materialized and a
+// shared one cloned first. The caller holds the shard exclusively.
+func (m *Physical) writeFrame(addr uint64, src []byte) int {
+	idx, off := addr>>FrameShift, addr&(FrameSize-1)
+	fr := m.frames[idx].Load()
+	switch {
+	case fr == nil:
+		fr = zeroFrame()
+		m.frames[idx].Store(fr)
+	case fr.shared.Load():
+		fr = cloneFrame(fr)
+		m.frames[idx].Store(fr)
+	}
+	n := copy(fr.data[off:], src)
+	fr.dirty |= blockMask(off, uint64(n))
+	return n
 }
 
 // zeroFrames clears [addr, addr+n): wholly covered frames are released
