@@ -183,7 +183,6 @@ func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOptio
 		Backoff:    cfg.backoff,
 		Retryable:  func(err error) bool { return errors.Is(err, smmpatch.ErrTargetActive) },
 		Clock:      s.wall,
-		FI:         s.fi,
 		Obs:        s.obs,
 		SyncFetch:  cfg.syncFetch,
 	})
@@ -209,7 +208,7 @@ func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOptio
 }
 
 // takeFetchers checks out up to n idle extra fetch clients, with the
-// System's current hooks re-applied.
+// System's current handle and wall clock re-applied.
 func (s *System) takeFetchers(n int) []*patchserver.Client {
 	s.fetchersMu.Lock()
 	k := max(0, len(s.idleFetchers)-n)
@@ -218,7 +217,8 @@ func (s *System) takeFetchers(n int) []*patchserver.Client {
 	s.idleFetchers = s.idleFetchers[:k]
 	s.fetchersMu.Unlock()
 	for _, c := range cs {
-		s.setFetcherHooks(c)
+		c.SetWallClock(s.wall)
+		c.SetObserver(s.obs)
 	}
 	return cs
 }
@@ -248,14 +248,7 @@ func (s *System) dialFetcher() *patchserver.Client {
 		_ = c.Close()
 		return s.client
 	}
-	s.setFetcherHooks(c)
 	return c
-}
-
-func (s *System) setFetcherHooks(c *patchserver.Client) {
-	c.SetFaultInjector(s.fi)
-	c.SetWallClock(s.wall)
-	c.SetObserver(s.obs)
 }
 
 // batchBackend adapts the System to the pipeline's Backend interface.

@@ -11,6 +11,7 @@ import (
 	"kshot/internal/cvebench"
 	"kshot/internal/faultinject"
 	"kshot/internal/kernel"
+	"kshot/internal/obs"
 	"kshot/internal/patchserver"
 	"kshot/internal/smmpatch"
 )
@@ -121,7 +122,7 @@ func TestApplyAllReusesAttachedConnection(t *testing.T) {
 	rollbackAll(t, sys)
 	fi := faultinject.New(faultinject.Exact(
 		faultinject.Fault{Point: faultinject.DialError, Call: 0}))
-	sys.SetFaultInjector(fi)
+	sys.SetObserver(&obs.Hooks{Faults: fi})
 	apply(batchCVEs, WithBatchSize(2), WithFetchWorkers(3))
 	if fi.Fired() != 1 {
 		t.Errorf("injected DialError fired %d times, want 1 (the pool's shortfall is dialed)", fi.Fired())

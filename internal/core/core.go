@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"kshot/internal/faultinject"
 	"kshot/internal/introspect"
 	"kshot/internal/isa"
 	"kshot/internal/kcrypto"
@@ -172,12 +171,11 @@ type System struct {
 
 	helperPriv mem.Priv
 
-	// fi is the fault injection set threaded through every layer (nil
-	// outside chaos testing); wall paces real-time waits (retry
-	// backoff, injected latency) and defaults to the system clock; obs
-	// is the observability hook set threaded the same way (nil when
-	// tracing/metrics are disabled).
-	fi   *faultinject.Set
+	// wall paces real-time waits (retry backoff, injected latency) and
+	// defaults to the system clock. obs is the instrumentation handle
+	// every layer holds (see layerHooks): the caller's tracer, metrics
+	// and fault set plus this System's introspection channel, nil when
+	// all of them are off.
 	wall timing.WallClock
 	obs  *obs.Hooks
 
@@ -464,51 +462,50 @@ func (s *System) attach(ctx context.Context) error {
 		client.Close()
 		return errors.New("core: loaded enclave does not match attested measurement")
 	}
-	// Hooks installed before attach propagate to the new layers (the
-	// client picked them up through dialOptions).
-	if s.fi != nil {
-		platform.SetFaultInjector(s.fi)
-	}
-	if s.obs != nil {
-		platform.SetObserver(s.obs)
-		prog.SetObserver(s.obs)
-	}
 	s.client = client
 	s.platform = platform
 	s.prog = prog
 	s.enclave = enclave
+	// A handle installed before attach reaches the new layers too.
+	s.wire()
 	return nil
 }
 
-// SetFaultInjector threads a fault injection set through every layer
-// of the deployment — memory staging, SMI delivery, the batch handler,
-// the ECALL boundary, and the patch-server client — or removes it with
-// nil. The chaos suite installs a seeded set per run; production
-// deployments never call this.
-func (s *System) SetFaultInjector(fi *faultinject.Set) {
-	s.fi = fi
-	s.Machine.Mem.SetFaultInjector(fi)
-	s.SMM.SetFaultInjector(fi)
-	s.Handler.SetFaultInjector(fi)
-	// Server-facing layers exist only after attach; Attach
-	// re-applies the stored set to them.
-	if s.platform != nil {
-		s.platform.SetFaultInjector(fi)
-	}
-	if s.client != nil {
-		s.client.SetFaultInjector(fi)
-	}
-	s.wireFaultObserver()
+// SetObserver installs the instrumentation handle on every layer of
+// the deployment — memory staging, SMI delivery, the SMM patching
+// handler, the ECALL boundary, enclave preprocessing, and the
+// patch-server clients — or removes it with nil. The handle's fault set
+// (obs.Hooks.Faults) is how the chaos suite injects faults, and each
+// fired fault is counted in the handle's own metrics under the
+// obs.FaultPrefix namespace; nil therefore removes the fault set too.
+// Introspection, once enabled, keeps flowing whatever is installed.
+// The caller's struct is never modified.
+func (s *System) SetObserver(ob *obs.Hooks) {
+	s.obs = s.layerHooks(ob)
+	s.wire()
 }
 
-// SetObserver threads the observability hooks through every layer of
-// the deployment — SMI delivery, the SMM patching handler, the ECALL
-// boundary, enclave preprocessing, and the patch-server client — or
-// removes them with nil. Fired fault-injection points are counted under
-// the obs.FaultPrefix namespace whenever both a set and hooks are
-// installed, regardless of installation order.
-func (s *System) SetObserver(ob *obs.Hooks) {
-	s.obs = ob
+// layerHooks derives the handle every layer holds from the caller's
+// hooks: with introspection on, a copy of them carrying this System's
+// event channel; otherwise the caller's hooks themselves.
+func (s *System) layerHooks(ob *obs.Hooks) *obs.Hooks {
+	if s.intr == nil {
+		return ob
+	}
+	var h obs.Hooks
+	if ob != nil {
+		h = *ob
+	}
+	h.Introspect = s.intr
+	return &h
+}
+
+// wire hands the System's handle to every layer that exists; the
+// server-facing layers appear at attach, which wires them again.
+func (s *System) wire() {
+	ob := s.obs
+	s.Machine.Mem.SetObserver(ob)
+	s.Machine.SetObserver(ob)
 	s.SMM.SetObserver(ob)
 	s.Handler.SetObserver(ob)
 	s.intr.SetObserver(ob)
@@ -522,18 +519,6 @@ func (s *System) SetObserver(ob *obs.Hooks) {
 	if s.prog != nil {
 		s.prog.SetObserver(ob)
 	}
-	s.wireFaultObserver()
-}
-
-func (s *System) wireFaultObserver() {
-	ob := s.obs
-	if ob == nil {
-		s.fi.SetObserver(nil)
-		return
-	}
-	s.fi.SetObserver(func(pt faultinject.Point) {
-		ob.Count(obs.FaultPrefix+string(pt), 1)
-	})
 }
 
 // EnableIntrospection wires the event-driven integrity layer into this
@@ -558,11 +543,8 @@ func (s *System) EnableIntrospection(cfg introspect.Config) error {
 		return err
 	}
 	s.intr, s.det = ch, det
-	ch.SetObserver(s.obs)
-	det.SetObserver(s.obs)
-	s.Machine.Mem.SetIntrospector(ch)
-	s.Machine.SetIntrospect(ch)
-	s.SMM.SetIntrospector(ch)
+	s.obs = s.layerHooks(s.obs)
+	s.wire()
 	if cfg.SweepEvery > 0 {
 		det.Start(cfg.SweepEvery)
 	}
@@ -599,9 +581,6 @@ func (s *System) dialOptions() []patchserver.DialOption {
 	}
 	if s.retryBackoff > 0 {
 		opts = append(opts, patchserver.WithRetryBackoff(s.retryBackoff))
-	}
-	if s.fi != nil {
-		opts = append(opts, patchserver.WithClientFaultInjector(s.fi))
 	}
 	if s.wall != nil {
 		opts = append(opts, patchserver.WithClientWallClock(s.wall))

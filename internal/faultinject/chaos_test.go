@@ -18,6 +18,7 @@ import (
 	"kshot/internal/kcrypto"
 	"kshot/internal/kernel"
 	"kshot/internal/mem"
+	"kshot/internal/obs"
 	"kshot/internal/sgx"
 	"kshot/internal/smm"
 	"kshot/internal/timing"
@@ -121,7 +122,8 @@ func (h *chaosHarness) cycle(seed int64, entries []*cvebench.Entry) outcome {
 	}
 
 	fi := faultinject.New(faultinject.NewPlan(seed, faultinject.PlanConfig{}))
-	sys.SetFaultInjector(fi)
+	hooks := &obs.Hooks{Metrics: obs.NewMetrics(), Faults: fi}
+	sys.SetObserver(hooks)
 	sys.SetWallClock(timing.NewFakeWall())
 	rep, err := sys.ApplyAll(context.Background(), cves,
 		core.WithBatchSize(2+int(seed%5)),
@@ -135,7 +137,18 @@ func (h *chaosHarness) cycle(seed int64, entries []*cvebench.Entry) outcome {
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("seed %d: ApplyAll: %v", seed, err)
 	}
-	sys.SetFaultInjector(nil)
+	sys.SetObserver(nil)
+
+	// Every fired fault is counted once, in the handle it fired in.
+	perPoint := make(map[faultinject.Point]int64)
+	for _, f := range fi.Log() {
+		perPoint[f.Point]++
+	}
+	for _, pt := range faultinject.Points() {
+		if got := hooks.Metrics.Counter(obs.FaultPrefix + string(pt)).Value(); got != perPoint[pt] {
+			t.Fatalf("seed %d: %s%s = %d, want %d fired", seed, obs.FaultPrefix, pt, got, perPoint[pt])
+		}
+	}
 
 	out := outcome{fired: fi.Fired(), faults: fi.Log(), faultLog: fmt.Sprintf("%+v", fi.Log())}
 	out.applied = append(out.applied, sys.Applied()...)

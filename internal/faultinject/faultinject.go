@@ -1,15 +1,19 @@
 // Package faultinject is KShot's deterministic, seed-driven fault
-// injection layer. Named injection points are threaded through the
-// layers that carry the security argument — physical memory staging,
-// SMI delivery, the SGX enclave boundary, the patch-server transport,
-// and the batch pipeline — and each point consults an installed Set on
-// every pass. A Set is driven by a Plan: a pure function of (seed,
+// injection layer. Named injection points sit in the layers that carry
+// the security argument — physical memory staging, SMI delivery, the
+// SGX enclave boundary, the patch-server transport, and the batch
+// pipeline. A Set is driven by a Plan: a pure function of (seed,
 // point) to a fault schedule, so any failure the chaos suite finds is
 // replayable from its seed alone.
 //
-// When no Set is installed the hooks are nil-receiver no-ops: a nil
-// *Set is a valid, permanently-quiet injector, so production paths pay
-// one predictable branch and nothing else.
+// A Set reaches the layers as the Faults field of their obs.Hooks
+// handle, and every point is consulted through obs.Hooks.Fault, which
+// advances the Set and counts a fired fault in that same handle's
+// metrics. Call sites apply the effect from the returned Fault (Err,
+// Keep, FlipBit, Delay). A nil *Set is a valid, permanently-quiet
+// injector, so production paths pay one predictable branch and
+// nothing else. This package imports nothing internal, so obs can
+// carry a Set without a cycle.
 package faultinject
 
 import (
@@ -88,8 +92,7 @@ func Points() []Point {
 // and retry classifiers can tell induced failures from organic ones.
 var ErrInjected = errors.New("faultinject: injected fault")
 
-// Injected is the error an Error-kind hook returns. It unwraps to
-// ErrInjected.
+// Injected is the error Fault.Err returns. It unwraps to ErrInjected.
 type Injected struct {
 	Point Point
 	Call  int
@@ -127,6 +130,23 @@ func (f Fault) FlipBit(buf []byte) {
 	}
 	bit := f.Bit % uint(len(buf)*8)
 	buf[bit/8] ^= 1 << (bit % 8)
+}
+
+// Err returns the fault as an *Injected error, for points whose effect
+// is a failed operation.
+func (f Fault) Err() error { return &Injected{Point: f.Point, Call: f.Call} }
+
+// Keep returns how many bytes of an n-byte body a truncation keeps:
+// the planned fraction, always fewer than n and never negative.
+func (f Fault) Keep(n int) int {
+	keep := int(float64(n) * f.Frac)
+	if keep >= n {
+		keep = n - 1
+	}
+	if keep < 0 {
+		keep = 0
+	}
+	return keep
 }
 
 // PlanConfig tunes schedule generation. The zero value gets defaults
@@ -245,11 +265,10 @@ func pointSeed(seed int64, pt Point) int64 {
 // safe on a nil receiver (permanently disabled) and for concurrent
 // use.
 type Set struct {
-	mu       sync.Mutex
-	plan     *Plan
-	calls    map[Point]int
-	fired    map[Point][]Fault
-	observer func(Point)
+	mu    sync.Mutex
+	plan  *Plan
+	calls map[Point]int
+	fired map[Point][]Fault
 }
 
 // New builds a Set driven by plan (nil plan means never fire).
@@ -261,102 +280,23 @@ func New(plan *Plan) *Set {
 	}
 }
 
-// SetObserver installs a callback invoked (outside the set's lock)
-// every time a fault actually fires — how the observability layer
-// counts fault-point hits without this package importing it.
-func (s *Set) SetObserver(fn func(Point)) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.observer = fn
-}
-
-// fire advances the point's call counter and returns the scheduled
+// Take advances the point's call counter and returns the scheduled
 // fault if this pass is one.
-func (s *Set) fire(pt Point) (Fault, bool) {
+func (s *Set) Take(pt Point) (Fault, bool) {
 	if s == nil || s.plan == nil {
 		return Fault{}, false
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := s.calls[pt]
 	s.calls[pt] = n + 1
 	for _, f := range s.plan.schedule[pt] {
 		if f.Call == n {
 			s.fired[pt] = append(s.fired[pt], f)
-			obs := s.observer
-			s.mu.Unlock()
-			if obs != nil {
-				obs(pt)
-			}
 			return f, true
 		}
 	}
-	s.mu.Unlock()
 	return Fault{}, false
-}
-
-// Fire reports whether the point's fault fires on this pass — the hook
-// form for effects the call site realizes itself (refusal, abort,
-// cancellation, destruction).
-func (s *Set) Fire(pt Point) bool {
-	_, ok := s.fire(pt)
-	return ok
-}
-
-// Take advances the point and returns the fired fault, for hooks that
-// apply a parameterized effect themselves.
-func (s *Set) Take(pt Point) (Fault, bool) { return s.fire(pt) }
-
-// Error returns an *Injected error when the point fires, nil
-// otherwise.
-func (s *Set) Error(pt Point) error {
-	f, ok := s.fire(pt)
-	if !ok {
-		return nil
-	}
-	return &Injected{Point: pt, Call: f.Call}
-}
-
-// Corrupt flips one planned bit of buf in place when the point fires,
-// reporting whether it did. Empty buffers never fire.
-func (s *Set) Corrupt(pt Point, buf []byte) bool {
-	if s == nil || len(buf) == 0 {
-		return false
-	}
-	f, ok := s.fire(pt)
-	if !ok {
-		return false
-	}
-	f.FlipBit(buf)
-	return true
-}
-
-// Truncate returns the length to keep of an n-byte body when the
-// point fires.
-func (s *Set) Truncate(pt Point, n int) (int, bool) {
-	f, ok := s.fire(pt)
-	if !ok {
-		return n, false
-	}
-	keep := int(float64(n) * f.Frac)
-	if keep >= n {
-		keep = n - 1
-	}
-	if keep < 0 {
-		keep = 0
-	}
-	return keep, true
-}
-
-// Delay returns the planned extra latency when the point fires.
-func (s *Set) Delay(pt Point) (time.Duration, bool) {
-	f, ok := s.fire(pt)
-	if !ok {
-		return 0, false
-	}
-	return f.Delay, true
 }
 
 // Calls returns how many times the point has been consulted.

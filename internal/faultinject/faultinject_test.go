@@ -50,21 +50,13 @@ func TestPlanRespectsBudget(t *testing.T) {
 
 func TestNilSetIsQuiet(t *testing.T) {
 	var s *Set
-	if s.Fire(SMMRefuse) {
-		t.Fatal("nil set fired")
+	for _, pt := range Points() {
+		if f, ok := s.Take(pt); ok || f != (Fault{}) {
+			t.Fatalf("nil set fired %s: %+v", pt, f)
+		}
 	}
-	if err := s.Error(SGXECallFail); err != nil {
-		t.Fatalf("nil set returned error %v", err)
-	}
-	buf := []byte{0xAA}
-	if s.Corrupt(MemWCorrupt, buf) || buf[0] != 0xAA {
-		t.Fatal("nil set corrupted a buffer")
-	}
-	if n, ok := s.Truncate(FetchTruncate, 10); ok || n != 10 {
-		t.Fatalf("nil set truncated: n=%d ok=%v", n, ok)
-	}
-	if _, ok := s.Delay(FetchDelay); ok {
-		t.Fatal("nil set delayed")
+	if _, ok := New(nil).Take(SMMRefuse); ok {
+		t.Fatal("set without a plan fired")
 	}
 	if s.Calls(SMMRefuse) != 0 || s.Fired() != 0 || s.Log() != nil {
 		t.Fatal("nil set has state")
@@ -79,7 +71,8 @@ func TestExactFiresOnScheduledCalls(t *testing.T) {
 	))
 	var fired []bool
 	for i := 0; i < 5; i++ {
-		fired = append(fired, s.Fire(SMMRefuse))
+		_, ok := s.Take(SMMRefuse)
+		fired = append(fired, ok)
 	}
 	want := []bool{false, true, false, true, false}
 	if !reflect.DeepEqual(fired, want) {
@@ -95,15 +88,16 @@ func TestExactFiresOnScheduledCalls(t *testing.T) {
 
 func TestErrorUnwrapsToSentinel(t *testing.T) {
 	s := New(Exact(Fault{Point: SGXECallFail, Call: 0}))
-	err := s.Error(SGXECallFail)
-	if err == nil {
-		t.Fatal("expected injected error")
+	f, ok := s.Take(SGXECallFail)
+	if !ok {
+		t.Fatal("expected the fault to fire")
 	}
+	err := f.Err()
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("error %v does not unwrap to ErrInjected", err)
 	}
 	var inj *Injected
-	if !errors.As(err, &inj) || inj.Point != SGXECallFail {
+	if !errors.As(err, &inj) || inj.Point != SGXECallFail || inj.Call != 0 {
 		t.Fatalf("error %v is not an *Injected for %s", err, SGXECallFail)
 	}
 }
@@ -112,9 +106,11 @@ func TestCorruptFlipsExactlyOneBit(t *testing.T) {
 	s := New(Exact(Fault{Point: MemWCorrupt, Call: 0, Bit: 13}))
 	orig := bytes.Repeat([]byte{0x5A}, 8)
 	buf := append([]byte(nil), orig...)
-	if !s.Corrupt(MemWCorrupt, buf) {
+	f, ok := s.Take(MemWCorrupt)
+	if !ok {
 		t.Fatal("corrupt did not fire")
 	}
+	f.FlipBit(buf)
 	diffBits := 0
 	for i := range buf {
 		for b := 0; b < 8; b++ {
@@ -129,36 +125,41 @@ func TestCorruptFlipsExactlyOneBit(t *testing.T) {
 }
 
 func TestTruncateShortens(t *testing.T) {
-	s := New(Exact(Fault{Point: FetchTruncate, Call: 0, Frac: 0.5}))
-	n, ok := s.Truncate(FetchTruncate, 100)
-	if !ok || n != 50 {
-		t.Fatalf("truncate = (%d,%v), want (50,true)", n, ok)
+	cases := []struct {
+		frac    float64
+		n, want int
+	}{
+		{0.5, 100, 50},
+		{0.999, 1, 0}, // Frac rounding can never keep the whole body.
+		{0.999, 1000, 999},
+		{0, 0, 0}, // an empty body stays empty
 	}
-	// Frac rounding can never keep the whole body.
-	s = New(Exact(Fault{Point: FetchTruncate, Call: 0, Frac: 0.999}))
-	if n, ok := s.Truncate(FetchTruncate, 1); !ok || n != 0 {
-		t.Fatalf("truncate(1) = (%d,%v), want (0,true)", n, ok)
+	for _, tc := range cases {
+		f := Fault{Point: FetchTruncate, Frac: tc.frac}
+		if got := f.Keep(tc.n); got != tc.want {
+			t.Errorf("Frac %v: Keep(%d) = %d, want %d", tc.frac, tc.n, got, tc.want)
+		}
 	}
 }
 
 func TestDelayReturnsPlannedDuration(t *testing.T) {
 	s := New(Exact(Fault{Point: FetchDelay, Call: 0, Delay: 42 * time.Microsecond}))
-	d, ok := s.Delay(FetchDelay)
-	if !ok || d != 42*time.Microsecond {
-		t.Fatalf("delay = (%v,%v), want (42µs,true)", d, ok)
+	f, ok := s.Take(FetchDelay)
+	if !ok || f.Delay != 42*time.Microsecond {
+		t.Fatalf("delay = (%v,%v), want (42µs,true)", f.Delay, ok)
 	}
 }
 
 func TestResetRearms(t *testing.T) {
 	s := New(Exact(Fault{Point: SMMRefuse, Call: 0}))
-	if !s.Fire(SMMRefuse) {
+	if _, ok := s.Take(SMMRefuse); !ok {
 		t.Fatal("first pass should fire")
 	}
-	if s.Fire(SMMRefuse) {
+	if _, ok := s.Take(SMMRefuse); ok {
 		t.Fatal("second pass should not fire")
 	}
 	s.Reset()
-	if !s.Fire(SMMRefuse) {
+	if _, ok := s.Take(SMMRefuse); !ok {
 		t.Fatal("reset should rearm call 0")
 	}
 	if s.Fired() != 1 {
@@ -175,7 +176,7 @@ func TestSetLogDeterministic(t *testing.T) {
 			s := New(plan)
 			for i := 0; i < 30; i++ {
 				for _, pt := range Points() {
-					s.fire(pt)
+					s.Take(pt)
 				}
 			}
 			return s.Log()

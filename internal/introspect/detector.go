@@ -176,10 +176,6 @@ func (d *Detector) SetObserver(h *obs.Hooks) {
 	if d == nil {
 		return
 	}
-	if h == nil {
-		d.obs.Store(nil)
-		return
-	}
 	d.obs.Store(h)
 }
 

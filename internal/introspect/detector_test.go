@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"kshot/internal/mem"
+	"kshot/internal/obs"
 	"kshot/internal/timing"
 )
 
@@ -34,7 +35,7 @@ func newDetRig(t *testing.T, capacity int) *detRig {
 	}
 	wall := timing.NewFakeWall()
 	ch := NewChannel(capacity, wall)
-	m.SetIntrospector(ch)
+	m.SetObserver(&obs.Hooks{Introspect: ch})
 	det, err := NewDetector(ch, m, dtBase, dtSize, DetectorConfig{
 		PatchCmds: []uint8{dtCmd},
 		Wall:      wall,
@@ -257,7 +258,7 @@ func TestDetectorBackgroundLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := NewChannel(64, nil) // background loop: real clock
-	m.SetIntrospector(ch)
+	m.SetObserver(&obs.Hooks{Introspect: ch})
 	det, err := NewDetector(ch, m, dtBase, dtSize, DetectorConfig{PatchCmds: []uint8{dtCmd}})
 	if err != nil {
 		t.Fatal(err)

@@ -18,10 +18,10 @@
 //
 // Import shape: introspect imports mem and obs (the Detector diffs
 // frames and both halves publish counters); the producing layers (mem,
-// isa, smm) therefore must NOT import introspect. Each declares a
-// small consumer-side sink interface (mem.Introspector,
-// isa.IntrospectSink, smm.Introspector) that *Channel satisfies, and
-// core wires the channel into all three.
+// isa, smm) therefore must NOT import introspect. They call the one
+// sink interface obs.Introspector, carried on their obs.Hooks handle;
+// *Channel implements it, and core puts the channel on the handle it
+// gives every layer.
 package introspect
 
 import (
@@ -180,14 +180,12 @@ func NewChannel(capacity int, wall timing.WallClock) *Channel {
 	return &Channel{ch: make(chan Event, capacity), wall: wall}
 }
 
+var _ obs.Introspector = (*Channel)(nil)
+
 // SetObserver installs (or, with nil, removes) observability hooks;
 // emits and drops are counted under obs.CtrIntrospectEvents/Drops.
 func (c *Channel) SetObserver(h *obs.Hooks) {
 	if c == nil {
-		return
-	}
-	if h == nil {
-		c.obs.Store(nil)
 		return
 	}
 	c.obs.Store(h)
@@ -282,25 +280,25 @@ func (c *Channel) emit(ev Event) {
 	}
 }
 
-// OnExecWrite implements mem.Introspector: a write landed in
+// OnExecWrite implements obs.Introspector: a write landed in
 // executable memory, bumping the code epoch to epoch.
 func (c *Channel) OnExecWrite(addr uint64, n int, epoch uint64) {
 	c.emit(Event{Kind: KindExecWrite, CPU: -1, Addr: addr, Len: n, Epoch: epoch})
 }
 
-// OnCodeEpoch implements mem.Introspector: the code epoch moved
+// OnCodeEpoch implements obs.Introspector: the code epoch moved
 // without byte attribution (SetPerms, snapshot Restore).
 func (c *Channel) OnCodeEpoch(epoch uint64) {
 	c.emit(Event{Kind: KindCodeEpoch, CPU: -1, Epoch: epoch})
 }
 
-// OnCacheFlush implements isa.IntrospectSink: a vCPU block engine
+// OnCacheFlush implements obs.Introspector: a vCPU block engine
 // discarded its predecoded cache at the given epoch.
 func (c *Channel) OnCacheFlush(cpu int, epoch uint64) {
 	c.emit(Event{Kind: KindCacheFlush, CPU: cpu, Epoch: epoch})
 }
 
-// OnStep implements isa.IntrospectSink: one dispatch unit retired.
+// OnStep implements obs.Introspector: one dispatch unit retired.
 // Emitted only while armed, mirroring the producer-side gate so a
 // disarm between check and call stays harmless.
 func (c *Channel) OnStep(cpu int, rip uint64, retired int) {
@@ -310,13 +308,13 @@ func (c *Channel) OnStep(cpu int, rip uint64, retired int) {
 	c.emit(Event{Kind: KindStep, CPU: cpu, Addr: rip, Len: retired})
 }
 
-// OnSMIEnter implements smm.Introspector: an SMI is about to pause the
+// OnSMIEnter implements obs.Introspector: an SMI is about to pause the
 // machine.
 func (c *Channel) OnSMIEnter(cmd uint8) {
 	c.emit(Event{Kind: KindSMIEnter, CPU: -1, Cmd: cmd})
 }
 
-// OnSMIExit implements smm.Introspector: the SMI handler finished;
+// OnSMIExit implements obs.Introspector: the SMI handler finished;
 // pause is the full virtual OS pause it cost. The machine is still
 // paused when this fires.
 func (c *Channel) OnSMIExit(cmd uint8, pause time.Duration) {

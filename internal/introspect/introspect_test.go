@@ -140,7 +140,7 @@ func TestChannelFedByMemoryHooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := NewChannel(8, timing.NewFakeWall())
-	m.SetIntrospector(ch)
+	m.SetObserver(&obs.Hooks{Introspect: ch})
 
 	if err := m.Write(mem.PrivKernel, 0x10040, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)

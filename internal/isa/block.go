@@ -37,6 +37,8 @@ package isa
 // epoch after writing, so even self-modifying code never runs a stale
 // successor instruction within the same block.
 
+import "kshot/internal/obs"
+
 const (
 	// blockCap bounds the instructions decoded into one block, so a
 	// huge straight-line function still interleaves with the step
@@ -117,7 +119,7 @@ type Engine struct {
 	// intr, when non-nil, receives cache-flush events and (while
 	// armed) per-unit step events; cpuID attributes them to the owning
 	// vCPU. Set only while the vCPU is quiescent.
-	intr  IntrospectSink
+	intr  obs.Introspector
 	cpuID int
 }
 
@@ -133,7 +135,7 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 // sink, attributing events to vCPU cpu. Call only while the owning
 // vCPU is quiescent (e.g. with the machine paused); the engine itself
 // is single-goroutine.
-func (e *Engine) SetIntrospect(s IntrospectSink, cpu int) {
+func (e *Engine) SetIntrospect(s obs.Introspector, cpu int) {
 	e.intr = s
 	e.cpuID = cpu
 }

@@ -59,27 +59,6 @@ type Runner interface {
 	RunUnit(budget int) (retired int, err error)
 }
 
-// IntrospectSink receives execution events from the block engine for
-// the introspection layer. isa deliberately does not import the
-// introspect package (introspect imports mem, which isa sits on top
-// of); introspect.Channel satisfies this interface and the machine
-// layer forwards it to each vCPU's engine.
-type IntrospectSink interface {
-	// OnCacheFlush fires when a vCPU's block engine discards its
-	// predecoded cache after observing a code-epoch move.
-	OnCacheFlush(cpu int, epoch uint64)
-
-	// OnStep fires once per retired dispatch unit while StepArmed —
-	// rip is the unit's resulting RIP, retired the instructions it
-	// covered.
-	OnStep(cpu int, rip uint64, retired int)
-
-	// StepArmed gates OnStep: the engine checks it before paying for
-	// the per-unit emit, so disarmed introspection costs one predictable
-	// branch per unit.
-	StepArmed() bool
-}
-
 // NewRunner returns the Runner implementing the dispatch mode for c.
 func NewRunner(c *CPU, d Dispatch) Runner {
 	switch d {

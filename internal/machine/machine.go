@@ -18,6 +18,7 @@ import (
 
 	"kshot/internal/isa"
 	"kshot/internal/mem"
+	"kshot/internal/obs"
 )
 
 // Default layout constants for the simulated target machine.
@@ -155,12 +156,16 @@ func (m *Machine) Stop() {
 	m.stopOnce.Do(func() { close(m.quit) })
 }
 
-// SetIntrospect installs (or, with nil, removes) the execution-layer
-// introspection sink on every vCPU that runs through the block engine
-// (blocks and lockstep dispatch; the pure oracle has no cache to
-// observe and no unit-level hook). The machine is paused for the
+// SetObserver installs (or, with nil, removes) the instrumentation
+// handle's introspection sink on every vCPU that runs through the block
+// engine (blocks and lockstep dispatch; the pure oracle has no cache
+// to observe and no unit-level hook). The machine is paused for the
 // handoff so engines only ever see the sink change at a unit boundary.
-func (m *Machine) SetIntrospect(sink isa.IntrospectSink) {
+func (m *Machine) SetObserver(h *obs.Hooks) {
+	var sink obs.Introspector
+	if h != nil {
+		sink = h.Introspect
+	}
 	m.gate.pause()
 	defer m.gate.resume()
 	for _, v := range m.vcpus {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kshot/internal/faultinject"
+	"kshot/internal/obs"
 )
 
 func newReserved(t *testing.T) (*Physical, *Reserved) {
@@ -22,9 +23,9 @@ func newReserved(t *testing.T) (*Physical, *Reserved) {
 // exactly like a hardware permission fault, leaving memory untouched.
 func TestInjectedMemWFault(t *testing.T) {
 	m, res := newReserved(t)
-	m.SetFaultInjector(faultinject.New(faultinject.Exact(
+	m.SetObserver(&obs.Hooks{Faults: faultinject.New(faultinject.Exact(
 		faultinject.Fault{Point: faultinject.MemWFault, Call: 0},
-	)))
+	))})
 
 	err := m.Write(PrivUser, res.WBase(), []byte("staged package"))
 	var f *Fault
@@ -44,9 +45,9 @@ func TestInjectedMemWFault(t *testing.T) {
 // the caller's buffer stays intact, and SMM sees the corrupted copy.
 func TestInjectedMemWCorruption(t *testing.T) {
 	m, res := newReserved(t)
-	m.SetFaultInjector(faultinject.New(faultinject.Exact(
+	m.SetObserver(&obs.Hooks{Faults: faultinject.New(faultinject.Exact(
 		faultinject.Fault{Point: faultinject.MemWCorrupt, Call: 0, Bit: 9},
-	)))
+	))})
 
 	src := bytes.Repeat([]byte{0xA5}, 16)
 	orig := append([]byte(nil), src...)
@@ -81,7 +82,7 @@ func TestInjectionExemptsSMMWrites(t *testing.T) {
 		faultinject.Fault{Point: faultinject.MemWFault, Call: 0},
 		faultinject.Fault{Point: faultinject.MemWCorrupt, Call: 0},
 	))
-	m.SetFaultInjector(fi)
+	m.SetObserver(&obs.Hooks{Faults: fi})
 
 	src := []byte{1, 2, 3, 4}
 	if err := m.Write(PrivSMM, res.WBase(), src); err != nil {
@@ -106,7 +107,7 @@ func TestInjectionScopedToMemW(t *testing.T) {
 	fi := faultinject.New(faultinject.Exact(
 		faultinject.Fault{Point: faultinject.MemWFault, Call: 0},
 	))
-	m.SetFaultInjector(fi)
+	m.SetObserver(&obs.Hooks{Faults: fi})
 
 	if err := m.Write(PrivKernel, res.RWBase(), []byte{7}); err != nil {
 		t.Fatalf("mem_RW write consulted mem_W injection: %v", err)
@@ -115,7 +116,7 @@ func TestInjectionScopedToMemW(t *testing.T) {
 		t.Fatal("non-mem_W write advanced the injector")
 	}
 
-	m.SetFaultInjector(nil)
+	m.SetObserver(nil)
 	if err := m.Write(PrivUser, res.WBase(), []byte{7}); err != nil {
 		t.Fatalf("write after removing injector: %v", err)
 	}

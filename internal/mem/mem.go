@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"kshot/internal/faultinject"
+	"kshot/internal/obs"
 )
 
 // Priv is the privilege level performing an access. It mirrors the four
@@ -256,10 +257,15 @@ type Physical struct {
 	frames []atomic.Pointer[frame]
 	shards [lockShards]sync.RWMutex
 
-	// fi, when non-nil, injects faults into non-SMM writes to the
-	// mem_W staging region (bit flips, access faults) for the chaos
-	// suite. Nil in production paths.
-	fi atomic.Pointer[faultinject.Set]
+	// obs, when non-nil, is the layer's instrumentation handle. Its
+	// fault set injects faults into non-SMM writes to the mem_W staging
+	// region (bit flips, access faults) for the chaos suite; its
+	// introspection sink receives code-integrity events (writes into
+	// executable memory, unattributed code-epoch bumps). Published
+	// atomically, so installing or removing it never takes a lock the
+	// access fast path would notice: the disabled path costs one
+	// pointer load on the already-rare mem_W and exec-write branches.
+	obs atomic.Pointer[obs.Hooks]
 
 	// codeGen counts every event after which previously fetched code
 	// may be stale: writes or zeroing into an executable region, region
@@ -267,12 +273,6 @@ type Physical struct {
 	// block caches (internal/isa) key on it — an epoch mismatch means
 	// "re-decode", which is the entire invalidation protocol.
 	codeGen atomic.Uint64
-
-	// intr, when non-nil, receives code-integrity events (writes into
-	// executable memory, unattributed code-epoch bumps) for the
-	// introspection layer. Published like fi so the disabled path costs
-	// one pointer load on the already-rare exec-write branch.
-	intr atomic.Pointer[introspectHook]
 
 	// origin, when non-nil, is the Physical this one was forked from
 	// (see fork.go). It widens snapshot ownership: a fork accepts
@@ -414,48 +414,24 @@ func (m *Physical) SetPerms(name string, ps Perms) error {
 	}
 	r.perms.Store(ps.pack())
 	ep := m.codeGen.Add(1)
-	if h := m.intr.Load(); h != nil {
-		h.sink.OnCodeEpoch(ep)
+	if in := m.introspector(); in != nil {
+		in.OnCodeEpoch(ep)
 	}
 	return nil
 }
 
-// SetFaultInjector installs (or, with nil, removes) the fault
-// injection set consulted on helper writes into mem_W.
-func (m *Physical) SetFaultInjector(fi *faultinject.Set) {
-	m.fi.Store(fi)
-}
-
-// Introspector receives code-integrity events from the memory layer.
-// mem deliberately does not import the introspect package (introspect
-// imports mem for its frame-diff sweeps); introspect.Channel satisfies
-// this interface and core wires it in.
-type Introspector interface {
-	// OnExecWrite fires after a write (or zero) lands in executable
-	// memory; epoch is the code epoch the write bumped to.
-	OnExecWrite(addr uint64, n int, epoch uint64)
-
-	// OnCodeEpoch fires after the code epoch moves without byte
-	// attribution (SetPerms, snapshot Restore).
-	OnCodeEpoch(epoch uint64)
-}
-
-// introspectHook boxes the interface so it can live in an
-// atomic.Pointer — the same publication pattern as the fault set, so
-// installing or removing an introspector never takes a lock the access
-// fast path would notice.
-type introspectHook struct{ sink Introspector }
-
-// SetIntrospector installs (or, with nil, removes) the introspection
-// sink. The disabled-path cost is one atomic pointer load on the
-// already-rare executable-write branch and on mapping changes; data
+// SetObserver installs (or, with nil, removes) the instrumentation
+// handle: its fault set is consulted on helper writes into mem_W, and
+// its introspection sink is notified of code-integrity events. Data
 // reads and writes never see it.
-func (m *Physical) SetIntrospector(i Introspector) {
-	if i == nil {
-		m.intr.Store(nil)
-		return
+func (m *Physical) SetObserver(h *obs.Hooks) { m.obs.Store(h) }
+
+// introspector returns the installed introspection sink, or nil.
+func (m *Physical) introspector() obs.Introspector {
+	if h := m.obs.Load(); h != nil {
+		return h.Introspect
 	}
-	m.intr.Store(&introspectHook{sink: i})
+	return nil
 }
 
 // validateSpan checks that every byte of [addr, addr+n) is mapped with
@@ -512,11 +488,11 @@ func (m *Physical) access(priv Priv, kind Access, addr uint64, dst, src []byte) 
 	// region are the hand-off buffer KShot must survive losing. SMM's
 	// own accesses are exempt — the handler is trusted firmware.
 	if src != nil && priv != PrivSMM && r.Name == RegionMemW {
-		if fi := m.fi.Load(); fi != nil {
-			if fi.Fire(faultinject.MemWFault) {
+		if h := m.obs.Load(); h != nil {
+			if _, ok := h.Fault(faultinject.MemWFault); ok {
 				return &Fault{Priv: priv, Access: kind, Addr: addr, Region: r.Name}
 			}
-			if f, ok := fi.Take(faultinject.MemWCorrupt); ok {
+			if f, ok := h.Fault(faultinject.MemWCorrupt); ok {
 				corrupted := append([]byte(nil), src...)
 				f.FlipBit(corrupted)
 				src = corrupted
@@ -530,8 +506,8 @@ func (m *Physical) access(priv Priv, kind Access, addr uint64, dst, src []byte) 
 		m.writeFrames(addr, src)
 		if m.spanExecutable(tab, r, addr, n) {
 			ep := m.codeGen.Add(1)
-			if h := m.intr.Load(); h != nil {
-				h.sink.OnExecWrite(addr, int(n), ep)
+			if in := m.introspector(); in != nil {
+				in.OnExecWrite(addr, int(n), ep)
 			}
 		}
 	}
@@ -634,7 +610,7 @@ func (m *Physical) Zero(priv Priv, addr, n uint64) error {
 	if err != nil {
 		return err
 	}
-	if r.Name == RegionMemW && priv != PrivSMM && m.fi.Load() != nil {
+	if h := m.obs.Load(); r.Name == RegionMemW && priv != PrivSMM && h != nil && h.Faults != nil {
 		// Keep injection semantics exactly those of an equivalent
 		// Write; the chaos suite never exercises Zero on mem_W, but
 		// correctness must not depend on that.
@@ -643,8 +619,8 @@ func (m *Physical) Zero(priv Priv, addr, n uint64) error {
 	m.zeroFrames(addr, n)
 	if m.spanExecutable(tab, r, addr, n) {
 		ep := m.codeGen.Add(1)
-		if h := m.intr.Load(); h != nil {
-			h.sink.OnExecWrite(addr, int(n), ep)
+		if in := m.introspector(); in != nil {
+			in.OnExecWrite(addr, int(n), ep)
 		}
 	}
 	return nil

@@ -365,8 +365,8 @@ func (m *Physical) Restore(s *Snapshot) error {
 	// Restoring swaps frame contents without going through access(), so
 	// any cached code translation may now be stale.
 	ep := m.codeGen.Add(1)
-	if h := m.intr.Load(); h != nil {
-		h.sink.OnCodeEpoch(ep)
+	if in := m.introspector(); in != nil {
+		in.OnCodeEpoch(ep)
 	}
 	return nil
 }

@@ -1,9 +1,11 @@
 // Package obs is KShot's zero-dependency observability layer: a
-// fixed-capacity ring-buffer event tracer and a metrics registry,
-// threaded through the patching pipeline the same way the faultinject
-// hooks are. Both are driven through a *Hooks handle whose methods are
-// safe on a nil receiver, so every instrumented layer pays one
-// predictable branch when observability is disabled and nothing else.
+// fixed-capacity ring-buffer event tracer and a metrics registry. A
+// *Hooks handle bundles them with the two other instruments a layer
+// can carry — a fault-injection set and an introspection sink — so
+// each instrumented layer takes exactly one handle, through one
+// SetObserver. Its methods are safe on a nil receiver, so every
+// instrumented layer pays one predictable branch when observability is
+// disabled and nothing else.
 //
 // The tracer is modeled on an SMM-resident event log: capacity is
 // fixed up front (SMRAM does not grow), emitting is bounded work with
@@ -20,6 +22,7 @@ package obs
 import (
 	"time"
 
+	"kshot/internal/faultinject"
 	"kshot/internal/timing"
 )
 
@@ -137,12 +140,72 @@ const (
 // otherwise — sized like a small SMRAM log region.
 const DefaultTraceCapacity = 4096
 
-// Hooks bundles a tracer and a metrics registry behind one nil-safe
-// handle. A nil *Hooks (or nil fields) is a valid, permanently-quiet
-// observer, mirroring the faultinject.Set contract.
+// Hooks is the one instrumentation handle a layer accepts: a tracer, a
+// metrics registry, a fault-injection set and an introspection sink.
+// A nil *Hooks (or nil fields) is a valid, permanently-quiet observer.
 type Hooks struct {
 	Tracer  *Tracer
 	Metrics *Metrics
+
+	// Faults, when non-nil, injects the chaos suite's planned faults at
+	// the layer's injection points (see Fault).
+	Faults *faultinject.Set
+
+	// Introspect, when non-nil, receives the layer's code-integrity,
+	// execution and SMI events.
+	Introspect Introspector
+}
+
+// Introspector receives the events the introspection layer watches,
+// from memory (OnExecWrite, OnCodeEpoch), the vCPU block engines
+// (OnCacheFlush, OnStep, StepArmed) and SMI delivery (OnSMIEnter,
+// OnSMIExit). introspect.Channel is the implementation; each layer
+// calls only its own events.
+type Introspector interface {
+	// OnExecWrite fires after a write (or zero) lands in executable
+	// memory; epoch is the code epoch the write bumped to.
+	OnExecWrite(addr uint64, n int, epoch uint64)
+
+	// OnCodeEpoch fires after the code epoch moves without byte
+	// attribution (SetPerms, snapshot Restore).
+	OnCodeEpoch(epoch uint64)
+
+	// OnCacheFlush fires when a vCPU's block engine discards its
+	// predecoded cache after observing a code-epoch move.
+	OnCacheFlush(cpu int, epoch uint64)
+
+	// OnStep fires once per retired dispatch unit while StepArmed —
+	// rip is the unit's resulting RIP, retired the instructions it
+	// covered.
+	OnStep(cpu int, rip uint64, retired int)
+
+	// StepArmed gates OnStep: the engine checks it before paying for
+	// the per-unit emit, so disarmed introspection costs one predictable
+	// branch per unit.
+	StepArmed() bool
+
+	// OnSMIEnter fires when an SMI is accepted, before the world
+	// switch pauses the machine.
+	OnSMIEnter(cmd uint8)
+
+	// OnSMIExit fires after the handler returns, while the machine is
+	// still paused; pause is the full virtual OS pause this SMI cost.
+	OnSMIExit(cmd uint8, pause time.Duration)
+}
+
+// Fault consults the handle's fault set at injection point pt: it
+// advances the point's call counter and, when a planned fault fires,
+// counts it as FaultPrefix+pt in this handle's metrics and returns it
+// for the call site to apply.
+func (h *Hooks) Fault(pt faultinject.Point) (faultinject.Fault, bool) {
+	if h == nil {
+		return faultinject.Fault{}, false
+	}
+	f, ok := h.Faults.Take(pt)
+	if ok {
+		h.Metrics.Add(FaultPrefix+string(pt), 1)
+	}
+	return f, ok
 }
 
 // NewHooks builds a Hooks with a tracer of the given capacity and a

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"kshot/internal/core"
-	"kshot/internal/faultinject"
 	"kshot/internal/obs"
 	"kshot/internal/timing"
 )
@@ -54,7 +53,6 @@ type Patcher interface {
 	ApplyAll(ctx context.Context, cves []string, opts ...core.ApplyOption) (*core.BatchReport, error)
 	Rollback(ctx context.Context, cve string) (*core.Report, error)
 	SetObserver(*obs.Hooks)
-	SetFaultInjector(*faultinject.Set)
 	SetWallClock(timing.WallClock)
 	Close()
 }
@@ -574,12 +572,10 @@ func (r *Rollout) runTarget(ctx context.Context, t Target, pmu *sync.Mutex, patc
 	pmu.Unlock()
 
 	hooks := &obs.Hooks{Metrics: obs.NewMetrics()}
-	p.SetObserver(hooks)
 	if r.cfg.faults != nil {
-		if fi := r.cfg.faults(t); fi != nil {
-			p.SetFaultInjector(fi)
-		}
+		hooks.Faults = r.cfg.faults(t)
 	}
+	p.SetObserver(hooks)
 	if r.cfg.wall != nil {
 		p.SetWallClock(r.cfg.wall)
 	}

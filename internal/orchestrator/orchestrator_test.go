@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"kshot/internal/core"
-	"kshot/internal/faultinject"
 	"kshot/internal/obs"
 	"kshot/internal/options"
 	"kshot/internal/timing"
@@ -67,8 +66,7 @@ func (f *fakePatcher) SetObserver(h *obs.Hooks) {
 	f.mu.Unlock()
 }
 
-func (f *fakePatcher) SetFaultInjector(*faultinject.Set) {}
-func (f *fakePatcher) SetWallClock(timing.WallClock)     {}
+func (f *fakePatcher) SetWallClock(timing.WallClock) {}
 
 func (f *fakePatcher) Close() {
 	f.mu.Lock()

@@ -124,7 +124,6 @@ type serverConfig struct {
 	maxConns      int
 	acceptWait    time.Duration
 	cacheCapacity int
-	fi            *faultinject.Set
 	obs           *obs.Hooks
 }
 
@@ -217,19 +216,11 @@ func WithCacheCapacity(n int) ServerOption {
 	}
 }
 
-// WithServerObserver installs observability hooks at construction.
+// WithServerObserver installs the instrumentation handle at
+// construction (see Server.SetObserver).
 func WithServerObserver(ob *obs.Hooks) ServerOption {
 	return func(c *serverConfig) error {
 		c.obs = ob
-		return nil
-	}
-}
-
-// WithServerFaultInjector installs a fault injection set at
-// construction (the chaos suite's server-side entry point).
-func WithServerFaultInjector(fi *faultinject.Set) ServerOption {
-	return func(c *serverConfig) error {
-		c.fi = fi
 		return nil
 	}
 }
@@ -272,9 +263,7 @@ type Server struct {
 	// source tree.
 	versions sync.Map
 
-	hooksMu sync.Mutex
-	fi      *faultinject.Set
-	obs     *obs.Hooks
+	obs atomic.Pointer[obs.Hooks]
 }
 
 // StatusReport is one target status received by the server.
@@ -342,9 +331,8 @@ func newServer(cfg serverConfig) (*Server, error) {
 		patches:     make(map[string]kernel.SourcePatch),
 		conns:       make(map[net.Conn]struct{}),
 		keyRoot:     keyRoot,
-		fi:          cfg.fi,
-		obs:         cfg.obs,
 	}
+	s.obs.Store(cfg.obs)
 	if cfg.maxConns > 0 {
 		s.slots = make(chan struct{}, cfg.maxConns)
 	}
@@ -356,27 +344,10 @@ func newServer(cfg serverConfig) (*Server, error) {
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// SetObserver installs (or, with nil, removes) the observability hooks
-// counting cache traffic, builds, and connection churn.
-func (s *Server) SetObserver(ob *obs.Hooks) {
-	s.hooksMu.Lock()
-	defer s.hooksMu.Unlock()
-	s.obs = ob
-}
-
-// SetFaultInjector installs (or, with nil, removes) the fault
-// injection set consulted on the cache and accept paths.
-func (s *Server) SetFaultInjector(fi *faultinject.Set) {
-	s.hooksMu.Lock()
-	defer s.hooksMu.Unlock()
-	s.fi = fi
-}
-
-func (s *Server) hooks() (*faultinject.Set, *obs.Hooks) {
-	s.hooksMu.Lock()
-	defer s.hooksMu.Unlock()
-	return s.fi, s.obs
-}
+// SetObserver installs (or, with nil, removes) the instrumentation
+// handle counting cache traffic, builds, and connection churn; its
+// fault set is consulted on the cache and accept paths.
+func (s *Server) SetObserver(ob *obs.Hooks) { s.obs.Store(ob) }
 
 // RegisterPatch adds a source patch (a CVE fix) to the server's
 // catalogue, invalidating any cached builds of an earlier revision.
@@ -494,11 +465,10 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		fi, _ := s.hooks()
-		if d, ok := fi.Delay(faultinject.AcceptStall); ok {
+		if f, ok := s.obs.Load().Fault(faultinject.AcceptStall); ok {
 			// Injected accept-path stall: the whole accept loop wedges,
 			// modeling a slow or contended frontend.
-			t := time.NewTimer(d)
+			t := time.NewTimer(f.Delay)
 			select {
 			case <-t.C:
 			case <-s.done:
@@ -555,7 +525,7 @@ func (s *Server) admit(conn net.Conn) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 	s.live.Add(1)
-	_, ob := s.hooks()
+	ob := s.obs.Load()
 	ob.Count(obs.CtrConnAccepted, 1)
 	ob.Count(obs.CtrConnLive, 1)
 	go s.serveConn(conn)
@@ -565,8 +535,7 @@ func (s *Server) admit(conn net.Conn) {
 // first read with a capacity error and closes.
 func (s *Server) refuse(conn net.Conn) {
 	s.refused.Add(1)
-	_, ob := s.hooks()
-	ob.Count(obs.CtrConnRefused, 1)
+	s.obs.Load().Count(obs.CtrConnRefused, 1)
 	_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
 	_, _ = conn.Write(appendResponse(nil, &response{Err: "server at capacity"}))
 	conn.Close()
@@ -611,8 +580,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			<-s.slots
 		}
 		s.live.Add(-1)
-		_, ob := s.hooks()
-		ob.Count(obs.CtrConnLive, -1)
+		s.obs.Load().Count(obs.CtrConnLive, -1)
 		s.wg.Done()
 	}()
 	var sess *session
@@ -749,8 +717,8 @@ func (s *Server) BuildPatchBlob(info OSInfo, cve string, crypt *kcrypto.Session)
 		return nil, fmt.Errorf("no patch registered for %q", cve)
 	}
 	key := buildKey{version: info.Version, ftrace: info.Ftrace, inline: info.Inline, cve: cve}
-	fi, ob := s.hooks()
-	if fi.Fire(faultinject.BuildCacheBypass) {
+	ob := s.obs.Load()
+	if _, ok := ob.Fault(faultinject.BuildCacheBypass); ok {
 		// Injected cache loss: drop the entry so this request takes the
 		// full rebuild path (cache corruption / cold restart model).
 		s.cache.invalidate(key)
@@ -839,7 +807,6 @@ type clientConfig struct {
 	requestRetries int
 	retryBackoff   time.Duration
 	ioTimeout      time.Duration
-	fi             *faultinject.Set
 	wall           timing.WallClock
 	obs            *obs.Hooks
 }
@@ -929,17 +896,9 @@ func WithClientWallClock(wc timing.WallClock) DialOption {
 	}
 }
 
-// WithClientFaultInjector installs a fault injection set at dial time,
-// so dial-path faults (faultinject.DialError) can fire on the very
-// first connect.
-func WithClientFaultInjector(fi *faultinject.Set) DialOption {
-	return func(c *clientConfig) error {
-		c.fi = fi
-		return nil
-	}
-}
-
-// WithClientObserver installs observability hooks at dial time.
+// WithClientObserver installs the instrumentation handle at dial
+// time, so dial-path faults (faultinject.DialError) can fire on the
+// very first connect (see Client.SetObserver).
 func WithClientObserver(ob *obs.Hooks) DialOption {
 	return func(c *clientConfig) error {
 		c.obs = ob
@@ -958,17 +917,16 @@ type Client struct {
 	// end to end (including any reconnect-and-replay retries).
 	mu sync.Mutex
 
-	// connMu guards the connection state and the injectable hooks, so
-	// Close and the Set* methods never block behind an exchange.
+	// connMu guards the connection state and the wall clock, so Close
+	// and the Set* methods never block behind an exchange.
 	connMu sync.Mutex
 	conn   net.Conn
 	rd     *bufio.Reader
 	closed bool
 	hello  *request // recorded attested hello, replayed on reconnect
+	wall   timing.WallClock
 
-	fi   *faultinject.Set
-	wall timing.WallClock
-	obs  *obs.Hooks
+	obs atomic.Pointer[obs.Hooks]
 }
 
 // Dial connects to the server.
@@ -989,24 +947,22 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 			return nil, err
 		}
 	}
-	conn, err := dialConn(ctx, addr, cfg, cfg.fi, cfg.wall, cfg.obs)
+	conn, err := dialConn(ctx, addr, cfg, cfg.wall, cfg.obs)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		addr: addr, cfg: cfg, conn: conn, rd: bufio.NewReader(conn),
-		fi: cfg.fi, wall: cfg.wall, obs: cfg.obs,
-	}
+	c := &Client{addr: addr, cfg: cfg, conn: conn, rd: bufio.NewReader(conn), wall: cfg.wall}
+	c.obs.Store(cfg.obs)
 	return c, nil
 }
 
 // dialConn runs the connect-with-backoff loop.
-func dialConn(ctx context.Context, addr string, cfg clientConfig, fi *faultinject.Set, wall timing.WallClock, ob *obs.Hooks) (net.Conn, error) {
+func dialConn(ctx context.Context, addr string, cfg clientConfig, wall timing.WallClock, ob *obs.Hooks) (net.Conn, error) {
 	bo := timing.NewBackoff(wall, cfg.retryBackoff, 0)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if err := fi.Error(faultinject.DialError); err != nil {
-			lastErr = fmt.Errorf("patchserver dial: %w", err)
+		if f, ok := ob.Fault(faultinject.DialError); ok {
+			lastErr = fmt.Errorf("patchserver dial: %w", f.Err())
 		} else {
 			d := net.Dialer{Timeout: cfg.dialTimeout}
 			conn, err := d.DialContext(ctx, "tcp", addr)
@@ -1033,14 +989,6 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// SetFaultInjector installs (or, with nil, removes) the fault
-// injection set consulted on every fetch result.
-func (c *Client) SetFaultInjector(fi *faultinject.Set) {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	c.fi = fi
-}
-
 // SetWallClock replaces the clock that paces injected fetch latency
 // and retry backoff (real time when nil).
 func (c *Client) SetWallClock(wc timing.WallClock) {
@@ -1049,22 +997,19 @@ func (c *Client) SetWallClock(wc timing.WallClock) {
 	c.wall = wc
 }
 
-// SetObserver installs (or, with nil, removes) the observability hooks
-// counting per-CVE fetch outcomes.
-func (c *Client) SetObserver(ob *obs.Hooks) {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	c.obs = ob
-}
+// SetObserver installs (or, with nil, removes) the instrumentation
+// handle counting per-CVE fetch outcomes and dial retries; its fault
+// set is consulted on every dial attempt and fetch result.
+func (c *Client) SetObserver(ob *obs.Hooks) { c.obs.Store(ob) }
 
-func (c *Client) hooks() (*faultinject.Set, timing.WallClock, *obs.Hooks) {
+// clock returns the clock pacing injected latency and retry backoff.
+func (c *Client) clock() timing.WallClock {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
-	wall := c.wall
-	if wall == nil {
-		wall = timing.Real()
+	if c.wall == nil {
+		return timing.Real()
 	}
-	return c.fi, wall, c.obs
+	return c.wall
 }
 
 // transport snapshots the current connection endpoints.
@@ -1093,11 +1038,11 @@ func (c *Client) reconnect(ctx context.Context) error {
 		c.connMu.Unlock()
 		return errors.New("patchserver: client closed")
 	}
-	fi, wall, ob := c.fi, c.wall, c.obs
+	wall := c.wall
 	hello := c.hello
 	c.connMu.Unlock()
 
-	conn, err := dialConn(ctx, c.addr, c.cfg, fi, wall, ob)
+	conn, err := dialConn(ctx, c.addr, c.cfg, wall, c.obs.Load())
 	if err != nil {
 		return err
 	}
@@ -1180,8 +1125,7 @@ func (c *Client) exchangeRetrying(ctx context.Context, reqs []*request) ([]*resp
 	defer c.mu.Unlock()
 	resps, err := c.exchange(reqs)
 	if err != nil {
-		_, wall, _ := c.hooks()
-		bo := timing.NewBackoff(wall, c.cfg.retryBackoff, 0)
+		bo := timing.NewBackoff(c.clock(), c.cfg.retryBackoff, 0)
 		for attempt := 0; attempt < c.cfg.requestRetries && ctx.Err() == nil; attempt++ {
 			if !bo.Sleep(ctx) {
 				break
@@ -1299,7 +1243,7 @@ func (c *Client) FetchPatches(ctx context.Context, cves []string) ([]FetchResult
 	for i, cve := range cves {
 		reqs[i] = &request{Kind: kindPatch, CVE: cve}
 	}
-	fi, wall, ob := c.hooks()
+	wall, ob := c.clock(), c.obs.Load()
 	resps, err := c.roundTrips(ctx, reqs)
 	if err != nil {
 		return nil, err
@@ -1311,13 +1255,13 @@ func (c *Client) FetchPatches(ctx context.Context, cves []string) ([]FetchResult
 		// Injected transport failures, applied per result: extra
 		// latency (an induced timeout when ctx expires first), a
 		// failed fetch, or a truncated body the enclave must reject.
-		if d, ok := fi.Delay(faultinject.FetchDelay); ok {
-			if !wall.Sleep(ctx, d) {
+		if f, ok := ob.Fault(faultinject.FetchDelay); ok {
+			if !wall.Sleep(ctx, f.Delay) {
 				return nil, ctx.Err()
 			}
 		}
-		if err := fi.Error(faultinject.FetchError); err != nil {
-			out[i].Err = fmt.Errorf("patchserver: %s: %w", cves[i], err)
+		if f, ok := ob.Fault(faultinject.FetchError); ok {
+			out[i].Err = fmt.Errorf("patchserver: %s: %w", cves[i], f.Err())
 			ob.Count(obs.CtrFetchErrors, 1)
 			continue
 		}
@@ -1327,8 +1271,8 @@ func (c *Client) FetchPatches(ctx context.Context, cves []string) ([]FetchResult
 			continue
 		}
 		blob := resp.Blob
-		if n, ok := fi.Truncate(faultinject.FetchTruncate, len(blob)); ok {
-			blob = blob[:n]
+		if f, ok := ob.Fault(faultinject.FetchTruncate); ok {
+			blob = blob[:f.Keep(len(blob))]
 		}
 		out[i].Blob = blob
 	}

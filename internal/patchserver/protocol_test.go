@@ -297,12 +297,12 @@ func TestDialRetrySucceedsAfterInjectedFailures(t *testing.T) {
 		faultinject.Fault{Point: faultinject.DialError, Call: 1},
 	))
 	hooks := obs.NewHooks(16, fw)
+	hooks.Faults = fi
 
 	c, err := Dial(srv.Addr(),
 		WithDialRetries(3),
 		WithRetryBackoff(10*time.Millisecond),
 		WithClientWallClock(fw),
-		WithClientFaultInjector(fi),
 		WithClientObserver(hooks),
 	)
 	if err != nil {
@@ -315,6 +315,9 @@ func TestDialRetrySucceedsAfterInjectedFailures(t *testing.T) {
 	}
 	if got := hooks.Metrics.Counter(obs.CtrDialRetries).Value(); got != 2 {
 		t.Errorf("dial retries counter = %d, want 2", got)
+	}
+	if got := hooks.Metrics.Counter(obs.FaultPrefix + string(faultinject.DialError)).Value(); got != 2 {
+		t.Errorf("dial fault counter = %d, want 2", got)
 	}
 
 	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
@@ -338,7 +341,7 @@ func TestDialRetriesExhausted(t *testing.T) {
 	_, err := Dial(srv.Addr(),
 		WithDialRetries(2),
 		WithRetryBackoff(time.Nanosecond),
-		WithClientFaultInjector(fi),
+		WithClientObserver(&obs.Hooks{Faults: fi}),
 	)
 	if err == nil {
 		t.Fatal("dial succeeded past injected failures")

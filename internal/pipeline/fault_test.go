@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kshot/internal/faultinject"
+	"kshot/internal/obs"
 	"kshot/internal/timing"
 )
 
@@ -80,7 +81,7 @@ func TestInjectedCancelBeforeFirstDelivery(t *testing.T) {
 	fi := faultinject.New(faultinject.Exact(
 		faultinject.Fault{Point: faultinject.PipelineCancel, Call: 0},
 	))
-	res, err := Run(context.Background(), b, cveList(8), Config{BatchSize: 4, FI: fi})
+	res, err := Run(context.Background(), b, cveList(8), Config{BatchSize: 4, Obs: &obs.Hooks{Faults: fi}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run error = %v, want context.Canceled", err)
 	}
@@ -105,7 +106,7 @@ func TestInjectedCancelBetweenBatches(t *testing.T) {
 		faultinject.Fault{Point: faultinject.PipelineCancel, Call: 2},
 	))
 	cves := cveList(8)
-	res, err := Run(context.Background(), b, cves, Config{BatchSize: 4, Workers: 1, FI: fi})
+	res, err := Run(context.Background(), b, cves, Config{BatchSize: 4, Workers: 1, Obs: &obs.Hooks{Faults: fi}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run error = %v, want context.Canceled", err)
 	}
@@ -134,7 +135,7 @@ func TestSyncFetchParity(t *testing.T) {
 			faultinject.Fault{Point: faultinject.PipelineCancel, Call: 5},
 		))
 		res, err := Run(context.Background(), b, cveList(12),
-			Config{BatchSize: 4, Workers: 2, FI: fi, SyncFetch: syncFetch})
+			Config{BatchSize: 4, Workers: 2, Obs: &obs.Hooks{Faults: fi}, SyncFetch: syncFetch})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("syncFetch=%v: Run error = %v, want context.Canceled", syncFetch, err)
 		}
@@ -163,7 +164,7 @@ func TestInjectedWorkerStall(t *testing.T) {
 	fi := faultinject.New(faultinject.Exact(
 		faultinject.Fault{Point: faultinject.PipelineStall, Call: 0, Delay: 500 * time.Millisecond},
 	))
-	res, err := Run(context.Background(), b, cveList(8), Config{BatchSize: 4, Workers: 1, Clock: fake, FI: fi})
+	res, err := Run(context.Background(), b, cveList(8), Config{BatchSize: 4, Workers: 1, Clock: fake, Obs: &obs.Hooks{Faults: fi}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -73,14 +73,11 @@ type Config struct {
 	// host clock.
 	Clock timing.WallClock
 
-	// FI, when non-nil, injects faults at the pipeline's own seams:
-	// worker stalls before fetches and context cancellation at stage
-	// boundaries.
-	FI *faultinject.Set
-
 	// Obs, when non-nil, records pipeline-level metrics (batch sizes,
 	// delivery-mode counters, per-member attempt counts) and batch
-	// markers in the trace.
+	// markers in the trace. Its fault set injects faults at the
+	// pipeline's own seams: worker stalls before fetches and context
+	// cancellation at stage boundaries.
 	Obs *obs.Hooks
 
 	// SyncFetch runs each batch's fetch inline, immediately before its
@@ -215,7 +212,7 @@ func Run(ctx context.Context, b Backend, cves []string, cfg Config) (*Result, er
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	boundary := func() {
-		if cfg.FI.Fire(faultinject.PipelineCancel) {
+		if _, ok := cfg.Obs.Fault(faultinject.PipelineCancel); ok {
 			cancel()
 		}
 	}
@@ -239,8 +236,8 @@ func Run(ctx context.Context, b Backend, cves []string, cfg Config) (*Result, er
 	fetchBatch := func(i int) fetchOut {
 		// Injected worker stall: the fetch worker wedges for a while
 		// before issuing its call (a slow or contended helper thread).
-		if d, ok := cfg.FI.Delay(faultinject.PipelineStall); ok {
-			cfg.Clock.Sleep(ctx, d)
+		if f, ok := cfg.Obs.Fault(faultinject.PipelineStall); ok {
+			cfg.Clock.Sleep(ctx, f.Delay)
 		}
 		ids := make([]string, len(batches[i]))
 		for j, m := range batches[i] {

@@ -6,6 +6,7 @@ import (
 
 	"kshot/internal/faultinject"
 	"kshot/internal/mem"
+	"kshot/internal/obs"
 )
 
 // An injected ECALL failure is a plain error that unwraps to the
@@ -16,9 +17,9 @@ func TestInjectedECallFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetFaultInjector(faultinject.New(faultinject.Exact(
+	p.SetObserver(&obs.Hooks{Faults: faultinject.New(faultinject.Exact(
 		faultinject.Fault{Point: faultinject.SGXECallFail, Call: 0},
-	)))
+	))})
 
 	if _, err := e.ECall(1, []byte{1}); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("ECall error = %v, want injected failure", err)
@@ -45,9 +46,9 @@ func TestInjectedEnclaveDestroy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p.SetFaultInjector(faultinject.New(faultinject.Exact(
+	p.SetObserver(&obs.Hooks{Faults: faultinject.New(faultinject.Exact(
 		faultinject.Fault{Point: faultinject.SGXDestroy, Call: 1},
-	)))
+	))})
 	if _, err := e.ECall(1, []byte{1}); err != nil { // call 0: untouched
 		t.Fatal(err)
 	}

@@ -66,7 +66,6 @@ type Platform struct {
 	nextID uint64
 	// freePages is a simple page bitmap; enclaves are small and few.
 	used []bool
-	fi   *faultinject.Set
 	obs  *obs.Hooks
 }
 
@@ -88,23 +87,9 @@ func NewPlatform(phys *mem.Physical, base, size uint64) (*Platform, error) {
 	}, nil
 }
 
-// SetFaultInjector installs (or, with nil, removes) the fault
-// injection set consulted at the ECALL boundary of every enclave on
-// this platform.
-func (p *Platform) SetFaultInjector(fi *faultinject.Set) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fi = fi
-}
-
-func (p *Platform) injector() *faultinject.Set {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fi
-}
-
-// SetObserver installs (or, with nil, removes) the observability hooks
-// counting ECALL crossings and enclave losses on this platform.
+// SetObserver installs (or, with nil, removes) the instrumentation
+// handle counting ECALL crossings and enclave losses on this platform;
+// its fault set is consulted at the ECALL boundary of every enclave.
 func (p *Platform) SetObserver(ob *obs.Hooks) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -234,14 +219,13 @@ func (e *Enclave) ECall(fn int, args []byte) ([]byte, error) {
 	// Fault injection at the trust boundary: an enclave loss (EPC
 	// power event, enclave crash) surfaces as ErrDestroyed so callers
 	// exercise their reload path; an ECALL failure is a plain error.
-	fi := e.plat.injector()
-	if fi.Fire(faultinject.SGXDestroy) {
+	if _, ok := ob.Fault(faultinject.SGXDestroy); ok {
 		e.Destroy()
 		ob.Count(obs.CtrEnclaveLost, 1)
 		return nil, ErrDestroyed
 	}
-	if err := fi.Error(faultinject.SGXECallFail); err != nil {
-		return nil, fmt.Errorf("sgx: ecall %d: %w", fn, err)
+	if f, ok := ob.Fault(faultinject.SGXECallFail); ok {
+		return nil, fmt.Errorf("sgx: ecall %d: %w", fn, f.Err())
 	}
 	in := append([]byte(nil), args...)
 	return e.prog.ECall(e.env(), fn, in)

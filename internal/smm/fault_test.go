@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kshot/internal/faultinject"
+	"kshot/internal/obs"
 )
 
 // An injected SMI refusal surfaces before any world switch: the
@@ -23,9 +24,9 @@ func TestInjectedSMIRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.SetFaultInjector(faultinject.New(faultinject.Exact(
+	c.SetObserver(&obs.Hooks{Faults: faultinject.New(faultinject.Exact(
 		faultinject.Fault{Point: faultinject.SMMRefuse, Call: 0},
-	)))
+	))})
 
 	err := c.Trigger(Command(0x10), 0)
 	if !errors.Is(err, faultinject.ErrInjected) {

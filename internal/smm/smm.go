@@ -86,9 +86,7 @@ type Controller struct {
 	mu       sync.Mutex
 	locked   bool
 	handlers map[Command]Handler
-	fi       *faultinject.Set
 	obs      *obs.Hooks
-	intr     Introspector
 
 	entries uint64        // SMIs dispatched
 	pause   time.Duration // total virtual OS-pause across all SMIs
@@ -188,41 +186,14 @@ func (c *Controller) HeapBase() uint64 { return c.base + heapOffset }
 // HeapSize returns the heap length in bytes.
 func (c *Controller) HeapSize() uint64 { return c.size - heapOffset }
 
-// SetFaultInjector installs (or, with nil, removes) the fault
-// injection set consulted on SMI delivery.
-func (c *Controller) SetFaultInjector(fi *faultinject.Set) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fi = fi
-}
-
-// SetObserver installs (or, with nil, removes) the observability hooks
-// that record SMI entries, world switches, and per-SMI pause time.
+// SetObserver installs (or, with nil, removes) the instrumentation
+// handle: it records SMI entries, world switches and per-SMI pause
+// time, may refuse an SMI (faultinject.SMMRefuse), and brackets every
+// SMI for the introspection sink.
 func (c *Controller) SetObserver(h *obs.Hooks) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.obs = h
-}
-
-// Introspector receives SMI bracket events for the introspection
-// layer. smm deliberately does not import the introspect package;
-// introspect.Channel satisfies this interface and core wires it in.
-type Introspector interface {
-	// OnSMIEnter fires when an SMI is accepted, before the world
-	// switch pauses the machine.
-	OnSMIEnter(cmd uint8)
-
-	// OnSMIExit fires after the handler returns, while the machine is
-	// still paused; pause is the full virtual OS pause this SMI cost.
-	OnSMIExit(cmd uint8, pause time.Duration)
-}
-
-// SetIntrospector installs (or, with nil, removes) the introspection
-// sink notified on every SMI entry and exit.
-func (c *Controller) SetIntrospector(i Introspector) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.intr = i
 }
 
 // Trigger raises an SMI with the given command and argument: the
@@ -233,24 +204,22 @@ func (c *Controller) SetIntrospector(i Introspector) {
 func (c *Controller) Trigger(cmd Command, arg uint64) error {
 	c.mu.Lock()
 	h, ok := c.handlers[cmd]
-	fi := c.fi
 	ob := c.obs
-	intr := c.intr
 	c.mu.Unlock()
 
 	// Injected delivery refusal: the chipset drops the SMI before any
 	// world switch, so no state is saved and nothing pauses — the
 	// failure mode of a hostile platform suppressing patching.
-	if err := fi.Error(faultinject.SMMRefuse); err != nil {
-		return fmt.Errorf("smm: SMI %#02x refused: %w", uint8(cmd), err)
+	if f, ok := ob.Fault(faultinject.SMMRefuse); ok {
+		return fmt.Errorf("smm: SMI %#02x refused: %w", uint8(cmd), f.Err())
 	}
 
 	if ob != nil {
 		ob.Count(obs.CtrSMIEntries, 1)
 		ob.Span(obs.PhaseSMIEnter, fmt.Sprintf("smi:%#02x", uint8(cmd)), -1, c.model.SMMEntry, 0)
-	}
-	if intr != nil {
-		intr.OnSMIEnter(uint8(cmd))
+		if ob.Introspect != nil {
+			ob.Introspect.OnSMIEnter(uint8(cmd))
+		}
 	}
 
 	c.machine.Pause()
@@ -269,12 +238,12 @@ func (c *Controller) Trigger(cmd Command, arg uint64) error {
 			// the OS observes exactly this much stolen time.
 			ob.Span(obs.PhaseResume, fmt.Sprintf("smi:%#02x", uint8(cmd)), -1, pause, 0)
 			ob.ObserveDur(obs.HistSMIPause, pause)
-		}
-		// Exit event fires while the machine is still paused (this
-		// deferred func runs before the Resume defer), so a tap here
-		// observes the exact post-handler, pre-resume state.
-		if intr != nil {
-			intr.OnSMIExit(uint8(cmd), pause)
+			// Exit event fires while the machine is still paused (this
+			// deferred func runs before the Resume defer), so a tap
+			// here observes the exact post-handler, pre-resume state.
+			if ob.Introspect != nil {
+				ob.Introspect.OnSMIExit(uint8(cmd), pause)
+			}
 		}
 	}()
 

@@ -91,7 +91,7 @@ func (h *Handler) handleBatch(ctx *smm.Context, _ uint64) error {
 		// individually transactional — and the remainder report
 		// errors through the normal mailbox so the helper can retry
 		// them per-patch.
-		if h.fi.Fire(faultinject.SMMBatchAbort) {
+		if _, ok := h.obs.Fault(faultinject.SMMBatchAbort); ok {
 			for j := i; j < len(members); j++ {
 				codes[j] = StatusError
 			}

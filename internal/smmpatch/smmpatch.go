@@ -22,7 +22,6 @@ import (
 	"io"
 	"time"
 
-	"kshot/internal/faultinject"
 	"kshot/internal/isa"
 	"kshot/internal/kcrypto"
 	"kshot/internal/machine"
@@ -157,7 +156,6 @@ type Handler struct {
 	textSize      uint64
 	attKey        []byte
 	sessionRoot   []byte
-	fi            *faultinject.Set
 	obs           *obs.Hooks
 
 	// SMRAM-resident state. nonce is the published, unconsumed channel
@@ -256,14 +254,11 @@ func (h *Handler) Placement() patch.Placement { return h.place }
 // the enclave needs to prepare the next patch.
 func (h *Handler) Cursors() (memX, data uint64) { return h.memXUsed, h.dataUsed }
 
-// SetFaultInjector installs (or, with nil, removes) the fault
-// injection set consulted between batch members — the chaos suite's
-// stand-in for a firmware failure cutting an SMI short.
-func (h *Handler) SetFaultInjector(fi *faultinject.Set) { h.fi = fi }
-
-// SetObserver installs (or, with nil, removes) the observability hooks
-// recording per-patch verify/apply spans and applied/rolled-back
-// counters from inside the SMI.
+// SetObserver installs (or, with nil, removes) the instrumentation
+// handle recording per-patch verify/apply spans and applied/rolled-back
+// counters from inside the SMI. Its fault set is consulted between
+// batch members — the chaos suite's stand-in for a firmware failure
+// cutting an SMI short.
 func (h *Handler) SetObserver(ob *obs.Hooks) { h.obs = ob }
 
 // observeOutcome emits the in-SMM spans for one processed package:
