@@ -46,7 +46,7 @@ benchsmoke:
 # runs; see cmd/kshot-bench -json.
 BENCHJSON ?= bench.json
 benchjson:
-	$(GO) run ./cmd/kshot-bench -json -table2 -table3 -table5 -pipeline -detect -detect-trials 5 -detect-ops 5000 -iters 1 -o $(BENCHJSON) > /dev/null
+	$(GO) run ./cmd/kshot-bench -json -table2 -table3 -table5 -pipeline -detect -detect-trials 5 -detect-ops 5000 -o $(BENCHJSON) > /dev/null
 
 # The repo benchmark (benchmark/) is its own Go module, so the root
 # `go test ./...` never builds it; this vets it and runs its smoke and

@@ -8,6 +8,9 @@ package kshot
 // numbers are not expected to match the authors' i7 testbed; the
 // shapes — linearity in patch size, stage dominance, system ordering —
 // are asserted by the test suite and recorded in EXPERIMENTS.md.
+// Each size-sweep and per-CVE iteration deploys a fresh patch server
+// and System, so their ns/op includes provisioning a System (kernel
+// build, boot, fork and first contact), not only the patch round trip.
 //
 //	go test -bench=. -benchmem
 
@@ -43,10 +46,7 @@ func BenchmarkTable1Suite(b *testing.B) {
 func BenchmarkTable2SGXBreakdown(b *testing.B) {
 	for _, size := range evalharness.PaperSizes {
 		b.Run(sizeName(size), func(b *testing.B) {
-			pt, err := evalharness.RunSizePoint(size, b.N, kcrypto.HashSHA256)
-			if err != nil {
-				b.Fatal(err)
-			}
+			pt := runSizePoint(b, size, kcrypto.HashSHA256)
 			b.ReportMetric(vus(pt.Fetch), "fetch_vus")
 			b.ReportMetric(vus(pt.Preprocess), "preprocess_vus")
 			b.ReportMetric(vus(pt.Pass), "pass_vus")
@@ -61,10 +61,7 @@ func BenchmarkTable2SGXBreakdown(b *testing.B) {
 func BenchmarkTable3SMMBreakdown(b *testing.B) {
 	for _, size := range evalharness.PaperSizes {
 		b.Run(sizeName(size), func(b *testing.B) {
-			pt, err := evalharness.RunSizePoint(size, b.N, kcrypto.HashSHA256)
-			if err != nil {
-				b.Fatal(err)
-			}
+			pt := runSizePoint(b, size, kcrypto.HashSHA256)
 			b.ReportMetric(vus(pt.Decrypt), "decrypt_vus")
 			b.ReportMetric(vus(pt.Verify), "verify_vus")
 			b.ReportMetric(vus(pt.Apply), "apply_vus")
@@ -101,9 +98,12 @@ func benchFigureCVEs(b *testing.B, report func(*testing.B, evalharness.CVEPoint)
 	for _, e := range FigureCVEs() {
 		cve := e.CVE
 		b.Run(cve, func(b *testing.B) {
-			pt, err := evalharness.RunFigureCVEOnce(cve, b.N)
-			if err != nil {
-				b.Fatal(err)
+			var pt evalharness.CVEPoint
+			for i := 0; i < b.N; i++ {
+				var err error
+				if pt, err = evalharness.RunFigureCVEOnce(cve); err != nil {
+					b.Fatal(err)
+				}
 			}
 			report(b, pt)
 		})
@@ -174,10 +174,7 @@ func BenchmarkSysbenchOverhead(b *testing.B) {
 func BenchmarkAblationVerifyHash(b *testing.B) {
 	for _, alg := range []kcrypto.HashAlg{kcrypto.HashSHA256, kcrypto.HashSDBM} {
 		b.Run(alg.String(), func(b *testing.B) {
-			pt, err := evalharness.RunSizePoint(400<<10, b.N, alg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			pt := runSizePoint(b, 400<<10, alg)
 			b.ReportMetric(vus(pt.Verify), "verify_vus")
 			b.ReportMetric(vus(pt.SMMTotal()), "pause_vus")
 		})
@@ -191,10 +188,7 @@ func BenchmarkAblationVerifyHash(b *testing.B) {
 func BenchmarkAblationPrepLocation(b *testing.B) {
 	for _, size := range []int{4 << 10, 400 << 10} {
 		b.Run(sizeName(size), func(b *testing.B) {
-			pt, err := evalharness.RunSizePoint(size, b.N, kcrypto.HashSHA256)
-			if err != nil {
-				b.Fatal(err)
-			}
+			pt := runSizePoint(b, size, kcrypto.HashSHA256)
 			asBuilt := pt.SMMTotal()
 			inSMM := asBuilt + pt.Preprocess
 			b.ReportMetric(vus(asBuilt), "pause_sgxprep_vus")
@@ -202,6 +196,20 @@ func BenchmarkAblationPrepLocation(b *testing.B) {
 			b.ReportMetric(float64(inSMM)/float64(asBuilt), "pause_blowup_x")
 		})
 	}
+}
+
+// runSizePoint measures one size b.N times and returns the last point;
+// every run reports the same virtual stage times.
+func runSizePoint(b *testing.B, size int, alg kcrypto.HashAlg) evalharness.SizePoint {
+	b.Helper()
+	var pt evalharness.SizePoint
+	for i := 0; i < b.N; i++ {
+		var err error
+		if pt, err = evalharness.RunSizePoint(size, alg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return pt
 }
 
 func sizeName(n int) string {

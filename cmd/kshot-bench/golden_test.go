@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"kshot/internal/evalharness"
+	"kshot/internal/report"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with the current output")
@@ -68,4 +73,80 @@ func firstDiff(want, got string) string {
 		}
 	}
 	return fmt.Sprintf("line counts differ: want %d lines, got %d", len(wl), len(gl))
+}
+
+// TestExperimentsMatchGolden keeps EXPERIMENTS.md honest: every
+// "paper → measured" cell of its Tables II and III must read exactly
+// what kshot-bench prints for that cell (report.Us of the golden
+// value; thousands separators aside).
+func TestExperimentsMatchGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden", goldenArtifacts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		SizeSweep []evalharness.SizePoint `json:"size_sweep"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	bySize := make(map[string]evalharness.SizePoint, len(doc.SizeSweep))
+	for _, p := range doc.SizeSweep {
+		bySize[report.Bytes(p.Size)] = p
+	}
+	md, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		heading string
+		cols    func(evalharness.SizePoint) []time.Duration
+	}{
+		{"## Table II ", func(p evalharness.SizePoint) []time.Duration {
+			return []time.Duration{p.Fetch, p.Preprocess, p.Pass, p.SGXTotal()}
+		}},
+		{"## Table III ", func(p evalharness.SizePoint) []time.Duration {
+			return []time.Duration{p.Decrypt, p.Verify, p.Apply, p.SMMTotal()}
+		}},
+	} {
+		rows := 0
+		for _, line := range tableLines(string(md), tc.heading) {
+			cells := strings.Split(strings.Trim(line, "| "), "|")
+			p, ok := bySize[strings.TrimSpace(cells[0])]
+			if !ok {
+				continue // header and separator rows
+			}
+			rows++
+			want := tc.cols(p)
+			if len(cells)-1 != len(want) {
+				t.Errorf("%s row %q: %d value cells, want %d", tc.heading, cells[0], len(cells)-1, len(want))
+				continue
+			}
+			for i, cell := range cells[1:] {
+				_, measured, found := strings.Cut(cell, "→")
+				measured = strings.ReplaceAll(strings.TrimSpace(measured), ",", "")
+				if !found || measured != report.Us(want[i]) {
+					t.Errorf("%s row %q column %d reads %q, kshot-bench prints %s",
+						strings.TrimSpace(tc.heading), strings.TrimSpace(cells[0]), i+1, strings.TrimSpace(cell), report.Us(want[i]))
+				}
+			}
+		}
+		if rows != len(evalharness.PaperSizes) {
+			t.Errorf("%s: found %d size rows, want %d", strings.TrimSpace(tc.heading), rows, len(evalharness.PaperSizes))
+		}
+	}
+}
+
+// tableLines returns the markdown table rows of the section that
+// starts with heading, up to the next section.
+func tableLines(md, heading string) []string {
+	_, section, _ := strings.Cut(md, "\n"+heading)
+	section, _, _ = strings.Cut(section, "\n## ")
+	var rows []string
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "|") {
+			rows = append(rows, line)
+		}
+	}
+	return rows
 }

@@ -6,7 +6,7 @@
 //
 //	kshot-bench -all                 # everything (RQ1 sweep included)
 //	kshot-bench -table2 -table3      # size sweeps only
-//	kshot-bench -fig4 -fig5 -iters 5 # figures, 5 runs averaged
+//	kshot-bench -fig4 -fig5          # per-CVE figures
 //	kshot-bench -rq1 -version 3.14   # applicability sweep on 3.14
 //	kshot-bench -overhead -patches 1000
 //	kshot-bench -trace               # per-CVE phase breakdown + metrics + trace
@@ -53,7 +53,6 @@ func run(args []string, stdout io.Writer) error {
 		detect    = fs.Bool("detect", false, "introspection: tamper-detection latency vs sweep period, plus overhead")
 		dettrials = fs.Int("detect-trials", 20, "tamper injections per sweep period for -detect")
 		detops    = fs.Uint64("detect-ops", 20000, "workload operations for the -detect overhead columns")
-		iters     = fs.Int("iters", 3, "repetitions per measurement")
 		patches   = fs.Int("patches", 100, "patch storm size for -overhead")
 		batch     = fs.Int("batch", 8, "batch size for -pipeline")
 		workers   = fs.Int("workers", 4, "fetch workers for -pipeline")
@@ -105,9 +104,9 @@ func run(args []string, stdout io.Writer) error {
 
 	var sizePoints []evalharness.SizePoint
 	if *table2 || *table3 {
-		progress("running size sweep (%d iters per size)...\n", *iters)
+		progress("running size sweep...\n")
 		var err error
-		sizePoints, err = evalharness.RunSizeSweep(*iters, kcrypto.HashSHA256)
+		sizePoints, err = evalharness.RunSizeSweep(kcrypto.HashSHA256)
 		if err != nil {
 			return err
 		}
@@ -116,21 +115,21 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *table2 && !*jsonOut {
-		if err := evalharness.Table2(sizePoints, *iters).Render(out); err != nil {
+		if err := evalharness.Table2(sizePoints).Render(out); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)
 	}
 	if *table3 && !*jsonOut {
-		if err := evalharness.Table3(sizePoints, *iters).Render(out); err != nil {
+		if err := evalharness.Table3(sizePoints).Render(out); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)
 	}
 
 	if *fig4 || *fig5 {
-		progress("running whole-system CVE measurements (%d iters per CVE)...\n", *iters)
-		points, err := evalharness.RunFigureCVEs(*iters)
+		progress("running whole-system CVE measurements...\n")
+		points, err := evalharness.RunFigureCVEs()
 		if err != nil {
 			return err
 		}

@@ -48,7 +48,7 @@ func TestFigureCSVMode(t *testing.T) {
 		t.Skip("figure run skipped in -short mode")
 	}
 	var out strings.Builder
-	if err := run([]string{"-fig5", "-iters", "1", "-csv"}, &out); err != nil {
+	if err := run([]string{"-fig5", "-csv"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -65,14 +65,17 @@ func TestBadFlag(t *testing.T) {
 	if err := run([]string{"-nonsense"}, &out); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// -iters is gone: virtual time repeats exactly, so there is
+	// nothing to average.
+	if err := run([]string{"-iters", "1"}, &out); err == nil {
+		t.Error("removed -iters flag accepted")
+	}
 }
 
 // TestZeroCountsRejected: a count below 1 is an error from the
 // experiment, never a divide-by-zero panic or a silent default.
 func TestZeroCountsRejected(t *testing.T) {
 	for _, args := range [][]string{
-		{"-fig5", "-iters", "0"},
-		{"-table2", "-iters", "0"},
 		{"-overhead", "-patches", "0"},
 		{"-detect", "-detect-trials", "0"},
 	} {
@@ -90,7 +93,7 @@ func TestZeroCountsRejected(t *testing.T) {
 // experiments and nothing else.
 func TestJSONDocumentKeys(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-json", "-table2", "-table5", "-iters", "1"}, &out); err != nil {
+	if err := run([]string{"-json", "-table2", "-table5"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	dec := json.NewDecoder(strings.NewReader(out.String()))

@@ -79,7 +79,7 @@ func NewTarget(version string, extraFiles map[string]string, numVCPUs int) (*Tar
 	if err != nil {
 		return nil, err
 	}
-	k, err := kernel.Boot(m, img, st.Config())
+	k, err := kernel.Boot(m, img, st.Config(), mem.ReservedLayout{})
 	if err != nil {
 		m.Stop()
 		return nil, err

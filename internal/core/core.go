@@ -71,6 +71,13 @@ type Options struct {
 	DisableFtrace bool
 	DisableInline bool
 
+	// Reserved sizes the boot-time KShot reservation. The zero value is
+	// the paper's 18 MB split; the size sweep of Tables II/III enlarges
+	// it for its 10 MB row, which cannot stage an encrypted copy in
+	// mem_W and place an executable copy in mem_X within 18 MB. Its type
+	// is internal, so code outside this module cannot set it.
+	Reserved mem.ReservedLayout
+
 	// ServerAddr is the remote patch server's TCP address.
 	ServerAddr string
 
@@ -100,9 +107,9 @@ type Options struct {
 
 	// TemplateCache, when set, shares booted template machines across
 	// Systems (see template.go): the first System per (version, ftrace,
-	// inline, extra-files, dispatch, vCPUs) config pays the full boot,
-	// and every later one only forks it. Without a cache each System
-	// boots a single-use template and forks it once.
+	// inline, extra-files, dispatch, vCPUs, reservation) config pays the
+	// full boot, and every later one only forks it. Without a cache each
+	// System boots a single-use template and forks it once.
 	TemplateCache *TemplateCache
 
 	// Introspection, when non-nil, enables the event-driven
@@ -329,7 +336,7 @@ func bootTarget(ctx context.Context, opts Options) (*machine.Machine, *kernel.Ke
 	if err != nil {
 		return nil, nil, info, err
 	}
-	k, err := kernel.Boot(m, img, tree.Config())
+	k, err := kernel.Boot(m, img, tree.Config(), opts.Reserved)
 	if err != nil {
 		m.Stop()
 		return nil, nil, info, err

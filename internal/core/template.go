@@ -214,6 +214,7 @@ type templateKey struct {
 	ftrace, inline bool
 	dispatch       isa.Dispatch
 	vcpus          int
+	reserved       mem.ReservedLayout
 }
 
 // TemplateCacheStats is a point-in-time view of cache traffic.
@@ -331,6 +332,7 @@ func (c *TemplateCache) template(ctx context.Context, opts Options) (*Template, 
 		inline:   !opts.DisableInline,
 		dispatch: opts.Dispatch,
 		vcpus:    opts.NumVCPUs,
+		reserved: opts.Reserved,
 	}
 
 	c.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"kshot/internal/cvebench"
+	"kshot/internal/mem"
 	"kshot/internal/obs"
 	"kshot/internal/patchserver"
 )
@@ -223,6 +224,41 @@ func TestTemplateCacheKeySeparatesConfigs(t *testing.T) {
 
 	if st := cache.Stats(); st.Templates != 3 {
 		t.Errorf("templates = %d, want 3 (ftrace and vCPUs split, activeness does not)", st.Templates)
+	}
+}
+
+// TestTemplateCacheSeparatesReservedLayouts: the reservation is baked
+// into a template at boot, so one cache serving the default layout and
+// an enlarged one boots two templates, and each fork's mem_X has the
+// size of its own layout.
+func TestTemplateCacheSeparatesReservedLayouts(t *testing.T) {
+	f := newTemplateFixture(t, "CVE-2014-0196")
+	cache := NewTemplateCache()
+	t.Cleanup(cache.Close)
+
+	big := mem.ReservedLayout{RWSize: mem.MemRWSize, WSize: 12 << 20, XSize: 12 << 20}
+	for _, tc := range []struct {
+		layout mem.ReservedLayout
+		xSize  uint64
+	}{
+		{mem.ReservedLayout{}, mem.MemXSize},
+		{big, big.XSize},
+		{mem.ReservedLayout{}, mem.MemXSize},
+	} {
+		opts := f.Opts
+		opts.TemplateCache = cache
+		opts.Reserved = tc.layout
+		sys, err := NewSystemCtx(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sys.Close)
+		if got := sys.Machine.Mem.Region(mem.RegionMemX).Size; got != tc.xSize {
+			t.Errorf("layout %+v: mem_X size %d, want %d", tc.layout, got, tc.xSize)
+		}
+	}
+	if st := cache.Stats(); st.Misses != 2 || st.Hits != 1 {
+		t.Errorf("misses, hits = %d, %d; want 2, 1 (one template per layout)", st.Misses, st.Hits)
 	}
 }
 

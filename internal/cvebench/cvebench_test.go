@@ -6,6 +6,7 @@ import (
 
 	"kshot/internal/kernel"
 	"kshot/internal/machine"
+	"kshot/internal/mem"
 	"kshot/internal/patch"
 )
 
@@ -20,7 +21,7 @@ func bootTree(t *testing.T, st *kernel.SourceTree) *kernel.Kernel {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
-	k, err := kernel.Boot(m, img, st.Config())
+	k, err := kernel.Boot(m, img, st.Config(), mem.ReservedLayout{})
 	if err != nil {
 		t.Fatal(err)
 	}

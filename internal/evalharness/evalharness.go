@@ -17,6 +17,7 @@
 package evalharness
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"time"
@@ -25,17 +26,10 @@ import (
 	"kshot/internal/cvebench"
 	"kshot/internal/isa"
 	"kshot/internal/kcrypto"
-	"kshot/internal/kernel"
-	"kshot/internal/machine"
 	"kshot/internal/mem"
 	"kshot/internal/patch"
 	"kshot/internal/patchserver"
 	"kshot/internal/report"
-	"kshot/internal/sgx"
-	"kshot/internal/sgxprep"
-	"kshot/internal/smm"
-	"kshot/internal/smmpatch"
-	"kshot/internal/timing"
 )
 
 // PaperSizes are the patch sizes of Tables II and III.
@@ -68,124 +62,27 @@ func (p SizePoint) SMMTotal() time.Duration {
 	return p.KeyGen + p.Decrypt + p.Verify + p.Apply + p.Switch
 }
 
-// sizeRig is a minimal platform for the size sweep: no kernel, no TCP
-// — a synthetic new-function payload driven through the real enclave
-// preparation and the real SMM processing path.
-type sizeRig struct {
-	m       *machine.Machine
-	res     *mem.Reserved
-	ctrl    *smm.Controller
-	handler *smmpatch.Handler
-	enclave *sgx.Enclave
-	prog    *sgxprep.Program
-	server  *kcrypto.Session
-	clock   *timing.Clock
-	model   timing.Model
-}
-
-const rigVersion = "4.4"
-
-func newSizeRig(maxPayload int, alg kcrypto.HashAlg) (*sizeRig, error) {
-	layout := mem.DefaultReservedLayout()
-	physSize := uint64(machine.DefaultPhysSize)
-	if n := uint64(maxPayload); n+(1<<20) > layout.WSize || n+(1<<20) > layout.XSize {
-		// The paper's default 18 MB split cannot stage AND place the
-		// 10 MB row; enlarge the reservation for this experiment (a
-		// reproduction finding recorded in EXPERIMENTS.md).
-		layout = mem.ReservedLayout{
-			RWSize: mem.MemRWSize,
-			WSize:  n + (2 << 20),
-			XSize:  n + (2 << 20),
-		}
+// RunSizePoint measures one size on a System. The patch server
+// serves a prebuilt patch whose single new function has exactly size
+// payload bytes (a nop sled ending in ret, so valid, executable code),
+// and the System applies it once and rolls it back, like every CVE of
+// Figures 4/5.
+func RunSizePoint(size int, alg kcrypto.HashAlg) (SizePoint, error) {
+	if size < 1 {
+		return SizePoint{}, fmt.Errorf("size sweep: size %d, want at least 1", size)
 	}
-	m, err := machine.New(machine.Config{NumVCPUs: 1, PhysSize: physSize})
-	if err != nil {
-		return nil, err
+	opts := core.Options{Version: "4.4", NumVCPUs: 1, HashAlg: alg}
+	if n := uint64(size); n+1<<20 > mem.MemWSize || n+1<<20 > mem.MemXSize {
+		// The paper's 18 MB split cannot stage AND place the 10 MB row;
+		// enlarge the reservation for that row alone (a reproduction
+		// finding recorded in EXPERIMENTS.md, Table III).
+		opts.Reserved = mem.ReservedLayout{RWSize: mem.MemRWSize, WSize: n + 2<<20, XSize: n + 2<<20}
 	}
-	res, err := mem.MapReservedLayout(m.Mem, kernel.ReservedBase, layout)
-	if err != nil {
-		m.Stop()
-		return nil, err
-	}
-	clock := &timing.Clock{}
-	model := timing.Calibrated()
-	ctrl, err := smm.NewController(m, kernel.SMRAMBase, clock, model)
-	if err != nil {
-		m.Stop()
-		return nil, err
-	}
-	serverKey := make([]byte, 32)
-	for i := range serverKey {
-		serverKey[i] = byte(i * 7)
-	}
-	sessionRoot := kcrypto.DeriveKey(serverKey, []byte("session root"))
-	handler, err := smmpatch.New(smmpatch.Config{Reserved: res, KernelVersion: rigVersion, SessionRoot: sessionRoot})
-	if err != nil {
-		m.Stop()
-		return nil, err
-	}
-	if err := handler.Register(ctrl); err != nil {
-		m.Stop()
-		return nil, err
-	}
-	if err := ctrl.Lock(); err != nil {
-		m.Stop()
-		return nil, err
-	}
-
-	serverSess, err := kcrypto.NewSession(serverKey, nil)
-	if err != nil {
-		m.Stop()
-		return nil, err
-	}
-	prog, err := sgxprep.New(sgxprep.Config{
-		ServerKey:     serverKey,
-		KernelVersion: rigVersion,
-		Placement:     handler.Placement(),
-		HashAlg:       alg,
-		Clock:         clock,
-		Model:         model,
-		SessionRoot:   sessionRoot,
-	})
-	if err != nil {
-		m.Stop()
-		return nil, err
-	}
-	plat, err := sgx.NewPlatform(m.Mem, kernel.EPCBase, kernel.EPCSize)
-	if err != nil {
-		m.Stop()
-		return nil, err
-	}
-	enclave, err := plat.Load(prog, sgxprep.EnclavePages)
-	if err != nil {
-		m.Stop()
-		return nil, err
-	}
-	if err := ctrl.Trigger(smmpatch.CmdKeyExchange, 0); err != nil {
-		m.Stop()
-		return nil, err
-	}
-	return &sizeRig{
-		m: m, res: res, ctrl: ctrl, handler: handler,
-		enclave: enclave, prog: prog, server: serverSess,
-		clock: clock, model: model,
-	}, nil
-}
-
-func (r *sizeRig) close() { r.m.Stop() }
-
-// syntheticBlob builds the server's encrypted blob for a patch whose
-// single new function has exactly n payload bytes (a nop sled ending
-// in ret — valid, executable code).
-func (r *sizeRig) syntheticBlob(id string, n int) ([]byte, error) {
-	payload := make([]byte, n)
-	for i := range payload {
-		payload[i] = 0x90 // nop
-	}
-	payload[n-1] = 0xC3 // ret
+	payload := bytes.Repeat([]byte{0x90}, size) // nop
+	payload[size-1] = 0xC3                      // ret
 	bp := &patch.BinaryPatch{
-		ID:            id,
-		KernelVersion: rigVersion,
+		ID:            fmt.Sprintf("BENCH-%d", size),
+		KernelVersion: opts.Version,
 		Funcs: []patch.FuncPatch{{
 			Name:    "bench_payload",
 			Type:    patch.Type1,
@@ -193,122 +90,23 @@ func (r *sizeRig) syntheticBlob(id string, n int) ([]byte, error) {
 			Payload: payload,
 		}},
 	}
-	plain, err := patch.Encode(bp)
+	st, err := measureOnce(opts, bp.ID, nil, bp)
 	if err != nil {
-		return nil, err
+		return SizePoint{}, fmt.Errorf("size %d: %w", size, err)
 	}
-	return r.server.Encrypt(plain)
-}
-
-// roundTrip performs one full patch (and rollback, so the rig is
-// reusable) and returns the per-stage virtual times.
-func (r *sizeRig) roundTrip(id string, n int) (SizePoint, error) {
-	pt := SizePoint{Size: n}
-	blob, err := r.syntheticBlob(id, n)
-	if err != nil {
-		return pt, err
-	}
-	// Fetch (network transfer of the blob).
-	pt.Fetch = r.clock.Span(func() {
-		r.clock.Advance(timing.Linear(r.model.FetchFixed, r.model.FetchPerByte, len(blob)))
-	})
-
-	// Enclave preprocessing.
-	smmPub, err := smmpatch.ReadSMMPub(r.m.Mem, mem.PrivKernel, r.res)
-	if err != nil {
-		return pt, err
-	}
-	memX, data := r.handler.Cursors()
-	out, err := r.enclave.ECall(sgxprep.FnPrepare, sgxprep.EncodePrepareArgs(&sgxprep.PrepareArgs{
-		ServerBlob: blob, SMMPub: smmPub, MemXCursor: memX, DataCursor: data,
-	}))
-	if err != nil {
-		return pt, err
-	}
-	res, err := sgxprep.DecodeResult(out)
-	if err != nil {
-		return pt, err
-	}
-	pt.Preprocess = r.prog.LastBreakdown().Preprocess
-
-	// Pass (stage ciphertext into the reserved region).
-	pt.Pass = r.clock.Span(func() {
-		r.clock.Advance(timing.Linear(r.model.PassFixed, r.model.PassPerByte, len(res.Ciphertext)))
-	})
-	if err := smmpatch.StageBlob(r.m.Mem, mem.PrivKernel, smmpatch.EnclavePubAddr(r.res), res.EnclavePub); err != nil {
-		return pt, err
-	}
-	if err := smmpatch.StageBlob(r.m.Mem, mem.PrivKernel, smmpatch.PackageAddr(r.res), res.Ciphertext); err != nil {
-		return pt, err
-	}
-
-	// SMM processing.
-	if err := r.ctrl.Trigger(smmpatch.CmdProcessPackage, 0); err != nil {
-		return pt, err
-	}
-	bd := r.handler.LastBreakdown()
-	pt.KeyGen = bd.KeyGen
-	pt.Decrypt = bd.Decrypt
-	pt.Verify = bd.Verify
-	pt.Apply = bd.Apply
-	pt.Switch = r.model.SMMEntry + r.model.SMMExit
-
-	// Roll back so the next iteration reuses the same mem_X space.
-	if err := r.rollback(id); err != nil {
-		return pt, err
-	}
-	return pt, nil
-}
-
-func (r *sizeRig) rollback(id string) error {
-	smmPub, err := smmpatch.ReadSMMPub(r.m.Mem, mem.PrivKernel, r.res)
-	if err != nil {
-		return err
-	}
-	out, err := r.enclave.ECall(sgxprep.FnPrepareRollback, sgxprep.EncodeRollbackArgs(&sgxprep.RollbackArgs{ID: id, SMMPub: smmPub}))
-	if err != nil {
-		return err
-	}
-	res, err := sgxprep.DecodeResult(out)
-	if err != nil {
-		return err
-	}
-	if err := smmpatch.StageBlob(r.m.Mem, mem.PrivKernel, smmpatch.EnclavePubAddr(r.res), res.EnclavePub); err != nil {
-		return err
-	}
-	if err := smmpatch.StageBlob(r.m.Mem, mem.PrivKernel, smmpatch.PackageAddr(r.res), res.Ciphertext); err != nil {
-		return err
-	}
-	return r.ctrl.Trigger(smmpatch.CmdProcessPackage, 0)
-}
-
-// RunSizePoint measures one size with `iters` repetitions, averaged.
-// iters must be at least 1.
-func RunSizePoint(size, iters int, alg kcrypto.HashAlg) (SizePoint, error) {
-	if iters < 1 {
-		return SizePoint{}, fmt.Errorf("size sweep: iters %d, want at least 1", iters)
-	}
-	rig, err := newSizeRig(size, alg)
-	if err != nil {
-		return SizePoint{}, err
-	}
-	defer rig.close()
-	var acc SizePoint
-	for i := 0; i < iters; i++ {
-		pt, err := rig.roundTrip(fmt.Sprintf("BENCH-%d", size), size)
-		if err != nil {
-			return SizePoint{}, fmt.Errorf("size %d iter %d: %w", size, i, err)
-		}
-		acc = addPoints(acc, pt)
-	}
-	return scalePoint(acc, iters), nil
+	return SizePoint{
+		Size:  size,
+		Fetch: st.Fetch, Preprocess: st.Preprocess, Pass: st.Pass,
+		KeyGen: st.KeyGen, Decrypt: st.Decrypt, Verify: st.Verify,
+		Apply: st.Apply, Switch: st.Switch,
+	}, nil
 }
 
 // RunSizeSweep measures every paper size.
-func RunSizeSweep(iters int, alg kcrypto.HashAlg) ([]SizePoint, error) {
+func RunSizeSweep(alg kcrypto.HashAlg) ([]SizePoint, error) {
 	out := make([]SizePoint, 0, len(PaperSizes))
 	for _, size := range PaperSizes {
-		pt, err := RunSizePoint(size, iters, alg)
+		pt, err := RunSizePoint(size, alg)
 		if err != nil {
 			return nil, err
 		}
@@ -317,49 +115,24 @@ func RunSizeSweep(iters int, alg kcrypto.HashAlg) ([]SizePoint, error) {
 	return out, nil
 }
 
-func addPoints(a, b SizePoint) SizePoint {
-	return SizePoint{
-		Size:       b.Size,
-		Fetch:      a.Fetch + b.Fetch,
-		Preprocess: a.Preprocess + b.Preprocess,
-		Pass:       a.Pass + b.Pass,
-		KeyGen:     a.KeyGen + b.KeyGen,
-		Decrypt:    a.Decrypt + b.Decrypt,
-		Verify:     a.Verify + b.Verify,
-		Apply:      a.Apply + b.Apply,
-		Switch:     a.Switch + b.Switch,
-	}
-}
-
-func scalePoint(a SizePoint, n int) SizePoint {
-	d := time.Duration(n)
-	return SizePoint{
-		Size:       a.Size,
-		Fetch:      a.Fetch / d,
-		Preprocess: a.Preprocess / d,
-		Pass:       a.Pass / d,
-		KeyGen:     a.KeyGen / d,
-		Decrypt:    a.Decrypt / d,
-		Verify:     a.Verify / d,
-		Apply:      a.Apply / d,
-		Switch:     a.Switch / d,
-	}
-}
+// deterministicNote replaces a repetition count: every stage time is
+// virtual, so one measurement is exact.
+const deterministicNote = "virtual time, deterministic; cost model calibrated to the paper's testbed"
 
 // Table2 renders the SGX operation breakdown (paper Table II).
-func Table2(points []SizePoint, iters int) *report.Table {
+func Table2(points []SizePoint) *report.Table {
 	t := report.NewTable("TABLE II: Breakdown of SGX operations (us)",
 		"Patch Size", "Fetching", "Pre-processing", "Passing", "Total")
 	for _, p := range points {
 		t.AddRow(report.Bytes(p.Size), report.Us(p.Fetch), report.Us(p.Preprocess),
 			report.Us(p.Pass), report.Us(p.SGXTotal()))
 	}
-	t.AddNote(fmt.Sprintf("n = %d; virtual time, cost model calibrated to the paper's testbed", iters))
+	t.AddNote(deterministicNote)
 	return t
 }
 
 // Table3 renders the SMM operation breakdown (paper Table III).
-func Table3(points []SizePoint, iters int) *report.Table {
+func Table3(points []SizePoint) *report.Table {
 	t := report.NewTable("TABLE III: Breakdown of SMM operations (us)",
 		"Patch Size", "Data Decryption", "Patch Verification", "Patch Application", "Total*")
 	for _, p := range points {
@@ -367,7 +140,7 @@ func Table3(points []SizePoint, iters int) *report.Table {
 			report.Us(p.Apply), report.Us(p.SMMTotal()))
 	}
 	t.AddNote("* includes key generation and SMM switching time")
-	t.AddNote(fmt.Sprintf("n = %d; virtual time, cost model calibrated to the paper's testbed", iters))
+	t.AddNote(deterministicNote)
 	return t
 }
 
@@ -391,23 +164,30 @@ func NewDeployment(version string, numVCPUs int, alg kcrypto.HashAlg, entries ..
 // and the oracle interpreter, and the differential verification suites
 // run lockstep.
 func NewDeploymentDispatch(version string, numVCPUs int, alg kcrypto.HashAlg, d isa.Dispatch, entries ...*cvebench.Entry) (*Deployment, error) {
+	return deploy(core.Options{Version: version, NumVCPUs: numVCPUs, Dispatch: d, HashAlg: alg}, entries)
+}
+
+// deploy starts a patch server that fixes entries and also serves the
+// prebuilt binary patches, provisions a System from opts that is
+// vulnerable to entries, and makes the System's first contact.
+func deploy(opts core.Options, entries []*cvebench.Entry, prebuilt ...*patch.BinaryPatch) (*Deployment, error) {
 	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entries...))
 	if err != nil {
 		return nil, err
 	}
-	extra := make(map[string]string, len(entries))
+	opts.ExtraFiles = make(map[string]string, len(entries))
 	for _, e := range entries {
 		srv.RegisterPatch(e.SourcePatch())
-		extra[e.File] = e.Vuln
+		opts.ExtraFiles[e.File] = e.Vuln
 	}
-	sys, err := core.NewSystem(core.Options{
-		Version:    version,
-		NumVCPUs:   numVCPUs,
-		Dispatch:   d,
-		ExtraFiles: extra,
-		ServerAddr: srv.Addr(),
-		HashAlg:    alg,
-	})
+	for _, bp := range prebuilt {
+		if err := srv.RegisterBinaryPatch(bp); err != nil {
+			srv.Close()
+			return nil, err
+		}
+	}
+	opts.ServerAddr = srv.Addr()
+	sys, err := core.NewSystem(opts)
 	if err != nil {
 		srv.Close()
 		return nil, err
@@ -426,6 +206,28 @@ func (d *Deployment) Close() {
 	d.Server.Close()
 }
 
+// measureOnce deploys opts (see deploy), applies patch id once, rolls
+// it back and returns the apply's stage times. Every size row and
+// figure point is one such fetch, enclave prepare, stage, SMI, status
+// and rollback cycle. Virtual time repeats exactly, so one cycle is
+// the measurement.
+func measureOnce(opts core.Options, id string, entries []*cvebench.Entry, prebuilt ...*patch.BinaryPatch) (core.StageTimes, error) {
+	d, err := deploy(opts, entries, prebuilt...)
+	if err != nil {
+		return core.StageTimes{}, fmt.Errorf("%s: %w", id, err)
+	}
+	defer d.Close()
+	ctx := context.Background()
+	rep, err := d.System.Apply(ctx, id)
+	if err != nil {
+		return core.StageTimes{}, fmt.Errorf("%s apply: %w", id, err)
+	}
+	if _, err := d.System.Rollback(ctx, id); err != nil {
+		return core.StageTimes{}, fmt.Errorf("%s rollback: %w", id, err)
+	}
+	return rep.Stages, nil
+}
+
 // CVEPoint is one x-axis entry of Figures 4/5.
 type CVEPoint struct {
 	CVE    string
@@ -433,61 +235,24 @@ type CVEPoint struct {
 	Stages core.StageTimes
 }
 
-// RunFigureCVEOnce measures one CVE with `iters` apply+rollback
-// cycles, averaged. iters must be at least 1.
-func RunFigureCVEOnce(cve string, iters int) (CVEPoint, error) {
-	if iters < 1 {
-		return CVEPoint{}, fmt.Errorf("figure CVE %s: iters %d, want at least 1", cve, iters)
-	}
+// RunFigureCVEOnce measures one CVE with one apply+rollback cycle.
+func RunFigureCVEOnce(cve string) (CVEPoint, error) {
 	e, ok := cvebench.Get(cve)
 	if !ok {
 		return CVEPoint{}, fmt.Errorf("unknown CVE %q", cve)
 	}
-	d, err := NewDeployment("4.4", 1, kcrypto.HashSHA256, e)
+	st, err := measureOnce(core.Options{Version: "4.4", NumVCPUs: 1, HashAlg: kcrypto.HashSHA256}, e.CVE, []*cvebench.Entry{e})
 	if err != nil {
-		return CVEPoint{}, fmt.Errorf("%s: %w", e.CVE, err)
+		return CVEPoint{}, err
 	}
-	defer d.Close()
-	var acc core.StageTimes
-	bytes := 0
-	for i := 0; i < iters; i++ {
-		rep, err := d.System.Apply(context.Background(), e.CVE)
-		if err != nil {
-			return CVEPoint{}, fmt.Errorf("%s apply: %w", e.CVE, err)
-		}
-		if _, err := d.System.Rollback(context.Background(), e.CVE); err != nil {
-			return CVEPoint{}, fmt.Errorf("%s rollback: %w", e.CVE, err)
-		}
-		st := rep.Stages
-		acc.Fetch += st.Fetch
-		acc.Preprocess += st.Preprocess
-		acc.Pass += st.Pass
-		acc.KeyGen += st.KeyGen
-		acc.Decrypt += st.Decrypt
-		acc.Verify += st.Verify
-		acc.Apply += st.Apply
-		acc.Switch += st.Switch
-		bytes = st.PayloadBytes
-	}
-	n := time.Duration(iters)
-	return CVEPoint{
-		CVE:   e.CVE,
-		Bytes: bytes,
-		Stages: core.StageTimes{
-			Fetch: acc.Fetch / n, Preprocess: acc.Preprocess / n, Pass: acc.Pass / n,
-			KeyGen: acc.KeyGen / n, Decrypt: acc.Decrypt / n, Verify: acc.Verify / n,
-			Apply: acc.Apply / n, Switch: acc.Switch / n,
-			PayloadBytes: bytes,
-		},
-	}, nil
+	return CVEPoint{CVE: e.CVE, Bytes: st.PayloadBytes, Stages: st}, nil
 }
 
-// RunFigureCVEs measures the six whole-system CVEs of §VI-C3,
-// averaging `iters` apply+rollback cycles each.
-func RunFigureCVEs(iters int) ([]CVEPoint, error) {
+// RunFigureCVEs measures the six whole-system CVEs of §VI-C3.
+func RunFigureCVEs() ([]CVEPoint, error) {
 	var out []CVEPoint
 	for _, e := range cvebench.FigureSix() {
-		pt, err := RunFigureCVEOnce(e.CVE, iters)
+		pt, err := RunFigureCVEOnce(e.CVE)
 		if err != nil {
 			return nil, err
 		}

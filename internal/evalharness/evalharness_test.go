@@ -10,7 +10,7 @@ import (
 )
 
 func TestSizePointSmall(t *testing.T) {
-	pt, err := RunSizePoint(400, 2, kcrypto.HashSHA256)
+	pt, err := RunSizePoint(400, kcrypto.HashSHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func TestSizePointSmall(t *testing.T) {
 func TestSizeSweepShapeIsLinear(t *testing.T) {
 	// Two decades apart: the per-stage times must scale roughly
 	// linearly (fixed costs aside) — the paper's headline shape.
-	small, err := RunSizePoint(4<<10, 1, kcrypto.HashSHA256)
+	small, err := RunSizePoint(4<<10, kcrypto.HashSHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := RunSizePoint(400<<10, 1, kcrypto.HashSHA256)
+	big, err := RunSizePoint(400<<10, kcrypto.HashSHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestSizeSweepShapeIsLinear(t *testing.T) {
 }
 
 func TestSDBMVerifyCheaper(t *testing.T) {
-	sha, err := RunSizePoint(400<<10, 1, kcrypto.HashSHA256)
+	sha, err := RunSizePoint(400<<10, kcrypto.HashSHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdbm, err := RunSizePoint(400<<10, 1, kcrypto.HashSDBM)
+	sdbm, err := RunSizePoint(400<<10, kcrypto.HashSDBM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,18 +77,18 @@ func TestTableRendering(t *testing.T) {
 		KeyGen: 5200, Decrypt: 1270, Verify: 8520, Apply: 6920,
 		Switch: 34600,
 	}}
-	t2 := Table2(points, 100)
+	t2 := Table2(points)
 	if !strings.Contains(t2.String(), "4KB") {
 		t.Error("Table2 missing size row")
 	}
-	t3 := Table3(points, 100)
+	t3 := Table3(points)
 	if !strings.Contains(t3.String(), "key generation") {
 		t.Error("Table3 missing footnote")
 	}
 }
 
 func TestFigureCVEsAndRendering(t *testing.T) {
-	points, err := RunFigureCVEs(1)
+	points, err := RunFigureCVEs()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ type Kernel struct {
 // (compromisable) kernel controls its own page tables — KShot's point
 // is that patch integrity must not depend on the kernel respecting
 // write protection.
-func Boot(m *machine.Machine, img *isa.Image, cfg BuildConfig) (*Kernel, error) {
+func Boot(m *machine.Machine, img *isa.Image, cfg BuildConfig, layout mem.ReservedLayout) (*Kernel, error) {
 	if len(img.Text) > TextRegionSize || len(img.Data) > DataRegionSize {
 		return nil, fmt.Errorf("boot: image exceeds segment bounds (%d text, %d data)", len(img.Text), len(img.Data))
 	}
@@ -68,7 +68,7 @@ func Boot(m *machine.Machine, img *isa.Image, cfg BuildConfig) (*Kernel, error) 
 	}); err != nil {
 		return nil, fmt.Errorf("boot: %w", err)
 	}
-	res, err := mem.MapReserved(m.Mem, ReservedBase)
+	res, err := mem.MapReservedLayout(m.Mem, ReservedBase, layout)
 	if err != nil {
 		return nil, fmt.Errorf("boot: %w", err)
 	}

@@ -24,7 +24,7 @@ func bootVersion(t *testing.T, version string) *Kernel {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
-	k, err := Boot(m, img, st.Config())
+	k, err := Boot(m, img, st.Config(), mem.ReservedLayout{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestSourceTreePatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	k, err := Boot(m, img, st.Config())
+	k, err := Boot(m, img, st.Config(), mem.ReservedLayout{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -351,7 +351,7 @@ func TestEndToEndExecution(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer m.Stop()
-			k, err := kernel.Boot(m, pre.Img, st.Config())
+			k, err := kernel.Boot(m, pre.Img, st.Config(), mem.ReservedLayout{})
 			if err != nil {
 				t.Fatal(err)
 			}

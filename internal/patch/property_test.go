@@ -21,6 +21,7 @@ import (
 	"kshot/internal/isa"
 	"kshot/internal/kernel"
 	"kshot/internal/machine"
+	"kshot/internal/mem"
 )
 
 // genFunc emits one random function. Branches only jump forward and
@@ -125,7 +126,7 @@ func bootFor(t *testing.T, img *isa.Image, st *kernel.SourceTree) *kernel.Kernel
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
-	k, err := kernel.Boot(m, img, st.Config())
+	k, err := kernel.Boot(m, img, st.Config(), mem.ReservedLayout{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,6 +245,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	patches  map[string]kernel.SourcePatch
+	prebuilt map[string][]byte // encoded binary patches served without a build
 	statuses []StatusReport
 	conns    map[net.Conn]struct{}
 	closed   bool
@@ -329,6 +330,7 @@ func newServer(cfg serverConfig) (*Server, error) {
 		hardStop:    make(chan struct{}),
 		cache:       newBuildCache(cfg.cacheCapacity),
 		patches:     make(map[string]kernel.SourcePatch),
+		prebuilt:    make(map[string][]byte),
 		conns:       make(map[net.Conn]struct{}),
 		keyRoot:     keyRoot,
 	}
@@ -354,8 +356,30 @@ func (s *Server) SetObserver(ob *obs.Hooks) { s.obs.Store(ob) }
 func (s *Server) RegisterPatch(p kernel.SourcePatch) {
 	s.mu.Lock()
 	s.patches[p.ID] = p
+	delete(s.prebuilt, p.ID)
 	s.mu.Unlock()
 	s.cache.invalidateCVE(p.ID)
+}
+
+// RegisterBinaryPatch adds an already-built binary patch to the
+// catalogue under bp.ID, replacing any source patch of that ID. It is
+// encoded once here; each request for it skips the kernel builds but
+// is still encrypted per session, exactly like a built patch. The size
+// sweep of Tables II/III serves its synthetic payloads this way.
+func (s *Server) RegisterBinaryPatch(bp *patch.BinaryPatch) error {
+	if bp == nil || bp.ID == "" {
+		return errors.New("patchserver: binary patch needs an ID")
+	}
+	plain, err := patch.Encode(bp)
+	if err != nil {
+		return fmt.Errorf("patchserver: %w", err)
+	}
+	s.mu.Lock()
+	s.prebuilt[bp.ID] = plain
+	delete(s.patches, bp.ID)
+	s.mu.Unlock()
+	s.cache.invalidateCVE(bp.ID)
+	return nil
 }
 
 // Statuses returns the status reports received so far.
@@ -707,12 +731,17 @@ func (s *Server) handlePatch(sess *session, req *request) *response {
 // extract the binary diff, encode — is served from the bounded
 // single-flight build cache: concurrent identical requests share one
 // build, later ones hit the cache. Encryption always runs per call, so
-// every session's ciphertext is keyed to its own channel. Exposed for
-// in-process use by benchmarks that bypass TCP.
+// every session's ciphertext is keyed to its own channel. A patch
+// registered prebuilt (RegisterBinaryPatch) skips the cache and the
+// build. Exposed for in-process use by benchmarks that bypass TCP.
 func (s *Server) BuildPatchBlob(info OSInfo, cve string, crypt *kcrypto.Session) ([]byte, error) {
 	s.mu.Lock()
 	sp, ok := s.patches[cve]
+	plain, prebuilt := s.prebuilt[cve]
 	s.mu.Unlock()
+	if prebuilt {
+		return crypt.Encrypt(plain)
+	}
 	if !ok {
 		return nil, fmt.Errorf("no patch registered for %q", cve)
 	}

@@ -75,6 +75,76 @@ func TestHelloAndFetch(t *testing.T) {
 	}
 }
 
+// TestRegisterBinaryPatch: a prebuilt patch is refused before a hello,
+// like any patch request, and afterwards decrypts under the session
+// key to exactly its encoding, without a kernel build. The last
+// registration of an ID wins, prebuilt or source.
+func TestRegisterBinaryPatch(t *testing.T) {
+	srv, entries := newTestServer(t, "CVE-2014-0196")
+	bp := &patch.BinaryPatch{
+		ID:            entries[0].CVE,
+		KernelVersion: "4.4",
+		Funcs: []patch.FuncPatch{{
+			Name: "bench_payload", Type: patch.Type1, New: true,
+			Payload: []byte{0x90, 0x90, 0xC3},
+		}},
+	}
+	if err := srv.RegisterBinaryPatch(bp); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RegisterBinaryPatch(&patch.BinaryPatch{}); err == nil {
+		t.Error("binary patch without an ID accepted")
+	}
+	want, err := patch.Encode(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.FetchPatch(context.Background(), bp.ID); err == nil {
+		t.Fatal("prebuilt patch served before hello")
+	}
+	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
+	key, err := c.Hello(info, goodMeasurement(info.Version))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := kcrypto.NewSession(key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetch := func() []byte {
+		t.Helper()
+		blob, err := c.FetchPatch(context.Background(), bp.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := sess.Decrypt(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plain
+	}
+	if plain := fetch(); !bytes.Equal(plain, want) {
+		t.Errorf("served plaintext differs from patch.Encode (%d vs %d bytes)", len(plain), len(want))
+	}
+	if n := srv.Builds(); n != 0 {
+		t.Errorf("serving a prebuilt patch ran %d builds, want 0", n)
+	}
+
+	srv.RegisterPatch(entries[0].SourcePatch())
+	if plain := fetch(); bytes.Equal(plain, want) {
+		t.Error("re-registered source patch still served the prebuilt one")
+	}
+	if n := srv.Builds(); n != 1 {
+		t.Errorf("builds after re-registering the source patch = %d, want 1", n)
+	}
+}
+
 func TestHelloRejectsBadMeasurement(t *testing.T) {
 	srv, _ := newTestServer(t, "CVE-2014-0196")
 	c, err := Dial(srv.Addr())

@@ -88,7 +88,7 @@ func newActiveRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
-	k, err := kernel.Boot(m, preImg, st.Config())
+	k, err := kernel.Boot(m, preImg, st.Config(), mem.ReservedLayout{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
-	k, err := kernel.Boot(m, preImg, st.Config())
+	k, err := kernel.Boot(m, preImg, st.Config(), mem.ReservedLayout{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestNoSessionKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	k, err := kernel.Boot(m, img, st.Config())
+	k, err := kernel.Boot(m, img, st.Config(), mem.ReservedLayout{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"kshot/internal/kernel"
 	"kshot/internal/machine"
+	"kshot/internal/mem"
 )
 
 func bootKernel(t *testing.T, vcpus int) *kernel.Kernel {
@@ -23,7 +24,7 @@ func bootKernel(t *testing.T, vcpus int) *kernel.Kernel {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
-	k, err := kernel.Boot(m, img, st.Config())
+	k, err := kernel.Boot(m, img, st.Config(), mem.ReservedLayout{})
 	if err != nil {
 		t.Fatal(err)
 	}
