@@ -71,12 +71,11 @@ type Options struct {
 	DisableFtrace bool
 	DisableInline bool
 
-	// Reserved sizes the boot-time KShot reservation. The zero value is
-	// the paper's 18 MB split; the size sweep of Tables II/III enlarges
-	// it for its 10 MB row, which cannot stage an encrypted copy in
-	// mem_W and place an executable copy in mem_X within 18 MB. Its type
-	// is internal, so code outside this module cannot set it.
-	Reserved mem.ReservedLayout
+	// reserved sizes the boot-time KShot reservation. The zero value is
+	// the paper's 18 MB split. It is unexported and set only by
+	// WithPayloadReservation, so no caller of the public API (kshot.Options
+	// aliases this struct) can resize the reservation.
+	reserved mem.ReservedLayout
 
 	// ServerAddr is the remote patch server's TCP address.
 	ServerAddr string
@@ -201,6 +200,20 @@ type System struct {
 	fetchersMu     sync.Mutex
 	idleFetchers   []*patchserver.Client
 	fetchersClosed bool
+}
+
+// WithPayloadReservation returns opts with the boot-time reservation
+// sized for a patch of n payload bytes. It keeps the paper's 18 MB split
+// while mem_W and mem_X each fit n plus 1 MB of headroom, and otherwise
+// enlarges both to n + 2 MB, so the encrypted copy can be staged in
+// mem_W and the executable copy placed in mem_X. Of the paper's sizes
+// only the 10 MB row of Tables II/III needs that (EXPERIMENTS.md, Table
+// III).
+func WithPayloadReservation(opts Options, n int) Options {
+	if m := uint64(n); m+1<<20 > mem.MemWSize || m+1<<20 > mem.MemXSize {
+		opts.reserved = mem.ReservedLayout{RWSize: mem.MemRWSize, WSize: m + 2<<20, XSize: m + 2<<20}
+	}
+	return opts
 }
 
 // Validate checks the assembled options for values no deployment can
@@ -336,7 +349,7 @@ func bootTarget(ctx context.Context, opts Options) (*machine.Machine, *kernel.Ke
 	if err != nil {
 		return nil, nil, info, err
 	}
-	k, err := kernel.Boot(m, img, tree.Config(), opts.Reserved)
+	k, err := kernel.Boot(m, img, tree.Config(), opts.reserved)
 	if err != nil {
 		m.Stop()
 		return nil, nil, info, err

@@ -332,7 +332,7 @@ func (c *TemplateCache) template(ctx context.Context, opts Options) (*Template, 
 		inline:   !opts.DisableInline,
 		dispatch: opts.Dispatch,
 		vcpus:    opts.NumVCPUs,
-		reserved: opts.Reserved,
+		reserved: opts.reserved,
 	}
 
 	c.mu.Lock()

@@ -230,31 +230,31 @@ func TestTemplateCacheKeySeparatesConfigs(t *testing.T) {
 // TestTemplateCacheSeparatesReservedLayouts: the reservation is baked
 // into a template at boot, so one cache serving the default layout and
 // an enlarged one boots two templates, and each fork's mem_X has the
-// size of its own layout.
+// size of its own layout. A payload that fits the paper's split leaves
+// the options unchanged and shares the default template.
 func TestTemplateCacheSeparatesReservedLayouts(t *testing.T) {
 	f := newTemplateFixture(t, "CVE-2014-0196")
 	cache := NewTemplateCache()
 	t.Cleanup(cache.Close)
 
-	big := mem.ReservedLayout{RWSize: mem.MemRWSize, WSize: 12 << 20, XSize: 12 << 20}
+	const big = 10 << 20
 	for _, tc := range []struct {
-		layout mem.ReservedLayout
-		xSize  uint64
+		payload int
+		xSize   uint64
 	}{
-		{mem.ReservedLayout{}, mem.MemXSize},
-		{big, big.XSize},
-		{mem.ReservedLayout{}, mem.MemXSize},
+		{0, mem.MemXSize},
+		{big, big + 2<<20},
+		{4 << 20, mem.MemXSize},
 	} {
-		opts := f.Opts
+		opts := WithPayloadReservation(f.Opts, tc.payload)
 		opts.TemplateCache = cache
-		opts.Reserved = tc.layout
 		sys, err := NewSystemCtx(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(sys.Close)
 		if got := sys.Machine.Mem.Region(mem.RegionMemX).Size; got != tc.xSize {
-			t.Errorf("layout %+v: mem_X size %d, want %d", tc.layout, got, tc.xSize)
+			t.Errorf("payload %d: mem_X size %d, want %d", tc.payload, got, tc.xSize)
 		}
 	}
 	if st := cache.Stats(); st.Misses != 2 || st.Hits != 1 {

@@ -26,7 +26,6 @@ import (
 	"kshot/internal/cvebench"
 	"kshot/internal/isa"
 	"kshot/internal/kcrypto"
-	"kshot/internal/mem"
 	"kshot/internal/patch"
 	"kshot/internal/patchserver"
 	"kshot/internal/report"
@@ -71,13 +70,7 @@ func RunSizePoint(size int, alg kcrypto.HashAlg) (SizePoint, error) {
 	if size < 1 {
 		return SizePoint{}, fmt.Errorf("size sweep: size %d, want at least 1", size)
 	}
-	opts := core.Options{Version: "4.4", NumVCPUs: 1, HashAlg: alg}
-	if n := uint64(size); n+1<<20 > mem.MemWSize || n+1<<20 > mem.MemXSize {
-		// The paper's 18 MB split cannot stage AND place the 10 MB row;
-		// enlarge the reservation for that row alone (a reproduction
-		// finding recorded in EXPERIMENTS.md, Table III).
-		opts.Reserved = mem.ReservedLayout{RWSize: mem.MemRWSize, WSize: n + 2<<20, XSize: n + 2<<20}
-	}
+	opts := core.WithPayloadReservation(core.Options{Version: "4.4", NumVCPUs: 1, HashAlg: alg}, size)
 	payload := bytes.Repeat([]byte{0x90}, size) // nop
 	payload[size-1] = 0xC3                      // ret
 	bp := &patch.BinaryPatch{
