@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race short bench benchsmoke benchjson benchmark-test check fuzz cover api apicheck corpus corpussmoke adversary-smoke
+.PHONY: all build fmt vet nogob test race short bench benchsmoke benchjson benchmark-test check fuzz cover api apicheck corpus corpussmoke adversary-smoke
 
 # Per-target budget for the fuzz smoke pass (see `fuzz` below).
 FUZZTIME ?= 30s
@@ -24,6 +24,11 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# encoding/gob stays out of non-test code: patch.Encode/Decode write
+# and read gob's bytes by hand, and tests keep gob as their oracle.
+nogob:
+	! $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -w encoding/gob
 
 test:
 	$(GO) test ./...
@@ -95,6 +100,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzCorpusCase -fuzztime=$(FUZZTIME) -run '^$$' ./internal/corpusgen/
 	$(GO) test -fuzz=FuzzEventChannel -fuzztime=$(FUZZTIME) -run '^$$' ./internal/introspect/
 	$(GO) test -fuzz=FuzzPatchDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/patch/
+	$(GO) test -fuzz=FuzzPatchEncode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/patch/
+	$(GO) test -fuzz=FuzzStateDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/orchestrator/
 
 # Generated-corpus differential verification. `corpussmoke` is the CI
 # gate: a fixed-seed 64-case sweep under -race. `corpus` is the full
@@ -112,4 +119,4 @@ corpus:
 adversary-smoke:
 	$(GO) test -race -short -run 'TestReinfectDetected|TestReplayDetected|TestGroomDetected|TestAdversaryCampaign' ./internal/adversary/
 
-check: fmt build vet test
+check: fmt build vet nogob test

@@ -55,7 +55,17 @@ func run(args []string) error {
 		return err
 	}
 
+	// The server's source view includes every benchmark subsystem, as
+	// a distro vendor's tree would.
+	all := cvebench.All()
+	for _, e := range cvebench.FigureSix() {
+		if e.FigureOnly {
+			all = append(all, e)
+		}
+	}
 	opts := []patchserver.ServerOption{
+		patchserver.WithListenAddr(*addr),
+		patchserver.WithTreeProvider(cvebench.TreeProviderFor(all...)),
 		patchserver.WithIdleTimeout(*idle),
 		patchserver.WithMaxConns(*maxConns),
 		patchserver.WithAcceptWait(*wait),
@@ -66,16 +76,7 @@ func run(args []string) error {
 		hooks = obs.NewHooks(obs.DefaultTraceCapacity, nil)
 		opts = append(opts, patchserver.WithServerObserver(hooks))
 	}
-
-	// The server's source view includes every benchmark subsystem, as
-	// a distro vendor's tree would.
-	all := cvebench.All()
-	for _, e := range cvebench.FigureSix() {
-		if e.FigureOnly {
-			all = append(all, e)
-		}
-	}
-	srv, err := patchserver.NewServer(*addr, cvebench.TreeProviderFor(all...), opts...)
+	srv, err := patchserver.New(opts...)
 	if err != nil {
 		return err
 	}

@@ -9,11 +9,11 @@
 //
 //	kshot-rollout -targets 32 -domains 4 -cves CVE-2016-0728,CVE-2014-0196
 //	kshot-rollout -targets 64 -chaos-frac 0.03 -seed 7   # seeded mid-SMI chaos
-//	kshot-rollout -state /tmp/roll.gob                   # crash-resumable
+//	kshot-rollout -state /tmp/roll.state                 # crash-resumable
 //
-// With -state, rollout progress persists after every wave: rerunning
-// the same command resumes where the previous coordinator stopped
-// instead of re-patching completed targets.
+// With -state, progress persists once each wave's targets have run
+// and at its health gate: rerunning the same command resumes where the
+// previous coordinator stopped instead of re-patching completed targets.
 package main
 
 import (

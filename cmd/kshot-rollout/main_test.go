@@ -38,7 +38,7 @@ func TestChaosRolloutWithState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full rollout skipped in -short mode")
 	}
-	state := filepath.Join(t.TempDir(), "roll.gob")
+	state := filepath.Join(t.TempDir(), "roll.state")
 	var out strings.Builder
 	// Chaos that refuses every SMI on every target: the canary rolls
 	// back and the rollout halts with wave-granular state persisted.

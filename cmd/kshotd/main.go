@@ -66,7 +66,7 @@ func run(args []string) error {
 	addr := *server
 	var standaloneSrv *patchserver.Server
 	if *standalone {
-		srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entries...))
+		srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(entries...)))
 		if err != nil {
 			return err
 		}

@@ -112,7 +112,7 @@ func NewSim(version string) (*Sim, error) {
 	list = append(list, spin)
 	extra[spin.File] = spin.Vuln
 
-	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(list...))
+	srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(list...)))
 	if err != nil {
 		return nil, err
 	}

@@ -247,7 +247,7 @@ func TestApplyAllRetriesOnlyActiveMember(t *testing.T) {
 		tree.AddFile("cve/spin.asm", spinVuln)
 		return tree, nil
 	}
-	srv, err := patchserver.NewServer("127.0.0.1:0", provider)
+	srv, err := patchserver.New(patchserver.WithTreeProvider(provider))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func newDeployment(t *testing.T, version string, alg kcrypto.HashAlg, cves ...st
 		entries[i] = e
 		extra[e.File] = e.Vuln
 	}
-	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entries...))
+	srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(entries...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestNewSystemErrors(t *testing.T) {
 	if _, err := sys.Apply(context.Background(), e.CVE); err == nil {
 		t.Fatal("Apply against a dead server succeeded")
 	}
-	live, err := patchserver.NewServer(opts.ServerAddr, cvebench.TreeProviderFor(e))
+	live, err := patchserver.New(patchserver.WithListenAddr(opts.ServerAddr), patchserver.WithTreeProvider(cvebench.TreeProviderFor(e)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestNewSystemErrors(t *testing.T) {
 
 	// A server that does not know the vulnerable subsystem cannot
 	// patch it; Apply fails cleanly.
-	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor())
+	srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestActivenessOptionEndToEnd(t *testing.T) {
 	// With CheckActiveness on, a patch to a function currently running
 	// on a vCPU is refused and can be retried once the call drains.
 	entries := []*cvebench.Entry{mustGet(t, "CVE-2014-0196")}
-	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entries...))
+	srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(entries...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +597,7 @@ func TestFleetOneServerManyTargets(t *testing.T) {
 	// cloud deployment the paper's introduction motivates. Targets run
 	// different kernel versions; each gets a correctly rebuilt patch.
 	e := mustGet(t, "CVE-2016-7916")
-	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(e))
+	srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(e)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,9 @@ func newFetchPoolRig(tb testing.TB, requestRetries int, srvOpts ...patchserver.S
 		extra[e.File] = e.Vuln
 	}
 	hooks := obs.NewHooks(16, nil)
-	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entries...),
-		append([]patchserver.ServerOption{patchserver.WithServerObserver(hooks)}, srvOpts...)...)
+	srv, err := patchserver.New(append([]patchserver.ServerOption{
+		patchserver.WithTreeProvider(cvebench.TreeProviderFor(entries...)),
+		patchserver.WithServerObserver(hooks)}, srvOpts...)...)
 	if err != nil {
 		tb.Fatal(err)
 	}

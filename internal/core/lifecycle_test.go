@@ -26,7 +26,7 @@ func lifecycleOptions(tb testing.TB) Options {
 		entries = append(entries, e)
 		extra[e.File] = e.Vuln
 	}
-	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entries...))
+	srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(entries...)))
 	if err != nil {
 		tb.Fatal(err)
 	}

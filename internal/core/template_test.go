@@ -27,7 +27,7 @@ func newTemplateFixture(t *testing.T, cve string) *templateFixture {
 	if !ok {
 		t.Fatalf("unknown CVE %s", cve)
 	}
-	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(e))
+	srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(e)))
 	if err != nil {
 		t.Fatal(err)
 	}

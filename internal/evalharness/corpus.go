@@ -227,7 +227,7 @@ func VerifyCase(c *corpusgen.Case, e2e bool) *CaseResult {
 // re-exploit, roll back, frame-diff kernel.text, re-exploit.
 func verifyCaseE2E(c *corpusgen.Case, res *CaseResult) {
 	entry := c.Entry()
-	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entry))
+	srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(entry)))
 	if err != nil {
 		res.diverge("e2e-setup", "patch server: %v", err)
 		return

@@ -64,7 +64,7 @@ func newDetectionFixture(cve string) (*detectionFixture, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown CVE %q", cve)
 	}
-	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(e))
+	srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(e)))
 	if err != nil {
 		return nil, err
 	}

@@ -164,7 +164,7 @@ func NewDeploymentDispatch(version string, numVCPUs int, alg kcrypto.HashAlg, d 
 // prebuilt binary patches, provisions a System from opts that is
 // vulnerable to entries, and makes the System's first contact.
 func deploy(opts core.Options, entries []*cvebench.Entry, prebuilt ...*patch.BinaryPatch) (*Deployment, error) {
-	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entries...))
+	srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(entries...)))
 	if err != nil {
 		return nil, err
 	}

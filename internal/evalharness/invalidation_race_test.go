@@ -35,7 +35,7 @@ func TestBlockInvalidationUnderConcurrentApply(t *testing.T) {
 	if !ok {
 		t.Fatal("CVE-2014-4157 not in registry")
 	}
-	srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(e))
+	srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(e)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func TestLockstepCorpusArchetypes(t *testing.T) {
 		c := picked[arch]
 		t.Run(arch, func(t *testing.T) {
 			entry := c.Entry()
-			srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entry))
+			srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(entry)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,10 +19,10 @@
 //
 // The whole rollout is deterministic from its seed: wave composition,
 // chaos schedules (WithTargetFaults + FaultFraction), and the
-// persisted state bytes all replay exactly. State is gob-encoded with
-// pinned type IDs and saved through a Store after every target and
-// wave, so a crashed coordinator resumes without re-patching
-// completed targets.
+// persisted state bytes all replay exactly. State is saved as a
+// versioned, checksummed record (EncodeState) through a Store once a
+// wave's targets have run and again at its health gate, so a crashed
+// coordinator resumes without re-patching completed targets.
 package orchestrator
 
 import (

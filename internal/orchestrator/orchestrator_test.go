@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -586,9 +587,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if st, err := fs.Load(); err != nil || st != nil {
 		t.Fatalf("Load before save = %v, %v; want nil, nil", st, err)
 	}
-	want := &State{Seed: 9, CVEs: []string{"CVE-2016-0728"},
-		Waves:   []Wave{{Index: 0, Targets: []string{"a"}}},
-		Targets: []TargetState{{ID: "a", Domain: "r0", Status: StatusPatched}}}
+	want := fullState()
 	if err := fs.Save(want); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
@@ -596,7 +595,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
 	}
 }

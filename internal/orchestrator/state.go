@@ -1,14 +1,16 @@
 package orchestrator
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"sort"
 	"sync"
 	"time"
+
+	"kshot/internal/wire"
 )
 
 // Status is a target's position in the rollout lifecycle.
@@ -93,8 +95,8 @@ type TargetState struct {
 // State is the resumable rollout record. It is persisted through a
 // Store after every target completion and wave boundary, so a
 // coordinator crash resumes without re-patching completed targets.
-// Encoding is gob with pinned type IDs; all slices are kept in sorted
-// or plan order, so the same seed always persists identical bytes.
+// All slices are kept in sorted or plan order, so the same seed always
+// persists identical bytes.
 type State struct {
 	// Seed is the determinism root the plan and chaos schedules
 	// derive from.
@@ -151,24 +153,108 @@ func (st *State) clone() *State {
 	return &out
 }
 
-// EncodeState serializes a rollout state with the package's pinned
-// gob encoding. Same state, same bytes — the chaos suite's replay
-// witness compares these directly.
-func EncodeState(st *State) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("orchestrator: encode state: %w", err)
+const (
+	stateMagic   = "KSRS"
+	stateVersion = 1
+)
+
+// ErrCorruptState reports persisted bytes that are not a state this
+// build wrote: a foreign header or version, a checksum mismatch, a
+// truncated or overlong record, or a field out of range.
+var ErrCorruptState = errors.New("orchestrator: corrupt rollout state")
+
+// EncodeState serializes a rollout state: a 4-byte magic and a version
+// byte, the fields in declaration order (internal/wire), and a CRC-32
+// (IEEE) of everything before it. Same state, same bytes — the chaos
+// suite's replay witness compares these directly.
+func EncodeState(st *State) []byte {
+	b := append([]byte(stateMagic), stateVersion)
+	b = wire.AppendVarint(b, st.Seed)
+	b = appendStrings(b, st.CVEs)
+	b = wire.AppendUvarint(b, uint64(len(st.Waves)))
+	for _, w := range st.Waves {
+		b = wire.AppendVarint(b, int64(w.Index))
+		b = appendStrings(b, w.Targets)
 	}
-	return buf.Bytes(), nil
+	b = wire.AppendUvarint(b, uint64(len(st.Targets)))
+	for _, t := range st.Targets {
+		b = wire.AppendString(b, t.ID)
+		b = wire.AppendString(b, t.Domain)
+		b = wire.AppendVarint(b, int64(t.Wave))
+		b = wire.AppendUvarint(b, uint64(t.Status))
+		b = appendStrings(b, t.Applied)
+		b = wire.AppendVarint(b, int64(t.Failures))
+		b = wire.AppendVarint(b, int64(t.Pause))
+		b = wire.AppendVarint(b, int64(t.Downtime))
+		b = wire.AppendString(b, t.Err)
+	}
+	b = wire.AppendVarint(b, int64(st.NextWave))
+	b = wire.AppendVarint(b, int64(st.Baseline))
+	b = wire.AppendBool(b, st.Halted)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// DecodeState deserializes a persisted rollout state.
+// DecodeState deserializes a persisted rollout state. Anything
+// EncodeState cannot have written fails with ErrCorruptState.
 func DecodeState(b []byte) (*State, error) {
-	var st State
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("orchestrator: decode state: %w", err)
+	head := len(stateMagic) + 1
+	switch {
+	case len(b) < head+4 || string(b[:len(stateMagic)]) != stateMagic:
+		return nil, fmt.Errorf("%w: no state header", ErrCorruptState)
+	case b[len(stateMagic)] != stateVersion:
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrCorruptState, b[len(stateMagic)], stateVersion)
 	}
-	return &st, nil
+	body := b[:len(b)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(b[len(body):]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptState)
+	}
+	d := wire.NewDecoder(body[head:])
+	st := &State{Seed: d.Varint(), CVEs: decodeStrings(d)}
+	if n := d.Len(); n > 0 {
+		st.Waves = make([]Wave, n)
+	}
+	for i := range st.Waves {
+		st.Waves[i] = Wave{Index: int(d.Varint()), Targets: decodeStrings(d)}
+	}
+	if n := d.Len(); n > 0 {
+		st.Targets = make([]TargetState, n)
+	}
+	for i := range st.Targets {
+		t := &st.Targets[i]
+		t.ID, t.Domain, t.Wave = d.String(), d.String(), int(d.Varint())
+		status := d.Uvarint()
+		if status > uint64(StatusRolledBack) {
+			return nil, fmt.Errorf("%w: target %d status %d", ErrCorruptState, i, status)
+		}
+		t.Status, t.Applied, t.Failures = Status(status), decodeStrings(d), int(d.Varint())
+		t.Pause, t.Downtime, t.Err = time.Duration(d.Varint()), time.Duration(d.Varint()), d.String()
+	}
+	st.NextWave, st.Baseline, st.Halted = int(d.Varint()), time.Duration(d.Varint()), d.Bool()
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptState, err)
+	}
+	return st, nil
+}
+
+func appendStrings(b []byte, ss []string) []byte {
+	b = wire.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = wire.AppendString(b, s)
+	}
+	return b
+}
+
+// decodeStrings reads what appendStrings wrote; empty reads as nil.
+func decodeStrings(d *wire.Decoder) []string {
+	n := d.Len()
+	if n == 0 {
+		return nil
+	}
+	ss := make([]string, n)
+	for i := range ss {
+		ss[i] = d.String()
+	}
+	return ss
 }
 
 // Store persists rollout state across coordinator restarts. Load
@@ -188,10 +274,7 @@ type MemStore struct {
 
 // Save encodes and retains the state.
 func (m *MemStore) Save(st *State) error {
-	b, err := EncodeState(st)
-	if err != nil {
-		return err
-	}
+	b := EncodeState(st)
 	m.mu.Lock()
 	m.buf = b
 	m.mu.Unlock()
@@ -229,10 +312,7 @@ func NewFileStore(path string) *FileStore { return &FileStore{path: path} }
 
 // Save atomically replaces the state file.
 func (f *FileStore) Save(st *State) error {
-	b, err := EncodeState(st)
-	if err != nil {
-		return err
-	}
+	b := EncodeState(st)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	tmp := f.path + ".tmp"

@@ -2,12 +2,8 @@ package patch
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
-	"encoding/hex"
-	"os"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -32,10 +28,7 @@ func pinnedPatch() *BinaryPatch {
 // from it, so a change here moves the golden report.
 func TestEncodeLengthPinned(t *testing.T) {
 	bp := pinnedPatch()
-	b, err := Encode(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := Encode(bp)
 	if len(b) != 556 {
 		t.Errorf("encoded length %d, want %d", len(b), 556)
 	}
@@ -60,39 +53,53 @@ func gobDecode(data []byte) (*BinaryPatch, error) {
 	return &bp, nil
 }
 
-// TestEncodePrefixPinned pins the type-definition prefix Decode
-// requires, so that a Go release changing gob's type encoding, or a gob
-// use that shifts the pinned type IDs, fails here rather than in the
-// enclave. The committed file holds the prefix in hex.
-func TestEncodePrefixPinned(t *testing.T) {
-	want, err := os.ReadFile("testdata/binarypatch_gob_prefix.hex")
-	if err != nil {
+// gobEncode is the oracle Encode is held to: a fresh encoding/gob
+// encoder. No package outside the tests runs gob, so BinaryPatch is the
+// first type it numbers, as it was when the embedded prefix was taken.
+func gobEncode(t testing.TB, bp *BinaryPatch) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(bp); err != nil {
 		t.Fatal(err)
 	}
-	if got := hex.EncodeToString(typePrefix); got != strings.Join(strings.Fields(string(want)), "") {
-		t.Errorf("gob type-definition prefix changed; it is now\n%s", got)
-	}
-	b, err := Encode(pinnedPatch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(b, typePrefix) {
-		t.Error("Encode output does not start with the captured prefix")
-	}
+	return b.Bytes()
 }
 
-// appendGobUint appends x in gob's unsigned integer encoding.
-func appendGobUint(b []byte, x uint64) []byte {
-	if x < 0x80 {
-		return append(b, byte(x))
+// splitTypePrefix returns the messages of a gob stream ahead of its
+// first value message, and that value's type ID. Each message is a
+// length and a signed type ID; a type definition's ID is negative.
+func splitTypePrefix(stream []byte) ([]byte, int64, error) {
+	c := gobCodec{buf: stream}
+	for c.err == nil {
+		rest := c.buf
+		n := c.count()
+		next := c.buf[n:]
+		if id := c.int(); c.err == nil && id > 0 {
+			return stream[:len(stream)-len(rest)], id, nil
+		}
+		c.buf = next
 	}
-	var v [8]byte
-	binary.BigEndian.PutUint64(v[:], x)
-	i := 0
-	for v[i] == 0 {
-		i++
+	return nil, 0, c.err
+}
+
+// TestEncodePrefixPinned holds the embedded type-definition prefix, and
+// the value type ID after it, to what gob writes for a BinaryPatch
+// today, so that a Go release changing gob's type encoding fails here
+// rather than in the enclave.
+func TestEncodePrefixPinned(t *testing.T) {
+	prefix, id, err := splitTypePrefix(gobEncode(t, &BinaryPatch{}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return append(append(b, byte(256-(8-i))), v[i:]...)
+	if !bytes.Equal(prefix, typePrefix) {
+		t.Errorf("gob type-definition prefix changed; it is now\n%x\nembedded\n%x", prefix, typePrefix)
+	}
+	if id != valueTypeID {
+		t.Errorf("gob value type ID %d, want %d", id, valueTypeID)
+	}
+	if !bytes.HasPrefix(Encode(pinnedPatch()), typePrefix) {
+		t.Error("Encode output does not start with the embedded prefix")
+	}
 }
 
 // valueMessage frames body as an Encode stream whose value message
@@ -107,16 +114,13 @@ func valueMessage(id int64, body ...byte) []byte {
 // that breaks it. The empty value message, which decodes, shows that
 // the framing helper is sound.
 func TestDecodeRejects(t *testing.T) {
-	if bp, err := Decode(valueMessage(valueTypeID, 0)); err != nil || !reflect.DeepEqual(bp, &BinaryPatch{}) {
+	id := int64(valueTypeID)
+	if bp, err := Decode(valueMessage(id, 0)); err != nil || !reflect.DeepEqual(bp, &BinaryPatch{}) {
 		t.Fatalf("empty value message: %+v, %v", bp, err)
 	}
-	good, err := Encode(pinnedPatch())
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := Encode(pinnedPatch())
 	flipped := bytes.Clone(good)
 	flipped[len(typePrefix)/2] ^= 1
-	id := valueTypeID
 	for _, c := range []struct {
 		name string
 		data []byte
@@ -149,10 +153,7 @@ func TestDecodeRejects(t *testing.T) {
 // one per non-empty string and slice, 15 for pinnedPatch. Gob's decoder
 // takes over 300, so this also keeps it off the path.
 func TestDecodeAllocs(t *testing.T) {
-	b, err := Encode(pinnedPatch())
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := Encode(pinnedPatch())
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := Decode(b); err != nil {
 			t.Fatal(err)
@@ -165,10 +166,7 @@ func TestDecodeAllocs(t *testing.T) {
 
 // BenchmarkPatchDecode compares Decode with gob's decoder on one stream.
 func BenchmarkPatchDecode(b *testing.B) {
-	data, err := Encode(pinnedPatch())
-	if err != nil {
-		b.Fatal(err)
-	}
+	data := Encode(pinnedPatch())
 	for _, bc := range []struct {
 		name   string
 		decode func([]byte) (*BinaryPatch, error)
@@ -291,10 +289,7 @@ func FuzzPatchDecode(f *testing.F) {
 			}
 		}
 		bp := fuzzPatch(data)
-		enc, err := Encode(bp)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := Encode(bp)
 		got, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("Decode(Encode(%+v)): %v", bp, err)
@@ -302,6 +297,19 @@ func FuzzPatchDecode(f *testing.F) {
 		requireGobAgrees(t, enc, got)
 		if want := gobNormal(bp); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+		}
+	})
+}
+
+// FuzzPatchEncode holds Encode to gob's encoder: for any BinaryPatch
+// the input builds, the two write the same bytes.
+func FuzzPatchEncode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(Encode(pinnedPatch()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bp := fuzzPatch(data)
+		if got, want := Encode(bp), gobEncode(t, bp); !bytes.Equal(got, want) {
+			t.Fatalf("Encode(%+v):\n got %x\nwant %x", bp, got, want)
 		}
 	})
 }

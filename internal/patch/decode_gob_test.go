@@ -15,27 +15,36 @@ import (
 	"kshot/internal/patchserver"
 )
 
-// requireMatchesGob decodes plain with patch.Decode and with gob's own
-// decoder, and requires equal results that re-encode to plain.
+// requireMatchesGob holds patch.Encode and patch.Decode to gob's own
+// encoder and decoder on plain, the output of Encode: gob must write
+// the same bytes for the patch it reads from plain, and Decode must
+// return that patch, which re-encodes to plain.
 func requireMatchesGob(t *testing.T, name string, plain []byte) {
 	t.Helper()
-	got, err := patch.Decode(plain)
-	if err != nil {
-		t.Fatalf("%s: Decode: %v", name, err)
-	}
 	var want patch.BinaryPatch
 	if err := gob.NewDecoder(bytes.NewReader(plain)).Decode(&want); err != nil {
 		t.Fatalf("%s: gob: %v", name, err)
 	}
+	var enc bytes.Buffer
+	if err := gob.NewEncoder(&enc).Encode(&want); err != nil {
+		t.Fatalf("%s: gob: %v", name, err)
+	}
+	if !bytes.Equal(enc.Bytes(), plain) {
+		t.Fatalf("%s: Encode and gob write different bytes:\n got %x\nwant %x", name, plain, enc.Bytes())
+	}
+	got, err := patch.Decode(plain)
+	if err != nil {
+		t.Fatalf("%s: Decode: %v", name, err)
+	}
 	if !reflect.DeepEqual(got, &want) {
 		t.Fatalf("%s: Decode and gob differ:\n got %+v\nwant %+v", name, got, &want)
 	}
-	if again, err := patch.Encode(got); err != nil || !bytes.Equal(again, plain) {
-		t.Fatalf("%s: decoded patch does not re-encode to its input (err %v)", name, err)
+	if !bytes.Equal(patch.Encode(got), plain) {
+		t.Fatalf("%s: decoded patch does not re-encode to its input", name)
 	}
 }
 
-// TestDecodeMatchesGob holds Decode to gob's decoder on real artifacts:
+// TestDecodeMatchesGob holds Encode and Decode to gob on real artifacts:
 // every Table I patch as the patch server builds it for the four kernel
 // configurations of a mixed fleet (4.4 and 3.14, ftrace on and off),
 // and a sweep of generated corpus cases, each under its own build
@@ -47,7 +56,7 @@ func TestDecodeMatchesGob(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wave := range cvebench.ConflictFreeWaves(cvebench.All()) {
-		srv, err := patchserver.NewServer("127.0.0.1:0", cvebench.TreeProviderFor(wave...))
+		srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(wave...)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,10 +101,6 @@ func TestDecodeMatchesGob(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.ID, err)
 		}
-		plain, err := patch.Encode(bp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireMatchesGob(t, c.ID, plain)
+		requireMatchesGob(t, c.ID, patch.Encode(bp))
 	}
 }

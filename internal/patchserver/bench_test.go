@@ -90,7 +90,7 @@ func newBenchServer(b *testing.B, cves ...string) *Server {
 		}
 		entries[i] = e
 	}
-	srv, err := NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entries...))
+	srv, err := New(WithTreeProvider(cvebench.TreeProviderFor(entries...)))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,9 +7,9 @@ import (
 
 // buildKey identifies one cacheable build artifact: the target's exact
 // build configuration plus the CVE. Two targets with the same key
-// receive byte-identical plaintext patches (the gob type-ID pinning in
-// internal/patch makes the encoding deterministic), so the expensive
-// double kernel build only ever needs to happen once per key.
+// receive byte-identical plaintext patches (patch.Encode is a pure
+// function of the built patch), so the expensive double kernel build
+// only ever needs to happen once per key.
 type buildKey struct {
 	version string
 	ftrace  bool

@@ -262,7 +262,7 @@ func TestMaxConnsBackpressureAndRefusal(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown CVE")
 	}
-	gated, err := NewServer("127.0.0.1:0", cvebench.TreeProviderFor(e),
+	gated, err := New(WithTreeProvider(cvebench.TreeProviderFor(e)),
 		WithMaxConns(1), WithAcceptWait(30*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

@@ -73,7 +73,7 @@ func FuzzServerFrame(f *testing.F) {
 	if !ok {
 		f.Fatal("unknown CVE")
 	}
-	srv, err := NewServer("127.0.0.1:0", cvebench.TreeProviderFor(e),
+	srv, err := New(WithTreeProvider(cvebench.TreeProviderFor(e)),
 		WithIdleTimeout(2*time.Second))
 	if err != nil {
 		f.Fatal(err)

@@ -303,16 +303,6 @@ func New(opts ...ServerOption) (*Server, error) {
 	return newServer(cfg)
 }
 
-// NewServer starts a server on addr ("127.0.0.1:0" for an ephemeral
-// port). Close it when done.
-//
-// Deprecated: NewServer is the pre-functional-options constructor,
-// kept for compatibility. Use New with WithListenAddr and
-// WithTreeProvider.
-func NewServer(addr string, trees TreeProvider, opts ...ServerOption) (*Server, error) {
-	return New(append([]ServerOption{WithListenAddr(addr), WithTreeProvider(trees)}, opts...)...)
-}
-
 func newServer(cfg serverConfig) (*Server, error) {
 	keyRoot := make([]byte, 32)
 	if _, err := io.ReadFull(rand.Reader, keyRoot); err != nil {
@@ -370,10 +360,7 @@ func (s *Server) RegisterBinaryPatch(bp *patch.BinaryPatch) error {
 	if bp == nil || bp.ID == "" {
 		return errors.New("patchserver: binary patch needs an ID")
 	}
-	plain, err := patch.Encode(bp)
-	if err != nil {
-		return fmt.Errorf("patchserver: %w", err)
-	}
+	plain := patch.Encode(bp)
 	s.mu.Lock()
 	s.prebuilt[bp.ID] = plain
 	delete(s.patches, bp.ID)
@@ -816,7 +803,7 @@ func (s *Server) buildPlain(info OSInfo, sp kernel.SourcePatch) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	return patch.Encode(bp)
+	return patch.Encode(bp), nil
 }
 
 // Client tuning defaults.

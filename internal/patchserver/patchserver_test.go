@@ -24,7 +24,7 @@ func newTestServer(t *testing.T, cves ...string) (*Server, []*cvebench.Entry) {
 		}
 		entries[i] = e
 	}
-	srv, err := NewServer("127.0.0.1:0", cvebench.TreeProviderFor(entries...))
+	srv, err := New(WithTreeProvider(cvebench.TreeProviderFor(entries...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +95,7 @@ func TestRegisterBinaryPatch(t *testing.T) {
 	if err := srv.RegisterBinaryPatch(&patch.BinaryPatch{}); err == nil {
 		t.Error("binary patch without an ID accepted")
 	}
-	want, err := patch.Encode(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := patch.Encode(bp)
 
 	c, err := Dial(srv.Addr())
 	if err != nil {

@@ -188,7 +188,7 @@ func TestCapacityRefusalSurfacesOnClient(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown CVE")
 	}
-	srv, err := NewServer("127.0.0.1:0", cvebench.TreeProviderFor(e),
+	srv, err := New(WithTreeProvider(cvebench.TreeProviderFor(e)),
 		WithMaxConns(1), WithAcceptWait(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestIdleDeadlineReapsSilentClient(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown CVE")
 	}
-	srv, err := NewServer("127.0.0.1:0", cvebench.TreeProviderFor(e),
+	srv, err := New(WithTreeProvider(cvebench.TreeProviderFor(e)),
 		WithIdleTimeout(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

@@ -113,10 +113,7 @@ func newMultiFixture(t *testing.T, n int) *multiFixture {
 
 func (f *multiFixture) serverBlob(t *testing.T, bp *patch.BinaryPatch) []byte {
 	t.Helper()
-	plain, err := patch.Encode(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := patch.Encode(bp)
 	sess, err := kcrypto.NewSession(f.serverKey, nil)
 	if err != nil {
 		t.Fatal(err)

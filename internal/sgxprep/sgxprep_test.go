@@ -143,10 +143,7 @@ func newFixture(t testing.TB, alg kcrypto.HashAlg) *fixture {
 // serverBlob encrypts the binary patch the way the server does.
 func (f *fixture) serverBlob(t *testing.T) []byte {
 	t.Helper()
-	plain, err := patch.Encode(f.bp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := patch.Encode(f.bp)
 	sess, err := kcrypto.NewSession(f.serverKey, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +221,7 @@ func TestRejectsWrongServerKey(t *testing.T) {
 	f := newFixture(t, kcrypto.HashSHA256)
 	wrong := make([]byte, 32)
 	sess, _ := kcrypto.NewSession(wrong, nil)
-	plain, _ := patch.Encode(f.bp)
+	plain := patch.Encode(f.bp)
 	ct, _ := sess.Encrypt(plain)
 	args := EncodePrepareArgs(&PrepareArgs{ServerBlob: ct, SMMPub: testNonce})
 	if _, err := f.enclave.ECall(FnPrepare, args); err == nil {
