@@ -119,4 +119,4 @@ corpus:
 adversary-smoke:
 	$(GO) test -race -short -run 'TestReinfectDetected|TestReplayDetected|TestGroomDetected|TestAdversaryCampaign' ./internal/adversary/
 
-check: fmt build vet nogob test
+check: fmt build vet nogob apicheck test

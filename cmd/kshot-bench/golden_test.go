@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -75,17 +76,24 @@ func firstDiff(want, got string) string {
 	return fmt.Sprintf("line counts differ: want %d lines, got %d", len(wl), len(gl))
 }
 
-// TestExperimentsMatchGolden keeps EXPERIMENTS.md honest: every
-// "paper → measured" cell of its Tables II and III must read exactly
-// what kshot-bench prints for that cell (report.Us of the golden
-// value; thousands separators aside).
+// TestExperimentsMatchGolden keeps EXPERIMENTS.md honest against the
+// golden file:
+//   - every "paper → measured" cell of Tables II and III reads exactly
+//     what kshot-bench prints for that cell (report.Us of the golden
+//     value; thousands separators aside);
+//   - every "paper → measured" OS-pause cell of Table V reads the golden
+//     pause in the unit and to the decimals the cell shows;
+//   - every cell of the pipelined ApplyAll table reads what kshot-bench
+//     -pipeline prints (counts, report.Us pauses, the reduction to 0.1 %).
 func TestExperimentsMatchGolden(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden", goldenArtifacts))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		SizeSweep []evalharness.SizePoint `json:"size_sweep"`
+		SizeSweep []evalharness.SizePoint         `json:"size_sweep"`
+		Table5    []evalharness.ComparisonRow     `json:"table5"`
+		Pipeline  evalharness.PipelinedComparison `json:"pipeline"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
@@ -135,6 +143,81 @@ func TestExperimentsMatchGolden(t *testing.T) {
 			t.Errorf("%s: found %d size rows, want %d", strings.TrimSpace(tc.heading), rows, len(evalharness.PaperSizes))
 		}
 	}
+
+	// Table V's pause column. KARMA pauses nothing, so its cell gives the
+	// whole patch's time and says "total".
+	bySystem := make(map[string]evalharness.ComparisonRow, len(doc.Table5))
+	for _, r := range doc.Table5 {
+		bySystem[r.System] = r
+	}
+	rows := 0
+	for _, line := range tableLines(string(md), "## Table V ") {
+		cells := tableCells(line)
+		r, ok := bySystem[cells[0]]
+		if !ok || len(cells) < 3 {
+			continue
+		}
+		rows++
+		_, measured, found := strings.Cut(cells[2], "→")
+		measured = strings.TrimSpace(measured)
+		want := r.Pause
+		if m, ok := strings.CutSuffix(measured, " total"); ok {
+			measured, want = m, r.Total
+		}
+		if !found || measured != atPrecisionOf(measured, want) {
+			t.Errorf("Table V %s pause reads %q, golden pause is %v", r.System, cells[2], want)
+		}
+	}
+	if rows != len(doc.Table5) {
+		t.Errorf("Table V: found %d system rows, want %d", rows, len(doc.Table5))
+	}
+
+	p := doc.Pipeline
+	wantPipelined := map[string][]string{
+		"serial `Apply`": {fmt.Sprint(p.Patches), fmt.Sprint(p.SerialSMIs), report.Us(p.SerialPause) + " µs"},
+		"pipelined `ApplyAll`": {fmt.Sprint(p.Patches), fmt.Sprint(p.BatchSMIs),
+			fmt.Sprintf("%s µs (−%.1f %%)", report.Us(p.BatchPause), 100*p.PauseReduction())},
+	}
+	rows = 0
+	for _, line := range tableLines(string(md), "## Pipelined ApplyAll vs serial Apply ") {
+		cells := tableCells(line)
+		want, ok := wantPipelined[cells[0]]
+		if !ok {
+			continue
+		}
+		rows++
+		if !slices.Equal(cells[1:], want) {
+			t.Errorf("pipelined table row %s reads %q, kshot-bench prints %q", cells[0], cells[1:], want)
+		}
+	}
+	if rows != len(wantPipelined) {
+		t.Errorf("pipelined table: found %d mode rows, want %d", rows, len(wantPipelined))
+	}
+}
+
+// tableCells splits a markdown table row into trimmed cells, dropping
+// bold markers.
+func tableCells(line string) []string {
+	cells := strings.Split(strings.Trim(line, "| "), "|")
+	for i, c := range cells {
+		cells[i] = strings.TrimSpace(strings.ReplaceAll(c, "**", ""))
+	}
+	return cells
+}
+
+// atPrecisionOf formats d like cell: in cell's unit (s, ms or µs) and
+// with as many decimals as cell's number has.
+func atPrecisionOf(cell string, d time.Duration) string {
+	num, unit, _ := strings.Cut(cell, " ")
+	scale := map[string]time.Duration{"s": time.Second, "ms": time.Millisecond, "µs": time.Microsecond}[unit]
+	if scale == 0 {
+		return ""
+	}
+	decimals := 0
+	if _, frac, ok := strings.Cut(num, "."); ok {
+		decimals = len(frac)
+	}
+	return fmt.Sprintf("%.*f %s", decimals, float64(d)/float64(scale), unit)
 }
 
 // tableLines returns the markdown table rows of the section that

@@ -87,10 +87,15 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
+	// Every target forks one cached template instead of booting its own.
+	templates := kshot.NewTemplateCache()
+	defer templates.Close()
+
 	opts := []kshot.RolloutOption{
 		kshot.WithTargets(fleet),
 		kshot.WithCVEs(ids...),
-		kshot.WithProvisioner(kshot.SystemProvisioner(srv.Addr(), kshot.WithExtraFiles(files))),
+		kshot.WithProvisioner(kshot.SystemProvisioner(srv.Addr(),
+			kshot.WithExtraFiles(files), kshot.WithTemplateCache(templates))),
 		kshot.WithSeed(*seed),
 		kshot.WithCanarySize(*canary),
 		kshot.WithFirstWaveFraction(*firstFrac),

@@ -261,7 +261,7 @@ func TestApplyAllRetriesOnlyActiveMember(t *testing.T) {
 	for _, e := range entries {
 		extra[e.File] = e.Vuln
 	}
-	sys, err := NewSystem(Options{
+	sys, err := NewSystemCtx(context.Background(), Options{
 		Version:         "4.4",
 		NumVCPUs:        2,
 		ExtraFiles:      extra,

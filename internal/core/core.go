@@ -218,12 +218,19 @@ func WithPayloadReservation(opts Options, n int) Options {
 
 // Validate checks the assembled options for values no deployment can
 // boot with, returning a typed *options.Error (matching
-// options.ErrInvalid) for the first offender. NewSystem calls it; the
-// functional-options constructor surfaces the same errors through its
-// With* funcs.
+// options.ErrInvalid) for the first offender. It is the one place a
+// System option's value is checked: NewSystemCtx and NewTemplate call
+// it, so every route into a System — kshot.New's With* funcs, a custom
+// kshot.Option, or a literal Options — meets the same rules. The error
+// names the kshot.With* func that sets the offending field.
 func (o *Options) Validate() error {
 	bad := func(option, format string, a ...any) error {
 		return options.Errorf("kshot.New", option, format, a...)
+	}
+	switch o.Version {
+	case "", "3.14", "4.4":
+	default:
+		return bad("WithVersion", "unsupported kernel version %q (want 3.14 or 4.4)", o.Version)
 	}
 	if o.NumVCPUs < 0 {
 		return bad("WithVCPUs", "must be >= 0, got %d", o.NumVCPUs)
@@ -232,10 +239,20 @@ func (o *Options) Validate() error {
 	case isa.DispatchBlocks, isa.DispatchOracle:
 	case isa.DispatchLockstep:
 		if o.NumVCPUs > 1 {
-			return bad("WithDispatch", "lockstep requires exactly 1 vCPU, got %d", o.NumVCPUs)
+			return bad("Options.Dispatch", "lockstep requires exactly 1 vCPU, got %d", o.NumVCPUs)
 		}
 	default:
-		return bad("WithDispatch", "unknown dispatch mode %d", int(o.Dispatch))
+		return bad("Options.Dispatch", "unknown dispatch mode %d", int(o.Dispatch))
+	}
+	for name := range o.ExtraFiles {
+		if name == "" {
+			return bad("WithExtraFiles", "empty file name")
+		}
+	}
+	switch o.HashAlg {
+	case 0, kcrypto.HashSHA256, kcrypto.HashSDBM:
+	default:
+		return bad("WithHashAlg", "unknown hash algorithm %v", o.HashAlg)
 	}
 	if o.DialRetries < 0 {
 		return bad("WithDialRetries", "must be >= 0, got %d", o.DialRetries)
@@ -260,21 +277,15 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// NewSystem provisions a target: it forks a booted template machine,
-// installs fresh per-target SMM secrets, and locks SMRAM. Registration
-// with the patch server, the enclave load, and the channel bootstrap
-// happen at first contact (the first Apply, ApplyAll or Rollback), so
-// NewSystem never touches the network.
-func NewSystem(opts Options) (*System, error) {
-	return NewSystemCtx(context.Background(), opts)
-}
-
-// NewSystemCtx is NewSystem with provisioning-time cancellation: ctx
-// is checked between boot stages (kernel build, machine boot, fork),
-// so a halted rollout stops booting stragglers. Every System is a
-// fork: of Options.TemplateCache's template for this configuration
-// when a cache is set, else of a single-use template booted here and
-// closed right after the fork.
+// NewSystemCtx provisions a target: it forks a booted template
+// machine, installs fresh per-target SMM secrets, and locks SMRAM. ctx
+// is checked between boot stages (kernel build, machine boot, fork), so
+// a halted rollout stops booting stragglers. Every System is a fork: of
+// Options.TemplateCache's template for this configuration when a cache
+// is set, else of a single-use template booted here and closed right
+// after the fork. Registration with the patch server, the enclave load,
+// and the channel bootstrap happen at first contact (the first Apply,
+// ApplyAll or Rollback), so NewSystemCtx never touches the network.
 func NewSystemCtx(ctx context.Context, opts Options) (*System, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

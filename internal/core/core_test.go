@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"kshot/internal/cvebench"
 	"kshot/internal/kcrypto"
 	"kshot/internal/mem"
+	"kshot/internal/options"
 	"kshot/internal/patchserver"
 	"kshot/internal/sgx"
 	"kshot/internal/sgxprep"
@@ -55,7 +57,7 @@ func newDeployment(t *testing.T, version string, alg kcrypto.HashAlg, cves ...st
 	for _, e := range entries {
 		srv.RegisterPatch(e.SourcePatch())
 	}
-	sys, err := NewSystem(Options{
+	sys, err := NewSystemCtx(context.Background(), Options{
 		Version:    version,
 		NumVCPUs:   2,
 		ExtraFiles: extra,
@@ -339,13 +341,13 @@ func TestHelperCannotReadPatchTraffic(t *testing.T) {
 }
 
 func TestNewSystemErrors(t *testing.T) {
-	if _, err := NewSystem(Options{Version: "9.9", ServerAddr: "127.0.0.1:1"}); err == nil {
-		t.Error("bad version accepted")
+	if _, err := NewSystemCtx(context.Background(), Options{Version: "9.9", ServerAddr: "127.0.0.1:1"}); !errors.Is(err, options.ErrInvalid) {
+		t.Errorf("bad version: err = %v, want options.ErrInvalid", err)
 	}
 	e, _ := cvebench.Get("CVE-2014-0196")
 	opts := Options{Version: "4.4", ExtraFiles: map[string]string{e.File: e.Vuln}}
 
-	// A dead server is not NewSystem's concern: provisioning never
+	// A dead server is not NewSystemCtx's concern: provisioning never
 	// touches the network, and the fresh System owns no private frames.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -353,9 +355,9 @@ func TestNewSystemErrors(t *testing.T) {
 	}
 	opts.ServerAddr = ln.Addr().String()
 	ln.Close()
-	sys, err := NewSystem(opts)
+	sys, err := NewSystemCtx(context.Background(), opts)
 	if err != nil {
-		t.Fatalf("NewSystem with a dead server: %v", err)
+		t.Fatalf("NewSystemCtx with a dead server: %v", err)
 	}
 	defer sys.Close()
 	if st := sys.Machine.Mem.ResidentStats(); st.PrivateBytes != 0 {
@@ -386,7 +388,7 @@ func TestNewSystemErrors(t *testing.T) {
 	defer srv.Close()
 	srv.RegisterPatch(e.SourcePatch())
 	opts.ServerAddr = srv.Addr()
-	unknown, err := NewSystem(opts)
+	unknown, err := NewSystemCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +463,7 @@ func TestActivenessOptionEndToEnd(t *testing.T) {
 	}
 	t.Cleanup(srv.Close)
 	srv.RegisterPatch(entries[0].SourcePatch())
-	sys, err := NewSystem(Options{
+	sys, err := NewSystemCtx(context.Background(), Options{
 		Version:         "4.4",
 		NumVCPUs:        2,
 		ExtraFiles:      map[string]string{entries[0].File: entries[0].Vuln},
@@ -582,7 +584,7 @@ func TestStatusAttestationAuthenticity(t *testing.T) {
 // seed by replaying the generator.
 func attKeyOf(t *testing.T, d *testDeployment) []byte {
 	t.Helper()
-	// newDeployment seeds detRand with 42; NewSystem consumes the
+	// newDeployment seeds detRand with 42; NewSystemCtx consumes the
 	// first 32 bytes for the attestation key.
 	r := &detRand{r: rand.New(rand.NewSource(42))}
 	key := make([]byte, 32)
@@ -607,7 +609,7 @@ func TestFleetOneServerManyTargets(t *testing.T) {
 	versions := []string{"3.14", "4.4", "4.4"}
 	systems := make([]*System, len(versions))
 	for i, v := range versions {
-		sys, err := NewSystem(Options{
+		sys, err := NewSystemCtx(context.Background(), Options{
 			Version:    v,
 			NumVCPUs:   1,
 			ExtraFiles: map[string]string{e.File: e.Vuln},

@@ -37,7 +37,7 @@ func newFetchPoolRig(tb testing.TB, requestRetries int, srvOpts ...patchserver.S
 	for _, e := range entries {
 		srv.RegisterPatch(e.SourcePatch())
 	}
-	sys, err := NewSystem(Options{
+	sys, err := NewSystemCtx(context.Background(), Options{
 		Version:        "4.4",
 		NumVCPUs:       2,
 		ExtraFiles:     extra,

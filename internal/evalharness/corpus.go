@@ -235,7 +235,7 @@ func verifyCaseE2E(c *corpusgen.Case, res *CaseResult) {
 	defer srv.Close()
 	srv.RegisterPatch(entry.SourcePatch())
 
-	sys, err := core.NewSystem(core.Options{
+	sys, err := core.NewSystemCtx(context.Background(), core.Options{
 		Version:       c.Version,
 		NumVCPUs:      1,
 		ExtraFiles:    map[string]string{c.File: c.Vuln},

@@ -180,7 +180,7 @@ func deploy(opts core.Options, entries []*cvebench.Entry, prebuilt ...*patch.Bin
 		}
 	}
 	opts.ServerAddr = srv.Addr()
-	sys, err := core.NewSystem(opts)
+	sys, err := core.NewSystemCtx(context.Background(), opts)
 	if err != nil {
 		srv.Close()
 		return nil, err

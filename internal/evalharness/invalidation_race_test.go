@@ -41,7 +41,7 @@ func TestBlockInvalidationUnderConcurrentApply(t *testing.T) {
 	}
 	defer srv.Close()
 	srv.RegisterPatch(e.SourcePatch())
-	sys, err := core.NewSystem(core.Options{
+	sys, err := core.NewSystemCtx(context.Background(), core.Options{
 		Version:         "4.4",
 		NumVCPUs:        2,
 		Dispatch:        isa.DispatchBlocks,

@@ -114,7 +114,7 @@ func TestLockstepCorpusArchetypes(t *testing.T) {
 			defer srv.Close()
 			srv.RegisterPatch(entry.SourcePatch())
 
-			sys, err := core.NewSystem(core.Options{
+			sys, err := core.NewSystemCtx(context.Background(), core.Options{
 				Version:       c.Version,
 				NumVCPUs:      1,
 				Dispatch:      isa.DispatchLockstep,

@@ -1,10 +1,12 @@
 // Package options carries the one error vocabulary every KShot
 // constructor speaks. The public API converged on functional options
 // (kshot.New, kshot.NewPatchServer, kshot.NewRollout all take With*
-// funcs), and each With* validates its argument eagerly: an
-// out-of-range value or a conflicting pair of options surfaces as a
-// typed *options.Error from the constructor, before any resource is
-// allocated — never as a latent misconfiguration discovered mid-run.
+// funcs): an out-of-range value or a conflicting pair of options
+// surfaces as a typed *options.Error from the constructor, before any
+// resource is allocated — never as a latent misconfiguration discovered
+// mid-run. A System's values are checked in one place,
+// core.Options.Validate; kshot.New's With* funcs reject only an
+// explicit zero or nil argument and a conflicting repeat.
 //
 // Callers branch with the standard helpers:
 //

@@ -3,7 +3,6 @@ package orchestrator
 import (
 	"time"
 
-	"kshot/internal/core"
 	"kshot/internal/faultinject"
 	"kshot/internal/obs"
 	"kshot/internal/options"
@@ -60,10 +59,6 @@ type config struct {
 	regressFactor float64
 	unhealthyTol  float64
 	haltFrac      float64
-
-	batchSize    int
-	fetchWorkers int
-	syncFetch    bool
 
 	store    Store
 	faults   func(Target) *faultinject.Set
@@ -259,40 +254,6 @@ func WithHaltThreshold(f float64) Option {
 	}
 }
 
-// WithTargetBatchSize caps how many patches each target delivers
-// under one SMI (passed through to every target's ApplyAll).
-func WithTargetBatchSize(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return optErr("WithTargetBatchSize", "must be >= 1, got %d", n)
-		}
-		c.batchSize = n
-		return nil
-	}
-}
-
-// WithTargetFetchWorkers sets each target's fetch fan-out (passed
-// through to every target's ApplyAll).
-func WithTargetFetchWorkers(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return optErr("WithTargetFetchWorkers", "must be >= 1, got %d", n)
-		}
-		c.fetchWorkers = n
-		return nil
-	}
-}
-
-// WithTargetSyncFetch makes every target fetch synchronously (see
-// core.WithSyncFetch) so seeded fault schedules replay at identical
-// call indices — the chaos suite's determinism mode.
-func WithTargetSyncFetch() Option {
-	return func(c *config) error {
-		c.syncFetch = true
-		return nil
-	}
-}
-
 // WithStateStore persists rollout state through store after every
 // target completion and wave boundary. If the store already holds
 // state for this rollout (same seed, CVE batch, and fleet), the
@@ -353,20 +314,4 @@ func WithProgress(fn func(WaveResult)) Option {
 		c.progress = fn
 		return nil
 	}
-}
-
-// applyOptions builds the per-target ApplyAll option list from the
-// rollout's pass-through knobs.
-func (c *config) applyOptions() []core.ApplyOption {
-	var out []core.ApplyOption
-	if c.batchSize > 0 {
-		out = append(out, core.WithBatchSize(c.batchSize))
-	}
-	if c.fetchWorkers > 0 {
-		out = append(out, core.WithFetchWorkers(c.fetchWorkers))
-	}
-	if c.syncFetch {
-		out = append(out, core.WithSyncFetch())
-	}
-	return out
 }

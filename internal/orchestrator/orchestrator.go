@@ -580,7 +580,7 @@ func (r *Rollout) runTarget(ctx context.Context, t Target, pmu *sync.Mutex, patc
 		p.SetWallClock(r.cfg.wall)
 	}
 
-	rep, runErr := p.ApplyAll(ctx, r.cfg.cves, r.cfg.applyOptions()...)
+	rep, runErr := p.ApplyAll(ctx, r.cfg.cves)
 	if rep != nil {
 		for _, pr := range rep.Reports {
 			out.applied = append(out.applied, pr.ID)

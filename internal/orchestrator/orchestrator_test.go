@@ -660,8 +660,6 @@ func TestNewRolloutOptionValidation(t *testing.T) {
 		{"regress factor below one", append(base(), WithRegressFactor(0.5))},
 		{"tolerance one", append(base(), WithUnhealthyTolerance(1))},
 		{"halt threshold zero", append(base(), WithHaltThreshold(0))},
-		{"batch size zero", append(base(), WithTargetBatchSize(0))},
-		{"fetch workers zero", append(base(), WithTargetFetchWorkers(0))},
 		{"nil store", append(base(), WithStateStore(nil))},
 		{"nil faults", append(base(), WithTargetFaults(nil))},
 		{"nil option", append(base(), nil)},

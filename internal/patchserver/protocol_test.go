@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 	"kshot/internal/cvebench"
 	"kshot/internal/faultinject"
 	"kshot/internal/obs"
+	"kshot/internal/options"
 	"kshot/internal/timing"
 )
 
@@ -345,6 +347,30 @@ func TestDialRetriesExhausted(t *testing.T) {
 	)
 	if err == nil {
 		t.Fatal("dial succeeded past injected failures")
+	}
+}
+
+// TestDialOptionValidation: Dial rejects an out-of-range option with a
+// *options.Error naming patchserver.Dial before it opens a socket.
+func TestDialOptionValidation(t *testing.T) {
+	cases := []struct {
+		name string
+		opt  DialOption
+	}{
+		{"negative dial timeout", WithDialTimeout(-time.Second)},
+		{"negative retries", WithDialRetries(-1)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Dial("127.0.0.1:1", tc.opt)
+			if !errors.Is(err, options.ErrInvalid) {
+				t.Fatalf("err = %v, want options.ErrInvalid", err)
+			}
+			var oe *options.Error
+			if !errors.As(err, &oe) || oe.Constructor != "patchserver.Dial" {
+				t.Fatalf("err %v does not unwrap to an *options.Error from patchserver.Dial", err)
+			}
+		})
 	}
 }
 

@@ -14,9 +14,12 @@
 // introspection — executes as real code against that machine.
 //
 // Every constructor in the package shares one configuration idiom:
-// functional options that validate eagerly and fail construction with
-// a typed *OptionError (matching ErrInvalidOption) the moment an
-// argument is out of range or two options conflict.
+// functional options that fail construction with a typed *OptionError
+// (matching ErrInvalidOption), before any hardware is simulated or any
+// socket opened, when an argument is out of range or two options
+// conflict. A System's With* funcs only fill in one Options record;
+// Options.Validate is the one place its values are checked, so a
+// custom Option meets the same rules as the built-in ones.
 //
 // The typical single-target flow mirrors the paper's Figure 2:
 //
@@ -60,7 +63,6 @@ import (
 	"kshot/internal/core"
 	"kshot/internal/cvebench"
 	"kshot/internal/introspect"
-	"kshot/internal/isa"
 	"kshot/internal/kcrypto"
 	"kshot/internal/kernel"
 	"kshot/internal/mem"
@@ -78,7 +80,7 @@ import (
 // ---------------------------------------------------------------------------
 
 // ErrInvalidOption classifies every eager option-validation failure
-// from New, NewPatchServer, NewRollout, and DialPatchServer.
+// from New, NewPatchServer, and NewRollout.
 var ErrInvalidOption = options.ErrInvalid
 
 // OptionError is the typed rejection carrying the constructor and
@@ -93,8 +95,9 @@ type OptionError = options.Error
 // machine.
 type System = core.System
 
-// Options configures NewSystem. New is the preferred constructor; this
-// struct remains for callers that assemble configuration imperatively.
+// Options is the one configuration record of a System. The With*
+// Options fill it in, and New checks it with Options.Validate before
+// provisioning, so a custom Option meets the same rules.
 type Options = core.Options
 
 // Report is the outcome of one Apply or Rollback, with per-stage
@@ -131,9 +134,11 @@ var (
 // retrieve it with errors.As.
 type StatusError = core.StatusError
 
-// Option configures New. Every With* validates its argument eagerly:
-// New reports the first rejected option as a *OptionError before any
-// hardware is simulated.
+// Option configures New by setting fields of the Options record. A
+// With* rejects only what the record cannot express — an explicit zero
+// or nil argument, or a conflicting repeat; New then runs
+// Options.Validate and reports the first rejected value as a
+// *OptionError before any hardware is simulated.
 type Option func(*Options) error
 
 func newErr(option, format string, a ...any) error {
@@ -144,9 +149,6 @@ func newErr(option, format string, a ...any) error {
 // the default). Selecting two different versions is a conflict.
 func WithVersion(v string) Option {
 	return func(o *Options) error {
-		if v != "3.14" && v != "4.4" {
-			return newErr("WithVersion", "unsupported kernel version %q (want 3.14 or 4.4)", v)
-		}
 		if o.Version != "" && o.Version != v {
 			return newErr("WithVersion", "conflicting versions %q and %q", o.Version, v)
 		}
@@ -166,42 +168,6 @@ func WithVCPUs(n int) Option {
 	}
 }
 
-// Dispatch selects the vCPU execution engine.
-type Dispatch = isa.Dispatch
-
-// Execution engine modes for WithDispatch. Virtual-time metrics are
-// identical across modes; only wall-clock speed differs.
-const (
-	// DispatchBlocks executes through predecoded basic blocks with
-	// epoch-keyed invalidation (the default).
-	DispatchBlocks = isa.DispatchBlocks
-	// DispatchOracle forces the per-instruction decode-switch
-	// interpreter the block engine is verified against.
-	DispatchOracle = isa.DispatchOracle
-	// DispatchLockstep cross-checks both engines every dispatch unit;
-	// verification only, and requires a single vCPU.
-	DispatchLockstep = isa.DispatchLockstep
-)
-
-// WithDispatch selects the vCPU execution engine (default
-// DispatchBlocks). DispatchLockstep conflicts with WithVCPUs(n) for
-// n > 1: lockstep rewinds and replays shared memory every unit.
-func WithDispatch(d Dispatch) Option {
-	return func(o *Options) error {
-		switch d {
-		case DispatchBlocks, DispatchOracle:
-		case DispatchLockstep:
-			if o.NumVCPUs > 1 {
-				return newErr("WithDispatch", "lockstep requires exactly 1 vCPU, got %d", o.NumVCPUs)
-			}
-		default:
-			return newErr("WithDispatch", "unknown dispatch mode %d", int(d))
-		}
-		o.Dispatch = d
-		return nil
-	}
-}
-
 // WithExtraFiles adds subsystem source files to the base kernel tree —
 // the vulnerable code the benchmark kernels ship with. Repeated use
 // merges.
@@ -214,9 +180,6 @@ func WithExtraFiles(files map[string]string) Option {
 			o.ExtraFiles = make(map[string]string, len(files))
 		}
 		for name, src := range files {
-			if name == "" {
-				return newErr("WithExtraFiles", "empty file name")
-			}
 			o.ExtraFiles[name] = src
 		}
 		return nil
@@ -241,9 +204,6 @@ func WithServerAddr(addr string) Option {
 // WithHashAlg selects the payload verification hash (default SHA-256).
 func WithHashAlg(alg HashAlg) Option {
 	return func(o *Options) error {
-		if alg != HashSHA256 && alg != HashSDBM {
-			return newErr("WithHashAlg", "unknown hash algorithm %v", alg)
-		}
 		o.HashAlg = alg
 		return nil
 	}
@@ -300,9 +260,6 @@ func WithInlining(on bool) Option {
 // TCP connect attempts with exponential backoff.
 func WithDialRetries(n int) Option {
 	return func(o *Options) error {
-		if n < 0 {
-			return newErr("WithDialRetries", "must be >= 0, got %d", n)
-		}
 		o.DialRetries = n
 		return nil
 	}
@@ -314,9 +271,6 @@ func WithDialRetries(n int) Option {
 // same channel key).
 func WithRequestRetries(n int) Option {
 	return func(o *Options) error {
-		if n < 0 {
-			return newErr("WithRequestRetries", "must be >= 0, got %d", n)
-		}
 		o.RequestRetries = n
 		return nil
 	}
@@ -326,9 +280,6 @@ func WithRequestRetries(n int) Option {
 // request retry (doubling per attempt).
 func WithDialBackoff(d time.Duration) Option {
 	return func(o *Options) error {
-		if d < 0 {
-			return newErr("WithDialBackoff", "must be >= 0, got %v", d)
-		}
 		o.RetryBackoff = d
 		return nil
 	}
@@ -387,15 +338,6 @@ type IntrospectVerdict = introspect.Verdict
 // predictable branch on paths that are already rare.
 func WithIntrospection(cfg IntrospectConfig) Option {
 	return func(o *Options) error {
-		if cfg.Capacity < 0 {
-			return newErr("WithIntrospection", "capacity must be >= 0, got %d", cfg.Capacity)
-		}
-		if cfg.SweepEvery < 0 {
-			return newErr("WithIntrospection", "sweep period must be >= 0, got %v", cfg.SweepEvery)
-		}
-		if cfg.GroomThreshold < 0 {
-			return newErr("WithIntrospection", "groom threshold must be >= 0, got %d", cfg.GroomThreshold)
-		}
 		o.Introspection = &cfg
 		return nil
 	}
@@ -443,23 +385,12 @@ func NewCtx(ctx context.Context, opts ...Option) (*System, error) {
 	return core.NewSystemCtx(ctx, o)
 }
 
-// NewSystem boots a system from an assembled Options struct.
-//
-// Deprecated: use New with functional options, which validates
-// configuration eagerly and is where new knobs land. NewSystem remains
-// for callers that assemble Options imperatively and delegates to the
-// same construction path.
-func NewSystem(opts Options) (*System, error) { return core.NewSystem(opts) }
-
 // ---------------------------------------------------------------------------
-// Patch server & client — the trusted build side of the protocol.
+// Patch server — the trusted build side of the protocol.
 // ---------------------------------------------------------------------------
 
 // PatchServer is the remote, trusted patch build server.
 type PatchServer = patchserver.Server
-
-// PatchClient is a target's connection to the patch server.
-type PatchClient = patchserver.Client
 
 // OSInfo is the target build description uploaded to the server.
 type OSInfo = patchserver.OSInfo
@@ -483,19 +414,6 @@ var (
 	WithServerCacheCapacity = patchserver.WithCacheCapacity
 )
 
-// DialOption tunes DialPatchServer: connect/request retry policy and
-// I/O deadlines.
-type DialOption = patchserver.DialOption
-
-// Patch client tuning options.
-var (
-	WithClientDialTimeout    = patchserver.WithDialTimeout
-	WithClientDialRetries    = patchserver.WithDialRetries
-	WithClientRequestRetries = patchserver.WithRequestRetries
-	WithClientRetryBackoff   = patchserver.WithRetryBackoff
-	WithClientIOTimeout      = patchserver.WithIOTimeout
-)
-
 // NewPatchServer starts a patch server. WithTreeProvider supplies the
 // kernel sources it builds from (required); WithListenAddr picks the
 // TCP address ("host:0" — the default — takes an ephemeral port).
@@ -503,11 +421,6 @@ var (
 // same kernel configuration; per-session encryption stays per-client.
 func NewPatchServer(opts ...ServerOption) (*PatchServer, error) {
 	return patchserver.New(opts...)
-}
-
-// DialPatchServer connects a client to a patch server.
-func DialPatchServer(addr string, opts ...DialOption) (*PatchClient, error) {
-	return patchserver.Dial(addr, opts...)
 }
 
 // ---------------------------------------------------------------------------
@@ -609,9 +522,6 @@ var (
 	WithRegressFactor      = orchestrator.WithRegressFactor
 	WithUnhealthyTolerance = orchestrator.WithUnhealthyTolerance
 	WithHaltThreshold      = orchestrator.WithHaltThreshold
-	WithTargetBatchSize    = orchestrator.WithTargetBatchSize
-	WithTargetFetchWorkers = orchestrator.WithTargetFetchWorkers
-	WithTargetSyncFetch    = orchestrator.WithTargetSyncFetch
 	WithStateStore         = orchestrator.WithStateStore
 	WithTargetFaults       = orchestrator.WithTargetFaults
 	WithWallClock          = orchestrator.WithWallClock

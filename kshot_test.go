@@ -58,11 +58,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	defer srv.Close()
 	srv.RegisterPatch(entry.SourcePatch())
 
-	sys, err := NewSystem(Options{
-		Version:    "4.4",
-		ExtraFiles: map[string]string{entry.File: entry.Vuln},
-		ServerAddr: srv.Addr(),
-	})
+	sys, err := New(
+		WithVersion("4.4"),
+		WithExtraFiles(map[string]string{entry.File: entry.Vuln}),
+		WithServerAddr(srv.Addr()),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestPublicAPIWorkload(t *testing.T) {
 	}
 	defer srv.Close()
 	srv.RegisterPatch(entry.SourcePatch())
-	sys, err := NewSystem(Options{
-		Version:    "4.4",
-		ExtraFiles: map[string]string{entry.File: entry.Vuln},
-		ServerAddr: srv.Addr(),
-	})
+	sys, err := New(
+		WithVersion("4.4"),
+		WithExtraFiles(map[string]string{entry.File: entry.Vuln}),
+		WithServerAddr(srv.Addr()),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +155,12 @@ func TestRQ1UnderLoad(t *testing.T) {
 			}
 			defer srv.Close()
 			srv.RegisterPatch(entry.SourcePatch())
-			sys, err := NewSystem(Options{
-				Version:    "4.4",
-				NumVCPUs:   4,
-				ExtraFiles: map[string]string{entry.File: entry.Vuln},
-				ServerAddr: srv.Addr(),
-			})
+			sys, err := New(
+				WithVersion("4.4"),
+				WithVCPUs(4),
+				WithExtraFiles(map[string]string{entry.File: entry.Vuln}),
+				WithServerAddr(srv.Addr()),
+			)
 			if err != nil {
 				t.Fatal(err)
 			}

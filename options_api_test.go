@@ -75,6 +75,20 @@ func TestOptionValidationTables(t *testing.T) {
 			_, err := New(nil)
 			return err
 		}, "kshot.New"},
+		// A custom Option skips every With* body; Options.Validate
+		// still rejects what it sets.
+		{"New/custom option bad version", func() error {
+			_, err := New(func(o *Options) error { o.Version = "5.10"; return nil })
+			return err
+		}, "kshot.New"},
+		{"New/custom option unknown hash", func() error {
+			_, err := New(func(o *Options) error { o.HashAlg = 99; return nil })
+			return err
+		}, "kshot.New"},
+		{"New/custom option empty file name", func() error {
+			_, err := New(func(o *Options) error { o.ExtraFiles = map[string]string{"": "x"}; return nil })
+			return err
+		}, "kshot.New"},
 
 		{"NewPatchServer/no tree provider", func() error {
 			_, err := NewPatchServer()
@@ -105,15 +119,6 @@ func TestOptionValidationTables(t *testing.T) {
 			_, err := NewPatchServer(WithTreeProvider(TreeProviderFor()), WithServerAcceptWait(-time.Second))
 			return err
 		}, "patchserver.New"},
-
-		{"DialPatchServer/negative dial timeout", func() error {
-			_, err := DialPatchServer("127.0.0.1:1", WithClientDialTimeout(-time.Second))
-			return err
-		}, "patchserver.Dial"},
-		{"DialPatchServer/negative retries", func() error {
-			_, err := DialPatchServer("127.0.0.1:1", WithClientDialRetries(-1))
-			return err
-		}, "patchserver.Dial"},
 
 		{"NewRollout/no fleet", func() error {
 			_, err := NewRollout(WithCVEs("CVE-2016-0728"), WithProvisioner(dummyProv))
@@ -184,6 +189,33 @@ func TestOptionZeroValuesDefaulted(t *testing.T) {
 	defer sys.Close()
 	if v := sys.Kernel.Config().Version; v != "4.4" {
 		t.Errorf("default version = %q, want 4.4", v)
+	}
+}
+
+// TestKernelConfigOptions: WithFtrace(false) and WithInlining(false)
+// reach the booted kernel's build config, and leave the other switch on.
+func TestKernelConfigOptions(t *testing.T) {
+	cases := []struct {
+		name                string
+		opt                 Option
+		wantFtrace, wantInl bool
+	}{
+		{"ftrace off", WithFtrace(false), false, true},
+		{"inlining off", WithInlining(false), true, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := New(tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			cfg := sys.Kernel.Config()
+			if cfg.Ftrace != tc.wantFtrace || cfg.Inline != tc.wantInl {
+				t.Fatalf("kernel config ftrace=%v inline=%v, want ftrace=%v inline=%v",
+					cfg.Ftrace, cfg.Inline, tc.wantFtrace, tc.wantInl)
+			}
+		})
 	}
 }
 

@@ -23,6 +23,15 @@ func chaosFleet() []RolloutTarget {
 	return out
 }
 
+// syncFetchTarget pins a System's ApplyAll to synchronous
+// single-worker fetches, so seeded fault schedules replay at identical
+// call indices — the chaos suite's determinism mode.
+type syncFetchTarget struct{ *System }
+
+func (s syncFetchTarget) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOption) (*BatchReport, error) {
+	return s.System.ApplyAll(ctx, cves, append(opts, WithFetchWorkers(1), WithSyncFetch())...)
+}
+
 // runChaosRollout runs one seeded rollout of two CVEs across the
 // chaos fleet with ~3% of targets refusing every SMI delivery, and
 // returns the final accounting plus the persisted state bytes.
@@ -48,20 +57,25 @@ func runChaosRollout(t *testing.T, seed int64) (*Rollout, *RolloutResult, error,
 		srv.RegisterPatch(e.SourcePatch())
 	}
 
+	provision := SystemProvisioner(srv.Addr(), WithExtraFiles(files))
 	store := &RolloutMemStore{}
 	roll, err := NewRollout(
 		WithTargets(chaosFleet()),
 		WithCVEs(ids...),
-		WithProvisioner(SystemProvisioner(srv.Addr(), WithExtraFiles(files))),
+		WithProvisioner(func(ctx context.Context, tg RolloutTarget) (Patcher, error) {
+			p, err := provision(ctx, tg)
+			if err != nil {
+				return nil, err
+			}
+			return syncFetchTarget{p.(*System)}, nil
+		}),
 		WithSeed(seed),
 		WithFirstWaveFraction(0.125),
 		WithStateStore(store),
 		// Chaos: ~3% of the fleet refuses all SMI deliveries mid-patch.
 		WithTargetFaults(FaultFraction(seed, 0.03, SMIFaults(64)...)),
-		// Determinism mode: synchronous single-worker fetches and a
-		// virtual wall clock, so fault schedules and timing replay.
-		WithTargetSyncFetch(),
-		WithTargetFetchWorkers(1),
+		// Determinism mode: with syncFetchTarget's fetches, a virtual
+		// wall clock makes fault schedules and timing replay.
 		WithWallClock(timing.NewFakeWall()),
 		// The faulted wave must roll back without stopping the rollout:
 		// this test is about completion, not the failure budget.
