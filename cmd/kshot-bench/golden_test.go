@@ -84,16 +84,19 @@ func firstDiff(want, got string) string {
 //   - every "paper → measured" OS-pause cell of Table V reads the golden
 //     pause in the unit and to the decimals the cell shows;
 //   - every cell of the pipelined ApplyAll table reads what kshot-bench
-//     -pipeline prints (counts, report.Us pauses, the reduction to 0.1 %).
+//     -pipeline prints (counts, report.Us pauses, the reduction to 0.1 %);
+//   - every number the Figure 4 and Figure 5 prose quotes reads the
+//     golden per-CVE stages (see figureProse).
 func TestExperimentsMatchGolden(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden", goldenArtifacts))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		SizeSweep []evalharness.SizePoint         `json:"size_sweep"`
-		Table5    []evalharness.ComparisonRow     `json:"table5"`
-		Pipeline  evalharness.PipelinedComparison `json:"pipeline"`
+		SizeSweep  []evalharness.SizePoint         `json:"size_sweep"`
+		Table5     []evalharness.ComparisonRow     `json:"table5"`
+		Pipeline   evalharness.PipelinedComparison `json:"pipeline"`
+		FigureCVEs []evalharness.CVEPoint          `json:"figure_cves"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
@@ -193,6 +196,97 @@ func TestExperimentsMatchGolden(t *testing.T) {
 	if rows != len(wantPipelined) {
 		t.Errorf("pipelined table: found %d mode rows, want %d", rows, len(wantPipelined))
 	}
+
+	for heading, phrases := range figureProse(t, doc.FigureCVEs) {
+		prose := strings.Join(strings.Fields(section(string(md), heading)), " ")
+		for _, p := range phrases {
+			if !strings.Contains(prose, p) {
+				t.Errorf("%s prose lacks %q, which the golden stages give", strings.TrimSpace(heading), p)
+			}
+		}
+	}
+}
+
+// figureCVE is the CVE the paper quotes a Figure 5 pause for.
+const figureCVE = "CVE-2014-4608"
+
+// figureProse returns, per EXPERIMENTS section heading, the phrases the
+// Figure 4 and Figure 5 prose must contain for the golden per-CVE
+// stages: the fetch, pre-process and pass ranges in whole µs, the
+// pre-processing share of each SGX bar to 0.1 %, the smallest and
+// largest payloads, the SMM pause range, figureCVE's pause, and the
+// constant switch and key-generation costs. It also checks the two
+// shape claims the prose makes: bars order by payload size, and switch
+// and key generation do not vary.
+func figureProse(t *testing.T, pts []evalharness.CVEPoint) map[string][]string {
+	t.Helper()
+	if len(pts) == 0 {
+		t.Fatal("golden file has no figure_cves")
+	}
+	pts = slices.Clone(pts)
+	slices.SortFunc(pts, func(a, b evalharness.CVEPoint) int { return a.Bytes - b.Bytes })
+	span := func(f func(evalharness.CVEPoint) float64) (lo, hi float64) {
+		lo, hi = f(pts[0]), f(pts[0])
+		for _, p := range pts[1:] {
+			lo, hi = min(lo, f(p)), max(hi, f(p))
+		}
+		return lo, hi
+	}
+	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	wholeUs := func(f func(evalharness.CVEPoint) time.Duration) string {
+		lo, hi := span(func(p evalharness.CVEPoint) float64 { return us(f(p)) })
+		return thousands(lo) + "–" + thousands(hi)
+	}
+	size := func(n int) string {
+		if n < 1<<10 {
+			return fmt.Sprintf("%d B", n)
+		}
+		return fmt.Sprintf("%.1f KB", float64(n)/(1<<10))
+	}
+	lo, hi := span(func(p evalharness.CVEPoint) float64 {
+		return 100 * float64(p.Stages.Preprocess) / float64(p.Stages.SGXTotal())
+	})
+	smallest, largest := pts[0], pts[len(pts)-1]
+	fig4 := []string{
+		"fetch " + wholeUs(func(p evalharness.CVEPoint) time.Duration { return p.Stages.Fetch }),
+		"pre-process " + wholeUs(func(p evalharness.CVEPoint) time.Duration { return p.Stages.Preprocess }),
+		"pass " + wholeUs(func(p evalharness.CVEPoint) time.Duration { return p.Stages.Pass }),
+		fmt.Sprintf("pre-processing is %.1f–%.1f %% of every bar", lo, hi),
+		fmt.Sprintf("(%s %s smallest → %s %s largest)", smallest.CVE, size(smallest.Bytes), largest.CVE, size(largest.Bytes)),
+	}
+	for i := 1; i < len(pts); i++ {
+		if pts[i].Stages.SGXTotal() <= pts[i-1].Stages.SGXTotal() {
+			t.Errorf("Figure 4 bars do not order by payload size: %s (%d B) is not taller than %s (%d B)",
+				pts[i].CVE, pts[i].Bytes, pts[i-1].CVE, pts[i-1].Bytes)
+		}
+	}
+
+	lo, hi = span(func(p evalharness.CVEPoint) float64 { return us(p.Stages.SMMTotal()) })
+	fig5 := []string{fmt.Sprintf("total pause %.2f–%.2f µs", lo, hi)}
+	for _, p := range pts {
+		if p.CVE == figureCVE {
+			fig5 = append(fig5, fmt.Sprintf("(%s: **%.2f µs**)", p.CVE, us(p.Stages.SMMTotal())))
+		}
+		if p.Stages.Switch != pts[0].Stages.Switch || p.Stages.KeyGen != pts[0].Stages.KeyGen {
+			t.Errorf("Figure 5: %s switch %v / keygen %v differ from %s's", p.CVE, p.Stages.Switch, p.Stages.KeyGen, pts[0].CVE)
+		}
+	}
+	if len(fig5) != 2 {
+		t.Errorf("golden figure_cves lacks %s", figureCVE)
+	}
+	fig5 = append(fig5, fmt.Sprintf("switch %.1f µs and keygen %.1f µs constant",
+		us(pts[0].Stages.Switch), us(pts[0].Stages.KeyGen)))
+	return map[string][]string{"## Figure 4 ": fig4, "## Figure 5 ": fig5}
+}
+
+// thousands rounds v to a whole number and groups its digits by
+// thousands with commas, as EXPERIMENTS writes large µs values.
+func thousands(v float64) string {
+	s := fmt.Sprintf("%.0f", v)
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + "," + s[i:]
+	}
+	return s
 }
 
 // tableCells splits a markdown table row into trimmed cells, dropping
@@ -220,13 +314,19 @@ func atPrecisionOf(cell string, d time.Duration) string {
 	return fmt.Sprintf("%.*f %s", decimals, float64(d)/float64(scale), unit)
 }
 
+// section returns the text of the section that starts with heading,
+// up to the next section.
+func section(md, heading string) string {
+	_, body, _ := strings.Cut(md, "\n"+heading)
+	body, _, _ = strings.Cut(body, "\n## ")
+	return body
+}
+
 // tableLines returns the markdown table rows of the section that
-// starts with heading, up to the next section.
+// starts with heading.
 func tableLines(md, heading string) []string {
-	_, section, _ := strings.Cut(md, "\n"+heading)
-	section, _, _ = strings.Cut(section, "\n## ")
 	var rows []string
-	for _, line := range strings.Split(section, "\n") {
+	for _, line := range strings.Split(section(md, heading), "\n") {
 		if strings.HasPrefix(line, "|") {
 			rows = append(rows, line)
 		}

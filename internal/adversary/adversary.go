@@ -14,11 +14,10 @@
 //     window, so the event channel classifies it as tampering even
 //     though the pipeline's own rebaseline absorbs it into the
 //     frame-diff snapshot (introspect.TamperDetected).
-//   - Replay captures the staged patch artifact (enclave key +
-//     ciphertext package) during a legitimate rollout and re-triggers
-//     the patch SMI with the stale blobs afterwards. The SMM handler
-//     rejects the one-shot session key, and the detector flags the
-//     unannounced patch SMI (introspect.StalePatchReplay).
+//   - Replay re-triggers the package SMI mid-rollout over the sealed
+//     directory still resident in write-only mem_W. The SMM handler
+//     rejects the stale one-shot session key, and the detector flags
+//     the unannounced package SMI (introspect.StalePatchReplay).
 //   - Groom parks a vCPU inside the patch target so the conservative
 //     activeness check refuses the patch over and over, starving the
 //     rollout (introspect.ActivenessGroomed after the refusal
@@ -41,7 +40,7 @@ type Kind uint8
 const (
 	// Reinfect re-writes patched kernel text mid-rollout.
 	Reinfect Kind = iota + 1
-	// Replay re-triggers a patch SMI with a captured stale artifact.
+	// Replay re-triggers a package SMI over a stale staged directory.
 	Replay
 	// Groom parks a vCPU in the patch target to starve the
 	// activeness check.
@@ -75,7 +74,7 @@ type Plan struct {
 	// StrikeSMI is the 1-based patch-SMI ordinal the attacker acts
 	// on: the SMI whose enter event triggers the tamper write
 	// (Reinfect, clamped so at least one patch has landed), or the
-	// SMI whose staged artifact is captured for replay (Replay).
+	// SMI whose still-resident directory is replayed (Replay).
 	// Groom ignores it (the refusal threshold paces that attack).
 	StrikeSMI int
 

@@ -2,7 +2,6 @@ package adversary
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -148,34 +147,14 @@ func (s *Sim) newSystem(ctx context.Context) (*core.System, error) {
 	return core.NewSystemCtx(ctx, opts)
 }
 
-// isPatchCmd reports whether an SMI event is a patch-processing SMI
-// (as opposed to key exchange or introspection).
-func isPatchCmd(c uint8) bool {
-	return c == uint8(smmpatch.CmdProcessPackage) || c == uint8(smmpatch.CmdProcessBatch)
-}
+// isPatchCmd reports whether an SMI event is the package SMI (as
+// opposed to key exchange or introspection).
+func isPatchCmd(c uint8) bool { return c == uint8(smmpatch.CmdProcessPackage) }
 
 // flip records one tamper write so cleanup can restore the bytes.
 type flip struct {
 	addr uint64
 	orig []byte
-}
-
-// readBlob reads one length-prefixed staging blob (the layout
-// smmpatch.StageBlob writes).
-func readBlob(m *mem.Physical, addr uint64) ([]byte, error) {
-	var hdr [4]byte
-	if err := m.Read(mem.PrivKernel, addr, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > 4<<20 {
-		return nil, fmt.Errorf("adversary: implausible staged blob length %d", n)
-	}
-	data := make([]byte, n)
-	if err := m.Read(mem.PrivKernel, addr+4, data); err != nil {
-		return nil, err
-	}
-	return data, nil
 }
 
 // Run executes one seeded attack against a freshly forked System and
@@ -298,78 +277,28 @@ func (s *Sim) runReinfect(ctx context.Context, sys *core.System, plan Plan, out 
 	return flips
 }
 
-// runReplay captures the stale artifact during a legitimate rollout
-// and re-triggers the patch SMI with it afterwards — an unannounced
-// patch SMI carrying a stale one-shot session key. The kernel-level
-// attacker can read the enclave key from the RW mailbox at the plan's
-// capture SMI, but the ciphertext package sits in mem_W, which is
-// write-only below SMM — so the replay pairs the captured key with
-// the package bytes still resident in staging from the last patch.
-// The handler refuses either way; the detector must still call the
-// SMI out.
+// runReplay re-raises a package SMI that already ran: it rolls out the
+// first StrikeSMI patches one per SMI, re-triggers the package SMI over
+// the directory still resident in mem_W, then rolls out the rest. The
+// directory is write-only below SMM, so the kernel-level attacker
+// cannot read or alter it, but re-raising the SMI needs neither. The
+// handler has rotated its channel nonce, so the stale member fails to
+// open; the detector must still call out the unannounced package SMI.
 func (s *Sim) runReplay(ctx context.Context, sys *core.System, plan Plan, out *Outcome) {
-	captureAt := plan.StrikeSMI
-	if captureAt < 1 {
-		captureAt = 1
-	}
-	if captureAt > len(SimCVEs) {
-		captureAt = len(SimCVEs)
-	}
-
-	var (
-		mu          sync.Mutex
-		enters      int
-		stalePub    []byte
-		captureErrs []error
-	)
-	res := sys.Kernel.Res
-	m := sys.Machine.Mem
-	sys.IntrospectionEvents().SetTap(func(ev introspect.Event) {
-		if ev.Kind != introspect.KindSMIEnter || ev.Cmd != uint8(smmpatch.CmdProcessPackage) {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		enters++
-		if enters != captureAt {
-			return
-		}
-		// The SMI has not run yet: the key the helper just staged is
-		// still sitting in the RW mailbox, readable by any
-		// kernel-level attacker.
-		pub, err := readBlob(m, smmpatch.EnclavePubAddr(res))
-		if err != nil {
-			captureErrs = append(captureErrs, err)
-			return
-		}
-		stalePub = pub
-	})
-
-	_, err := sys.ApplyAll(ctx, SimCVEs,
-		core.WithBatchSize(1), core.WithFetchWorkers(1), core.WithSyncFetch())
-	out.ApplyErr = err
-	sys.IntrospectionEvents().SetTap(nil)
-
-	mu.Lock()
-	pub := stalePub
-	if out.ApplyErr == nil && len(captureErrs) > 0 {
-		out.ApplyErr = captureErrs[0]
-	}
-	mu.Unlock()
-	if pub == nil {
+	at := min(max(plan.StrikeSMI, 1), len(SimCVEs))
+	opts := []core.ApplyOption{core.WithBatchSize(1), core.WithFetchWorkers(1), core.WithSyncFetch()}
+	if _, err := sys.ApplyAll(ctx, SimCVEs[:at], opts...); err != nil {
+		out.ApplyErr = err
 		return
 	}
-	// Replaying inside the tap would nest Trigger under a paused
-	// machine; the stale artifact does not expire, so the attacker
-	// replays after the rollout instead.
 	for i := 0; i < plan.Strikes; i++ {
-		if err := smmpatch.StageBlob(m, mem.PrivKernel, smmpatch.EnclavePubAddr(res), pub); err != nil {
-			break
-		}
-		// The handler rejects the stale session key; the SMI still
+		// Whatever the handler makes of the stale member, the SMI
 		// happened, and no ExpectSMI announced it.
 		_ = sys.SMM.Trigger(smmpatch.CmdProcessPackage, 0)
 		out.Struck++
+	}
+	if at < len(SimCVEs) {
+		_, out.ApplyErr = sys.ApplyAll(ctx, SimCVEs[at:], opts...)
 	}
 }
 

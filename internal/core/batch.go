@@ -7,13 +7,10 @@ import (
 	"slices"
 	"time"
 
-	"kshot/internal/obs"
 	"kshot/internal/options"
 	"kshot/internal/patchserver"
 	"kshot/internal/pipeline"
-	"kshot/internal/sgxprep"
 	"kshot/internal/smmpatch"
-	"kshot/internal/timing"
 )
 
 // ApplyOption tunes an ApplyAll run. Every With* validates its
@@ -264,7 +261,7 @@ func (b *batchBackend) FetchMany(ctx context.Context, cves []string) ([]pipeline
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	rs, err := c.FetchPatches(ctx, cves)
+	fs, err := b.s.fetch(ctx, c, cves)
 	if err != nil && c != b.s.client {
 		// A transport failure leaves c's connection in doubt: close it
 		// and let the attached client take its fetch slot.
@@ -275,148 +272,11 @@ func (b *batchBackend) FetchMany(ctx context.Context, cves []string) ([]pipeline
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrFetch, err)
 	}
-	out := make([]pipeline.Fetched, len(rs))
-	for i, r := range rs {
-		f := pipeline.Fetched{CVE: r.CVE, Blob: r.Blob}
-		if r.Err != nil {
-			f.Blob = nil
-			f.Err = fmt.Errorf("%w: %s: %w", ErrFetch, r.CVE, r.Err)
-		} else {
-			f.Time = timing.Linear(b.s.Model.FetchFixed, b.s.Model.FetchPerByte, len(r.Blob))
-			b.s.Clock.Advance(f.Time)
-			b.s.obs.Span(obs.PhaseFetch, r.CVE, -1, f.Time, len(r.Blob))
-		}
-		out[i] = f
-	}
-	return out, nil
+	return fs, nil
 }
 
-// DeliverOne applies one already-fetched member through the
-// single-package path (its own SMI) — used for single-member batches,
-// retries after activeness refusals, and degraded batch members.
-func (b *batchBackend) DeliverOne(ctx context.Context, m *pipeline.Member) error {
-	st := StageTimes{Fetch: m.Stages.Fetch}
-	rep, err := b.s.applyPrepared(ctx, m.CVE, m.Blob, &st)
-	if err != nil {
-		m.Stages = st
-		return err
-	}
-	m.Stages = rep.Stages
-	return nil
-}
-
-// DeliverBatch runs Stages 2–4 for a whole batch: one prepare-many
-// ECALL, one staging directory, one SMI. Per-member outcomes land on
-// the members; a non-nil return means the SMI itself failed and the
-// pipeline should degrade to per-patch delivery.
-func (b *batchBackend) DeliverBatch(ctx context.Context, members []*pipeline.Member) error {
-	s := b.s
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	// Stage 2: prepare every member in one ECALL at running cursors.
-	smmPub, err := smmpatch.ReadSMMPub(s.Machine.Mem, s.helperPriv, s.Kernel.Res)
-	if err != nil {
-		return fmt.Errorf("core: read SMM key: %w", err)
-	}
-	memX, data := s.Handler.Cursors()
-	blobs := make([][]byte, len(members))
-	for i, m := range members {
-		blobs[i] = m.Blob
-	}
-	out, err := s.ecall(sgxprep.FnPrepareBatch, sgxprep.EncodeBatchPrepareArgs(&sgxprep.BatchPrepareArgs{
-		ServerBlobs: blobs,
-		SMMPub:      smmPub,
-		MemXCursor:  memX,
-		DataCursor:  data,
-	}))
-	if err != nil {
-		return fmt.Errorf("%w: batch: %w", ErrEnclavePrepare, err)
-	}
-	br, err := sgxprep.DecodeBatchResult(out)
-	if err != nil {
-		return err
-	}
-	if len(br.Members) != len(members) {
-		return fmt.Errorf("core: batch prepare returned %d members, want %d", len(br.Members), len(members))
-	}
-
-	// Stage 3: stage the successfully prepared members as one mem_W
-	// directory; preparation failures get per-member errors and drop
-	// out here (the pipeline gives them a per-patch attempt).
-	var staged []smmpatch.BatchMember
-	var stagedIdx []int
-	for i, mr := range br.Members {
-		m := members[i]
-		if mr.Err != "" {
-			m.Err = fmt.Errorf("%w: %s: %s", ErrEnclavePrepare, m.CVE, mr.Err)
-			continue
-		}
-		m.Stages.Preprocess = mr.Prep
-		m.Stages.PayloadBytes = mr.PayloadBytes
-		m.Stages.Pass = timing.Linear(s.Model.PassFixed, s.Model.PassPerByte, len(mr.Ciphertext))
-		s.Clock.Advance(m.Stages.Pass)
-		staged = append(staged, smmpatch.BatchMember{EnclavePub: mr.EnclavePub, Ciphertext: mr.Ciphertext})
-		stagedIdx = append(stagedIdx, i)
-	}
-	if len(staged) == 0 {
-		return nil
-	}
-	if err := smmpatch.StageBatch(s.Machine.Mem, s.helperPriv, s.Kernel.Res, staged); err != nil {
-		return fmt.Errorf("core: stage batch: %w", err)
-	}
-
-	// Stage 4: one SMI for the whole batch, announced to the detector
-	// like the single-package path so replays stay distinguishable.
-	s.det.ExpectSMI(uint8(smmpatch.CmdProcessBatch))
-	s.det.BeginTrustedWindow()
-	batchErr := s.SMM.Trigger(smmpatch.CmdProcessBatch, 0)
-	// Closing the window rebaselines atomically: a background sweep
-	// can never diff this SMI's text changes against the old baseline.
-	s.det.EndTrustedWindow()
-	if batchErr != nil {
-		return fmt.Errorf("core: SMM batch processing: %w", batchErr)
-	}
-	codes, err := smmpatch.ReadBatchResults(s.Machine.Mem, s.helperPriv, s.Kernel.Res)
-	if err != nil {
-		return err
-	}
-	if len(codes) != len(staged) {
-		return fmt.Errorf("core: batch results: %d codes for %d members", len(codes), len(staged))
-	}
-	bds := s.Handler.BatchBreakdowns()
-	switchShare := timing.AmortizeFixed(s.Model.SMMEntry+s.Model.SMMExit, len(staged))
-	for j, idx := range stagedIdx {
-		m := members[idx]
-		if j < len(bds) {
-			m.Stages.KeyGen = bds[j].KeyGen
-			m.Stages.Decrypt = bds[j].Decrypt
-			m.Stages.Verify = bds[j].Verify
-			m.Stages.Apply = bds[j].Apply
-		}
-		m.Stages.Switch = switchShare
-		switch codes[j] {
-		case smmpatch.StatusPatched:
-			m.Err = nil
-			s.obs.ObserveDur(obs.HistDowntime,
-				m.Stages.KeyGen+m.Stages.Decrypt+m.Stages.Verify+m.Stages.Apply+m.Stages.Switch)
-			s.det.NoteApplied(m.CVE)
-		case smmpatch.StatusTargetActive:
-			m.Err = fmt.Errorf("core: %s: %w", m.CVE, smmpatch.ErrTargetActive)
-			s.det.NoteActiveRefusal(m.CVE)
-		default:
-			m.Err = fmt.Errorf("core: %s: batch member status %d", m.CVE, codes[j])
-		}
-	}
-	// Confirm the batch SMI through the status mailbox and report to
-	// the server with its MAC, same as single deliveries.
-	status, err := smmpatch.ReadStatusRecord(s.Machine.Mem, s.helperPriv, s.Kernel.Res)
-	if err != nil {
-		return err
-	}
-	if status.Code != smmpatch.StatusBatchDone {
-		return &StatusError{ID: "batch", Got: status.Code, Want: smmpatch.StatusBatchDone}
-	}
-	return s.client.ReportStatusMAC(status.Code, status.Seq, status.Digest, status.MAC[:])
+// Deliver runs Stages 2–4 for the members — a batch, a single, a retry
+// or a degraded member alike — under one package SMI.
+func (b *batchBackend) Deliver(ctx context.Context, members []*pipeline.Member) error {
+	return b.s.deliverPatches(ctx, members)
 }

@@ -37,6 +37,7 @@ import (
 	"kshot/internal/obs"
 	"kshot/internal/options"
 	"kshot/internal/patchserver"
+	"kshot/internal/pipeline"
 	"kshot/internal/sgx"
 	"kshot/internal/sgxprep"
 	"kshot/internal/smm"
@@ -566,7 +567,7 @@ func (s *System) EnableIntrospection(cfg introspect.Config) error {
 	ch := introspect.NewChannel(cfg.Capacity, s.wall)
 	ch.Arm(cfg.ArmSteps)
 	det, err := introspect.NewDetector(ch, s.Machine.Mem, kernel.TextBase, kernel.TextRegionSize, introspect.DetectorConfig{
-		PatchCmds:      []uint8{uint8(smmpatch.CmdProcessPackage), uint8(smmpatch.CmdProcessBatch)},
+		PatchCmds:      []uint8{uint8(smmpatch.CmdProcessPackage)},
 		GroomThreshold: cfg.GroomThreshold,
 		Wall:           s.wall,
 	})
@@ -683,69 +684,57 @@ func (s *System) Close() {
 // Apply live-patches the named CVE end to end and reports per-stage
 // times. The OS pauses only for the SMM portion. ctx bounds the fetch
 // and is checked between stages; cancellation never interrupts an SMI
-// already raised, so the system stays consistent.
+// already raised, so the system stays consistent. The patch takes the
+// same path as an ApplyAll batch, as a one-member directory.
 func (s *System) Apply(ctx context.Context, cve string) (*Report, error) {
 	if err := s.Attach(ctx); err != nil {
 		return nil, err
 	}
-	st := StageTimes{}
 	// Stage 1: fetch the encrypted patch (untrusted helper, network).
-	blob, err := s.fetchBlob(ctx, s.client, cve, &st)
-	if err != nil {
-		return nil, err
-	}
-	return s.applyPrepared(ctx, cve, blob, &st)
-}
-
-// fetchBlob runs Stage 1 over the given server connection, recording
-// the virtual fetch time in st.
-func (s *System) fetchBlob(ctx context.Context, c *patchserver.Client, cve string, st *StageTimes) ([]byte, error) {
-	blob, err := c.FetchPatch(ctx, cve)
+	fs, err := s.fetch(ctx, s.client, []string{cve})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %w", ErrFetch, cve, err)
 	}
-	st.Fetch = timing.Linear(s.Model.FetchFixed, s.Model.FetchPerByte, len(blob))
-	s.Clock.Advance(st.Fetch)
-	s.obs.Span(obs.PhaseFetch, cve, -1, st.Fetch, len(blob))
-	return blob, nil
+	if fs[0].Err != nil {
+		return nil, fs[0].Err
+	}
+	m := &pipeline.Member{CVE: cve, Blob: fs[0].Blob, Stages: StageTimes{Fetch: fs[0].Time}}
+	if err := s.deliverPatches(ctx, []*pipeline.Member{m}); err != nil {
+		return nil, err
+	}
+	if m.Err != nil {
+		return nil, m.Err
+	}
+	return &Report{ID: cve, Stages: m.Stages}, nil
 }
 
-// applyPrepared runs Stages 2–4 for an already fetched blob: enclave
-// preprocessing, staging, and the SMI.
-func (s *System) applyPrepared(ctx context.Context, cve string, blob []byte, st *StageTimes) (*Report, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Stage 2: enclave preprocessing.
-	smmPub, err := smmpatch.ReadSMMPub(s.Machine.Mem, s.helperPriv, s.Kernel.Res)
-	if err != nil {
-		return nil, fmt.Errorf("core: read SMM key: %w", err)
-	}
-	memX, data := s.Handler.Cursors()
-	out, err := s.ecall(sgxprep.FnPrepare, sgxprep.EncodePrepareArgs(&sgxprep.PrepareArgs{
-		ServerBlob: blob,
-		SMMPub:     smmPub,
-		MemXCursor: memX,
-		DataCursor: data,
-	}))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %w", ErrEnclavePrepare, cve, err)
-	}
-	res, err := sgxprep.DecodeResult(out)
+// fetch runs Stage 1 for cves as one pipelined burst over the given
+// server connection, charging and tracing each blob's virtual fetch
+// time. Per-CVE failures land in Fetched.Err; the error return is the
+// connection's.
+func (s *System) fetch(ctx context.Context, c *patchserver.Client, cves []string) ([]pipeline.Fetched, error) {
+	rs, err := c.FetchPatches(ctx, cves)
 	if err != nil {
 		return nil, err
 	}
-	st.Preprocess = s.prog.LastBreakdown().Preprocess
-	st.PayloadBytes = res.PayloadBytes
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	out := make([]pipeline.Fetched, len(rs))
+	for i, r := range rs {
+		out[i].CVE = r.CVE
+		if r.Err != nil {
+			out[i].Err = fmt.Errorf("%w: %s: %w", ErrFetch, r.CVE, r.Err)
+			continue
+		}
+		out[i].Blob = r.Blob
+		out[i].Time = timing.Linear(s.Model.FetchFixed, s.Model.FetchPerByte, len(r.Blob))
+		s.Clock.Advance(out[i].Time)
+		s.obs.Span(obs.PhaseFetch, r.CVE, -1, out[i].Time, len(r.Blob))
 	}
-	return s.deliver(cve, res, st, smmpatch.StatusPatched)
+	return out, nil
 }
 
-// Rollback undoes the most recently applied patch (§V-C).
+// Rollback undoes the most recently applied patch (§V-C). The enclave
+// seals a rollback command, which reaches SMM as a one-member directory
+// through the same package SMI as every patch.
 func (s *System) Rollback(ctx context.Context, cve string) (*Report, error) {
 	if err := s.Attach(ctx); err != nil {
 		return nil, err
@@ -765,62 +754,167 @@ func (s *System) Rollback(ctx context.Context, cve string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := StageTimes{Preprocess: s.prog.LastBreakdown().Preprocess}
-	return s.deliver(cve, res, &st, smmpatch.StatusRolledBack)
+	st := StageTimes{Preprocess: s.Model.PrepFixed, Pass: s.pass(res.Ciphertext)}
+	codes, outs, err := s.smi([]smmpatch.BatchMember{{EnclavePub: res.EnclavePub, Ciphertext: res.Ciphertext}})
+	if err != nil {
+		return nil, err
+	}
+	s.smmStages(&st, outs[0].Breakdown, 1)
+	if codes[0] != smmpatch.StatusRolledBack {
+		return nil, memberErr(cve, codes[0], smmpatch.StatusRolledBack, outs[0].Err)
+	}
+	s.det.NoteApplied(cve)
+	return &Report{ID: cve, Stages: st}, nil
 }
 
-// deliver stages the sealed package and runs the SMM portion.
-func (s *System) deliver(cve string, res *sgxprep.Result, st *StageTimes, wantStatus uint32) (*Report, error) {
-	// Stage 3: the helper stages ciphertext into reserved memory.
-	st.Pass = s.Clock.Span(func() {
-		s.Clock.Advance(timing.Linear(s.Model.PassFixed, s.Model.PassPerByte, len(res.Ciphertext)))
-	})
-	if err := smmpatch.StageBlob(s.Machine.Mem, s.helperPriv, smmpatch.EnclavePubAddr(s.Kernel.Res), res.EnclavePub); err != nil {
-		return nil, fmt.Errorf("core: stage enclave key: %w", err)
-	}
-	if err := smmpatch.StageBlob(s.Machine.Mem, s.helperPriv, smmpatch.PackageAddr(s.Kernel.Res), res.Ciphertext); err != nil {
-		return nil, fmt.Errorf("core: stage package: %w", err)
+// deliverPatches runs Stages 2–4 for fetched members, one or many: one
+// prepare-many ECALL, one mem_W staging directory, one package SMI.
+// Per-member outcomes land on the members; a non-nil return means the
+// delivery failed as a whole and nothing can be said about them.
+func (s *System) deliverPatches(ctx context.Context, members []*pipeline.Member) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 
-	// Stage 4: SMI — the only part that pauses the OS. The pipeline
-	// announces its own patch SMIs to the detector; one this trusted
-	// path did not announce is a replayed artifact.
+	// Stage 2: prepare every member in one ECALL at running cursors.
+	smmPub, err := smmpatch.ReadSMMPub(s.Machine.Mem, s.helperPriv, s.Kernel.Res)
+	if err != nil {
+		return fmt.Errorf("core: read SMM key: %w", err)
+	}
+	memX, data := s.Handler.Cursors()
+	blobs := make([][]byte, len(members))
+	for i, m := range members {
+		blobs[i] = m.Blob
+	}
+	out, err := s.ecall(sgxprep.FnPrepareBatch, sgxprep.EncodeBatchPrepareArgs(&sgxprep.BatchPrepareArgs{
+		ServerBlobs: blobs,
+		SMMPub:      smmPub,
+		MemXCursor:  memX,
+		DataCursor:  data,
+	}))
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrEnclavePrepare, err)
+	}
+	br, err := sgxprep.DecodeBatchResult(out)
+	if err != nil {
+		return err
+	}
+	if len(br.Members) != len(members) {
+		return fmt.Errorf("core: prepare returned %d members, want %d", len(br.Members), len(members))
+	}
+
+	// Stage 3: stage the successfully prepared members as one mem_W
+	// directory; preparation failures get per-member errors and drop
+	// out here (the pipeline gives them a delivery of their own).
+	// Preprocess and Pass come from the model, not clock spans, so they
+	// stay exact while concurrent fetches advance the shared clock.
+	var staged []smmpatch.BatchMember
+	var landing []*pipeline.Member
+	for i, mr := range br.Members {
+		m := members[i]
+		m.Stages = StageTimes{Fetch: m.Stages.Fetch}
+		if mr.Err != "" {
+			m.Err = fmt.Errorf("%w: %s: %s", ErrEnclavePrepare, m.CVE, mr.Err)
+			continue
+		}
+		m.Stages.Preprocess = mr.Prep
+		m.Stages.PayloadBytes = mr.PayloadBytes
+		m.Stages.Pass = s.pass(mr.Ciphertext)
+		staged = append(staged, smmpatch.BatchMember{EnclavePub: mr.EnclavePub, Ciphertext: mr.Ciphertext})
+		landing = append(landing, m)
+	}
+	if len(staged) == 0 {
+		return nil
+	}
+
+	// Stage 4: one SMI for the whole directory.
+	codes, outs, err := s.smi(staged)
+	if err != nil {
+		return err
+	}
+	for j, m := range landing {
+		s.smmStages(&m.Stages, outs[j].Breakdown, len(staged))
+		if codes[j] != smmpatch.StatusPatched {
+			m.Err = memberErr(m.CVE, codes[j], smmpatch.StatusPatched, outs[j].Err)
+			if errors.Is(m.Err, smmpatch.ErrTargetActive) {
+				s.det.NoteActiveRefusal(m.CVE)
+			}
+			continue
+		}
+		m.Err = nil
+		s.obs.ObserveDur(obs.HistDowntime, m.Stages.SMMTotal())
+		s.det.NoteApplied(m.CVE)
+	}
+	return nil
+}
+
+// pass charges Stage 3, the helper copying a sealed package into
+// reserved memory, and returns its virtual time.
+func (s *System) pass(ciphertext []byte) time.Duration {
+	d := timing.Linear(s.Model.PassFixed, s.Model.PassPerByte, len(ciphertext))
+	s.Clock.Advance(d)
+	return d
+}
+
+// smmStages records one member's share of a package SMI of n members:
+// the handler's per-member stage times and the amortized world switch.
+func (s *System) smmStages(st *StageTimes, bd smmpatch.Breakdown, n int) {
+	st.KeyGen = bd.KeyGen
+	st.Decrypt = bd.Decrypt
+	st.Verify = bd.Verify
+	st.Apply = bd.Apply
+	st.Switch = timing.AmortizeFixed(s.Model.SMMEntry+s.Model.SMMExit, n)
+}
+
+// memberErr builds the error of a member whose code is not want,
+// wrapping the handler's typed outcome so errors.Is still finds
+// ErrDuplicate, ErrTargetActive, ErrRollbackOrder or ErrNothingApplied.
+func memberErr(id string, code, want uint32, err error) error {
+	if err == nil {
+		return &StatusError{ID: id, Got: code, Want: want}
+	}
+	return fmt.Errorf("core: %s: %w", id, err)
+}
+
+// smi stages the sealed members as one mem_W directory and raises the
+// package SMI — the only part that pauses the OS. It returns the
+// per-member codes and outcomes once the summary status has been
+// confirmed through the mailbox and reported to the server with its
+// MAC (the authenticated DoS-detection handshake).
+func (s *System) smi(staged []smmpatch.BatchMember) ([]uint32, []smmpatch.Outcome, error) {
+	if err := smmpatch.StageBatch(s.Machine.Mem, s.helperPriv, s.Kernel.Res, staged); err != nil {
+		return nil, nil, fmt.Errorf("core: stage package: %w", err)
+	}
+	// The pipeline announces its own package SMIs to the detector; one
+	// this trusted path did not announce is a replayed artifact.
 	s.det.ExpectSMI(uint8(smmpatch.CmdProcessPackage))
 	s.det.BeginTrustedWindow()
 	smiErr := s.SMM.Trigger(smmpatch.CmdProcessPackage, 0)
 	// Closing the window rebaselines atomically: a background sweep
 	// can never diff this SMI's text changes against the old baseline.
 	s.det.EndTrustedWindow()
-	bd := s.Handler.LastBreakdown()
-	st.KeyGen = bd.KeyGen
-	st.Decrypt = bd.Decrypt
-	st.Verify = bd.Verify
-	st.Apply = bd.Apply
-	st.Switch = s.Model.SMMEntry + s.Model.SMMExit
 	if smiErr != nil {
-		if errors.Is(smiErr, smmpatch.ErrTargetActive) {
-			s.det.NoteActiveRefusal(cve)
-		}
-		return nil, fmt.Errorf("core: SMM processing: %w", smiErr)
+		return nil, nil, fmt.Errorf("core: SMM processing: %w", smiErr)
 	}
-
-	// Confirm through the status mailbox and report to the server with
-	// its MAC (the authenticated DoS-detection handshake).
+	codes, err := smmpatch.ReadBatchResults(s.Machine.Mem, s.helperPriv, s.Kernel.Res)
+	if err != nil {
+		return nil, nil, err
+	}
+	outs := s.Handler.Outcomes()
+	if len(codes) != len(staged) || len(outs) != len(staged) {
+		return nil, nil, fmt.Errorf("core: %d codes and %d outcomes for %d members", len(codes), len(outs), len(staged))
+	}
 	status, err := smmpatch.ReadStatusRecord(s.Machine.Mem, s.helperPriv, s.Kernel.Res)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if status.Code != wantStatus {
-		return nil, &StatusError{ID: cve, Got: status.Code, Want: wantStatus}
+	if status.Code != smmpatch.StatusBatchDone {
+		return nil, nil, &StatusError{ID: "package", Got: status.Code, Want: smmpatch.StatusBatchDone}
 	}
 	if err := s.client.ReportStatusMAC(status.Code, status.Seq, status.Digest, status.MAC[:]); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if wantStatus == smmpatch.StatusPatched {
-		s.obs.ObserveDur(obs.HistDowntime, st.KeyGen+st.Decrypt+st.Verify+st.Apply+st.Switch)
-	}
-	s.det.NoteApplied(cve)
-	return &Report{ID: cve, Stages: *st}, nil
+	return codes, outs, nil
 }
 
 // Protect runs SMM introspection over all applied patches, repairing

@@ -117,7 +117,7 @@ func TestApplyEndToEnd(t *testing.T) {
 	}
 	// The server received the deployment status (DoS handshake).
 	sts := d.Server.Statuses()
-	if len(sts) == 0 || sts[len(sts)-1].Code != smmpatch.StatusPatched {
+	if len(sts) == 0 || sts[len(sts)-1].Code != smmpatch.StatusBatchDone {
 		t.Errorf("server statuses = %+v", sts)
 	}
 }
@@ -324,10 +324,10 @@ func TestHelperCannotReadPatchTraffic(t *testing.T) {
 	}
 	buf := make([]byte, 16)
 	res := d.System.Kernel.Res
-	if err := d.System.Machine.Mem.Read(mem.PrivUser, smmpatch.PackageAddr(res), buf); err == nil {
+	if err := d.System.Machine.Mem.Read(mem.PrivUser, res.WBase(), buf); err == nil {
 		t.Error("helper read staged package")
 	}
-	if err := d.System.Machine.Mem.Read(mem.PrivKernel, smmpatch.PackageAddr(res), buf); err == nil {
+	if err := d.System.Machine.Mem.Read(mem.PrivKernel, res.WBase(), buf); err == nil {
 		t.Error("kernel read staged package")
 	}
 	// And mem_X payloads are execute-only.
@@ -433,7 +433,8 @@ func fetchOnly(d *testDeployment) ([]byte, error) {
 	}
 	defer c.Close()
 	meas := sgxMeasurement("4.4")
-	if _, err := c.Hello(patchserver.OSInfo{Version: "4.4", Ftrace: true, Inline: true}, meas); err != nil {
+	attKey := make([]byte, 32) // the attacker's own, not the target's
+	if _, err := c.HelloWithAttestation(patchserver.OSInfo{Version: "4.4", Ftrace: true, Inline: true}, meas, attKey); err != nil {
 		return nil, err
 	}
 	return c.FetchPatch(context.Background(), "CVE-2014-0196")
@@ -646,7 +647,7 @@ func TestFleetOneServerManyTargets(t *testing.T) {
 	// The server saw an authentic confirmation from every target.
 	authentic := 0
 	for _, st := range srv.Statuses() {
-		if st.Authentic && st.Code == smmpatch.StatusPatched {
+		if st.Authentic && st.Code == smmpatch.StatusBatchDone {
 			authentic++
 		}
 	}

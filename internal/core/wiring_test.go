@@ -101,7 +101,7 @@ func TestFaultPointCounts(t *testing.T) {
 		faultinject.MemWCorrupt:   {drive: stageMemW},
 		faultinject.MemWFault:     {drive: stageMemW},
 		faultinject.SMMRefuse:     {drive: func(t *testing.T, d *testDeployment) { _ = d.System.SMM.Trigger(smmpatch.CmdKeyExchange, 0) }},
-		faultinject.SMMBatchAbort: {drive: applyBatch},
+		faultinject.SMMBatchAbort: {drive: applyOne},
 		faultinject.SGXECallFail:  {drive: applyOne},
 		faultinject.SGXDestroy:    {drive: applyOne},
 		faultinject.FetchError:    {drive: fetchOne},
@@ -216,7 +216,7 @@ func TestWiringOrder(t *testing.T) {
 			// One fetch over the attached client, one over the pooled
 			// extra and one ECALL: each fails and is counted while h is
 			// installed.
-			_, err := s.enclave.ECall(sgxprep.FnPrepare, nil)
+			_, err := s.enclave.ECall(sgxprep.FnPrepareBatch, nil)
 			if injected := errors.Is(err, faultinject.ErrInjected); injected != observed {
 				t.Errorf("ECALL error %v, want injected=%v", err, observed)
 			}

@@ -37,7 +37,7 @@ func BenchmarkFleetFetch(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer c.Close()
-				if _, err := c.Hello(info, goodMeasurement(info.Version)); err != nil {
+				if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 					b.Fatal(err)
 				}
 				clients[i] = c

@@ -57,7 +57,7 @@ func TestFleetConformance(t *testing.T) {
 			// Anonymous hello: every session gets its own channel key, so
 			// the identical-plaintext assertion below also witnesses that
 			// per-session encryption stayed per-client.
-			key, err := c.Hello(info, goodMeasurement(info.Version))
+			key, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey)
 			if err != nil {
 				errs <- fmt.Errorf("target %d hello: %w", id, err)
 				return
@@ -87,7 +87,7 @@ func TestFleetConformance(t *testing.T) {
 				plains[k] = append(plains[k], plain)
 				mu.Unlock()
 			}
-			if err := c.ReportStatus(1, uint64(id)+1, bytes.Repeat([]byte{byte(id)}, 8)); err != nil {
+			if err := c.ReportStatusMAC(1, uint64(id)+1, bytes.Repeat([]byte{byte(id)}, 8), nil); err != nil {
 				errs <- fmt.Errorf("target %d status: %w", id, err)
 			}
 		}(i)
@@ -164,7 +164,7 @@ func TestCacheSoakUnderEviction(t *testing.T) {
 			}
 			defer c.Close()
 			info := configs[w%len(configs)]
-			if _, err := c.Hello(info, goodMeasurement(info.Version)); err != nil {
+			if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 				return
 			}
 			for i := 0; ; i++ {
@@ -217,7 +217,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	}
 	defer c.Close()
 	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
-	if _, err := c.Hello(info, goodMeasurement(info.Version)); err != nil {
+	if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 		t.Fatal(err)
 	}
 
@@ -276,7 +276,7 @@ func TestMaxConnsBackpressureAndRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	if _, err := c1.Hello(info, goodMeasurement(info.Version)); err != nil {
+	if _, err := c1.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 		t.Fatal(err)
 	}
 
@@ -287,7 +287,7 @@ func TestMaxConnsBackpressureAndRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	_, err = c2.Hello(info, goodMeasurement(info.Version))
+	_, err = c2.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey)
 	if err == nil {
 		t.Fatal("second client served past a full gate")
 	}
@@ -302,7 +302,7 @@ func TestMaxConnsBackpressureAndRefusal(t *testing.T) {
 	for {
 		c3, err = Dial(gated.Addr())
 		if err == nil {
-			if _, err = c3.Hello(info, goodMeasurement(info.Version)); err == nil {
+			if _, err = c3.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err == nil {
 				break
 			}
 			c3.Close()

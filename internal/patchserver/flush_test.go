@@ -11,12 +11,13 @@ import (
 	"time"
 )
 
-// helloFrame is a well-formed anonymous hello for the 4.4 test kernel.
+// helloFrame is a well-formed attested hello for the 4.4 test kernel.
 func helloFrame() []byte {
 	return appendRequest(nil, &request{
 		Kind:        kindHello,
 		Info:        OSInfo{Version: "4.4", Ftrace: true, Inline: true},
 		Measurement: goodMeasurement("4.4"),
+		AttKey:      testAttKey,
 	})
 }
 

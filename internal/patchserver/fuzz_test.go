@@ -17,12 +17,21 @@ import (
 // fuzzSeedBytes builds the structured wire-protocol seeds: well-formed
 // requests (in and out of order), so the fuzzer starts from inputs
 // that reach deep into handle() rather than dying in the frame reader.
+// The first nine open with a hello that carries no attestation key,
+// which the server now refuses; they stay as regression inputs for
+// that refusal, and the attested seeds after them reach the patch path.
 func fuzzSeedBytes() [][]byte {
 	mk := func(req *request) []byte { return appendRequest(nil, req) }
 	hello := mk(&request{
 		Kind:        kindHello,
 		Info:        OSInfo{Version: "4.4", Ftrace: true, Inline: true},
 		Measurement: goodMeasurement("4.4"),
+	})
+	attested := mk(&request{
+		Kind:        kindHello,
+		Info:        OSInfo{Version: "4.4", Ftrace: true, Inline: true},
+		Measurement: goodMeasurement("4.4"),
+		AttKey:      testAttKey,
 	})
 	patchReq := mk(&request{Kind: kindPatch, CVE: "CVE-2014-0196"})
 	status := mk(&request{Kind: kindStatus, Code: 1, Seq: 7, Digest: []byte{1, 2, 3}})
@@ -38,6 +47,9 @@ func fuzzSeedBytes() [][]byte {
 		{3, 0, 0, 0, 0, 0, 0},         // frame shorter than its fields
 		burst,
 		cutHeader,
+		attested,
+		append(attested, patchReq...),
+		bytes.Join([][]byte{attested, patchReq, patchReq, status}, nil),
 	}
 }
 
@@ -90,7 +102,7 @@ func FuzzServerFrame(f *testing.F) {
 		}
 		defer c.Close()
 		info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
-		if _, err := c.Hello(info, goodMeasurement(info.Version)); err != nil {
+		if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 			f.Errorf("server broken after fuzzing: %v", err)
 		}
 	})

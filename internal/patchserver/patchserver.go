@@ -646,7 +646,7 @@ func (s *Server) handle(sess **session, req *request) *response {
 			Digest: append([]byte(nil), req.Digest...),
 			At:     time.Now(),
 		}
-		if sess := *sess; sess != nil && len(sess.attKey) > 0 && len(req.MAC) == kcrypto.DigestSize {
+		if sess := *sess; sess != nil && len(req.MAC) == kcrypto.DigestSize {
 			buf := make([]byte, 12+len(req.Digest))
 			binary.LittleEndian.PutUint32(buf, req.Code)
 			binary.LittleEndian.PutUint64(buf[4:], req.Seq)
@@ -665,6 +665,12 @@ func (s *Server) handle(sess **session, req *request) *response {
 }
 
 func (s *Server) handleHello(sess **session, req *request) *response {
+	// Every target registers its status-attestation key at hello: the
+	// channel key derives from it, and every status report is checked
+	// against it.
+	if len(req.AttKey) == 0 {
+		return &response{Err: "hello refused: no status-attestation key"}
+	}
 	// Verify the enclave identity: a genuine KShot preparation enclave
 	// for the reported kernel version has a known measurement. This is
 	// how the server refuses to provision keys to an impostor enclave
@@ -679,17 +685,9 @@ func (s *Server) handleHello(sess **session, req *request) *response {
 		}
 		s.versions.Store(req.Info.Version, struct{}{})
 	}
-	var key []byte
-	if len(req.AttKey) > 0 {
-		key = kcrypto.DeriveKey(s.keyRoot, []byte(req.Info.Version),
-			wire.AppendBool(nil, req.Info.Ftrace), wire.AppendBool(nil, req.Info.Inline),
-			req.Measurement[:], req.AttKey)
-	} else {
-		key = make([]byte, 32)
-		if _, err := io.ReadFull(rand.Reader, key); err != nil {
-			return &response{Err: "server entropy failure"}
-		}
-	}
+	key := kcrypto.DeriveKey(s.keyRoot, []byte(req.Info.Version),
+		wire.AppendBool(nil, req.Info.Ftrace), wire.AppendBool(nil, req.Info.Inline),
+		req.Measurement[:], req.AttKey)
 	crypt, err := kcrypto.NewSession(key, nil)
 	if err != nil {
 		return &response{Err: err.Error()}
@@ -1035,15 +1033,13 @@ func (c *Client) transport() (net.Conn, *bufio.Reader) {
 	return c.conn, c.rd
 }
 
-// recordHello remembers a successful attested hello for replay after a
-// reconnect (only attested hellos converge on the same channel key, so
-// only they are safe to replay transparently).
+// recordHello remembers a successful hello for replay after a
+// reconnect: an attested hello converges on the same channel key, so it
+// is safe to replay transparently.
 func (c *Client) recordHello(req *request) {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
-	if len(req.AttKey) > 0 {
-		c.hello = req
-	}
+	c.hello = req
 }
 
 // reconnect redials the server, swaps the connection, and replays the
@@ -1206,16 +1202,11 @@ func (c *Client) exchangeOn(conn net.Conn, rd *bufio.Reader, reqs []*request, re
 	return nil
 }
 
-// Hello registers the target's OS information and enclave measurement
-// and returns the server→enclave channel key (provisioned under the
-// attested measurement).
-func (c *Client) Hello(info OSInfo, meas sgx.Measurement) ([]byte, error) {
-	return c.HelloWithAttestation(info, meas, nil)
-}
-
-// HelloWithAttestation additionally registers the target's
-// status-attestation key so the server can authenticate deployment
-// confirmations.
+// HelloWithAttestation registers the target's OS information, enclave
+// measurement and status-attestation key, and returns the
+// server→enclave channel key (provisioned under the attested
+// measurement). The server authenticates deployment confirmations with
+// the attestation key and refuses a hello without one.
 func (c *Client) HelloWithAttestation(info OSInfo, meas sgx.Measurement, attKey []byte) ([]byte, error) {
 	req := &request{Kind: kindHello, Info: info, Measurement: meas, AttKey: attKey}
 	resp, err := c.roundTrip(req)
@@ -1295,13 +1286,9 @@ func (c *Client) FetchPatches(ctx context.Context, cves []string) ([]FetchResult
 	return out, nil
 }
 
-// ReportStatus forwards the SMM status mailbox to the server (the
-// deployment-progress handshake the server uses for DoS detection).
-func (c *Client) ReportStatus(code uint32, seq uint64, digest []byte) error {
-	return c.ReportStatusMAC(code, seq, digest, nil)
-}
-
-// ReportStatusMAC forwards a status record together with its HMAC.
+// ReportStatusMAC forwards the SMM status mailbox record together with
+// its HMAC to the server (the deployment-progress handshake the server
+// uses for DoS detection).
 func (c *Client) ReportStatusMAC(code uint32, seq uint64, digest, mac []byte) error {
 	_, err := c.roundTrip(&request{Kind: kindStatus, Code: code, Seq: seq, Digest: digest, MAC: mac})
 	return err

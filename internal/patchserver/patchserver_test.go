@@ -39,6 +39,32 @@ func goodMeasurement(version string) sgx.Measurement {
 	return sgx.MeasureIdentity(sgxprep.Identity(version))
 }
 
+// testAttKey is the status-attestation key the tests' targets register
+// at hello.
+var testAttKey = bytes.Repeat([]byte{0xA7}, 32)
+
+// TestHelloWithoutAttestationKeyRefused: a target registers its
+// status-attestation key at hello, so a hello without one gets no
+// channel key, and the session stays closed to patch requests.
+func TestHelloWithoutAttestationKeyRefused(t *testing.T) {
+	srv, entries := newTestServer(t, "CVE-2014-0196")
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
+	if key, err := c.HelloWithAttestation(info, goodMeasurement("4.4"), nil); err == nil {
+		t.Fatalf("unattested hello accepted, channel key %x", key)
+	}
+	if _, err := c.FetchPatch(context.Background(), entries[0].CVE); err == nil {
+		t.Fatal("patch served after a refused hello")
+	}
+	if _, err := c.HelloWithAttestation(info, goodMeasurement("4.4"), testAttKey); err != nil {
+		t.Fatalf("attested hello after a refused one: %v", err)
+	}
+}
+
 func TestHelloAndFetch(t *testing.T) {
 	srv, entries := newTestServer(t, "CVE-2014-0196")
 	c, err := Dial(srv.Addr())
@@ -48,7 +74,7 @@ func TestHelloAndFetch(t *testing.T) {
 	defer c.Close()
 
 	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
-	key, err := c.Hello(info, goodMeasurement("4.4"))
+	key, err := c.HelloWithAttestation(info, goodMeasurement("4.4"), testAttKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +132,7 @@ func TestRegisterBinaryPatch(t *testing.T) {
 		t.Fatal("prebuilt patch served before hello")
 	}
 	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
-	key, err := c.Hello(info, goodMeasurement(info.Version))
+	key, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +177,12 @@ func TestHelloRejectsBadMeasurement(t *testing.T) {
 	defer c.Close()
 	var bogus sgx.Measurement
 	bogus[0] = 0xFF
-	_, err = c.Hello(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, bogus)
+	_, err = c.HelloWithAttestation(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, bogus, testAttKey)
 	if err == nil || !strings.Contains(err.Error(), "attestation") {
 		t.Fatalf("bad measurement accepted: %v", err)
 	}
 	// Measurement for the wrong version is also an impostor.
-	_, err = c.Hello(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("3.14"))
+	_, err = c.HelloWithAttestation(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("3.14"), testAttKey)
 	if err == nil {
 		t.Fatal("cross-version measurement accepted")
 	}
@@ -169,7 +195,7 @@ func TestHelloRejectsUnknownKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Hello(OSInfo{Version: "9.9"}, goodMeasurement("9.9")); err == nil {
+	if _, err := c.HelloWithAttestation(OSInfo{Version: "9.9"}, goodMeasurement("9.9"), testAttKey); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
 }
@@ -193,7 +219,7 @@ func TestFetchUnknownCVE(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Hello(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("4.4")); err != nil {
+	if _, err := c.HelloWithAttestation(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("4.4"), testAttKey); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.FetchPatch(context.Background(), "CVE-0000-0000"); err == nil {
@@ -211,7 +237,7 @@ func TestConfigurationMattersToBlob(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		key, err := c.Hello(info, goodMeasurement(info.Version))
+		key, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +274,7 @@ func TestStatusReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.ReportStatus(2, 7, []byte{1, 2, 3}); err != nil {
+	if err := c.ReportStatusMAC(2, 7, []byte{1, 2, 3}, nil); err != nil {
 		t.Fatal(err)
 	}
 	sts := srv.Statuses()
@@ -268,7 +294,7 @@ func TestConcurrentClients(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			if _, err := c.Hello(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("4.4")); err != nil {
+			if _, err := c.HelloWithAttestation(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("4.4"), testAttKey); err != nil {
 				done <- err
 				return
 			}
@@ -321,7 +347,7 @@ func TestAuthenticatedStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A record with no MAC at all does not.
-	if err := c.ReportStatus(2, 7, digest); err != nil {
+	if err := c.ReportStatusMAC(2, 7, digest, nil); err != nil {
 		t.Fatal(err)
 	}
 	sts := srv.Statuses()
@@ -341,7 +367,7 @@ func TestFetchPatchesPipelined(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Hello(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("4.4")); err != nil {
+	if _, err := c.HelloWithAttestation(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("4.4"), testAttKey); err != nil {
 		t.Fatal(err)
 	}
 	rs, err := c.FetchPatches(context.Background(),
@@ -371,7 +397,7 @@ func TestFetchCancellationKeepsClientUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Hello(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("4.4")); err != nil {
+	if _, err := c.HelloWithAttestation(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("4.4"), testAttKey); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

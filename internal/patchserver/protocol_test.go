@@ -30,7 +30,7 @@ func assertServerStillServes(t *testing.T, srv *Server, cve string) {
 	}
 	defer c.Close()
 	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
-	if _, err := c.Hello(info, goodMeasurement(info.Version)); err != nil {
+	if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 		t.Fatalf("server no longer serving hellos: %v", err)
 	}
 	if _, err := c.FetchPatch(context.Background(), cve); err != nil {
@@ -140,7 +140,7 @@ func TestPatchBeforeHelloKeepsSessionAlive(t *testing.T) {
 	}
 	// Same connection, proper order: everything works.
 	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
-	if _, err := c.Hello(info, goodMeasurement(info.Version)); err != nil {
+	if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 		t.Fatalf("hello after rejected patch: %v", err)
 	}
 	if _, err := c.FetchPatch(context.Background(), entries[0].CVE); err != nil {
@@ -159,6 +159,7 @@ func TestMidResponseDisconnect(t *testing.T) {
 		Kind:        kindHello,
 		Info:        OSInfo{Version: "4.4", Ftrace: true, Inline: true},
 		Measurement: goodMeasurement("4.4"),
+		AttKey:      testAttKey,
 	})
 	burst = appendRequest(burst, &request{Kind: kindPatch, CVE: entries[0].CVE})
 	raw, err := net.Dial("tcp", srv.Addr())
@@ -202,7 +203,7 @@ func TestCapacityRefusalSurfacesOnClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer holder.Close()
-	if _, err := holder.Hello(info, goodMeasurement(info.Version)); err != nil {
+	if _, err := holder.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 		t.Fatal(err)
 	}
 
@@ -211,7 +212,7 @@ func TestCapacityRefusalSurfacesOnClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Hello(info, goodMeasurement(info.Version))
+	_, err = c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey)
 	if err == nil || !strings.Contains(err.Error(), "server at capacity") {
 		t.Fatalf("hello past a full gate: err = %v, want the capacity refusal", err)
 	}
@@ -323,7 +324,7 @@ func TestDialRetrySucceedsAfterInjectedFailures(t *testing.T) {
 	}
 
 	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
-	if _, err := c.Hello(info, goodMeasurement(info.Version)); err != nil {
+	if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.FetchPatch(context.Background(), entries[0].CVE); err != nil {
@@ -429,7 +430,7 @@ func TestNoRequestRetryFailsFast(t *testing.T) {
 	}
 	defer c.Close()
 	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
-	if _, err := c.Hello(info, goodMeasurement(info.Version)); err != nil {
+	if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 		t.Fatal(err)
 	}
 	c.connMu.Lock()

@@ -2,7 +2,9 @@
 // fans Stage 1 of Figure 2 (fetching encrypted patches) out across a
 // worker pool, coalesces the fetched members into batches, and hands
 // each batch to a backend that runs Stages 2–4 (enclave prepare-many,
-// staging, one SMI for the whole batch). Delivery is strictly in
+// staging, one SMI for the whole batch). A single member — a
+// one-member batch, a retry, a degraded member — takes the same
+// backend call with a one-member slice. Delivery is strictly in
 // request order — enclave preparation places members at a running
 // mem_X cursor, so batch k+1's placement assumes batch k applied
 // first — but fetching for later batches overlaps the preparation and
@@ -142,15 +144,12 @@ type Backend interface {
 	// the error return is for whole-call failures.
 	FetchMany(ctx context.Context, cves []string) ([]Fetched, error)
 
-	// DeliverBatch prepares and applies the members under a single
-	// SMI. Per-member outcomes (including refusals) are recorded on
-	// the members' Err fields; the error return means the batch as a
-	// whole failed structurally and nothing can be said about members.
-	DeliverBatch(ctx context.Context, members []*Member) error
-
-	// DeliverOne prepares and applies a single member under its own
-	// SMI, returning its outcome.
-	DeliverOne(ctx context.Context, m *Member) error
+	// Deliver prepares and applies the members under a single SMI.
+	// Per-member outcomes (including refusals) are recorded on the
+	// members' Err fields, nil on success; the error return means the
+	// delivery as a whole failed structurally and nothing can be said
+	// about members.
+	Deliver(ctx context.Context, members []*Member) error
 }
 
 // Result summarizes a pipeline run.
@@ -331,16 +330,14 @@ func Run(ctx context.Context, b Backend, cves []string, cfg Config) (*Result, er
 		boundary() // pre-delivery
 
 		if len(deliverable) == 1 {
-			m := deliverable[0]
-			m.Attempts++
-			m.Err = b.DeliverOne(ctx, m)
+			deliverOne(ctx, b, deliverable[0])
 			res.Singles++
 		} else {
 			res.Batches++
 			for _, m := range deliverable {
 				m.Attempts++
 			}
-			if err := b.DeliverBatch(ctx, deliverable); err != nil {
+			if err := b.Deliver(ctx, deliverable); err != nil {
 				// Structural batch failure: graceful degradation to
 				// per-patch SMIs for every member.
 				for _, m := range deliverable {
@@ -377,12 +374,20 @@ func Run(ctx context.Context, b Backend, cves []string, cfg Config) (*Result, er
 	return res, ctx.Err()
 }
 
+// deliverOne delivers m alone under its own SMI; a structural failure
+// of that delivery is m's outcome.
+func deliverOne(ctx context.Context, b Backend, m *Member) {
+	m.Attempts++
+	if err := b.Deliver(ctx, []*Member{m}); err != nil {
+		m.Err = err
+	}
+}
+
 // deliverFallback re-attempts a member via its own per-patch SMI after
 // a batch-path failure.
 func deliverFallback(ctx context.Context, b Backend, m *Member, res *Result) {
 	m.Fallback = true
-	m.Attempts++
-	m.Err = b.DeliverOne(ctx, m)
+	deliverOne(ctx, b, m)
 	res.Singles++
 	res.Degraded++
 }
@@ -400,8 +405,7 @@ func retryMember(ctx context.Context, b Backend, m *Member, cfg Config, res *Res
 			m.Err = ctx.Err()
 			return
 		}
-		m.Attempts++
-		m.Err = b.DeliverOne(ctx, m)
+		deliverOne(ctx, b, m)
 		res.Singles++
 		res.Retries++
 	}

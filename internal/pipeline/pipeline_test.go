@@ -21,18 +21,20 @@ var (
 type fakeBackend struct {
 	mu sync.Mutex
 
-	// refuse[cve] = number of times DeliverOne/DeliverBatch refuses the
-	// member with errRefused before letting it through.
+	// refuse[cve] = number of times Deliver refuses the member with
+	// errRefused before letting it through.
 	refuse map[string]int
 	// poison holds CVEs that always fail with errPoisoned.
 	poison map[string]bool
-	// failBatch makes every DeliverBatch call fail structurally.
-	failBatch bool
+	// failBatch makes every multi-member Deliver call fail
+	// structurally; failSingle does the same to one-member calls.
+	failBatch  bool
+	failSingle bool
 	// fetchErr holds CVEs whose fetch fails.
 	fetchErr map[string]bool
 
-	batchCalls  [][]string // member CVEs per DeliverBatch call
-	singleCalls []string   // CVE per DeliverOne call
+	batchCalls  [][]string // member CVEs per multi-member Deliver call
+	singleCalls []string   // CVE per one-member Deliver call
 	applied     []string   // CVEs that landed, in apply order
 }
 
@@ -72,28 +74,28 @@ func (f *fakeBackend) outcome(cve string) error {
 	return nil
 }
 
-func (f *fakeBackend) DeliverBatch(ctx context.Context, members []*Member) error {
+func (f *fakeBackend) Deliver(ctx context.Context, members []*Member) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ids := make([]string, len(members))
-	for i, m := range members {
-		ids[i] = m.CVE
-	}
-	f.batchCalls = append(f.batchCalls, ids)
-	if f.failBatch {
-		return errors.New("SMI failed")
+	if len(members) == 1 {
+		f.singleCalls = append(f.singleCalls, members[0].CVE)
+		if f.failSingle {
+			return errors.New("SMI failed")
+		}
+	} else {
+		ids := make([]string, len(members))
+		for i, m := range members {
+			ids[i] = m.CVE
+		}
+		f.batchCalls = append(f.batchCalls, ids)
+		if f.failBatch {
+			return errors.New("SMI failed")
+		}
 	}
 	for _, m := range members {
 		m.Err = f.outcome(m.CVE)
 	}
 	return nil
-}
-
-func (f *fakeBackend) DeliverOne(ctx context.Context, m *Member) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.singleCalls = append(f.singleCalls, m.CVE)
-	return f.outcome(m.CVE)
 }
 
 func cveList(n int) []string {
@@ -226,6 +228,26 @@ func TestRunDegradesWholeBatchOnStructuralFailure(t *testing.T) {
 	for _, m := range res.Members {
 		if m.Err != nil || !m.Fallback {
 			t.Fatalf("member %s: err=%v fallback=%v", m.CVE, m.Err, m.Fallback)
+		}
+	}
+}
+
+// TestRunSingleStructuralFailureIsMemberError: when a one-member
+// delivery fails as a whole, the failure is that member's outcome —
+// there is nothing left to degrade to.
+func TestRunSingleStructuralFailureIsMemberError(t *testing.T) {
+	f := newFakeBackend()
+	f.failBatch, f.failSingle = true, true
+	res, err := Run(context.Background(), f, cveList(3), Config{BatchSize: 3})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(f.singleCalls) != 3 || res.Degraded != 3 || len(f.applied) != 0 {
+		t.Fatalf("singles = %v, Degraded = %d, applied = %v", f.singleCalls, res.Degraded, f.applied)
+	}
+	for _, m := range res.Members {
+		if m.Err == nil || m.Attempts != 2 {
+			t.Fatalf("member %s: err=%v attempts=%d, want the SMI failure after 2 attempts", m.CVE, m.Err, m.Attempts)
 		}
 	}
 }

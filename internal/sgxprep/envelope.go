@@ -16,30 +16,6 @@ import (
 // the enclave's copy is private, because ECall copies the arguments
 // before entering the program.
 
-// EncodePrepareArgs encodes the FnPrepare argument block.
-func EncodePrepareArgs(a *PrepareArgs) []byte {
-	b := make([]byte, 0, len(a.ServerBlob)+len(a.SMMPub)+4*binary.MaxVarintLen64)
-	b = wire.AppendBytes(b, a.ServerBlob)
-	b = wire.AppendBytes(b, a.SMMPub)
-	b = wire.AppendUvarint(b, a.MemXCursor)
-	return wire.AppendUvarint(b, a.DataCursor)
-}
-
-// DecodePrepareArgs decodes a FnPrepare argument block.
-func DecodePrepareArgs(data []byte) (*PrepareArgs, error) {
-	d := wire.NewDecoder(data)
-	a := &PrepareArgs{
-		ServerBlob: d.Bytes(),
-		SMMPub:     d.Bytes(),
-		MemXCursor: d.Uvarint(),
-		DataCursor: d.Uvarint(),
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
 // EncodeRollbackArgs encodes the FnPrepareRollback argument block.
 func EncodeRollbackArgs(a *RollbackArgs) []byte {
 	return wire.AppendBytes(wire.AppendString(nil, a.ID), a.SMMPub)
@@ -109,12 +85,12 @@ func decodeResultFields(d *wire.Decoder) Result {
 	}
 }
 
-// encodeResult encodes the FnPrepare/FnPrepareRollback result block.
+// encodeResult encodes the FnPrepareRollback result block.
 func encodeResult(r *Result) []byte {
 	return appendResult(make([]byte, 0, len(r.Ciphertext)+len(r.EnclavePub)+len(r.ID)+6*binary.MaxVarintLen64), r)
 }
 
-// DecodeResult decodes a FnPrepare or FnPrepareRollback result block.
+// DecodeResult decodes a FnPrepareRollback result block.
 func DecodeResult(data []byte) (*Result, error) {
 	d := wire.NewDecoder(data)
 	r := decodeResultFields(d)

@@ -16,10 +16,6 @@ var envelopes = []struct {
 	fn     int
 	decode func([]byte) (func() []byte, error)
 }{
-	{FnPrepare, func(b []byte) (func() []byte, error) {
-		a, err := DecodePrepareArgs(b)
-		return func() []byte { return EncodePrepareArgs(a) }, err
-	}},
 	{FnPrepareRollback, func(b []byte) (func() []byte, error) {
 		a, err := DecodeRollbackArgs(b)
 		return func() []byte { return EncodeRollbackArgs(a) }, err
@@ -34,13 +30,13 @@ var envelopes = []struct {
 // the malformed shapes the decoders must refuse.
 func envelopeSeeds() [][]byte {
 	return [][]byte{
-		EncodePrepareArgs(&PrepareArgs{ServerBlob: []byte("sealed blob"), SMMPub: testNonce, MemXCursor: 192, DataCursor: 64}),
 		EncodeRollbackArgs(&RollbackArgs{ID: "CVE-FIX", SMMPub: testNonce}),
 		EncodeBatchPrepareArgs(&BatchPrepareArgs{ServerBlobs: [][]byte{[]byte("a"), nil, []byte("bc")}, SMMPub: testNonce, MemXCursor: 1 << 20}),
+		EncodeBatchPrepareArgs(&BatchPrepareArgs{ServerBlobs: [][]byte{[]byte("sealed blob")}, SMMPub: testNonce, MemXCursor: 192, DataCursor: 64}),
 		{0x80, 0x00},                   // non-minimal uvarint
 		{0xff, 0xff, 0xff, 0xff, 0x0f}, // count or length far past the input
 		{0x02, 0x01},                   // truncated field
-		{0x00, 0x00, 0x00, 0x00, 0x00}, // trailing byte after a zero PrepareArgs
+		{0x00, 0x00, 0x00, 0x00, 0x00}, // trailing byte after a zero BatchPrepareArgs
 	}
 }
 

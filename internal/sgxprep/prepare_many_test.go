@@ -138,8 +138,8 @@ func (f *multiFixture) open(t *testing.T, ct, enclavePub []byte) *patch.Package 
 
 // TestPrepareManyCursorChaining is the prepare-many property test:
 // a FnPrepareBatch over n members must chain the allocation cursors
-// exactly like n sequential FnPrepare calls whose caller advances the
-// cursors by each result's reported deltas — same placements, same
+// exactly like n one-member FnPrepareBatch calls whose caller advances
+// the cursors by each result's reported deltas — same placements, same
 // payloads, no overlap, deltas summing to the final cursor.
 func TestPrepareManyCursorChaining(t *testing.T) {
 	const n = 6
@@ -167,24 +167,28 @@ func TestPrepareManyCursorChaining(t *testing.T) {
 		t.Fatalf("members = %d, want %d", len(batch.Members), n)
 	}
 
-	// Sequential reference run: same blobs through FnPrepare one at a
-	// time, the caller chaining cursors by the reported deltas.
+	// Sequential reference run: same blobs one member per call, the
+	// caller chaining cursors by the reported deltas.
 	curX, curD := startX, startD
-	seq := make([]*Result, n)
+	seq := make([]BatchMemberResult, n)
 	for i := range blobs {
-		out, err := f.enclave.ECall(FnPrepare, EncodePrepareArgs(&PrepareArgs{
-			ServerBlob: blobs[i],
-			SMMPub:     testNonce,
-			MemXCursor: curX,
-			DataCursor: curD,
+		out, err := f.enclave.ECall(FnPrepareBatch, EncodeBatchPrepareArgs(&BatchPrepareArgs{
+			ServerBlobs: blobs[i : i+1],
+			SMMPub:      testNonce,
+			MemXCursor:  curX,
+			DataCursor:  curD,
 		}))
 		if err != nil {
-			t.Fatalf("FnPrepare member %d: %v", i, err)
+			t.Fatalf("one-member call %d: %v", i, err)
 		}
-		seq[i], err = DecodeResult(out)
+		one, err := DecodeBatchResult(out)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(one.Members) != 1 || one.Members[0].Err != "" {
+			t.Fatalf("one-member call %d: %+v", i, one.Members)
+		}
+		seq[i] = one.Members[0]
 		curX += seq[i].MemXUsed
 		curD += seq[i].DataUsed
 	}
@@ -202,7 +206,11 @@ func TestPrepareManyCursorChaining(t *testing.T) {
 		if m.MemXUsed == 0 {
 			t.Errorf("member %d consumed no mem_X", i)
 		}
-		// Delta parity with the sequential run.
+		// Delta and cost parity with the sequential run.
+		if m.Prep != seq[i].Prep || m.PayloadBytes != seq[i].PayloadBytes {
+			t.Errorf("member %d prep %v over %d bytes, sequential %v over %d",
+				i, m.Prep, m.PayloadBytes, seq[i].Prep, seq[i].PayloadBytes)
+		}
 		if m.MemXUsed != seq[i].MemXUsed || m.DataUsed != seq[i].DataUsed {
 			t.Errorf("member %d deltas (%d,%d) differ from sequential (%d,%d)",
 				i, m.MemXUsed, m.DataUsed, seq[i].MemXUsed, seq[i].DataUsed)

@@ -30,13 +30,12 @@ import (
 
 // ECALL function numbers.
 const (
-	// FnPrepare preprocesses a patch blob into an encrypted package.
-	FnPrepare = 1
 	// FnPrepareRollback builds an encrypted rollback command package.
 	FnPrepareRollback = 2
-	// FnPrepareBatch preprocesses many patch blobs in one ECALL,
+	// FnPrepareBatch preprocesses one or more patch blobs in one ECALL,
 	// sealing each member with its own salt against the same SMM
-	// nonce, for batched SMI delivery.
+	// nonce, for delivery as one staging directory. It is the only
+	// patch-preparing ECALL: a single patch is a one-member call.
 	FnPrepareBatch = 3
 )
 
@@ -47,21 +46,6 @@ const EnclavePages = 8
 // serverKeyOff is where the provisioned server channel key lives in
 // the EPC.
 const serverKeyOff = 0
-
-// PrepareArgs is the input of FnPrepare (see EncodePrepareArgs).
-type PrepareArgs struct {
-	// ServerBlob is the encrypted BinaryPatch from the remote server.
-	ServerBlob []byte
-
-	// SMMPub is the SMM handler's published channel nonce, read from
-	// mem_RW by the helper.
-	SMMPub []byte
-
-	// MemXCursor/DataCursor are the SMM handler's current allocation
-	// cursors.
-	MemXCursor uint64
-	DataCursor uint64
-}
 
 // RollbackArgs is the input of FnPrepareRollback.
 type RollbackArgs struct {
@@ -106,12 +90,14 @@ type BatchResult struct {
 	Members []BatchMemberResult
 }
 
-// Result is the output of both ECALLs.
+// Result is the output of FnPrepareRollback and, per member, of
+// FnPrepareBatch.
 type Result struct {
-	// Ciphertext is the encrypted patch package for mem_W.
+	// Ciphertext is the encrypted package for mem_W.
 	Ciphertext []byte
 
-	// EnclavePub is the enclave's per-package salt for mem_RW.
+	// EnclavePub is the enclave's per-package salt, staged beside the
+	// ciphertext in the mem_W directory.
 	EnclavePub []byte
 
 	// ID echoes the patch ID; MemXUsed/DataUsed report the allocation
@@ -123,12 +109,6 @@ type Result struct {
 	// PayloadBytes is the total function payload size (the "patch
 	// size" the evaluation tables sweep).
 	PayloadBytes int
-}
-
-// Breakdown reports the virtual preprocessing time of the last ECALL
-// (the "Pre-processing" column of Table II).
-type Breakdown struct {
-	Preprocess time.Duration
 }
 
 // Config parameterizes the enclave program.
@@ -170,11 +150,10 @@ type Config struct {
 
 // Program is the enclave program; load it with sgx.Platform.Load.
 type Program struct {
-	cfg     Config
-	rng     io.Reader
-	symtab  *isa.SymTab
-	lastPre Breakdown
-	obs     *obs.Hooks
+	cfg    Config
+	rng    io.Reader
+	symtab *isa.SymTab
+	obs    *obs.Hooks
 }
 
 var _ sgx.Program = (*Program)(nil)
@@ -220,9 +199,6 @@ func (p *Program) Init(env *sgx.Env) error {
 	return env.Write(serverKeyOff, p.cfg.ServerKey)
 }
 
-// LastBreakdown returns the preprocessing time of the last ECALL.
-func (p *Program) LastBreakdown() Breakdown { return p.lastPre }
-
 // SetObserver installs (or, with nil, removes) the observability hooks
 // emitting a T_prep span per prepared patch.
 func (p *Program) SetObserver(ob *obs.Hooks) { p.obs = ob }
@@ -230,12 +206,6 @@ func (p *Program) SetObserver(ob *obs.Hooks) { p.obs = ob }
 // ECall implements sgx.Program.
 func (p *Program) ECall(env *sgx.Env, fn int, args []byte) ([]byte, error) {
 	switch fn {
-	case FnPrepare:
-		in, err := DecodePrepareArgs(args)
-		if err != nil {
-			return nil, fmt.Errorf("sgxprep: args: %w", err)
-		}
-		return p.prepare(env, in)
 	case FnPrepareRollback:
 		in, err := DecodeRollbackArgs(args)
 		if err != nil {
@@ -253,60 +223,12 @@ func (p *Program) ECall(env *sgx.Env, fn int, args []byte) ([]byte, error) {
 	}
 }
 
-func (p *Program) prepare(env *sgx.Env, in *PrepareArgs) ([]byte, error) {
-	// Decrypt the server blob with the key held in the EPC.
-	serverKey := make([]byte, 32)
-	if err := env.Read(serverKeyOff, serverKey); err != nil {
-		return nil, err
-	}
-	serverSession, err := kcrypto.NewSession(serverKey, p.rng)
-	if err != nil {
-		return nil, err
-	}
-	plain, err := serverSession.Decrypt(in.ServerBlob)
-	if err != nil {
-		return nil, fmt.Errorf("sgxprep: server blob: %w", err)
-	}
-	bp, err := patch.Decode(plain)
-	if err != nil {
-		return nil, fmt.Errorf("sgxprep: server blob decode: %w", err)
-	}
-	if bp.KernelVersion != p.cfg.KernelVersion {
-		return nil, fmt.Errorf("sgxprep: patch for kernel %q, running %q", bp.KernelVersion, p.cfg.KernelVersion)
-	}
-
-	// Preprocess: placement, relocation, trampolines, packaging
-	// (Table II "Pre-processing", charged per payload byte).
-	start := p.cfg.Clock.Now()
-	prepared, err := patch.Prepare(bp, p.symtab, p.cfg.Placement, in.MemXCursor, in.DataCursor)
-	if err != nil {
-		return nil, err
-	}
-	wire, err := patch.Marshal(prepared, patch.OpPatch, p.cfg.HashAlg)
-	if err != nil {
-		return nil, err
-	}
-	p.cfg.Clock.Advance(timing.Linear(p.cfg.Model.PrepFixed, p.cfg.Model.PrepPerByte, bp.PayloadBytes()))
-	p.lastPre = Breakdown{Preprocess: p.cfg.Clock.Now() - start}
-	p.obs.Span(obs.PhasePrep, bp.ID, -1, p.lastPre.Preprocess, bp.PayloadBytes())
-
-	res, err := p.sealForSMM(wire, in.SMMPub)
-	if err != nil {
-		return nil, err
-	}
-	res.ID = bp.ID
-	res.MemXUsed = prepared.MemXUsed
-	res.DataUsed = prepared.DataUsed
-	res.PayloadBytes = bp.PayloadBytes()
-	return encodeResult(res), nil
-}
-
 // prepareBatch is the prepare-many ECALL: each server blob is
 // decrypted, preprocessed at the running cursor, and sealed with its
-// own salt against the shared SMM nonce. Preprocessing
-// costs are computed directly from the model (not clock spans) so the
-// per-member numbers stay exact when pipelined fetches advance the
-// shared clock concurrently.
+// own salt against the shared SMM nonce. Preprocessing costs are
+// computed directly from the model (not clock spans) so the per-member
+// numbers stay exact when pipelined fetches advance the shared clock
+// concurrently.
 func (p *Program) prepareBatch(env *sgx.Env, in *BatchPrepareArgs) ([]byte, error) {
 	serverKey := make([]byte, 32)
 	if err := env.Read(serverKeyOff, serverKey); err != nil {
@@ -319,7 +241,6 @@ func (p *Program) prepareBatch(env *sgx.Env, in *BatchPrepareArgs) ([]byte, erro
 
 	curX, curD := in.MemXCursor, in.DataCursor
 	out := BatchResult{Members: make([]BatchMemberResult, len(in.ServerBlobs))}
-	var total time.Duration
 	for i, blob := range in.ServerBlobs {
 		mr := &out.Members[i]
 		plain, err := serverSession.Decrypt(blob)
@@ -349,7 +270,6 @@ func (p *Program) prepareBatch(env *sgx.Env, in *BatchPrepareArgs) ([]byte, erro
 		}
 		prep := timing.Linear(p.cfg.Model.PrepFixed, p.cfg.Model.PrepPerByte, bp.PayloadBytes())
 		p.cfg.Clock.Advance(prep)
-		total += prep
 		p.obs.Span(obs.PhasePrep, bp.ID, -1, prep, bp.PayloadBytes())
 		sealed, err := p.sealForSMM(wire, in.SMMPub)
 		if err != nil {
@@ -368,7 +288,6 @@ func (p *Program) prepareBatch(env *sgx.Env, in *BatchPrepareArgs) ([]byte, erro
 		curX += prepared.MemXUsed
 		curD += prepared.DataUsed
 	}
-	p.lastPre = Breakdown{Preprocess: total}
 	return encodeBatchResult(&out), nil
 }
 

@@ -155,26 +155,37 @@ func (f *fixture) serverBlob(t *testing.T) []byte {
 	return ct
 }
 
-func (f *fixture) prepare(t *testing.T) *Result {
+// prepare runs the fixture's patch through a one-member
+// FnPrepareBatch and returns the member.
+func (f *fixture) prepare(t *testing.T) BatchMemberResult {
 	t.Helper()
-	out, err := f.enclave.ECall(FnPrepare, EncodePrepareArgs(&PrepareArgs{
-		ServerBlob: f.serverBlob(t),
-		SMMPub:     testNonce,
+	return f.prepareBlob(t, f.serverBlob(t))
+}
+
+// prepareBlob runs one server blob through a one-member FnPrepareBatch.
+func (f *fixture) prepareBlob(t *testing.T, blob []byte) BatchMemberResult {
+	t.Helper()
+	out, err := f.enclave.ECall(FnPrepareBatch, EncodeBatchPrepareArgs(&BatchPrepareArgs{
+		ServerBlobs: [][]byte{blob},
+		SMMPub:      testNonce,
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DecodeResult(out)
+	br, err := DecodeBatchResult(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	if len(br.Members) != 1 {
+		t.Fatalf("%d members for a one-member call", len(br.Members))
+	}
+	return br.Members[0]
 }
 
 func TestPrepareProducesDecryptablePackage(t *testing.T) {
 	f := newFixture(t, kcrypto.HashSHA256)
 	res := f.prepare(t)
-	if res.ID != "CVE-FIX" || res.PayloadBytes == 0 || res.MemXUsed == 0 {
+	if res.Err != "" || res.ID != "CVE-FIX" || res.PayloadBytes == 0 || res.MemXUsed == 0 {
 		t.Errorf("result = %+v", res)
 	}
 	// The SMM side can decrypt with the shared root and its nonce.
@@ -189,8 +200,9 @@ func TestPrepareProducesDecryptablePackage(t *testing.T) {
 	if pkg.Funcs[0].PAddr < f.place.MemXBase {
 		t.Error("payload placed outside mem_X")
 	}
-	if f.prog.LastBreakdown().Preprocess <= 0 {
-		t.Error("no preprocessing time recorded")
+	m := timing.Calibrated()
+	if want := timing.Linear(m.PrepFixed, m.PrepPerByte, res.PayloadBytes); res.Prep != want {
+		t.Errorf("preprocessing time = %v, want the model's %v", res.Prep, want)
 	}
 	// Ciphertext must not contain the plaintext wire bytes.
 	if bytes.Contains(res.Ciphertext, wire[:32]) {
@@ -223,19 +235,16 @@ func TestRejectsWrongServerKey(t *testing.T) {
 	sess, _ := kcrypto.NewSession(wrong, nil)
 	plain := patch.Encode(f.bp)
 	ct, _ := sess.Encrypt(plain)
-	args := EncodePrepareArgs(&PrepareArgs{ServerBlob: ct, SMMPub: testNonce})
-	if _, err := f.enclave.ECall(FnPrepare, args); err == nil {
-		t.Error("blob under wrong key accepted")
+	if res := f.prepareBlob(t, ct); res.Err == "" || len(res.Ciphertext) != 0 {
+		t.Errorf("blob under wrong key accepted: %+v", res)
 	}
 }
 
 func TestRejectsVersionMismatch(t *testing.T) {
 	f := newFixture(t, kcrypto.HashSHA256)
 	f.bp.KernelVersion = "3.14"
-	args := EncodePrepareArgs(&PrepareArgs{ServerBlob: f.serverBlob(t), SMMPub: testNonce})
-	_, err := f.enclave.ECall(FnPrepare, args)
-	if err == nil || !strings.Contains(err.Error(), "3.14") {
-		t.Errorf("version mismatch not rejected: %v", err)
+	if res := f.prepare(t); !strings.Contains(res.Err, "3.14") {
+		t.Errorf("version mismatch not rejected: %q", res.Err)
 	}
 }
 
@@ -244,7 +253,12 @@ func TestRejectsBadECall(t *testing.T) {
 	if _, err := f.enclave.ECall(99, nil); err == nil {
 		t.Error("unknown ecall accepted")
 	}
-	if _, err := f.enclave.ECall(FnPrepare, []byte("garbage")); err == nil {
+	// Function 1 was the single-patch prepare; a patch is now a
+	// one-member FnPrepareBatch.
+	if _, err := f.enclave.ECall(1, nil); err == nil {
+		t.Error("retired ecall 1 accepted")
+	}
+	if _, err := f.enclave.ECall(FnPrepareBatch, []byte("garbage")); err == nil {
 		t.Error("garbage args accepted")
 	}
 }

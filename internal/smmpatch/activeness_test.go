@@ -171,7 +171,7 @@ func TestActivenessBlocksLiveTarget(t *testing.T) {
 	// Patch attempt while a vCPU sits inside gadget: refused, nothing
 	// modified.
 	r.sealPackage(t, r.wirePatch(t, "SPIN"))
-	err := r.ctrl.Trigger(CmdProcessPackage, 0)
+	err := r.process(t)
 	if !errors.Is(err, ErrTargetActive) {
 		t.Fatalf("got %v, want ErrTargetActive", err)
 	}
@@ -184,7 +184,7 @@ func TestActivenessBlocksLiveTarget(t *testing.T) {
 	// Retry on a quiescent machine: accepted (fresh key exchange not
 	// needed — the handler rekeyed on its way out).
 	r.sealPackage(t, r.wirePatch(t, "SPIN"))
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+	if err := r.process(t); err != nil {
 		t.Fatalf("retry: %v", err)
 	}
 	// Patched behaviour visible.
@@ -231,7 +231,7 @@ func TestActivenessCatchesReturnAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.sealPackage(t, wire)
-	err = r.ctrl.Trigger(CmdProcessPackage, 0)
+	err = r.process(t)
 	if !errors.Is(err, ErrTargetActive) {
 		t.Fatalf("got %v, want ErrTargetActive (stack scan)", err)
 	}
@@ -244,7 +244,7 @@ func TestActivenessIdleMachinePasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.sealPackage(t, r.wirePatch(t, "SPIN"))
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+	if err := r.process(t); err != nil {
 		t.Fatalf("idle-machine patch refused: %v", err)
 	}
 }
@@ -267,7 +267,7 @@ func TestWatchTextDetectsForeignModification(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.sealPackage(t, r.wirePatch(t, "SPIN"))
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+	if err := r.process(t); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.ctrl.Trigger(CmdIntrospect, 0); err != nil {

@@ -13,16 +13,16 @@ import (
 	"kshot/internal/smm"
 )
 
-// Batched SMI delivery (multi-package staging, §V-C extended): the
-// helper stages N independently sealed patch packages into mem_W as a
-// directory, then raises a single CmdProcessBatch SMI. The handler
-// consumes one SMM channel nonce for the whole batch — each member is
-// sealed by the enclave with its own salt against the same published
-// nonce — decrypts, verifies, and applies every
-// member on the paused machine, and publishes per-member outcome codes
-// in mem_RW. One world switch and one key generation are paid for N
-// patches instead of N world switches, which is where the pipelined
-// ApplyAll gets its OS-pause reduction.
+// Package delivery (§V-C, batched): the helper stages one or more
+// independently sealed packages into mem_W as a directory, then raises
+// a CmdProcessPackage SMI. The handler consumes one SMM channel nonce
+// for the whole directory — each member is sealed by the enclave with
+// its own salt against the same published nonce — decrypts, verifies,
+// and executes every member on the paused machine, and publishes
+// per-member outcome codes in mem_RW. A single patch or rollback is a
+// one-member directory; N patches pay one world switch and one key
+// generation instead of N, which is where the pipelined ApplyAll gets
+// its OS-pause reduction.
 //
 // mem_W directory layout at offPackage:
 //
@@ -33,12 +33,15 @@ import (
 //
 //	u32 member count | per-member u32 status code
 //
-// A member failure (bad integrity, duplicate, active target) never
-// aborts the batch: the member's code records the outcome and the
-// remaining members still apply. Only structural failures — a corrupt
-// directory, a missing session key — fail the whole SMI.
+// The salt rides in write-only mem_W with its ciphertext, so the kernel
+// can neither read it nor pair a stale one with later staging. A member
+// failure (bad integrity, duplicate, active target, rollback order)
+// never aborts the directory: the member's code and Outcome record it
+// and the remaining members still run. Only structural failures — a
+// corrupt directory, a missing session key — fail the whole SMI. The
+// summary status record is StatusBatchDone for every package SMI.
 
-// batchMagic marks a mem_W batch staging directory.
+// batchMagic marks a mem_W staging directory.
 const batchMagic = "KSBT"
 
 // MaxBatchMembers bounds a staging directory; the results mailbox and
@@ -49,23 +52,40 @@ const MaxBatchMembers = 64
 // structurally invalid.
 var ErrBadBatch = errors.New("smmpatch: malformed batch staging directory")
 
+// errCutShort is the outcome of members an aborted SMI never reached.
+var errCutShort = errors.New("smmpatch: SMI cut short before this member")
+
 // BatchMember is one sealed package in a staging directory.
 type BatchMember struct {
 	// EnclavePub is the enclave salt this member was sealed with.
 	EnclavePub []byte
-	// Ciphertext is the sealed patch package.
+	// Ciphertext is the sealed patch or rollback package.
 	Ciphertext []byte
 }
 
-// handleBatch processes a multi-package staging directory under a
-// single world switch.
-func (h *Handler) handleBatch(ctx *smm.Context, _ uint64) error {
-	h.lastBatch = nil
+// Outcome is one member's result from a package SMI: its stage times
+// and, when it did not land, the typed error (ErrDuplicate,
+// ErrTargetActive, ErrRollbackOrder, ...) behind its status code.
+type Outcome struct {
+	Breakdown
+	Err error
+}
+
+// handlePackage processes the mem_W staging directory under a single
+// world switch: fetch → decrypt → verify → dispatch (patch or
+// rollback) per member.
+func (h *Handler) handlePackage(ctx *smm.Context, _ uint64) error {
+	h.outcomes = nil
 	if h.nonce == nil {
 		return h.fail(ctx, ErrNoSession)
 	}
-	// One channel nonce serves the whole batch and is consumed by it
-	// (replay of any member dies with the rekey below).
+	// Single-use credential: one nonce serves the whole directory and
+	// is consumed whether or not the rest of the SMI succeeds (replayed
+	// ciphertexts die here). A fresh one is published before leaving
+	// SMM — the paper's "dynamically changed before each kernel patch"
+	// — so steady-state patching needs no separate key-exchange SMI. A
+	// rekey failure only delays the next package (the operator
+	// re-bootstraps with CmdKeyExchange); it must not mask this one.
 	nonce := h.nonce
 	h.nonce = nil
 	defer func() {
@@ -82,67 +102,73 @@ func (h *Handler) handleBatch(ctx *smm.Context, _ uint64) error {
 	keyGenShare := ctx.Model().KeyGen / time.Duration(len(members))
 
 	codes := make([]uint32, len(members))
-	bds := make([]Breakdown, len(members))
-	applied := 0
+	outs := make([]Outcome, len(members))
+	changed := 0
 	for i, m := range members {
-		// Injected mid-batch abort: the handler stops between members
-		// (a watchdog or internal failure cutting the SMI short). The
-		// members already applied stay applied — each apply is
-		// individually transactional — and the remainder report
-		// errors through the normal mailbox so the helper can retry
-		// them per-patch.
+		// Injected abort: the handler stops between members (a watchdog
+		// or internal failure cutting the SMI short). The members
+		// already executed stay executed — each is individually
+		// transactional — and the remainder report errors through the
+		// normal mailbox so the helper can redeliver them.
 		if _, ok := h.obs.Fault(faultinject.SMMBatchAbort); ok {
 			for j := i; j < len(members); j++ {
 				codes[j] = StatusError
+				outs[j].Err = errCutShort
 			}
 			break
 		}
-		bd := Breakdown{KeyGen: keyGenShare}
-		codes[i] = h.processBatchMember(ctx, nonce, m, &bd)
-		if codes[i] == StatusPatched {
-			applied++
-			h.observeOutcome(h.lastJournalID(), bd, h.journalPayloadBytes(), obs.CtrApplied)
+		outs[i].KeyGen = keyGenShare
+		codes[i], outs[i].Err = h.processMember(ctx, nonce, m, &outs[i].Breakdown)
+		if outs[i].Err == nil {
+			changed++
 		}
-		bds[i] = bd
 	}
-	if applied > 0 {
+	if changed > 0 {
 		if err := h.rebaselineText(ctx); err != nil {
 			return h.fail(ctx, err)
 		}
 	}
-	h.lastBatch = bds
 	if err := h.writeBatchResults(ctx, codes); err != nil {
 		return h.fail(ctx, err)
 	}
-	op := fmt.Sprintf("batch:%d/%d", applied, len(members))
+	h.outcomes = outs
+	op := fmt.Sprintf("batch:%d/%d", changed, len(members))
 	return h.status(ctx, StatusBatchDone, attestation(op, h.journal))
 }
 
-// processBatchMember runs one member through session derivation,
-// decrypt/verify, and the transactional apply, mapping the outcome to
-// a mailbox status code. Member-level errors are deliberately not
-// propagated: the batch continues.
-func (h *Handler) processBatchMember(ctx *smm.Context, nonce []byte, m BatchMember, bd *Breakdown) uint32 {
+// processMember runs one member through session derivation,
+// decrypt/verify, and its transactional patch or rollback, returning
+// the mailbox status code and, on failure, the typed error. The error
+// is the member's alone: the directory continues.
+func (h *Handler) processMember(ctx *smm.Context, nonce []byte, m BatchMember, bd *Breakdown) (uint32, error) {
 	session, err := h.sessionFor(nonce, m.EnclavePub)
 	if err != nil {
-		return StatusError
+		return StatusError, err
 	}
 	pkg, err := h.decryptAndVerify(ctx, session, m.Ciphertext, bd)
 	if err != nil {
-		return StatusError
+		return StatusError, err
 	}
-	// Batched delivery is patch-only; rollbacks stay LIFO and go
-	// through the single-package path.
-	if pkg.Op != patch.OpPatch {
-		return StatusError
-	}
-	if err := h.applyPatchCore(ctx, pkg, bd); err != nil {
-		if errors.Is(err, ErrTargetActive) {
-			return StatusTargetActive
+	switch pkg.Op {
+	case patch.OpPatch:
+		if err := h.applyPatchCore(ctx, pkg, bd); err != nil {
+			if errors.Is(err, ErrTargetActive) {
+				return StatusTargetActive, err
+			}
+			return StatusError, err
 		}
-		return StatusError
+		h.observeOutcome(pkg.ID, *bd, h.journalPayloadBytes(), obs.CtrApplied)
+		return StatusPatched, nil
+	case patch.OpRollback:
+		id, err := h.rollbackCore(ctx, pkg, bd)
+		if err != nil {
+			return StatusError, err
+		}
+		h.observeOutcome(id, *bd, 0, obs.CtrRolledBack)
+		return StatusRolledBack, nil
+	default:
+		return StatusError, fmt.Errorf("smmpatch: bad op %d", pkg.Op)
 	}
-	return StatusPatched
 }
 
 // readBatchDir parses the mem_W staging directory with SMM-privilege
@@ -219,10 +245,10 @@ func (h *Handler) writeBatchResults(ctx *smm.Context, codes []uint32) error {
 	return ctx.Write(h.res.RWBase()+offBatchResults, buf)
 }
 
-// StageBatch writes the multi-package staging directory into mem_W at
-// the given (kernel/user) privilege — the untrusted helper's side of
-// batched delivery. mem_W is write-only from that privilege, so the
-// helper deposits the directory blind, exactly like single packages.
+// StageBatch writes the staging directory into mem_W at the given
+// (kernel/user) privilege — the untrusted helper's side of package
+// delivery. mem_W is write-only from that privilege, so the helper
+// deposits the directory blind.
 func StageBatch(m *mem.Physical, priv mem.Priv, res *mem.Reserved, members []BatchMember) error {
 	if len(members) == 0 || len(members) > MaxBatchMembers {
 		return fmt.Errorf("stage batch: %d members (max %d)", len(members), MaxBatchMembers)
@@ -254,7 +280,7 @@ func encodeBatchDir(members []BatchMember) []byte {
 }
 
 // ReadBatchResults reads the per-member outcome codes the handler
-// published after a CmdProcessBatch SMI.
+// published after a CmdProcessPackage SMI.
 func ReadBatchResults(m *mem.Physical, priv mem.Priv, res *mem.Reserved) ([]uint32, error) {
 	var cntBuf [4]byte
 	if err := m.Read(priv, res.RWBase()+offBatchResults, cntBuf[:]); err != nil {

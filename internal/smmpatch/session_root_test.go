@@ -29,10 +29,10 @@ func TestSessionRootAppliesPatch(t *testing.T) {
 	}
 	for _, wire := range [][]byte{r.wirePatch(t, "RIG-ROOT-1"), rollback} {
 		r.sealPackage(t, wire)
-		if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+		if err := r.process(t); err != nil {
 			t.Fatalf("process: %v", err)
 		}
-		if bd := r.h.LastBreakdown(); bd.KeyGen != timing.Calibrated().KeyGen {
+		if bd := r.h.Outcomes()[0]; bd.KeyGen != timing.Calibrated().KeyGen {
 			t.Errorf("KeyGen charge = %v, want %v", bd.KeyGen, timing.Calibrated().KeyGen)
 		}
 	}
@@ -51,7 +51,7 @@ func TestSessionRootNonceRotates(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.sealPackage(t, r.wirePatch(t, "RIG-ROOT-1"))
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+	if err := r.process(t); err != nil {
 		t.Fatal(err)
 	}
 	n2, err := ReadSMMPub(r.m.Mem, mem.PrivKernel, r.k.Res)
@@ -71,7 +71,7 @@ func TestSessionRootReplayRejected(t *testing.T) {
 	r := newRig(t)
 	sibling := bytes.Repeat([]byte{0x43}, 32)
 	r.sealPackageUnder(t, sibling, r.wirePatch(t, "RIG-ROOT-1"))
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err == nil {
+	if err := r.process(t); err == nil {
 		t.Fatal("package sealed under a sibling's root accepted")
 	}
 	if v, _ := r.k.Call(0, "gadget", 0xdead); v != 99 {
@@ -80,20 +80,19 @@ func TestSessionRootReplayRejected(t *testing.T) {
 	// The failed attempt consumed the nonce like any other; the
 	// handler's own root still works on the fresh one.
 	r.sealPackage(t, r.wirePatch(t, "RIG-ROOT-1"))
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+	if err := r.process(t); err != nil {
 		t.Fatalf("own-root package after rejection: %v", err)
 	}
 }
 
 func TestSessionRootEmptySaltRejected(t *testing.T) {
 	r := newRig(t)
-	// Stage a package with a zero-length salt blob: session derivation
-	// must fail rather than derive from an empty peer contribution.
-	r.sealPackage(t, r.wirePatch(t, "RIG-ROOT-1"))
-	if err := StageBlob(r.m.Mem, mem.PrivKernel, EnclavePubAddr(r.k.Res), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err == nil {
+	// Stage a package with a zero-length salt blob: the handler must
+	// refuse it rather than derive from an empty peer contribution.
+	m := r.sealMember(t, testRoot, r.wirePatch(t, "RIG-ROOT-1"))
+	m.EnclavePub = nil
+	r.stage(t, m)
+	if err := r.process(t); err == nil {
 		t.Fatal("empty-salt package accepted")
 	}
 }

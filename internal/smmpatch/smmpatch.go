@@ -37,14 +37,12 @@ const (
 	// CmdKeyExchange makes SMM generate a fresh channel nonce and
 	// publish it in mem_RW.
 	CmdKeyExchange smm.Command = 0x4B
-	// CmdProcessPackage makes SMM fetch, decrypt, verify, and execute
-	// the package staged in mem_W (patch or rollback).
-	CmdProcessPackage smm.Command = 0x50
-	// CmdProcessBatch makes SMM process a multi-package staging
-	// directory in mem_W: N independently sealed patch packages are
-	// decrypted, verified, and applied under a single world switch,
-	// with per-member outcomes published in mem_RW.
-	CmdProcessBatch smm.Command = 0x42
+	// CmdProcessPackage makes SMM process the sealed-package directory
+	// staged in mem_W: every member (patch or rollback) is decrypted,
+	// verified, and executed under a single world switch, with
+	// per-member outcomes published in mem_RW. It is the only way a
+	// package reaches SMM, for one member as for a batch.
+	CmdProcessPackage smm.Command = 0x42
 	// CmdIntrospect makes SMM verify all applied patches are intact,
 	// repairing any tampering it finds (§V-D).
 	CmdIntrospect smm.Command = 0x49
@@ -55,10 +53,10 @@ const (
 	CmdWatchText smm.Command = 0x57
 )
 
-// mem_RW layout: the key exchange and status mailbox.
+// mem_RW layout: the channel nonce and the status mailboxes. Nothing
+// the helper writes lives here: each member's enclave salt travels
+// with its ciphertext in the write-only mem_W directory.
 const (
-	// offEnclavePub: u32 length + enclave salt (helper-written).
-	offEnclavePub = 0x0
 	// offSMMPub: u32 length + SMM channel nonce (SMM-written).
 	offSMMPub = 0x4000
 	// offStatus: u32 status + u64 SMI sequence + 32-byte attestation
@@ -66,8 +64,8 @@ const (
 	// DoS-detection handshake of §V-D).
 	offStatus = 0x8000
 	// offBatchResults: u32 member count + per-member u32 status codes
-	// (SMM-written after CmdProcessBatch; read by the helper to learn
-	// which batch members were applied, refused, or rejected).
+	// (SMM-written after CmdProcessPackage; read by the helper to learn
+	// which members were applied, rolled back, refused, or rejected).
 	offBatchResults = 0x8100
 )
 
@@ -79,17 +77,18 @@ const (
 	StatusRolledBack
 	StatusError
 	StatusTampered
-	// StatusTargetActive is a per-member batch outcome: the activeness
+	// StatusTargetActive is a per-member outcome: the activeness
 	// check refused the patch because its target was live on a vCPU.
 	// Unlike StatusError it is retryable — nothing about the package
 	// was wrong, the machine just paused at an inconvenient moment.
 	StatusTargetActive
-	// StatusBatchDone is the mailbox summary code after a batch SMI;
-	// per-member outcomes are published separately at offBatchResults.
+	// StatusBatchDone is the mailbox summary code after every package
+	// SMI; per-member outcomes are published separately at
+	// offBatchResults.
 	StatusBatchDone
 )
 
-// mem_W layout: u32 length + ciphertext staged by the helper.
+// mem_W layout: the helper stages the KSBT directory at offPackage.
 const offPackage = 0x0
 
 // Errors surfaced to the trusted caller.
@@ -108,8 +107,8 @@ var (
 	ErrRollbackOrder  = errors.New("smmpatch: only the most recent patch can be rolled back")
 )
 
-// Breakdown records the virtual time spent per stage of the last
-// package-processing SMI — the rows of Table III.
+// Breakdown records the virtual time one package spent per SMM stage —
+// the rows of Table III.
 type Breakdown struct {
 	KeyGen  time.Duration
 	Decrypt time.Duration
@@ -159,17 +158,16 @@ type Handler struct {
 	obs           *obs.Hooks
 
 	// SMRAM-resident state. nonce is the published, unconsumed channel
-	// credential: the next package or batch SMI consumes it and
-	// publishes a fresh one on the way out.
+	// credential: the next package SMI consumes it and publishes a
+	// fresh one on the way out.
 	nonce    []byte
 	journal  []appliedPatch
 	memXUsed uint64
 	dataUsed uint64
 	seq      uint64
 
-	lastBreakdown Breakdown
-	lastBatch     []Breakdown
-	tamperEvents  int
+	outcomes     []Outcome
+	tamperEvents int
 
 	textBaseline    [kcrypto.DigestSize]byte
 	textBaselineSet bool
@@ -274,17 +272,8 @@ func (h *Handler) observeOutcome(id string, bd Breakdown, bytes int, counter str
 	ob.Count(counter, 1)
 }
 
-// lastJournalID returns the ID of the newest journal entry — the patch
-// a batch member just landed.
-func (h *Handler) lastJournalID() string {
-	if len(h.journal) == 0 {
-		return ""
-	}
-	return h.journal[len(h.journal)-1].id
-}
-
 // journalPayloadBytes sums the payload sizes of the newest journal
-// entry — the applied patch a batch member just landed.
+// entry — the patch a directory member just landed.
 func (h *Handler) journalPayloadBytes() int {
 	if len(h.journal) == 0 {
 		return 0
@@ -309,16 +298,12 @@ func (h *Handler) Applied() []string {
 // repaired) tampering.
 func (h *Handler) TamperEvents() int { return h.tamperEvents }
 
-// LastBreakdown returns the per-stage virtual times of the most recent
-// package-processing SMI.
-func (h *Handler) LastBreakdown() Breakdown { return h.lastBreakdown }
-
-// BatchBreakdowns returns the per-member stage times of the most
-// recent batch SMI, in staging order. Fixed per-SMI costs (key
-// generation) are amortized evenly across the members so the
-// per-patch reports still sum to the true SMI cost.
-func (h *Handler) BatchBreakdowns() []Breakdown {
-	return append([]Breakdown(nil), h.lastBatch...)
+// Outcomes returns the per-member results of the most recent package
+// SMI, in staging order (nil if the SMI failed as a whole). Fixed
+// per-SMI costs (key generation) are amortized evenly across the
+// members so the per-patch reports still sum to the true SMI cost.
+func (h *Handler) Outcomes() []Outcome {
+	return append([]Outcome(nil), h.outcomes...)
 }
 
 // Register installs the handler's SMI commands on the controller.
@@ -328,9 +313,6 @@ func (h *Handler) Register(ctrl *smm.Controller) error {
 		return err
 	}
 	if err := ctrl.Register(CmdProcessPackage, h.handlePackage); err != nil {
-		return err
-	}
-	if err := ctrl.Register(CmdProcessBatch, h.handleBatch); err != nil {
 		return err
 	}
 	if err := ctrl.Register(CmdIntrospect, h.handleIntrospect); err != nil {
@@ -369,78 +351,6 @@ func (h *Handler) rekey(ctx *smm.Context) error {
 	}
 	h.nonce = nonce
 	return nil
-}
-
-// handlePackage is the main §V-C workflow: fetch → decrypt → verify →
-// dispatch (patch or rollback).
-func (h *Handler) handlePackage(ctx *smm.Context, _ uint64) error {
-	h.lastBreakdown = Breakdown{KeyGen: ctx.Model().KeyGen}
-
-	// Derive the session key from the enclave's salt in mem_RW.
-	if h.nonce == nil {
-		return h.fail(ctx, ErrNoSession)
-	}
-	session, err := h.deriveSession(ctx, h.nonce)
-	if err != nil {
-		return h.fail(ctx, err)
-	}
-	// Single-use credential: it is consumed whether or not the rest of
-	// the operation succeeds (replayed ciphertexts die here). A fresh
-	// one is generated and published before leaving SMM — the paper's
-	// "dynamically changed before each kernel patch" — so steady-state
-	// patching needs no separate key-exchange SMI.
-	h.nonce = nil
-	defer func() {
-		// A rekey failure only delays the next patch (the operator
-		// re-bootstraps with CmdKeyExchange); it must not mask the
-		// outcome of this one.
-		_ = h.rekey(ctx)
-	}()
-
-	// Fetch the staged ciphertext from mem_W.
-	ciphertext, err := h.readBlob(ctx, h.res.WBase()+offPackage, int(h.res.W.Size))
-	if err != nil {
-		return h.fail(ctx, fmt.Errorf("smmpatch: fetch: %w", err))
-	}
-
-	pkg, err := h.decryptAndVerify(ctx, session, ciphertext, &h.lastBreakdown)
-	if err != nil {
-		return h.fail(ctx, err)
-	}
-
-	switch pkg.Op {
-	case patch.OpPatch:
-		if err := h.applyPatchCore(ctx, pkg, &h.lastBreakdown); err != nil {
-			return h.fail(ctx, err)
-		}
-		if err := h.rebaselineText(ctx); err != nil {
-			return h.fail(ctx, err)
-		}
-		h.observeOutcome(pkg.ID, h.lastBreakdown, h.journalPayloadBytes(), obs.CtrApplied)
-		return h.status(ctx, StatusPatched, attestation(pkg.ID, h.journal))
-	case patch.OpRollback:
-		id, err := h.rollbackCore(ctx, pkg, &h.lastBreakdown)
-		if err != nil {
-			return h.fail(ctx, err)
-		}
-		if err := h.rebaselineText(ctx); err != nil {
-			return h.fail(ctx, err)
-		}
-		h.observeOutcome(id, h.lastBreakdown, 0, obs.CtrRolledBack)
-		return h.status(ctx, StatusRolledBack, attestation(id, h.journal))
-	default:
-		return h.fail(ctx, fmt.Errorf("smmpatch: bad op %d", pkg.Op))
-	}
-}
-
-// deriveSession reads the enclave's salt from mem_RW and derives the
-// package transport session from it and the given channel nonce.
-func (h *Handler) deriveSession(ctx *smm.Context, nonce []byte) (*kcrypto.Session, error) {
-	salt, err := h.readBlob(ctx, h.res.RWBase()+offEnclavePub, 4096)
-	if err != nil {
-		return nil, fmt.Errorf("smmpatch: read enclave salt: %w", err)
-	}
-	return h.sessionFor(nonce, salt)
 }
 
 // sessionFor derives a transport session keyed HMAC(root, smmNonce,
@@ -508,8 +418,8 @@ func (h *Handler) decryptAndVerify(ctx *smm.Context, session *kcrypto.Session, c
 // applyPatchCore performs the §V-C patch steps on a verified package:
 // duplicate/activeness checks, bounds checks, transactional mutation,
 // and journaling. It records the Apply stage cost in bd but does not
-// write the status mailbox or rebaseline the text watch — callers
-// (single-package and batch paths) do that per their own protocol.
+// write the status mailbox or rebaseline the text watch: the package
+// SMI does both once for the whole directory.
 func (h *Handler) applyPatchCore(ctx *smm.Context, pkg *patch.Package, bd *Breakdown) error {
 	for _, j := range h.journal {
 		if j.id == pkg.ID {
@@ -627,7 +537,7 @@ func (h *Handler) undoPartial(ctx *smm.Context, entry *appliedPatch) {
 
 // rollbackCore undoes the most recent applied patch (§V-C "the last
 // patching operation can always be rolled back") and returns its ID
-// for attestation. Status/rebaseline are left to the caller.
+// for attestation. Status/rebaseline are left to the package SMI.
 func (h *Handler) rollbackCore(ctx *smm.Context, pkg *patch.Package, bd *Breakdown) (string, error) {
 	start := ctx.Charged()
 	if len(h.journal) == 0 {
@@ -864,22 +774,6 @@ func (h *Handler) writeBlob(ctx *smm.Context, addr uint64, data []byte) error {
 	return ctx.Write(addr+4, data)
 }
 
-func (h *Handler) readBlob(ctx *smm.Context, addr uint64, maxLen int) ([]byte, error) {
-	var lenBuf [4]byte
-	if err := ctx.Read(addr, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
-	if n <= 0 || n > maxLen {
-		return nil, fmt.Errorf("blob at %#x: bad length %d", addr, n)
-	}
-	out := make([]byte, n)
-	if err := ctx.Read(addr+4, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Status is one decoded status mailbox record.
 type Status struct {
 	Code   uint32
@@ -923,33 +817,12 @@ func ReadStatusRecord(m *mem.Physical, priv mem.Priv, res *mem.Reserved) (Status
 	return st, nil
 }
 
-// StageBlob writes a length-prefixed blob at the given privilege: the
-// untrusted helper uses it to stage the enclave salt (mem_RW) and the
-// encrypted package (mem_W).
-func StageBlob(m *mem.Physical, priv mem.Priv, addr uint64, data []byte) error {
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(data)))
-	if err := m.Write(priv, addr, lenBuf[:]); err != nil {
-		return err
-	}
-	return m.Write(priv, addr+4, data)
-}
-
-// EnclavePubAddr returns where the helper stages the enclave's
-// per-package salt.
-func EnclavePubAddr(res *mem.Reserved) uint64 { return res.RWBase() + offEnclavePub }
-
-// SMMPubAddr returns where SMM publishes its channel nonce.
-func SMMPubAddr(res *mem.Reserved) uint64 { return res.RWBase() + offSMMPub }
-
-// PackageAddr returns where the helper stages the encrypted package.
-func PackageAddr(res *mem.Reserved) uint64 { return res.WBase() + offPackage }
-
 // ReadSMMPub reads SMM's published channel nonce at the given
 // privilege.
 func ReadSMMPub(m *mem.Physical, priv mem.Priv, res *mem.Reserved) ([]byte, error) {
 	var lenBuf [4]byte
-	if err := m.Read(priv, SMMPubAddr(res), lenBuf[:]); err != nil {
+	addr := res.RWBase() + offSMMPub
+	if err := m.Read(priv, addr, lenBuf[:]); err != nil {
 		return nil, err
 	}
 	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
@@ -957,7 +830,7 @@ func ReadSMMPub(m *mem.Physical, priv mem.Priv, res *mem.Reserved) ([]byte, erro
 		return nil, fmt.Errorf("smm channel nonce: bad length %d", n)
 	}
 	out := make([]byte, n)
-	if err := m.Read(priv, SMMPubAddr(res)+4, out); err != nil {
+	if err := m.Read(priv, addr+4, out); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"kshot/internal/faultinject"
 	"kshot/internal/isa"
 	"kshot/internal/kcrypto"
 	"kshot/internal/kernel"
 	"kshot/internal/machine"
 	"kshot/internal/mem"
+	"kshot/internal/obs"
 	"kshot/internal/patch"
 	"kshot/internal/smm"
 	"kshot/internal/timing"
@@ -116,16 +118,22 @@ func newRig(t *testing.T) *rig {
 	}
 }
 
-// sealPackage plays the enclave role under testRoot: read the
-// published SMM nonce, draw a salt, derive the session key, encrypt,
-// and stage salt + ciphertext.
+// sealPackage stages wire, sealed under testRoot, as a one-member
+// directory.
 func (r *rig) sealPackage(t *testing.T, wire []byte) {
 	t.Helper()
-	r.sealPackageUnder(t, testRoot, wire)
+	r.stage(t, r.sealMember(t, testRoot, wire))
 }
 
 // sealPackageUnder is sealPackage with an explicit channel root.
 func (r *rig) sealPackageUnder(t *testing.T, root, wire []byte) {
+	t.Helper()
+	r.stage(t, r.sealMember(t, root, wire))
+}
+
+// sealMember plays the enclave role: read the published SMM nonce,
+// draw a salt, derive the session key under root, and encrypt.
+func (r *rig) sealMember(t *testing.T, root, wire []byte) BatchMember {
 	t.Helper()
 	nonce, err := ReadSMMPub(r.m.Mem, mem.PrivKernel, r.k.Res)
 	if err != nil {
@@ -146,12 +154,45 @@ func (r *rig) sealPackageUnder(t *testing.T, root, wire []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := StageBlob(r.m.Mem, mem.PrivKernel, EnclavePubAddr(r.k.Res), salt); err != nil {
+	return BatchMember{EnclavePub: salt, Ciphertext: ct}
+}
+
+// stage plays the helper: write the directory into mem_W at kernel
+// privilege.
+func (r *rig) stage(t *testing.T, members ...BatchMember) {
+	t.Helper()
+	if err := StageBatch(r.m.Mem, mem.PrivKernel, r.k.Res, members); err != nil {
 		t.Fatal(err)
 	}
-	if err := StageBlob(r.m.Mem, mem.PrivKernel, PackageAddr(r.k.Res), ct); err != nil {
+}
+
+// process raises the package SMI over a one-member directory and
+// returns the SMI's error, or else the member's.
+func (r *rig) process(t *testing.T) error {
+	t.Helper()
+	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+		return err
+	}
+	outs := r.h.Outcomes()
+	if len(outs) != 1 {
+		t.Fatalf("%d outcomes for a one-member directory", len(outs))
+	}
+	return outs[0].Err
+}
+
+// codes reads the per-member codes and the summary status code the
+// last package SMI published.
+func (r *rig) codes(t *testing.T) ([]uint32, uint32) {
+	t.Helper()
+	codes, err := ReadBatchResults(r.m.Mem, mem.PrivKernel, r.k.Res)
+	if err != nil {
 		t.Fatal(err)
 	}
+	summary, _, _, err := ReadStatus(r.m.Mem, mem.PrivKernel, r.k.Res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return codes, summary
 }
 
 func (r *rig) preparedPatch(t *testing.T, id string) *patch.Prepared {
@@ -183,17 +224,20 @@ func TestHandlerAppliesPatch(t *testing.T) {
 		t.Fatalf("pre-patch gadget = %d, %v", v, err)
 	}
 	r.sealPackage(t, r.wirePatch(t, "RIG-1"))
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+	if err := r.process(t); err != nil {
 		t.Fatalf("process: %v", err)
 	}
 	if v, err := r.k.Call(0, "gadget", 0xdead); err != nil || v != 0xdead+1 {
 		t.Fatalf("post-patch gadget = %d, %v", v, err)
 	}
 	code, seq, digest, err := ReadStatus(r.m.Mem, mem.PrivKernel, r.k.Res)
-	if err != nil || code != StatusPatched || seq == 0 || len(digest) != 32 {
+	if err != nil || code != StatusBatchDone || seq == 0 || len(digest) != 32 {
 		t.Errorf("status = %d seq %d, %v", code, seq, err)
 	}
-	bd := r.h.LastBreakdown()
+	if codes, _ := r.codes(t); len(codes) != 1 || codes[0] != StatusPatched {
+		t.Errorf("member codes = %v, want [StatusPatched]", codes)
+	}
+	bd := r.h.Outcomes()[0].Breakdown
 	if bd.Decrypt <= 0 || bd.Verify <= 0 || bd.Apply <= 0 || bd.KeyGen <= 0 {
 		t.Errorf("breakdown = %+v", bd)
 	}
@@ -204,24 +248,18 @@ func TestReplayRejected(t *testing.T) {
 	wire := r.wirePatch(t, "RIG-1")
 	r.sealPackage(t, wire)
 
-	// Capture the staged ciphertext the way a MITM on the shared
-	// memory channel would (reading via SMM is the test's shortcut;
-	// the attacker would capture it at write time).
-	lenBuf := make([]byte, 4)
-	if err := r.m.Mem.Read(mem.PrivSMM, PackageAddr(r.k.Res), lenBuf); err != nil {
-		t.Fatal(err)
-	}
-	n := int(uint32(lenBuf[0]) | uint32(lenBuf[1])<<8 | uint32(lenBuf[2])<<16 | uint32(lenBuf[3])<<24)
-	captured := make([]byte, n)
-	if err := r.m.Mem.Read(mem.PrivSMM, PackageAddr(r.k.Res)+4, captured); err != nil {
-		t.Fatal(err)
-	}
-	capturedSalt := make([]byte, 36)
-	if err := r.m.Mem.Read(mem.PrivSMM, EnclavePubAddr(r.k.Res), capturedSalt); err != nil {
+	// Capture the staged directory the way a MITM on the shared memory
+	// channel would (reading via SMM is the test's shortcut; the
+	// attacker would capture it at write time).
+	base := r.k.Res.WBase()
+	captured, err := parseBatchDir(func(addr uint64, dst []byte) error {
+		return r.m.Mem.Read(mem.PrivSMM, addr, dst)
+	}, base, base+r.k.Res.W.Size)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+	if err := r.process(t); err != nil {
 		t.Fatal(err)
 	}
 	// Roll the patch back so a successful replay would be visible.
@@ -230,21 +268,19 @@ func TestReplayRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.sealPackage(t, rbWire)
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+	if err := r.process(t); err != nil {
 		t.Fatal(err)
 	}
 
-	// Replay the captured salt + ciphertext. The SMM nonce has
-	// rotated, so the session key differs and decryption yields
+	// Replay the captured directory, salt and ciphertext. The SMM nonce
+	// has rotated, so the session key differs and decryption yields
 	// garbage that fails validation.
-	if err := r.m.Mem.Write(mem.PrivKernel, EnclavePubAddr(r.k.Res), capturedSalt); err != nil {
-		t.Fatal(err)
-	}
-	if err := StageBlob(r.m.Mem, mem.PrivKernel, PackageAddr(r.k.Res), captured); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err == nil {
+	r.stage(t, captured...)
+	if err := r.process(t); err == nil {
 		t.Fatal("replayed package accepted")
+	}
+	if codes, summary := r.codes(t); len(codes) != 1 || codes[0] != StatusError || summary != StatusBatchDone {
+		t.Errorf("replay codes = %v, summary %d; want [StatusError], StatusBatchDone", codes, summary)
 	}
 	// And the kernel stayed unpatched.
 	if v, _ := r.k.Call(0, "gadget", 0xdead); v != 99 {
@@ -256,21 +292,21 @@ func TestTamperedPackageRejected(t *testing.T) {
 	r := newRig(t)
 	wire := r.wirePatch(t, "RIG-1")
 	r.sealPackage(t, wire)
-	// Kernel-privilege attacker flips a staged byte (mem_W is
-	// kernel-writable by design).
-	if err := r.m.Mem.Write(mem.PrivKernel, PackageAddr(r.k.Res)+40, []byte{0xFF}); err != nil {
+	// Kernel-privilege attacker flips a staged ciphertext byte (mem_W
+	// is kernel-writable by design). The directory header, salt length,
+	// salt and ciphertext length take 8+4+32+4 bytes.
+	if err := r.m.Mem.Write(mem.PrivKernel, r.k.Res.WBase()+8+4+32+4+20, []byte{0xFF}); err != nil {
 		t.Fatal(err)
 	}
-	err := r.ctrl.Trigger(CmdProcessPackage, 0)
+	err := r.process(t)
 	if err == nil {
 		t.Fatal("tampered package accepted")
 	}
 	if v, _ := r.k.Call(0, "gadget", 0xdead); v != 99 {
 		t.Error("tampered package had an effect")
 	}
-	code, _, _, _ := ReadStatus(r.m.Mem, mem.PrivKernel, r.k.Res)
-	if code != StatusError {
-		t.Errorf("status = %d, want StatusError", code)
+	if codes, summary := r.codes(t); len(codes) != 1 || codes[0] != StatusError || summary != StatusBatchDone {
+		t.Errorf("codes = %v, summary %d; want [StatusError], StatusBatchDone", codes, summary)
 	}
 }
 
@@ -283,7 +319,7 @@ func TestVersionSkewRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.sealPackage(t, wire)
-	err = r.ctrl.Trigger(CmdProcessPackage, 0)
+	err = r.process(t)
 	if !errors.Is(err, ErrVersionSkew) {
 		t.Fatalf("got %v, want ErrVersionSkew", err)
 	}
@@ -340,7 +376,7 @@ func TestMisplacedPayloadRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.sealPackage(t, wire)
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err == nil {
+	if err := r.process(t); err == nil {
 		t.Fatal("out-of-area payload accepted")
 	}
 	// Kernel text untouched.
@@ -352,7 +388,7 @@ func TestMisplacedPayloadRejected(t *testing.T) {
 func TestRollbackOrderEnforced(t *testing.T) {
 	r := newRig(t)
 	r.sealPackage(t, r.wirePatch(t, "RIG-1"))
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+	if err := r.process(t); err != nil {
 		t.Fatal(err)
 	}
 	wire, err := patch.MarshalRollback("RIG-OTHER", "4.4")
@@ -360,7 +396,7 @@ func TestRollbackOrderEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.sealPackage(t, wire)
-	err = r.ctrl.Trigger(CmdProcessPackage, 0)
+	err = r.process(t)
 	if !errors.Is(err, ErrRollbackOrder) {
 		t.Fatalf("got %v, want ErrRollbackOrder", err)
 	}
@@ -379,7 +415,7 @@ func TestRollbackVerifiedByFrameDiff(t *testing.T) {
 	snap := r.m.Mem.Snapshot()
 
 	r.sealPackage(t, r.wirePatch(t, "RIG-1"))
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+	if err := r.process(t); err != nil {
 		t.Fatal(err)
 	}
 	dirty, err := r.m.Mem.DiffFramesIn(snap, text.Base, text.Size)
@@ -395,7 +431,7 @@ func TestRollbackVerifiedByFrameDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.sealPackage(t, wire)
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+	if err := r.process(t); err != nil {
 		t.Fatal(err)
 	}
 	dirty, err = r.m.Mem.DiffFramesIn(snap, text.Base, text.Size)
@@ -417,7 +453,7 @@ func TestRollbackVerifiedByFrameDiff(t *testing.T) {
 func TestIntrospectRepairsTrampoline(t *testing.T) {
 	r := newRig(t)
 	r.sealPackage(t, r.wirePatch(t, "RIG-1"))
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+	if err := r.process(t); err != nil {
 		t.Fatal(err)
 	}
 	sym, _ := r.preImg.Img.Symbols.Lookup("gadget")
@@ -478,7 +514,7 @@ func TestPartialFailureUndone(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.sealPackage(t, wire)
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err == nil {
+	if err := r.process(t); err == nil {
 		t.Fatal("faulting package accepted")
 	}
 	// First global restored, function behaviour unchanged, journal
@@ -495,7 +531,72 @@ func TestPartialFailureUndone(t *testing.T) {
 	}
 	// The handler remains usable: a clean patch goes through.
 	r.sealPackage(t, r.wirePatch(t, "RIG-CLEAN"))
-	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+	if err := r.process(t); err != nil {
 		t.Fatalf("clean patch after failure: %v", err)
+	}
+}
+
+// TestDirectoryDispatchesPerMember stages patches and rollbacks in one
+// directory: each member dispatches on its own op, a failing member
+// keeps its typed error without stopping the rest, and the summary
+// status is StatusBatchDone.
+func TestDirectoryDispatchesPerMember(t *testing.T) {
+	r := newRig(t)
+	wire := r.wirePatch(t, "RIG-1")
+	rb, err := patch.MarshalRollback("RIG-1", "4.4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.stage(t,
+		r.sealMember(t, testRoot, wire),
+		r.sealMember(t, testRoot, wire),
+		r.sealMember(t, testRoot, rb),
+		r.sealMember(t, testRoot, rb))
+	if err := r.ctrl.Trigger(CmdProcessPackage, 0); err != nil {
+		t.Fatal(err)
+	}
+	wantCodes := []uint32{StatusPatched, StatusError, StatusRolledBack, StatusError}
+	wantErrs := []error{nil, ErrDuplicate, nil, ErrNothingApplied}
+	codes, summary := r.codes(t)
+	outs := r.h.Outcomes()
+	if summary != StatusBatchDone || len(codes) != len(wantCodes) || len(outs) != len(wantCodes) {
+		t.Fatalf("summary %d, %d codes, %d outcomes", summary, len(codes), len(outs))
+	}
+	for i := range wantCodes {
+		if codes[i] != wantCodes[i] {
+			t.Errorf("member %d code = %d, want %d", i, codes[i], wantCodes[i])
+		}
+		if (wantErrs[i] == nil) != (outs[i].Err == nil) || !errors.Is(outs[i].Err, wantErrs[i]) {
+			t.Errorf("member %d error = %v, want %v", i, outs[i].Err, wantErrs[i])
+		}
+	}
+	if got := r.h.Applied(); len(got) != 0 {
+		t.Errorf("journal = %v after patch + rollback", got)
+	}
+	if v, err := r.k.Call(0, "gadget", 0xdead); err != nil || v != 99 {
+		t.Errorf("gadget = %d, %v after patch + rollback", v, err)
+	}
+}
+
+// TestAbortCutsOneMemberDirectory: the injected mid-SMI abort fires
+// before a directory's only member as before any other, the member
+// reports an error, and the consumed nonce still rotates.
+func TestAbortCutsOneMemberDirectory(t *testing.T) {
+	r := newRig(t)
+	r.h.SetObserver(&obs.Hooks{Faults: faultinject.New(faultinject.Exact(faultinject.Fault{Point: faultinject.SMMBatchAbort}))})
+	r.sealPackage(t, r.wirePatch(t, "RIG-1"))
+	if err := r.process(t); !errors.Is(err, errCutShort) {
+		t.Fatalf("got %v, want the cut-short outcome", err)
+	}
+	if codes, summary := r.codes(t); len(codes) != 1 || codes[0] != StatusError || summary != StatusBatchDone {
+		t.Errorf("codes = %v, summary %d; want [StatusError], StatusBatchDone", codes, summary)
+	}
+	if got := r.h.Applied(); len(got) != 0 {
+		t.Errorf("journal = %v after an aborted SMI", got)
+	}
+	r.h.SetObserver(nil)
+	r.sealPackage(t, r.wirePatch(t, "RIG-1"))
+	if err := r.process(t); err != nil {
+		t.Fatalf("redelivery after abort: %v", err)
 	}
 }
