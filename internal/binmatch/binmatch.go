@@ -74,103 +74,6 @@ func Fingerprint(img *isa.Image, name string) ([sha256.Size]byte, error) {
 	return sha256.Sum256([]byte(n)), nil
 }
 
-// Block is one basic block of a function in normalized form.
-type Block struct {
-	StartIdx int    // index of the first instruction
-	Norm     string // normalized instructions of the block
-}
-
-// Blocks decomposes a function into basic blocks: leaders are the
-// entry, branch targets, and instructions following branches/rets.
-func Blocks(img *isa.Image, name string) ([]Block, error) {
-	sym, ok := img.Symbols.Lookup(name)
-	if !ok || sym.Kind != isa.SymFunc {
-		return nil, fmt.Errorf("binmatch: no function %q", name)
-	}
-	code, err := img.FuncBytes(name)
-	if err != nil {
-		return nil, err
-	}
-	decoded, err := isa.Disassemble(code, sym.Addr)
-	if err != nil {
-		return nil, err
-	}
-	norm, err := Normalize(img, name)
-	if err != nil {
-		return nil, err
-	}
-	lines := strings.Split(strings.TrimSuffix(norm, "\n"), "\n")
-
-	idxOf := make(map[uint64]int, len(decoded))
-	for i, d := range decoded {
-		idxOf[d.Addr] = i
-	}
-	leaders := map[int]bool{0: true}
-	for i, d := range decoded {
-		if d.Inst.Op.IsBranch() {
-			if tgt, _ := d.BranchTarget(); true {
-				if idx, in := idxOf[tgt]; in {
-					leaders[idx] = true
-				}
-			}
-			if d.Inst.Op != isa.OpCall && i+1 < len(decoded) {
-				leaders[i+1] = true
-			}
-		}
-		if d.Inst.Op == isa.OpRet && i+1 < len(decoded) {
-			leaders[i+1] = true
-		}
-	}
-	starts := make([]int, 0, len(leaders))
-	for i := range leaders {
-		starts = append(starts, i)
-	}
-	sort.Ints(starts)
-
-	var out []Block
-	for bi, s := range starts {
-		end := len(decoded)
-		if bi+1 < len(starts) {
-			end = starts[bi+1]
-		}
-		out = append(out, Block{
-			StartIdx: s,
-			Norm:     strings.Join(lines[s:end], "\n"),
-		})
-	}
-	return out, nil
-}
-
-// MatchScore returns the fraction of pre-image blocks of preFn that
-// have an identical normalized block in postFn of the post image —
-// the block-level similarity the binary matching literature uses to
-// align functions across versions. 1.0 means every block matched.
-func MatchScore(pre *isa.Image, preFn string, post *isa.Image, postFn string) (float64, error) {
-	pb, err := Blocks(pre, preFn)
-	if err != nil {
-		return 0, err
-	}
-	qb, err := Blocks(post, postFn)
-	if err != nil {
-		return 0, err
-	}
-	if len(pb) == 0 {
-		return 0, fmt.Errorf("binmatch: %s has no blocks", preFn)
-	}
-	avail := make(map[string]int)
-	for _, b := range qb {
-		avail[b.Norm]++
-	}
-	matched := 0
-	for _, b := range pb {
-		if avail[b.Norm] > 0 {
-			avail[b.Norm]--
-			matched++
-		}
-	}
-	return float64(matched) / float64(len(pb)), nil
-}
-
 // Diff summarizes the function-level differences between two images.
 type Diff struct {
 	Changed []string // present in both with different normalized bodies

@@ -64,24 +64,9 @@ func (g *Graph) Has(fn string) bool { return g.nodes[fn] }
 // HasEdge reports whether from calls to.
 func (g *Graph) HasEdge(from, to string) bool { return contains(g.callees[from], to) }
 
-// Callees returns the functions fn calls, in first-seen order.
-func (g *Graph) Callees(fn string) []string {
-	return append([]string(nil), g.callees[fn]...)
-}
-
 // Callers returns the functions that call fn.
 func (g *Graph) Callers(fn string) []string {
 	return append([]string(nil), g.callers[fn]...)
-}
-
-// Nodes returns all function names, sorted.
-func (g *Graph) Nodes() []string {
-	out := make([]string, 0, len(g.nodes))
-	for n := range g.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FromSource builds the source-level call graph of a translation unit
@@ -134,40 +119,6 @@ func FromBinary(img *isa.Image) (*Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// InlineEdge records that Callee's body was inlined into Caller.
-type InlineEdge struct {
-	Caller string
-	Callee string
-}
-
-// DetectInlining compares the source and binary graphs and returns the
-// edges the compiler folded away. An edge F→g counts as inlined when
-// the source has it but the binary function F no longer calls g —
-// whether because g emitted no symbol at all, or because this
-// particular call site was expanded.
-func DetectInlining(src, bin *Graph) []InlineEdge {
-	var out []InlineEdge
-	for _, caller := range src.Nodes() {
-		if !bin.Has(caller) {
-			// Caller itself was inlined away; its own call sites are
-			// accounted for transitively at its callers.
-			continue
-		}
-		for _, callee := range src.Callees(caller) {
-			if !bin.HasEdge(caller, callee) {
-				out = append(out, InlineEdge{Caller: caller, Callee: callee})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Caller != out[j].Caller {
-			return out[i].Caller < out[j].Caller
-		}
-		return out[i].Callee < out[j].Callee
-	})
-	return out
 }
 
 // Implicated runs the paper's worklist algorithm: given the names of

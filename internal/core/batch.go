@@ -116,7 +116,8 @@ type BatchReport struct {
 // connections, the enclave prepares each batch in one ECALL, and each
 // batch applies under a single SMI. Per-patch failures land in
 // BatchReport.Failed without sinking the rest; the error return is
-// reserved for cancellation.
+// reserved for cancellation and for ErrUnacknowledged, which comes
+// with the full report of what SMM applied.
 func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOption) (*BatchReport, error) {
 	if err := s.Attach(ctx); err != nil {
 		return nil, err
@@ -173,7 +174,8 @@ func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOptio
 	entries0 := s.SMM.Entries()
 	pause0 := s.SMM.TotalPause()
 
-	res, runErr := pipeline.Run(ctx, &batchBackend{s: s, fetchers: fetchers}, cves, pipeline.Config{
+	backend := &batchBackend{s: s, fetchers: fetchers}
+	res, runErr := pipeline.Run(ctx, backend, cves, pipeline.Config{
 		BatchSize:  batchSize,
 		Workers:    workers,
 		MaxRetries: cfg.maxRetries,
@@ -200,6 +202,9 @@ func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOptio
 			continue
 		}
 		rep.Reports = append(rep.Reports, &Report{ID: m.CVE, Stages: m.Stages})
+	}
+	if backend.unacked != nil {
+		return rep, errors.Join(runErr, backend.unacked)
 	}
 	return rep, runErr
 }
@@ -252,6 +257,9 @@ func (s *System) dialFetcher() *patchserver.Client {
 type batchBackend struct {
 	s        *System
 	fetchers chan *patchserver.Client
+	// unacked is the first ErrUnacknowledged of the run. The pipeline
+	// delivers from one goroutine, so it needs no lock.
+	unacked error
 }
 
 func (b *batchBackend) FetchMany(ctx context.Context, cves []string) ([]pipeline.Fetched, error) {
@@ -276,7 +284,16 @@ func (b *batchBackend) FetchMany(ctx context.Context, cves []string) ([]pipeline
 }
 
 // Deliver runs Stages 2–4 for the members — a batch, a single, a retry
-// or a degraded member alike — under one package SMI.
+// or a degraded member alike — under one package SMI. An unacknowledged
+// status leaves the members' outcomes standing, so the pipeline sees a
+// completed delivery and ApplyAll returns the error with its report.
 func (b *batchBackend) Deliver(ctx context.Context, members []*pipeline.Member) error {
-	return b.s.deliverPatches(ctx, members)
+	err := b.s.deliverPatches(ctx, members)
+	if errors.Is(err, ErrUnacknowledged) {
+		if b.unacked == nil {
+			b.unacked = err
+		}
+		return nil
+	}
+	return err
 }

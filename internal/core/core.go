@@ -699,13 +699,14 @@ func (s *System) Apply(ctx context.Context, cve string) (*Report, error) {
 		return nil, fs[0].Err
 	}
 	m := &pipeline.Member{CVE: cve, Blob: fs[0].Blob, Stages: StageTimes{Fetch: fs[0].Time}}
-	if err := s.deliverPatches(ctx, []*pipeline.Member{m}); err != nil {
+	err = s.deliverPatches(ctx, []*pipeline.Member{m})
+	if err != nil && !errors.Is(err, ErrUnacknowledged) {
 		return nil, err
 	}
 	if m.Err != nil {
 		return nil, m.Err
 	}
-	return &Report{ID: cve, Stages: m.Stages}, nil
+	return &Report{ID: cve, Stages: m.Stages}, err
 }
 
 // fetch runs Stage 1 for cves as one pipelined burst over the given
@@ -756,7 +757,7 @@ func (s *System) Rollback(ctx context.Context, cve string) (*Report, error) {
 	}
 	st := StageTimes{Preprocess: s.Model.PrepFixed, Pass: s.pass(res.Ciphertext)}
 	codes, outs, err := s.smi([]smmpatch.BatchMember{{EnclavePub: res.EnclavePub, Ciphertext: res.Ciphertext}})
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrUnacknowledged) {
 		return nil, err
 	}
 	s.smmStages(&st, outs[0].Breakdown, 1)
@@ -764,12 +765,13 @@ func (s *System) Rollback(ctx context.Context, cve string) (*Report, error) {
 		return nil, memberErr(cve, codes[0], smmpatch.StatusRolledBack, outs[0].Err)
 	}
 	s.det.NoteApplied(cve)
-	return &Report{ID: cve, Stages: st}, nil
+	return &Report{ID: cve, Stages: st}, err
 }
 
 // deliverPatches runs Stages 2–4 for fetched members, one or many: one
 // prepare-many ECALL, one mem_W staging directory, one package SMI.
-// Per-member outcomes land on the members; a non-nil return means the
+// Per-member outcomes land on the members. An error matching
+// ErrUnacknowledged leaves them standing; any other error means the
 // delivery failed as a whole and nothing can be said about them.
 func (s *System) deliverPatches(ctx context.Context, members []*pipeline.Member) error {
 	if err := ctx.Err(); err != nil {
@@ -829,7 +831,7 @@ func (s *System) deliverPatches(ctx context.Context, members []*pipeline.Member)
 
 	// Stage 4: one SMI for the whole directory.
 	codes, outs, err := s.smi(staged)
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrUnacknowledged) {
 		return err
 	}
 	for j, m := range landing {
@@ -845,7 +847,7 @@ func (s *System) deliverPatches(ctx context.Context, members []*pipeline.Member)
 		s.obs.ObserveDur(obs.HistDowntime, m.Stages.SMMTotal())
 		s.det.NoteApplied(m.CVE)
 	}
-	return nil
+	return err
 }
 
 // pass charges Stage 3, the helper copying a sealed package into
@@ -879,8 +881,10 @@ func memberErr(id string, code, want uint32, err error) error {
 // smi stages the sealed members as one mem_W directory and raises the
 // package SMI — the only part that pauses the OS. It returns the
 // per-member codes and outcomes once the summary status has been
-// confirmed through the mailbox and reported to the server with its
-// MAC (the authenticated DoS-detection handshake).
+// confirmed through the mailbox, and reports that status to the server
+// with its MAC (the authenticated DoS-detection handshake). A report
+// the server does not acknowledge leaves the codes and outcomes
+// standing, with an error matching ErrUnacknowledged.
 func (s *System) smi(staged []smmpatch.BatchMember) ([]uint32, []smmpatch.Outcome, error) {
 	if err := smmpatch.StageBatch(s.Machine.Mem, s.helperPriv, s.Kernel.Res, staged); err != nil {
 		return nil, nil, fmt.Errorf("core: stage package: %w", err)
@@ -912,7 +916,7 @@ func (s *System) smi(staged []smmpatch.BatchMember) ([]uint32, []smmpatch.Outcom
 		return nil, nil, &StatusError{ID: "package", Got: status.Code, Want: smmpatch.StatusBatchDone}
 	}
 	if err := s.client.ReportStatusMAC(status.Code, status.Seq, status.Digest, status.MAC[:]); err != nil {
-		return nil, nil, err
+		return codes, outs, fmt.Errorf("%w: %w", ErrUnacknowledged, err)
 	}
 	return codes, outs, nil
 }

@@ -34,6 +34,13 @@ var (
 	// ErrTargetActive re-exports the SMM activeness refusal so callers
 	// need not import smmpatch to classify the one retryable failure.
 	ErrTargetActive = smmpatch.ErrTargetActive
+
+	// ErrUnacknowledged marks a patch or rollback SMI that SMM carried
+	// out but whose MAC'd status record the patch server did not
+	// acknowledge. It comes together with the Report or BatchReport of
+	// what SMM did: the patches are applied (or rolled back) whatever
+	// the server recorded.
+	ErrUnacknowledged = errors.New("core: status report not acknowledged")
 )
 
 // StatusError reports a status-mailbox code that did not match the

@@ -92,13 +92,6 @@ func NewTemplate(ctx context.Context, opts Options) (*Template, error) {
 	}, nil
 }
 
-// Machine exposes the template's (quiescent) machine — tests diff fork
-// memory against it to prove isolation.
-func (t *Template) Machine() *machine.Machine { return t.m }
-
-// Info returns the OS identity forks attest to the patch server.
-func (t *Template) Info() patchserver.OSInfo { return t.info }
-
 // Close stops the template machine. Live forks keep working: their
 // Physicals hold the shared frames directly.
 func (t *Template) Close() {

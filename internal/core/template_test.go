@@ -86,7 +86,7 @@ func TestForkIsolation(t *testing.T) {
 	}
 	t.Cleanup(tpl.Close)
 	// Template frame baseline, taken before any fork exists.
-	snap := tpl.Machine().Mem.Snapshot()
+	snap := tpl.m.Mem.Snapshot()
 
 	a, err := tpl.Fork(context.Background(), f.Opts)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestForkIsolation(t *testing.T) {
 	// Frame-level witness: the template's memory is bit-identical to
 	// its pre-fork snapshot — no patch, exploit, SMRAM key, or journal
 	// write in either fork reached a shared frame.
-	dirty, err := tpl.Machine().Mem.DiffFrames(snap)
+	dirty, err := tpl.m.Mem.DiffFrames(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestConcurrentForksFromOneTemplate(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(tpl.Close)
-	snap := tpl.Machine().Mem.Snapshot()
+	snap := tpl.m.Mem.Snapshot()
 
 	const n = 4
 	var wg sync.WaitGroup
@@ -339,7 +339,7 @@ func TestConcurrentForksFromOneTemplate(t *testing.T) {
 	}
 	wg.Wait()
 
-	dirty, err := tpl.Machine().Mem.DiffFrames(snap)
+	dirty, err := tpl.m.Mem.DiffFrames(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

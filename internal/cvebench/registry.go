@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"kshot/internal/kernel"
 	"kshot/internal/patch"
@@ -112,25 +111,21 @@ var table = []spec{
 	{cve: "CVE-2016-0728", fns: []string{"join_session_keyring"}, size: 81, types: "1", t1: "ref", fig: true, desc: "keyring join_session_keyring refcount overflow; double-put archetype (figure set)"},
 }
 
-// registry is built once at init from the table; Register extends it
-// at runtime (generated corpus entries), guarded by regMu.
-var (
-	regMu    sync.RWMutex
-	registry = func() map[string]*Entry {
-		m := make(map[string]*Entry, len(table))
-		for _, s := range table {
-			e, err := buildEntry(s)
-			if err != nil {
-				panic(fmt.Sprintf("cvebench: %s: %v", s.cve, err))
-			}
-			if err := checkConflicts(m, e); err != nil {
-				panic(fmt.Sprintf("cvebench: %s: %v", s.cve, err))
-			}
-			m[s.cve] = e
+// registry is built once at init from the table and only read after.
+var registry = func() map[string]*Entry {
+	m := make(map[string]*Entry, len(table))
+	for _, s := range table {
+		e, err := buildEntry(s)
+		if err != nil {
+			panic(fmt.Sprintf("cvebench: %s: %v", s.cve, err))
 		}
-		return m
-	}()
-)
+		if err := checkConflicts(m, e); err != nil {
+			panic(fmt.Sprintf("cvebench: %s: %v", s.cve, err))
+		}
+		m[s.cve] = e
+	}
+	return m
+}()
 
 // checkConflicts rejects an entry that cannot coexist with the ones
 // already registered. The dangerous case is two entries claiming the
@@ -161,40 +156,8 @@ func checkConflicts(m map[string]*Entry, e *Entry) error {
 	return nil
 }
 
-// Register adds an entry to the registry at runtime — the path
-// generated corpus cases use so Get and CVE-addressed tooling resolve
-// them like Table I entries. Registration is atomic: on error (missing
-// fields, a duplicate CVE with different content, or a same-File
-// content conflict per checkConflicts) the registry is unchanged.
-// Registered entries do not appear in All or FigureSix, which render
-// the paper's fixed tables.
-func Register(e *Entry) error {
-	switch {
-	case e == nil:
-		return fmt.Errorf("cvebench: Register(nil)")
-	case e.CVE == "" || e.File == "":
-		return fmt.Errorf("cvebench: Register %q: CVE and File are required", e.CVE)
-	case e.Vuln == "" || e.Fixed == "":
-		return fmt.Errorf("cvebench: Register %s: Vuln and Fixed sources are required", e.CVE)
-	case e.Vuln == e.Fixed:
-		return fmt.Errorf("cvebench: Register %s: vulnerable and fixed content are identical", e.CVE)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if prev, ok := registry[e.CVE]; ok && prev.File == e.File && prev.Vuln == e.Vuln && prev.Fixed == e.Fixed {
-		return nil // identical re-registration: keep the existing entry
-	}
-	if err := checkConflicts(registry, e); err != nil {
-		return fmt.Errorf("cvebench: Register: %w", err)
-	}
-	registry[e.CVE] = e
-	return nil
-}
-
 // All returns the 30 Table I entries in table order.
 func All() []*Entry {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]*Entry, 0, 30)
 	for _, s := range table {
 		if !s.fig {
@@ -211,8 +174,6 @@ func FigureSix() []*Entry {
 		"CVE-2014-0196", "CVE-2014-3153", "CVE-2014-4608",
 		"CVE-2016-0728", "CVE-2016-5195", "CVE-2017-17806",
 	}
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]*Entry, len(ids))
 	for i, id := range ids {
 		out[i] = registry[id]
@@ -222,8 +183,6 @@ func FigureSix() []*Entry {
 
 // Get returns the entry for a CVE identifier (Table I or registered).
 func Get(cve string) (*Entry, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	e, ok := registry[cve]
 	return e, ok
 }

@@ -2,9 +2,8 @@
 // injection layer. Named injection points sit in the layers that carry
 // the security argument — physical memory staging, SMI delivery, the
 // SGX enclave boundary, the patch-server transport, and the batch
-// pipeline. A Set is driven by a Plan: a pure function of (seed,
-// point) to a fault schedule, so any failure the chaos suite finds is
-// replayable from its seed alone.
+// pipeline. A Set is driven by a Plan, a fixed fault schedule per
+// point, so any failure it provokes replays from the same plan.
 //
 // A Set reaches the layers as the Faults field of their obs.Hooks
 // handle, and every point is consulted through obs.Hooks.Fault, which
@@ -19,8 +18,6 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -149,84 +146,15 @@ func (f Fault) Keep(n int) int {
 	return keep
 }
 
-// PlanConfig tunes schedule generation. The zero value gets defaults
-// suitable for the chaos suite.
-type PlanConfig struct {
-	// Points lists the points to arm; nil arms all of them.
-	Points []Point
-	// Prob is the per-call fire probability while the point still has
-	// budget (default 0.3).
-	Prob float64
-	// MaxPerPoint bounds how many times one point fires (default 2),
-	// so schedules model transient faults the system should absorb
-	// rather than a permanently broken component.
-	MaxPerPoint int
-	// Horizon is how many call indices per point are considered
-	// (default 24).
-	Horizon int
-	// MaxDelay bounds injected delays (default 2ms).
-	MaxDelay time.Duration
-}
-
-func (c PlanConfig) withDefaults() PlanConfig {
-	if c.Points == nil {
-		c.Points = Points()
-	}
-	if c.Prob <= 0 {
-		c.Prob = 0.3
-	}
-	if c.MaxPerPoint <= 0 {
-		c.MaxPerPoint = 2
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 24
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
-	return c
-}
-
-// Plan maps each armed point to its fault schedule. A Plan is a pure
-// function of (seed, config): building it twice yields identical
-// schedules, which is what makes every chaos failure replayable.
+// Plan maps each armed point to its fault schedule.
 type Plan struct {
-	Seed     int64
 	schedule map[Point][]Fault
-}
-
-// NewPlan derives a schedule for every armed point from seed. Each
-// point gets its own PRNG stream seeded by hash(seed, point), so one
-// point's schedule never depends on which other points are armed.
-func NewPlan(seed int64, cfg PlanConfig) *Plan {
-	cfg = cfg.withDefaults()
-	p := &Plan{Seed: seed, schedule: make(map[Point][]Fault, len(cfg.Points))}
-	for _, pt := range cfg.Points {
-		rng := rand.New(rand.NewSource(pointSeed(seed, pt)))
-		var faults []Fault
-		for call := 0; call < cfg.Horizon && len(faults) < cfg.MaxPerPoint; call++ {
-			if rng.Float64() >= cfg.Prob {
-				continue
-			}
-			faults = append(faults, Fault{
-				Point: pt,
-				Call:  call,
-				Bit:   uint(rng.Intn(1 << 16)),
-				Frac:  rng.Float64() * 0.9,
-				Delay: time.Duration(1 + rng.Int63n(int64(cfg.MaxDelay))),
-			})
-		}
-		if len(faults) > 0 {
-			p.schedule[pt] = faults
-		}
-	}
-	return p
 }
 
 // Exact builds a plan firing precisely the given faults — the
 // targeted-injection entry point for per-package unit tests.
 func Exact(faults ...Fault) *Plan {
-	p := &Plan{Seed: -1, schedule: make(map[Point][]Fault)}
+	p := &Plan{schedule: make(map[Point][]Fault)}
 	for _, f := range faults {
 		p.schedule[f.Point] = append(p.schedule[f.Point], f)
 	}
@@ -235,28 +163,6 @@ func Exact(faults ...Fault) *Plan {
 		sort.Slice(s, func(i, j int) bool { return s[i].Call < s[j].Call })
 	}
 	return p
-}
-
-// Scheduled returns the plan's fault list for a point (in call order).
-func (p *Plan) Scheduled(pt Point) []Fault {
-	return append([]Fault(nil), p.schedule[pt]...)
-}
-
-// Faults returns every scheduled fault, ordered by point then call.
-func (p *Plan) Faults() []Fault {
-	var out []Fault
-	for _, pt := range Points() {
-		out = append(out, p.schedule[pt]...)
-	}
-	return out
-}
-
-// pointSeed mixes the plan seed with the point name so every point
-// draws from an independent deterministic stream.
-func pointSeed(seed int64, pt Point) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d\x00%s", seed, pt)
-	return int64(h.Sum64())
 }
 
 // Set is the runtime injector the hooks consult. It tracks a call
@@ -336,15 +242,4 @@ func (s *Set) Log() []Fault {
 		out = append(out, s.fired[pt]...)
 	}
 	return out
-}
-
-// Reset clears call counters and the fired log, rearming the plan.
-func (s *Set) Reset() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.calls = make(map[Point]int)
-	s.fired = make(map[Point][]Fault)
 }

@@ -61,7 +61,6 @@ func TestNilSetIsQuiet(t *testing.T) {
 	if s.Calls(SMMRefuse) != 0 || s.Fired() != 0 || s.Log() != nil {
 		t.Fatal("nil set has state")
 	}
-	s.Reset() // must not panic
 }
 
 func TestExactFiresOnScheduledCalls(t *testing.T) {
@@ -147,23 +146,6 @@ func TestDelayReturnsPlannedDuration(t *testing.T) {
 	f, ok := s.Take(FetchDelay)
 	if !ok || f.Delay != 42*time.Microsecond {
 		t.Fatalf("delay = (%v,%v), want (42µs,true)", f.Delay, ok)
-	}
-}
-
-func TestResetRearms(t *testing.T) {
-	s := New(Exact(Fault{Point: SMMRefuse, Call: 0}))
-	if _, ok := s.Take(SMMRefuse); !ok {
-		t.Fatal("first pass should fire")
-	}
-	if _, ok := s.Take(SMMRefuse); ok {
-		t.Fatal("second pass should not fire")
-	}
-	s.Reset()
-	if _, ok := s.Take(SMMRefuse); !ok {
-		t.Fatal("reset should rearm call 0")
-	}
-	if s.Fired() != 1 {
-		t.Fatalf("fired after reset = %d, want 1", s.Fired())
 	}
 }
 

@@ -179,22 +179,6 @@ func (d *Detector) SetObserver(h *obs.Hooks) {
 	d.obs.Store(h)
 }
 
-// Rebaseline re-snapshots the swept window as known-good. The trusted
-// pipeline calls it after every successful patch or rollback SMI (and
-// after an introspection repair), so the baseline tracks the text KShot
-// itself produced. Pending events are NOT discarded: an attacker write
-// racing the rebaseline is absorbed into the new snapshot, but its
-// exec-write event still classifies as tampering on the next sweep —
-// the event channel catches exactly what the diff can no longer see.
-func (d *Detector) Rebaseline() {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	d.good = d.mem.Snapshot()
-	d.mu.Unlock()
-}
-
 // BeginTrustedWindow marks the start of a pipeline-initiated SMI that
 // legitimately rewrites the swept text. While any trusted window is
 // open, Sweep defers the frame-diff backstop — a concurrent sweep
@@ -212,8 +196,8 @@ func (d *Detector) BeginTrustedWindow() {
 
 // EndTrustedWindow closes a trusted window and atomically re-snapshots
 // the swept range as known-good, so no sweep can ever diff the
-// window's text changes against the pre-window baseline. Like
-// Rebaseline, it does NOT discard pending events: an attacker write
+// window's text changes against the pre-window baseline. It does NOT
+// discard pending events: an attacker write
 // racing the window is absorbed into the snapshot but still classifies
 // by its exec-write event on the next sweep.
 func (d *Detector) EndTrustedWindow() {

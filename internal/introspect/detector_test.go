@@ -84,7 +84,7 @@ func TestDetectorLegitimateWriteInsideSMI(t *testing.T) {
 	r.ch.OnSMIEnter(dtCmd)
 	r.write(t, dtBase+0x80, []byte{0x90, 0x90})
 	r.ch.OnSMIExit(dtCmd, time.Millisecond)
-	r.det.Rebaseline() // what the pipeline does after a patch SMI
+	rebaseline(r.det) // what the pipeline does around a patch SMI
 	if vs := r.det.Sweep(); len(vs) != 0 {
 		t.Fatalf("announced SMI write raised %v", vs)
 	}
@@ -101,7 +101,7 @@ func TestDetectorSMIBracketSpansSweeps(t *testing.T) {
 	}
 	r.write(t, dtBase, []byte{0xAA})
 	r.ch.OnSMIExit(dtCmd, time.Millisecond)
-	r.det.Rebaseline()
+	rebaseline(r.det)
 	if vs := r.det.Sweep(); len(vs) != 0 {
 		t.Fatalf("write under carried-over SMI bracket raised %v", vs)
 	}
@@ -198,7 +198,7 @@ func TestDetectorStaleReplay(t *testing.T) {
 func TestDetectorRebaselineDoesNotLaunderEvents(t *testing.T) {
 	r := newDetRig(t, 64)
 	r.write(t, dtBase+0x100, []byte{0xEE})
-	r.det.Rebaseline() // diff is now clean; the event is not
+	rebaseline(r.det) // diff is now clean; the event is not
 	vs := r.det.Sweep()
 	if len(vs) != 1 || vs[0].Kind != TamperDetected {
 		t.Fatalf("verdicts = %v, want one TamperDetected from the event alone", vs)
@@ -283,7 +283,7 @@ func TestDetectorBackgroundLoop(t *testing.T) {
 
 func TestDetectorNilSafety(t *testing.T) {
 	var d *Detector
-	d.Rebaseline()
+	rebaseline(d)
 	d.ExpectSMI(dtCmd)
 	d.NoteActiveRefusal("x")
 	d.NoteApplied("x")
@@ -305,4 +305,11 @@ func TestDetectorNilSafety(t *testing.T) {
 	if _, err := NewDetector(NewChannel(1, nil), nil, 0, 0, DetectorConfig{}); err == nil {
 		t.Fatal("NewDetector accepted nil memory")
 	}
+}
+
+// rebaseline re-snapshots the swept window as known-good the way the
+// trusted pipeline does, by closing a trusted window around its SMI.
+func rebaseline(d *Detector) {
+	d.BeginTrustedWindow()
+	d.EndTrustedWindow()
 }

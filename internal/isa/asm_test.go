@@ -427,3 +427,17 @@ func TestSymTab(t *testing.T) {
 		t.Error("duplicate symbol accepted")
 	}
 }
+
+// HasFtracePrologue reports whether the function bytes begin with a
+// `call rel32` whose target is fentryAddr: the 5-byte trace signature
+// the paper's prototype identifies in the binary (§V-A).
+func HasFtracePrologue(code []byte, funcAddr, fentryAddr uint64) bool {
+	if len(code) < FtracePrologueLen || Op(code[0]) != OpCall {
+		return false
+	}
+	inst, n, err := Decode(code)
+	if err != nil || n != FtracePrologueLen {
+		return false
+	}
+	return uint64(int64(funcAddr)+int64(n)+inst.Imm) == fentryAddr
+}

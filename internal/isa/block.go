@@ -87,13 +87,6 @@ func (b *Block) Start() uint64 { return b.start }
 // End returns the first address past the block's in-line instructions.
 func (b *Block) End() uint64 { return b.end }
 
-// Instructions returns the block's per-instruction expansion: the
-// linear decode of its in-block bytes, exactly as Disassemble/Step
-// would see them. Fused superinstructions expand to their constituent
-// in-block instructions (a folded jmp chain contributes only its first,
-// in-block jmp; the folded hops live outside the block).
-func (b *Block) Instructions() []Decoded { return b.src }
-
 // EngineStats counts block-cache behavior for tests and benchmarks.
 // Read them only while the owning vCPU is quiescent.
 type EngineStats struct {
@@ -138,13 +131,6 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 func (e *Engine) SetIntrospect(s obs.Introspector, cpu int) {
 	e.intr = s
 	e.cpuID = cpu
-}
-
-// Flush discards every cached block. RunUnit flushes automatically on
-// code-epoch mismatch; Flush exists for callers that change what the
-// engine executes out of band (tests).
-func (e *Engine) Flush() {
-	e.flush(e.C.M.CodeEpoch())
 }
 
 func (e *Engine) flush(epoch uint64) {

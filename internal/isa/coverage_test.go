@@ -18,9 +18,9 @@ func TestOpcodeCoverage(t *testing.T) {
 		str  string
 	}{
 		// nullary
-		{Inst{Op: OpNop}, LenNop, "nop"},
-		{Inst{Op: OpRet}, LenRet, "ret"},
-		{Inst{Op: OpHlt}, LenHlt, "hlt"},
+		{Inst{Op: OpNop}, 1, "nop"},
+		{Inst{Op: OpRet}, 1, "ret"},
+		{Inst{Op: OpHlt}, 1, "hlt"},
 		// trap imm8
 		{Inst{Op: OpTrap, Imm: 0x41}, LenTrap, "trap 65"},
 		// branches: opcode + rel32, signed displacement

@@ -22,7 +22,7 @@ func testMachine(t *testing.T, img *Image) (*CPU, uint64) {
 
 func mustMapImage(t *testing.T, m *mem.Physical, img *Image) {
 	t.Helper()
-	if _, err := m.Map("text", img.TextBase, uint64(len(img.Text)), mem.Perms{Kernel: mem.PermRX, SMM: mem.PermRWX}); err != nil {
+	if _, err := m.Map("text", img.TextBase, uint64(len(img.Text)), mem.Perms{Kernel: mem.PermR | mem.PermX, SMM: mem.PermRWX}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Write(mem.PrivSMM, img.TextBase, img.Text); err != nil {

@@ -41,18 +41,3 @@ func Disassemble(code []byte, base uint64) ([]Decoded, error) {
 // (`call __fentry__`), the 5-byte sequence KShot must skip when
 // patching traced functions (§V-A "Supporting Kernel Tracing").
 const FtracePrologueLen = LenBranch
-
-// HasFtracePrologue reports whether the function bytes begin with a
-// `call rel32` whose target is fentryAddr. Patching code uses this
-// signature check rather than trusting symbol metadata, as the paper's
-// prototype identifies the 5-byte trace signature in the binary.
-func HasFtracePrologue(code []byte, funcAddr, fentryAddr uint64) bool {
-	if len(code) < FtracePrologueLen || Op(code[0]) != OpCall {
-		return false
-	}
-	inst, n, err := Decode(code)
-	if err != nil || n != FtracePrologueLen {
-		return false
-	}
-	return uint64(int64(funcAddr)+int64(n)+inst.Imm) == fentryAddr
-}

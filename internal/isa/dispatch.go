@@ -38,19 +38,6 @@ func (d Dispatch) String() string {
 	}
 }
 
-// ParseDispatch parses a dispatch-mode name as printed by String.
-func ParseDispatch(s string) (Dispatch, error) {
-	switch s {
-	case "blocks":
-		return DispatchBlocks, nil
-	case "oracle":
-		return DispatchOracle, nil
-	case "lockstep":
-		return DispatchLockstep, nil
-	}
-	return 0, fmt.Errorf("unknown dispatch mode %q (want blocks, oracle, or lockstep)", s)
-}
-
 // Runner executes dispatch units on a CPU: at least one instruction per
 // unit (budget permitting), never more than budget. The machine's run
 // loop brackets each unit between SMI pause points, so a unit is the

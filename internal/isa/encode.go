@@ -113,21 +113,6 @@ func Decode(b []byte) (Inst, int, error) {
 	return inst, n, nil
 }
 
-// MustEncode encodes a sequence of instructions, panicking on error.
-// It is intended for tests and static code generation where the
-// instructions are compile-time constants.
-func MustEncode(insts ...Inst) []byte {
-	var out []byte
-	var err error
-	for _, in := range insts {
-		out, err = Encode(out, in)
-		if err != nil {
-			panic(err)
-		}
-	}
-	return out
-}
-
 // EncodeJmpRel32 returns the 5-byte encoding of a jmp with the given
 // rel32 displacement. This is the trampoline instruction KShot writes
 // at the entry of a vulnerable function (§V-C).

@@ -35,7 +35,7 @@ func FuzzBlockDecode(f *testing.F) {
 	))
 	// Ftrace-prologue shape: call whose callee is a bare ret.
 	f.Add(MustEncode(
-		Inst{Op: OpCall, Imm: LenRet},
+		Inst{Op: OpCall, Imm: 1}, // skip one ret
 		Inst{Op: OpRet},
 		Inst{Op: OpRet},
 	))
@@ -71,7 +71,7 @@ func FuzzBlockDecode(f *testing.F) {
 			return
 		}
 		m := mem.New(1 << 20)
-		if _, err := m.Map("text", textBase, uint64(len(data)), mem.Perms{Kernel: mem.PermRX, SMM: mem.PermRWX}); err != nil {
+		if _, err := m.Map("text", textBase, uint64(len(data)), mem.Perms{Kernel: mem.PermR | mem.PermX, SMM: mem.PermRWX}); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Write(mem.PrivSMM, textBase, data); err != nil {
@@ -91,7 +91,7 @@ func FuzzBlockDecode(f *testing.F) {
 			if b.Start() != textBase {
 				t.Fatalf("block starts at %#x, want %#x", b.Start(), textBase)
 			}
-			insts := b.Instructions()
+			insts := b.src
 			if len(insts) == 0 || len(insts) > blockCap {
 				t.Fatalf("block has %d instructions (cap %d)", len(insts), blockCap)
 			}

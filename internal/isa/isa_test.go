@@ -188,3 +188,17 @@ func TestInstStringAllForms(t *testing.T) {
 		t.Error("sp alias not rendered")
 	}
 }
+
+// MustEncode encodes a sequence of instructions, panicking on error,
+// for tests whose instructions are compile-time constants.
+func MustEncode(insts ...Inst) []byte {
+	var out []byte
+	var err error
+	for _, in := range insts {
+		out, err = Encode(out, in)
+		if err != nil {
+			panic(err)
+		}
+	}
+	return out
+}

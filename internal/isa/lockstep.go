@@ -67,9 +67,6 @@ func NewLockstep(c *CPU) *Lockstep {
 // Engine returns the verified block engine, for cache statistics.
 func (l *Lockstep) Engine() *Engine { return l.eng }
 
-// Units returns the number of dispatch units verified so far.
-func (l *Lockstep) Units() int { return l.units }
-
 // RunUnit executes one unit under both engines and compares. On
 // agreement it returns the block engine's result; on divergence it
 // returns a *DivergenceError.

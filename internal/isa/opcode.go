@@ -59,9 +59,6 @@ const (
 
 // Fixed instruction lengths in bytes, per opcode.
 const (
-	LenNop     = 1
-	LenRet     = 1
-	LenHlt     = 1
 	LenTrap    = 2
 	LenBranch  = 5 // call/jmp/jcc: opcode + rel32
 	LenMovi    = 10
@@ -104,16 +101,6 @@ func (op Op) Length() int {
 func (op Op) IsBranch() bool {
 	switch op {
 	case OpCall, OpJmp, OpJz, OpJnz, OpJl, OpJge, OpJle, OpJg:
-		return true
-	default:
-		return false
-	}
-}
-
-// IsCond reports whether the opcode is a conditional jump.
-func (op Op) IsCond() bool {
-	switch op {
-	case OpJz, OpJnz, OpJl, OpJge, OpJle, OpJg:
 		return true
 	default:
 		return false

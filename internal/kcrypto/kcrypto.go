@@ -68,9 +68,6 @@ func (s *Session) Decrypt(ciphertext []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Overhead is the ciphertext expansion of Session.Encrypt.
-const Overhead = nonceSize
-
 // HashAlg selects the payload verification hash.
 type HashAlg int
 

@@ -30,8 +30,8 @@ func TestSessionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ct) != len(msg)+Overhead {
-		t.Errorf("ciphertext length %d, want %d", len(ct), len(msg)+Overhead)
+	if len(ct) != len(msg)+nonceSize {
+		t.Errorf("ciphertext length %d, want %d", len(ct), len(msg)+nonceSize)
 	}
 	if bytes.Contains(ct, msg) {
 		t.Error("ciphertext contains plaintext")

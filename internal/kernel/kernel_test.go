@@ -341,8 +341,10 @@ func TestKernelTracedSymbols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !isa.HasFtracePrologue(fb, s.Addr, fentry.Addr) {
-		t.Error("prologue signature missing in live text")
+	// The live text opens with `call __fentry__`.
+	inst, n, err := isa.Decode(fb)
+	if err != nil || inst.Op != isa.OpCall || n != isa.FtracePrologueLen || s.Addr+uint64(n)+uint64(inst.Imm) != fentry.Addr {
+		t.Errorf("prologue signature missing in live text: %v %d %v", inst, n, err)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"kshot/internal/isa"
 	"kshot/internal/mem"
@@ -143,9 +142,6 @@ func (m *Machine) startVCPU(i int) {
 // NumVCPUs returns the vCPU count.
 func (m *Machine) NumVCPUs() int { return len(m.vcpus) }
 
-// Dispatch returns the machine's execution-engine mode.
-func (m *Machine) Dispatch() isa.Dispatch { return m.dispatch }
-
 // VCPU returns vCPU i.
 func (m *Machine) VCPU(i int) *VCPU { return m.vcpus[i] }
 
@@ -185,9 +181,6 @@ func (m *Machine) Pause() { m.gate.pause() }
 // Resume releases paused vCPUs (the RSM side of the world switch).
 func (m *Machine) Resume() { m.gate.resume() }
 
-// Paused reports whether the machine is currently paused.
-func (m *Machine) Paused() bool { return m.gate.isPaused() }
-
 // States captures the architectural state of every vCPU. Only
 // meaningful while paused (the SMM save-state step).
 func (m *Machine) States() []isa.State {
@@ -224,18 +217,6 @@ type Snapshot struct {
 // much of physical memory is resident.
 func (m *Machine) Snapshot() *Snapshot {
 	return &Snapshot{Mem: m.Mem.Snapshot(), States: m.States()}
-}
-
-// RestoreSnapshot rewinds memory and vCPU state to the capture. The
-// snapshot stays valid and can be restored again.
-func (m *Machine) RestoreSnapshot(s *Snapshot) error {
-	if s == nil {
-		return errors.New("machine: nil snapshot")
-	}
-	if err := m.Mem.Restore(s.Mem); err != nil {
-		return err
-	}
-	return m.RestoreStates(s.States)
 }
 
 // callReq is one function-call session submitted to a vCPU. Each
@@ -379,8 +360,7 @@ func (v *VCPU) Call(entry uint64, maxSteps int, args ...uint64) (uint64, error) 
 // hardware gives the handler. The write lock is held until resume(),
 // and concurrent pausers serialize on it.
 type pauseGate struct {
-	rw     sync.RWMutex
-	paused atomic.Bool
+	rw sync.RWMutex
 }
 
 func (g *pauseGate) init() {}
@@ -394,15 +374,7 @@ func (g *pauseGate) endStep() { g.rw.RUnlock() }
 
 // pause requests a world switch and returns once no instruction is in
 // flight.
-func (g *pauseGate) pause() {
-	g.rw.Lock()
-	g.paused.Store(true)
-}
+func (g *pauseGate) pause() { g.rw.Lock() }
 
 // resume releases parked vCPUs.
-func (g *pauseGate) resume() {
-	g.paused.Store(false)
-	g.rw.Unlock()
-}
-
-func (g *pauseGate) isPaused() bool { return g.paused.Load() }
+func (g *pauseGate) resume() { g.rw.Unlock() }

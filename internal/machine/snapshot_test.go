@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"testing"
 
 	"kshot/internal/mem"
@@ -64,4 +65,16 @@ func BenchmarkMachineNew(b *testing.B) {
 		}
 		m.Stop()
 	}
+}
+
+// RestoreSnapshot rewinds memory and vCPU state to the capture. The
+// snapshot stays valid and can be restored again.
+func (m *Machine) RestoreSnapshot(s *Snapshot) error {
+	if s == nil {
+		return errors.New("machine: nil snapshot")
+	}
+	if err := m.Mem.Restore(s.Mem); err != nil {
+		return err
+	}
+	return m.RestoreStates(s.States)
 }

@@ -11,7 +11,7 @@ func TestGuestPathAllocs(t *testing.T) {
 	if _, err := m.Map("ram", 0, 4*FrameSize, Perms{Kernel: PermRW}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Map("text", 4*FrameSize, FrameSize, Perms{Kernel: PermRX, SMM: PermRWX}); err != nil {
+	if _, err := m.Map("text", 4*FrameSize, FrameSize, Perms{Kernel: PermR | PermX, SMM: PermRWX}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Write(PrivSMM, 4*FrameSize, make([]byte, 64)); err != nil {

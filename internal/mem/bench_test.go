@@ -81,7 +81,7 @@ func benchWorkloadUnderPatch(b *testing.B, oracle bool) {
 		b.Fatal(err)
 	}
 	m := mem.New(16 << 20)
-	if _, err := m.Map("text", img.TextBase, uint64(len(img.Text)), mem.Perms{Kernel: mem.PermRX, SMM: mem.PermRWX}); err != nil {
+	if _, err := m.Map("text", img.TextBase, uint64(len(img.Text)), mem.Perms{Kernel: mem.PermR | mem.PermX, SMM: mem.PermRWX}); err != nil {
 		b.Fatal(err)
 	}
 	if err := m.Write(mem.PrivSMM, img.TextBase, img.Text); err != nil {

@@ -12,7 +12,7 @@ import (
 func newReserved(t *testing.T) (*Physical, *Reserved) {
 	t.Helper()
 	m := New(64 << 20)
-	res, err := MapReserved(m, 0x100_0000)
+	res, err := MapReservedLayout(m, 0x100_0000, DefaultReservedLayout())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import "sync/atomic"
 // so later writes on either side clone privately and are never visible
 // to the other. The region table is duplicated with fresh Region
 // objects carrying the same geometry and current permissions —
-// SetPerms/Map/Unmap on one side (e.g. the per-fork SMRAM lock) do not
+// SetPerms/Map on one side (e.g. the per-fork SMRAM lock) do not
 // affect the other. The child's code epoch starts at the parent's
 // value and advances independently; since a fork is always paired with
 // fresh vCPUs (fresh block caches), per-fork epoch counting keeps the
@@ -26,7 +26,7 @@ import "sync/atomic"
 // coordination.
 //
 // Fork may run concurrently with reads and writes on m (it holds every
-// frame shard), but callers must not Map/Unmap/SetPerms on m during
+// frame shard), but callers must not Map/SetPerms on m during
 // the call; Fork holds mapMu to exclude that. The child records m as
 // its origin, so snapshots of m (or of m's own ancestors) remain valid
 // arguments to the child's Restore/DiffFrames.

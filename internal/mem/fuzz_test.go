@@ -61,10 +61,10 @@ func (f *refMem) mapRegion(name string, base, size uint64, ps Perms) error {
 	return nil
 }
 
-func (f *refMem) unmap(name string) error {
-	for i, r := range f.regs {
+func (f *refMem) setPerms(name string, ps Perms) error {
+	for _, r := range f.regs {
 		if r.name == name {
-			f.regs = append(f.regs[:i], f.regs[i+1:]...)
+			r.perms = [numPriv]Perm{PrivUser: ps.User, PrivKernel: ps.Kernel, PrivEnclave: ps.Enclave, PrivSMM: ps.SMM}
 			return nil
 		}
 	}
@@ -119,7 +119,7 @@ var fuzzRegions = []struct {
 	ps   Perms
 }{
 	{"ram", 0, 4 * FrameSize, Perms{Kernel: PermRW, User: PermR}},
-	{"text", 4 * FrameSize, 2 * FrameSize, Perms{Kernel: PermRX, SMM: PermRWX}},
+	{"text", 4 * FrameSize, 2 * FrameSize, Perms{Kernel: PermR | PermX, SMM: PermRWX}},
 	{"odd", 6*FrameSize + 0x123, FrameSize / 2, Perms{Kernel: PermRW}},
 	{"wide", 2 * FrameSize, 8 * FrameSize, Perms{Kernel: PermRWX}}, // overlaps ram/text/odd
 	{"tail", fuzzPhysSize - FrameSize/4, FrameSize / 4, Perms{SMM: PermRW}},
@@ -130,7 +130,7 @@ const fuzzPhysSize = 16 * FrameSize // 1 MiB: 16 frames, cheap to diff flat
 
 // FuzzSparseMemAccess feeds random op sequences to the sparse store
 // and the flat oracle and requires byte- and fault-identical behavior,
-// including across Map/Unmap epoch bumps (which must invalidate the
+// including across Map/SetPerms epoch bumps (which must invalidate the
 // fetch RegionCache) and Snapshot/Restore cycles. ReadU64 and WriteU64
 // exercise the guest's 8-byte path, whose one-frame case takes a
 // single shard and whose straddling case takes two.
@@ -220,12 +220,13 @@ func FuzzSparseMemAccess(f *testing.F) {
 				if (err == nil) != (refErr == nil) {
 					t.Fatalf("step %d: map %q: got %v, oracle %v", step, spec.name, err, refErr)
 				}
-			case 5: // Unmap from the palette
+			case 5: // SetPerms: a palette region gets another entry's permissions
 				name := fuzzRegions[int(b[1])%len(fuzzRegions)].name
-				err := m.Unmap(name)
-				refErr := ref.unmap(name)
+				ps := fuzzRegions[int(b[2])%len(fuzzRegions)].ps
+				err := m.SetPerms(name, ps)
+				refErr := ref.setPerms(name, ps)
 				if (err == nil) != (refErr == nil) {
-					t.Fatalf("step %d: unmap %q: got %v, oracle %v", step, name, err, refErr)
+					t.Fatalf("step %d: set perms %q: got %v, oracle %v", step, name, err, refErr)
 				}
 			case 6: // Snapshot and cross-check DiffFrames
 				snap = m.Snapshot()

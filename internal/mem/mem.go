@@ -99,7 +99,6 @@ const (
 
 	PermNone Perm = 0
 	PermRW        = PermR | PermW
-	PermRX        = PermR | PermX
 	PermRWX       = PermR | PermW | PermX
 )
 
@@ -209,7 +208,7 @@ func (ps Perms) pack() uint64 {
 }
 
 // regionTable is an immutable snapshot of the mapped regions. Map and
-// Unmap publish a fresh table (with a bumped epoch) via an atomic
+// Release publish a fresh table (with a bumped epoch) via an atomic
 // pointer swap, so the access path reads it without locking and
 // RegionCache entries can be validated with a single epoch compare.
 type regionTable struct {
@@ -251,7 +250,7 @@ type Physical struct {
 	size uint64
 
 	tab   atomic.Pointer[regionTable]
-	mapMu sync.Mutex // serializes Map/Unmap table swaps
+	mapMu sync.Mutex // serializes Map/Release table swaps
 
 	// Sparse frame store; see sparse.go.
 	frames []atomic.Pointer[frame]
@@ -298,7 +297,7 @@ func (m *Physical) Size() uint64 { return m.size }
 
 // CodeEpoch returns the current code generation: a counter bumped after
 // any event that can change bytes some privilege level may execute
-// (writes/zeroing into an exec-permitted region, Map/Unmap, SetPerms,
+// (writes/zeroing into an exec-permitted region, Map, SetPerms,
 // snapshot Restore). Callers that cache decoded code compare epochs
 // before reuse; a mismatch means every cached translation must be
 // discarded. The bump is ordered after the memory mutation, so a cache
@@ -308,7 +307,7 @@ func (m *Physical) CodeEpoch() uint64 { return m.codeGen.Load() }
 
 // Map adds a region. It returns an error if the range is out of bounds,
 // overlaps an existing region, or reuses the name of a mapped region
-// (names key Unmap/Region/SetPerms, so they must be unique).
+// (names key Region/SetPerms, so they must be unique).
 func (m *Physical) Map(name string, base, size uint64, ps Perms) (*Region, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("map %q: zero size", name)
@@ -350,33 +349,6 @@ func (m *Physical) Map(name string, base, size uint64, ps Perms) (*Region, error
 	return r, nil
 }
 
-// Unmap removes the named region. Its memory contents are preserved but
-// become unreachable until remapped.
-func (m *Physical) Unmap(name string) error {
-	m.mapMu.Lock()
-	defer m.mapMu.Unlock()
-	tab := m.tab.Load()
-	r, ok := tab.byName[name]
-	if !ok {
-		return fmt.Errorf("unmap %q: no such region", name)
-	}
-	sorted := make([]*Region, 0, len(tab.sorted)-1)
-	for _, other := range tab.sorted {
-		if other != r {
-			sorted = append(sorted, other)
-		}
-	}
-	byName := make(map[string]*Region, len(tab.byName)-1)
-	for n, other := range tab.byName {
-		if n != name {
-			byName[n] = other
-		}
-	}
-	m.tab.Store(&regionTable{epoch: tab.epoch + 1, sorted: sorted, byName: byName})
-	m.codeGen.Add(1)
-	return nil
-}
-
 func withRegion(byName map[string]*Region, r *Region) map[string]*Region {
 	out := make(map[string]*Region, len(byName)+1)
 	for n, other := range byName {
@@ -391,21 +363,13 @@ func (m *Physical) Region(name string) *Region {
 	return m.tab.Load().byName[name]
 }
 
-// Regions returns a snapshot of all mapped regions in address order.
-func (m *Physical) Regions() []*Region {
-	tab := m.tab.Load()
-	out := make([]*Region, len(tab.sorted))
-	copy(out, tab.sorted)
-	return out
-}
-
 // SetPerms atomically replaces the permission table of the named
 // region. This models firmware/boot-time attribute changes and the
 // SMRAM lock; callers in the simulation are trusted code (boot or SMM).
 func (m *Physical) SetPerms(name string, ps Perms) error {
-	// mapMu keeps the name lookup stable against a concurrent Unmap of
-	// the same name; the permission swap itself is a single atomic
-	// store visible to in-flight accesses without any lock.
+	// mapMu orders the name lookup against a concurrent Map or
+	// Release; the permission swap itself is a single atomic store
+	// visible to in-flight accesses without any lock.
 	m.mapMu.Lock()
 	defer m.mapMu.Unlock()
 	r, ok := m.tab.Load().byName[name]
@@ -557,7 +521,7 @@ func (m *Physical) Fetch(priv Priv, addr uint64, dst []byte) error {
 // used by FetchCached. Each vCPU keeps one: the interpreter's fetch
 // loop hits the same region (kernel.text) almost every instruction, so
 // the binary search and span walk are skipped while the cached region
-// still covers the access and no Map/Unmap has occurred since (epoch
+// still covers the access and no Map has occurred since (epoch
 // compare). Permissions are re-read on every use, so SetPerms takes
 // effect immediately even on cache hits. The zero value is an empty
 // cache. A RegionCache must not be shared between goroutines.

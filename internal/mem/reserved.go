@@ -64,9 +64,6 @@ type ReservedLayout struct {
 	XSize  uint64
 }
 
-// Total returns the layout's combined size.
-func (l ReservedLayout) Total() uint64 { return l.RWSize + l.WSize + l.XSize }
-
 // DefaultReservedLayout is the paper's 18 MB boot-time split.
 func DefaultReservedLayout() ReservedLayout {
 	return ReservedLayout{RWSize: MemRWSize, WSize: MemWSize, XSize: MemXSize}
@@ -84,12 +81,6 @@ func ReservedFrom(m *Physical) (*Reserved, error) {
 		return nil, fmt.Errorf("reserved: kshot regions not mapped")
 	}
 	return &Reserved{Base: rw.Base, RW: rw, W: w, X: x}, nil
-}
-
-// MapReserved maps the three-part KShot reserved region at base with
-// the paper's default 18 MB layout.
-func MapReserved(m *Physical, base uint64) (*Reserved, error) {
-	return MapReservedLayout(m, base, DefaultReservedLayout())
 }
 
 // MapReservedLayout maps the three-part KShot reserved region at base,

@@ -275,15 +275,9 @@ func (m *Physical) Release() {
 	m.unlockMask(^uint64(0), true)
 }
 
-// ResidentBytes returns the bytes of backing storage currently
-// materialized — the sparse store's actual footprint, as opposed to
-// Size(), the simulated physical size.
-func (m *Physical) ResidentBytes() uint64 {
-	st := m.ResidentStats()
-	return st.SharedBytes + st.PrivateBytes
-}
-
-// ResidentStats is ResidentBytes split by ownership.
+// ResidentStats counts the bytes of backing storage currently
+// materialized (the sparse store's actual footprint, as opposed to
+// Size(), the simulated physical size), split by ownership.
 type ResidentStats struct {
 	// SharedBytes counts resident frames that may also back a
 	// snapshot, the fork template, or sibling forks — the memory a

@@ -24,12 +24,8 @@ func TestNilSafety(t *testing.T) {
 
 	var tr *Tracer
 	tr.Emit(Event{})
-	if tr.Emitted() != 0 || tr.Dropped() != 0 || tr.Cap() != 0 {
+	if snap := tr.Snapshot(); snap.Emitted != 0 || snap.Dropped != 0 || snap.Capacity != 0 || len(snap.Events) != 0 {
 		t.Error("nil tracer reported non-zero state")
-	}
-	tr.Reset()
-	if snap := tr.Snapshot(); len(snap.Events) != 0 {
-		t.Error("nil tracer snapshot has events")
 	}
 
 	var m *Metrics
@@ -54,11 +50,10 @@ func TestTracerRingDropsOldest(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Emit(Event{Kind: KindPoint, Phase: PhaseWave, ID: "e", Wave: i})
 	}
-	if tr.Emitted() != 10 || tr.Dropped() != 6 || tr.Cap() != 4 {
-		t.Fatalf("emitted=%d dropped=%d cap=%d, want 10/6/4",
-			tr.Emitted(), tr.Dropped(), tr.Cap())
-	}
 	snap := tr.Snapshot()
+	if snap.Emitted != 10 || snap.Dropped != 6 || snap.Capacity != 4 {
+		t.Fatalf("emitted=%d dropped=%d cap=%d, want 10/6/4", snap.Emitted, snap.Dropped, snap.Capacity)
+	}
 	if len(snap.Events) != 4 {
 		t.Fatalf("retained %d events, want 4", len(snap.Events))
 	}

@@ -108,46 +108,6 @@ func (t *Tracer) Emit(ev Event) {
 	t.mu.Unlock()
 }
 
-// Emitted returns how many events were ever emitted.
-func (t *Tracer) Emitted() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.emitted
-}
-
-// Dropped returns how many events the ring overwrote.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Cap returns the ring capacity.
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return cap(t.buf)
-}
-
-// Reset clears the ring and both counters.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.buf = t.buf[:0]
-	t.emitted = 0
-	t.dropped = 0
-}
-
 // TraceSnap is a consistent copy of the tracer's state.
 type TraceSnap struct {
 	// Events holds the retained events, oldest first.

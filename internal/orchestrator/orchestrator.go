@@ -259,13 +259,6 @@ func (r *Rollout) Plan() []Wave {
 	return r.st.clone().Waves
 }
 
-// State returns a copy of the current rollout state.
-func (r *Rollout) State() *State {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.st.clone()
-}
-
 // persist saves the current state through the store, if any.
 // Callers hold r.mu.
 func (r *Rollout) persistLocked() error {

@@ -18,11 +18,6 @@ import (
 const (
 	wireMagic   = "KSPK"
 	wireVersion = 1
-
-	// FuncHeaderSize is the fixed per-function header length. The
-	// paper reports 42 bytes of header per function; ours is larger
-	// because we carry a full 32-byte digest and 64-bit addresses.
-	FuncHeaderSize = 2 + 1 + 1 + 8 + 8 + 8 + 8 + 4 + kcrypto.DigestSize
 )
 
 // Flag bits in the function header.

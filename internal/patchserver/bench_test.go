@@ -44,7 +44,7 @@ func BenchmarkFleetFetch(b *testing.B) {
 			}
 			if tc.warm {
 				// Prime the cache so every measured request is a hit.
-				if _, err := clients[0].FetchPatch(context.Background(), cve); err != nil {
+				if _, err := fetchOne(context.Background(), clients[0], cve); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -59,7 +59,7 @@ func BenchmarkFleetFetch(b *testing.B) {
 					wg.Add(1)
 					go func(c *Client) {
 						defer wg.Done()
-						if _, err := c.FetchPatch(context.Background(), cve); err != nil {
+						if _, err := fetchOne(context.Background(), c, cve); err != nil {
 							errs <- err
 						}
 					}(c)

@@ -24,9 +24,10 @@ var fleetConfigs = []OSInfo{
 // TestFleetConformance is the 64-target end-to-end conformance run over
 // real TCP loopback: every target completes hello→patch→status for a
 // wave of CVEs, targets sharing a build configuration receive
-// byte-identical plaintext patches, the server performs exactly one
-// double kernel build per distinct (configuration, CVE) pair no matter
-// how many targets request it, and every status report arrives.
+// byte-identical plaintext patches under channel keys of their own,
+// the server performs exactly one double kernel build per distinct
+// (configuration, CVE) pair no matter how many targets request it, and
+// every status report arrives.
 func TestFleetConformance(t *testing.T) {
 	const nTargets = 64
 	cves := []string{"CVE-2014-0196", "CVE-2016-7916"}
@@ -36,9 +37,13 @@ func TestFleetConformance(t *testing.T) {
 		config int
 		cve    string
 	}
+	type fetched struct {
+		sess          *kcrypto.Session
+		cipher, plain []byte
+	}
 	var (
-		mu     sync.Mutex
-		plains = make(map[fetchKey][][]byte) // decrypted plaintexts per (config, CVE)
+		mu      sync.Mutex
+		fetches = make(map[fetchKey][]fetched) // per (config, CVE)
 	)
 	var wg sync.WaitGroup
 	errs := make(chan error, nTargets)
@@ -54,10 +59,10 @@ func TestFleetConformance(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			// Anonymous hello: every session gets its own channel key, so
-			// the identical-plaintext assertion below also witnesses that
-			// per-session encryption stayed per-client.
-			key, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey)
+			// Each target attests with its own key, so the server derives
+			// each target its own channel key.
+			attKey := bytes.Repeat([]byte{byte(id + 1)}, 32)
+			key, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), attKey)
 			if err != nil {
 				errs <- fmt.Errorf("target %d hello: %w", id, err)
 				return
@@ -84,7 +89,7 @@ func TestFleetConformance(t *testing.T) {
 				}
 				mu.Lock()
 				k := fetchKey{cfg, r.CVE}
-				plains[k] = append(plains[k], plain)
+				fetches[k] = append(fetches[k], fetched{sess, r.Blob, plain})
 				mu.Unlock()
 			}
 			if err := c.ReportStatusMAC(1, uint64(id)+1, bytes.Repeat([]byte{byte(id)}, 8), nil); err != nil {
@@ -101,23 +106,31 @@ func TestFleetConformance(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Byte-identical plaintext per (config, CVE) — and distinct across
-	// configs for the same CVE (the server honored each configuration).
+	// Byte-identical plaintext per (config, CVE) under per-target
+	// channel keys, and distinct plaintexts across configs for the same
+	// CVE (the server honored each configuration).
 	for cfg := range fleetConfigs {
 		for _, cve := range cves {
-			group := plains[fetchKey{cfg, cve}]
+			group := fetches[fetchKey{cfg, cve}]
 			if want := nTargets / len(fleetConfigs); len(group) < want {
 				t.Fatalf("config %d %s: %d plaintexts, want >= %d", cfg, cve, len(group), want)
 			}
 			for i := 1; i < len(group); i++ {
-				if !bytes.Equal(group[0], group[i]) {
+				if !bytes.Equal(group[0].plain, group[i].plain) {
 					t.Fatalf("config %d %s: plaintext %d differs from plaintext 0", cfg, cve, i)
 				}
+			}
+			a, b := group[0], group[1]
+			if bytes.Equal(a.cipher, b.cipher) {
+				t.Errorf("config %d %s: two targets received identical ciphertexts", cfg, cve)
+			}
+			if crossed, _ := b.sess.Decrypt(a.cipher); bytes.Equal(crossed, a.plain) {
+				t.Errorf("config %d %s: one target's channel key decrypts another's patch", cfg, cve)
 			}
 		}
 	}
 	for _, cve := range cves {
-		if bytes.Equal(plains[fetchKey{0, cve}][0], plains[fetchKey{1, cve}][0]) {
+		if bytes.Equal(fetches[fetchKey{0, cve}][0].plain, fetches[fetchKey{1, cve}][0].plain) {
 			t.Errorf("%s: ftrace=true and ftrace=false configs produced identical patches", cve)
 		}
 	}
@@ -175,7 +188,7 @@ func TestCacheSoakUnderEviction(t *testing.T) {
 				}
 				// Errors are expected once the mid-flight Close lands; the
 				// soak only cares that nothing races or leaks.
-				_, _ = c.FetchPatch(context.Background(), cves[i%len(cves)])
+				_, _ = fetchOne(context.Background(), c, cves[i%len(cves)])
 			}
 		}(w)
 	}
@@ -225,7 +238,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	// answered (drain finishes in-flight work, it does not abort it).
 	fetchDone := make(chan error, 1)
 	go func() {
-		_, err := c.FetchPatch(context.Background(), entries[0].CVE)
+		_, err := fetchOne(context.Background(), c, entries[0].CVE)
 		fetchDone <- err
 	}()
 
@@ -238,7 +251,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 		t.Fatalf("in-flight fetch aborted by drain: %v", err)
 	}
 	// An established session keeps being served while the drain waits.
-	if _, err := c.FetchPatch(context.Background(), entries[0].CVE); err != nil {
+	if _, err := fetchOne(context.Background(), c, entries[0].CVE); err != nil {
 		t.Fatalf("established session dropped during drain: %v", err)
 	}
 	// Draining stopped the listener: new connections are refused.
@@ -313,7 +326,7 @@ func TestMaxConnsBackpressureAndRefusal(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	defer c3.Close()
-	if _, err := c3.FetchPatch(context.Background(), e.CVE); err != nil {
+	if _, err := fetchOne(context.Background(), c3, e.CVE); err != nil {
 		t.Fatalf("fetch after slot freed: %v", err)
 	}
 }

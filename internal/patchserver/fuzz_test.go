@@ -40,7 +40,7 @@ func fuzzSeedBytes() [][]byte {
 	return [][]byte{
 		hello,
 		patchReq,                      // patch before hello: in-band error
-		status,                        // status without hello: unauthenticated report
+		status,                        // status before hello: refused in-band
 		append(hello, patchReq...),    // full happy path in one write
 		hello[:len(hello)/2],          // truncated mid-frame
 		[]byte("\xff\x03garbage\x00"), // length prefix over the cap
@@ -50,6 +50,7 @@ func fuzzSeedBytes() [][]byte {
 		attested,
 		append(attested, patchReq...),
 		bytes.Join([][]byte{attested, patchReq, patchReq, status}, nil),
+		bytes.Join([][]byte{status, attested, status}, nil), // refused before hello, recorded after
 	}
 }
 

@@ -247,16 +247,20 @@ type Server struct {
 	patches  map[string]kernel.SourcePatch
 	prebuilt map[string][]byte // encoded binary patches served without a build
 	statuses []StatusReport
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	// lastSeq is the highest sequence number of an authentic status
+	// report per attestation key: SMM numbers its status records
+	// monotonically, so an authentic record that does not advance it is
+	// a replay or a retried send.
+	lastSeq map[string]uint64
+	conns   map[net.Conn]struct{}
+	closed  bool
+	wg      sync.WaitGroup
 
 	// keyRoot derives the server→enclave channel key of an attested
 	// target from its identity (version, build knobs, measurement and
 	// attestation key), so every helper connection a target opens —
 	// pipelined fetching, reconnects — encrypts to the one key its
-	// enclave holds, with no per-target state on the server. Anonymous
-	// hellos (empty AttKey) get a fresh random key per connection.
+	// enclave holds, with no per-target state on the server.
 	keyRoot []byte
 
 	// versions remembers the kernel versions the tree provider has
@@ -321,6 +325,7 @@ func newServer(cfg serverConfig) (*Server, error) {
 		cache:       newBuildCache(cfg.cacheCapacity),
 		patches:     make(map[string]kernel.SourcePatch),
 		prebuilt:    make(map[string][]byte),
+		lastSeq:     make(map[string]uint64),
 		conns:       make(map[net.Conn]struct{}),
 		keyRoot:     keyRoot,
 	}
@@ -369,34 +374,13 @@ func (s *Server) RegisterBinaryPatch(bp *patch.BinaryPatch) error {
 	return nil
 }
 
-// Statuses returns the status reports received so far.
+// Statuses returns the recorded status reports: every report from an
+// attested session, except an authentic one whose sequence number does
+// not advance the last one for its attestation key.
 func (s *Server) Statuses() []StatusReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]StatusReport(nil), s.statuses...)
-}
-
-// AwaitStatus waits for a target status report with sequence number
-// greater than `after`. Returning ok=false after the timeout is the
-// paper's DoS detection (§V-D): the server initiated a patch, but the
-// target's helper never confirmed deployment — an attacker is likely
-// suppressing the patching flow and the operator should intervene.
-func (s *Server) AwaitStatus(after uint64, timeout time.Duration) (StatusReport, bool) {
-	deadline := time.Now().Add(timeout)
-	for {
-		s.mu.Lock()
-		for _, st := range s.statuses {
-			if st.Seq > after {
-				s.mu.Unlock()
-				return st, true
-			}
-		}
-		s.mu.Unlock()
-		if time.Now().After(deadline) {
-			return StatusReport{}, false
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // Builds reports how many double kernel builds (pre + post patch) the
@@ -641,24 +625,7 @@ func (s *Server) handle(sess **session, req *request) *response {
 	case kindPatch:
 		return s.handlePatch(*sess, req)
 	case kindStatus:
-		rep := StatusReport{
-			Code: req.Code, Seq: req.Seq,
-			Digest: append([]byte(nil), req.Digest...),
-			At:     time.Now(),
-		}
-		if sess := *sess; sess != nil && len(req.MAC) == kcrypto.DigestSize {
-			buf := make([]byte, 12+len(req.Digest))
-			binary.LittleEndian.PutUint32(buf, req.Code)
-			binary.LittleEndian.PutUint64(buf[4:], req.Seq)
-			copy(buf[12:], req.Digest)
-			var mac [kcrypto.DigestSize]byte
-			copy(mac[:], req.MAC)
-			rep.Authentic = kcrypto.VerifyMAC(sess.attKey, buf, mac)
-		}
-		s.mu.Lock()
-		s.statuses = append(s.statuses, rep)
-		s.mu.Unlock()
-		return &response{}
+		return s.handleStatus(*sess, req)
 	default:
 		return &response{Err: fmt.Sprintf("unknown request kind %q", req.Kind)}
 	}
@@ -697,6 +664,43 @@ func (s *Server) handleHello(sess **session, req *request) *response {
 		attKey: append([]byte(nil), req.AttKey...),
 	}
 	return &response{ServerKey: key}
+}
+
+// handleStatus records a target's status report. Only a session that
+// completed its attested hello may report, so an anonymous connection
+// cannot grow the record. A report whose MAC fails is recorded as
+// inauthentic, the evidence of a forged confirmation; an authentic one
+// whose sequence number does not advance its attestation key's last is
+// acknowledged but not recorded again.
+func (s *Server) handleStatus(sess *session, req *request) *response {
+	if sess == nil {
+		return &response{Err: "hello required before status reports"}
+	}
+	rep := StatusReport{
+		Code: req.Code, Seq: req.Seq,
+		Digest: append([]byte(nil), req.Digest...),
+		At:     time.Now(),
+	}
+	if len(req.MAC) == kcrypto.DigestSize {
+		buf := make([]byte, 12+len(req.Digest))
+		binary.LittleEndian.PutUint32(buf, req.Code)
+		binary.LittleEndian.PutUint64(buf[4:], req.Seq)
+		copy(buf[12:], req.Digest)
+		var mac [kcrypto.DigestSize]byte
+		copy(mac[:], req.MAC)
+		rep.Authentic = kcrypto.VerifyMAC(sess.attKey, buf, mac)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rep.Authentic {
+		key := string(sess.attKey)
+		if rep.Seq <= s.lastSeq[key] {
+			return &response{}
+		}
+		s.lastSeq[key] = rep.Seq
+	}
+	s.statuses = append(s.statuses, rep)
+	return &response{}
 }
 
 func (s *Server) handlePatch(sess *session, req *request) *response {
@@ -816,11 +820,9 @@ const (
 
 // clientConfig collects the DialOption-tunable knobs.
 type clientConfig struct {
-	dialTimeout    time.Duration
 	dialRetries    int
 	requestRetries int
 	retryBackoff   time.Duration
-	ioTimeout      time.Duration
 	wall           timing.WallClock
 	obs            *obs.Hooks
 }
@@ -832,17 +834,6 @@ type DialOption func(*clientConfig) error
 
 func dialOptErr(option, format string, a ...any) error {
 	return options.Errorf("patchserver.Dial", option, format, a...)
-}
-
-// WithDialTimeout bounds each TCP connect attempt.
-func WithDialTimeout(d time.Duration) DialOption {
-	return func(c *clientConfig) error {
-		if d < 0 {
-			return dialOptErr("WithDialTimeout", "must be >= 0, got %v", d)
-		}
-		c.dialTimeout = d
-		return nil
-	}
 }
 
 // WithDialRetries allows n additional dial attempts after a failed
@@ -860,12 +851,9 @@ func WithDialRetries(n int) DialOption {
 // WithRequestRetries allows n reconnect-and-replay attempts when a
 // request burst fails at the transport level (send/receive error, a
 // reaped idle connection). The client redials, replays its recorded
-// hello, and resends the burst. Patch fetches are idempotent; status
-// reports may be duplicated by a retry, which the server tolerates.
-// Anonymous (non-attested) sessions receive a fresh channel key on
-// reconnect, so callers holding a kcrypto session should only enable
-// this together with an attested hello (whose key the server derives
-// from the target's identity, so a reconnect gets the same key).
+// hello, and resends the burst. Patch fetches are idempotent; an
+// authentic status report a retry duplicates is acknowledged but not
+// recorded twice.
 func WithRequestRetries(n int) DialOption {
 	return func(c *clientConfig) error {
 		if n < 0 {
@@ -884,18 +872,6 @@ func WithRetryBackoff(d time.Duration) DialOption {
 			return dialOptErr("WithRetryBackoff", "must be >= 0, got %v", d)
 		}
 		c.retryBackoff = d
-		return nil
-	}
-}
-
-// WithIOTimeout arms a deadline on every socket read and write (zero
-// disables; the server's idle deadline is then the only reaper).
-func WithIOTimeout(d time.Duration) DialOption {
-	return func(c *clientConfig) error {
-		if d < 0 {
-			return dialOptErr("WithIOTimeout", "must be >= 0, got %v", d)
-		}
-		c.ioTimeout = d
 		return nil
 	}
 }
@@ -952,10 +928,7 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 // with exponential backoff when dial retries are configured. ctx
 // cancels the connect and any backoff wait.
 func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
-	cfg := clientConfig{
-		dialTimeout:  DefaultDialTimeout,
-		retryBackoff: DefaultRetryBackoff,
-	}
+	cfg := clientConfig{retryBackoff: DefaultRetryBackoff}
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
 			return nil, err
@@ -978,7 +951,7 @@ func dialConn(ctx context.Context, addr string, cfg clientConfig, wall timing.Wa
 		if f, ok := ob.Fault(faultinject.DialError); ok {
 			lastErr = fmt.Errorf("patchserver dial: %w", f.Err())
 		} else {
-			d := net.Dialer{Timeout: cfg.dialTimeout}
+			d := net.Dialer{Timeout: DefaultDialTimeout}
 			conn, err := d.DialContext(ctx, "tcp", addr)
 			if err == nil {
 				return conn, nil
@@ -1166,25 +1139,18 @@ func (c *Client) exchange(reqs []*request) ([]*response, error) {
 }
 
 // exchangeOn writes reqs as one burst and reads their responses on the
-// given endpoints, arming per-operation I/O deadlines when configured.
-// When resps is nil the responses are still read (so none is left
-// half-read on the connection) and checked for errors, but discarded —
-// the hello-replay path uses this.
+// given endpoints. When resps is nil the responses are still read (so
+// none is left half-read on the connection) and checked for errors,
+// but discarded — the hello-replay path uses this.
 func (c *Client) exchangeOn(conn net.Conn, rd *bufio.Reader, reqs []*request, resps *[]*response) error {
 	var burst []byte
 	for _, req := range reqs {
 		burst = appendRequest(burst, req)
 	}
-	if c.cfg.ioTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.ioTimeout))
-	}
 	if _, err := conn.Write(burst); err != nil {
 		return fmt.Errorf("patchserver send: %w", err)
 	}
 	for range reqs {
-		if c.cfg.ioTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(c.cfg.ioTimeout))
-		}
 		body, err := readFrame(rd)
 		if err != nil {
 			return fmt.Errorf("patchserver recv: %w", err)
@@ -1225,20 +1191,6 @@ type FetchResult struct {
 	CVE  string
 	Blob []byte
 	Err  error
-}
-
-// FetchPatch downloads the encrypted binary patch for a CVE. The
-// context cancels or deadlines the wait (see roundTrips for the
-// cancellation semantics).
-func (c *Client) FetchPatch(ctx context.Context, cve string) ([]byte, error) {
-	rs, err := c.FetchPatches(ctx, []string{cve})
-	if err != nil {
-		return nil, err
-	}
-	if rs[0].Err != nil {
-		return nil, rs[0].Err
-	}
-	return rs[0].Blob, nil
 }
 
 // FetchPatches downloads many encrypted binary patches in one

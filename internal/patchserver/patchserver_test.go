@@ -57,7 +57,7 @@ func TestHelloWithoutAttestationKeyRefused(t *testing.T) {
 	if key, err := c.HelloWithAttestation(info, goodMeasurement("4.4"), nil); err == nil {
 		t.Fatalf("unattested hello accepted, channel key %x", key)
 	}
-	if _, err := c.FetchPatch(context.Background(), entries[0].CVE); err == nil {
+	if _, err := fetchOne(context.Background(), c, entries[0].CVE); err == nil {
 		t.Fatal("patch served after a refused hello")
 	}
 	if _, err := c.HelloWithAttestation(info, goodMeasurement("4.4"), testAttKey); err != nil {
@@ -78,7 +78,7 @@ func TestHelloAndFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := c.FetchPatch(context.Background(), entries[0].CVE)
+	blob, err := fetchOne(context.Background(), c, entries[0].CVE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRegisterBinaryPatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.FetchPatch(context.Background(), bp.ID); err == nil {
+	if _, err := fetchOne(context.Background(), c, bp.ID); err == nil {
 		t.Fatal("prebuilt patch served before hello")
 	}
 	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
@@ -142,7 +142,7 @@ func TestRegisterBinaryPatch(t *testing.T) {
 	}
 	fetch := func() []byte {
 		t.Helper()
-		blob, err := c.FetchPatch(context.Background(), bp.ID)
+		blob, err := fetchOne(context.Background(), c, bp.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestFetchBeforeHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.FetchPatch(context.Background(), "CVE-2014-0196"); err == nil {
+	if _, err := fetchOne(context.Background(), c, "CVE-2014-0196"); err == nil {
 		t.Fatal("patch served without hello")
 	}
 }
@@ -222,7 +222,7 @@ func TestFetchUnknownCVE(t *testing.T) {
 	if _, err := c.HelloWithAttestation(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("4.4"), testAttKey); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.FetchPatch(context.Background(), "CVE-0000-0000"); err == nil {
+	if _, err := fetchOne(context.Background(), c, "CVE-0000-0000"); err == nil {
 		t.Fatal("unknown CVE served")
 	}
 }
@@ -241,7 +241,7 @@ func TestConfigurationMattersToBlob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := c.FetchPatch(context.Background(), entries[0].CVE)
+		blob, err := fetchOne(context.Background(), c, entries[0].CVE)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,6 +274,9 @@ func TestStatusReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if _, err := c.HelloWithAttestation(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("4.4"), testAttKey); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.ReportStatusMAC(2, 7, []byte{1, 2, 3}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +301,7 @@ func TestConcurrentClients(t *testing.T) {
 				done <- err
 				return
 			}
-			_, err = c.FetchPatch(context.Background(), entries[0].CVE)
+			_, err = fetchOne(context.Background(), c, entries[0].CVE)
 			done <- err
 		}()
 	}
@@ -360,6 +363,74 @@ func TestAuthenticatedStatus(t *testing.T) {
 	}
 }
 
+// TestStatusBeforeHelloRefused: a connection that never completed an
+// attested hello cannot report status, so it cannot grow the server's
+// record either.
+func TestStatusBeforeHelloRefused(t *testing.T) {
+	srv, _ := newTestServer(t, "CVE-2014-0196")
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	err = c.ReportStatusMAC(2, 7, []byte{1, 2, 3}, nil)
+	if err == nil || !strings.Contains(err.Error(), "hello required") {
+		t.Fatalf("status before hello: %v, want a hello-required refusal", err)
+	}
+	if sts := srv.Statuses(); len(sts) != 0 {
+		t.Errorf("statuses = %+v, want none", sts)
+	}
+	// The refusal is in-band: the session still accepts a hello.
+	if _, err := c.HelloWithAttestation(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("4.4"), testAttKey); err != nil {
+		t.Fatalf("hello after refused status: %v", err)
+	}
+}
+
+// TestReplayedStatusNotRecorded: a captured MAC'd status frame sent
+// again, on the same connection or a new one for the same attestation
+// key, is acknowledged but not recorded a second time; the next
+// sequence number is, and a bad MAC is still recorded as inauthentic.
+func TestReplayedStatusNotRecorded(t *testing.T) {
+	srv, _ := newTestServer(t, "CVE-2014-0196")
+	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
+	dial := func() *Client {
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if _, err := c.HelloWithAttestation(info, goodMeasurement("4.4"), testAttKey); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	digest := bytes.Repeat([]byte{3}, 32)
+	report := func(c *Client, seq uint64) {
+		t.Helper()
+		buf := make([]byte, 12+32)
+		binary.LittleEndian.PutUint32(buf, 2)
+		binary.LittleEndian.PutUint64(buf[4:], seq)
+		copy(buf[12:], digest)
+		mac := kcrypto.MAC(testAttKey, buf)
+		if err := c.ReportStatusMAC(2, seq, digest, mac[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := dial()
+	report(c, 5)
+	report(c, 5)      // replayed on the same session
+	report(dial(), 5) // replayed on a fresh session for the same key
+	report(c, 4)      // an older record
+	report(c, 6)
+	if err := c.ReportStatusMAC(2, 6, digest, make([]byte, 32)); err != nil {
+		t.Fatal(err)
+	}
+	sts := srv.Statuses()
+	if len(sts) != 3 || sts[0].Seq != 5 || !sts[0].Authentic || sts[1].Seq != 6 || !sts[1].Authentic || sts[2].Authentic {
+		t.Errorf("statuses = %+v, want authentic 5 and 6, then the inauthentic 6", sts)
+	}
+}
+
 func TestFetchPatchesPipelined(t *testing.T) {
 	srv, entries := newTestServer(t, "CVE-2014-0196", "CVE-2016-7916")
 	c, err := Dial(srv.Addr())
@@ -402,12 +473,12 @@ func TestFetchCancellationKeepsClientUsable(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.FetchPatch(ctx, entries[0].CVE); err == nil {
+	if _, err := fetchOne(ctx, c, entries[0].CVE); err == nil {
 		t.Fatal("canceled fetch succeeded")
 	}
 	// The abandoned exchange drains in the background; the connection
 	// stays framed and a follow-up fetch works.
-	if _, err := c.FetchPatch(context.Background(), entries[0].CVE); err != nil {
+	if _, err := fetchOne(context.Background(), c, entries[0].CVE); err != nil {
 		t.Fatalf("fetch after cancellation: %v", err)
 	}
 }
@@ -437,4 +508,14 @@ func TestChannelKeyCacheForAttestedTargets(t *testing.T) {
 	if bytes.Equal(k1, k3) {
 		t.Error("different attestation identity shares a channel key")
 	}
+}
+
+// fetchOne fetches one CVE's blob, folding its per-CVE error into the
+// error return.
+func fetchOne(ctx context.Context, c *Client, cve string) ([]byte, error) {
+	rs, err := c.FetchPatches(ctx, []string{cve})
+	if err != nil {
+		return nil, err
+	}
+	return rs[0].Blob, rs[0].Err
 }

@@ -33,7 +33,7 @@ func assertServerStillServes(t *testing.T, srv *Server, cve string) {
 	if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 		t.Fatalf("server no longer serving hellos: %v", err)
 	}
-	if _, err := c.FetchPatch(context.Background(), cve); err != nil {
+	if _, err := fetchOne(context.Background(), c, cve); err != nil {
 		t.Fatalf("server no longer serving patches: %v", err)
 	}
 }
@@ -61,22 +61,22 @@ func TestGarbageBytesKillOnlyThatSession(t *testing.T) {
 	assertServerStillServes(t, srv, entries[0].CVE)
 }
 
-// TestTruncatedStreamKillsOnlyThatSession sends one whole status frame
-// and then half of a hello frame before hanging up: the first frame
-// reaches handle(), the truncated one ends the session, and the server
-// keeps serving.
+// TestTruncatedStreamKillsOnlyThatSession sends a hello and one whole
+// status frame and then half of a hello frame before hanging up: the
+// whole frames reach handle(), the truncated one ends the session, and
+// the server keeps serving.
 func TestTruncatedStreamKillsOnlyThatSession(t *testing.T) {
 	srv, entries := newTestServer(t, "CVE-2014-0196")
 
 	status := appendRequest(nil, &request{Kind: kindStatus, Code: 2, Seq: 9})
-	hello := appendRequest(nil, &request{Kind: kindHello, Info: OSInfo{Version: "4.4"}})
+	hello := appendRequest(nil, &request{Kind: kindHello, Info: OSInfo{Version: "4.4", Ftrace: true, Inline: true}, Measurement: goodMeasurement("4.4"), AttKey: testAttKey})
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
 	_ = raw.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := raw.Write(append(status, hello[:len(hello)/2]...)); err != nil {
+	if _, err := raw.Write(bytes.Join([][]byte{hello, status, hello[:len(hello)/2]}, nil)); err != nil {
 		t.Fatal(err)
 	}
 	_ = raw.(*net.TCPConn).CloseWrite()
@@ -135,7 +135,7 @@ func TestPatchBeforeHelloKeepsSessionAlive(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, err := c.FetchPatch(context.Background(), entries[0].CVE); err == nil {
+	if _, err := fetchOne(context.Background(), c, entries[0].CVE); err == nil {
 		t.Fatal("patch served before hello")
 	}
 	// Same connection, proper order: everything works.
@@ -143,7 +143,7 @@ func TestPatchBeforeHelloKeepsSessionAlive(t *testing.T) {
 	if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 		t.Fatalf("hello after rejected patch: %v", err)
 	}
-	if _, err := c.FetchPatch(context.Background(), entries[0].CVE); err != nil {
+	if _, err := fetchOne(context.Background(), c, entries[0].CVE); err != nil {
 		t.Fatalf("fetch after rejected patch: %v", err)
 	}
 }
@@ -327,7 +327,7 @@ func TestDialRetrySucceedsAfterInjectedFailures(t *testing.T) {
 	if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.FetchPatch(context.Background(), entries[0].CVE); err != nil {
+	if _, err := fetchOne(context.Background(), c, entries[0].CVE); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -358,7 +358,7 @@ func TestDialOptionValidation(t *testing.T) {
 		name string
 		opt  DialOption
 	}{
-		{"negative dial timeout", WithDialTimeout(-time.Second)},
+		{"negative backoff", WithRetryBackoff(-time.Second)},
 		{"negative retries", WithDialRetries(-1)},
 	}
 	for _, tc := range cases {
@@ -401,7 +401,7 @@ func TestRequestRetryReconnects(t *testing.T) {
 	c.conn.Close()
 	c.connMu.Unlock()
 
-	blob, err := c.FetchPatch(context.Background(), entries[0].CVE)
+	blob, err := fetchOne(context.Background(), c, entries[0].CVE)
 	if err != nil {
 		t.Fatalf("fetch after severed transport: %v", err)
 	}
@@ -436,7 +436,7 @@ func TestNoRequestRetryFailsFast(t *testing.T) {
 	c.connMu.Lock()
 	c.conn.Close()
 	c.connMu.Unlock()
-	if _, err := c.FetchPatch(context.Background(), entries[0].CVE); err == nil {
+	if _, err := fetchOne(context.Background(), c, entries[0].CVE); err == nil {
 		t.Fatal("fetch succeeded on a severed transport without retries")
 	}
 }

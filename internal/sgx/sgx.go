@@ -202,9 +202,6 @@ func (e *Enclave) Measurement() Measurement { return e.measurement }
 // verify the kernel cannot read it).
 func (e *Enclave) Base() uint64 { return e.base }
 
-// Size returns the enclave's EPC size in bytes.
-func (e *Enclave) Size() uint64 { return e.size }
-
 // ECall enters the enclave. The args buffer is copied before crossing
 // the boundary so the untrusted caller cannot mutate it mid-call.
 func (e *Enclave) ECall(fn int, args []byte) ([]byte, error) {

@@ -192,21 +192,22 @@ func TestDestroyScrubsPages(t *testing.T) {
 }
 
 // Load and Destroy scrub the EPC with mem.Zero, which validates like a
-// write of zeros: with the EPC unmapped, Load fails with exactly the
-// fault a zero-page write at the enclave base raises and frees its
-// pages, and Destroy still frees the pages it could not scrub.
+// write of zeros: with the EPC out of the enclave's reach (its
+// permissions revoked), Load fails with exactly the fault a zero-page
+// write at the enclave base raises and frees its pages, and Destroy
+// still frees the pages it could not scrub.
 func TestScrubFaultsOnUnmappedEPC(t *testing.T) {
 	phys, p := newTestPlatform(t)
 	e, err := p.Load(&otherProg{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := phys.Unmap(RegionEPC); err != nil {
+	if err := phys.SetPerms(RegionEPC, mem.Perms{}); err != nil {
 		t.Fatal(err)
 	}
 	var want *mem.Fault
 	if err := phys.Write(mem.PrivEnclave, epcBase, make([]byte, PageSize)); !errors.As(err, &want) {
-		t.Fatalf("zero-page write on unmapped EPC: %v, want a fault", err)
+		t.Fatalf("zero-page write on revoked EPC: %v, want a fault", err)
 	}
 
 	e.Destroy()
@@ -214,10 +215,10 @@ func TestScrubFaultsOnUnmappedEPC(t *testing.T) {
 	_, err = p.Load(&otherProg{}, epcSize/PageSize)
 	var got *mem.Fault
 	if !errors.As(err, &got) || *got != *want {
-		t.Fatalf("Load on unmapped EPC: %v, want %v", err, want)
+		t.Fatalf("Load on revoked EPC: %v, want %v", err, want)
 	}
 
-	if _, err := phys.Map(RegionEPC, epcBase, epcSize, mem.Perms{Enclave: mem.PermRW}); err != nil {
+	if err := phys.SetPerms(RegionEPC, mem.Perms{Enclave: mem.PermRW}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Load(&otherProg{}, epcSize/PageSize); err != nil {

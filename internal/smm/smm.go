@@ -148,13 +148,6 @@ func (c *Controller) Lock() error {
 	return nil
 }
 
-// Locked reports whether SMRAM is locked.
-func (c *Controller) Locked() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.locked
-}
-
 // Entries returns the number of SMIs dispatched so far.
 func (c *Controller) Entries() uint64 {
 	c.mu.Lock()
@@ -172,9 +165,6 @@ func (c *Controller) TotalPause() time.Duration {
 	defer c.mu.Unlock()
 	return c.pause
 }
-
-// Clock returns the controller's virtual clock.
-func (c *Controller) Clock() *timing.Clock { return c.clock }
 
 // Model returns the controller's cost model.
 func (c *Controller) Model() timing.Model { return c.model }
@@ -372,10 +362,6 @@ func (ctx *Context) HeapBase() uint64 { return ctx.ctrl.HeapBase() }
 
 // HeapSize returns the SMRAM heap size.
 func (ctx *Context) HeapSize() uint64 { return ctx.ctrl.HeapSize() }
-
-// Clock returns the virtual clock, which handlers advance for the
-// work they model.
-func (ctx *Context) Clock() *timing.Clock { return ctx.ctrl.clock }
 
 // Model returns the calibrated cost model.
 func (ctx *Context) Model() timing.Model { return ctx.ctrl.model }

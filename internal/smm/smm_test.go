@@ -44,7 +44,7 @@ func loadKernel(t *testing.T, m *machine.Machine) *isa.Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Mem.Map("ktext", img.TextBase, uint64(len(img.Text)), mem.Perms{Kernel: mem.PermRX, SMM: mem.PermRWX}); err != nil {
+	if _, err := m.Mem.Map("ktext", img.TextBase, uint64(len(img.Text)), mem.Perms{Kernel: mem.PermR | mem.PermX, SMM: mem.PermRWX}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Mem.Write(mem.PrivSMM, img.TextBase, img.Text); err != nil {
@@ -56,11 +56,51 @@ func loadKernel(t *testing.T, m *machine.Machine) *isa.Image {
 	return img
 }
 
+// guestCall runs the image's work function on vCPU 0 in the
+// background; the channel yields its error once it returns. While the
+// machine is paused the call parks at its first instruction.
+func guestCall(t *testing.T, m *machine.Machine, img *isa.Image) <-chan error {
+	t.Helper()
+	work, ok := img.Symbols.Lookup("work")
+	if !ok {
+		t.Fatal("no work symbol")
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.VCPU(0).Call(work.Addr, 10000)
+		done <- err
+	}()
+	return done
+}
+
+// awaitGuest fails the test unless the guest call returns promptly.
+func awaitGuest(t *testing.T, done <-chan error, what string) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("guest call: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("guest call still parked %s", what)
+	}
+}
+
 func TestTriggerRunsHandlerPaused(t *testing.T) {
 	m, c := newTestPlatform(t)
-	var sawPaused bool
+	img := loadKernel(t, m)
+	var parked <-chan error
+	ranEarly := false
 	if err := c.Register(0x10, func(ctx *Context, arg uint64) error {
-		sawPaused = m.Paused()
+		// A guest call issued while the handler runs cannot execute an
+		// instruction before RSM.
+		parked = guestCall(t, m, img)
+		select {
+		case <-parked:
+			ranEarly = true
+			t.Error("guest ran while the handler held the machine")
+		case <-time.After(20 * time.Millisecond):
+		}
 		if arg != 42 {
 			t.Errorf("arg = %d", arg)
 		}
@@ -71,11 +111,8 @@ func TestTriggerRunsHandlerPaused(t *testing.T) {
 	if err := c.Trigger(0x10, 42); err != nil {
 		t.Fatal(err)
 	}
-	if !sawPaused {
-		t.Error("handler ran without machine paused")
-	}
-	if m.Paused() {
-		t.Error("machine still paused after RSM")
+	if !ranEarly {
+		awaitGuest(t, parked, "after RSM")
 	}
 	if c.Entries() != 1 {
 		t.Errorf("entries = %d", c.Entries())
@@ -92,6 +129,7 @@ func TestUnclaimedSMI(t *testing.T) {
 
 func TestHandlerErrorPropagates(t *testing.T) {
 	m, c := newTestPlatform(t)
+	img := loadKernel(t, m)
 	boom := errors.New("boom")
 	if err := c.Register(1, func(*Context, uint64) error { return boom }); err != nil {
 		t.Fatal(err)
@@ -99,18 +137,13 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	if err := c.Trigger(1, 0); !errors.Is(err, boom) {
 		t.Fatalf("got %v", err)
 	}
-	if m.Paused() {
-		t.Error("machine left paused after handler error")
-	}
+	awaitGuest(t, guestCall(t, m, img), "after a handler error")
 }
 
 func TestLockPreventsHandlerInstall(t *testing.T) {
 	_, c := newTestPlatform(t)
 	if err := c.Lock(); err != nil {
 		t.Fatal(err)
-	}
-	if !c.Locked() {
-		t.Error("Locked() false")
 	}
 	err := c.Register(2, func(*Context, uint64) error { return nil })
 	if !errors.Is(err, ErrLocked) {
@@ -263,11 +296,11 @@ func TestClockAdvancesOnSMI(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	before := c.Clock().Now()
+	before := c.clock.Now()
 	if err := c.Trigger(6, 0); err != nil {
 		t.Fatal(err)
 	}
-	elapsed := c.Clock().Now() - before
+	elapsed := c.clock.Now() - before
 	model := c.Model()
 	want := model.SMMEntry + model.SMMExit + model.KeyGen
 	if elapsed != want {
@@ -285,7 +318,7 @@ func TestNilClockDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Clock() == nil {
+	if c.clock == nil {
 		t.Error("nil clock not defaulted")
 	}
 }

@@ -127,7 +127,7 @@ func TestSessionRootLengthValidated(t *testing.T) {
 func mustReserved(t *testing.T) *mem.Reserved {
 	t.Helper()
 	m := mem.New(1 << 28)
-	res, err := mem.MapReserved(m, 0x10000)
+	res, err := mem.MapReservedLayout(m, 0x10000, mem.DefaultReservedLayout())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -331,10 +331,6 @@ func (h *Handler) handleKeyExchange(ctx *smm.Context, _ uint64) error {
 	return h.status(ctx, StatusKeyReady, nil)
 }
 
-// HasKey reports whether a published, unconsumed channel nonce is
-// available.
-func (h *Handler) HasKey() bool { return h.nonce != nil }
-
 // rekey generates and publishes a fresh channel nonce (anti-replay: it
 // changes before every patch). It charges the model's key-generation
 // cost: the virtual time models the paper's per-patch DH step, so
@@ -782,27 +778,9 @@ type Status struct {
 	MAC    [kcrypto.DigestSize]byte
 }
 
-// Verify reports whether the record's MAC is valid under the
-// attestation key.
-func (s Status) Verify(key []byte) bool {
-	buf := make([]byte, 12+kcrypto.DigestSize)
-	binary.LittleEndian.PutUint32(buf, s.Code)
-	binary.LittleEndian.PutUint64(buf[4:], s.Seq)
-	copy(buf[12:], s.Digest)
-	return kcrypto.VerifyMAC(key, buf, s.MAC)
-}
-
-// ReadStatus reads the status mailbox at the given privilege — the
-// helper application polls this after each SMI.
-func ReadStatus(m *mem.Physical, priv mem.Priv, res *mem.Reserved) (code uint32, seq uint64, digest []byte, err error) {
-	st, err := ReadStatusRecord(m, priv, res)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return st.Code, st.Seq, st.Digest, nil
-}
-
-// ReadStatusRecord reads the full status record including its MAC.
+// ReadStatusRecord reads the status mailbox record, MAC included, at
+// the given privilege — the helper application reads it after each
+// SMI.
 func ReadStatusRecord(m *mem.Physical, priv mem.Priv, res *mem.Reserved) (Status, error) {
 	buf := make([]byte, statusRecordSize)
 	if err := m.Read(priv, res.RWBase()+offStatus, buf); err != nil {

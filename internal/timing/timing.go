@@ -34,9 +34,6 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 // Now returns the current virtual time.
 func (c *Clock) Now() time.Duration { return time.Duration(c.ns.Load()) }
 
-// Reset zeroes the clock.
-func (c *Clock) Reset() { c.ns.Store(0) }
-
 // Span measures the virtual time consumed by fn.
 func (c *Clock) Span(fn func()) time.Duration {
 	start := c.Now()

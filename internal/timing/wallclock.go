@@ -47,10 +47,9 @@ func (realClock) Sleep(ctx context.Context, d time.Duration) bool {
 // A cancelled context still wins over the sleep, preserving the real
 // clock's cancellation semantics.
 type FakeWall struct {
-	mu     sync.Mutex
-	now    time.Time
-	slept  time.Duration
-	sleeps int
+	mu    sync.Mutex
+	now   time.Time
+	slept time.Duration
 }
 
 // NewFakeWall returns a FakeWall starting at a fixed epoch so tests
@@ -77,7 +76,6 @@ func (f *FakeWall) Sleep(ctx context.Context, d time.Duration) bool {
 	f.mu.Lock()
 	f.now = f.now.Add(d)
 	f.slept += d
-	f.sleeps++
 	f.mu.Unlock()
 	return true
 }
@@ -87,11 +85,4 @@ func (f *FakeWall) Slept() time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.slept
-}
-
-// Sleeps returns how many Sleep calls completed.
-func (f *FakeWall) Sleeps() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.sleeps
 }

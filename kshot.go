@@ -125,6 +125,7 @@ const (
 // errors.Is instead of matching messages.
 var (
 	ErrFetch          = core.ErrFetch
+	ErrUnacknowledged = core.ErrUnacknowledged
 	ErrEnclavePrepare = core.ErrEnclavePrepare
 	ErrStatusMismatch = core.ErrStatusMismatch
 	ErrTargetActive   = core.ErrTargetActive
