@@ -31,6 +31,7 @@ var deadExportAllow = map[string]string{
 	"internal/adversary.NewPlan":             "adversary campaign harness; CI's adversary-smoke job runs it",
 	"internal/adversary.Outcome.SilentWin":   "adversary campaign harness; CI's adversary-smoke job runs it",
 	"internal/core.System.WatchKernelText":   "only entry to the §V-D kernel-text watch on the re-exported kshot.System",
+	"internal/machine.VCPU.EngineStats":      "block-engine probe shared by several packages' tests",
 }
 
 // TestNoDeadInternalExports fails when an exported identifier declared
@@ -39,8 +40,10 @@ var deadExportAllow = map[string]string{
 // packages carry no API that only tests call. A package-level name is
 // referenced by pkg.Name through an import of its package, or by a
 // bare Name inside its own package. A method counts as referenced by
-// any .Name selector: that can miss a dead method, but never flags a
-// live one. Struct fields and interface methods are not checked.
+// any .Name selector whose operand is not an imported package, except
+// that where Name is also a struct field name in the module only a
+// call X.Name(…) counts, so a field access does not keep a same-named
+// method alive. Struct fields and interface methods are not checked.
 func TestNoDeadInternalExports(t *testing.T) {
 	module := modulePath(t, "go.mod")
 	fset := token.NewFileSet()
@@ -77,9 +80,23 @@ func TestNoDeadInternalExports(t *testing.T) {
 	}
 	var decls []decl
 	declIdents := map[*ast.Ident]bool{}
+	fieldNames := map[string]bool{} // struct field names, embedded ones included
 	for dir, pkgFiles := range files {
 		internal := strings.HasPrefix(dir, "internal/")
 		for _, f := range pkgFiles {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if st, ok := n.(*ast.StructType); ok {
+					for _, fl := range st.Fields.List {
+						for _, n := range fl.Names {
+							fieldNames[n.Name] = true
+						}
+						if len(fl.Names) == 0 {
+							fieldNames[recvName(fl.Type)] = true
+						}
+					}
+				}
+				return true
+			})
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
@@ -115,6 +132,7 @@ func TestNoDeadInternalExports(t *testing.T) {
 
 	refs := map[string]bool{}     // dir.Name
 	selected := map[string]bool{} // any .Name selector, for methods
+	called := map[string]bool{}   // any X.Name(…) call, for methods named like a field
 	for dir, pkgFiles := range files {
 		for _, f := range pkgFiles {
 			imports := map[string]string{} // local name -> directory
@@ -136,14 +154,18 @@ func TestNoDeadInternalExports(t *testing.T) {
 			var visit func(n ast.Node) bool
 			visit = func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+						called[sel.Sel.Name] = true
+					}
 				case *ast.SelectorExpr:
-					selected[n.Sel.Name] = true
 					if x, ok := n.X.(*ast.Ident); ok {
 						if target, ok := imports[x.Name]; ok {
 							refs[target+"."+n.Sel.Name] = true
 							return false
 						}
 					}
+					selected[n.Sel.Name] = true
 					ast.Inspect(n.X, visit)
 					return false
 				case *ast.Ident:
@@ -164,6 +186,9 @@ func TestNoDeadInternalExports(t *testing.T) {
 		live := refs[d.key]
 		if d.method != "" {
 			live = selected[d.method]
+			if fieldNames[d.method] {
+				live = called[d.method]
+			}
 		}
 		_, allowed := deadExportAllow[d.key]
 		switch {

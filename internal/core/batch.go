@@ -156,7 +156,7 @@ func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOptio
 		fetchers <- c
 	}
 	for range poolSize - 1 - len(extras) {
-		fetchers <- s.dialFetcher()
+		fetchers <- s.dialFetcher(ctx)
 	}
 	defer func() {
 		// Reclaim every fetch slot before pooling the extras. A fetch
@@ -240,9 +240,9 @@ func (s *System) putFetchers(cs []*patchserver.Client) {
 }
 
 // dialFetcher dials and attests one extra fetch connection, or returns
-// the attached client when that fails.
-func (s *System) dialFetcher() *patchserver.Client {
-	c, err := patchserver.Dial(s.serverAddr, s.dialOptions()...)
+// the attached client when that fails or ctx is done.
+func (s *System) dialFetcher(ctx context.Context) *patchserver.Client {
+	c, err := patchserver.Dial(ctx, s.serverAddr, s.dialOptions()...)
 	if err != nil {
 		return s.client
 	}

@@ -96,7 +96,7 @@ func TestApplyAllBatchedSingleSMI(t *testing.T) {
 // more extras than the pool holds dials the shortfall, falling back to
 // sharing the attached client when that dial fails.
 func TestApplyAllReusesAttachedConnection(t *testing.T) {
-	sys, _, accepted := newFetchPoolRig(t, 0)
+	sys, _, accepted := newFetchPoolRig(t)
 	apply := func(cves []string, opts ...ApplyOption) {
 		t.Helper()
 		rep, err := sys.ApplyAll(context.Background(), cves, opts...)

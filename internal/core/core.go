@@ -94,17 +94,6 @@ type Options struct {
 	// and can be retried.
 	CheckActiveness bool
 
-	// DialRetries allows extra TCP connect attempts to the patch
-	// server with exponential backoff, and RequestRetries allows
-	// reconnect-and-replay of a transport-failed request burst (safe
-	// here because the system's hellos are attested, so a reconnect
-	// converges on the same channel key). RetryBackoff is the base
-	// delay, doubling per attempt (patchserver.DefaultRetryBackoff
-	// when zero). The backoff runs on the system's wall clock.
-	DialRetries    int
-	RequestRetries int
-	RetryBackoff   time.Duration
-
 	// TemplateCache, when set, shares booted template machines across
 	// Systems (see template.go): the first System per (version, ftrace,
 	// inline, extra-files, dispatch, vCPUs, reservation) config pays the
@@ -170,11 +159,6 @@ type System struct {
 	hashAlg     kcrypto.HashAlg
 	rng         io.Reader
 	sessionRoot []byte // derived-session channel root, shared with the SMM handler
-
-	// Client resilience knobs (see Options).
-	dialRetries    int
-	requestRetries int
-	retryBackoff   time.Duration
 
 	helperPriv mem.Priv
 
@@ -254,15 +238,6 @@ func (o *Options) Validate() error {
 	case 0, kcrypto.HashSHA256, kcrypto.HashSDBM:
 	default:
 		return bad("WithHashAlg", "unknown hash algorithm %v", o.HashAlg)
-	}
-	if o.DialRetries < 0 {
-		return bad("WithDialRetries", "must be >= 0, got %d", o.DialRetries)
-	}
-	if o.RequestRetries < 0 {
-		return bad("WithRequestRetries", "must be >= 0, got %d", o.RequestRetries)
-	}
-	if o.RetryBackoff < 0 {
-		return bad("WithDialBackoff", "must be >= 0, got %v", o.RetryBackoff)
 	}
 	if o.Introspection != nil {
 		if o.Introspection.Capacity < 0 {
@@ -450,7 +425,7 @@ func (s *System) attach(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	client, err := patchserver.Dial(s.serverAddr, s.dialOptions()...)
+	client, err := patchserver.Dial(ctx, s.serverAddr, s.dialOptions()...)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrFetch, err)
 	}
@@ -602,18 +577,11 @@ func (s *System) SetWallClock(wc timing.WallClock) {
 	}
 }
 
-// dialOptions builds the options for an extra attested patch-server
-// connection: the system's retry knobs plus its current hooks, so a
-// pool connection's dial-path faults and retry backoff run under the
-// same injected set and clock as the boot-time client.
+// dialOptions builds the options for a patch-server connection: the
+// System's current hooks and wall clock, so every connection's dial
+// fault and injected latency run under the same set and clock.
 func (s *System) dialOptions() []patchserver.DialOption {
-	opts := []patchserver.DialOption{
-		patchserver.WithDialRetries(s.dialRetries),
-		patchserver.WithRequestRetries(s.requestRetries),
-	}
-	if s.retryBackoff > 0 {
-		opts = append(opts, patchserver.WithRetryBackoff(s.retryBackoff))
-	}
+	var opts []patchserver.DialOption
 	if s.wall != nil {
 		opts = append(opts, patchserver.WithClientWallClock(s.wall))
 	}

@@ -426,7 +426,7 @@ func TestDoSDetectionViaServerHandshake(t *testing.T) {
 
 // fetchOnly performs just the helper's fetch step.
 func fetchOnly(d *testDeployment) ([]byte, error) {
-	c, err := patchserver.Dial(d.Server.Addr())
+	c, err := patchserver.Dial(context.Background(), d.Server.Addr())
 	if err != nil {
 		return nil, err
 	}
@@ -547,7 +547,7 @@ func TestStatusAttestationAuthenticity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := patchserver.Dial(d.Server.Addr())
+	c, err := patchserver.Dial(context.Background(), d.Server.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ import (
 // newFetchPoolRig boots a 2-vCPU 4.4 System for batchCVEs against its
 // own patch server, and returns a count of the connections the server
 // has accepted.
-func newFetchPoolRig(tb testing.TB, requestRetries int, srvOpts ...patchserver.ServerOption) (*System, *patchserver.Server, func() int64) {
+func newFetchPoolRig(tb testing.TB, srvOpts ...patchserver.ServerOption) (*System, *patchserver.Server, func() int64) {
 	tb.Helper()
 	entries := make([]*cvebench.Entry, len(batchCVEs))
 	extra := make(map[string]string, len(batchCVEs))
@@ -38,12 +39,11 @@ func newFetchPoolRig(tb testing.TB, requestRetries int, srvOpts ...patchserver.S
 		srv.RegisterPatch(e.SourcePatch())
 	}
 	sys, err := NewSystemCtx(context.Background(), Options{
-		Version:        "4.4",
-		NumVCPUs:       2,
-		ExtraFiles:     extra,
-		ServerAddr:     srv.Addr(),
-		RequestRetries: requestRetries,
-		Rand:           &detRand{r: rand.New(rand.NewSource(5))},
+		Version:    "4.4",
+		NumVCPUs:   2,
+		ExtraFiles: extra,
+		ServerAddr: srv.Addr(),
+		Rand:       &detRand{r: rand.New(rand.NewSource(5))},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -93,7 +93,7 @@ func waitLive(t *testing.T, srv *patchserver.Server, want int) {
 // dialed its extra fetch connection, repeated ApplyAll calls reuse it
 // and the server accepts nothing new.
 func TestApplyAllPoolsFetchConnections(t *testing.T) {
-	sys, _, accepted := newFetchPoolRig(t, 0)
+	sys, _, accepted := newFetchPoolRig(t)
 	fetchPoolCycle(t, sys)
 	warm := accepted()
 	if warm != 2 {
@@ -111,7 +111,7 @@ func TestApplyAllPoolsFetchConnections(t *testing.T) {
 // the idle fetch pool as well as the attached client: the server ends
 // up serving no connection of the closed System.
 func TestApplyAllPoolClosedBySystemClose(t *testing.T) {
-	sys, srv, _ := newFetchPoolRig(t, 0)
+	sys, srv, _ := newFetchPoolRig(t)
 	fetchPoolCycle(t, sys)
 	waitLive(t, srv, 2)
 	sys.Close()
@@ -119,20 +119,43 @@ func TestApplyAllPoolClosedBySystemClose(t *testing.T) {
 }
 
 // TestApplyAllAfterIdleReap lets the server reap every connection of a
-// System between two ApplyAll calls: with one request retry, the pooled
-// and attached clients reconnect and the second call succeeds.
+// System between two ApplyAll calls. A client keeps the one connection
+// it dialed, so the second call fails promptly: every CVE lands in
+// Failed as an ErrFetch, no SMI runs, and nothing redials the server.
 func TestApplyAllAfterIdleReap(t *testing.T) {
-	sys, srv, _ := newFetchPoolRig(t, 1, patchserver.WithIdleTimeout(100*time.Millisecond))
+	sys, srv, accepted := newFetchPoolRig(t, patchserver.WithIdleTimeout(100*time.Millisecond))
 	fetchPoolCycle(t, sys)
 	waitLive(t, srv, 0)
-	fetchPoolCycle(t, sys)
+	before := accepted()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rep, err := sys.ApplyAll(ctx, batchCVEs, WithBatchSize(3), WithFetchWorkers(2))
+	if ctx.Err() != nil {
+		t.Fatalf("ApplyAll on reaped connections hung until the deadline: %v", err)
+	}
+	if len(rep.Reports) != 0 || len(rep.Failed) != len(batchCVEs) {
+		t.Fatalf("ApplyAll on reaped connections: %d applied, %d failed, want 0 and %d (err %v)",
+			len(rep.Reports), len(rep.Failed), len(batchCVEs), err)
+	}
+	for cve, ferr := range rep.Failed {
+		if !errors.Is(ferr, ErrFetch) {
+			t.Errorf("%s: %v, want ErrFetch", cve, ferr)
+		}
+	}
+	if rep.SMIs != 0 {
+		t.Errorf("%d SMIs on reaped connections, want 0", rep.SMIs)
+	}
+	if n := accepted() - before; n != 0 {
+		t.Errorf("server accepted %d new connections, want 0", n)
+	}
 }
 
 // BenchmarkApplyAllCycle measures one warm apply-and-rollback cycle of
 // batchCVEs over two fetch workers: the pooled connections, pipelined
 // fetches and status reports of the batch path.
 func BenchmarkApplyAllCycle(b *testing.B) {
-	sys, _, _ := newFetchPoolRig(b, 0)
+	sys, _, _ := newFetchPoolRig(b)
 	fetchPoolCycle(b, sys) // attach, dial the extra fetcher and fill the build cache untimed
 	b.ReportAllocs()
 	b.ResetTimer()

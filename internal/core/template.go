@@ -181,10 +181,6 @@ func (t *Template) Fork(ctx context.Context, opts Options) (*System, error) {
 		rng:         opts.Rand,
 		sessionRoot: forkRoot,
 
-		dialRetries:    opts.DialRetries,
-		requestRetries: opts.RequestRetries,
-		retryBackoff:   opts.RetryBackoff,
-
 		helperPriv: mem.PrivUser,
 
 		// The bootstrap key-exchange SMI, which publishes the channel
@@ -200,7 +196,7 @@ func (t *Template) Fork(ctx context.Context, opts Options) (*System, error) {
 // templateKey is the scalar part of the configuration a template bakes
 // in; the cache matches the rest, ExtraFiles, per entry. Everything
 // per-fork — server address, hash algorithm, entropy source,
-// activeness checking, retry knobs — is deliberately excluded, so
+// activeness checking — is deliberately excluded, so
 // Systems differing only in those share one template.
 type templateKey struct {
 	version        string

@@ -108,14 +108,14 @@ func TestFaultPointCounts(t *testing.T) {
 		faultinject.FetchTruncate: {drive: fetchOne},
 		faultinject.FetchDelay:    {drive: fetchOne},
 		faultinject.DialError: {drive: func(t *testing.T, d *testDeployment) {
-			if c := d.System.dialFetcher(); c != d.System.client {
+			if c := d.System.dialFetcher(context.Background()); c != d.System.client {
 				t.Fatal("extra fetch connection dialed despite the injected dial error")
 			}
 		}},
 		faultinject.AcceptStall: {server: true, drive: func(t *testing.T, d *testDeployment) {
 			// The hello round trip returns only after the server
 			// accepted the connection.
-			if c := d.System.dialFetcher(); c != d.System.client {
+			if c := d.System.dialFetcher(context.Background()); c != d.System.client {
 				_ = c.Close()
 			}
 		}},
@@ -178,7 +178,7 @@ func TestWiringOrder(t *testing.T) {
 			cve := d.Entries[0].CVE
 
 			// An extra fetch connection pooled before any step.
-			extra := s.dialFetcher()
+			extra := s.dialFetcher(context.Background())
 			if extra == nil {
 				t.Fatal("no extra fetch connection")
 			}

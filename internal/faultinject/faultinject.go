@@ -56,8 +56,8 @@ const (
 	// FetchDelay injects extra latency into a fetch call (an induced
 	// timeout when the caller's context expires first).
 	FetchDelay Point = "patchserver.fetch.delay"
-	// DialError fails one client connect attempt (server unreachable,
-	// transient network failure) — the dial-retry path's fault.
+	// DialError fails a client's connect attempt (server unreachable,
+	// transient network failure).
 	DialError Point = "patchserver.dial.error"
 	// AcceptStall wedges the server's accept loop for the injected
 	// duration (slow or contended frontend).

@@ -78,7 +78,6 @@ type predFn func(e *Engine, p *pred) (retired int, done bool, err error)
 type Block struct {
 	start, end uint64
 	preds      []pred
-	src        []Decoded
 }
 
 // Start returns the block's entry address.
@@ -250,7 +249,6 @@ func (e *Engine) decodeBlock(addr uint64) *Block {
 		if !ok {
 			break
 		}
-		b.src = append(b.src, d)
 		cur += uint64(n)
 		if term {
 			b.end = cur

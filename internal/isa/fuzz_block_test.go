@@ -11,10 +11,11 @@ import (
 // mapped as kernel text. The contract under fuzzing:
 //
 //   - decodeBlock never panics and never reads past what Fetch allows;
-//   - a decoded block's per-instruction expansion (Block.Instructions)
-//     is exactly the linear decode disasm.go/Step would perform over
-//     the same bytes — same instructions, same lengths, gapless, and
-//     ending exactly at Block.End();
+//   - a decoded block's preds tile the linear decode disasm.go/Step
+//     would perform over the same bytes: each pred starts on an
+//     instruction boundary with that instruction's op, its in-line
+//     steps span exactly the instructions up to its next address, and
+//     the last one ends exactly at Block.End();
 //   - executing the stream under the block engine is observationally
 //     identical to the oracle interpreter: the lockstep runner drives
 //     both over the same memory and fails on any state, step-count,
@@ -84,29 +85,41 @@ func FuzzBlockDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		// Structural check: the block's expansion is the linear decode.
+		// Structural check: the block's preds tile the linear decode.
 		c := New(m, mem.PrivKernel)
 		e := NewEngine(c)
 		if b := e.decodeBlock(textBase); b != nil {
 			if b.Start() != textBase {
 				t.Fatalf("block starts at %#x, want %#x", b.Start(), textBase)
 			}
-			insts := b.src
-			if len(insts) == 0 || len(insts) > blockCap {
-				t.Fatalf("block has %d instructions (cap %d)", len(insts), blockCap)
+			if len(b.preds) == 0 || len(b.preds) > blockCap {
+				t.Fatalf("block has %d preds (cap %d)", len(b.preds), blockCap)
 			}
 			addr := textBase
-			for i, d := range insts {
-				off := addr - textBase
-				inst, n, err := Decode(data[off:])
-				if err != nil {
-					t.Fatalf("instruction %d at %#x: block decoded what Decode rejects: %v", i, addr, err)
+			for i, p := range b.preds {
+				if p.addr != addr {
+					t.Fatalf("pred %d starts at %#x, linear decode is at %#x", i, p.addr, addr)
 				}
-				if d.Addr != addr || d.Inst != inst || d.Len != n {
-					t.Fatalf("instruction %d: block %+v (addr %#x len %d), linear decode %+v (addr %#x len %d)",
-						i, d.Inst, d.Addr, d.Len, inst, addr, n)
+				// A fused call+ret or a folded jmp chain retires its
+				// callee's ret or its chain's hops out of line; every
+				// other step is an in-line instruction.
+				inline := p.steps
+				if p.op == OpCall || p.op == OpJmp {
+					inline = 1
 				}
-				addr += uint64(n)
+				for k := 0; k < inline; k++ {
+					inst, n, err := Decode(data[addr-textBase:])
+					if err != nil {
+						t.Fatalf("pred %d at %#x: block decoded what Decode rejects: %v", i, addr, err)
+					}
+					if k == 0 && inst.Op != p.op {
+						t.Fatalf("pred %d at %#x: op %v, linear decode %v", i, addr, p.op, inst.Op)
+					}
+					addr += uint64(n)
+				}
+				if p.next != addr {
+					t.Fatalf("pred %d: next %#x, its %d in-line instructions end at %#x", i, p.next, inline, addr)
+				}
 			}
 			if b.End() != addr {
 				t.Fatalf("block end %#x, instructions end at %#x", b.End(), addr)

@@ -18,6 +18,7 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -129,6 +130,19 @@ func MAC(key, data []byte) [DigestSize]byte {
 func VerifyMAC(key, data []byte, mac [DigestSize]byte) bool {
 	want := MAC(key, data)
 	return hmac.Equal(want[:], mac[:])
+}
+
+// AppendStatusMACInput appends to dst the bytes a status record's MAC
+// covers: code (4 bytes), seq (8) and digest, little-endian, the layout
+// SMM publishes in its status mailbox. The digest field is always
+// DigestSize bytes (a shorter digest is zero-padded), so SMM and the
+// patch server MAC and verify the same input.
+func AppendStatusMACInput(dst []byte, code uint32, seq uint64, digest []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, code)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	var d [DigestSize]byte
+	copy(d[:], digest)
+	return append(dst, d[:]...)
 }
 
 // DeriveKey derives a 32-byte subkey from root and the given context

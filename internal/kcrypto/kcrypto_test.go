@@ -208,3 +208,13 @@ func TestMACDistinctInputsDistinctTags(t *testing.T) {
 		seen[m] = true
 	}
 }
+
+// TestStatusMACInputLayout pins the status-record MAC input: code and
+// seq little-endian, then the digest zero-padded to DigestSize.
+func TestStatusMACInputLayout(t *testing.T) {
+	got := AppendStatusMACInput([]byte{0xFF}, 0x04030201, 0x0C0B0A0908070605, []byte{0xD1, 0xD2})
+	want := append([]byte{0xFF, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0xD1, 0xD2}, make([]byte, DigestSize-2)...)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("status MAC input = %x, want %x", got, want)
+	}
+}

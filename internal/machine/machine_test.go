@@ -254,8 +254,13 @@ func TestDefaults(t *testing.T) {
 	if m.NumVCPUs() != 4 {
 		t.Errorf("default vCPUs = %d, want 4", m.NumVCPUs())
 	}
-	if m.Mem.Size() != DefaultPhysSize {
-		t.Errorf("default phys size = %d", m.Mem.Size())
+	// Physical memory ends exactly at DefaultPhysSize: the last byte
+	// maps, the byte past it does not.
+	if _, err := m.Mem.Map("last", DefaultPhysSize-1, 1, mem.Perms{Kernel: mem.PermR}); err != nil {
+		t.Errorf("default phys size is below %d: %v", DefaultPhysSize, err)
+	}
+	if _, err := m.Mem.Map("past", DefaultPhysSize, 1, mem.Perms{Kernel: mem.PermR}); err == nil {
+		t.Errorf("default phys size is above %d", DefaultPhysSize)
 	}
 }
 

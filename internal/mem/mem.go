@@ -292,9 +292,6 @@ func New(size uint64) *Physical {
 	return m
 }
 
-// Size returns the total physical memory size in bytes.
-func (m *Physical) Size() uint64 { return m.size }
-
 // CodeEpoch returns the current code generation: a counter bumped after
 // any event that can change bytes some privilege level may execute
 // (writes/zeroing into an exec-permitted region, Map, SetPerms,

@@ -33,7 +33,7 @@ func scribble(t *testing.T) {
 
 // readAll returns m's whole contents, bypassing the region table.
 func readAll(m *Physical) []byte {
-	buf := make([]byte, m.Size())
+	buf := make([]byte, m.size)
 	m.readFrames(0, buf)
 	return buf
 }
@@ -102,7 +102,7 @@ func TestRelease(t *testing.T) {
 			old.Release()
 
 			fresh := newReleaseMem(t)
-			want := make([]byte, fresh.Size())
+			want := make([]byte, fresh.size)
 			for f := uint64(0); f < releaseFrames; f++ {
 				addr := f*FrameSize + 4096*(f%16) + 77
 				src := pattern(11, byte(f))

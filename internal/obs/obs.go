@@ -81,8 +81,8 @@ const (
 	CtrRetries     = "pipeline.retries"
 	CtrDegraded    = "pipeline.degraded"
 
-	// Fleet-distribution metrics (patch server build cache + connection
-	// hygiene, client dial retries).
+	// Fleet-distribution metrics (patch server build cache and
+	// connection hygiene).
 	CtrCacheHits      = "patchserver.cache.hits"
 	CtrCacheMisses    = "patchserver.cache.misses"
 	CtrCacheCoalesced = "patchserver.cache.coalesced"
@@ -91,7 +91,6 @@ const (
 	CtrConnAccepted   = "patchserver.conns.accepted"
 	CtrConnRefused    = "patchserver.conns.refused"
 	CtrConnLive       = "patchserver.conns.live"
-	CtrDialRetries    = "patchserver.dial.retries"
 
 	// Fleet-rollout metrics (the orchestrator's wave scheduler and
 	// health gate).

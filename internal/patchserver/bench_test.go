@@ -32,7 +32,7 @@ func BenchmarkFleetFetch(b *testing.B) {
 			srv := newBenchServer(b, cve)
 			clients := make([]*Client, tc.clients)
 			for i := range clients {
-				c, err := Dial(srv.Addr())
+				c, err := Dial(context.Background(), srv.Addr())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -53,7 +53,7 @@ func TestFleetConformance(t *testing.T) {
 			defer wg.Done()
 			cfg := id % len(fleetConfigs)
 			info := fleetConfigs[cfg]
-			c, err := Dial(srv.Addr())
+			c, err := Dial(context.Background(), srv.Addr())
 			if err != nil {
 				errs <- fmt.Errorf("target %d dial: %w", id, err)
 				return
@@ -171,7 +171,7 @@ func TestCacheSoakUnderEviction(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr())
+			c, err := Dial(context.Background(), srv.Addr())
 			if err != nil {
 				return // server may already be closing
 			}
@@ -224,7 +224,7 @@ func TestCacheSoakUnderEviction(t *testing.T) {
 // flight completes.
 func TestDrainFinishesInFlight(t *testing.T) {
 	srv, entries := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 		t.Fatalf("established session dropped during drain: %v", err)
 	}
 	// Draining stopped the listener: new connections are refused.
-	if _, err := Dial(srv.Addr()); err == nil {
+	if _, err := Dial(context.Background(), srv.Addr()); err == nil {
 		t.Error("dial succeeded during drain")
 	}
 	// Once the last client leaves, the drain completes.
@@ -284,7 +284,7 @@ func TestMaxConnsBackpressureAndRefusal(t *testing.T) {
 	gated.RegisterPatch(e.SourcePatch())
 
 	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
-	c1, err := Dial(gated.Addr())
+	c1, err := Dial(context.Background(), gated.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestMaxConnsBackpressureAndRefusal(t *testing.T) {
 
 	// The single slot is held by c1: a second client is refused after
 	// the accept wait, with the capacity error on its first response.
-	c2, err := Dial(gated.Addr())
+	c2, err := Dial(context.Background(), gated.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestMaxConnsBackpressureAndRefusal(t *testing.T) {
 	var c3 *Client
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c3, err = Dial(gated.Addr())
+		c3, err = Dial(context.Background(), gated.Addr())
 		if err == nil {
 			if _, err = c3.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err == nil {
 				break

@@ -2,6 +2,7 @@ package patchserver
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -96,7 +97,7 @@ func FuzzServerFrame(f *testing.F) {
 	f.Cleanup(func() {
 		// Runs before srv.Close (cleanups are LIFO): the server still
 		// serves a well-formed client after everything the fuzzer sent.
-		c, err := Dial(srv.Addr())
+		c, err := Dial(context.Background(), srv.Addr())
 		if err != nil {
 			f.Errorf("server unreachable after fuzzing: %v", err)
 			return

@@ -15,9 +15,9 @@
 // while per-session encryption stays per-client; connections carry
 // idle deadlines and an optional max-concurrency gate with accept
 // backpressure; and Drain offers a graceful stop (quit accepting,
-// finish in-flight responses, then close). The client side matches
-// with context-aware dial/request retry over timing.WallClock and
-// per-operation I/O deadlines.
+// finish in-flight responses, then close). A client makes one
+// context-bounded connect attempt and keeps that connection until
+// Close; a transport failure surfaces to its caller.
 //
 // The wire protocol is length-prefixed binary frames over TCP (stdlib
 // net); see frame.go.
@@ -27,7 +27,6 @@ import (
 	"bufio"
 	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -259,8 +258,8 @@ type Server struct {
 	// keyRoot derives the server→enclave channel key of an attested
 	// target from its identity (version, build knobs, measurement and
 	// attestation key), so every helper connection a target opens —
-	// pipelined fetching, reconnects — encrypts to the one key its
-	// enclave holds, with no per-target state on the server.
+	// the attached one and its extra fetch connections — encrypts to the
+	// one key its enclave holds, with no per-target state on the server.
 	keyRoot []byte
 
 	// versions remembers the kernel versions the tree provider has
@@ -681,14 +680,12 @@ func (s *Server) handleStatus(sess *session, req *request) *response {
 		Digest: append([]byte(nil), req.Digest...),
 		At:     time.Now(),
 	}
-	if len(req.MAC) == kcrypto.DigestSize {
-		buf := make([]byte, 12+len(req.Digest))
-		binary.LittleEndian.PutUint32(buf, req.Code)
-		binary.LittleEndian.PutUint64(buf[4:], req.Seq)
-		copy(buf[12:], req.Digest)
+	// SMM MACs a DigestSize digest; a record carrying any other length
+	// is not one SMM wrote.
+	if len(req.MAC) == kcrypto.DigestSize && len(req.Digest) == kcrypto.DigestSize {
 		var mac [kcrypto.DigestSize]byte
 		copy(mac[:], req.MAC)
-		rep.Authentic = kcrypto.VerifyMAC(sess.attKey, buf, mac)
+		rep.Authentic = kcrypto.VerifyMAC(sess.attKey, kcrypto.AppendStatusMACInput(nil, req.Code, req.Seq, req.Digest), mac)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -808,247 +805,90 @@ func (s *Server) buildPlain(info OSInfo, sp kernel.SourcePatch) ([]byte, error) 
 	return patch.Encode(bp), nil
 }
 
-// Client tuning defaults.
-const (
-	// DefaultDialTimeout bounds one TCP connect attempt.
-	DefaultDialTimeout = 5 * time.Second
+// DefaultDialTimeout bounds the client's one TCP connect attempt.
+const DefaultDialTimeout = 5 * time.Second
 
-	// DefaultRetryBackoff is the base delay before the first dial or
-	// request retry; it doubles per attempt.
-	DefaultRetryBackoff = 50 * time.Millisecond
-)
+// DialOption tunes a Client.
+type DialOption func(*Client)
 
-// clientConfig collects the DialOption-tunable knobs.
-type clientConfig struct {
-	dialRetries    int
-	requestRetries int
-	retryBackoff   time.Duration
-	wall           timing.WallClock
-	obs            *obs.Hooks
-}
-
-// DialOption tunes a Client. Every With* validates its argument
-// eagerly; Dial reports the first rejected option as a typed
-// *options.Error matching options.ErrInvalid.
-type DialOption func(*clientConfig) error
-
-func dialOptErr(option, format string, a ...any) error {
-	return options.Errorf("patchserver.Dial", option, format, a...)
-}
-
-// WithDialRetries allows n additional dial attempts after a failed
-// connect, with exponential backoff between attempts.
-func WithDialRetries(n int) DialOption {
-	return func(c *clientConfig) error {
-		if n < 0 {
-			return dialOptErr("WithDialRetries", "must be >= 0, got %d", n)
-		}
-		c.dialRetries = n
-		return nil
-	}
-}
-
-// WithRequestRetries allows n reconnect-and-replay attempts when a
-// request burst fails at the transport level (send/receive error, a
-// reaped idle connection). The client redials, replays its recorded
-// hello, and resends the burst. Patch fetches are idempotent; an
-// authentic status report a retry duplicates is acknowledged but not
-// recorded twice.
-func WithRequestRetries(n int) DialOption {
-	return func(c *clientConfig) error {
-		if n < 0 {
-			return dialOptErr("WithRequestRetries", "must be >= 0, got %d", n)
-		}
-		c.requestRetries = n
-		return nil
-	}
-}
-
-// WithRetryBackoff sets the base backoff before the first retry
-// (doubling per attempt) for both dial and request retries.
-func WithRetryBackoff(d time.Duration) DialOption {
-	return func(c *clientConfig) error {
-		if d < 0 {
-			return dialOptErr("WithRetryBackoff", "must be >= 0, got %v", d)
-		}
-		c.retryBackoff = d
-		return nil
-	}
-}
-
-// WithClientWallClock sets the clock pacing retry backoff and injected
-// latency (real time when nil). The chaos suite passes timing.FakeWall
-// so retries never depend on the host clock.
+// WithClientWallClock sets the clock pacing injected fetch latency
+// (real time when nil). The chaos suite passes timing.FakeWall so no
+// injected delay depends on the host clock.
 func WithClientWallClock(wc timing.WallClock) DialOption {
-	return func(c *clientConfig) error {
-		c.wall = wc
-		return nil
-	}
+	return func(c *Client) { c.wall = wc }
 }
 
 // WithClientObserver installs the instrumentation handle at dial
-// time, so dial-path faults (faultinject.DialError) can fire on the
-// very first connect (see Client.SetObserver).
+// time, so the dial-path fault (faultinject.DialError) can fire on the
+// connect itself (see Client.SetObserver).
 func WithClientObserver(ob *obs.Hooks) DialOption {
-	return func(c *clientConfig) error {
-		c.obs = ob
-		return nil
-	}
+	return func(c *Client) { c.obs.Store(ob) }
 }
 
 // Client is the target machine's connection to the patch server. Its
 // methods are invoked by the untrusted helper application; everything
-// it carries is ciphertext or public.
+// it carries is ciphertext or public. A Client holds the one connection
+// Dial opened until Close: a transport failure is returned to the
+// caller, never retried on a fresh connection.
 type Client struct {
-	addr string
-	cfg  clientConfig
+	conn net.Conn
+	rd   *bufio.Reader
 
 	// mu serializes request bursts: one exchange owns the connection
-	// end to end (including any reconnect-and-replay retries).
+	// end to end.
 	mu sync.Mutex
 
-	// connMu guards the connection state and the wall clock, so Close
-	// and the Set* methods never block behind an exchange.
-	connMu sync.Mutex
-	conn   net.Conn
-	rd     *bufio.Reader
-	closed bool
-	hello  *request // recorded attested hello, replayed on reconnect
+	// wallMu guards the wall clock, so SetWallClock never blocks
+	// behind an exchange.
+	wallMu sync.Mutex
 	wall   timing.WallClock
 
 	obs atomic.Pointer[obs.Hooks]
 }
 
-// Dial connects to the server.
-func Dial(addr string, opts ...DialOption) (*Client, error) {
-	return DialContext(context.Background(), addr, opts...)
-}
-
-// DialContext connects to the server, retrying failed connect attempts
-// with exponential backoff when dial retries are configured. ctx
-// cancels the connect and any backoff wait.
-func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
-	cfg := clientConfig{retryBackoff: DefaultRetryBackoff}
+// Dial makes one connect attempt to the server, bounded by
+// DefaultDialTimeout and canceled with ctx.
+func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
+	c := &Client{}
 	for _, o := range opts {
-		if err := o(&cfg); err != nil {
-			return nil, err
-		}
+		o(c)
 	}
-	conn, err := dialConn(ctx, addr, cfg, cfg.wall, cfg.obs)
+	if f, ok := c.obs.Load().Fault(faultinject.DialError); ok {
+		return nil, fmt.Errorf("patchserver dial: %w", f.Err())
+	}
+	d := net.Dialer{Timeout: DefaultDialTimeout}
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("patchserver dial: %w", err)
 	}
-	c := &Client{addr: addr, cfg: cfg, conn: conn, rd: bufio.NewReader(conn), wall: cfg.wall}
-	c.obs.Store(cfg.obs)
+	c.conn, c.rd = conn, bufio.NewReader(conn)
 	return c, nil
 }
 
-// dialConn runs the connect-with-backoff loop.
-func dialConn(ctx context.Context, addr string, cfg clientConfig, wall timing.WallClock, ob *obs.Hooks) (net.Conn, error) {
-	bo := timing.NewBackoff(wall, cfg.retryBackoff, 0)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if f, ok := ob.Fault(faultinject.DialError); ok {
-			lastErr = fmt.Errorf("patchserver dial: %w", f.Err())
-		} else {
-			d := net.Dialer{Timeout: DefaultDialTimeout}
-			conn, err := d.DialContext(ctx, "tcp", addr)
-			if err == nil {
-				return conn, nil
-			}
-			lastErr = fmt.Errorf("patchserver dial: %w", err)
-		}
-		if attempt >= cfg.dialRetries {
-			return nil, lastErr
-		}
-		ob.Count(obs.CtrDialRetries, 1)
-		if !bo.Sleep(ctx) {
-			return nil, ctx.Err()
-		}
-	}
-}
-
 // Close closes the connection.
-func (c *Client) Close() error {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	c.closed = true
-	return c.conn.Close()
-}
+func (c *Client) Close() error { return c.conn.Close() }
 
 // SetWallClock replaces the clock that paces injected fetch latency
-// and retry backoff (real time when nil).
+// (real time when nil).
 func (c *Client) SetWallClock(wc timing.WallClock) {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
+	c.wallMu.Lock()
+	defer c.wallMu.Unlock()
 	c.wall = wc
 }
 
 // SetObserver installs (or, with nil, removes) the instrumentation
-// handle counting per-CVE fetch outcomes and dial retries; its fault
-// set is consulted on every dial attempt and fetch result.
+// handle counting per-CVE fetch outcomes; its fault set is consulted on
+// the dial and on every fetch result.
 func (c *Client) SetObserver(ob *obs.Hooks) { c.obs.Store(ob) }
 
-// clock returns the clock pacing injected latency and retry backoff.
+// clock returns the clock pacing injected latency.
 func (c *Client) clock() timing.WallClock {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
+	c.wallMu.Lock()
+	defer c.wallMu.Unlock()
 	if c.wall == nil {
 		return timing.Real()
 	}
 	return c.wall
-}
-
-// transport snapshots the current connection endpoints.
-func (c *Client) transport() (net.Conn, *bufio.Reader) {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	return c.conn, c.rd
-}
-
-// recordHello remembers a successful hello for replay after a
-// reconnect: an attested hello converges on the same channel key, so it
-// is safe to replay transparently.
-func (c *Client) recordHello(req *request) {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	c.hello = req
-}
-
-// reconnect redials the server, swaps the connection, and replays the
-// recorded hello so the new connection's session matches the old one.
-func (c *Client) reconnect(ctx context.Context) error {
-	c.connMu.Lock()
-	if c.closed {
-		c.connMu.Unlock()
-		return errors.New("patchserver: client closed")
-	}
-	wall := c.wall
-	hello := c.hello
-	c.connMu.Unlock()
-
-	conn, err := dialConn(ctx, c.addr, c.cfg, wall, c.obs.Load())
-	if err != nil {
-		return err
-	}
-	rd := bufio.NewReader(conn)
-	if hello != nil {
-		if err := c.exchangeOn(conn, rd, []*request{hello}, nil); err != nil {
-			conn.Close()
-			return fmt.Errorf("patchserver: hello replay: %w", err)
-		}
-	}
-	c.connMu.Lock()
-	if c.closed {
-		c.connMu.Unlock()
-		conn.Close()
-		return errors.New("patchserver: client closed")
-	}
-	old := c.conn
-	c.conn, c.rd = conn, rd
-	c.connMu.Unlock()
-	_ = old.Close()
-	return nil
 }
 
 func (c *Client) roundTrip(req *request) (*response, error) {
@@ -1065,26 +905,20 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 // roundTrips sends a pipelined burst of requests and collects the
 // responses in order. The server's per-connection loop processes
 // requests sequentially, so pipelining N fetches saves N-1 round trip
-// waits without any protocol change.
-//
-// A transport-level failure (send/receive error, a reaped idle
-// connection) triggers reconnect-and-replay when request retries are
-// configured: the whole burst is resent on a fresh connection after
-// the recorded hello is replayed.
+// waits without any protocol change. A transport failure (send or
+// receive error, a connection the server reaped) is returned as is.
 //
 // Cancellation is logical, not transport-level: when ctx fires, the
 // call returns immediately, but the exchange finishes in the
 // background under the connection mutex, so the connection never holds
-// half-read responses and the client remains usable. (An abandoned
-// fetch's responses are drained and discarded; retries stop once ctx
-// is done.) A context that can never be canceled runs the exchange on
-// the caller's goroutine.
+// half-read responses and the client remains usable. A context that
+// can never be canceled runs the exchange on the caller's goroutine.
 func (c *Client) roundTrips(ctx context.Context, reqs []*request) ([]*response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if ctx.Done() == nil {
-		return c.exchangeRetrying(ctx, reqs)
+		return c.exchange(reqs)
 	}
 	type outcome struct {
 		resps []*response
@@ -1092,7 +926,7 @@ func (c *Client) roundTrips(ctx context.Context, reqs []*request) ([]*response, 
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		resps, err := c.exchangeRetrying(ctx, reqs)
+		resps, err := c.exchange(reqs)
 		ch <- outcome{resps, err}
 	}()
 	select {
@@ -1103,69 +937,31 @@ func (c *Client) roundTrips(ctx context.Context, reqs []*request) ([]*response, 
 	}
 }
 
-// exchangeRetrying runs one burst under c.mu, reconnecting and
-// replaying it after a transport failure while request retries remain.
-func (c *Client) exchangeRetrying(ctx context.Context, reqs []*request) ([]*response, error) {
+// exchange writes reqs as one burst under c.mu and reads their
+// responses.
+func (c *Client) exchange(reqs []*request) ([]*response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resps, err := c.exchange(reqs)
-	if err != nil {
-		bo := timing.NewBackoff(c.clock(), c.cfg.retryBackoff, 0)
-		for attempt := 0; attempt < c.cfg.requestRetries && ctx.Err() == nil; attempt++ {
-			if !bo.Sleep(ctx) {
-				break
-			}
-			if rerr := c.reconnect(ctx); rerr != nil {
-				err = rerr
-				continue
-			}
-			resps, err = c.exchange(reqs)
-			if err == nil {
-				break
-			}
-		}
-	}
-	return resps, err
-}
-
-// exchange runs one burst on the current connection. Callers hold c.mu.
-func (c *Client) exchange(reqs []*request) ([]*response, error) {
-	conn, rd := c.transport()
-	resps := make([]*response, 0, len(reqs))
-	if err := c.exchangeOn(conn, rd, reqs, &resps); err != nil {
-		return nil, err
-	}
-	return resps, nil
-}
-
-// exchangeOn writes reqs as one burst and reads their responses on the
-// given endpoints. When resps is nil the responses are still read (so
-// none is left half-read on the connection) and checked for errors,
-// but discarded — the hello-replay path uses this.
-func (c *Client) exchangeOn(conn net.Conn, rd *bufio.Reader, reqs []*request, resps *[]*response) error {
 	var burst []byte
 	for _, req := range reqs {
 		burst = appendRequest(burst, req)
 	}
-	if _, err := conn.Write(burst); err != nil {
-		return fmt.Errorf("patchserver send: %w", err)
+	if _, err := c.conn.Write(burst); err != nil {
+		return nil, fmt.Errorf("patchserver send: %w", err)
 	}
+	resps := make([]*response, 0, len(reqs))
 	for range reqs {
-		body, err := readFrame(rd)
+		body, err := readFrame(c.rd)
 		if err != nil {
-			return fmt.Errorf("patchserver recv: %w", err)
+			return nil, fmt.Errorf("patchserver recv: %w", err)
 		}
 		resp, err := decodeResponse(body)
 		if err != nil {
-			return fmt.Errorf("patchserver recv: %w", err)
+			return nil, fmt.Errorf("patchserver recv: %w", err)
 		}
-		if resps != nil {
-			*resps = append(*resps, resp)
-		} else if resp.Err != "" {
-			return errors.New(resp.Err)
-		}
+		resps = append(resps, resp)
 	}
-	return nil
+	return resps, nil
 }
 
 // HelloWithAttestation registers the target's OS information, enclave
@@ -1182,7 +978,6 @@ func (c *Client) HelloWithAttestation(info OSInfo, meas sgx.Measurement, attKey 
 	if len(resp.ServerKey) != 32 {
 		return nil, errors.New("patchserver: malformed server key")
 	}
-	c.recordHello(req)
 	return resp.ServerKey, nil
 }
 

@@ -48,7 +48,7 @@ var testAttKey = bytes.Repeat([]byte{0xA7}, 32)
 // channel key, and the session stays closed to patch requests.
 func TestHelloWithoutAttestationKeyRefused(t *testing.T) {
 	srv, entries := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestHelloWithoutAttestationKeyRefused(t *testing.T) {
 
 func TestHelloAndFetch(t *testing.T) {
 	srv, entries := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRegisterBinaryPatch(t *testing.T) {
 	}
 	want := patch.Encode(bp)
 
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRegisterBinaryPatch(t *testing.T) {
 
 func TestHelloRejectsBadMeasurement(t *testing.T) {
 	srv, _ := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestHelloRejectsBadMeasurement(t *testing.T) {
 
 func TestHelloRejectsUnknownKernel(t *testing.T) {
 	srv, _ := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestHelloRejectsUnknownKernel(t *testing.T) {
 
 func TestFetchBeforeHello(t *testing.T) {
 	srv, _ := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestFetchBeforeHello(t *testing.T) {
 
 func TestFetchUnknownCVE(t *testing.T) {
 	srv, _ := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestConfigurationMattersToBlob(t *testing.T) {
 	// must produce different patches (different addresses/payloads).
 	srv, entries := newTestServer(t, "CVE-2016-7916")
 	fetch := func(info OSInfo) *patch.BinaryPatch {
-		c, err := Dial(srv.Addr())
+		c, err := Dial(context.Background(), srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestConfigurationMattersToBlob(t *testing.T) {
 
 func TestStatusReports(t *testing.T) {
 	srv, _ := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestConcurrentClients(t *testing.T) {
 	done := make(chan error, 4)
 	for i := 0; i < 4; i++ {
 		go func() {
-			c, err := Dial(srv.Addr())
+			c, err := Dial(context.Background(), srv.Addr())
 			if err != nil {
 				done <- err
 				return
@@ -316,14 +316,14 @@ func TestServerCloseIdempotent(t *testing.T) {
 	srv, _ := newTestServer(t, "CVE-2014-0196")
 	srv.Close()
 	srv.Close()
-	if _, err := Dial(srv.Addr()); err == nil {
+	if _, err := Dial(context.Background(), srv.Addr()); err == nil {
 		t.Error("dial succeeded after close")
 	}
 }
 
 func TestAuthenticatedStatus(t *testing.T) {
 	srv, _ := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,12 +363,42 @@ func TestAuthenticatedStatus(t *testing.T) {
 	}
 }
 
+// TestShortDigestStatusInauthentic: SMM always MACs a
+// kcrypto.DigestSize digest, so a record carrying a shorter one is not
+// SMM's and is recorded inauthentic, even when its MAC verifies over
+// the bytes that were sent.
+func TestShortDigestStatusInauthentic(t *testing.T) {
+	srv, _ := newTestServer(t, "CVE-2014-0196")
+	c, err := Dial(context.Background(), srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.HelloWithAttestation(OSInfo{Version: "4.4", Ftrace: true, Inline: true},
+		goodMeasurement("4.4"), testAttKey); err != nil {
+		t.Fatal(err)
+	}
+	digest := bytes.Repeat([]byte{3}, 16)
+	buf := make([]byte, 12+len(digest))
+	binary.LittleEndian.PutUint32(buf, 2)
+	binary.LittleEndian.PutUint64(buf[4:], 5)
+	copy(buf[12:], digest)
+	mac := kcrypto.MAC(testAttKey, buf)
+	if err := c.ReportStatusMAC(2, 5, digest, mac[:]); err != nil {
+		t.Fatal(err)
+	}
+	sts := srv.Statuses()
+	if len(sts) != 1 || sts[0].Authentic {
+		t.Errorf("statuses = %+v, want one inauthentic record", sts)
+	}
+}
+
 // TestStatusBeforeHelloRefused: a connection that never completed an
 // attested hello cannot report status, so it cannot grow the server's
 // record either.
 func TestStatusBeforeHelloRefused(t *testing.T) {
 	srv, _ := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +424,7 @@ func TestReplayedStatusNotRecorded(t *testing.T) {
 	srv, _ := newTestServer(t, "CVE-2014-0196")
 	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
 	dial := func() *Client {
-		c, err := Dial(srv.Addr())
+		c, err := Dial(context.Background(), srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +463,7 @@ func TestReplayedStatusNotRecorded(t *testing.T) {
 
 func TestFetchPatchesPipelined(t *testing.T) {
 	srv, entries := newTestServer(t, "CVE-2014-0196", "CVE-2016-7916")
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +493,7 @@ func TestFetchPatchesPipelined(t *testing.T) {
 
 func TestFetchCancellationKeepsClientUsable(t *testing.T) {
 	srv, entries := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +517,7 @@ func TestChannelKeyCacheForAttestedTargets(t *testing.T) {
 	srv, _ := newTestServer(t, "CVE-2014-0196")
 	attKey := bytes.Repeat([]byte{9}, 32)
 	hello := func(key []byte) []byte {
-		c, err := Dial(srv.Addr())
+		c, err := Dial(context.Background(), srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}

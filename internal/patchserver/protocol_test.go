@@ -15,8 +15,6 @@ import (
 	"kshot/internal/cvebench"
 	"kshot/internal/faultinject"
 	"kshot/internal/obs"
-	"kshot/internal/options"
-	"kshot/internal/timing"
 )
 
 // assertServerStillServes proves the server survived whatever the test
@@ -24,7 +22,7 @@ import (
 // hello→patch exchange.
 func assertServerStillServes(t *testing.T, srv *Server, cve string) {
 	t.Helper()
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatalf("server no longer accepting: %v", err)
 	}
@@ -129,7 +127,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 // transport errors.
 func TestPatchBeforeHelloKeepsSessionAlive(t *testing.T) {
 	srv, entries := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +196,7 @@ func TestCapacityRefusalSurfacesOnClient(t *testing.T) {
 	}
 	defer srv.Close()
 	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
-	holder, err := Dial(srv.Addr())
+	holder, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +205,7 @@ func TestCapacityRefusalSurfacesOnClient(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := Dial(srv.Addr())
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,144 +285,55 @@ func TestIdleDeadlineReapsSilentClient(t *testing.T) {
 	}
 }
 
-// TestDialRetrySucceedsAfterInjectedFailures drives the dial-retry
-// path on fake time: the first two connect attempts fail via the
-// injected DialError fault, the third succeeds, and the backoff waits
-// are visible on the fake clock instead of the host's.
-func TestDialRetrySucceedsAfterInjectedFailures(t *testing.T) {
-	srv, entries := newTestServer(t, "CVE-2014-0196")
-
-	fw := timing.NewFakeWall()
-	fi := faultinject.New(faultinject.Exact(
-		faultinject.Fault{Point: faultinject.DialError, Call: 0},
-		faultinject.Fault{Point: faultinject.DialError, Call: 1},
-	))
-	hooks := obs.NewHooks(16, fw)
-	hooks.Faults = fi
-
-	c, err := Dial(srv.Addr(),
-		WithDialRetries(3),
-		WithRetryBackoff(10*time.Millisecond),
-		WithClientWallClock(fw),
-		WithClientObserver(hooks),
-	)
-	if err != nil {
-		t.Fatalf("dial with retries: %v", err)
-	}
-	defer c.Close()
-	// Backoff doubled across the two retries: 10ms + 20ms of fake time.
-	if got := fw.Slept(); got != 30*time.Millisecond {
-		t.Errorf("fake backoff slept %v, want 30ms", got)
-	}
-	if got := hooks.Metrics.Counter(obs.CtrDialRetries).Value(); got != 2 {
-		t.Errorf("dial retries counter = %d, want 2", got)
-	}
-	if got := hooks.Metrics.Counter(obs.FaultPrefix + string(faultinject.DialError)).Value(); got != 2 {
-		t.Errorf("dial fault counter = %d, want 2", got)
-	}
-
-	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
-	if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fetchOne(context.Background(), c, entries[0].CVE); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDialRetriesExhausted: with fewer retries than injected failures
-// the dial fails, and the error unwraps to the injected sentinel.
+// TestDialRetriesExhausted: the client makes one connect attempt, so a
+// single injected DialError fails Dial with the injected sentinel and
+// counts exactly one fault.
 func TestDialRetriesExhausted(t *testing.T) {
 	srv, _ := newTestServer(t, "CVE-2014-0196")
-	faults := make([]faultinject.Fault, 5)
-	for i := range faults {
-		faults[i] = faultinject.Fault{Point: faultinject.DialError, Call: i}
+	fi := faultinject.New(faultinject.Exact(faultinject.Fault{Point: faultinject.DialError, Call: 0}))
+	hooks := obs.NewHooks(16, nil)
+	hooks.Faults = fi
+	_, err := Dial(context.Background(), srv.Addr(), WithClientObserver(hooks))
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("dial past an injected failure: %v, want faultinject.ErrInjected", err)
 	}
-	fi := faultinject.New(faultinject.Exact(faults...))
-	_, err := Dial(srv.Addr(),
-		WithDialRetries(2),
-		WithRetryBackoff(time.Nanosecond),
-		WithClientObserver(&obs.Hooks{Faults: fi}),
-	)
-	if err == nil {
-		t.Fatal("dial succeeded past injected failures")
+	if got := hooks.Metrics.Counter(obs.FaultPrefix + string(faultinject.DialError)).Value(); got != 1 {
+		t.Errorf("dial fault counter = %d, want 1", got)
 	}
 }
 
-// TestDialOptionValidation: Dial rejects an out-of-range option with a
-// *options.Error naming patchserver.Dial before it opens a socket.
-func TestDialOptionValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		opt  DialOption
-	}{
-		{"negative backoff", WithRetryBackoff(-time.Second)},
-		{"negative retries", WithDialRetries(-1)},
+// TestDialCanceledContext: Dial honors its ctx, so a canceled one fails
+// with context.Canceled before any connection reaches the server.
+func TestDialCanceledContext(t *testing.T) {
+	srv, _ := newTestServer(t, "CVE-2014-0196")
+	hooks := obs.NewHooks(16, nil)
+	srv.SetObserver(hooks)
+	accepted := func() int64 { return hooks.Metrics.Counter(obs.CtrConnAccepted).Value() }
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if c, err := Dial(ctx, srv.Addr()); !errors.Is(err, context.Canceled) {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("dial on a canceled ctx: %v, want context.Canceled", err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := Dial("127.0.0.1:1", tc.opt)
-			if !errors.Is(err, options.ErrInvalid) {
-				t.Fatalf("err = %v, want options.ErrInvalid", err)
-			}
-			var oe *options.Error
-			if !errors.As(err, &oe) || oe.Constructor != "patchserver.Dial" {
-				t.Fatalf("err %v does not unwrap to an *options.Error from patchserver.Dial", err)
-			}
-		})
+	// A live connection completing its hello proves the accept loop has
+	// run past anything the canceled dial could have queued.
+	assertServerStillServes(t, srv, "CVE-2014-0196")
+	if n := accepted(); n != 1 {
+		t.Errorf("server accepted %d connections, want only the live one", n)
 	}
 }
 
-// TestRequestRetryReconnects kills the client's connection out from
-// under it mid-session; with request retries enabled the next fetch
-// transparently redials, replays the attested hello, and succeeds with
-// the same channel key.
-func TestRequestRetryReconnects(t *testing.T) {
+// TestSeveredTransportFailsFast: a severed transport surfaces the error
+// to the caller, and the client does not redial: the server accepts no
+// new connection.
+func TestSeveredTransportFailsFast(t *testing.T) {
 	srv, entries := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr(),
-		WithRequestRetries(2),
-		WithRetryBackoff(time.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	info := OSInfo{Version: "4.4", Ftrace: true, Inline: true}
-	attKey := bytes.Repeat([]byte{5}, 32)
-	key1, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), attKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Sever the transport behind the client's back.
-	c.connMu.Lock()
-	c.conn.Close()
-	c.connMu.Unlock()
-
-	blob, err := fetchOne(context.Background(), c, entries[0].CVE)
-	if err != nil {
-		t.Fatalf("fetch after severed transport: %v", err)
-	}
-	if len(blob) == 0 {
-		t.Fatal("empty blob after reconnect")
-	}
-	// The replayed attested hello converged on the same channel key, so
-	// the blob still decrypts under key1.
-	key2, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), attKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(key1, key2) {
-		t.Error("reconnect changed the attested channel key")
-	}
-}
-
-// TestNoRequestRetryFailsFast: without request retries a severed
-// transport surfaces the error to the caller (the default behavior
-// every pre-existing test relies on).
-func TestNoRequestRetryFailsFast(t *testing.T) {
-	srv, entries := newTestServer(t, "CVE-2014-0196")
-	c, err := Dial(srv.Addr())
+	hooks := obs.NewHooks(16, nil)
+	srv.SetObserver(hooks)
+	accepted := func() int64 { return hooks.Metrics.Counter(obs.CtrConnAccepted).Value() }
+	c, err := Dial(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,10 +342,14 @@ func TestNoRequestRetryFailsFast(t *testing.T) {
 	if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err != nil {
 		t.Fatal(err)
 	}
-	c.connMu.Lock()
 	c.conn.Close()
-	c.connMu.Unlock()
 	if _, err := fetchOne(context.Background(), c, entries[0].CVE); err == nil {
-		t.Fatal("fetch succeeded on a severed transport without retries")
+		t.Fatal("fetch succeeded on a severed transport")
+	}
+	if _, err := c.HelloWithAttestation(info, goodMeasurement(info.Version), testAttKey); err == nil {
+		t.Fatal("hello succeeded on a severed transport")
+	}
+	if n := accepted(); n != 1 {
+		t.Errorf("server accepted %d connections, want 1: the client redialed", n)
 	}
 }

@@ -396,7 +396,7 @@ func deliverFallback(ctx context.Context, b Backend, m *Member, res *Result) {
 // until it lands, the error stops being retryable, or attempts run
 // out. Only this member is redelivered — its batch mates are done.
 func retryMember(ctx context.Context, b Backend, m *Member, cfg Config, res *Result) {
-	bo := timing.NewBackoff(cfg.Clock, cfg.Backoff, 0)
+	bo := timing.NewBackoff(cfg.Clock, cfg.Backoff)
 	for attempt := 0; attempt < cfg.MaxRetries && m.Err != nil && cfg.Retryable(m.Err); attempt++ {
 		// The backoff sleep honors cancellation: a cancelled context
 		// interrupts the wait immediately instead of letting a long

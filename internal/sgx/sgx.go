@@ -251,9 +251,6 @@ type Env struct {
 	enclave *Enclave
 }
 
-// Size returns the enclave's EPC byte length.
-func (v *Env) Size() uint64 { return v.enclave.size }
-
 func (v *Env) check(off uint64, n int) error {
 	if off+uint64(n) > v.enclave.size || off+uint64(n) < off {
 		return fmt.Errorf("sgx: EPC access [%#x,+%d) outside enclave of %d bytes", off, n, v.enclave.size)

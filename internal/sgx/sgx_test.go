@@ -53,7 +53,7 @@ func (p *counterProg) ECall(env *Env, fn int, args []byte) ([]byte, error) {
 		}
 		return buf[:], nil
 	case 2: // out-of-bounds probe
-		return nil, env.Write(env.Size(), []byte{1})
+		return nil, env.Write(env.enclave.size, []byte{1})
 	default:
 		return nil, fmt.Errorf("no such ecall %d", fn)
 	}

@@ -739,15 +739,12 @@ func attestation(op string, journal []appliedPatch) []byte {
 // appending an HMAC when an attestation key is provisioned.
 func (h *Handler) status(ctx *smm.Context, code uint32, digest []byte) error {
 	h.seq++
-	buf := make([]byte, statusRecordSize)
-	binary.LittleEndian.PutUint32(buf, code)
-	binary.LittleEndian.PutUint64(buf[4:], h.seq)
-	copy(buf[12:], digest)
+	buf := kcrypto.AppendStatusMACInput(make([]byte, 0, statusRecordSize), code, h.seq, digest)
+	var mac [kcrypto.DigestSize]byte
 	if len(h.attKey) > 0 {
-		mac := kcrypto.MAC(h.attKey, buf[:12+kcrypto.DigestSize])
-		copy(buf[12+kcrypto.DigestSize:], mac[:])
+		mac = kcrypto.MAC(h.attKey, buf)
 	}
-	return ctx.Write(h.res.RWBase()+offStatus, buf)
+	return ctx.Write(h.res.RWBase()+offStatus, append(buf, mac[:]...))
 }
 
 // statusRecordSize is code(4) + seq(8) + digest(32) + mac(32).

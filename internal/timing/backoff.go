@@ -5,25 +5,23 @@ import (
 	"time"
 )
 
-// Backoff paces retries with exponential delays driven by a WallClock,
-// so every retry loop in the system (pipeline redelivery, patch-server
-// dial and request retry) shares one implementation the chaos suite
-// can run on fake time. Not safe for concurrent use; make one per
-// retry loop.
+// Backoff paces the pipeline's redelivery of refused batch members
+// with exponential delays driven by a WallClock, so the chaos suite can
+// run it on fake time. Not safe for concurrent use; make one per retry
+// loop.
 type Backoff struct {
 	wall WallClock
 	next time.Duration
-	max  time.Duration
 }
 
 // NewBackoff returns a Backoff whose first Sleep waits base, doubling
-// each call, capped at max (0 = uncapped). A nil wall uses the real
-// clock; a non-positive base disables waiting (Sleep only checks ctx).
-func NewBackoff(wall WallClock, base, max time.Duration) *Backoff {
+// each call. A nil wall uses the real clock; a non-positive base
+// disables waiting (Sleep only checks ctx).
+func NewBackoff(wall WallClock, base time.Duration) *Backoff {
 	if wall == nil {
 		wall = Real()
 	}
-	return &Backoff{wall: wall, next: base, max: max}
+	return &Backoff{wall: wall, next: base}
 }
 
 // Sleep waits for the current delay (doubling it for the next call)
@@ -32,9 +30,6 @@ func NewBackoff(wall WallClock, base, max time.Duration) *Backoff {
 func (b *Backoff) Sleep(ctx context.Context) bool {
 	d := b.next
 	b.next *= 2
-	if b.max > 0 && b.next > b.max {
-		b.next = b.max
-	}
 	if d <= 0 {
 		return ctx.Err() == nil
 	}

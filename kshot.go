@@ -58,7 +58,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"kshot/internal/core"
 	"kshot/internal/cvebench"
@@ -253,35 +252,6 @@ func WithFtrace(on bool) Option {
 func WithInlining(on bool) Option {
 	return func(o *Options) error {
 		o.DisableInline = !on
-		return nil
-	}
-}
-
-// WithDialRetries allows the system's patch-server connections extra
-// TCP connect attempts with exponential backoff.
-func WithDialRetries(n int) Option {
-	return func(o *Options) error {
-		o.DialRetries = n
-		return nil
-	}
-}
-
-// WithRequestRetries lets the system's patch-server connections
-// reconnect and replay a transport-failed request burst (safe because
-// the system's hellos are attested, so a reconnect converges on the
-// same channel key).
-func WithRequestRetries(n int) Option {
-	return func(o *Options) error {
-		o.RequestRetries = n
-		return nil
-	}
-}
-
-// WithDialBackoff sets the base backoff before the first dial or
-// request retry (doubling per attempt).
-func WithDialBackoff(d time.Duration) Option {
-	return func(o *Options) error {
-		o.RetryBackoff = d
 		return nil
 	}
 }

@@ -59,18 +59,6 @@ func TestOptionValidationTables(t *testing.T) {
 			_, err := New(WithRand(nil))
 			return err
 		}, "kshot.New"},
-		{"New/negative dial retries", func() error {
-			_, err := New(WithDialRetries(-1))
-			return err
-		}, "kshot.New"},
-		{"New/negative request retries", func() error {
-			_, err := New(WithRequestRetries(-1))
-			return err
-		}, "kshot.New"},
-		{"New/negative backoff", func() error {
-			_, err := New(WithDialBackoff(-time.Second))
-			return err
-		}, "kshot.New"},
 		{"New/nil option", func() error {
 			_, err := New(nil)
 			return err
