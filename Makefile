@@ -102,6 +102,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPatchDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/patch/
 	$(GO) test -fuzz=FuzzPatchEncode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/patch/
 	$(GO) test -fuzz=FuzzStateDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/orchestrator/
+	$(GO) test -fuzz=FuzzMAC -fuzztime=$(FUZZTIME) -run '^$$' ./internal/kcrypto/
 
 # Generated-corpus differential verification. `corpussmoke` is the CI
 # gate: a fixed-seed 64-case sweep under -race. `corpus` is the full

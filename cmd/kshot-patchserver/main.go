@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"time"
 
 	"kshot/internal/cvebench"
@@ -115,8 +116,16 @@ func run(args []string) error {
 	if hooks != nil {
 		_ = hooks.Metrics.Snapshot().RenderText(os.Stdout)
 	}
+	// One record per attestation key, oldest confirmation first; the
+	// key itself is the target's secret and is not printed.
+	var statuses []patchserver.TargetStatus
 	for _, st := range srv.Statuses() {
-		fmt.Printf("  status: code=%d seq=%d at=%s\n", st.Code, st.Seq, st.At.Format("15:04:05"))
+		statuses = append(statuses, st)
+	}
+	slices.SortFunc(statuses, func(a, b patchserver.TargetStatus) int { return a.Authentic.At.Compare(b.Authentic.At) })
+	for _, st := range statuses {
+		fmt.Printf("  target status: code=%d seq=%d at=%s, %d forged\n",
+			st.Authentic.Code, st.Authentic.Seq, st.Authentic.At.Format("15:04:05"), st.Forgeries)
 	}
 	return nil
 }

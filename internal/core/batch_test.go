@@ -79,13 +79,12 @@ func TestApplyAllBatchedSingleSMI(t *testing.T) {
 		t.Errorf("Applied() = %v", got)
 	}
 	// The server saw the batch confirmation, authentically.
-	sts := d.Server.Statuses()
-	if len(sts) == 0 {
+	st, ok := d.Server.Statuses()[string(attKeyOf(d))]
+	if !ok {
 		t.Fatal("server saw no batch status")
 	}
-	last := sts[len(sts)-1]
-	if last.Code != smmpatch.StatusBatchDone || !last.Authentic {
-		t.Errorf("batch status = %+v", last)
+	if st.Authentic.Code != smmpatch.StatusBatchDone || st.Forgeries != 0 {
+		t.Errorf("batch status = %+v", st)
 	}
 }
 

@@ -116,7 +116,7 @@ func TestApplyEndToEnd(t *testing.T) {
 	}
 	// The server received the deployment status (DoS handshake).
 	sts := d.Server.Statuses()
-	if len(sts) == 0 || sts[len(sts)-1].Code != smmpatch.StatusBatchDone {
+	if st, ok := sts[string(attKeyOf(d))]; !ok || st.Authentic.Code != smmpatch.StatusBatchDone {
 		t.Errorf("server statuses = %+v", sts)
 	}
 }
@@ -406,7 +406,8 @@ func TestDoSDetectionViaServerHandshake(t *testing.T) {
 	if _, err := d.System.Apply(context.Background(), "CVE-2014-0196"); err != nil {
 		t.Fatal(err)
 	}
-	healthy := len(d.Server.Statuses())
+	key := string(attKeyOf(d))
+	healthy := d.Server.Statuses()[key].Authentic.Seq
 	if healthy == 0 {
 		t.Fatal("server missed healthy deployment status")
 	}
@@ -419,8 +420,9 @@ func TestDoSDetectionViaServerHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = blob // attacker drops it here
-	if got := len(d.Server.Statuses()); got != healthy {
-		t.Errorf("server saw %d statuses for a suppressed deployment", got-healthy)
+	sts := d.Server.Statuses()
+	if got := sts[key].Authentic.Seq; len(sts) != 1 || got != healthy {
+		t.Errorf("server saw a status for a suppressed deployment: %d keys, newest seq %d after %d", len(sts), got, healthy)
 	}
 }
 
@@ -527,9 +529,10 @@ func TestStatusAttestationAuthenticity(t *testing.T) {
 	if _, err := d.System.Apply(context.Background(), "CVE-2014-0196"); err != nil {
 		t.Fatal(err)
 	}
-	sts := d.Server.Statuses()
-	if len(sts) == 0 || !sts[len(sts)-1].Authentic {
-		t.Fatalf("genuine status not authentic: %+v", sts)
+	key := string(attKeyOf(d))
+	genuine := d.Server.Statuses()[key]
+	if genuine.Authentic.Seq == 0 || genuine.Forgeries != 0 {
+		t.Fatalf("genuine status not authentic: %+v", genuine)
 	}
 
 	// The attacker forges a "patched" confirmation: scribbles a status
@@ -558,35 +561,23 @@ func TestStatusAttestationAuthenticity(t *testing.T) {
 	// registered the true key (the server's view of this target).
 	if _, err := c.HelloWithAttestation(
 		patchserver.OSInfo{Version: "4.4", Ftrace: true, Inline: true},
-		sgxMeasurement("4.4"), attKeyOf(t, d)); err != nil {
+		sgxMeasurement("4.4"), attKeyOf(d)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.ReportStatusMAC(status.Code, status.Seq, status.Digest, status.MAC[:]); err != nil {
 		t.Fatal(err)
 	}
-	sts = d.Server.Statuses()
-	last := sts[len(sts)-1]
-	if last.Authentic {
-		t.Error("forged status accepted as authentic")
+	st := d.Server.Statuses()[key]
+	if st.Authentic.Seq != genuine.Authentic.Seq || st.Forgeries != 1 || st.Forged.Seq != 99 {
+		t.Errorf("forged status accepted as authentic: %+v", st)
 	}
 }
 
-// attKeyOf extracts the deployment's attestation key by producing a
-// genuine status and recovering nothing — the key itself is not
-// reachable from tests via public API (it lives in SMRAM), so this
-// helper re-derives the deterministic key from the deployment's rand
-// seed by replaying the generator.
-func attKeyOf(t *testing.T, d *testDeployment) []byte {
-	t.Helper()
-	// newDeployment seeds detRand with 42; NewSystemCtx consumes the
-	// first 32 bytes for the attestation key.
-	r := &detRand{r: rand.New(rand.NewSource(42))}
-	key := make([]byte, 32)
-	if _, err := r.Read(key); err != nil {
-		t.Fatal(err)
-	}
-	return key
-}
+// attKeyOf returns the attestation key the deployment's System
+// registered at hello, the key the server files its statuses under.
+// No public API reaches it (SMM holds it in SMRAM); the test reads the
+// System's copy.
+func attKeyOf(d *testDeployment) []byte { return d.System.attKey }
 
 func TestFleetOneServerManyTargets(t *testing.T) {
 	// One patch server drives several target machines — the remote/
@@ -640,7 +631,7 @@ func TestFleetOneServerManyTargets(t *testing.T) {
 	// The server saw an authentic confirmation from every target.
 	authentic := 0
 	for _, st := range srv.Statuses() {
-		if st.Authentic && st.Code == smmpatch.StatusBatchDone {
+		if st.Authentic.Code == smmpatch.StatusBatchDone {
 			authentic++
 		}
 	}

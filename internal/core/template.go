@@ -152,7 +152,8 @@ func (t *Template) Fork(ctx context.Context, opts Options) (*System, error) {
 		m2.Stop()
 		return nil, fmt.Errorf("core: fork root: %w", err)
 	}
-	forkRoot := kcrypto.DeriveKey(t.root, salt)
+	root := kcrypto.DeriveKey(t.root, salt)
+	forkRoot := root[:]
 
 	clock := &timing.Clock{}
 	model := timing.Calibrated()

@@ -10,14 +10,21 @@
 // provisioned with, mixed with a nonce the SMM side regenerates
 // before every kernel patch — KShot's defense against replay of
 // previously captured patch packages.
+//
+// The per-package path allocates little. MAC, VerifyMAC and DeriveKey
+// compute RFC 2104 HMAC-SHA256 over stack buffers, and
+// Session.DecryptInPlace decrypts into its own argument: the returned
+// plaintext aliases the ciphertext, which no longer holds ciphertext
+// afterwards. A caller decrypts in place only a buffer it owns — one
+// nothing else reads, and that it does not need again as ciphertext.
 package kcrypto
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -59,14 +66,17 @@ func (s *Session) Encrypt(plaintext []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Decrypt reverses Encrypt.
-func (s *Session) Decrypt(ciphertext []byte) ([]byte, error) {
+// DecryptInPlace reverses Encrypt in place. The plaintext it returns
+// aliases ciphertext[nonceSize:]: the call overwrites the caller's
+// ciphertext, so the caller must own the buffer, and must copy it first
+// if it still needs the ciphertext afterwards.
+func (s *Session) DecryptInPlace(ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) < nonceSize {
 		return nil, fmt.Errorf("session decrypt: ciphertext too short (%d bytes)", len(ciphertext))
 	}
-	out := make([]byte, len(ciphertext)-nonceSize)
-	cipher.NewCTR(s.block, ciphertext[:nonceSize]).XORKeyStream(out, ciphertext[nonceSize:])
-	return out, nil
+	body := ciphertext[nonceSize:]
+	cipher.NewCTR(s.block, ciphertext[:nonceSize]).XORKeyStream(body, body)
+	return body, nil
 }
 
 // HashAlg selects the payload verification hash.
@@ -118,18 +128,42 @@ func Sum(alg HashAlg, data []byte) ([DigestSize]byte, error) {
 // status mailbox so a kernel-level attacker cannot forge deployment
 // confirmations toward the remote server.
 func MAC(key, data []byte) [DigestSize]byte {
-	h := hmac.New(sha256.New, key)
-	h.Write(data)
-	var out [DigestSize]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	var buf [sha256.BlockSize + macStackBytes]byte
+	return hmacSum(key, append(buf[:sha256.BlockSize], data...))
 }
 
 // VerifyMAC reports whether mac is a valid HMAC-SHA256 of data under
 // key, in constant time.
 func VerifyMAC(key, data []byte, mac [DigestSize]byte) bool {
 	want := MAC(key, data)
-	return hmac.Equal(want[:], mac[:])
+	return subtle.ConstantTimeCompare(want[:], mac[:]) == 1
+}
+
+// macStackBytes is the longest message MAC and DeriveKey hash from a
+// stack buffer; a longer one spills to the heap and hashes the same.
+const macStackBytes = 256
+
+// hmacSum returns HMAC-SHA256(key, in[sha256.BlockSize:]) per RFC 2104.
+// The first block of in is scratch: hmacSum overwrites it with the
+// inner padded key, so the inner hash is one sha256.Sum256 over in.
+func hmacSum(key, in []byte) [DigestSize]byte {
+	var k [sha256.BlockSize]byte
+	if len(key) > sha256.BlockSize {
+		d := sha256.Sum256(key)
+		copy(k[:], d[:])
+	} else {
+		copy(k[:], key)
+	}
+	for i, b := range k {
+		in[i] = b ^ 0x36
+	}
+	inner := sha256.Sum256(in)
+	var outer [sha256.BlockSize + DigestSize]byte
+	for i, b := range k {
+		outer[i] = b ^ 0x5c
+	}
+	copy(outer[sha256.BlockSize:], inner[:])
+	return sha256.Sum256(outer[:])
 }
 
 // AppendStatusMACInput appends to dst the bytes a status record's MAC
@@ -152,17 +186,14 @@ func AppendStatusMACInput(dst []byte, code uint32, seq uint64, digest []byte) []
 // hold the System's session root and mix in the fresh per-package
 // nonces each side publishes through mem_RW, in place of the paper's
 // per-package DH exponentiation, keeping its publish/consume dataflow.
-func DeriveKey(root []byte, parts ...[]byte) []byte {
-	h := hmac.New(sha256.New, root)
-	var lp [8]byte
+func DeriveKey(root []byte, parts ...[]byte) [DigestSize]byte {
+	var buf [sha256.BlockSize + macStackBytes]byte
+	in := buf[:sha256.BlockSize]
 	for _, p := range parts {
-		for i := range lp {
-			lp[i] = byte(uint64(len(p)) >> (8 * (7 - i)))
-		}
-		h.Write(lp[:])
-		h.Write(p)
+		in = binary.BigEndian.AppendUint64(in, uint64(len(p)))
+		in = append(in, p...)
 	}
-	return h.Sum(nil)
+	return hmacSum(root, in)
 }
 
 // SDBM computes the classic SDBM string hash over data, extended to

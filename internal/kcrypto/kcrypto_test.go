@@ -36,12 +36,37 @@ func TestSessionRoundTrip(t *testing.T) {
 	if bytes.Contains(ct, msg) {
 		t.Error("ciphertext contains plaintext")
 	}
-	pt, err := s.Decrypt(ct)
+	pt, err := s.DecryptInPlace(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pt, msg) {
 		t.Error("round trip mismatch")
+	}
+}
+
+// TestDecryptInPlaceAliasesInput pins the in-place contract: the
+// plaintext is the ciphertext's own buffer past the nonce, so a caller
+// that still needs the ciphertext must decrypt a copy.
+func TestDecryptInPlaceAliasesInput(t *testing.T) {
+	s, err := NewSession(make([]byte, 32), newDetRand(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("sealed package body")
+	ct, err := s.Encrypt(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := s.DecryptInPlace(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pt) != len(msg) || &pt[0] != &ct[nonceSize] {
+		t.Fatal("plaintext does not alias the ciphertext past its nonce")
+	}
+	if !bytes.Equal(ct[nonceSize:], msg) {
+		t.Error("ciphertext buffer does not hold the plaintext after decryption")
 	}
 }
 
@@ -59,7 +84,7 @@ func TestSessionErrors(t *testing.T) {
 		t.Error("short key accepted")
 	}
 	s, _ := NewSession(make([]byte, 32), newDetRand(6))
-	if _, err := s.Decrypt([]byte{1, 2, 3}); err == nil {
+	if _, err := s.DecryptInPlace([]byte{1, 2, 3}); err == nil {
 		t.Error("truncated ciphertext accepted")
 	}
 }
@@ -74,11 +99,11 @@ func TestQuickEndToEndChannel(t *testing.T) {
 	f := func(msg []byte, nonce, salt [32]byte) bool {
 		ka := DeriveKey(root, nonce[:], salt[:])
 		kb := DeriveKey(append([]byte(nil), root...), nonce[:], salt[:])
-		sa, err := NewSession(ka, rng)
+		sa, err := NewSession(ka[:], rng)
 		if err != nil {
 			return false
 		}
-		sb, err := NewSession(kb, rng)
+		sb, err := NewSession(kb[:], rng)
 		if err != nil {
 			return false
 		}
@@ -86,7 +111,7 @@ func TestQuickEndToEndChannel(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pt, err := sb.Decrypt(ct)
+		pt, err := sb.DecryptInPlace(ct)
 		return err == nil && bytes.Equal(pt, msg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -100,20 +125,17 @@ func TestQuickEndToEndChannel(t *testing.T) {
 func TestDeriveKeyFreshInputsDiffer(t *testing.T) {
 	root := bytes.Repeat([]byte{1}, 32)
 	base := DeriveKey(root, []byte("nonce-1"), []byte("salt"))
-	if len(base) != 32 {
-		t.Fatalf("key length %d, want 32", len(base))
-	}
-	if !bytes.Equal(base, DeriveKey(root, []byte("nonce-1"), []byte("salt"))) {
+	if base != DeriveKey(root, []byte("nonce-1"), []byte("salt")) {
 		t.Error("derivation not deterministic")
 	}
-	others := map[string][]byte{
+	others := map[string][DigestSize]byte{
 		"nonce":    DeriveKey(root, []byte("nonce-2"), []byte("salt")),
 		"salt":     DeriveKey(root, []byte("nonce-1"), []byte("salT")),
 		"root":     DeriveKey(bytes.Repeat([]byte{2}, 32), []byte("nonce-1"), []byte("salt")),
 		"boundary": DeriveKey(root, []byte("nonce-1s"), []byte("alt")),
 	}
 	for name, k := range others {
-		if bytes.Equal(base, k) {
+		if base == k {
 			t.Errorf("changing the %s left the key unchanged", name)
 		}
 	}

@@ -181,14 +181,13 @@ func (m *Machine) Pause() { m.gate.pause() }
 // Resume releases paused vCPUs (the RSM side of the world switch).
 func (m *Machine) Resume() { m.gate.resume() }
 
-// States captures the architectural state of every vCPU. Only
-// meaningful while paused (the SMM save-state step).
-func (m *Machine) States() []isa.State {
-	out := make([]isa.State, len(m.vcpus))
-	for i, v := range m.vcpus {
-		out[i] = v.cpu.Save()
+// AppendStates appends the architectural state of every vCPU to dst.
+// Only meaningful while paused (the SMM save-state step).
+func (m *Machine) AppendStates(dst []isa.State) []isa.State {
+	for _, v := range m.vcpus {
+		dst = append(dst, v.cpu.Save())
 	}
-	return out
+	return dst
 }
 
 // RestoreStates restores previously captured vCPU states. Only
@@ -216,7 +215,7 @@ type Snapshot struct {
 // Memory is captured copy-on-write, so the cost is independent of how
 // much of physical memory is resident.
 func (m *Machine) Snapshot() *Snapshot {
-	return &Snapshot{Mem: m.Mem.Snapshot(), States: m.States()}
+	return &Snapshot{Mem: m.Mem.Snapshot(), States: m.AppendStates(nil)}
 }
 
 // callReq is one function-call session submitted to a vCPU. Each

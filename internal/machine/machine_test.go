@@ -137,9 +137,9 @@ func TestPauseQuiescesMachine(t *testing.T) {
 	// must not change while paused.
 	time.Sleep(5 * time.Millisecond)
 	m.Pause()
-	s1 := m.States()
+	s1 := m.AppendStates(nil)
 	time.Sleep(5 * time.Millisecond)
-	s2 := m.States()
+	s2 := m.AppendStates(nil)
 	for i := range s1 {
 		if s1[i] != s2[i] {
 			t.Errorf("vcpu %d state changed while paused", i)
@@ -161,7 +161,7 @@ func TestStateSaveRestoreAcrossPause(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 
 	m.Pause()
-	states := m.States()
+	states := m.AppendStates(nil)
 	// Clobber registers (as a handler bug would), then restore.
 	m.VCPU(0).cpu.Reg[1] = 0xdead
 	if err := m.RestoreStates(states); err != nil {

@@ -72,7 +72,7 @@ func TestDecodeMatchesGob(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %+v: %v", e.CVE, info, err)
 					}
-					plain, err := sess.Decrypt(blob)
+					plain, err := sess.DecryptInPlace(blob)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,7 +1,6 @@
 package patch
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -41,21 +40,40 @@ type Package struct {
 	FuncHashes [][kcrypto.DigestSize]byte
 }
 
+// funcHeaderSize is the fixed part of a function entry: seq, type,
+// flags, four addresses and sizes, payload length and payload hash.
+const funcHeaderSize = 2 + 1 + 1 + 4*8 + 4 + kcrypto.DigestSize
+
+// marshalSize is the length of p's wire package, so Marshal fills one
+// exactly sized buffer.
+func marshalSize(p *Prepared) int {
+	n := len(wireMagic) + 3 + 1 + len(p.ID) + 1 + len(p.KernelVersion) + 2 + 2
+	for _, f := range p.Funcs {
+		n += funcHeaderSize + len(f.Payload) + 1 + len(f.Name)
+		if f.TAddr != 0 {
+			n += len(f.TrampolineBytes)
+		}
+	}
+	for _, g := range p.Globals {
+		n += 1 + len(g.Name) + 8 + 4 + len(g.Init)
+	}
+	return n + kcrypto.DigestSize
+}
+
 // Marshal encodes a prepared patch into the wire format.
 func Marshal(p *Prepared, op Op, alg kcrypto.HashAlg) ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteString(wireMagic)
-	b.WriteByte(wireVersion)
-	b.WriteByte(byte(op))
-	b.WriteByte(byte(alg))
-	if err := writeStr8(&b, p.ID); err != nil {
+	b := make([]byte, 0, marshalSize(p))
+	b = append(b, wireMagic...)
+	b = append(b, wireVersion, byte(op), byte(alg))
+	var err error
+	if b, err = appendStr8(b, p.ID); err != nil {
 		return nil, err
 	}
-	if err := writeStr8(&b, p.KernelVersion); err != nil {
+	if b, err = appendStr8(b, p.KernelVersion); err != nil {
 		return nil, err
 	}
-	writeU16(&b, uint16(len(p.Funcs)))
-	writeU16(&b, uint16(len(p.Globals)))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Funcs)))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Globals)))
 
 	for _, f := range p.Funcs {
 		if len(f.Payload) > 1<<31 {
@@ -65,8 +83,7 @@ func Marshal(p *Prepared, op Op, alg kcrypto.HashAlg) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		writeU16(&b, f.Seq)
-		b.WriteByte(byte(f.Type))
+		b = binary.LittleEndian.AppendUint16(b, f.Seq)
 		var flags uint8
 		if f.New {
 			flags |= flagNew
@@ -74,44 +91,43 @@ func Marshal(p *Prepared, op Op, alg kcrypto.HashAlg) ([]byte, error) {
 		if f.Traced {
 			flags |= flagTraced
 		}
-		b.WriteByte(flags)
-		writeU64(&b, f.TAddr)
-		writeU64(&b, f.TSize)
-		writeU64(&b, f.PAddr)
-		writeU64(&b, f.TrampolineAt)
-		writeU32(&b, uint32(len(f.Payload)))
-		b.Write(sum[:])
-		b.Write(f.Payload)
+		b = append(b, byte(f.Type), flags)
+		b = binary.LittleEndian.AppendUint64(b, f.TAddr)
+		b = binary.LittleEndian.AppendUint64(b, f.TSize)
+		b = binary.LittleEndian.AppendUint64(b, f.PAddr)
+		b = binary.LittleEndian.AppendUint64(b, f.TrampolineAt)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Payload)))
+		b = append(b, sum[:]...)
+		b = append(b, f.Payload...)
 		if f.TAddr != 0 {
 			if len(f.TrampolineBytes) != 5 {
 				return nil, fmt.Errorf("marshal %s: trampoline must be 5 bytes", f.Name)
 			}
-			b.Write(f.TrampolineBytes)
+			b = append(b, f.TrampolineBytes...)
 		}
 		// Name travels after the fixed header (for journaling and
 		// diagnostics on the SMM side).
-		if err := writeStr8(&b, f.Name); err != nil {
+		if b, err = appendStr8(b, f.Name); err != nil {
 			return nil, err
 		}
 	}
 
 	for _, g := range p.Globals {
-		if err := writeStr8(&b, g.Name); err != nil {
+		if b, err = appendStr8(b, g.Name); err != nil {
 			return nil, err
 		}
-		writeU64(&b, g.Addr)
-		writeU32(&b, uint32(len(g.Init)))
-		b.Write(g.Init)
+		b = binary.LittleEndian.AppendUint64(b, g.Addr)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(g.Init)))
+		b = append(b, g.Init...)
 	}
 
 	// Whole-package digest (always SHA-256: header integrity is not
 	// the ablation's subject).
-	sum, err := kcrypto.Sum(kcrypto.HashSHA256, b.Bytes())
+	sum, err := kcrypto.Sum(kcrypto.HashSHA256, b)
 	if err != nil {
 		return nil, err
 	}
-	b.Write(sum[:])
-	return b.Bytes(), nil
+	return append(b, sum[:]...), nil
 }
 
 // Unmarshal decodes and structurally validates a wire package,
@@ -203,31 +219,11 @@ func MarshalRollback(id, kernelVersion string) ([]byte, error) {
 	return Marshal(p, OpRollback, kcrypto.HashSHA256)
 }
 
-func writeStr8(b *bytes.Buffer, s string) error {
+func appendStr8(b []byte, s string) ([]byte, error) {
 	if len(s) > 255 {
-		return fmt.Errorf("string field too long (%d bytes)", len(s))
+		return nil, fmt.Errorf("string field too long (%d bytes)", len(s))
 	}
-	b.WriteByte(uint8(len(s)))
-	b.WriteString(s)
-	return nil
-}
-
-func writeU16(b *bytes.Buffer, v uint16) {
-	var t [2]byte
-	binary.LittleEndian.PutUint16(t[:], v)
-	b.Write(t[:])
-}
-
-func writeU32(b *bytes.Buffer, v uint32) {
-	var t [4]byte
-	binary.LittleEndian.PutUint32(t[:], v)
-	b.Write(t[:])
-}
-
-func writeU64(b *bytes.Buffer, v uint64) {
-	var t [8]byte
-	binary.LittleEndian.PutUint64(t[:], v)
-	b.Write(t[:])
+	return append(append(b, uint8(len(s))), s...), nil
 }
 
 // reader is a bounds-checked sequential decoder.

@@ -403,6 +403,11 @@ func TestFormatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Marshal presizes its buffer: a size that misses a field would
+	// leave spare capacity or regrow.
+	if len(wire) != cap(wire) {
+		t.Errorf("Marshal filled %d bytes of a %d-byte buffer", len(wire), cap(wire))
+	}
 	pkg, err := Unmarshal(wire)
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,8 @@ var fleetConfigs = []OSInfo{
 // byte-identical plaintext patches under channel keys of their own,
 // the server performs exactly one double kernel build per distinct
 // (configuration, CVE) pair no matter how many targets request it, and
-// every status report arrives.
+// every target's authentic status report is recorded once, under its
+// attestation key.
 func TestFleetConformance(t *testing.T) {
 	const nTargets = 64
 	cves := []string{"CVE-2014-0196", "CVE-2016-7916"}
@@ -82,7 +83,9 @@ func TestFleetConformance(t *testing.T) {
 					errs <- fmt.Errorf("target %d %s: %w", id, r.CVE, r.Err)
 					return
 				}
-				plain, err := sess.Decrypt(r.Blob)
+				// Decrypt a copy: the ciphertext is kept for the
+				// cross-key check below.
+				plain, err := sess.DecryptInPlace(bytes.Clone(r.Blob))
 				if err != nil {
 					errs <- fmt.Errorf("target %d %s decrypt: %w", id, r.CVE, err)
 					return
@@ -92,7 +95,9 @@ func TestFleetConformance(t *testing.T) {
 				fetches[k] = append(fetches[k], fetched{sess, r.Blob, plain})
 				mu.Unlock()
 			}
-			if err := c.ReportStatusMAC(1, uint64(id)+1, bytes.Repeat([]byte{byte(id)}, 8), nil); err != nil {
+			seq, digest := uint64(id)+1, bytes.Repeat([]byte{byte(id)}, kcrypto.DigestSize)
+			mac := kcrypto.MAC(attKey, kcrypto.AppendStatusMACInput(nil, 1, seq, digest))
+			if err := c.ReportStatusMAC(1, seq, digest, mac[:]); err != nil {
 				errs <- fmt.Errorf("target %d status: %w", id, err)
 			}
 		}(i)
@@ -124,7 +129,7 @@ func TestFleetConformance(t *testing.T) {
 			if bytes.Equal(a.cipher, b.cipher) {
 				t.Errorf("config %d %s: two targets received identical ciphertexts", cfg, cve)
 			}
-			if crossed, _ := b.sess.Decrypt(a.cipher); bytes.Equal(crossed, a.plain) {
+			if crossed, _ := b.sess.DecryptInPlace(bytes.Clone(a.cipher)); bytes.Equal(crossed, a.plain) {
 				t.Errorf("config %d %s: one target's channel key decrypts another's patch", cfg, cve)
 			}
 		}
@@ -139,8 +144,15 @@ func TestFleetConformance(t *testing.T) {
 	if want := uint64(len(fleetConfigs) * len(cves)); srv.Builds() != want {
 		t.Errorf("server builds = %d, want exactly %d (one per (config, CVE))", srv.Builds(), want)
 	}
-	if got := len(srv.Statuses()); got != nTargets {
-		t.Errorf("status reports = %d, want %d", got, nTargets)
+	sts := srv.Statuses()
+	if len(sts) != nTargets {
+		t.Errorf("status records = %d, want %d", len(sts), nTargets)
+	}
+	for id := range nTargets {
+		st := sts[string(bytes.Repeat([]byte{byte(id + 1)}, 32))]
+		if st.Authentic.Seq != uint64(id)+1 || st.Forgeries != 0 {
+			t.Errorf("target %d: record %+v, want its one authentic report", id, st)
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ package patchserver
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -245,15 +246,12 @@ type Server struct {
 	mu       sync.Mutex
 	patches  map[string]kernel.SourcePatch
 	prebuilt map[string][]byte // encoded binary patches served without a build
-	statuses []StatusReport
-	// lastSeq is the highest sequence number of an authentic status
-	// report per attestation key: SMM numbers its status records
-	// monotonically, so an authentic record that does not advance it is
-	// a replay or a retried send.
-	lastSeq map[string]uint64
-	conns   map[net.Conn]struct{}
-	closed  bool
-	wg      sync.WaitGroup
+	// statuses holds one record per attestation key, so it grows with
+	// the targets that report, not with their SMIs.
+	statuses map[string]*TargetStatus
+	conns    map[net.Conn]struct{}
+	closed   bool
+	wg       sync.WaitGroup
 
 	// keyRoot derives the server→enclave channel key of an attested
 	// target from its identity (version, build knobs, measurement and
@@ -276,12 +274,29 @@ type StatusReport struct {
 	Seq    uint64
 	Digest []byte
 	At     time.Time
+}
 
-	// Authentic reports whether the record's HMAC verified under the
-	// attestation key the target registered at hello. A forged
-	// confirmation (a kernel attacker scribbling on the mem_RW mailbox
-	// to mask a suppressed deployment) arrives with Authentic=false.
-	Authentic bool
+// set overwrites r with a received report, reusing r's digest buffer.
+func (r *StatusReport) set(code uint32, seq uint64, digest []byte, at time.Time) {
+	r.Code, r.Seq, r.At = code, seq, at
+	r.Digest = append(r.Digest[:0], digest...)
+}
+
+// TargetStatus is the server's status record for one attestation key.
+type TargetStatus struct {
+	// Authentic is the newest report whose HMAC verified under the
+	// attestation key (Seq 0: none yet). SMM numbers its status
+	// records monotonically, so an authentic report whose Seq does not
+	// exceed this one's is a replay or a retried send and changes
+	// nothing.
+	Authentic StatusReport
+
+	// Forged is the newest report whose HMAC did not verify, and
+	// Forgeries counts them: a forged confirmation (a kernel attacker
+	// scribbling on the mem_RW mailbox to mask a suppressed
+	// deployment) is evidence, whatever its Seq.
+	Forged    StatusReport
+	Forgeries int
 }
 
 // New starts a server configured entirely through functional options.
@@ -324,7 +339,7 @@ func newServer(cfg serverConfig) (*Server, error) {
 		cache:       newBuildCache(cfg.cacheCapacity),
 		patches:     make(map[string]kernel.SourcePatch),
 		prebuilt:    make(map[string][]byte),
-		lastSeq:     make(map[string]uint64),
+		statuses:    make(map[string]*TargetStatus),
 		conns:       make(map[net.Conn]struct{}),
 		keyRoot:     keyRoot,
 	}
@@ -373,13 +388,19 @@ func (s *Server) RegisterBinaryPatch(bp *patch.BinaryPatch) error {
 	return nil
 }
 
-// Statuses returns the recorded status reports: every report from an
-// attested session, except an authentic one whose sequence number does
-// not advance the last one for its attestation key.
-func (s *Server) Statuses() []StatusReport {
+// Statuses returns a copy of the status record of every attestation
+// key that has reported from an attested session, keyed by that key.
+func (s *Server) Statuses() map[string]TargetStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]StatusReport(nil), s.statuses...)
+	out := make(map[string]TargetStatus, len(s.statuses))
+	for key, st := range s.statuses {
+		c := *st
+		c.Authentic.Digest = bytes.Clone(st.Authentic.Digest)
+		c.Forged.Digest = bytes.Clone(st.Forged.Digest)
+		out[key] = c
+	}
+	return out
 }
 
 // Builds reports how many double kernel builds (pre + post patch) the
@@ -654,49 +675,51 @@ func (s *Server) handleHello(sess **session, req *request) *response {
 	key := kcrypto.DeriveKey(s.keyRoot, []byte(req.Info.Version),
 		wire.AppendBool(nil, req.Info.Ftrace), wire.AppendBool(nil, req.Info.Inline),
 		req.Measurement[:], req.AttKey)
-	crypt, err := kcrypto.NewSession(key, nil)
+	crypt, err := kcrypto.NewSession(key[:], nil)
 	if err != nil {
 		return &response{Err: err.Error()}
 	}
 	*sess = &session{
-		info: req.Info, serverKey: key, crypt: crypt,
+		info: req.Info, serverKey: key[:], crypt: crypt,
 		attKey: append([]byte(nil), req.AttKey...),
 	}
-	return &response{ServerKey: key}
+	return &response{ServerKey: key[:]}
 }
 
-// handleStatus records a target's status report. Only a session that
-// completed its attested hello may report, so an anonymous connection
-// cannot grow the record. A report whose MAC fails is recorded as
-// inauthentic, the evidence of a forged confirmation; an authentic one
-// whose sequence number does not advance its attestation key's last is
-// acknowledged but not recorded again.
+// handleStatus records a target's status report in its attestation
+// key's record. Only a session that completed its attested hello may
+// report, so an anonymous connection cannot grow the record. A report
+// whose MAC fails is counted and kept as the newest forgery; an
+// authentic one whose sequence number does not advance the key's
+// newest is acknowledged but not recorded again.
 func (s *Server) handleStatus(sess *session, req *request) *response {
 	if sess == nil {
 		return &response{Err: "hello required before status reports"}
 	}
-	rep := StatusReport{
-		Code: req.Code, Seq: req.Seq,
-		Digest: append([]byte(nil), req.Digest...),
-		At:     time.Now(),
-	}
+	authentic := false
 	// SMM MACs a DigestSize digest; a record carrying any other length
 	// is not one SMM wrote.
 	if len(req.MAC) == kcrypto.DigestSize && len(req.Digest) == kcrypto.DigestSize {
 		var mac [kcrypto.DigestSize]byte
 		copy(mac[:], req.MAC)
-		rep.Authentic = kcrypto.VerifyMAC(sess.attKey, kcrypto.AppendStatusMACInput(nil, req.Code, req.Seq, req.Digest), mac)
+		var in [4 + 8 + kcrypto.DigestSize]byte
+		authentic = kcrypto.VerifyMAC(sess.attKey, kcrypto.AppendStatusMACInput(in[:0], req.Code, req.Seq, req.Digest), mac)
 	}
+	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rep.Authentic {
-		key := string(sess.attKey)
-		if rep.Seq <= s.lastSeq[key] {
-			return &response{}
-		}
-		s.lastSeq[key] = rep.Seq
+	st := s.statuses[string(sess.attKey)]
+	if st == nil {
+		st = &TargetStatus{}
+		s.statuses[string(sess.attKey)] = st
 	}
-	s.statuses = append(s.statuses, rep)
+	switch {
+	case !authentic:
+		st.Forgeries++
+		st.Forged.set(req.Code, req.Seq, req.Digest, now)
+	case req.Seq > st.Authentic.Seq:
+		st.Authentic.set(req.Code, req.Seq, req.Digest, now)
+	}
 	return &response{}
 }
 

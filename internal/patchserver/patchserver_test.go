@@ -88,7 +88,7 @@ func TestHelloAndFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := sess.Decrypt(blob)
+	plain, err := sess.DecryptInPlace(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRegisterBinaryPatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := sess.Decrypt(blob)
+		plain, err := sess.DecryptInPlace(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestConfigurationMattersToBlob(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess, _ := kcrypto.NewSession(key, nil)
-		plain, err := sess.Decrypt(blob)
+		plain, err := sess.DecryptInPlace(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,8 @@ func TestStatusReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	sts := srv.Statuses()
-	if len(sts) != 1 || sts[0].Code != 2 || sts[0].Seq != 7 || len(sts[0].Digest) != 3 {
+	st := sts[string(testAttKey)]
+	if len(sts) != 1 || st.Forgeries != 1 || st.Forged.Code != 2 || st.Forged.Seq != 7 || len(st.Forged.Digest) != 3 || st.Authentic.Seq != 0 {
 		t.Errorf("statuses = %+v", sts)
 	}
 }
@@ -354,12 +355,13 @@ func TestAuthenticatedStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	sts := srv.Statuses()
-	if len(sts) != 3 {
-		t.Fatalf("statuses = %d", len(sts))
+	if len(sts) != 1 {
+		t.Fatalf("statuses for %d keys, want 1", len(sts))
 	}
-	if !sts[0].Authentic || sts[1].Authentic || sts[2].Authentic {
-		t.Errorf("authenticity = %v %v %v, want true false false",
-			sts[0].Authentic, sts[1].Authentic, sts[2].Authentic)
+	st := sts[string(attKey)]
+	if st.Authentic.Seq != 5 || st.Forgeries != 2 || st.Forged.Seq != 7 {
+		t.Errorf("record = authentic seq %d, %d forgeries (newest seq %d), want 5, 2 (7)",
+			st.Authentic.Seq, st.Forgeries, st.Forged.Seq)
 	}
 }
 
@@ -388,8 +390,8 @@ func TestShortDigestStatusInauthentic(t *testing.T) {
 		t.Fatal(err)
 	}
 	sts := srv.Statuses()
-	if len(sts) != 1 || sts[0].Authentic {
-		t.Errorf("statuses = %+v, want one inauthentic record", sts)
+	if st := sts[string(testAttKey)]; len(sts) != 1 || st.Forgeries != 1 || st.Authentic.Seq != 0 {
+		t.Errorf("statuses = %+v, want one inauthentic report", sts)
 	}
 }
 
@@ -446,18 +448,30 @@ func TestReplayedStatusNotRecorded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	record := func() TargetStatus {
+		t.Helper()
+		sts := srv.Statuses()
+		if len(sts) != 1 {
+			t.Fatalf("statuses for %d keys, want 1", len(sts))
+		}
+		return sts[string(testAttKey)]
+	}
 	c := dial()
 	report(c, 5)
+	first := record()
 	report(c, 5)      // replayed on the same session
 	report(dial(), 5) // replayed on a fresh session for the same key
 	report(c, 4)      // an older record
+	// A recorded replay or older report would move Seq or At.
+	if st := record(); st.Authentic.Seq != 5 || !st.Authentic.At.Equal(first.Authentic.At) || st.Forgeries != 0 {
+		t.Errorf("after replays: %+v, want the first authentic 5 unchanged", st)
+	}
 	report(c, 6)
 	if err := c.ReportStatusMAC(2, 6, digest, make([]byte, 32)); err != nil {
 		t.Fatal(err)
 	}
-	sts := srv.Statuses()
-	if len(sts) != 3 || sts[0].Seq != 5 || !sts[0].Authentic || sts[1].Seq != 6 || !sts[1].Authentic || sts[2].Authentic {
-		t.Errorf("statuses = %+v, want authentic 5 and 6, then the inauthentic 6", sts)
+	if st := record(); st.Authentic.Seq != 6 || st.Forgeries != 1 || st.Forged.Seq != 6 {
+		t.Errorf("record = %+v, want authentic 6 and one inauthentic 6", st)
 	}
 }
 

@@ -81,7 +81,7 @@ func TestTruncatedStreamKillsOnlyThatSession(t *testing.T) {
 	if _, err := io.Copy(io.Discard, raw); err != nil {
 		t.Fatalf("draining truncated session: %v", err)
 	}
-	if sts := srv.Statuses(); len(sts) != 1 || sts[0].Seq != 9 {
+	if sts := srv.Statuses(); len(sts) != 1 || sts[string(testAttKey)].Forgeries != 1 || sts[string(testAttKey)].Forged.Seq != 9 {
 		t.Errorf("statuses = %+v, want the one whole frame's report", sts)
 	}
 

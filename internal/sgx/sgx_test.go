@@ -276,3 +276,46 @@ func (e *echoProg) ECall(_ *Env, _ int, args []byte) ([]byte, error) {
 	e.saved = args
 	return args, nil
 }
+
+// scribbleProg overwrites its argument block in place, the way the
+// preparation enclave decrypts server blobs, and returns what it was
+// given.
+type scribbleProg struct{}
+
+func (scribbleProg) Identity() string { return "scribble-enclave v1" }
+func (scribbleProg) Init(*Env) error  { return nil }
+
+func (scribbleProg) ECall(_ *Env, _ int, args []byte) ([]byte, error) {
+	seen := bytes.Clone(args)
+	for i := range args {
+		args[i] = 0xFF
+	}
+	return seen, nil
+}
+
+// TestECallArgsPrivateToEnclave pins the ownership the enclave's
+// in-place decryption relies on: ECall hands the program its own copy
+// of the arguments on every call, so a program that mutates them never
+// changes the caller's slice, and a repeated call with the same slice
+// (the reload retry) sees the original bytes again.
+func TestECallArgsPrivateToEnclave(t *testing.T) {
+	_, p := newTestPlatform(t)
+	e, err := p.Load(scribbleProg{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []byte("sealed server blob")
+	want := bytes.Clone(args)
+	for call := 0; call < 2; call++ {
+		seen, err := e.ECall(1, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(seen, want) {
+			t.Errorf("call %d: program saw %q, want %q", call, seen, want)
+		}
+		if !bytes.Equal(args, want) {
+			t.Fatalf("call %d: caller's args became %q after the program scribbled on its copy", call, args)
+		}
+	}
+}

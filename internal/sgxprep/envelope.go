@@ -85,9 +85,15 @@ func decodeResultFields(d *wire.Decoder) Result {
 	}
 }
 
+// resultSize bounds the encoding of r: its byte fields plus a maximal
+// varint for each length and number.
+func resultSize(r *Result) int {
+	return len(r.Ciphertext) + len(r.EnclavePub) + len(r.ID) + 6*binary.MaxVarintLen64
+}
+
 // encodeResult encodes the FnPrepareRollback result block.
 func encodeResult(r *Result) []byte {
-	return appendResult(make([]byte, 0, len(r.Ciphertext)+len(r.EnclavePub)+len(r.ID)+6*binary.MaxVarintLen64), r)
+	return appendResult(make([]byte, 0, resultSize(r)), r)
 }
 
 // DecodeResult decodes a FnPrepareRollback result block.
@@ -102,7 +108,12 @@ func DecodeResult(data []byte) (*Result, error) {
 
 // encodeBatchResult encodes the FnPrepareBatch result block.
 func encodeBatchResult(br *BatchResult) []byte {
-	b := wire.AppendUvarint(nil, uint64(len(br.Members)))
+	n := binary.MaxVarintLen64
+	for i := range br.Members {
+		m := &br.Members[i]
+		n += resultSize(&m.Result) + len(m.Err) + 2*binary.MaxVarintLen64
+	}
+	b := wire.AppendUvarint(make([]byte, 0, n), uint64(len(br.Members)))
 	for i := range br.Members {
 		m := &br.Members[i]
 		b = appendResult(b, &m.Result)

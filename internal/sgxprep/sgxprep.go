@@ -243,7 +243,10 @@ func (p *Program) prepareBatch(env *sgx.Env, in *BatchPrepareArgs) ([]byte, erro
 	out := BatchResult{Members: make([]BatchMemberResult, len(in.ServerBlobs))}
 	for i, blob := range in.ServerBlobs {
 		mr := &out.Members[i]
-		plain, err := serverSession.Decrypt(blob)
+		// blob aliases the enclave's private copy of the ECALL
+		// arguments (sgx.Enclave.ECall copies them on every call), so
+		// it decrypts in place.
+		plain, err := serverSession.DecryptInPlace(blob)
 		if err != nil {
 			mr.Err = fmt.Sprintf("server blob: %v", err)
 			continue
@@ -315,7 +318,8 @@ func (p *Program) sealForSMM(wire, smmNonce []byte) (*Result, error) {
 	if _, err := io.ReadFull(p.rng, salt); err != nil {
 		return nil, fmt.Errorf("sgxprep: salt: %w", err)
 	}
-	session, err := kcrypto.NewSession(kcrypto.DeriveKey(p.cfg.SessionRoot, smmNonce, salt), p.rng)
+	key := kcrypto.DeriveKey(p.cfg.SessionRoot, smmNonce, salt)
+	session, err := kcrypto.NewSession(key[:], p.rng)
 	if err != nil {
 		return nil, err
 	}

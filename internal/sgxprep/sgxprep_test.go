@@ -52,14 +52,16 @@ var (
 )
 
 // openSealed decrypts a sealed package the way the SMM handler does
-// and returns its wire bytes.
+// and returns its wire bytes. It decrypts a copy, so ct still holds
+// the ciphertext afterwards.
 func openSealed(t *testing.T, ct, salt []byte) []byte {
 	t.Helper()
-	sess, err := kcrypto.NewSession(kcrypto.DeriveKey(testRoot, testNonce, salt), nil)
+	key := kcrypto.DeriveKey(testRoot, testNonce, salt)
+	sess, err := kcrypto.NewSession(key[:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := sess.Decrypt(ct)
+	wire, err := sess.DecryptInPlace(bytes.Clone(ct))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,22 +247,28 @@ func (c *Controller) Trigger(cmd Command, arg uint64) error {
 		return fmt.Errorf("%w: %#02x", ErrUnclaimedSMI, uint8(cmd))
 	}
 
-	states := c.machine.States()
+	// One buffer carries the states out to SMRAM and back; a machine
+	// with more vCPUs than it holds spills to the heap.
+	var buf [smiStackVCPUs]isa.State
+	states := c.machine.AppendStates(buf[:0])
 	if err := c.saveStates(states); err != nil {
 		return fmt.Errorf("smm: save state: %w", err)
 	}
 
 	handlerErr := h(ctx, arg)
 
-	restored, err := c.loadStates(len(states))
+	states, err := c.loadStates(states[:0], len(states))
 	if err != nil {
 		return fmt.Errorf("smm: load state: %w", err)
 	}
-	if err := c.machine.RestoreStates(restored); err != nil {
+	if err := c.machine.RestoreStates(states); err != nil {
 		return fmt.Errorf("smm: restore state: %w", err)
 	}
 	return handlerErr
 }
+
+// smiStackVCPUs is how many vCPU states Trigger keeps on its stack.
+const smiStackVCPUs = 8
 
 // stateSize is the serialized size of one isa.State.
 const stateSize = isa.NumRegs*8 + 8 + 1 + 1 + 1
@@ -286,13 +292,13 @@ func (c *Controller) saveStates(states []isa.State) error {
 	return nil
 }
 
-// loadStates deserializes vCPU states from the SMRAM save area.
-func (c *Controller) loadStates(n int) ([]isa.State, error) {
-	out := make([]isa.State, n)
-	buf := make([]byte, stateSize)
-	for i := range out {
+// loadStates deserializes n vCPU states from the SMRAM save area and
+// appends them to dst.
+func (c *Controller) loadStates(dst []isa.State, n int) ([]isa.State, error) {
+	var buf [stateSize]byte
+	for i := 0; i < n; i++ {
 		addr := c.base + uint64(i)*saveSlotSize
-		if err := c.machine.Mem.Read(mem.PrivSMM, addr, buf); err != nil {
+		if err := c.machine.Mem.Read(mem.PrivSMM, addr, buf[:]); err != nil {
 			return nil, err
 		}
 		var s isa.State
@@ -303,9 +309,9 @@ func (c *Controller) loadStates(n int) ([]isa.State, error) {
 		s.ZF = buf[isa.NumRegs*8+8] != 0
 		s.SF = buf[isa.NumRegs*8+9] != 0
 		s.Priv = mem.Priv(buf[isa.NumRegs*8+10])
-		out[i] = s
+		dst = append(dst, s)
 	}
-	return out, nil
+	return dst, nil
 }
 
 func boolByte(b bool) byte {
@@ -351,7 +357,7 @@ func (ctx *Context) WriteU64(addr uint64, v uint64) error {
 // the current SMI — what the handler inspects to decide whether any
 // CPU was interrupted inside a region of interest.
 func (ctx *Context) VCPUStates() ([]isa.State, error) {
-	return ctx.ctrl.loadStates(ctx.ctrl.machine.NumVCPUs())
+	return ctx.ctrl.loadStates(nil, ctx.ctrl.machine.NumVCPUs())
 }
 
 // NumVCPUs returns the machine's vCPU count.

@@ -194,7 +194,7 @@ func TestStateSaveRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Pause()
-	want := m.States()
+	want := m.AppendStates(nil)
 	want[0].Reg[5] = 0x1234_5678
 	want[0].RIP = 0xBEEF
 	want[0].ZF = true
@@ -208,7 +208,7 @@ func TestStateSaveRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Pause()
-	got := m.States()
+	got := m.AppendStates(nil)
 	m.Resume()
 	for i := range want {
 		if got[i] != want[i] {

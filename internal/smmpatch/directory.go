@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"sync"
 	"time"
 
 	"kshot/internal/faultinject"
@@ -132,8 +135,12 @@ func (h *Handler) handlePackage(ctx *smm.Context, _ uint64) error {
 		return h.fail(ctx, err)
 	}
 	h.outcomes = outs
-	op := fmt.Sprintf("batch:%d/%d", changed, len(members))
-	return h.status(ctx, StatusBatchDone, attestation(op, h.journal))
+	// The operation label is "batch:<changed>/<members>".
+	var buf [attestationBuf]byte
+	op := strconv.AppendInt(append(buf[:0], "batch:"...), int64(changed), 10)
+	op = strconv.AppendInt(append(op, '/'), int64(len(members)), 10)
+	digest := attestation(op, h.journal)
+	return h.status(ctx, StatusBatchDone, digest[:])
 }
 
 // processMember runs one member through session derivation,
@@ -186,11 +193,13 @@ func (h *Handler) readBatchDir(ctx *smm.Context) ([]BatchMember, error) {
 // read outside the window or panic — the property FuzzKSBTParse
 // exercises.
 func parseBatchDir(read func(addr uint64, dst []byte) error, base, limit uint64) ([]BatchMember, error) {
-	var hdr [8]byte
+	// Whatever read fills escapes (read is a func value), so the header
+	// and every length prefix share one small buffer.
+	hdr := make([]byte, 8)
 	if base+8 > limit {
 		return nil, fmt.Errorf("%w: window too small", ErrBadBatch)
 	}
-	if err := read(base, hdr[:]); err != nil {
+	if err := read(base, hdr); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrBadBatch, err)
 	}
 	if string(hdr[:4]) != batchMagic {
@@ -201,15 +210,15 @@ func parseBatchDir(read func(addr uint64, dst []byte) error, base, limit uint64)
 		return nil, fmt.Errorf("%w: member count %d", ErrBadBatch, count)
 	}
 	off := base + 8
+	lenBuf := hdr[:4]
 	readBlob := func() ([]byte, error) {
-		var lenBuf [4]byte
 		if off+4 > limit || off+4 < off {
 			return nil, fmt.Errorf("%w: truncated directory", ErrBadBatch)
 		}
-		if err := read(off, lenBuf[:]); err != nil {
+		if err := read(off, lenBuf); err != nil {
 			return nil, err
 		}
-		n := uint64(binary.LittleEndian.Uint32(lenBuf[:]))
+		n := uint64(binary.LittleEndian.Uint32(lenBuf))
 		if n == 0 || off+4+n < off || off+4+n > limit {
 			return nil, fmt.Errorf("%w: blob length %d at %#x", ErrBadBatch, n, off)
 		}
@@ -248,26 +257,40 @@ func (h *Handler) writeBatchResults(ctx *smm.Context, codes []uint32) error {
 // StageBatch writes the staging directory into mem_W at the given
 // (kernel/user) privilege — the untrusted helper's side of package
 // delivery. mem_W is write-only from that privilege, so the helper
-// deposits the directory blind.
+// deposits the directory blind, in one write.
 func StageBatch(m *mem.Physical, priv mem.Priv, res *mem.Reserved, members []BatchMember) error {
 	if len(members) == 0 || len(members) > MaxBatchMembers {
 		return fmt.Errorf("stage batch: %d members (max %d)", len(members), MaxBatchMembers)
 	}
-	buf := encodeBatchDir(members)
-	if uint64(len(buf)) > res.W.Size {
-		return fmt.Errorf("stage batch: directory %d bytes exceeds mem_W (%d)", len(buf), res.W.Size)
+	if size := batchDirSize(members); size > res.W.Size {
+		return fmt.Errorf("stage batch: directory %d bytes exceeds mem_W (%d)", size, res.W.Size)
 	}
-	return m.Write(priv, res.WBase()+offPackage, buf)
+	bp := dirBufs.Get().(*[]byte)
+	*bp = appendBatchDir((*bp)[:0], members)
+	err := m.Write(priv, res.WBase()+offPackage, *bp)
+	dirBufs.Put(bp)
+	return err
 }
 
-// encodeBatchDir serializes members into the KSBT wire layout —
-// the exact inverse of parseBatchDir over a flat window.
-func encodeBatchDir(members []BatchMember) []byte {
+// dirBufs recycles StageBatch's directory buffers. The mem_W write
+// copies the directory out, so a buffer is free again once it returns;
+// staging stays one helper write, one consult of the mem_W fault
+// points, without a fresh buffer per package SMI.
+var dirBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// batchDirSize is the encoded length of a directory of members.
+func batchDirSize(members []BatchMember) uint64 {
 	size := uint64(8)
 	for _, bm := range members {
 		size += 8 + uint64(len(bm.EnclavePub)) + uint64(len(bm.Ciphertext))
 	}
-	buf := make([]byte, 0, size)
+	return size
+}
+
+// appendBatchDir appends members to buf in the KSBT wire layout — the
+// exact inverse of parseBatchDir over a flat window.
+func appendBatchDir(buf []byte, members []BatchMember) []byte {
+	buf = slices.Grow(buf, int(batchDirSize(members)))
 	buf = append(buf, batchMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(members)))
 	for _, bm := range members {

@@ -36,10 +36,10 @@ func FuzzKSBTParse(f *testing.F) {
 	f.Add([]byte("KSBT"))                 // magic only, no count
 	f.Add([]byte("KSBT\xff\xff\xff\xff")) // absurd member count
 	f.Add([]byte("KSBU\x01\x00\x00\x00")) // wrong magic
-	f.Add(encodeBatchDir([]BatchMember{
+	f.Add(appendBatchDir(nil, []BatchMember{
 		{EnclavePub: []byte("pub-0"), Ciphertext: []byte("sealed-package-0")},
 	}))
-	two := encodeBatchDir([]BatchMember{
+	two := appendBatchDir(nil, []BatchMember{
 		{EnclavePub: []byte("alpha-pub"), Ciphertext: []byte("sealed-1")},
 		{EnclavePub: []byte("beta-pub"), Ciphertext: []byte("sealed-2")},
 	})
@@ -63,7 +63,7 @@ func FuzzKSBTParse(f *testing.F) {
 			}
 			consumed += 8 + uint64(len(m.EnclavePub)) + uint64(len(m.Ciphertext))
 		}
-		re := encodeBatchDir(members)
+		re := appendBatchDir(nil, members)
 		if uint64(len(re)) != consumed || !bytes.Equal(re, data[:consumed]) {
 			t.Fatalf("re-encode is not the consumed prefix:\n in: %x\nout: %x", data[:consumed], re)
 		}

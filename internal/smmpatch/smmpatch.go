@@ -356,7 +356,8 @@ func (h *Handler) sessionFor(nonce, salt []byte) (*kcrypto.Session, error) {
 	if len(salt) == 0 {
 		return nil, fmt.Errorf("smmpatch: empty enclave salt")
 	}
-	session, err := kcrypto.NewSession(kcrypto.DeriveKey(h.sessionRoot, nonce, salt), h.rng)
+	key := kcrypto.DeriveKey(h.sessionRoot, nonce, salt)
+	session, err := kcrypto.NewSession(key[:], h.rng)
 	if err != nil {
 		return nil, fmt.Errorf("smmpatch: session: %w", err)
 	}
@@ -368,10 +369,12 @@ func (h *Handler) sessionFor(nonce, salt []byte) (*kcrypto.Session, error) {
 // Decrypt/Verify stage costs into bd. Stage times are measured as
 // deltas of the SMI's charged cost, which — unlike clock spans — stays
 // exact when concurrent pipeline goroutines advance the shared clock.
+// The ciphertext is SMM's own copy out of mem_W (parseBatchDir reads
+// every member into a fresh slice), so it is decrypted in place.
 func (h *Handler) decryptAndVerify(ctx *smm.Context, session *kcrypto.Session, ciphertext []byte, bd *Breakdown) (*patch.Package, error) {
 	// Decrypt (charged per ciphertext byte, Table III column 1).
 	start := ctx.Charged()
-	plaintext, err := session.Decrypt(ciphertext)
+	plaintext, err := session.DecryptInPlace(ciphertext)
 	ctx.Charge(ctx.Model().DecryptFixed, ctx.Model().DecryptPerByte, len(ciphertext))
 	bd.Decrypt = ctx.Charged() - start
 	if err != nil {
@@ -620,11 +623,13 @@ func (h *Handler) handleIntrospect(ctx *smm.Context, _ uint64) error {
 			tampered = true
 		}
 	}
+	var buf [attestationBuf]byte
+	digest := attestation(append(buf[:0], "introspect"...), h.journal)
 	if tampered {
 		h.tamperEvents++
-		return h.status(ctx, StatusTampered, attestation("introspect", h.journal))
+		return h.status(ctx, StatusTampered, digest[:])
 	}
-	return h.status(ctx, StatusIdle, attestation("introspect", h.journal))
+	return h.status(ctx, StatusIdle, digest[:])
 }
 
 // activenessCheck refuses to patch functions that are live on some
@@ -724,16 +729,20 @@ func (h *Handler) maskedTextHash(ctx *smm.Context) ([kcrypto.DigestSize]byte, er
 
 // attestation digests the applied-patch set so the remote server can
 // confirm, through the status mailbox, what state the machine is in.
-func attestation(op string, journal []appliedPatch) []byte {
-	var b []byte
-	b = append(b, op...)
+// It appends the set to op, the SMI's operation label, and hashes the
+// result; callers build op in an attestationBuf-byte stack buffer.
+func attestation(op []byte, journal []appliedPatch) [kcrypto.DigestSize]byte {
 	for _, j := range journal {
-		b = append(b, 0)
-		b = append(b, j.id...)
+		op = append(op, 0)
+		op = append(op, j.id...)
 	}
-	sum, _ := kcrypto.Sum(kcrypto.HashSHA256, b)
-	return sum[:]
+	sum, _ := kcrypto.Sum(kcrypto.HashSHA256, op)
+	return sum
 }
+
+// attestationBuf is the stack buffer an attestation input is built in:
+// room for a few dozen applied patches before it spills to the heap.
+const attestationBuf = 512
 
 // status publishes the result of an SMI in the mem_RW mailbox,
 // appending an HMAC when an attestation key is provisioned.

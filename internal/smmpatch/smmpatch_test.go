@@ -146,7 +146,8 @@ func (r *rig) sealMember(t *testing.T, root, wire []byte) BatchMember {
 	if _, err := (&detRand{r: rand.New(rand.NewSource(11))}).Read(salt); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := kcrypto.NewSession(kcrypto.DeriveKey(root, nonce, salt), &detRand{r: rand.New(rand.NewSource(12))})
+	key := kcrypto.DeriveKey(root, nonce, salt)
+	sess, err := kcrypto.NewSession(key[:], &detRand{r: rand.New(rand.NewSource(12))})
 	if err != nil {
 		t.Fatal(err)
 	}
