@@ -219,7 +219,7 @@ func run(args []string, stdout io.Writer) error {
 		b, err := evalharness.RunPhaseBreakdown(evalharness.PhaseOptions{
 			Version:   *version,
 			BatchSize: *batch,
-			SyncFetch: true,
+			Workers:   1,
 			Wall:      timing.NewFakeWall(),
 		})
 		if err != nil {

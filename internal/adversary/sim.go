@@ -269,7 +269,7 @@ func (s *Sim) runReinfect(ctx context.Context, sys *core.System, plan Plan, out 
 	})
 
 	_, err := sys.ApplyAll(ctx, SimCVEs,
-		core.WithBatchSize(1), core.WithFetchWorkers(1), core.WithSyncFetch())
+		core.WithBatchSize(1), core.WithFetchWorkers(1))
 	out.ApplyErr = err
 
 	mu.Lock()
@@ -286,7 +286,7 @@ func (s *Sim) runReinfect(ctx context.Context, sys *core.System, plan Plan, out 
 // open; the detector must still call out the unannounced package SMI.
 func (s *Sim) runReplay(ctx context.Context, sys *core.System, plan Plan, out *Outcome) {
 	at := min(max(plan.StrikeSMI, 1), len(SimCVEs))
-	opts := []core.ApplyOption{core.WithBatchSize(1), core.WithFetchWorkers(1), core.WithSyncFetch()}
+	opts := []core.ApplyOption{core.WithBatchSize(1), core.WithFetchWorkers(1)}
 	if _, err := sys.ApplyAll(ctx, SimCVEs[:at], opts...); err != nil {
 		out.ApplyErr = err
 		return
@@ -365,7 +365,7 @@ func (s *Sim) runGroom(ctx context.Context, sys *core.System, plan Plan, out *Ou
 	})
 
 	rep, err := sys.ApplyAll(ctx, []string{spinEntry().CVE},
-		core.WithMaxRetries(6), core.WithFetchWorkers(1), core.WithSyncFetch())
+		core.WithMaxRetries(6), core.WithFetchWorkers(1))
 	out.ApplyErr = err
 	sys.IntrospectionEvents().SetTap(nil)
 	if rep != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kshot/internal/options"
+	"kshot/internal/patch"
 	"kshot/internal/patchserver"
 	"kshot/internal/pipeline"
 	"kshot/internal/smmpatch"
@@ -24,7 +25,6 @@ type applyConfig struct {
 	fetchWorkers int
 	maxRetries   int
 	backoff      time.Duration
-	syncFetch    bool
 }
 
 func applyOptErr(option, format string, a ...any) error {
@@ -44,7 +44,9 @@ func WithBatchSize(n int) ApplyOption {
 }
 
 // WithFetchWorkers sets the number of concurrent Stage-1 fetch
-// connections (default pipeline.DefaultWorkers).
+// connections (default pipeline.DefaultWorkers). With one, each batch
+// is fetched inline right before its delivery, so a seeded fault
+// schedule replays at identical call indices on every run.
 func WithFetchWorkers(n int) ApplyOption {
 	return func(c *applyConfig) error {
 		if n < 1 {
@@ -72,17 +74,6 @@ func WithRetryBackoff(d time.Duration) ApplyOption {
 			return applyOptErr("WithRetryBackoff", "must be >= 0, got %v", d)
 		}
 		c.backoff = d
-		return nil
-	}
-}
-
-// WithSyncFetch fetches each batch inline right before delivering it,
-// giving up fetch/delivery overlap so a seeded fault schedule replays
-// at identical call indices on every run. Chaos tests use this;
-// production runs should not.
-func WithSyncFetch() ApplyOption {
-	return func(c *applyConfig) error {
-		c.syncFetch = true
 		return nil
 	}
 }
@@ -183,7 +174,6 @@ func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOptio
 		Retryable:  func(err error) bool { return errors.Is(err, smmpatch.ErrTargetActive) },
 		Clock:      s.wall,
 		Obs:        s.obs,
-		SyncFetch:  cfg.syncFetch,
 	})
 
 	rep := &BatchReport{
@@ -288,7 +278,7 @@ func (b *batchBackend) FetchMany(ctx context.Context, cves []string) ([]pipeline
 // status leaves the members' outcomes standing, so the pipeline sees a
 // completed delivery and ApplyAll returns the error with its report.
 func (b *batchBackend) Deliver(ctx context.Context, members []*pipeline.Member) error {
-	err := b.s.deliverPatches(ctx, members)
+	err := b.s.deliver(ctx, patch.OpPatch, members)
 	if errors.Is(err, ErrUnacknowledged) {
 		if b.unacked == nil {
 			b.unacked = err

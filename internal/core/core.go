@@ -36,6 +36,7 @@ import (
 	"kshot/internal/mem"
 	"kshot/internal/obs"
 	"kshot/internal/options"
+	"kshot/internal/patch"
 	"kshot/internal/patchserver"
 	"kshot/internal/pipeline"
 	"kshot/internal/sgx"
@@ -666,15 +667,7 @@ func (s *System) Apply(ctx context.Context, cve string) (*Report, error) {
 	if fs[0].Err != nil {
 		return nil, fs[0].Err
 	}
-	m := &pipeline.Member{CVE: cve, Blob: fs[0].Blob, Stages: StageTimes{Fetch: fs[0].Time}}
-	err = s.deliverPatches(ctx, []*pipeline.Member{m})
-	if err != nil && !errors.Is(err, ErrUnacknowledged) {
-		return nil, err
-	}
-	if m.Err != nil {
-		return nil, m.Err
-	}
-	return &Report{ID: cve, Stages: m.Stages}, err
+	return s.deliverOne(ctx, patch.OpPatch, &pipeline.Member{CVE: cve, Blob: fs[0].Blob, Stages: StageTimes{Fetch: fs[0].Time}})
 }
 
 // fetch runs Stage 1 for cves as one pipelined burst over the given
@@ -701,47 +694,39 @@ func (s *System) fetch(ctx context.Context, c *patchserver.Client, cves []string
 	return out, nil
 }
 
-// Rollback undoes the most recently applied patch (§V-C). The enclave
-// seals a rollback command, which reaches SMM as a one-member directory
-// through the same package SMI as every patch.
+// Rollback undoes the most recently applied patch (§V-C). It takes
+// Apply's path without the fetch: the enclave seals a rollback command,
+// which reaches SMM as a one-member directory through the same package
+// SMI as every patch.
 func (s *System) Rollback(ctx context.Context, cve string) (*Report, error) {
 	if err := s.Attach(ctx); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	smmPub, err := smmpatch.ReadSMMPub(s.Machine.Mem, s.helperPriv, s.Kernel.Res)
-	if err != nil {
-		return nil, err
-	}
-	out, err := s.ecall(sgxprep.FnPrepareRollback, sgxprep.EncodeRollbackArgs(&sgxprep.RollbackArgs{ID: cve, SMMPub: smmPub}))
-	if err != nil {
-		return nil, fmt.Errorf("%w: rollback %s: %w", ErrEnclavePrepare, cve, err)
-	}
-	res, err := sgxprep.DecodeResult(out)
-	if err != nil {
-		return nil, err
-	}
-	st := StageTimes{Preprocess: s.Model.PrepFixed, Pass: s.pass(res.Ciphertext)}
-	codes, outs, err := s.smi([]smmpatch.BatchMember{{EnclavePub: res.EnclavePub, Ciphertext: res.Ciphertext}})
+	return s.deliverOne(ctx, patch.OpRollback, &pipeline.Member{CVE: cve})
+}
+
+// deliverOne delivers m alone and reports it: with its report and an
+// error matching ErrUnacknowledged when SMM carried it out but the
+// server did not acknowledge the status.
+func (s *System) deliverOne(ctx context.Context, op patch.Op, m *pipeline.Member) (*Report, error) {
+	err := s.deliver(ctx, op, []*pipeline.Member{m})
 	if err != nil && !errors.Is(err, ErrUnacknowledged) {
 		return nil, err
 	}
-	s.smmStages(&st, outs[0].Breakdown, 1)
-	if codes[0] != smmpatch.StatusRolledBack {
-		return nil, memberErr(cve, codes[0], smmpatch.StatusRolledBack, outs[0].Err)
+	if m.Err != nil {
+		return nil, m.Err
 	}
-	s.det.NoteApplied(cve)
-	return &Report{ID: cve, Stages: st}, err
+	return &Report{ID: m.CVE, Stages: m.Stages}, err
 }
 
-// deliverPatches runs Stages 2–4 for fetched members, one or many: one
-// prepare-many ECALL, one mem_W staging directory, one package SMI.
-// Per-member outcomes land on the members. An error matching
-// ErrUnacknowledged leaves them standing; any other error means the
-// delivery failed as a whole and nothing can be said about them.
-func (s *System) deliverPatches(ctx context.Context, members []*pipeline.Member) error {
+// deliver runs Stages 2–4 for members, one or many, that all carry op:
+// patches with their fetched blobs, or rollback commands for their
+// CVEs. It makes one FnPrepare ECALL, one mem_W staging directory and
+// one package SMI. Per-member outcomes land on the members. An error
+// matching ErrUnacknowledged leaves them standing; any other error
+// means the delivery failed as a whole and nothing can be said about
+// them.
+func (s *System) deliver(ctx context.Context, op patch.Op, members []*pipeline.Member) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -752,25 +737,26 @@ func (s *System) deliverPatches(ctx context.Context, members []*pipeline.Member)
 		return fmt.Errorf("core: read SMM key: %w", err)
 	}
 	memX, data := s.Handler.Cursors()
-	blobs := make([][]byte, len(members))
-	for i, m := range members {
-		blobs[i] = m.Blob
+	// The member list and the staged directory below never outlive the
+	// call; a constant capacity keeps both off the heap.
+	prep := make([]sgxprep.Member, 0, smmpatch.MaxBatchMembers)
+	for _, m := range members {
+		body := m.Blob
+		if op == patch.OpRollback {
+			body = []byte(m.CVE)
+		}
+		prep = append(prep, sgxprep.Member{Op: op, Data: body})
 	}
-	out, err := s.ecall(sgxprep.FnPrepareBatch, sgxprep.EncodeBatchPrepareArgs(&sgxprep.BatchPrepareArgs{
-		ServerBlobs: blobs,
-		SMMPub:      smmPub,
-		MemXCursor:  memX,
-		DataCursor:  data,
-	}))
+	out, err := s.ecall(sgxprep.FnPrepare, sgxprep.EncodePrepareArgs(&sgxprep.PrepareArgs{Members: prep, SMMPub: smmPub, MemXCursor: memX, DataCursor: data}))
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrEnclavePrepare, err)
 	}
-	br, err := sgxprep.DecodeBatchResult(out)
+	results, err := sgxprep.DecodeResults(out)
 	if err != nil {
 		return err
 	}
-	if len(br.Members) != len(members) {
-		return fmt.Errorf("core: prepare returned %d members, want %d", len(br.Members), len(members))
+	if len(results) != len(members) {
+		return fmt.Errorf("core: prepare returned %d members, want %d", len(results), len(members))
 	}
 
 	// Stage 3: stage the successfully prepared members as one mem_W
@@ -778,9 +764,8 @@ func (s *System) deliverPatches(ctx context.Context, members []*pipeline.Member)
 	// out here (the pipeline gives them a delivery of their own).
 	// Preprocess and Pass come from the model, not clock spans, so they
 	// stay exact while concurrent fetches advance the shared clock.
-	var staged []smmpatch.BatchMember
-	var landing []*pipeline.Member
-	for i, mr := range br.Members {
+	staged := make([]smmpatch.BatchMember, 0, smmpatch.MaxBatchMembers)
+	for i, mr := range results {
 		m := members[i]
 		m.Stages = StageTimes{Fetch: m.Stages.Fetch}
 		if mr.Err != "" {
@@ -791,28 +776,40 @@ func (s *System) deliverPatches(ctx context.Context, members []*pipeline.Member)
 		m.Stages.PayloadBytes = mr.PayloadBytes
 		m.Stages.Pass = s.pass(mr.Ciphertext)
 		staged = append(staged, smmpatch.BatchMember{EnclavePub: mr.EnclavePub, Ciphertext: mr.Ciphertext})
-		landing = append(landing, m)
 	}
 	if len(staged) == 0 {
 		return nil
 	}
 
-	// Stage 4: one SMI for the whole directory.
+	// Stage 4: one SMI for the whole directory. Only a patch counts
+	// toward the downtime histogram the rollout health gate reads, and
+	// only a patch refusal is an activeness-grooming signal.
 	codes, outs, err := s.smi(staged)
 	if err != nil && !errors.Is(err, ErrUnacknowledged) {
 		return err
 	}
-	for j, m := range landing {
+	want := smmpatch.StatusPatched
+	if op == patch.OpRollback {
+		want = smmpatch.StatusRolledBack
+	}
+	j := -1 // the member's index among the staged ones
+	for i, m := range members {
+		if results[i].Err != "" {
+			continue
+		}
+		j++
 		s.smmStages(&m.Stages, outs[j].Breakdown, len(staged))
-		if codes[j] != smmpatch.StatusPatched {
-			m.Err = memberErr(m.CVE, codes[j], smmpatch.StatusPatched, outs[j].Err)
-			if errors.Is(m.Err, smmpatch.ErrTargetActive) {
+		if codes[j] != want {
+			m.Err = memberErr(m.CVE, codes[j], want, outs[j].Err)
+			if op == patch.OpPatch && errors.Is(m.Err, smmpatch.ErrTargetActive) {
 				s.det.NoteActiveRefusal(m.CVE)
 			}
 			continue
 		}
 		m.Err = nil
-		s.obs.ObserveDur(obs.HistDowntime, m.Stages.SMMTotal())
+		if op == patch.OpPatch {
+			s.obs.ObserveDur(obs.HistDowntime, m.Stages.SMMTotal())
+		}
 		s.det.NoteApplied(m.CVE)
 	}
 	return err
@@ -868,7 +865,7 @@ func (s *System) smi(staged []smmpatch.BatchMember) ([]uint32, []smmpatch.Outcom
 	if smiErr != nil {
 		return nil, nil, fmt.Errorf("core: SMM processing: %w", smiErr)
 	}
-	codes, err := smmpatch.ReadBatchResults(s.Machine.Mem, s.helperPriv, s.Kernel.Res)
+	codes, err := smmpatch.ReadMemberCodes(s.Machine.Mem, s.helperPriv, s.Kernel.Res)
 	if err != nil {
 		return nil, nil, err
 	}

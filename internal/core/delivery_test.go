@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"kshot/internal/obs"
 	"kshot/internal/smmpatch"
 	"kshot/internal/timing"
 )
@@ -102,5 +103,57 @@ func TestTypedSMMErrorsThroughSystem(t *testing.T) {
 				t.Errorf("journal %v became %v after a refused package", before, after)
 			}
 		})
+	}
+}
+
+// TestRollbackReportOutsideDowntime: a rollback takes a patch's
+// delivery path but is not a patch. The downtime histogram the rollout
+// health gate reads counts only the patches, and the rollback's report
+// carries no fetch and no payload, the model's fixed preprocessing cost
+// and one whole world switch. An out-of-order rollback keeps its typed
+// refusal.
+func TestRollbackReportOutsideDowntime(t *testing.T) {
+	const a, b = "CVE-2014-0196", "CVE-2016-7916"
+	d := newDeployment(t, "4.4", 0, a, b)
+	ctx := context.Background()
+	metrics := obs.NewMetrics()
+	d.System.SetObserver(&obs.Hooks{Metrics: metrics})
+	downtimeSamples := func() uint64 {
+		for _, h := range metrics.Snapshot().Hists {
+			if h.Name == obs.HistDowntime {
+				return h.Count
+			}
+		}
+		return 0
+	}
+
+	if _, err := d.System.Apply(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	rb, err := d.System.Rollback(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := downtimeSamples(); n != 1 {
+		t.Errorf("%s has %d samples after one Apply and one Rollback, want 1", obs.HistDowntime, n)
+	}
+	m, st := d.System.Model, rb.Stages
+	if st.Fetch != 0 || st.PayloadBytes != 0 {
+		t.Errorf("Rollback Fetch %v over %d bytes, want none", st.Fetch, st.PayloadBytes)
+	}
+	if st.Preprocess != m.PrepFixed || st.Switch != m.SMMEntry+m.SMMExit {
+		t.Errorf("Rollback Preprocess %v, Switch %v; want %v, %v", st.Preprocess, st.Switch, m.PrepFixed, m.SMMEntry+m.SMMExit)
+	}
+
+	for _, cve := range []string{a, b} {
+		if _, err := d.System.Apply(ctx, cve); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.System.Rollback(ctx, a); !errors.Is(err, smmpatch.ErrRollbackOrder) {
+		t.Fatalf("out-of-order Rollback: got %v, want ErrRollbackOrder", err)
+	}
+	if n := downtimeSamples(); n != 3 {
+		t.Errorf("%s has %d samples after three Applies, want 3", obs.HistDowntime, n)
 	}
 }

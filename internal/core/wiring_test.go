@@ -77,7 +77,7 @@ func applyOne(t *testing.T, d *testDeployment) {
 // applyBatch runs both CVEs through ApplyAll as one batch.
 func applyBatch(t *testing.T, d *testDeployment) {
 	if _, err := d.System.ApplyAll(context.Background(), []string{d.Entries[0].CVE, d.Entries[1].CVE},
-		WithBatchSize(2), WithFetchWorkers(1), WithSyncFetch()); err != nil && !errors.Is(err, context.Canceled) {
+		WithBatchSize(2), WithFetchWorkers(1)); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("ApplyAll: %v", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestWiringOrder(t *testing.T) {
 			// One fetch over the attached client, one over the pooled
 			// extra and one ECALL: each fails and is counted while h is
 			// installed.
-			_, err := s.enclave.ECall(sgxprep.FnPrepareBatch, nil)
+			_, err := s.enclave.ECall(sgxprep.FnPrepare, nil)
 			if injected := errors.Is(err, faultinject.ErrInjected); injected != observed {
 				t.Errorf("ECALL error %v, want injected=%v", err, observed)
 			}

@@ -40,9 +40,9 @@ func TestGoldenPhaseReport(t *testing.T) {
 	for _, mode := range []isa.Dispatch{isa.DispatchBlocks, isa.DispatchOracle} {
 		t.Run(mode.String(), func(t *testing.T) {
 			b, err := RunPhaseBreakdown(PhaseOptions{
-				SyncFetch: true,
-				Wall:      timing.NewFakeWall(),
-				Dispatch:  mode,
+				Workers:  1,
+				Wall:     timing.NewFakeWall(),
+				Dispatch: mode,
 			})
 			if err != nil {
 				t.Fatal(err)

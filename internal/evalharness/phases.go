@@ -21,14 +21,11 @@ type PhaseOptions struct {
 	Version string
 
 	// BatchSize/Workers tune the ApplyAll pipeline (pipeline defaults
-	// when zero).
+	// when zero). Workers 1 fetches every batch inline, single-threading
+	// the pipeline so the emitted trace is deterministic; the golden
+	// test sets it.
 	BatchSize int
 	Workers   int
-
-	// SyncFetch single-threads the pipeline so the emitted trace is
-	// deterministic — the golden test sets it; interactive runs need
-	// not.
-	SyncFetch bool
 
 	// TraceCapacity sizes the event ring (obs.DefaultTraceCapacity when
 	// zero).
@@ -103,9 +100,6 @@ func RunPhaseBreakdown(opts PhaseOptions) (*PhaseBreakdown, error) {
 	}
 	if opts.Workers > 0 {
 		applyOpts = append(applyOpts, core.WithFetchWorkers(opts.Workers))
-	}
-	if opts.SyncFetch {
-		applyOpts = append(applyOpts, core.WithSyncFetch())
 	}
 
 	for wi, wave := range waves {

@@ -128,7 +128,6 @@ func (h *chaosHarness) cycle(seed int64, entries []*cvebench.Entry) outcome {
 	rep, err := sys.ApplyAll(context.Background(), cves,
 		core.WithBatchSize(2+int(seed%5)),
 		core.WithFetchWorkers(1),
-		core.WithSyncFetch(),
 		core.WithMaxRetries(2),
 		core.WithRetryBackoff(time.Millisecond))
 	// ApplyAll's error return is reserved for cancellation, which the

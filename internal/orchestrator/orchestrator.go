@@ -523,7 +523,11 @@ func (r *Rollout) unhealthyLocked(ts *TargetState) bool {
 
 // rollbackWaveLocked unwinds every member of a failed wave: each
 // applied CVE rolled back in reverse order on the patchers still held
-// open for exactly this purpose. Callers hold r.mu.
+// open for exactly this purpose. A target's unwind stops at its first
+// failed rollback, since SMM refuses every older one out of order: the
+// target is recorded failed, with that CVE and every older one still
+// live. A rollback the server did not acknowledge still landed in SMM
+// (DESIGN §4.31), so the unwind goes on past it. Callers hold r.mu.
 func (r *Rollout) rollbackWaveLocked(ctx context.Context, wave Wave, patchers map[string]Patcher, pmu *sync.Mutex) {
 	for _, id := range wave.Targets {
 		ts := r.st.target(id)
@@ -533,14 +537,23 @@ func (r *Rollout) rollbackWaveLocked(ctx context.Context, wave Wave, patchers ma
 		pmu.Lock()
 		p := patchers[id]
 		pmu.Unlock()
-		if p != nil {
-			for i := len(ts.Applied) - 1; i >= 0; i-- {
-				if _, err := p.Rollback(ctx, ts.Applied[i]); err != nil && ts.Err == "" {
-					ts.Err = fmt.Sprintf("rollback %s: %v", ts.Applied[i], err)
-				}
+		stuck := false
+		for i := len(ts.Applied) - 1; p != nil && i >= 0; i-- {
+			_, err := p.Rollback(ctx, ts.Applied[i])
+			if err == nil {
+				continue
 			}
+			msg := fmt.Sprintf("rollback %s: %v", ts.Applied[i], err)
+			if errors.Is(err, core.ErrUnacknowledged) {
+				if ts.Err == "" {
+					ts.Err = msg
+				}
+				continue
+			}
+			ts.Err, stuck = msg, true
+			break
 		}
-		if len(ts.Applied) == 0 && ts.Err != "" {
+		if stuck || (len(ts.Applied) == 0 && ts.Err != "") {
 			ts.Status = StatusFailed
 			r.cfg.obs.Count(obs.CtrRolloutFailed, 1)
 			continue

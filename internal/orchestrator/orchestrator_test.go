@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,10 +24,11 @@ import (
 // installs, so the health gate reads it back the same way it reads a
 // real system's metrics.
 type fakePatcher struct {
-	applyErr   error
-	failCVEs   map[string]error
-	downtimeUS float64
-	pause      time.Duration
+	applyErr     error
+	failCVEs     map[string]error
+	rollbackErrs map[string]error
+	downtimeUS   float64
+	pause        time.Duration
 
 	mu        sync.Mutex
 	hooks     *obs.Hooks
@@ -58,6 +60,12 @@ func (f *fakePatcher) Rollback(ctx context.Context, cve string) (*core.Report, e
 	f.mu.Lock()
 	f.rollbacks = append(f.rollbacks, cve)
 	f.mu.Unlock()
+	if err := f.rollbackErrs[cve]; err != nil {
+		if errors.Is(err, core.ErrUnacknowledged) {
+			return &core.Report{ID: cve}, err
+		}
+		return nil, err
+	}
 	return &core.Report{ID: cve}, nil
 }
 
@@ -296,6 +304,49 @@ func TestWaveRollbackReversesAppliedOrder(t *testing.T) {
 	}
 	if res.Patched != 16-len(badWave.Targets) {
 		t.Fatalf("Patched = %d, want %d", res.Patched, 16-len(badWave.Targets))
+	}
+}
+
+// TestWaveRollbackStopsAtFailedRollback rolls back the canary, whose
+// pause is over budget, with its newest CVE's rollback failing. SMM
+// would refuse the older CVE out of order, so the unwind stops there
+// and the canary is recorded failed with both CVEs live. A rollback
+// the server did not acknowledge landed in SMM, so that unwind goes on.
+func TestWaveRollbackStopsAtFailedRollback(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		err           error
+		wantRollbacks []string
+		wantStatus    Status
+	}{
+		{"refused", errors.New("smm refused"), []string{"CVE-2017-7184"}, StatusFailed},
+		{"unacknowledged", fmt.Errorf("%w: server gone", core.ErrUnacknowledged), []string{"CVE-2017-7184", "CVE-2016-0728"}, StatusRolledBack},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ff := newFakeFleet(func(id string, p *fakePatcher) {
+				p.pause = 5 * time.Millisecond
+				p.rollbackErrs = map[string]error{"CVE-2017-7184": tc.err}
+			})
+			r := rollout(t, ff, WithPauseBudget(time.Millisecond))
+			canary := r.Plan()[0].Targets[0]
+			res, err := r.Run(context.Background())
+			if !errors.Is(err, ErrRolloutHalted) {
+				t.Fatalf("err = %v, want ErrRolloutHalted", err)
+			}
+			if got := ff.patchers[canary].rollbacks; !slices.Equal(got, tc.wantRollbacks) {
+				t.Errorf("rollbacks = %v, want %v", got, tc.wantRollbacks)
+			}
+			ts := res.Targets[slices.IndexFunc(res.Targets, func(ts TargetState) bool { return ts.ID == canary })]
+			if ts.Status != tc.wantStatus {
+				t.Errorf("canary status %v, want %v", ts.Status, tc.wantStatus)
+			}
+			if !strings.Contains(ts.Err, "rollback CVE-2017-7184") {
+				t.Errorf("canary Err = %q, want it to name the CVE-2017-7184 rollback", ts.Err)
+			}
+			if want := []string{"CVE-2016-0728", "CVE-2017-7184"}; !slices.Equal(ts.Applied, want) {
+				t.Errorf("canary Applied = %v, want %v", ts.Applied, want)
+			}
+		})
 	}
 }
 

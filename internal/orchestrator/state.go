@@ -23,11 +23,13 @@ const (
 	// StatusPatched — its wave passed the health gate; the CVE batch
 	// is live on the target.
 	StatusPatched
-	// StatusFailed — the target's own run errored terminally (and it
-	// had nothing applied to roll back).
+	// StatusFailed — the target's own run errored terminally with
+	// nothing applied to roll back, or its wave's rollback failed: then
+	// Err names the CVE whose rollback failed, and it and every older
+	// CVE in Applied are still live.
 	StatusFailed
 	// StatusRolledBack — the target sat in a wave that failed the
-	// health gate; whatever it had applied was rolled back.
+	// health gate, and every CVE in Applied was rolled back.
 	StatusRolledBack
 )
 

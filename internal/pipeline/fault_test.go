@@ -124,33 +124,33 @@ func TestInjectedCancelBetweenBatches(t *testing.T) {
 	}
 }
 
-// SyncFetch trades pipelining for determinism but must not change
-// outcomes: same members applied, same per-member results, and a
-// cancellation injected mid-run fires at the same call index every
-// time.
-func TestSyncFetchParity(t *testing.T) {
-	run := func(syncFetch bool) *Result {
+// One fetch worker fetches inline, trading pipelining for determinism,
+// but must not change outcomes: same members applied, same per-member
+// results, and a cancellation injected mid-run fires at the same call
+// index as with two overlapping workers.
+func TestInlineFetchParity(t *testing.T) {
+	run := func(workers int) *Result {
 		b := newFakeBackend()
 		fi := faultinject.New(faultinject.Exact(
 			faultinject.Fault{Point: faultinject.PipelineCancel, Call: 5},
 		))
 		res, err := Run(context.Background(), b, cveList(12),
-			Config{BatchSize: 4, Workers: 2, Obs: &obs.Hooks{Faults: fi}, SyncFetch: syncFetch})
+			Config{BatchSize: 4, Workers: workers, Obs: &obs.Hooks{Faults: fi}})
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("syncFetch=%v: Run error = %v, want context.Canceled", syncFetch, err)
+			t.Fatalf("workers=%d: Run error = %v, want context.Canceled", workers, err)
 		}
 		return res
 	}
 	// Boundary call 5 is batch 1's post-delivery boundary: exactly the
 	// first two batches land, regardless of fetch overlap.
-	for _, syncFetch := range []bool{false, true} {
-		res := run(syncFetch)
+	for _, workers := range []int{2, 1} {
+		res := run(workers)
 		for i, m := range res.Members {
 			if i < 8 && m.Err != nil {
-				t.Errorf("syncFetch=%v: member %d error = %v, want applied", syncFetch, i, m.Err)
+				t.Errorf("workers=%d: member %d error = %v, want applied", workers, i, m.Err)
 			}
 			if i >= 8 && !errors.Is(m.Err, context.Canceled) {
-				t.Errorf("syncFetch=%v: member %d error = %v, want context.Canceled", syncFetch, i, m.Err)
+				t.Errorf("workers=%d: member %d error = %v, want context.Canceled", workers, i, m.Err)
 			}
 		}
 	}

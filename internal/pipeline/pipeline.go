@@ -54,7 +54,8 @@ type Config struct {
 	// single SMI.
 	BatchSize int
 
-	// Workers is the number of concurrent batch fetchers.
+	// Workers is the number of concurrent batch fetchers. With one
+	// (or with one batch), Run fetches each batch inline.
 	Workers int
 
 	// MaxRetries bounds per-member redelivery attempts after a
@@ -81,14 +82,6 @@ type Config struct {
 	// pipeline's own seams: worker stalls before fetches and context
 	// cancellation at stage boundaries.
 	Obs *obs.Hooks
-
-	// SyncFetch runs each batch's fetch inline, immediately before its
-	// delivery, instead of overlapping fetches with earlier deliveries.
-	// The wall-clock pipelining win is deliberately given up: with a
-	// single goroutine touching every injection point, a seeded fault
-	// schedule interleaves at identical call indices on every run,
-	// which is what replayable chaos testing needs.
-	SyncFetch bool
 }
 
 func (c Config) withDefaults() Config {
@@ -228,6 +221,11 @@ func Run(ctx context.Context, b Backend, cves []string, cfg Config) (*Result, er
 	// Fetch fan-out: a worker pool pulls batch indices and fetches
 	// each batch's blobs concurrently. Results land in per-batch
 	// buffered channels so no worker ever blocks on the deliverer.
+	// With one fetch slot (one worker, or one batch) there is nothing
+	// to overlap: the deliverer fetches each batch inline right before
+	// delivering it, so a single goroutine touches every injection
+	// point and a seeded fault schedule replays at identical call
+	// indices on every run.
 	type fetchOut struct {
 		fetched []Fetched
 		err     error
@@ -245,17 +243,14 @@ func Run(ctx context.Context, b Backend, cves []string, cfg Config) (*Result, er
 		f, err := b.FetchMany(ctx, ids)
 		return fetchOut{f, err}
 	}
+	workers := min(cfg.Workers, len(batches))
 	var outs []chan fetchOut
-	if !cfg.SyncFetch {
+	if workers > 1 {
 		outs = make([]chan fetchOut, len(batches))
 		for i := range outs {
 			outs[i] = make(chan fetchOut, 1)
 		}
 		idxCh := make(chan int)
-		workers := cfg.Workers
-		if workers > len(batches) {
-			workers = len(batches)
-		}
 		for w := 0; w < workers; w++ {
 			go func() {
 				for i := range idxCh {
@@ -280,7 +275,7 @@ func Run(ctx context.Context, b Backend, cves []string, cfg Config) (*Result, er
 	for i, batch := range batches {
 		boundary() // fetch → delivery hand-off
 		var fo fetchOut
-		if cfg.SyncFetch {
+		if outs == nil {
 			if err := ctx.Err(); err != nil {
 				markUnprocessed(batches[i:], err)
 				return res, err

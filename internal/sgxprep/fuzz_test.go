@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"kshot/internal/patch"
 )
 
 // envelopes re-encodes each ECALL's argument block after decoding it,
@@ -16,27 +18,27 @@ var envelopes = []struct {
 	fn     int
 	decode func([]byte) (func() []byte, error)
 }{
-	{FnPrepareRollback, func(b []byte) (func() []byte, error) {
-		a, err := DecodeRollbackArgs(b)
-		return func() []byte { return EncodeRollbackArgs(a) }, err
-	}},
-	{FnPrepareBatch, func(b []byte) (func() []byte, error) {
-		a, err := DecodeBatchPrepareArgs(b)
-		return func() []byte { return EncodeBatchPrepareArgs(a) }, err
+	{FnPrepare, func(b []byte) (func() []byte, error) {
+		a, err := DecodePrepareArgs(b)
+		return func() []byte { return EncodePrepareArgs(&a) }, err
 	}},
 }
 
-// envelopeSeeds are well-formed argument blocks for each function plus
-// the malformed shapes the decoders must refuse.
+// envelopeSeeds are well-formed argument blocks plus the malformed
+// shapes the decoder must refuse.
 func envelopeSeeds() [][]byte {
+	rollback := Member{Op: patch.OpRollback, Data: []byte("CVE-FIX")}
 	return [][]byte{
-		EncodeRollbackArgs(&RollbackArgs{ID: "CVE-FIX", SMMPub: testNonce}),
-		EncodeBatchPrepareArgs(&BatchPrepareArgs{ServerBlobs: [][]byte{[]byte("a"), nil, []byte("bc")}, SMMPub: testNonce, MemXCursor: 1 << 20}),
-		EncodeBatchPrepareArgs(&BatchPrepareArgs{ServerBlobs: [][]byte{[]byte("sealed blob")}, SMMPub: testNonce, MemXCursor: 192, DataCursor: 64}),
+		EncodePrepareArgs(&PrepareArgs{Members: patchMembers([]byte("a"), nil, []byte("bc")), SMMPub: testNonce, MemXCursor: 1 << 20}),
+		EncodePrepareArgs(&PrepareArgs{Members: patchMembers([]byte("sealed blob")), SMMPub: testNonce, MemXCursor: 192, DataCursor: 64}),
 		{0x80, 0x00},                   // non-minimal uvarint
 		{0xff, 0xff, 0xff, 0xff, 0x0f}, // count or length far past the input
 		{0x02, 0x01},                   // truncated field
-		{0x00, 0x00, 0x00, 0x00, 0x00}, // trailing byte after a zero BatchPrepareArgs
+		{0x00, 0x00, 0x00, 0x00, 0x00}, // trailing byte after a zero PrepareArgs
+		{0x04, 0x01, 0x00, 0x01, 0x00}, // more members than the input can hold
+		EncodePrepareArgs(&PrepareArgs{Members: []Member{rollback}, SMMPub: testNonce}),
+		EncodePrepareArgs(&PrepareArgs{Members: append(patchMembers([]byte("sealed blob")), rollback), SMMPub: testNonce, MemXCursor: 192}),
+		EncodePrepareArgs(&PrepareArgs{Members: []Member{{Op: patch.OpRollback + 1, Data: []byte("CVE-FIX")}}, SMMPub: testNonce}),
 	}
 }
 
@@ -61,7 +63,7 @@ func TestGenerateEnvelopeCorpus(t *testing.T) {
 
 // decodeAllocBound is the most a decode of n input bytes may allocate:
 // byte fields alias the input, so the only input-sized allocation is
-// the batch's slice of blob headers, one per input byte at most, plus
+// the slice of 32-byte members, one per two input bytes at most, plus
 // a fixed amount for the argument struct and its error.
 func decodeAllocBound(n int) uint64 { return 1024 + 24*uint64(n) }
 

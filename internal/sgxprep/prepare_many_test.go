@@ -137,8 +137,8 @@ func (f *multiFixture) open(t *testing.T, ct, enclavePub []byte) *patch.Package 
 }
 
 // TestPrepareManyCursorChaining is the prepare-many property test:
-// a FnPrepareBatch over n members must chain the allocation cursors
-// exactly like n one-member FnPrepareBatch calls whose caller advances
+// a FnPrepare over n patch members must chain the allocation cursors
+// exactly like n one-member FnPrepare calls whose caller advances
 // the cursors by each result's reported deltas — same placements, same
 // payloads, no overlap, deltas summing to the final cursor.
 func TestPrepareManyCursorChaining(t *testing.T) {
@@ -150,45 +150,31 @@ func TestPrepareManyCursorChaining(t *testing.T) {
 	for i, bp := range f.bps {
 		blobs[i] = f.serverBlob(t, bp)
 	}
-	out, err := f.enclave.ECall(FnPrepareBatch, EncodeBatchPrepareArgs(&BatchPrepareArgs{
-		ServerBlobs: blobs,
-		SMMPub:      testNonce,
-		MemXCursor:  startX,
-		DataCursor:  startD,
-	}))
-	if err != nil {
-		t.Fatalf("FnPrepareBatch: %v", err)
-	}
-	batch, err := DecodeBatchResult(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Members) != n {
-		t.Fatalf("members = %d, want %d", len(batch.Members), n)
+	batch := prepareCall(t, f.enclave, &PrepareArgs{
+		Members:    patchMembers(blobs...),
+		SMMPub:     testNonce,
+		MemXCursor: startX,
+		DataCursor: startD,
+	})
+	if len(batch) != n {
+		t.Fatalf("members = %d, want %d", len(batch), n)
 	}
 
 	// Sequential reference run: same blobs one member per call, the
 	// caller chaining cursors by the reported deltas.
 	curX, curD := startX, startD
-	seq := make([]BatchMemberResult, n)
+	seq := make([]MemberResult, n)
 	for i := range blobs {
-		out, err := f.enclave.ECall(FnPrepareBatch, EncodeBatchPrepareArgs(&BatchPrepareArgs{
-			ServerBlobs: blobs[i : i+1],
-			SMMPub:      testNonce,
-			MemXCursor:  curX,
-			DataCursor:  curD,
-		}))
-		if err != nil {
-			t.Fatalf("one-member call %d: %v", i, err)
+		one := prepareCall(t, f.enclave, &PrepareArgs{
+			Members:    patchMembers(blobs[i]),
+			SMMPub:     testNonce,
+			MemXCursor: curX,
+			DataCursor: curD,
+		})
+		if len(one) != 1 || one[0].Err != "" {
+			t.Fatalf("one-member call %d: %+v", i, one)
 		}
-		one, err := DecodeBatchResult(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(one.Members) != 1 || one.Members[0].Err != "" {
-			t.Fatalf("one-member call %d: %+v", i, one.Members)
-		}
-		seq[i] = one.Members[0]
+		seq[i] = one[0]
 		curX += seq[i].MemXUsed
 		curD += seq[i].DataUsed
 	}
@@ -196,7 +182,7 @@ func TestPrepareManyCursorChaining(t *testing.T) {
 	type span struct{ lo, hi uint64 }
 	var spans []span
 	var sumX, sumD uint64
-	for i, m := range batch.Members {
+	for i, m := range batch {
 		if m.Err != "" {
 			t.Fatalf("member %d failed: %s", i, m.Err)
 		}
@@ -262,28 +248,60 @@ func TestPrepareManyBadMemberConsumesNothing(t *testing.T) {
 	good := [][]byte{f.serverBlob(t, f.bps[0]), f.serverBlob(t, f.bps[2])}
 	blobs := [][]byte{good[0], []byte("not a sealed blob"), good[1]}
 
-	out, err := f.enclave.ECall(FnPrepareBatch, EncodeBatchPrepareArgs(&BatchPrepareArgs{ServerBlobs: blobs, SMMPub: testNonce}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := DecodeBatchResult(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := batch.Members[1]
+	batch := prepareCall(t, f.enclave, &PrepareArgs{Members: patchMembers(blobs...), SMMPub: testNonce})
+	bad := batch[1]
 	if bad.Err == "" {
 		t.Fatal("garbage member prepared successfully")
 	}
 	if bad.MemXUsed != 0 || bad.DataUsed != 0 || len(bad.Ciphertext) != 0 {
-		t.Errorf("failed member consumed allocation: %+v", bad.Result)
+		t.Errorf("failed member consumed allocation: %+v", bad)
 	}
 	// The survivor after the hole sits right after the first member
 	// (modulo the 16-byte function placement alignment).
-	first := f.open(t, batch.Members[0].Ciphertext, batch.Members[0].EnclavePub)
-	third := f.open(t, batch.Members[2].Ciphertext, batch.Members[2].EnclavePub)
+	first := f.open(t, batch[0].Ciphertext, batch[0].EnclavePub)
+	third := f.open(t, batch[2].Ciphertext, batch[2].EnclavePub)
 	end := first.Funcs[0].PAddr + uint64(len(first.Funcs[0].Payload))
 	if want := (end + 15) &^ 15; third.Funcs[0].PAddr != want {
 		t.Errorf("member after failed one placed at %#x, want %#x (hole must not consume)",
 			third.Funcs[0].PAddr, want)
+	}
+}
+
+// TestPrepareRollbackMemberConsumesNothing pins how a rollback member
+// rides in a call with patches: it seals a rollback command for its
+// ID at the model's fixed cost, consumes no cursor, and leaves every
+// patch member placed exactly as in the call without it.
+func TestPrepareRollbackMemberConsumesNothing(t *testing.T) {
+	f := newMultiFixture(t, 2)
+	blobs := [][]byte{f.serverBlob(t, f.bps[0]), f.serverBlob(t, f.bps[1])}
+	plain := prepareCall(t, f.enclave, &PrepareArgs{Members: patchMembers(blobs...), SMMPub: testNonce})
+
+	// The server blobs decrypt in place inside the enclave's copy of the
+	// arguments, so the helper's blobs are reusable.
+	members := patchMembers(blobs...)
+	members = append(members[:1], Member{Op: patch.OpRollback, Data: []byte("CVE-OLD")}, members[1])
+	mixed := prepareCall(t, f.enclave, &PrepareArgs{Members: members, SMMPub: testNonce})
+	if len(mixed) != 3 {
+		t.Fatalf("members = %d, want 3", len(mixed))
+	}
+	rb := mixed[1]
+	if rb.Err != "" || rb.ID != "CVE-OLD" || rb.MemXUsed != 0 || rb.DataUsed != 0 || rb.PayloadBytes != 0 {
+		t.Errorf("rollback member = %+v", rb)
+	}
+	if want := timing.Calibrated().PrepFixed; rb.Prep != want {
+		t.Errorf("rollback member prep = %v, want %v", rb.Prep, want)
+	}
+	if pkg := f.open(t, rb.Ciphertext, rb.EnclavePub); pkg.Op != patch.OpRollback || pkg.ID != "CVE-OLD" {
+		t.Errorf("rollback member package = %+v", pkg)
+	}
+	for i, j := range []int{0, 2} {
+		if mixed[j].Err != "" {
+			t.Fatalf("patch member %d failed: %s", j, mixed[j].Err)
+		}
+		got := f.open(t, mixed[j].Ciphertext, mixed[j].EnclavePub)
+		want := f.open(t, plain[i].Ciphertext, plain[i].EnclavePub)
+		if got.Op != patch.OpPatch || got.Funcs[0].PAddr != want.Funcs[0].PAddr {
+			t.Errorf("patch member %d placed at %#x, want %#x as without the rollback", j, got.Funcs[0].PAddr, want.Funcs[0].PAddr)
+		}
 	}
 }

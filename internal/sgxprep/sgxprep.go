@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"kshot/internal/isa"
@@ -28,16 +29,12 @@ import (
 	"kshot/internal/timing"
 )
 
-// ECALL function numbers.
-const (
-	// FnPrepareRollback builds an encrypted rollback command package.
-	FnPrepareRollback = 2
-	// FnPrepareBatch preprocesses one or more patch blobs in one ECALL,
-	// sealing each member with its own salt against the same SMM
-	// nonce, for delivery as one staging directory. It is the only
-	// patch-preparing ECALL: a single patch is a one-member call.
-	FnPrepareBatch = 3
-)
+// FnPrepare is the enclave's one ECALL. It prepares an ordered list of
+// members, each a patch or a rollback command, sealing each with its
+// own salt against the same SMM nonce for delivery as one staging
+// directory. A single patch or rollback is a one-member call.
+// (Numbers 1 and 2 were the retired single-patch and rollback calls.)
+const FnPrepare = 3
 
 // EnclavePages is the number of EPC pages the preparation enclave
 // needs.
@@ -47,52 +44,40 @@ const EnclavePages = 8
 // the EPC.
 const serverKeyOff = 0
 
-// RollbackArgs is the input of FnPrepareRollback.
-type RollbackArgs struct {
-	ID     string
-	SMMPub []byte
+// Member is one package to prepare.
+type Member struct {
+	// Op is patch.OpPatch or patch.OpRollback, the operation the SMM
+	// handler dispatches the sealed package on.
+	Op patch.Op
+
+	// Data is the server's encrypted BinaryPatch for a patch member,
+	// or the ID of the patch to undo for a rollback member.
+	Data []byte
 }
 
-// BatchPrepareArgs is the input of FnPrepareBatch. Members are
-// prepared in order against a running allocation cursor: member i+1's
-// mem_X placement assumes members 0..i apply first, which is exactly
-// the order the SMM batch handler processes the staging directory.
-type BatchPrepareArgs struct {
-	// ServerBlobs are the encrypted BinaryPatches, one per member.
-	ServerBlobs [][]byte
+// PrepareArgs is the input of FnPrepare. Patch members are prepared in
+// order against a running allocation cursor: patch member i+1's mem_X
+// placement assumes the patches before it apply first, which is
+// exactly the order the SMM handler processes the staging directory.
+// Rollback members consume no allocation.
+type PrepareArgs struct {
+	Members []Member
 
 	// SMMPub is the SMM handler's published channel nonce; every
 	// member is sealed against it with a fresh enclave salt.
 	SMMPub []byte
 
 	// MemXCursor/DataCursor are the SMM handler's allocation cursors
-	// before the batch.
+	// before the call.
 	MemXCursor uint64
 	DataCursor uint64
 }
 
-// BatchMemberResult is one member's outcome in a BatchResult. A failed
-// member carries Err and consumes no allocation; later members are
-// still prepared (one bad blob does not sink the batch).
-type BatchMemberResult struct {
-	Result
-
-	// Prep is this member's share of the preprocessing cost.
-	Prep time.Duration
-
-	// Err is the member's preparation failure, empty on success. It is
-	// a string because the result crosses the enclave boundary.
-	Err string
-}
-
-// BatchResult is the output of FnPrepareBatch, in member order.
-type BatchResult struct {
-	Members []BatchMemberResult
-}
-
-// Result is the output of FnPrepareRollback and, per member, of
-// FnPrepareBatch.
-type Result struct {
+// MemberResult is one member's outcome; FnPrepare returns one per
+// member, in member order. A failed member carries Err and consumes
+// no allocation; later members are still prepared (one bad blob does
+// not sink the call).
+type MemberResult struct {
 	// Ciphertext is the encrypted package for mem_W.
 	Ciphertext []byte
 
@@ -107,8 +92,15 @@ type Result struct {
 	DataUsed uint64
 
 	// PayloadBytes is the total function payload size (the "patch
-	// size" the evaluation tables sweep).
+	// size" the evaluation tables sweep); zero for a rollback.
 	PayloadBytes int
+
+	// Prep is this member's share of the preprocessing cost.
+	Prep time.Duration
+
+	// Err is the member's preparation failure, empty on success. It is
+	// a string because the result crosses the enclave boundary.
+	Err string
 }
 
 // Config parameterizes the enclave program.
@@ -205,127 +197,129 @@ func (p *Program) SetObserver(ob *obs.Hooks) { p.obs = ob }
 
 // ECall implements sgx.Program.
 func (p *Program) ECall(env *sgx.Env, fn int, args []byte) ([]byte, error) {
-	switch fn {
-	case FnPrepareRollback:
-		in, err := DecodeRollbackArgs(args)
-		if err != nil {
-			return nil, fmt.Errorf("sgxprep: args: %w", err)
-		}
-		return p.prepareRollback(env, in)
-	case FnPrepareBatch:
-		in, err := DecodeBatchPrepareArgs(args)
-		if err != nil {
-			return nil, fmt.Errorf("sgxprep: args: %w", err)
-		}
-		return p.prepareBatch(env, in)
-	default:
+	if fn != FnPrepare {
 		return nil, fmt.Errorf("sgxprep: no such ecall %d", fn)
 	}
+	in, err := DecodePrepareArgs(args)
+	if err != nil {
+		return nil, fmt.Errorf("sgxprep: args: %w", err)
+	}
+	return p.prepare(env, &in)
 }
 
-// prepareBatch is the prepare-many ECALL: each server blob is
-// decrypted, preprocessed at the running cursor, and sealed with its
-// own salt against the shared SMM nonce. Preprocessing costs are
-// computed directly from the model (not clock spans) so the per-member
-// numbers stay exact when pipelined fetches advance the shared clock
-// concurrently.
-func (p *Program) prepareBatch(env *sgx.Env, in *BatchPrepareArgs) ([]byte, error) {
-	serverKey := make([]byte, 32)
-	if err := env.Read(serverKeyOff, serverKey); err != nil {
-		return nil, err
-	}
-	serverSession, err := kcrypto.NewSession(serverKey, p.rng)
-	if err != nil {
-		return nil, err
+// prepare runs FnPrepare: each patch member's server blob is
+// decrypted, preprocessed at the running cursor and sealed, and each
+// rollback member's command is sealed, all against the shared SMM
+// nonce. Preprocessing costs are computed directly from the model (not
+// clock spans) so the per-member numbers stay exact when pipelined
+// fetches advance the shared clock concurrently.
+func (p *Program) prepare(env *sgx.Env, in *PrepareArgs) ([]byte, error) {
+	// Only patch blobs come from the server, so a call without one
+	// never reads the server key.
+	var serverSession *kcrypto.Session
+	if slices.ContainsFunc(in.Members, func(m Member) bool { return m.Op == patch.OpPatch }) {
+		serverKey := make([]byte, 32)
+		if err := env.Read(serverKeyOff, serverKey); err != nil {
+			return nil, err
+		}
+		var err error
+		if serverSession, err = kcrypto.NewSession(serverKey, p.rng); err != nil {
+			return nil, err
+		}
 	}
 
 	curX, curD := in.MemXCursor, in.DataCursor
-	out := BatchResult{Members: make([]BatchMemberResult, len(in.ServerBlobs))}
-	for i, blob := range in.ServerBlobs {
-		mr := &out.Members[i]
-		// blob aliases the enclave's private copy of the ECALL
-		// arguments (sgx.Enclave.ECall copies them on every call), so
-		// it decrypts in place.
-		plain, err := serverSession.DecryptInPlace(blob)
+	out := make([]MemberResult, len(in.Members))
+	for i, m := range in.Members {
+		mr := &out[i]
+		var wire []byte
+		var err error
+		if m.Op == patch.OpRollback {
+			wire, err = p.rollbackWire(mr, string(m.Data))
+		} else {
+			wire, err = p.patchWire(mr, serverSession, m.Data, curX, curD)
+		}
+		if err == nil {
+			mr.Ciphertext, mr.EnclavePub, err = p.sealForSMM(wire, in.SMMPub)
+		}
 		if err != nil {
-			mr.Err = fmt.Sprintf("server blob: %v", err)
+			// A failed member consumes no allocation: cursors advance
+			// only past successful members, matching the SMM handler,
+			// which skips failed ones.
+			*mr = MemberResult{ID: mr.ID, Err: err.Error()}
 			continue
 		}
-		bp, err := patch.Decode(plain)
-		if err != nil {
-			mr.Err = fmt.Sprintf("server blob decode: %v", err)
-			continue
-		}
-		mr.ID = bp.ID
-		if bp.KernelVersion != p.cfg.KernelVersion {
-			mr.Err = fmt.Sprintf("patch for kernel %q, running %q", bp.KernelVersion, p.cfg.KernelVersion)
-			continue
-		}
-		prepared, err := patch.Prepare(bp, p.symtab, p.cfg.Placement, curX, curD)
-		if err != nil {
-			mr.Err = err.Error()
-			continue
-		}
-		wire, err := patch.Marshal(prepared, patch.OpPatch, p.cfg.HashAlg)
-		if err != nil {
-			mr.Err = err.Error()
-			continue
-		}
-		prep := timing.Linear(p.cfg.Model.PrepFixed, p.cfg.Model.PrepPerByte, bp.PayloadBytes())
-		p.cfg.Clock.Advance(prep)
-		p.obs.Span(obs.PhasePrep, bp.ID, -1, prep, bp.PayloadBytes())
-		sealed, err := p.sealForSMM(wire, in.SMMPub)
-		if err != nil {
-			mr.Err = err.Error()
-			continue
-		}
-		mr.Ciphertext = sealed.Ciphertext
-		mr.EnclavePub = sealed.EnclavePub
-		mr.MemXUsed = prepared.MemXUsed
-		mr.DataUsed = prepared.DataUsed
-		mr.PayloadBytes = bp.PayloadBytes()
-		mr.Prep = prep
-		// MemXUsed/DataUsed are per-patch consumption deltas; cursors
-		// advance only past successful members, matching the SMM
-		// handler, which skips failed ones.
-		curX += prepared.MemXUsed
-		curD += prepared.DataUsed
+		curX += mr.MemXUsed
+		curD += mr.DataUsed
 	}
-	return encodeBatchResult(&out), nil
+	return encodeResults(out), nil
 }
 
-func (p *Program) prepareRollback(_ *sgx.Env, in *RollbackArgs) ([]byte, error) {
-	wire, err := patch.MarshalRollback(in.ID, p.cfg.KernelVersion)
+// patchWire decrypts and preprocesses one patch member's server blob at
+// the cursors, recording its ID, allocation and cost in mr, and returns
+// the package for sealing.
+func (p *Program) patchWire(mr *MemberResult, serverSession *kcrypto.Session, blob []byte, curX, curD uint64) ([]byte, error) {
+	// blob aliases the enclave's private copy of the ECALL arguments
+	// (sgx.Enclave.ECall copies them on every call), so it decrypts in
+	// place.
+	plain, err := serverSession.DecryptInPlace(blob)
+	if err != nil {
+		return nil, fmt.Errorf("server blob: %w", err)
+	}
+	bp, err := patch.Decode(plain)
+	if err != nil {
+		return nil, fmt.Errorf("server blob decode: %w", err)
+	}
+	mr.ID = bp.ID
+	if bp.KernelVersion != p.cfg.KernelVersion {
+		return nil, fmt.Errorf("patch for kernel %q, running %q", bp.KernelVersion, p.cfg.KernelVersion)
+	}
+	prepared, err := patch.Prepare(bp, p.symtab, p.cfg.Placement, curX, curD)
 	if err != nil {
 		return nil, err
 	}
-	p.cfg.Clock.Advance(p.cfg.Model.PrepFixed)
-	p.obs.Span(obs.PhasePrep, "rollback:"+in.ID, -1, p.cfg.Model.PrepFixed, 0)
-	res, err := p.sealForSMM(wire, in.SMMPub)
+	wire, err := patch.Marshal(prepared, patch.OpPatch, p.cfg.HashAlg)
 	if err != nil {
 		return nil, err
 	}
-	res.ID = in.ID
-	return encodeResult(res), nil
+	mr.MemXUsed, mr.DataUsed = prepared.MemXUsed, prepared.DataUsed
+	mr.PayloadBytes = bp.PayloadBytes()
+	mr.Prep = timing.Linear(p.cfg.Model.PrepFixed, p.cfg.Model.PrepPerByte, mr.PayloadBytes)
+	p.cfg.Clock.Advance(mr.Prep)
+	p.obs.Span(obs.PhasePrep, bp.ID, -1, mr.Prep, mr.PayloadBytes)
+	return wire, nil
+}
+
+// rollbackWire records a rollback member undoing patch id, at the
+// model's fixed preprocessing cost, and returns its command package.
+func (p *Program) rollbackWire(mr *MemberResult, id string) ([]byte, error) {
+	mr.ID = id
+	wire, err := patch.MarshalRollback(id, p.cfg.KernelVersion)
+	if err != nil {
+		return nil, err
+	}
+	mr.Prep = p.cfg.Model.PrepFixed
+	p.cfg.Clock.Advance(mr.Prep)
+	p.obs.Span(obs.PhasePrep, "rollback:"+id, -1, mr.Prep, 0)
+	return wire, nil
 }
 
 // sealForSMM encrypts the wire package for the mem_W channel under
 // HMAC(root, smmNonce, salt) with a fresh salt, which the enclave
 // contributes through the EnclavePub slot. The SMM side consumes its
 // nonce per package, so a sealed package never opens twice.
-func (p *Program) sealForSMM(wire, smmNonce []byte) (*Result, error) {
-	salt := make([]byte, 32)
+func (p *Program) sealForSMM(wire, smmNonce []byte) (ct, salt []byte, err error) {
+	salt = make([]byte, 32)
 	if _, err := io.ReadFull(p.rng, salt); err != nil {
-		return nil, fmt.Errorf("sgxprep: salt: %w", err)
+		return nil, nil, fmt.Errorf("sgxprep: salt: %w", err)
 	}
 	key := kcrypto.DeriveKey(p.cfg.SessionRoot, smmNonce, salt)
 	session, err := kcrypto.NewSession(key[:], p.rng)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	ct, err := session.Encrypt(wire)
-	if err != nil {
-		return nil, err
+	if ct, err = session.Encrypt(wire); err != nil {
+		return nil, nil, err
 	}
-	return &Result{Ciphertext: ct, EnclavePub: salt}, nil
+	return ct, salt, nil
 }

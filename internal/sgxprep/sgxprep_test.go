@@ -157,31 +157,44 @@ func (f *fixture) serverBlob(t *testing.T) []byte {
 	return ct
 }
 
-// prepare runs the fixture's patch through a one-member
-// FnPrepareBatch and returns the member.
-func (f *fixture) prepare(t *testing.T) BatchMemberResult {
+// prepare runs the fixture's patch through a one-member FnPrepare and
+// returns the member.
+func (f *fixture) prepare(t *testing.T) MemberResult {
 	t.Helper()
 	return f.prepareBlob(t, f.serverBlob(t))
 }
 
-// prepareBlob runs one server blob through a one-member FnPrepareBatch.
-func (f *fixture) prepareBlob(t *testing.T, blob []byte) BatchMemberResult {
+// prepareBlob runs one server blob through a one-member FnPrepare.
+func (f *fixture) prepareBlob(t *testing.T, blob []byte) MemberResult {
 	t.Helper()
-	out, err := f.enclave.ECall(FnPrepareBatch, EncodeBatchPrepareArgs(&BatchPrepareArgs{
-		ServerBlobs: [][]byte{blob},
-		SMMPub:      testNonce,
-	}))
+	ms := prepareCall(t, f.enclave, &PrepareArgs{Members: patchMembers(blob), SMMPub: testNonce})
+	if len(ms) != 1 {
+		t.Fatalf("%d members for a one-member call", len(ms))
+	}
+	return ms[0]
+}
+
+// patchMembers makes one patch member per server blob.
+func patchMembers(blobs ...[]byte) []Member {
+	ms := make([]Member, len(blobs))
+	for i, b := range blobs {
+		ms[i] = Member{Op: patch.OpPatch, Data: b}
+	}
+	return ms
+}
+
+// prepareCall runs one FnPrepare ECALL and decodes its results.
+func prepareCall(t *testing.T, e *sgx.Enclave, a *PrepareArgs) []MemberResult {
+	t.Helper()
+	out, err := e.ECall(FnPrepare, EncodePrepareArgs(a))
+	if err != nil {
+		t.Fatalf("FnPrepare: %v", err)
+	}
+	ms, err := DecodeResults(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, err := DecodeBatchResult(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Members) != 1 {
-		t.Fatalf("%d members for a one-member call", len(br.Members))
-	}
-	return br.Members[0]
+	return ms
 }
 
 func TestPrepareProducesDecryptablePackage(t *testing.T) {
@@ -214,13 +227,19 @@ func TestPrepareProducesDecryptablePackage(t *testing.T) {
 
 func TestPrepareRollbackPackage(t *testing.T) {
 	f := newFixture(t, kcrypto.HashSHA256)
-	out, err := f.enclave.ECall(FnPrepareRollback, EncodeRollbackArgs(&RollbackArgs{ID: "CVE-FIX", SMMPub: testNonce}))
-	if err != nil {
-		t.Fatal(err)
+	ms := prepareCall(t, f.enclave, &PrepareArgs{
+		Members: []Member{{Op: patch.OpRollback, Data: []byte("CVE-FIX")}},
+		SMMPub:  testNonce,
+	})
+	if len(ms) != 1 {
+		t.Fatalf("%d members for a one-member call", len(ms))
 	}
-	res, err := DecodeResult(out)
-	if err != nil {
-		t.Fatal(err)
+	res := ms[0]
+	if res.Err != "" || res.ID != "CVE-FIX" || res.PayloadBytes != 0 || res.MemXUsed != 0 || res.DataUsed != 0 {
+		t.Errorf("rollback result = %+v", res)
+	}
+	if want := timing.Calibrated().PrepFixed; res.Prep != want {
+		t.Errorf("rollback preprocessing = %v, want the model's fixed %v", res.Prep, want)
 	}
 	pkg, err := patch.Unmarshal(openSealed(t, res.Ciphertext, res.EnclavePub))
 	if err != nil {
@@ -255,13 +274,22 @@ func TestRejectsBadECall(t *testing.T) {
 	if _, err := f.enclave.ECall(99, nil); err == nil {
 		t.Error("unknown ecall accepted")
 	}
-	// Function 1 was the single-patch prepare; a patch is now a
-	// one-member FnPrepareBatch.
-	if _, err := f.enclave.ECall(1, nil); err == nil {
-		t.Error("retired ecall 1 accepted")
+	// Functions 1 and 2 were the single-patch prepare and the rollback
+	// prepare; both are now one-member FnPrepare calls.
+	for _, fn := range []int{1, 2} {
+		args := EncodePrepareArgs(&PrepareArgs{Members: []Member{{Op: patch.OpRollback, Data: []byte("CVE-FIX")}}, SMMPub: testNonce})
+		if _, err := f.enclave.ECall(fn, args); err == nil {
+			t.Errorf("retired ecall %d accepted", fn)
+		}
 	}
-	if _, err := f.enclave.ECall(FnPrepareBatch, []byte("garbage")); err == nil {
+	if _, err := f.enclave.ECall(FnPrepare, []byte("garbage")); err == nil {
 		t.Error("garbage args accepted")
+	}
+	// An op SMM does not dispatch on is refused before any member is
+	// prepared.
+	args := EncodePrepareArgs(&PrepareArgs{Members: []Member{{Op: patch.OpRollback + 1, Data: []byte("CVE-FIX")}}, SMMPub: testNonce})
+	if _, err := f.enclave.ECall(FnPrepare, args); err == nil || !strings.Contains(err.Error(), "op 3") {
+		t.Errorf("unknown member op: err = %v, want a refusal naming op 3", err)
 	}
 }
 

@@ -32,7 +32,7 @@ import (
 //	magic "KSBT" (4) | u32 member count | members...
 //	member: u32 salt len | enclave salt | u32 ct len | ciphertext
 //
-// mem_RW results mailbox at offBatchResults:
+// mem_RW results mailbox at offMemberCodes:
 //
 //	u32 member count | per-member u32 status code
 //
@@ -131,7 +131,7 @@ func (h *Handler) handlePackage(ctx *smm.Context, _ uint64) error {
 			return h.fail(ctx, err)
 		}
 	}
-	if err := h.writeBatchResults(ctx, codes); err != nil {
+	if err := h.writeMemberCodes(ctx, codes); err != nil {
 		return h.fail(ctx, err)
 	}
 	h.outcomes = outs
@@ -244,14 +244,14 @@ func parseBatchDir(read func(addr uint64, dst []byte) error, base, limit uint64)
 	return members, nil
 }
 
-// writeBatchResults publishes per-member outcome codes in mem_RW.
-func (h *Handler) writeBatchResults(ctx *smm.Context, codes []uint32) error {
+// writeMemberCodes publishes per-member outcome codes in mem_RW.
+func (h *Handler) writeMemberCodes(ctx *smm.Context, codes []uint32) error {
 	buf := make([]byte, 4+4*len(codes))
 	binary.LittleEndian.PutUint32(buf, uint32(len(codes)))
 	for i, c := range codes {
 		binary.LittleEndian.PutUint32(buf[4+4*i:], c)
 	}
-	return ctx.Write(h.res.RWBase()+offBatchResults, buf)
+	return ctx.Write(h.res.RWBase()+offMemberCodes, buf)
 }
 
 // StageBatch writes the staging directory into mem_W at the given
@@ -302,11 +302,11 @@ func appendBatchDir(buf []byte, members []BatchMember) []byte {
 	return buf
 }
 
-// ReadBatchResults reads the per-member outcome codes the handler
+// ReadMemberCodes reads the per-member outcome codes the handler
 // published after a CmdProcessPackage SMI.
-func ReadBatchResults(m *mem.Physical, priv mem.Priv, res *mem.Reserved) ([]uint32, error) {
+func ReadMemberCodes(m *mem.Physical, priv mem.Priv, res *mem.Reserved) ([]uint32, error) {
 	var cntBuf [4]byte
-	if err := m.Read(priv, res.RWBase()+offBatchResults, cntBuf[:]); err != nil {
+	if err := m.Read(priv, res.RWBase()+offMemberCodes, cntBuf[:]); err != nil {
 		return nil, err
 	}
 	n := int(binary.LittleEndian.Uint32(cntBuf[:]))
@@ -314,7 +314,7 @@ func ReadBatchResults(m *mem.Physical, priv mem.Priv, res *mem.Reserved) ([]uint
 		return nil, fmt.Errorf("batch results: bad member count %d", n)
 	}
 	buf := make([]byte, 4*n)
-	if err := m.Read(priv, res.RWBase()+offBatchResults+4, buf); err != nil {
+	if err := m.Read(priv, res.RWBase()+offMemberCodes+4, buf); err != nil {
 		return nil, err
 	}
 	codes := make([]uint32, n)

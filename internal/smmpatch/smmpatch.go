@@ -63,10 +63,10 @@ const (
 	// digest (SMM-written; read by the helper/remote server for the
 	// DoS-detection handshake of §V-D).
 	offStatus = 0x8000
-	// offBatchResults: u32 member count + per-member u32 status codes
+	// offMemberCodes: u32 member count + per-member u32 status codes
 	// (SMM-written after CmdProcessPackage; read by the helper to learn
 	// which members were applied, rolled back, refused, or rejected).
-	offBatchResults = 0x8100
+	offMemberCodes = 0x8100
 )
 
 // Status codes published at offStatus.
@@ -84,7 +84,7 @@ const (
 	StatusTargetActive
 	// StatusBatchDone is the mailbox summary code after every package
 	// SMI; per-member outcomes are published separately at
-	// offBatchResults.
+	// offMemberCodes.
 	StatusBatchDone
 )
 

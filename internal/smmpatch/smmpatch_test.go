@@ -185,7 +185,7 @@ func (r *rig) process(t *testing.T) error {
 // last package SMI published.
 func (r *rig) codes(t *testing.T) ([]uint32, uint32) {
 	t.Helper()
-	codes, err := ReadBatchResults(r.m.Mem, mem.PrivKernel, r.k.Res)
+	codes, err := ReadMemberCodes(r.m.Mem, mem.PrivKernel, r.k.Res)
 	if err != nil {
 		t.Fatal(err)
 	}

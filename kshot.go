@@ -325,7 +325,6 @@ var (
 	WithFetchWorkers = core.WithFetchWorkers
 	WithMaxRetries   = core.WithMaxRetries
 	WithRetryBackoff = core.WithRetryBackoff
-	WithSyncFetch    = core.WithSyncFetch
 )
 
 // New provisions a simulated target machine with the given options:

@@ -23,13 +23,13 @@ func chaosFleet() []RolloutTarget {
 	return out
 }
 
-// syncFetchTarget pins a System's ApplyAll to synchronous
-// single-worker fetches, so seeded fault schedules replay at identical
-// call indices — the chaos suite's determinism mode.
+// syncFetchTarget pins a System's ApplyAll to one fetch worker, which
+// fetches each batch inline, so seeded fault schedules replay at
+// identical call indices — the chaos suite's determinism mode.
 type syncFetchTarget struct{ *System }
 
 func (s syncFetchTarget) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOption) (*BatchReport, error) {
-	return s.System.ApplyAll(ctx, cves, append(opts, WithFetchWorkers(1), WithSyncFetch())...)
+	return s.System.ApplyAll(ctx, cves, append(opts, WithFetchWorkers(1))...)
 }
 
 // runChaosRollout runs one seeded rollout of two CVEs across the
