@@ -78,6 +78,12 @@ type predFn func(e *Engine, p *pred) (retired int, done bool, err error)
 type Block struct {
 	start, end uint64
 	preds      []pred
+
+	// succ caches the last two blocks dispatched right after this one
+	// in the current code epoch, most recent first. runUnit follows a
+	// link only when its start equals RIP, so a link is an exact
+	// shortcut for the blocks map lookup it replaces.
+	succ [2]*Block
 }
 
 // Start returns the block's entry address.
@@ -90,7 +96,7 @@ func (b *Block) End() uint64 { return b.end }
 // Read them only while the owning vCPU is quiescent.
 type EngineStats struct {
 	Decodes   uint64 // blocks decoded (cache misses)
-	Hits      uint64 // block dispatches served from cache
+	Hits      uint64 // block dispatches served from cache (by link or map)
 	Flushes   uint64 // whole-cache invalidations (code epoch moved)
 	Fallbacks uint64 // single Step fallbacks (undecodable head or budget)
 }
@@ -106,7 +112,13 @@ type Engine struct {
 	blocks map[uint64]*Block
 	epoch  uint64
 
+	// prev is the block the last unit dispatched, whose links the next
+	// unit tries before the map; nil after a flush or a Step fallback,
+	// so no link outlives its code epoch.
+	prev *Block
+
 	stats EngineStats
+	links uint64 // dispatches served by a block link (counted in Hits too)
 
 	// intr, when non-nil, receives cache-flush events and (while
 	// armed) per-unit step events; cpuID attributes them to the owning
@@ -134,6 +146,7 @@ func (e *Engine) SetIntrospect(s obs.Introspector, cpu int) {
 
 func (e *Engine) flush(epoch uint64) {
 	e.blocks = make(map[uint64]*Block)
+	e.prev = nil
 	e.epoch = epoch
 	e.stats.Flushes++
 	if e.intr != nil {
@@ -163,18 +176,45 @@ func (e *Engine) runUnit(budget int) (int, error) {
 	if ep := c.M.CodeEpoch(); ep != e.epoch {
 		e.flush(ep)
 	}
-	b := e.blocks[c.RIP]
+	rip := c.RIP
+	b := e.linked(rip)
 	if b == nil {
-		if b = e.decodeBlock(c.RIP); b == nil {
-			e.stats.Fallbacks++
-			return e.stepOnce()
+		if b = e.blocks[rip]; b == nil {
+			if b = e.decodeBlock(rip); b == nil {
+				e.stats.Fallbacks++
+				e.prev = nil
+				return e.stepOnce()
+			}
+			e.blocks[rip] = b
+			e.stats.Decodes++
+		} else {
+			e.stats.Hits++
 		}
-		e.blocks[c.RIP] = b
-		e.stats.Decodes++
+		if p := e.prev; p != nil {
+			p.succ[1], p.succ[0] = p.succ[0], b
+		}
 	} else {
 		e.stats.Hits++
+		e.links++
 	}
+	e.prev = b
 	return e.exec(b, budget)
+}
+
+// linked returns the previous block's cached successor starting at
+// rip, or nil.
+func (e *Engine) linked(rip uint64) *Block {
+	p := e.prev
+	if p == nil {
+		return nil
+	}
+	if s := p.succ[0]; s != nil && s.start == rip {
+		return s
+	}
+	if s := p.succ[1]; s != nil && s.start == rip {
+		return s
+	}
+	return nil
 }
 
 // stepOnce delegates one instruction to the oracle interpreter,

@@ -151,6 +151,7 @@ func TestEngineOracleParityPrograms(t *testing.T) {
 `, "rot", 1000, nil}, // args filled below with the symbol address
 	}
 
+	followsLinks := map[string]bool{"loop": true, "step-limit": true}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			img, oracle, e, stack := dualRig(t, tc.src, LinkOptions{})
@@ -171,6 +172,11 @@ func TestEngineOracleParityPrograms(t *testing.T) {
 			}
 			for _, args := range argSets {
 				callBoth(t, img, oracle, e, stack, tc.fn, tc.maxSteps, args...)
+			}
+			// Loops run many units, so their parity covers block links,
+			// which lockstep's per-unit rewind never follows.
+			if followsLinks[tc.name] && e.links == 0 {
+				t.Fatalf("%s: a multi-unit run followed no block link", tc.name)
 			}
 		})
 	}
@@ -641,5 +647,130 @@ func TestDispatchNames(t *testing.T) {
 	}
 	if DispatchBlocks != 0 {
 		t.Error("DispatchBlocks must be the zero value (the default)")
+	}
+}
+
+// TestLinkedSuccessorInvalidation pins the block-link shortcut: a link
+// is followed only within the code epoch it was recorded in, and only
+// to a block that starts at RIP. Lockstep cannot check this, because
+// its per-unit memory rewind flushes the cache before every unit.
+func TestLinkedSuccessorInvalidation(t *testing.T) {
+	src := `
+.func f
+    movi r0, 1
+    cmpi r1, 0
+    jz .skip
+    addi r0, 10
+    ret
+.skip:
+    ret
+.endfunc
+.func g
+    movi r0, 7
+    ret
+.endfunc
+`
+	img, oracle, e, stack := dualRig(t, src, LinkOptions{})
+	f, _ := img.Symbols.Lookup("f")
+	g, _ := img.Symbols.Lookup("g")
+	prep := func(c *CPU, entry uint64, args ...uint64) {
+		c.Reg = [NumRegs]uint64{}
+		c.Reg[RegSP] = stack
+		copy(c.Reg[1:], args)
+		if err := c.push(StopAddr); err != nil {
+			t.Fatal(err)
+		}
+		c.RIP = entry
+	}
+	same := func(what string) {
+		t.Helper()
+		if oracle.Steps != e.C.Steps {
+			t.Fatalf("%s: retired-step mismatch: oracle %d vs blocks %d", what, oracle.Steps, e.C.Steps)
+		}
+		if os, es := oracle.Save(), e.C.Save(); os != es {
+			t.Fatalf("%s: state mismatch:\noracle %+v\nblocks %+v", what, os, es)
+		}
+	}
+
+	// Warm A (f's entry block, whose jz falls through) and B (the
+	// fall-through block) until A links to B.
+	for i := 0; i < 3; i++ {
+		if got, _ := callBoth(t, img, oracle, e, stack, "f", 1000, 1); got != 11 {
+			t.Fatalf("warm f(1) = %d, want 11", got)
+		}
+	}
+	a := e.blocks[f.Addr]
+	if a == nil {
+		t.Fatal("A not cached")
+	}
+	b := e.blocks[a.End()]
+	if b == nil || (a.succ[0] != b && a.succ[1] != b) {
+		t.Fatalf("A does not link to its fall-through B after warm-up: succ %v", a.succ)
+	}
+	hits := e.Stats().Hits
+	linksBefore := e.links
+	callBoth(t, img, oracle, e, stack, "f", 1000, 1)
+	if e.links == linksBefore {
+		t.Fatal("a warm f(1) followed no link")
+	}
+	if e.Stats().Hits-hits != 2 {
+		t.Fatalf("warm f(1): %d hits, want 2 (a linked dispatch counts as a hit)", e.Stats().Hits-hits)
+	}
+
+	// Run A alone, so the next unit would follow A's link to B; then
+	// rewrite B, which bumps the code epoch. The stale B must not run.
+	prep(oracle, f.Addr, 1)
+	prep(e.C, f.Addr, 1)
+	n, err := e.RunUnit(64)
+	if err != nil || e.C.RIP != b.Start() {
+		t.Fatalf("unit A: retired %d, rip %#x, err %v; want rip at B %#x", n, e.C.RIP, err, b.Start())
+	}
+	for i := 0; i < n; i++ {
+		if err := oracle.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("after unit A")
+	addi20 := MustEncode(Inst{Op: OpAddi, Dst: 0, Imm: 20})
+	for _, m := range []*mem.Physical{oracle.M, e.C.M} {
+		if err := m.Write(mem.PrivSMM, b.Start(), addi20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oerr, eerr := oracle.Run(1000), e.Run(1000)
+	if oerr != nil || eerr != nil {
+		t.Fatalf("run after rewriting B: oracle %v, blocks %v", oerr, eerr)
+	}
+	same("after rewriting B")
+	if got := e.C.Reg[0]; got != 21 {
+		t.Fatalf("f(1) after rewriting B mid-call = %d, want 21 (stale linked block ran?)", got)
+	}
+
+	// Run from A in the new epoch.
+	for i := 0; i < 3; i++ {
+		if got, _ := callBoth(t, img, oracle, e, stack, "f", 1000, 1); got != 21 {
+			t.Fatalf("f(1) after rewriting B = %d, want 21", got)
+		}
+	}
+
+	// Restore a state whose RIP is g, not A's cached successor, right
+	// after A ran: the link must not be taken.
+	prep(oracle, g.Addr)
+	prep(e.C, g.Addr)
+	st := e.C.Save()
+	prep(e.C, f.Addr, 1)
+	if _, err := e.RunUnit(64); err != nil || e.prev == nil || e.prev.Start() != f.Addr {
+		t.Fatalf("unit A: err %v, prev %v", err, e.prev)
+	}
+	e.C.Restore(st)
+	steps := e.C.Steps
+	oracle.Steps = steps
+	oerr, eerr = oracle.Run(1000), e.Run(1000)
+	if oerr != nil || eerr != nil {
+		t.Fatalf("run from restored state: oracle %v, blocks %v", oerr, eerr)
+	}
+	same("from restored state")
+	if got := e.C.Reg[0]; got != 7 {
+		t.Fatalf("g() from restored state = %d, want 7 (A's link taken?)", got)
 	}
 }

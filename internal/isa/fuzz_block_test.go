@@ -19,7 +19,10 @@ import (
 //   - executing the stream under the block engine is observationally
 //     identical to the oracle interpreter: the lockstep runner drives
 //     both over the same memory and fails on any state, step-count,
-//     error, or memory divergence.
+//     error, or memory divergence;
+//   - the same holds for a whole multi-unit run on two separate
+//     memories, where the engine follows block links (lockstep's
+//     per-unit rewind flushes the cache, so it never does).
 func FuzzBlockDecode(f *testing.F) {
 	// Straight line, ALU + flags.
 	f.Add(MustEncode(
@@ -32,6 +35,16 @@ func FuzzBlockDecode(f *testing.F) {
 		Inst{Op: OpMovi, Dst: 1, Imm: 3},
 		Inst{Op: OpSubi, Dst: 1, Imm: 1},
 		Inst{Op: OpJnz, Imm: -(LenRegImm + LenBranch)},
+		Inst{Op: OpRet},
+	))
+	// A longer loop across two blocks, so the multi-unit run follows
+	// block links.
+	f.Add(MustEncode(
+		Inst{Op: OpMovi, Dst: 1, Imm: 16},
+		Inst{Op: OpAddi, Dst: 0, Imm: 2},
+		Inst{Op: OpJmp, Imm: 0},
+		Inst{Op: OpSubi, Dst: 1, Imm: 1},
+		Inst{Op: OpJnz, Imm: -(LenRegImm + LenBranch + LenRegImm + LenBranch)},
 		Inst{Op: OpRet},
 	))
 	// Ftrace-prologue shape: call whose callee is a bare ret.
@@ -71,19 +84,35 @@ func FuzzBlockDecode(f *testing.F) {
 		if len(data) == 0 || len(data) > 2048 {
 			return
 		}
-		m := mem.New(1 << 20)
-		if _, err := m.Map("text", textBase, uint64(len(data)), mem.Perms{Kernel: mem.PermR | mem.PermX, SMM: mem.PermRWX}); err != nil {
-			t.Fatal(err)
+		newMem := func() *mem.Physical {
+			m := mem.New(1 << 20)
+			if _, err := m.Map("text", textBase, uint64(len(data)), mem.Perms{Kernel: mem.PermR | mem.PermX, SMM: mem.PermRWX}); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Write(mem.PrivSMM, textBase, data); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Map("data", dataBase, 0x1000, mem.Perms{Kernel: mem.PermRW}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Map("stack", 0x90000, 0x1000, mem.Perms{Kernel: mem.PermRW}); err != nil {
+				t.Fatal(err)
+			}
+			return m
 		}
-		if err := m.Write(mem.PrivSMM, textBase, data); err != nil {
-			t.Fatal(err)
+		// entry readies a CPU on fresh memory to run the stream as a
+		// call with r1 pointing at the data page.
+		entry := func() *CPU {
+			c := New(newMem(), mem.PrivKernel)
+			c.Reg[RegSP] = stackTop - 8
+			if err := c.M.WriteU64(mem.PrivKernel, c.Reg[RegSP], StopAddr); err != nil {
+				t.Fatal(err)
+			}
+			c.Reg[1] = dataBase
+			c.RIP = textBase
+			return c
 		}
-		if _, err := m.Map("data", dataBase, 0x1000, mem.Perms{Kernel: mem.PermRW}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Map("stack", 0x90000, 0x1000, mem.Perms{Kernel: mem.PermRW}); err != nil {
-			t.Fatal(err)
-		}
+		m := newMem()
 
 		// Structural check: the block's preds tile the linear decode.
 		c := New(m, mem.PrivKernel)
@@ -130,13 +159,7 @@ func FuzzBlockDecode(f *testing.F) {
 		// Every unit executes under both engines on the same memory; any
 		// divergence is fatal. Other errors (faults, invalid opcodes,
 		// traps) are legitimate outcomes of arbitrary code.
-		lc := New(m, mem.PrivKernel)
-		lc.Reg[RegSP] = stackTop - 8
-		if err := lc.M.WriteU64(mem.PrivKernel, lc.Reg[RegSP], StopAddr); err != nil {
-			t.Fatal(err)
-		}
-		lc.Reg[1] = dataBase
-		lc.RIP = textBase
+		lc := entry()
 		ls := NewLockstep(lc)
 		for unit := 0; unit < 64 && !lc.Done(); unit++ {
 			_, err := ls.RunUnit(32)
@@ -148,6 +171,23 @@ func FuzzBlockDecode(f *testing.F) {
 				t.Fatalf("engines diverge on %x: %v", data, div)
 			}
 			break
+		}
+
+		// Multi-unit check: the same run, engine and oracle each on
+		// their own memory, compared at the end.
+		oc, ec := entry(), entry()
+		eng := NewEngine(ec)
+		oerr, eerr := oc.Run(2048), eng.Run(2048)
+		if errText(oerr) != errText(eerr) || oc.Steps != ec.Steps || oc.Save() != ec.Save() {
+			t.Fatalf("multi-unit run on %x: oracle{%+v steps %d err %q} vs blocks{%+v steps %d err %q}",
+				data, oc.Save(), oc.Steps, errText(oerr), ec.Save(), ec.Steps, errText(eerr))
+		}
+		for _, r := range []struct{ base, size uint64 }{{textBase, uint64(len(data))}, {dataBase, 0x1000}, {0x90000, 0x1000}} {
+			ob, eb := make([]byte, r.size), make([]byte, r.size)
+			oerr, eerr := oc.M.Read(mem.PrivKernel, r.base, ob), ec.M.Read(mem.PrivKernel, r.base, eb)
+			if oerr != nil || eerr != nil || string(ob) != string(eb) {
+				t.Fatalf("multi-unit run on %x: memory at %#x differs (read errors %v, %v)", data, r.base, oerr, eerr)
+			}
 		}
 	})
 }

@@ -3,7 +3,7 @@
 // relies on.
 //
 // Each vCPU executes call sessions on its own goroutine, checking a
-// pause gate between instructions. Raising an SMI (from the smm
+// pause gate between dispatch units. Raising an SMI (from the smm
 // package) pauses every vCPU at an instruction boundary — exactly the
 // synchronous world-switch real SMM hardware performs — so the SMM
 // handler observes a quiescent machine, and execution resumes where it
@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"kshot/internal/isa"
 	"kshot/internal/mem"
@@ -77,7 +78,6 @@ func New(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("machine: lockstep dispatch requires exactly 1 vCPU, got %d", cfg.NumVCPUs)
 	}
 	m := &Machine{Mem: mem.New(cfg.PhysSize), dispatch: cfg.Dispatch, quit: make(chan struct{})}
-	m.gate.init()
 
 	for i := 0; i < cfg.NumVCPUs; i++ {
 		base := StackRegionBase + uint64(i)*StackSize
@@ -115,7 +115,6 @@ func (m *Machine) Fork() (*Machine, error) {
 	default:
 	}
 	child := &Machine{Mem: m.Mem.Fork(), dispatch: m.dispatch, quit: make(chan struct{})}
-	child.gate.init()
 	for i := range m.vcpus {
 		child.startVCPU(i)
 	}
@@ -265,8 +264,7 @@ func (v *VCPU) EngineStats() (isa.EngineStats, bool) {
 }
 
 // run is the vCPU runner goroutine: it executes submitted call
-// sessions instruction by instruction, honoring the pause gate between
-// steps.
+// sessions unit by unit, honoring the pause gate between units.
 func (v *VCPU) run() {
 	for {
 		select {
@@ -278,14 +276,15 @@ func (v *VCPU) run() {
 	}
 }
 
-// execute runs one call session. Every access to the vCPU's
-// architectural state happens inside a gate bracket, so a paused
-// machine exposes stable state to States/RestoreStates.
+// execute runs one call session inside one gate bracket, so a paused
+// machine exposes stable architectural state to
+// AppendStates/RestoreStates.
 func (v *VCPU) execute(req *callReq) callRes {
 	c := v.cpu
 	g := &v.machine.gate
 
-	g.beginStep()
+	g.enter()
+	defer g.exit()
 	c.Reg = [isa.NumRegs]uint64{}
 	c.Reg[isa.RegSP] = v.stackTop
 	copy(c.Reg[1:], req.args[:req.nargs])
@@ -293,28 +292,23 @@ func (v *VCPU) execute(req *callReq) callRes {
 	c.Reg[isa.RegSP] -= 8
 	err := c.M.WriteU64(c.Priv, c.Reg[isa.RegSP], isa.StopAddr)
 	c.RIP = req.entry
-	g.endStep()
 	if err != nil {
 		return callRes{err: err}
 	}
 
-	// Dispatch units (one basic block, or one instruction under the
-	// oracle) execute inside one gate bracket each: an SMI still lands
-	// at an architectural instruction boundary — units commit RIP
-	// before yielding — just a coarser one than single-stepping.
+	// Dispatch units are one basic block, or one instruction under the
+	// oracle. The vCPU yields to a pending pause between units, so an
+	// SMI still lands at an architectural instruction boundary (units
+	// commit RIP before returning), just a coarser one than
+	// single-stepping.
 	for steps := 0; ; {
-		g.beginStep()
 		if c.Done() {
-			ret := c.Reg[0]
-			g.endStep()
-			return callRes{ret: ret}
+			return callRes{ret: c.Reg[0]}
 		}
 		if steps >= req.maxSteps {
-			g.endStep()
 			return callRes{err: isa.ErrStepLimit}
 		}
 		n, err := v.runner.RunUnit(req.maxSteps - steps)
-		g.endStep()
 		if err != nil {
 			return callRes{err: err}
 		}
@@ -322,6 +316,7 @@ func (v *VCPU) execute(req *callReq) callRes {
 			n = 1
 		}
 		steps += n
+		g.poll()
 	}
 }
 
@@ -351,29 +346,48 @@ func (v *VCPU) Call(entry uint64, maxSteps int, args ...uint64) (uint64, error) 
 	return res.ret, res.err
 }
 
-// pauseGate coordinates the SMI world switch. Every instruction
-// executes inside a beginStep/endStep bracket (a read lock); pause()
-// takes the write lock, which blocks new brackets from opening and
-// waits until all open ones close, so when it returns the machine is
-// quiescent at instruction boundaries — exactly the guarantee SMM
-// hardware gives the handler. The write lock is held until resume(),
-// and concurrent pausers serialize on it.
+// pauseGate coordinates the SMI world switch. A vCPU holds the read
+// lock for a whole call session (enter/exit) and polls the pending
+// counter between dispatch units: only when a pause is pending does
+// it yield, dropping the read lock and parking in RLock until the
+// pauser resumes. pause() raises pending before it takes the write
+// lock, and resume() lowers it after releasing the lock, so a vCPU
+// never misses a pause and pays one atomic load per unit otherwise.
+// When pause() returns, every vCPU is parked at a unit boundary or
+// between sessions: exactly the quiescence SMM hardware gives the
+// handler, after at most the one unit each vCPU had in flight. The
+// write lock is held until resume(), and concurrent pausers serialize
+// on it.
 type pauseGate struct {
-	rw sync.RWMutex
+	rw      sync.RWMutex
+	pending atomic.Int32 // pausers waiting for or holding the write lock
 }
 
-func (g *pauseGate) init() {}
+// enter opens a session's bracket, parking while the machine is
+// paused.
+func (g *pauseGate) enter() { g.rw.RLock() }
 
-// beginStep opens an instruction execution bracket, parking while the
-// machine is paused.
-func (g *pauseGate) beginStep() { g.rw.RLock() }
+// exit closes the bracket opened by enter.
+func (g *pauseGate) exit() { g.rw.RUnlock() }
 
-// endStep closes the bracket opened by beginStep.
-func (g *pauseGate) endStep() { g.rw.RUnlock() }
+// poll yields the bracket to a pending pause. Call it between dispatch
+// units, with the bracket held.
+func (g *pauseGate) poll() {
+	if g.pending.Load() != 0 {
+		g.rw.RUnlock()
+		g.rw.RLock()
+	}
+}
 
-// pause requests a world switch and returns once no instruction is in
-// flight.
-func (g *pauseGate) pause() { g.rw.Lock() }
+// pause requests a world switch and returns once no dispatch unit is
+// in flight.
+func (g *pauseGate) pause() {
+	g.pending.Add(1)
+	g.rw.Lock()
+}
 
 // resume releases parked vCPUs.
-func (g *pauseGate) resume() { g.rw.Unlock() }
+func (g *pauseGate) resume() {
+	g.rw.Unlock()
+	g.pending.Add(-1)
+}

@@ -25,6 +25,23 @@ const testSrc = `
     mul r0, r3
     ret
 .endfunc
+.global buf 64
+.func checksum    ; (addr, nwords) -> sum of words, syscall-shaped
+    movi r0, 0
+.l:
+    cmpi r2, 0
+    jz .d
+    load r3, [r1]
+    add r0, r3
+    addi r1, 8
+    subi r2, 1
+    jmp .l
+.d:
+    loadg r5, counter
+    addi r5, 1
+    storeg counter, r5
+    ret
+.endfunc
 .func spinny      ; busy loop r1 times then return r1
     mov r0, r1
 .l:
@@ -298,6 +315,139 @@ func TestStopRacesCall(t *testing.T) {
 		case <-done:
 		case <-time.After(10 * time.Second):
 			t.Fatalf("iteration %d: a Call racing Stop never returned", iter)
+		}
+	}
+}
+
+// TestPauseLandsMidSession pauses a machine 200 times while both of its
+// vCPUs run one long session each. The gate brackets a whole session,
+// so a pause lands only because each vCPU polls for it between
+// dispatch units: every pause must return while both sessions are
+// still running, and the pauses must not change what the sessions
+// compute or how many steps they retire.
+func TestPauseLandsMidSession(t *testing.T) {
+	const (
+		iters  = 250_000 // spinny retires 4 steps per iteration, plus 4
+		rounds = 200
+	)
+	m, img := newTestMachine(t, 2)
+	e := entry(t, img, "spinny")
+	n := m.NumVCPUs()
+
+	// The unpaused reference run. Both sessions run the same call, so
+	// one run gives the result and retired steps each must match.
+	wantRet, err := m.VCPU(0).Call(e, 1<<30, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSteps := m.VCPU(0).cpu.Steps
+	if wantSteps < 1_000_000 {
+		t.Fatalf("session retires %d steps, want at least 10^6", wantSteps)
+	}
+	base := make([]uint64, n)
+	for i := range base {
+		base[i] = m.VCPU(i).cpu.Steps
+	}
+
+	gotRet := make([]uint64, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			gotRet[i], errs[i] = m.VCPU(i).Call(e, 1<<30, iters)
+		}(i)
+	}
+
+	// steps reads each vCPU's retired steps within this session; the
+	// machine must be paused.
+	steps := func() []uint64 {
+		s := make([]uint64, n)
+		for i := range s {
+			s[i] = m.VCPU(i).cpu.Steps - base[i]
+		}
+		return s
+	}
+	// Wait until both sessions have retired a step.
+	for started := false; !started; {
+		m.Pause()
+		started = true
+		for _, s := range steps() {
+			started = started && s > 0
+		}
+		m.Resume()
+	}
+	var states []isa.State
+	for r := 0; r < rounds; r++ {
+		m.Pause()
+		states = m.AppendStates(states[:0])
+		got := steps()
+		m.Resume()
+		if len(states) != n {
+			t.Fatalf("round %d: %d states for %d vCPUs", r, len(states), n)
+		}
+		for i, s := range got {
+			if s >= wantSteps {
+				t.Fatalf("round %d: pause returned after vCPU %d's session ended (%d of %d steps)", r, i, s, wantSteps)
+			}
+		}
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("vCPU %d: %v", i, errs[i])
+		}
+		if gotRet[i] != wantRet {
+			t.Errorf("vCPU %d returned %d, unpaused run %d", i, gotRet[i], wantRet)
+		}
+		if s := m.VCPU(i).cpu.Steps - base[i]; s != wantSteps {
+			t.Errorf("vCPU %d retired %d steps, unpaused run %d", i, s, wantSteps)
+		}
+	}
+}
+
+// BenchmarkVCPUCall times one warm syscall-shaped call through
+// VCPU.Call: the hop to the runner goroutine, the session's gate
+// bracket and the block engine over an 8-word checksum loop. It
+// allocates nothing.
+func BenchmarkVCPUCall(b *testing.B) {
+	m, err := New(Config{NumVCPUs: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Stop()
+	img, err := isa.Link(isa.MustParse(testSrc), isa.LinkOptions{TextBase: 0x10_0000, DataBase: 0x40_0000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Mem.Map("ktext", img.TextBase, uint64(len(img.Text)), mem.Perms{Kernel: mem.PermR | mem.PermX, SMM: mem.PermRWX}); err != nil {
+		b.Fatal(err)
+	}
+	// Data is not executable, so the call's store leaves the block
+	// cache warm.
+	if _, err := m.Mem.Map("kdata", img.DataBase, 4096, mem.Perms{Kernel: mem.PermRW, SMM: mem.PermRW}); err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []struct {
+		addr uint64
+		data []byte
+	}{{img.TextBase, img.Text}, {img.DataBase, img.Data}} {
+		if err := m.Mem.Write(mem.PrivSMM, w.addr, w.data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fn, _ := img.Symbols.Lookup("checksum")
+	buf, _ := img.Symbols.Lookup("buf")
+	v := m.VCPU(0)
+	if _, err := v.Call(fn.Addr, 1000, buf.Addr, 8); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := v.Call(fn.Addr, 1000, buf.Addr, 8); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
