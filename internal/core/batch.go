@@ -108,7 +108,9 @@ type BatchReport struct {
 // batch applies under a single SMI. Per-patch failures land in
 // BatchReport.Failed without sinking the rest; the error return is
 // reserved for cancellation and for ErrUnacknowledged, which comes
-// with the full report of what SMM applied.
+// with the full report of what SMM applied. However many SMIs the run
+// raised, it ends with one acknowledgement round trip that carries SMM's
+// newest status record (see System.acknowledge).
 func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOption) (*BatchReport, error) {
 	if err := s.Attach(ctx); err != nil {
 		return nil, err
@@ -193,8 +195,8 @@ func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOptio
 		}
 		rep.Reports = append(rep.Reports, &Report{ID: m.CVE, Stages: m.Stages})
 	}
-	if backend.unacked != nil {
-		return rep, errors.Join(runErr, backend.unacked)
+	if err := s.acknowledge(context.WithoutCancel(ctx)); err != nil {
+		return rep, errors.Join(runErr, err)
 	}
 	return rep, runErr
 }
@@ -247,9 +249,6 @@ func (s *System) dialFetcher(ctx context.Context) *patchserver.Client {
 type batchBackend struct {
 	s        *System
 	fetchers chan *patchserver.Client
-	// unacked is the first ErrUnacknowledged of the run. The pipeline
-	// delivers from one goroutine, so it needs no lock.
-	unacked error
 }
 
 func (b *batchBackend) FetchMany(ctx context.Context, cves []string) ([]pipeline.Fetched, error) {
@@ -274,16 +273,7 @@ func (b *batchBackend) FetchMany(ctx context.Context, cves []string) ([]pipeline
 }
 
 // Deliver runs Stages 2–4 for the members — a batch, a single, a retry
-// or a degraded member alike — under one package SMI. An unacknowledged
-// status leaves the members' outcomes standing, so the pipeline sees a
-// completed delivery and ApplyAll returns the error with its report.
+// or a degraded member alike — under one package SMI.
 func (b *batchBackend) Deliver(ctx context.Context, members []*pipeline.Member) error {
-	err := b.s.deliver(ctx, patch.OpPatch, members)
-	if errors.Is(err, ErrUnacknowledged) {
-		if b.unacked == nil {
-			b.unacked = err
-		}
-		return nil
-	}
-	return err
+	return b.s.deliver(ctx, patch.OpPatch, members)
 }

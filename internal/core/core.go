@@ -186,7 +186,22 @@ type System struct {
 	fetchersMu     sync.Mutex
 	idleFetchers   []*patchserver.Client
 	fetchersClosed bool
+
+	// deliverMu serializes Stages 2–4 of every delivery: the handler's
+	// cursors, the mem_W directory and the package SMI hold one package
+	// at a time.
+	deliverMu sync.Mutex
+
+	// pending is the newest MAC'd status record a package SMI wrote
+	// that the server has not acknowledged yet (Seq 0: none), guarded
+	// by statusMu. Apply, ApplyAll and Close send it (see acknowledge).
+	statusMu sync.Mutex
+	pending  smmpatch.Status
 }
+
+// closeAckTimeout bounds the acknowledgement round trip Close makes, so
+// a wedged server cannot hang Close.
+const closeAckTimeout = time.Second
 
 // WithPayloadReservation returns opts with the boot-time reservation
 // sized for a patch of n payload bytes. It keeps the paper's 18 MB split
@@ -626,11 +641,21 @@ func (s *System) reloadEnclave() error {
 	return nil
 }
 
-// Close releases the system's resources. Memory goes last, once the
-// detector, enclave, client and machine have stopped: its exclusively
-// owned frames return to the frame pool for the next fork, and any
-// later access to the system's memory faults.
+// Close releases the system's resources. It first sends a pending
+// status record (a Rollback's, say) in one round trip bounded by
+// closeAckTimeout. Memory goes last, once the detector, enclave, client
+// and machine have stopped: its exclusively owned frames return to the
+// frame pool for the next fork, and any later access to the system's
+// memory faults.
 func (s *System) Close() {
+	s.statusMu.Lock()
+	pending := s.pending.Seq != 0
+	s.statusMu.Unlock()
+	if pending {
+		ctx, cancel := context.WithTimeout(context.Background(), closeAckTimeout)
+		_ = s.acknowledge(ctx)
+		cancel()
+	}
 	s.det.Stop()
 	if s.enclave != nil {
 		s.enclave.Destroy()
@@ -654,11 +679,26 @@ func (s *System) Close() {
 // times. The OS pauses only for the SMM portion. ctx bounds the fetch
 // and is checked between stages; cancellation never interrupts an SMI
 // already raised, so the system stays consistent. The patch takes the
-// same path as an ApplyAll batch, as a one-member directory.
+// same path as an ApplyAll batch, as a one-member directory. Apply
+// ends with one acknowledgement round trip: when it returns, the server
+// holds SMM's newest status record, or the error matches
+// ErrUnacknowledged and comes with the report.
 func (s *System) Apply(ctx context.Context, cve string) (*Report, error) {
 	if err := s.Attach(ctx); err != nil {
 		return nil, err
 	}
+	rep, err := s.apply(ctx, cve)
+	// The record describes an SMI already raised, so cancellation does
+	// not skip its acknowledgement.
+	ackErr := s.acknowledge(context.WithoutCancel(ctx))
+	if err != nil {
+		return nil, err
+	}
+	return rep, ackErr
+}
+
+// apply runs Stages 1–4 of Apply.
+func (s *System) apply(ctx context.Context, cve string) (*Report, error) {
 	// Stage 1: fetch the encrypted patch (untrusted helper, network).
 	fs, err := s.fetch(ctx, s.client, []string{cve})
 	if err != nil {
@@ -697,7 +737,9 @@ func (s *System) fetch(ctx context.Context, c *patchserver.Client, cves []string
 // Rollback undoes the most recently applied patch (§V-C). It takes
 // Apply's path without the fetch: the enclave seals a rollback command,
 // which reaches SMM as a one-member directory through the same package
-// SMI as every patch.
+// SMI as every patch. Rollback makes no round trip to the server: the
+// status record SMM wrote stays pending until the next Apply, ApplyAll
+// or Close acknowledges it, so Rollback never returns ErrUnacknowledged.
 func (s *System) Rollback(ctx context.Context, cve string) (*Report, error) {
 	if err := s.Attach(ctx); err != nil {
 		return nil, err
@@ -705,31 +747,30 @@ func (s *System) Rollback(ctx context.Context, cve string) (*Report, error) {
 	return s.deliverOne(ctx, patch.OpRollback, &pipeline.Member{CVE: cve})
 }
 
-// deliverOne delivers m alone and reports it: with its report and an
-// error matching ErrUnacknowledged when SMM carried it out but the
-// server did not acknowledge the status.
+// deliverOne delivers m alone and reports it, or returns the
+// delivery's or m's error.
 func (s *System) deliverOne(ctx context.Context, op patch.Op, m *pipeline.Member) (*Report, error) {
-	err := s.deliver(ctx, op, []*pipeline.Member{m})
-	if err != nil && !errors.Is(err, ErrUnacknowledged) {
+	if err := s.deliver(ctx, op, []*pipeline.Member{m}); err != nil {
 		return nil, err
 	}
 	if m.Err != nil {
 		return nil, m.Err
 	}
-	return &Report{ID: m.CVE, Stages: m.Stages}, err
+	return &Report{ID: m.CVE, Stages: m.Stages}, nil
 }
 
 // deliver runs Stages 2–4 for members, one or many, that all carry op:
 // patches with their fetched blobs, or rollback commands for their
 // CVEs. It makes one FnPrepare ECALL, one mem_W staging directory and
-// one package SMI. Per-member outcomes land on the members. An error
-// matching ErrUnacknowledged leaves them standing; any other error
-// means the delivery failed as a whole and nothing can be said about
-// them.
+// one package SMI, serialized with every other delivery on s.
+// Per-member outcomes land on the members; an error means the delivery
+// failed as a whole and nothing can be said about them.
 func (s *System) deliver(ctx context.Context, op patch.Op, members []*pipeline.Member) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	s.deliverMu.Lock()
+	defer s.deliverMu.Unlock()
 
 	// Stage 2: prepare every member in one ECALL at running cursors.
 	smmPub, err := smmpatch.ReadSMMPub(s.Machine.Mem, s.helperPriv, s.Kernel.Res)
@@ -785,7 +826,7 @@ func (s *System) deliver(ctx context.Context, op patch.Op, members []*pipeline.M
 	// toward the downtime histogram the rollout health gate reads, and
 	// only a patch refusal is an activeness-grooming signal.
 	codes, outs, err := s.smi(staged)
-	if err != nil && !errors.Is(err, ErrUnacknowledged) {
+	if err != nil {
 		return err
 	}
 	want := smmpatch.StatusPatched
@@ -812,7 +853,7 @@ func (s *System) deliver(ctx context.Context, op patch.Op, members []*pipeline.M
 		}
 		s.det.NoteApplied(m.CVE)
 	}
-	return err
+	return nil
 }
 
 // pass charges Stage 3, the helper copying a sealed package into
@@ -846,10 +887,9 @@ func memberErr(id string, code, want uint32, err error) error {
 // smi stages the sealed members as one mem_W directory and raises the
 // package SMI — the only part that pauses the OS. It returns the
 // per-member codes and outcomes once the summary status has been
-// confirmed through the mailbox, and reports that status to the server
-// with its MAC (the authenticated DoS-detection handshake). A report
-// the server does not acknowledge leaves the codes and outcomes
-// standing, with an error matching ErrUnacknowledged.
+// confirmed through the mailbox, and keeps that MAC'd status record
+// pending for the server (the authenticated DoS-detection handshake;
+// see acknowledge). It makes no round trip.
 func (s *System) smi(staged []smmpatch.BatchMember) ([]uint32, []smmpatch.Outcome, error) {
 	if err := smmpatch.StageBatch(s.Machine.Mem, s.helperPriv, s.Kernel.Res, staged); err != nil {
 		return nil, nil, fmt.Errorf("core: stage package: %w", err)
@@ -880,10 +920,39 @@ func (s *System) smi(staged []smmpatch.BatchMember) ([]uint32, []smmpatch.Outcom
 	if status.Code != smmpatch.StatusBatchDone {
 		return nil, nil, &StatusError{ID: "package", Got: status.Code, Want: smmpatch.StatusBatchDone}
 	}
-	if err := s.client.ReportStatusMAC(status.Code, status.Seq, status.Digest, status.MAC[:]); err != nil {
-		return codes, outs, fmt.Errorf("%w: %w", ErrUnacknowledged, err)
+	s.statusMu.Lock()
+	if status.Seq > s.pending.Seq {
+		s.pending = status
 	}
+	s.statusMu.Unlock()
 	return codes, outs, nil
+}
+
+// acknowledge sends the pending status record to the server in one
+// round trip, bounded by ctx, and sends nothing when none is pending.
+// One record stands for every older one it replaced: the server keeps
+// only the newest authentic record per attestation key and ignores any
+// Seq that does not advance it. The slot is cleared only if the
+// acknowledged record is still the pending one, so a newer record
+// written meanwhile waits for the next acknowledgement point. A failed
+// send leaves the record pending, to be re-sent there, and returns an
+// error matching ErrUnacknowledged.
+func (s *System) acknowledge(ctx context.Context) error {
+	s.statusMu.Lock()
+	st := s.pending
+	s.statusMu.Unlock()
+	if st.Seq == 0 {
+		return nil
+	}
+	if err := s.client.ReportStatusMAC(ctx, st.Code, st.Seq, st.Digest, st.MAC[:]); err != nil {
+		return fmt.Errorf("%w: %w", ErrUnacknowledged, err)
+	}
+	s.statusMu.Lock()
+	if s.pending.Seq == st.Seq {
+		s.pending = smmpatch.Status{}
+	}
+	s.statusMu.Unlock()
+	return nil
 }
 
 // Protect runs SMM introspection over all applied patches, repairing

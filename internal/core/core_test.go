@@ -564,7 +564,7 @@ func TestStatusAttestationAuthenticity(t *testing.T) {
 		sgxMeasurement("4.4"), attKeyOf(d)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ReportStatusMAC(status.Code, status.Seq, status.Digest, status.MAC[:]); err != nil {
+	if err := c.ReportStatusMAC(context.Background(), status.Code, status.Seq, status.Digest, status.MAC[:]); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Server.Statuses()[key]

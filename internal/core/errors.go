@@ -35,11 +35,13 @@ var (
 	// need not import smmpatch to classify the one retryable failure.
 	ErrTargetActive = smmpatch.ErrTargetActive
 
-	// ErrUnacknowledged marks a patch or rollback SMI that SMM carried
-	// out but whose MAC'd status record the patch server did not
-	// acknowledge. It comes together with the Report or BatchReport of
-	// what SMM did: the patches are applied (or rolled back) whatever
-	// the server recorded.
+	// ErrUnacknowledged marks an Apply or ApplyAll whose closing round
+	// trip did not get SMM's newest MAC'd status record acknowledged by
+	// the patch server. It comes together with the Report or
+	// BatchReport of what SMM did: the patches are applied whatever the
+	// server recorded. The record stays pending, and the next Apply,
+	// ApplyAll or Close re-sends it. Rollback makes no round trip and
+	// never returns it.
 	ErrUnacknowledged = errors.New("core: status report not acknowledged")
 )
 

@@ -465,6 +465,42 @@ func TestSelfModifyingStoreEndsUnit(t *testing.T) {
 	}
 }
 
+// TestDataStoreFlushesOnlyWhenExecutable: a store to a global leaves
+// the block cache warm while the data region is not executable, and
+// flushes it on every call once the region is remapped with X (any
+// privilege's X makes a store a code modification), with the oracle's
+// results either way.
+func TestDataStoreFlushesOnlyWhenExecutable(t *testing.T) {
+	img, oracle, e, stack := dualRig(t, `
+.global counter 8
+.func bump
+    loadg r0, counter
+    addi r0, 1
+    storeg counter, r0
+    ret
+.endfunc
+`, LinkOptions{})
+	calls := func() uint64 {
+		before := e.Stats().Flushes
+		for range 3 {
+			callBoth(t, img, oracle, e, stack, "bump", 1000)
+		}
+		return e.Stats().Flushes - before
+	}
+	calls() // warm the cache
+	if n := calls(); n != 0 {
+		t.Fatalf("stores to non-executable data flushed the cache %d times", n)
+	}
+	for _, m := range []*mem.Physical{oracle.M, e.C.M} {
+		if err := m.SetPerms("data", mem.Perms{Kernel: mem.PermRW, SMM: mem.PermRWX}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := calls(); n < 3 {
+		t.Fatalf("3 stores to executable data flushed the cache %d times, want one each", n)
+	}
+}
+
 // TestBudgetSemantics: a unit never retires more than its budget, a
 // fused pred that cannot fit falls back to a single oracle step, and a
 // mid-block stop commits RIP at the next unexecuted instruction.

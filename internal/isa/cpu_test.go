@@ -32,7 +32,9 @@ func mustMapImage(t *testing.T, m *mem.Physical, img *Image) {
 	if dataLen == 0 {
 		dataLen = 8
 	}
-	if _, err := m.Map("data", img.DataBase, dataLen, mem.Perms{Kernel: mem.PermRW, SMM: mem.PermRWX}); err != nil {
+	// Data is not executable, as in the real kernel's mapping, so a
+	// store to a global leaves the block cache warm.
+	if _, err := m.Map("data", img.DataBase, dataLen, mem.Perms{Kernel: mem.PermRW, SMM: mem.PermRW}); err != nil {
 		t.Fatal(err)
 	}
 	if len(img.Data) > 0 {

@@ -54,8 +54,10 @@ const testSrc = `
 .endfunc
 `
 
-// newTestMachine boots a machine with the test image loaded.
-func newTestMachine(t *testing.T, n int) (*Machine, *isa.Image) {
+// newTestMachine boots a machine with the test image loaded. Data is
+// not executable, as in the real kernel's mapping, so a store to a
+// global leaves the block cache warm.
+func newTestMachine(t testing.TB, n int) (*Machine, *isa.Image) {
 	t.Helper()
 	m, err := New(Config{NumVCPUs: n})
 	if err != nil {
@@ -72,7 +74,7 @@ func newTestMachine(t *testing.T, n int) (*Machine, *isa.Image) {
 	if err := m.Mem.Write(mem.PrivSMM, img.TextBase, img.Text); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Mem.Map("kdata", img.DataBase, 4096, mem.Perms{Kernel: mem.PermRW, SMM: mem.PermRWX}); err != nil {
+	if _, err := m.Mem.Map("kdata", img.DataBase, 4096, mem.Perms{Kernel: mem.PermRW, SMM: mem.PermRW}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Mem.Write(mem.PrivSMM, img.DataBase, img.Data); err != nil {
@@ -412,31 +414,7 @@ func TestPauseLandsMidSession(t *testing.T) {
 // bracket and the block engine over an 8-word checksum loop. It
 // allocates nothing.
 func BenchmarkVCPUCall(b *testing.B) {
-	m, err := New(Config{NumVCPUs: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer m.Stop()
-	img, err := isa.Link(isa.MustParse(testSrc), isa.LinkOptions{TextBase: 0x10_0000, DataBase: 0x40_0000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.Mem.Map("ktext", img.TextBase, uint64(len(img.Text)), mem.Perms{Kernel: mem.PermR | mem.PermX, SMM: mem.PermRWX}); err != nil {
-		b.Fatal(err)
-	}
-	// Data is not executable, so the call's store leaves the block
-	// cache warm.
-	if _, err := m.Mem.Map("kdata", img.DataBase, 4096, mem.Perms{Kernel: mem.PermRW, SMM: mem.PermRW}); err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []struct {
-		addr uint64
-		data []byte
-	}{{img.TextBase, img.Text}, {img.DataBase, img.Data}} {
-		if err := m.Mem.Write(mem.PrivSMM, w.addr, w.data); err != nil {
-			b.Fatal(err)
-		}
-	}
+	m, img := newTestMachine(b, 1)
 	fn, _ := img.Symbols.Lookup("checksum")
 	buf, _ := img.Symbols.Lookup("buf")
 	v := m.VCPU(0)

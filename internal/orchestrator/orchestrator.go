@@ -526,8 +526,7 @@ func (r *Rollout) unhealthyLocked(ts *TargetState) bool {
 // open for exactly this purpose. A target's unwind stops at its first
 // failed rollback, since SMM refuses every older one out of order: the
 // target is recorded failed, with that CVE and every older one still
-// live. A rollback the server did not acknowledge still landed in SMM
-// (DESIGN §4.31), so the unwind goes on past it. Callers hold r.mu.
+// live. Callers hold r.mu.
 func (r *Rollout) rollbackWaveLocked(ctx context.Context, wave Wave, patchers map[string]Patcher, pmu *sync.Mutex) {
 	for _, id := range wave.Targets {
 		ts := r.st.target(id)
@@ -539,19 +538,10 @@ func (r *Rollout) rollbackWaveLocked(ctx context.Context, wave Wave, patchers ma
 		pmu.Unlock()
 		stuck := false
 		for i := len(ts.Applied) - 1; p != nil && i >= 0; i-- {
-			_, err := p.Rollback(ctx, ts.Applied[i])
-			if err == nil {
-				continue
+			if _, err := p.Rollback(ctx, ts.Applied[i]); err != nil {
+				ts.Err, stuck = fmt.Sprintf("rollback %s: %v", ts.Applied[i], err), true
+				break
 			}
-			msg := fmt.Sprintf("rollback %s: %v", ts.Applied[i], err)
-			if errors.Is(err, core.ErrUnacknowledged) {
-				if ts.Err == "" {
-					ts.Err = msg
-				}
-				continue
-			}
-			ts.Err, stuck = msg, true
-			break
 		}
 		if stuck || (len(ts.Applied) == 0 && ts.Err != "") {
 			ts.Status = StatusFailed

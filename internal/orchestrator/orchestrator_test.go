@@ -61,9 +61,6 @@ func (f *fakePatcher) Rollback(ctx context.Context, cve string) (*core.Report, e
 	f.rollbacks = append(f.rollbacks, cve)
 	f.mu.Unlock()
 	if err := f.rollbackErrs[cve]; err != nil {
-		if errors.Is(err, core.ErrUnacknowledged) {
-			return &core.Report{ID: cve}, err
-		}
 		return nil, err
 	}
 	return &core.Report{ID: cve}, nil
@@ -310,8 +307,7 @@ func TestWaveRollbackReversesAppliedOrder(t *testing.T) {
 // TestWaveRollbackStopsAtFailedRollback rolls back the canary, whose
 // pause is over budget, with its newest CVE's rollback failing. SMM
 // would refuse the older CVE out of order, so the unwind stops there
-// and the canary is recorded failed with both CVEs live. A rollback
-// the server did not acknowledge landed in SMM, so that unwind goes on.
+// and the canary is recorded failed with both CVEs live.
 func TestWaveRollbackStopsAtFailedRollback(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -320,7 +316,6 @@ func TestWaveRollbackStopsAtFailedRollback(t *testing.T) {
 		wantStatus    Status
 	}{
 		{"refused", errors.New("smm refused"), []string{"CVE-2017-7184"}, StatusFailed},
-		{"unacknowledged", fmt.Errorf("%w: server gone", core.ErrUnacknowledged), []string{"CVE-2017-7184", "CVE-2016-0728"}, StatusRolledBack},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ff := newFakeFleet(func(id string, p *fakePatcher) {

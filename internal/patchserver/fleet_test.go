@@ -97,7 +97,7 @@ func TestFleetConformance(t *testing.T) {
 			}
 			seq, digest := uint64(id)+1, bytes.Repeat([]byte{byte(id)}, kcrypto.DigestSize)
 			mac := kcrypto.MAC(attKey, kcrypto.AppendStatusMACInput(nil, 1, seq, digest))
-			if err := c.ReportStatusMAC(1, seq, digest, mac[:]); err != nil {
+			if err := c.ReportStatusMAC(context.Background(), 1, seq, digest, mac[:]); err != nil {
 				errs <- fmt.Errorf("target %d status: %w", id, err)
 			}
 		}(i)

@@ -914,8 +914,8 @@ func (c *Client) clock() timing.WallClock {
 	return c.wall
 }
 
-func (c *Client) roundTrip(req *request) (*response, error) {
-	resps, err := c.roundTrips(context.Background(), []*request{req})
+func (c *Client) roundTrip(ctx context.Context, req *request) (*response, error) {
+	resps, err := c.roundTrips(ctx, []*request{req})
 	if err != nil {
 		return nil, err
 	}
@@ -994,7 +994,7 @@ func (c *Client) exchange(reqs []*request) ([]*response, error) {
 // the attestation key and refuses a hello without one.
 func (c *Client) HelloWithAttestation(info OSInfo, meas sgx.Measurement, attKey []byte) ([]byte, error) {
 	req := &request{Kind: kindHello, Info: info, Measurement: meas, AttKey: attKey}
-	resp, err := c.roundTrip(req)
+	resp, err := c.roundTrip(context.Background(), req)
 	if err != nil {
 		return nil, err
 	}
@@ -1058,8 +1058,9 @@ func (c *Client) FetchPatches(ctx context.Context, cves []string) ([]FetchResult
 
 // ReportStatusMAC forwards the SMM status mailbox record together with
 // its HMAC to the server (the deployment-progress handshake the server
-// uses for DoS detection).
-func (c *Client) ReportStatusMAC(code uint32, seq uint64, digest, mac []byte) error {
-	_, err := c.roundTrip(&request{Kind: kindStatus, Code: code, Seq: seq, Digest: digest, MAC: mac})
+// uses for DoS detection). ctx bounds the wait for the server's
+// acknowledgement (see roundTrips).
+func (c *Client) ReportStatusMAC(ctx context.Context, code uint32, seq uint64, digest, mac []byte) error {
+	_, err := c.roundTrip(ctx, &request{Kind: kindStatus, Code: code, Seq: seq, Digest: digest, MAC: mac})
 	return err
 }

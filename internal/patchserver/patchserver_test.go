@@ -277,7 +277,7 @@ func TestStatusReports(t *testing.T) {
 	if _, err := c.HelloWithAttestation(OSInfo{Version: "4.4", Ftrace: true, Inline: true}, goodMeasurement("4.4"), testAttKey); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ReportStatusMAC(2, 7, []byte{1, 2, 3}, nil); err != nil {
+	if err := c.ReportStatusMAC(context.Background(), 2, 7, []byte{1, 2, 3}, nil); err != nil {
 		t.Fatal(err)
 	}
 	sts := srv.Statuses()
@@ -342,16 +342,16 @@ func TestAuthenticatedStatus(t *testing.T) {
 	binary.LittleEndian.PutUint64(buf[4:], 5)
 	copy(buf[12:], digest)
 	mac := kcrypto.MAC(attKey, buf)
-	if err := c.ReportStatusMAC(2, 5, digest, mac[:]); err != nil {
+	if err := c.ReportStatusMAC(context.Background(), 2, 5, digest, mac[:]); err != nil {
 		t.Fatal(err)
 	}
 	// A record with a wrong MAC does not.
 	bad := make([]byte, 32)
-	if err := c.ReportStatusMAC(2, 6, digest, bad); err != nil {
+	if err := c.ReportStatusMAC(context.Background(), 2, 6, digest, bad); err != nil {
 		t.Fatal(err)
 	}
 	// A record with no MAC at all does not.
-	if err := c.ReportStatusMAC(2, 7, digest, nil); err != nil {
+	if err := c.ReportStatusMAC(context.Background(), 2, 7, digest, nil); err != nil {
 		t.Fatal(err)
 	}
 	sts := srv.Statuses()
@@ -386,7 +386,7 @@ func TestShortDigestStatusInauthentic(t *testing.T) {
 	binary.LittleEndian.PutUint64(buf[4:], 5)
 	copy(buf[12:], digest)
 	mac := kcrypto.MAC(testAttKey, buf)
-	if err := c.ReportStatusMAC(2, 5, digest, mac[:]); err != nil {
+	if err := c.ReportStatusMAC(context.Background(), 2, 5, digest, mac[:]); err != nil {
 		t.Fatal(err)
 	}
 	sts := srv.Statuses()
@@ -405,7 +405,7 @@ func TestStatusBeforeHelloRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.ReportStatusMAC(2, 7, []byte{1, 2, 3}, nil)
+	err = c.ReportStatusMAC(context.Background(), 2, 7, []byte{1, 2, 3}, nil)
 	if err == nil || !strings.Contains(err.Error(), "hello required") {
 		t.Fatalf("status before hello: %v, want a hello-required refusal", err)
 	}
@@ -444,7 +444,7 @@ func TestReplayedStatusNotRecorded(t *testing.T) {
 		binary.LittleEndian.PutUint64(buf[4:], seq)
 		copy(buf[12:], digest)
 		mac := kcrypto.MAC(testAttKey, buf)
-		if err := c.ReportStatusMAC(2, seq, digest, mac[:]); err != nil {
+		if err := c.ReportStatusMAC(context.Background(), 2, seq, digest, mac[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -467,7 +467,7 @@ func TestReplayedStatusNotRecorded(t *testing.T) {
 		t.Errorf("after replays: %+v, want the first authentic 5 unchanged", st)
 	}
 	report(c, 6)
-	if err := c.ReportStatusMAC(2, 6, digest, make([]byte, 32)); err != nil {
+	if err := c.ReportStatusMAC(context.Background(), 2, 6, digest, make([]byte, 32)); err != nil {
 		t.Fatal(err)
 	}
 	if st := record(); st.Authentic.Seq != 6 || st.Forgeries != 1 || st.Forged.Seq != 6 {
