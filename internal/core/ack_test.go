@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"kshot/internal/introspect"
+	"kshot/internal/mem"
 	"kshot/internal/patchserver"
 	"kshot/internal/smmpatch"
 )
@@ -332,5 +333,59 @@ func TestAckCloseBoundedOnWedgedServer(t *testing.T) {
 	case <-closed:
 	case <-time.After(closeAckTimeout + 5*time.Second):
 		t.Fatalf("Close still blocked %v after it began, against a wedged server", closeAckTimeout+5*time.Second)
+	}
+}
+
+// TestAckProtectTamperReachesServer: the tamper verdict of a Protect
+// run is kept pending like a package SMI's record, so Close delivers
+// it. A rootkit reverts an applied patch's entry bytes at kernel
+// privilege; after Protect and Close the server's authentic record is
+// StatusTampered at SMM's newest Seq.
+func TestAckProtectTamperReachesServer(t *testing.T) {
+	d := newDeployment(t, "4.4", 0, "CVE-2014-0196")
+	e := d.Entries[0]
+	addr, err := d.System.Kernel.FuncAddr(e.Functions[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := make([]byte, 10)
+	if err := d.System.Machine.Mem.Read(mem.PrivKernel, addr, orig); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.System.Apply(context.Background(), e.CVE); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.System.Machine.Mem.Write(mem.PrivKernel, addr, orig); err != nil {
+		t.Fatal(err)
+	}
+	tampered, err := d.System.Protect()
+	if err != nil || !tampered {
+		t.Fatalf("Protect = %t, %v; want the reversion found", tampered, err)
+	}
+	want := newestSeq(t, d)
+	if got := pendingSeq(d); got != want {
+		t.Errorf("pending Seq = %d after Protect, want %d", got, want)
+	}
+	d.System.Close()
+	checkServerSeq(t, d, want, "after Close")
+	if code := serverStatus(d).Authentic.Code; code != smmpatch.StatusTampered {
+		t.Errorf("server code %d, want StatusTampered (%d)", code, smmpatch.StatusTampered)
+	}
+}
+
+// TestAckProtectUnattachedClose: Protect on a System that never
+// attached keeps its record pending, and Close, having no connection
+// to send it over, neither dials nor fails.
+func TestAckProtectUnattachedClose(t *testing.T) {
+	d := newDeployment(t, "4.4", 0, "CVE-2014-0196")
+	if _, err := d.System.Protect(); err != nil {
+		t.Fatal(err)
+	}
+	if pendingSeq(d) == 0 {
+		t.Error("Protect left no record pending")
+	}
+	d.System.Close()
+	if n := len(d.Server.Statuses()); n != 0 {
+		t.Errorf("server holds %d status records, want none", n)
 	}
 }

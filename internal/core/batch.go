@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"kshot/internal/options"
 	"kshot/internal/patch"
-	"kshot/internal/patchserver"
 	"kshot/internal/pipeline"
 	"kshot/internal/smmpatch"
 )
@@ -43,10 +41,12 @@ func WithBatchSize(n int) ApplyOption {
 	}
 }
 
-// WithFetchWorkers sets the number of concurrent Stage-1 fetch
-// connections (default pipeline.DefaultWorkers). With one, each batch
-// is fetched inline right before its delivery, so a seeded fault
-// schedule replays at identical call indices on every run.
+// WithFetchWorkers sets the number of batches fetched ahead of
+// delivery (default pipeline.DefaultWorkers). Every fetch goes over the
+// System's one server connection, one pipelined burst per batch. With
+// one worker, each batch is fetched inline right before its delivery,
+// so a seeded fault schedule replays at identical call indices on every
+// run.
 func WithFetchWorkers(n int) ApplyOption {
 	return func(c *applyConfig) error {
 		if n < 1 {
@@ -103,14 +103,15 @@ type BatchReport struct {
 }
 
 // ApplyAll live-patches many CVEs through the concurrent batch
-// pipeline: fetches fan out over a pool of attested server
-// connections, the enclave prepares each batch in one ECALL, and each
-// batch applies under a single SMI. Per-patch failures land in
-// BatchReport.Failed without sinking the rest; the error return is
-// reserved for cancellation and for ErrUnacknowledged, which comes
-// with the full report of what SMM applied. However many SMIs the run
-// raised, it ends with one acknowledgement round trip that carries SMM's
-// newest status record (see System.acknowledge).
+// pipeline: later batches are fetched over the System's one server
+// connection while earlier ones are delivered, the enclave prepares
+// each batch in one ECALL, and each batch applies under a single SMI.
+// Per-patch failures land in BatchReport.Failed without sinking the
+// rest; the error return is reserved for cancellation and for
+// ErrUnacknowledged, which comes with the full report of what SMM
+// applied. However many SMIs the run raised, it ends with one
+// acknowledgement round trip that carries SMM's newest status record
+// (see System.acknowledge).
 func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOption) (*BatchReport, error) {
 	if err := s.Attach(ctx); err != nil {
 		return nil, err
@@ -133,42 +134,10 @@ func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOptio
 		workers = pipeline.DefaultWorkers
 	}
 
-	// Stage-1 connection pool: each worker gets its own attested
-	// connection so server-side patch builds genuinely overlap (the
-	// server derives the same channel key, the one this system's enclave
-	// holds, for each of them). The attached client is worker 0, so a
-	// one-batch run needs no other. The extras come from the System's
-	// idle pool and only the shortfall is dialed; a failed dial falls
-	// back to sharing the attached client, which is mutex-guarded.
-	nbatches := (len(cves) + batchSize - 1) / batchSize
-	poolSize := max(1, min(workers, nbatches))
-	fetchers := make(chan *patchserver.Client, poolSize)
-	fetchers <- s.client
-	extras := s.takeFetchers(poolSize - 1)
-	for _, c := range extras {
-		fetchers <- c
-	}
-	for range poolSize - 1 - len(extras) {
-		fetchers <- s.dialFetcher(ctx)
-	}
-	defer func() {
-		// Reclaim every fetch slot before pooling the extras. A fetch
-		// worker Run left behind on cancellation hands its client back
-		// promptly, because Run's context is done by then.
-		var idle []*patchserver.Client
-		for range poolSize {
-			if c := <-fetchers; c != s.client {
-				idle = append(idle, c)
-			}
-		}
-		s.putFetchers(idle)
-	}()
-
 	entries0 := s.SMM.Entries()
 	pause0 := s.SMM.TotalPause()
 
-	backend := &batchBackend{s: s, fetchers: fetchers}
-	res, runErr := pipeline.Run(ctx, backend, cves, pipeline.Config{
+	res, runErr := pipeline.Run(ctx, batchBackend{s}, cves, pipeline.Config{
 		BatchSize:  batchSize,
 		Workers:    workers,
 		MaxRetries: cfg.maxRetries,
@@ -201,71 +170,11 @@ func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOptio
 	return rep, runErr
 }
 
-// takeFetchers checks out up to n idle extra fetch clients, with the
-// System's current handle and wall clock re-applied.
-func (s *System) takeFetchers(n int) []*patchserver.Client {
-	s.fetchersMu.Lock()
-	k := max(0, len(s.idleFetchers)-n)
-	cs := slices.Clone(s.idleFetchers[k:])
-	clear(s.idleFetchers[k:])
-	s.idleFetchers = s.idleFetchers[:k]
-	s.fetchersMu.Unlock()
-	for _, c := range cs {
-		c.SetWallClock(s.wall)
-		c.SetObserver(s.obs)
-	}
-	return cs
-}
-
-// putFetchers returns extra fetch clients to the idle pool, or closes
-// them once the System is closed.
-func (s *System) putFetchers(cs []*patchserver.Client) {
-	s.fetchersMu.Lock()
-	if !s.fetchersClosed {
-		s.idleFetchers = append(s.idleFetchers, cs...)
-		cs = nil
-	}
-	s.fetchersMu.Unlock()
-	for _, c := range cs {
-		_ = c.Close()
-	}
-}
-
-// dialFetcher dials and attests one extra fetch connection, or returns
-// the attached client when that fails or ctx is done.
-func (s *System) dialFetcher(ctx context.Context) *patchserver.Client {
-	c, err := patchserver.Dial(ctx, s.serverAddr, s.dialOptions()...)
-	if err != nil {
-		return s.client
-	}
-	if _, err := c.HelloWithAttestation(s.info, s.meas, s.attKey); err != nil {
-		_ = c.Close()
-		return s.client
-	}
-	return c
-}
-
 // batchBackend adapts the System to the pipeline's Backend interface.
-type batchBackend struct {
-	s        *System
-	fetchers chan *patchserver.Client
-}
+type batchBackend struct{ s *System }
 
-func (b *batchBackend) FetchMany(ctx context.Context, cves []string) ([]pipeline.Fetched, error) {
-	var c *patchserver.Client
-	select {
-	case c = <-b.fetchers:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	fs, err := b.s.fetch(ctx, c, cves)
-	if err != nil && c != b.s.client {
-		// A transport failure leaves c's connection in doubt: close it
-		// and let the attached client take its fetch slot.
-		_ = c.Close()
-		c = b.s.client
-	}
-	b.fetchers <- c
+func (b batchBackend) FetchMany(ctx context.Context, cves []string) ([]pipeline.Fetched, error) {
+	fs, err := b.s.fetch(ctx, cves)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrFetch, err)
 	}
@@ -274,6 +183,6 @@ func (b *batchBackend) FetchMany(ctx context.Context, cves []string) ([]pipeline
 
 // Deliver runs Stages 2–4 for the members — a batch, a single, a retry
 // or a degraded member alike — under one package SMI.
-func (b *batchBackend) Deliver(ctx context.Context, members []*pipeline.Member) error {
+func (b batchBackend) Deliver(ctx context.Context, members []*pipeline.Member) error {
 	return b.s.deliver(ctx, patch.OpPatch, members)
 }

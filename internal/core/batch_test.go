@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"kshot/internal/cvebench"
-	"kshot/internal/faultinject"
 	"kshot/internal/kernel"
-	"kshot/internal/obs"
 	"kshot/internal/patchserver"
 	"kshot/internal/smmpatch"
 )
@@ -88,49 +86,25 @@ func TestApplyAllBatchedSingleSMI(t *testing.T) {
 	}
 }
 
-// TestApplyAllReusesAttachedConnection pins the fetch pool's size: the
-// attached client is worker 0, so a one-batch ApplyAll opens no
-// connection, two workers over two batches open exactly one more, a
-// later call reuses that one from the System's pool, and a call needing
-// more extras than the pool holds dials the shortfall, falling back to
-// sharing the attached client when that dial fails.
-func TestApplyAllReusesAttachedConnection(t *testing.T) {
-	sys, _, accepted := newFetchPoolRig(t)
-	apply := func(cves []string, opts ...ApplyOption) {
-		t.Helper()
-		rep, err := sys.ApplyAll(context.Background(), cves, opts...)
-		if err != nil {
-			t.Fatalf("ApplyAll(%v): %v", cves, err)
-		}
-		if len(rep.Failed) > 0 {
-			t.Fatalf("ApplyAll(%v) failed %v", cves, rep.Failed)
-		}
-	}
-
-	if err := sys.Attach(context.Background()); err != nil {
+// TestApplyAllDuplicateOneSMI: ApplyAll of a CVE that is already
+// applied delivers it alone, once. SMM refuses the duplicate under one
+// SMI, and a member delivered alone is not redelivered.
+func TestApplyAllDuplicateOneSMI(t *testing.T) {
+	const cve = "CVE-2014-0196"
+	d := newDeployment(t, "4.4", 0, cve)
+	ctx := context.Background()
+	if _, err := d.System.Apply(ctx, cve); err != nil {
 		t.Fatal(err)
 	}
-	apply(batchCVEs[:1])
-	if n := accepted(); n != 1 {
-		t.Errorf("after Attach and a one-batch ApplyAll: %d connections accepted, want 1", n)
+	rep, err := d.System.ApplyAll(ctx, []string{cve})
+	if err != nil {
+		t.Fatalf("ApplyAll: %v", err)
 	}
-	apply(batchCVEs[1:3], WithBatchSize(1), WithFetchWorkers(2))
-	if n := accepted(); n != 2 {
-		t.Errorf("after a two-worker, two-batch ApplyAll: %d connections accepted, want 2", n)
+	if !errors.Is(rep.Failed[cve], smmpatch.ErrDuplicate) {
+		t.Errorf("Failed[%s] = %v, want ErrDuplicate", cve, rep.Failed[cve])
 	}
-	rollbackAll(t, sys)
-	fi := faultinject.New(faultinject.Exact(
-		faultinject.Fault{Point: faultinject.DialError, Call: 0}))
-	sys.SetObserver(&obs.Hooks{Faults: fi})
-	apply(batchCVEs, WithBatchSize(2), WithFetchWorkers(3))
-	if fi.Fired() != 1 {
-		t.Errorf("injected DialError fired %d times, want 1 (the pool's shortfall is dialed)", fi.Fired())
-	}
-	if n := accepted(); n != 2 {
-		t.Errorf("after a failed extra dial: %d connections accepted, want 2 (pooled extra reused, the attached client shared)", n)
-	}
-	if got := sys.Applied(); len(got) != len(batchCVEs) {
-		t.Errorf("Applied() = %v", got)
+	if rep.SMIs != 1 || rep.Singles != 1 || rep.Degraded != 0 {
+		t.Errorf("SMIs=%d Singles=%d Degraded=%d, want 1/1/0", rep.SMIs, rep.Singles, rep.Degraded)
 	}
 }
 

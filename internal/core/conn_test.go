@@ -12,10 +12,10 @@ import (
 	"kshot/internal/patchserver"
 )
 
-// newFetchPoolRig boots a 2-vCPU 4.4 System for batchCVEs against its
-// own patch server, and returns a count of the connections the server
-// has accepted.
-func newFetchPoolRig(tb testing.TB, srvOpts ...patchserver.ServerOption) (*System, *patchserver.Server, func() int64) {
+// newConnRig boots a 2-vCPU 4.4 System for batchCVEs against its own
+// patch server, and returns a count of the connections the server has
+// accepted.
+func newConnRig(tb testing.TB, srvOpts ...patchserver.ServerOption) (*System, *patchserver.Server, func() int64) {
 	tb.Helper()
 	entries := make([]*cvebench.Entry, len(batchCVEs))
 	extra := make(map[string]string, len(batchCVEs))
@@ -53,9 +53,9 @@ func newFetchPoolRig(tb testing.TB, srvOpts ...patchserver.ServerOption) (*Syste
 	return sys, srv, accepted
 }
 
-// fetchPoolCycle applies batchCVEs over two fetch workers and two
+// applyAllCycle applies batchCVEs over two fetch workers and two
 // batches, then rolls every patch back.
-func fetchPoolCycle(tb testing.TB, sys *System) {
+func applyAllCycle(tb testing.TB, sys *System) {
 	tb.Helper()
 	rep, err := sys.ApplyAll(context.Background(), batchCVEs, WithBatchSize(3), WithFetchWorkers(2))
 	if err != nil {
@@ -89,31 +89,19 @@ func waitLive(t *testing.T, srv *patchserver.Server, want int) {
 	}
 }
 
-// TestApplyAllPoolsFetchConnections checks that once a System has
-// dialed its extra fetch connection, repeated ApplyAll calls reuse it
-// and the server accepts nothing new.
-func TestApplyAllPoolsFetchConnections(t *testing.T) {
-	sys, _, accepted := newFetchPoolRig(t)
-	fetchPoolCycle(t, sys)
-	warm := accepted()
-	if warm != 2 {
-		t.Errorf("after one two-worker cycle: %d connections accepted, want 2", warm)
-	}
+// TestApplyAllOneConnection: a System holds one server connection for
+// its whole life. Twenty two-worker, two-batch cycles (fetching ahead,
+// acknowledging, rolling back) make the server accept exactly one
+// connection, and after Close it serves none.
+func TestApplyAllOneConnection(t *testing.T) {
+	sys, srv, accepted := newConnRig(t)
 	for range 20 {
-		fetchPoolCycle(t, sys)
+		applyAllCycle(t, sys)
 	}
-	if n := accepted() - warm; n != 0 {
-		t.Errorf("20 warmed cycles accepted %d new connections, want 0", n)
+	if n := accepted(); n != 1 {
+		t.Errorf("20 two-worker cycles: %d connections accepted, want 1", n)
 	}
-}
-
-// TestApplyAllPoolClosedBySystemClose checks that System.Close closes
-// the idle fetch pool as well as the attached client: the server ends
-// up serving no connection of the closed System.
-func TestApplyAllPoolClosedBySystemClose(t *testing.T) {
-	sys, srv, _ := newFetchPoolRig(t)
-	fetchPoolCycle(t, sys)
-	waitLive(t, srv, 2)
+	waitLive(t, srv, 1)
 	sys.Close()
 	waitLive(t, srv, 0)
 }
@@ -123,8 +111,8 @@ func TestApplyAllPoolClosedBySystemClose(t *testing.T) {
 // it dialed, so the second call fails promptly: every CVE lands in
 // Failed as an ErrFetch, no SMI runs, and nothing redials the server.
 func TestApplyAllAfterIdleReap(t *testing.T) {
-	sys, srv, accepted := newFetchPoolRig(t, patchserver.WithIdleTimeout(100*time.Millisecond))
-	fetchPoolCycle(t, sys)
+	sys, srv, accepted := newConnRig(t, patchserver.WithIdleTimeout(100*time.Millisecond))
+	applyAllCycle(t, sys)
 	waitLive(t, srv, 0)
 	before := accepted()
 
@@ -152,14 +140,14 @@ func TestApplyAllAfterIdleReap(t *testing.T) {
 }
 
 // BenchmarkApplyAllCycle measures one warm apply-and-rollback cycle of
-// batchCVEs over two fetch workers: the pooled connections, pipelined
-// fetches and status reports of the batch path.
+// batchCVEs over two fetch workers: the pipelined fetches and the status
+// acknowledgement of the batch path.
 func BenchmarkApplyAllCycle(b *testing.B) {
-	sys, _, _ := newFetchPoolRig(b)
-	fetchPoolCycle(b, sys) // attach, dial the extra fetcher and fill the build cache untimed
+	sys, _, _ := newConnRig(b)
+	applyAllCycle(b, sys) // attach and fill the build cache untimed
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fetchPoolCycle(b, sys)
+		applyAllCycle(b, sys)
 	}
 }

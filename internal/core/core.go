@@ -152,8 +152,8 @@ type System struct {
 	attachMu      sync.Mutex
 	needBootstrap bool
 
-	// Retained so ApplyAll can dial extra attested fetch connections,
-	// and so the lazy attach can build the enclave.
+	// Retained so the lazy attach can dial, say hello and build the
+	// enclave.
 	serverAddr  string
 	meas        sgx.Measurement
 	attKey      []byte
@@ -179,22 +179,15 @@ type System struct {
 	intr *introspect.Channel
 	det  *introspect.Detector
 
-	// idleFetchers holds the extra attested fetch clients ApplyAll
-	// dialed, idle between calls, so repeated ApplyAll calls reuse their
-	// connections (see takeFetchers). fetchersClosed is set by Close; a
-	// client handed back after it is closed instead.
-	fetchersMu     sync.Mutex
-	idleFetchers   []*patchserver.Client
-	fetchersClosed bool
-
 	// deliverMu serializes Stages 2–4 of every delivery: the handler's
 	// cursors, the mem_W directory and the package SMI hold one package
 	// at a time.
 	deliverMu sync.Mutex
 
-	// pending is the newest MAC'd status record a package SMI wrote
-	// that the server has not acknowledged yet (Seq 0: none), guarded
-	// by statusMu. Apply, ApplyAll and Close send it (see acknowledge).
+	// pending is the newest MAC'd status record an SMI wrote (a package
+	// SMI's or Protect's) that the server has not acknowledged yet (Seq
+	// 0: none), guarded by statusMu. Apply, ApplyAll and Close send it
+	// (see acknowledge).
 	statusMu sync.Mutex
 	pending  smmpatch.Status
 }
@@ -441,7 +434,10 @@ func (s *System) attach(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	client, err := patchserver.Dial(ctx, s.serverAddr, s.dialOptions()...)
+	// The System's hooks and wall clock go in at dial, so the dial fault
+	// fires under the same set as every other layer.
+	client, err := patchserver.Dial(ctx, s.serverAddr,
+		patchserver.WithClientWallClock(s.wall), patchserver.WithClientObserver(s.obs))
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrFetch, err)
 	}
@@ -593,20 +589,6 @@ func (s *System) SetWallClock(wc timing.WallClock) {
 	}
 }
 
-// dialOptions builds the options for a patch-server connection: the
-// System's current hooks and wall clock, so every connection's dial
-// fault and injected latency run under the same set and clock.
-func (s *System) dialOptions() []patchserver.DialOption {
-	var opts []patchserver.DialOption
-	if s.wall != nil {
-		opts = append(opts, patchserver.WithClientWallClock(s.wall))
-	}
-	if s.obs != nil {
-		opts = append(opts, patchserver.WithClientObserver(s.obs))
-	}
-	return opts
-}
-
 // ecall enters the preparation enclave, transparently recovering from
 // enclave loss: if the enclave was destroyed (crash, EPC loss), it is
 // reloaded, re-attested against the measurement registered with the
@@ -641,17 +623,17 @@ func (s *System) reloadEnclave() error {
 	return nil
 }
 
-// Close releases the system's resources. It first sends a pending
-// status record (a Rollback's, say) in one round trip bounded by
-// closeAckTimeout. Memory goes last, once the detector, enclave, client
-// and machine have stopped: its exclusively owned frames return to the
-// frame pool for the next fork, and any later access to the system's
-// memory faults.
+// Close releases the system's resources. An attached System first
+// sends a pending status record (a Rollback's or Protect's, say) in one
+// round trip bounded by closeAckTimeout. Memory goes last, once the
+// detector, enclave, client and machine have stopped: its exclusively
+// owned frames return to the frame pool for the next fork, and any
+// later access to the system's memory faults.
 func (s *System) Close() {
 	s.statusMu.Lock()
 	pending := s.pending.Seq != 0
 	s.statusMu.Unlock()
-	if pending {
+	if pending && s.client != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), closeAckTimeout)
 		_ = s.acknowledge(ctx)
 		cancel()
@@ -662,14 +644,6 @@ func (s *System) Close() {
 	}
 	if s.client != nil {
 		_ = s.client.Close()
-	}
-	s.fetchersMu.Lock()
-	s.fetchersClosed = true
-	idle := s.idleFetchers
-	s.idleFetchers = nil
-	s.fetchersMu.Unlock()
-	for _, c := range idle {
-		_ = c.Close()
 	}
 	s.Machine.Stop()
 	s.Machine.Mem.Release()
@@ -700,7 +674,7 @@ func (s *System) Apply(ctx context.Context, cve string) (*Report, error) {
 // apply runs Stages 1–4 of Apply.
 func (s *System) apply(ctx context.Context, cve string) (*Report, error) {
 	// Stage 1: fetch the encrypted patch (untrusted helper, network).
-	fs, err := s.fetch(ctx, s.client, []string{cve})
+	fs, err := s.fetch(ctx, []string{cve})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %w", ErrFetch, cve, err)
 	}
@@ -710,12 +684,12 @@ func (s *System) apply(ctx context.Context, cve string) (*Report, error) {
 	return s.deliverOne(ctx, patch.OpPatch, &pipeline.Member{CVE: cve, Blob: fs[0].Blob, Stages: StageTimes{Fetch: fs[0].Time}})
 }
 
-// fetch runs Stage 1 for cves as one pipelined burst over the given
-// server connection, charging and tracing each blob's virtual fetch
-// time. Per-CVE failures land in Fetched.Err; the error return is the
+// fetch runs Stage 1 for cves as one pipelined burst over the server
+// connection, charging and tracing each blob's virtual fetch time.
+// Per-CVE failures land in Fetched.Err; the error return is the
 // connection's.
-func (s *System) fetch(ctx context.Context, c *patchserver.Client, cves []string) ([]pipeline.Fetched, error) {
-	rs, err := c.FetchPatches(ctx, cves)
+func (s *System) fetch(ctx context.Context, cves []string) ([]pipeline.Fetched, error) {
+	rs, err := s.client.FetchPatches(ctx, cves)
 	if err != nil {
 		return nil, err
 	}
@@ -920,12 +894,18 @@ func (s *System) smi(staged []smmpatch.BatchMember) ([]uint32, []smmpatch.Outcom
 	if status.Code != smmpatch.StatusBatchDone {
 		return nil, nil, &StatusError{ID: "package", Got: status.Code, Want: smmpatch.StatusBatchDone}
 	}
+	s.keepPending(status)
+	return codes, outs, nil
+}
+
+// keepPending puts a status record SMM wrote in the pending slot,
+// unless the slot already holds a newer one.
+func (s *System) keepPending(status smmpatch.Status) {
 	s.statusMu.Lock()
 	if status.Seq > s.pending.Seq {
 		s.pending = status
 	}
 	s.statusMu.Unlock()
-	return codes, outs, nil
 }
 
 // acknowledge sends the pending status record to the server in one
@@ -957,7 +937,9 @@ func (s *System) acknowledge(ctx context.Context) error {
 
 // Protect runs SMM introspection over all applied patches, repairing
 // and reporting tampering (§V-D). It returns whether tampering was
-// found during this run.
+// found during this run. Like a package SMI's, the MAC'd status record
+// the introspection SMI writes (StatusTampered or StatusIdle) stays
+// pending until the next Apply, ApplyAll or Close sends it.
 func (s *System) Protect() (bool, error) {
 	before := s.Handler.TamperEvents()
 	// The repair may rewrite trampolines; the trusted window defers
@@ -969,6 +951,11 @@ func (s *System) Protect() (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	status, err := smmpatch.ReadStatusRecord(s.Machine.Mem, s.helperPriv, s.Kernel.Res)
+	if err != nil {
+		return false, err
+	}
+	s.keepPending(status)
 	return s.Handler.TamperEvents() > before, nil
 }
 

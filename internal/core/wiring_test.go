@@ -13,7 +13,6 @@ import (
 	"kshot/internal/kcrypto"
 	"kshot/internal/mem"
 	"kshot/internal/obs"
-	"kshot/internal/patchserver"
 	"kshot/internal/sgxprep"
 	"kshot/internal/smmpatch"
 	"kshot/internal/timing"
@@ -94,8 +93,9 @@ func fetchOne(t *testing.T, d *testDeployment) {
 // target-side points, the server's for the server-side ones.
 func TestFaultPointCounts(t *testing.T) {
 	type row struct {
-		server bool // the point lives in the patch server
-		drive  func(t *testing.T, d *testDeployment)
+		server     bool // the point lives in the patch server
+		unattached bool // drive runs before the System attaches
+		drive      func(t *testing.T, d *testDeployment)
 	}
 	rows := map[faultinject.Point]row{
 		faultinject.MemWCorrupt:   {drive: stageMemW},
@@ -107,16 +107,16 @@ func TestFaultPointCounts(t *testing.T) {
 		faultinject.FetchError:    {drive: fetchOne},
 		faultinject.FetchTruncate: {drive: fetchOne},
 		faultinject.FetchDelay:    {drive: fetchOne},
-		faultinject.DialError: {drive: func(t *testing.T, d *testDeployment) {
-			if c := d.System.dialFetcher(context.Background()); c != d.System.client {
-				t.Fatal("extra fetch connection dialed despite the injected dial error")
+		faultinject.DialError: {unattached: true, drive: func(t *testing.T, d *testDeployment) {
+			if err := d.System.Attach(context.Background()); !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("Attach: %v, want the injected dial error", err)
 			}
 		}},
-		faultinject.AcceptStall: {server: true, drive: func(t *testing.T, d *testDeployment) {
+		faultinject.AcceptStall: {server: true, unattached: true, drive: func(t *testing.T, d *testDeployment) {
 			// The hello round trip returns only after the server
 			// accepted the connection.
-			if c := d.System.dialFetcher(context.Background()); c != d.System.client {
-				_ = c.Close()
+			if err := d.System.Attach(context.Background()); err != nil {
+				t.Fatal(err)
 			}
 		}},
 		faultinject.BuildCacheBypass: {server: true, drive: fetchOne},
@@ -132,8 +132,10 @@ func TestFaultPointCounts(t *testing.T) {
 		t.Run(string(pt), func(t *testing.T) {
 			d := newDeployment(t, "4.4", kcrypto.HashSHA256, batchCVEs[:2]...)
 			d.System.SetWallClock(timing.NewFakeWall())
-			if err := d.System.Attach(context.Background()); err != nil {
-				t.Fatal(err)
+			if !r.unattached {
+				if err := d.System.Attach(context.Background()); err != nil {
+					t.Fatal(err)
+				}
 			}
 			set := faultinject.New(faultinject.Exact(faultinject.Fault{Point: pt, Call: 0}))
 			h := faultHooks(set)
@@ -155,9 +157,8 @@ func TestFaultPointCounts(t *testing.T) {
 
 // The System's handle reaches every layer whatever order its pieces
 // are installed in: a fault set installed with SetObserver fires and is
-// counted in that handle, an extra fetch connection pooled before the
-// handle existed picks it up at checkout, and introspection keeps
-// flowing after SetObserver(nil).
+// counted in that handle, and introspection keeps flowing after
+// SetObserver(nil).
 func TestWiringOrder(t *testing.T) {
 	cases := [][]string{
 		{"observe", "introspect", "attach"},
@@ -177,16 +178,8 @@ func TestWiringOrder(t *testing.T) {
 			s := d.System
 			cve := d.Entries[0].CVE
 
-			// An extra fetch connection pooled before any step.
-			extra := s.dialFetcher(context.Background())
-			if extra == nil {
-				t.Fatal("no extra fetch connection")
-			}
-			s.putFetchers([]*patchserver.Client{extra})
-
 			set := faultinject.New(faultinject.Exact(
 				faultinject.Fault{Point: faultinject.FetchError, Call: 0},
-				faultinject.Fault{Point: faultinject.FetchError, Call: 1},
 				faultinject.Fault{Point: faultinject.SGXECallFail, Call: 0},
 			))
 			h := faultHooks(set)
@@ -213,36 +206,27 @@ func TestWiringOrder(t *testing.T) {
 				t.Fatal("the System modified the caller's hooks")
 			}
 
-			// One fetch over the attached client, one over the pooled
-			// extra and one ECALL: each fails and is counted while h is
-			// installed.
+			// One fetch and one ECALL: each fails and is counted while h
+			// is installed.
 			_, err := s.enclave.ECall(sgxprep.FnPrepare, nil)
 			if injected := errors.Is(err, faultinject.ErrInjected); injected != observed {
 				t.Errorf("ECALL error %v, want injected=%v", err, observed)
 			}
-			pooled := s.takeFetchers(1)
-			if len(pooled) != 1 {
-				t.Fatalf("checked out %d pooled clients, want 1", len(pooled))
+			rs, err := s.client.FetchPatches(ctx, []string{cve})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, c := range []*patchserver.Client{s.client, pooled[0]} {
-				rs, err := c.FetchPatches(ctx, []string{cve})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if injected := errors.Is(rs[0].Err, faultinject.ErrInjected); injected != observed {
-					t.Errorf("fetch error %v, want injected=%v", rs[0].Err, observed)
-				}
+			if injected := errors.Is(rs[0].Err, faultinject.ErrInjected); injected != observed {
+				t.Errorf("fetch error %v, want injected=%v", rs[0].Err, observed)
 			}
-			s.putFetchers(pooled)
 			want := int64(0)
 			if observed {
-				want = 2
+				want = 1
 			}
-			if got := faultCount(h, faultinject.FetchError); got != want {
-				t.Errorf("%s%s = %d, want %d", obs.FaultPrefix, faultinject.FetchError, got, want)
-			}
-			if got := faultCount(h, faultinject.SGXECallFail); got != want/2 {
-				t.Errorf("%s%s = %d, want %d", obs.FaultPrefix, faultinject.SGXECallFail, got, want/2)
+			for _, pt := range []faultinject.Point{faultinject.FetchError, faultinject.SGXECallFail} {
+				if got := faultCount(h, pt); got != want {
+					t.Errorf("%s%s = %d, want %d", obs.FaultPrefix, pt, got, want)
+				}
 			}
 
 			// Introspection sees the next SMI whatever is installed.

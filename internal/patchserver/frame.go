@@ -80,12 +80,11 @@ func appendRequest(b []byte, r *request) []byte {
 	return endFrame(b, start)
 }
 
-func decodeRequest(body []byte) (*request, error) {
+// decodeRequest decodes body into r. The byte fields alias body.
+func decodeRequest(body []byte, r *request) error {
 	d := wire.NewDecoder(body)
-	r := &request{
-		Kind: d.String(),
-		Info: OSInfo{Version: d.String(), Ftrace: d.Bool(), Inline: d.Bool()},
-	}
+	r.Kind = d.String()
+	r.Info = OSInfo{Version: d.String(), Ftrace: d.Bool(), Inline: d.Bool()}
 	d.Fixed(r.Measurement[:])
 	r.AttKey = d.Bytes()
 	r.CVE = d.String()
@@ -93,10 +92,7 @@ func decodeRequest(body []byte) (*request, error) {
 	r.Seq = d.Uvarint()
 	r.Digest = d.Bytes()
 	r.MAC = d.Bytes()
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return d.Finish()
 }
 
 func appendResponse(b []byte, r *response) []byte {

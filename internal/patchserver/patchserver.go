@@ -255,9 +255,9 @@ type Server struct {
 
 	// keyRoot derives the server→enclave channel key of an attested
 	// target from its identity (version, build knobs, measurement and
-	// attestation key), so every helper connection a target opens —
-	// the attached one and its extra fetch connections — encrypts to the
-	// one key its enclave holds, with no per-target state on the server.
+	// attestation key), so the key a hello provisions to a target's
+	// enclave needs no per-target state on the server. A target holds one
+	// connection, so that key reaches exactly one enclave.
 	keyRoot []byte
 
 	// versions remembers the kernel versions the tree provider has
@@ -598,8 +598,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.obs.Load().Count(obs.CtrConnLive, -1)
 		s.wg.Done()
 	}()
-	var sess *session
-
+	var (
+		sess  *session
+		reqs  []request  // the current burst, reused across bursts
+		resps []response // its responses, in request order
+	)
 	for {
 		// The idle deadline is armed before the shutdown check: if Close
 		// runs between the two, its SetReadDeadline(now) lands after ours
@@ -614,21 +617,45 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		default:
 		}
-		body, err := readFrame(rd)
-		if err != nil {
-			return // EOF, timeout, oversized frame, or broken peer
+		var err error
+		reqs, err = readBurst(rd, reqs[:0])
+		resps = s.serveBurst(&sess, reqs, resps[:0])
+		for i := range resps {
+			pending = appendResponse(pending, &resps[i])
 		}
-		req, err := decodeRequest(body)
+		// Drop the burst's references to request frames and blobs.
+		clear(reqs)
+		clear(resps)
 		if err != nil {
-			return // malformed frame
+			return // EOF, timeout, oversized or malformed frame, or broken peer
 		}
-		pending = appendResponse(pending, s.handle(&sess, req))
 		if len(pending) > flushThreshold || !frameBuffered(rd) {
 			if err := flush(); err != nil {
 				return
 			}
 		}
 	}
+}
+
+// maxBurst caps the requests served as one burst.
+const maxBurst = 64
+
+// readBurst appends one request to reqs, waiting for it, and then the
+// requests whose frames are already buffered behind it, up to maxBurst.
+// A frame that cannot be read or decoded ends the burst with an error;
+// the requests before it are still returned, to be answered.
+func readBurst(rd *bufio.Reader, reqs []request) ([]request, error) {
+	for len(reqs) == 0 || (len(reqs) < maxBurst && frameBuffered(rd)) {
+		body, err := readFrame(rd)
+		if err != nil {
+			return reqs, err
+		}
+		reqs = append(reqs, request{})
+		if err := decodeRequest(body, &reqs[len(reqs)-1]); err != nil {
+			return reqs[:len(reqs)-1], err
+		}
+	}
+	return reqs, nil
 }
 
 // flushThreshold bounds the response bytes a session holds back.
@@ -638,25 +665,84 @@ const flushThreshold = 64 << 10
 // (one hello and one burst) does not grow a fresh buffer.
 var outBufs = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
 
-func (s *Server) handle(sess **session, req *request) *response {
+// serveBurst answers a burst in request order, appending to resps. A
+// hello or status request runs alone, after everything before it; the
+// patch requests between two of them are served by servePatches under
+// the session current at that point.
+func (s *Server) serveBurst(sess **session, reqs []request, resps []response) []response {
+	resps = append(resps, make([]response, len(reqs))...)
+	run := 0 // first request of the current run of patch requests
+	for i := range reqs {
+		if reqs[i].Kind == kindPatch {
+			continue
+		}
+		s.servePatches(*sess, reqs[run:i], resps[run:i])
+		resps[i] = s.handle(sess, &reqs[i])
+		run = i + 1
+	}
+	s.servePatches(*sess, reqs[run:], resps[run:])
+	return resps
+}
+
+// servePatches answers a run of patch requests into resps. The
+// cache-bypass fault point is consulted for each request in request
+// order before any build starts, so a seeded schedule fires on the same
+// request every run. The requests then build concurrently through the
+// single-flight cache, the first on the calling goroutine; a run of
+// one starts no goroutine.
+func (s *Server) servePatches(sess *session, reqs []request, resps []response) {
+	if len(reqs) == 0 {
+		return
+	}
+	if sess == nil {
+		for i := range resps {
+			resps[i] = response{Err: "hello required before patch requests"}
+		}
+		return
+	}
+	for i := range reqs {
+		s.bypassCache(sess.info, reqs[i].CVE)
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(reqs); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i] = s.patchResponse(sess, reqs[i].CVE)
+		}()
+	}
+	resps[0] = s.patchResponse(sess, reqs[0].CVE)
+	wg.Wait()
+}
+
+// patchResponse builds the response to one patch request.
+func (s *Server) patchResponse(sess *session, cve string) response {
+	blob, err := s.BuildPatchBlob(sess.info, cve, sess.crypt)
+	if err != nil {
+		return response{Err: err.Error()}
+	}
+	return response{Blob: blob}
+}
+
+// handle answers one hello or status request; patch requests are
+// answered by servePatches.
+func (s *Server) handle(sess **session, req *request) response {
 	switch req.Kind {
 	case kindHello:
 		return s.handleHello(sess, req)
-	case kindPatch:
-		return s.handlePatch(*sess, req)
 	case kindStatus:
 		return s.handleStatus(*sess, req)
 	default:
-		return &response{Err: fmt.Sprintf("unknown request kind %q", req.Kind)}
+		return response{Err: fmt.Sprintf("unknown request kind %q", req.Kind)}
 	}
 }
 
-func (s *Server) handleHello(sess **session, req *request) *response {
+func (s *Server) handleHello(sess **session, req *request) response {
 	// Every target registers its status-attestation key at hello: the
 	// channel key derives from it, and every status report is checked
 	// against it.
 	if len(req.AttKey) == 0 {
-		return &response{Err: "hello refused: no status-attestation key"}
+		return response{Err: "hello refused: no status-attestation key"}
 	}
 	// Verify the enclave identity: a genuine KShot preparation enclave
 	// for the reported kernel version has a known measurement. This is
@@ -664,11 +750,11 @@ func (s *Server) handleHello(sess **session, req *request) *response {
 	// (§V-C's MITM mitigation).
 	expected := sgx.MeasureIdentity(sgxprep.Identity(req.Info.Version))
 	if req.Measurement != expected {
-		return &response{Err: "enclave attestation failed: unexpected measurement"}
+		return response{Err: "enclave attestation failed: unexpected measurement"}
 	}
 	if _, known := s.versions.Load(req.Info.Version); !known {
 		if _, err := s.trees(req.Info.Version); err != nil {
-			return &response{Err: fmt.Sprintf("unsupported kernel: %v", err)}
+			return response{Err: fmt.Sprintf("unsupported kernel: %v", err)}
 		}
 		s.versions.Store(req.Info.Version, struct{}{})
 	}
@@ -677,13 +763,13 @@ func (s *Server) handleHello(sess **session, req *request) *response {
 		req.Measurement[:], req.AttKey)
 	crypt, err := kcrypto.NewSession(key[:], nil)
 	if err != nil {
-		return &response{Err: err.Error()}
+		return response{Err: err.Error()}
 	}
 	*sess = &session{
 		info: req.Info, serverKey: key[:], crypt: crypt,
 		attKey: append([]byte(nil), req.AttKey...),
 	}
-	return &response{ServerKey: key[:]}
+	return response{ServerKey: key[:]}
 }
 
 // handleStatus records a target's status report in its attestation
@@ -692,9 +778,9 @@ func (s *Server) handleHello(sess **session, req *request) *response {
 // whose MAC fails is counted and kept as the newest forgery; an
 // authentic one whose sequence number does not advance the key's
 // newest is acknowledged but not recorded again.
-func (s *Server) handleStatus(sess *session, req *request) *response {
+func (s *Server) handleStatus(sess *session, req *request) response {
 	if sess == nil {
-		return &response{Err: "hello required before status reports"}
+		return response{Err: "hello required before status reports"}
 	}
 	authentic := false
 	// SMM MACs a DigestSize digest; a record carrying any other length
@@ -720,18 +806,17 @@ func (s *Server) handleStatus(sess *session, req *request) *response {
 	case req.Seq > st.Authentic.Seq:
 		st.Authentic.set(req.Code, req.Seq, req.Digest, now)
 	}
-	return &response{}
+	return response{}
 }
 
-func (s *Server) handlePatch(sess *session, req *request) *response {
-	if sess == nil {
-		return &response{Err: "hello required before patch requests"}
+// bypassCache consults the cache-bypass fault point for one patch
+// request. When it fires, the request's cached artifact is dropped, so
+// the build that follows takes the full rebuild path (the cache
+// corruption / cold restart model).
+func (s *Server) bypassCache(info OSInfo, cve string) {
+	if _, ok := s.obs.Load().Fault(faultinject.BuildCacheBypass); ok {
+		s.cache.invalidate(buildKey{version: info.Version, ftrace: info.Ftrace, inline: info.Inline, cve: cve})
 	}
-	blob, err := s.BuildPatchBlob(sess.info, req.CVE, sess.crypt)
-	if err != nil {
-		return &response{Err: err.Error()}
-	}
-	return &response{Blob: blob}
 }
 
 // BuildPatchBlob returns the encrypted binary patch for (info, cve),
@@ -742,7 +827,8 @@ func (s *Server) handlePatch(sess *session, req *request) *response {
 // build, later ones hit the cache. Encryption always runs per call, so
 // every session's ciphertext is keyed to its own channel. A patch
 // registered prebuilt (RegisterBinaryPatch) skips the cache and the
-// build. Exposed for in-process use by benchmarks that bypass TCP.
+// build. A patch request is served by bypassCache, then this; it is
+// exposed for in-process use by benchmarks that bypass TCP.
 func (s *Server) BuildPatchBlob(info OSInfo, cve string, crypt *kcrypto.Session) ([]byte, error) {
 	s.mu.Lock()
 	sp, ok := s.patches[cve]
@@ -756,11 +842,6 @@ func (s *Server) BuildPatchBlob(info OSInfo, cve string, crypt *kcrypto.Session)
 	}
 	key := buildKey{version: info.Version, ftrace: info.Ftrace, inline: info.Inline, cve: cve}
 	ob := s.obs.Load()
-	if _, ok := ob.Fault(faultinject.BuildCacheBypass); ok {
-		// Injected cache loss: drop the entry so this request takes the
-		// full rebuild path (cache corruption / cold restart model).
-		s.cache.invalidate(key)
-	}
 	plain, outcome, evicted, err := s.cache.getOrBuild(key, func() ([]byte, error) {
 		start := time.Now()
 		p, err := s.buildPlain(info, sp)

@@ -21,7 +21,8 @@
 //   - a member that fails inside a batch for any other reason (bad
 //     verification, preparation failure) degrades to one per-patch
 //     delivery attempt, so a single poisoned member cannot suppress
-//     its batch mates or hide which member was at fault;
+//     its batch mates or hide which member was at fault; a member
+//     delivered alone already had its per-patch attempt and fails;
 //   - a batch whose delivery fails structurally (SMI-level error)
 //     degrades to per-patch deliveries for every member.
 //
@@ -348,7 +349,8 @@ func Run(ctx context.Context, b Backend, cves []string, cfg Config) (*Result, er
 		boundary() // post-delivery, pre-retry
 
 		// Per-member outcomes: retry refused members alone; give batch
-		// verification failures one per-patch attempt of their own.
+		// verification failures one per-patch attempt of their own. A
+		// lone member already had one: it has nothing to degrade to.
 		for _, m := range deliverable {
 			if cerr := ctx.Err(); cerr != nil {
 				markUnprocessed(batches[i:], cerr)
@@ -358,7 +360,7 @@ func Run(ctx context.Context, b Backend, cves []string, cfg Config) (*Result, er
 			case m.Err == nil:
 			case cfg.Retryable(m.Err):
 				retryMember(ctx, b, m, cfg, res)
-			case !m.Fallback && m.Attempts == 1:
+			case len(deliverable) > 1 && !m.Fallback && m.Attempts == 1:
 				deliverFallback(ctx, b, m, res)
 				if m.Err != nil && cfg.Retryable(m.Err) {
 					retryMember(ctx, b, m, cfg, res)

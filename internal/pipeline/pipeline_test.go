@@ -252,6 +252,49 @@ func TestRunSingleStructuralFailureIsMemberError(t *testing.T) {
 	}
 }
 
+// TestRunLoneMemberDeliveredOnce: a member delivered alone — the only
+// CVE of a run, or the single one left at the end of one — that fails
+// without a retryable error already had its per-patch SMI, so it is not
+// delivered again.
+func TestRunLoneMemberDeliveredOnce(t *testing.T) {
+	cases := []struct {
+		name       string
+		n, batch   int
+		poison     string // a CVE that fails verification
+		failSingle bool   // every one-member delivery fails structurally
+		batches    int
+	}{
+		{name: "lone poisoned member", n: 1, batch: 8, poison: "CVE-2020-0000"},
+		{name: "lone member, failed SMI", n: 1, batch: 8, failSingle: true},
+		{name: "poisoned single at the end of a run", n: 3, batch: 2, poison: "CVE-2020-0002", batches: 1},
+		{name: "failed SMI of the single at the end of a run", n: 3, batch: 2, failSingle: true, batches: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFakeBackend()
+			if tc.poison != "" {
+				f.poison[tc.poison] = true
+			}
+			f.failSingle = tc.failSingle
+			res, err := Run(context.Background(), f, cveList(tc.n), Config{BatchSize: tc.batch})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if res.Batches != tc.batches || res.Singles != 1 || res.Degraded != 0 || len(f.singleCalls) != 1 {
+				t.Fatalf("Batches=%d Singles=%d Degraded=%d single deliveries %v, want %d/1/0 and one delivery",
+					res.Batches, res.Singles, res.Degraded, f.singleCalls, tc.batches)
+			}
+			last := res.Members[tc.n-1]
+			if last.Err == nil || last.Attempts != 1 || last.Fallback {
+				t.Fatalf("lone member: err=%v attempts=%d fallback=%v, want its failure after 1 attempt", last.Err, last.Attempts, last.Fallback)
+			}
+			if len(f.applied) != tc.n-1 {
+				t.Fatalf("applied = %v, want the %d batched members", f.applied, tc.n-1)
+			}
+		})
+	}
+}
+
 func TestRunFetchFailureSkipsMember(t *testing.T) {
 	f := newFakeBackend()
 	f.fetchErr["CVE-2020-0000"] = true
