@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kshot/internal/cvebench"
+	"kshot/internal/faultinject"
 	"kshot/internal/obs"
 	"kshot/internal/patchserver"
 )
@@ -89,18 +90,76 @@ func waitLive(t *testing.T, srv *patchserver.Server, want int) {
 	}
 }
 
-// TestApplyAllOneConnection: a System holds one server connection for
-// its whole life. Twenty two-worker, two-batch cycles (fetching ahead,
-// acknowledging, rolling back) make the server accept exactly one
-// connection, and after Close it serves none.
-func TestApplyAllOneConnection(t *testing.T) {
+// TestApplyAllReusesAttachedConnection: every fetch of an ApplyAll goes
+// over the client Attach dialed. A one-batch call, a two-worker call
+// over two batches and a three-worker call over three batches leave the
+// server with one accepted connection, and a dial fault armed before the
+// last call never fires because nothing dials.
+func TestApplyAllReusesAttachedConnection(t *testing.T) {
+	sys, _, accepted := newConnRig(t)
+	apply := func(cves []string, opts ...ApplyOption) {
+		t.Helper()
+		rep, err := sys.ApplyAll(context.Background(), cves, opts...)
+		if err != nil {
+			t.Fatalf("ApplyAll(%v): %v", cves, err)
+		}
+		if len(rep.Failed) > 0 {
+			t.Fatalf("ApplyAll(%v) failed %v", cves, rep.Failed)
+		}
+	}
+
+	if err := sys.Attach(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	apply(batchCVEs[:1])
+	if n := accepted(); n != 1 {
+		t.Errorf("after Attach and a one-batch ApplyAll: %d connections accepted, want 1", n)
+	}
+	apply(batchCVEs[1:3], WithBatchSize(1), WithFetchWorkers(2))
+	if n := accepted(); n != 1 {
+		t.Errorf("after a two-worker, two-batch ApplyAll: %d connections accepted, want 1", n)
+	}
+	rollbackAll(t, sys)
+	fi := faultinject.New(faultinject.Exact(
+		faultinject.Fault{Point: faultinject.DialError, Call: 0}))
+	sys.SetObserver(&obs.Hooks{Faults: fi})
+	apply(batchCVEs, WithBatchSize(2), WithFetchWorkers(3))
+	if fi.Fired() != 0 {
+		t.Errorf("injected DialError fired %d times, want 0 (no fetch dials)", fi.Fired())
+	}
+	if n := accepted(); n != 1 {
+		t.Errorf("after a three-worker ApplyAll: %d connections accepted, want 1", n)
+	}
+	if got := sys.Applied(); len(got) != len(batchCVEs) {
+		t.Errorf("Applied() = %v", got)
+	}
+}
+
+// TestApplyAllPoolsFetchConnections: a System holds one server
+// connection for its whole life. Twenty-one two-worker, two-batch cycles
+// (fetching ahead, acknowledging, rolling back) make the server accept
+// exactly one connection, which it still serves afterwards.
+func TestApplyAllPoolsFetchConnections(t *testing.T) {
 	sys, srv, accepted := newConnRig(t)
+	applyAllCycle(t, sys)
+	if n := accepted(); n != 1 {
+		t.Errorf("after one two-worker cycle: %d connections accepted, want 1", n)
+	}
 	for range 20 {
 		applyAllCycle(t, sys)
 	}
 	if n := accepted(); n != 1 {
-		t.Errorf("20 two-worker cycles: %d connections accepted, want 1", n)
+		t.Errorf("21 two-worker cycles: %d connections accepted, want 1", n)
 	}
+	waitLive(t, srv, 1)
+}
+
+// TestApplyAllPoolClosedBySystemClose: System.Close closes the one
+// connection a System's fetches ran over, so the server ends up serving
+// no connection of the closed System.
+func TestApplyAllPoolClosedBySystemClose(t *testing.T) {
+	sys, srv, _ := newConnRig(t)
+	applyAllCycle(t, sys)
 	waitLive(t, srv, 1)
 	sys.Close()
 	waitLive(t, srv, 0)
