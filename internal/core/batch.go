@@ -42,11 +42,11 @@ func WithBatchSize(n int) ApplyOption {
 }
 
 // WithFetchWorkers sets the number of batches fetched ahead of
-// delivery (default pipeline.DefaultWorkers). Every fetch goes over the
-// System's one server connection, one pipelined burst per batch. With
-// one worker, each batch is fetched inline right before its delivery,
-// so a seeded fault schedule replays at identical call indices on every
-// run.
+// delivery (default pipeline.DefaultWorkers). One prefetcher fetches
+// them in request order over the System's one server connection, one
+// pipelined burst per batch. With one worker, each batch is fetched
+// inline right before its delivery, so a seeded fault schedule replays
+// at identical call indices on every run.
 func WithFetchWorkers(n int) ApplyOption {
 	return func(c *applyConfig) error {
 		if n < 1 {
@@ -143,7 +143,6 @@ func (s *System) ApplyAll(ctx context.Context, cves []string, opts ...ApplyOptio
 		MaxRetries: cfg.maxRetries,
 		Backoff:    cfg.backoff,
 		Retryable:  func(err error) bool { return errors.Is(err, smmpatch.ErrTargetActive) },
-		Clock:      s.wall,
 		Obs:        s.obs,
 	})
 

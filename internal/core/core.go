@@ -163,13 +163,11 @@ type System struct {
 
 	helperPriv mem.Priv
 
-	// wall paces real-time waits (retry backoff, injected latency) and
-	// defaults to the system clock. obs is the instrumentation handle
-	// every layer holds (see layerHooks): the caller's tracer, metrics
-	// and fault set plus this System's introspection channel, nil when
-	// all of them are off.
-	wall timing.WallClock
-	obs  *obs.Hooks
+	// obs is the instrumentation handle every layer holds (see
+	// layerHooks): the caller's tracer, metrics, fault set and wall
+	// clock plus this System's introspection channel, nil when all of
+	// them are off (the real clock then paces every wait).
+	obs *obs.Hooks
 
 	// intr/det are the introspection event channel and kernel-text
 	// detector, nil unless EnableIntrospection ran. The pipeline
@@ -434,10 +432,9 @@ func (s *System) attach(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// The System's hooks and wall clock go in at dial, so the dial fault
-	// fires under the same set as every other layer.
-	client, err := patchserver.Dial(ctx, s.serverAddr,
-		patchserver.WithClientWallClock(s.wall), patchserver.WithClientObserver(s.obs))
+	// The System's hooks go in at dial, so the dial fault fires under
+	// the same set as every other layer.
+	client, err := patchserver.Dial(ctx, s.serverAddr, patchserver.WithClientObserver(s.obs))
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrFetch, err)
 	}
@@ -497,6 +494,9 @@ func (s *System) attach(ctx context.Context) error {
 // (obs.Hooks.Faults) is how the chaos suite injects faults, and each
 // fired fault is counted in the handle's own metrics under the
 // obs.FaultPrefix namespace; nil therefore removes the fault set too.
+// The handle's clock (obs.Hooks.Wall) paces every real-time wait —
+// retry backoff, injected stalls and fetch latency — and stamps trace
+// events, introspection events and verdicts; nil means the real clock.
 // Introspection, once enabled, keeps flowing whatever is installed.
 // The caller's struct is never modified.
 func (s *System) SetObserver(ob *obs.Hooks) {
@@ -551,12 +551,11 @@ func (s *System) EnableIntrospection(cfg introspect.Config) error {
 	if s.det != nil {
 		return fmt.Errorf("core: introspection already enabled")
 	}
-	ch := introspect.NewChannel(cfg.Capacity, s.wall)
+	ch := introspect.NewChannel(cfg.Capacity)
 	ch.Arm(cfg.ArmSteps)
 	det, err := introspect.NewDetector(ch, s.Machine.Mem, kernel.TextBase, kernel.TextRegionSize, introspect.DetectorConfig{
 		PatchCmds:      []uint8{uint8(smmpatch.CmdProcessPackage)},
 		GroomThreshold: cfg.GroomThreshold,
-		Wall:           s.wall,
 	})
 	if err != nil {
 		return err
@@ -578,16 +577,6 @@ func (s *System) Introspection() *introspect.Detector { return s.det }
 // IntrospectionEvents returns the introspection event channel, or nil
 // when introspection is not enabled.
 func (s *System) IntrospectionEvents() *introspect.Channel { return s.intr }
-
-// SetWallClock replaces the clock pacing real-time waits (nil restores
-// real time). Tests inject timing.FakeWall so retry backoff and
-// injected latency never depend on the host clock.
-func (s *System) SetWallClock(wc timing.WallClock) {
-	s.wall = wc
-	if s.client != nil {
-		s.client.SetWallClock(wc)
-	}
-}
 
 // ecall enters the preparation enclave, transparently recovering from
 // enclave loss: if the enclave was destroyed (crash, EPC loss), it is

@@ -18,9 +18,10 @@ import (
 	"kshot/internal/timing"
 )
 
-// faultHooks builds a handle with its own metrics carrying set.
+// faultHooks builds a handle with its own metrics and a fake wall
+// clock, carrying set.
 func faultHooks(set *faultinject.Set) *obs.Hooks {
-	return &obs.Hooks{Metrics: obs.NewMetrics(), Faults: set}
+	return &obs.Hooks{Metrics: obs.NewMetrics(), Faults: set, Wall: timing.NewFakeWall()}
 }
 
 // faultCount reads the fired-fault counter of pt in h.
@@ -131,7 +132,6 @@ func TestFaultPointCounts(t *testing.T) {
 		}
 		t.Run(string(pt), func(t *testing.T) {
 			d := newDeployment(t, "4.4", kcrypto.HashSHA256, batchCVEs[:2]...)
-			d.System.SetWallClock(timing.NewFakeWall())
 			if !r.unattached {
 				if err := d.System.Attach(context.Background()); err != nil {
 					t.Fatal(err)

@@ -50,7 +50,6 @@ func TestObservabilityUnderConcurrency(t *testing.T) {
 					return
 				}
 				defer d.Close()
-				d.System.SetWallClock(wall)
 				d.System.SetObserver(hooks)
 				rep, err := d.System.ApplyAll(context.Background(), cves)
 				if err != nil {

@@ -111,7 +111,6 @@ func RunPhaseBreakdown(opts PhaseOptions) (*PhaseBreakdown, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wave %d deployment: %w", wi, err)
 		}
-		d.System.SetWallClock(opts.Wall)
 		d.System.SetObserver(hooks)
 		hooks.Point(obs.PhaseWave, fmt.Sprintf("wave[%d]:%d", wi, len(wave)), wi)
 

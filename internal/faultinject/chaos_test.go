@@ -122,9 +122,8 @@ func (h *chaosHarness) cycle(seed int64, entries []*cvebench.Entry) outcome {
 	}
 
 	fi := faultinject.New(faultinject.NewPlan(seed, faultinject.PlanConfig{}))
-	hooks := &obs.Hooks{Metrics: obs.NewMetrics(), Faults: fi}
+	hooks := &obs.Hooks{Metrics: obs.NewMetrics(), Faults: fi, Wall: timing.NewFakeWall()}
 	sys.SetObserver(hooks)
-	sys.SetWallClock(timing.NewFakeWall())
 	rep, err := sys.ApplyAll(context.Background(), cves,
 		core.WithBatchSize(2+int(seed%5)),
 		core.WithFetchWorkers(1),

@@ -15,7 +15,6 @@ import (
 
 	"kshot/internal/mem"
 	"kshot/internal/obs"
-	"kshot/internal/timing"
 )
 
 // VerdictKind classifies one detection.
@@ -93,10 +92,6 @@ type DetectorConfig struct {
 	// one patch raise ActivenessGroomed. <= 0 means
 	// DefaultGroomThreshold.
 	GroomThreshold int
-
-	// Wall anchors verdict timestamps and latency measurement; nil
-	// uses the real clock.
-	Wall timing.WallClock
 }
 
 // DefaultGroomThreshold is the consecutive-refusal count that flags
@@ -114,7 +109,6 @@ type Detector struct {
 	mem   *mem.Physical
 	base  uint64
 	size  uint64
-	wall  timing.WallClock
 	patch map[uint8]bool
 	groom int
 
@@ -143,10 +137,6 @@ func NewDetector(ch *Channel, m *mem.Physical, base, size uint64, cfg DetectorCo
 	if m == nil {
 		return nil, fmt.Errorf("introspect: detector needs a memory to sweep")
 	}
-	wall := cfg.Wall
-	if wall == nil {
-		wall = timing.Real()
-	}
 	groom := cfg.GroomThreshold
 	if groom <= 0 {
 		groom = DefaultGroomThreshold
@@ -156,7 +146,6 @@ func NewDetector(ch *Channel, m *mem.Physical, base, size uint64, cfg DetectorCo
 		mem:      m,
 		base:     base,
 		size:     size,
-		wall:     wall,
 		patch:    make(map[uint8]bool, len(cfg.PatchCmds)),
 		groom:    groom,
 		good:     m.Snapshot(),
@@ -171,7 +160,8 @@ func NewDetector(ch *Channel, m *mem.Physical, base, size uint64, cfg DetectorCo
 
 // SetObserver installs (or, with nil, removes) observability hooks;
 // sweeps and detections land on obs.CtrIntrospectSweeps/Detections and
-// detection latency on obs.HistDetectLatency.
+// detection latency on obs.HistDetectLatency. The handle's clock
+// stamps verdicts and measures their latency.
 func (d *Detector) SetObserver(h *obs.Hooks) {
 	if d == nil {
 		return
@@ -290,10 +280,10 @@ func (d *Detector) Stats() DetectorStats {
 
 // raiseLocked appends a verdict (d.mu held) and counts it.
 func (d *Detector) raiseLocked(v Verdict) {
-	v.At = d.wall.Now()
+	h := d.obs.Load()
+	v.At = h.Now()
 	d.verdicts = append(d.verdicts, v)
 	d.detections.Add(1)
-	h := d.obs.Load()
 	h.Count(obs.CtrIntrospectDetections, 1)
 	if v.Kind == TamperDetected && v.Latency > 0 {
 		h.ObserveDur(obs.HistDetectLatency, v.Latency)
@@ -371,7 +361,7 @@ func (d *Detector) Sweep() []Verdict {
 		if suspect != nil {
 			v.Addr = suspect.Addr
 			v.Seq = suspect.Seq
-			v.Latency = d.wall.Now().Sub(suspect.At)
+			v.Latency = d.obs.Load().Now().Sub(suspect.At)
 			v.Detail = fmt.Sprintf("exec write at %#x outside SMI window (%d dirty frames)", suspect.Addr, len(frames))
 		} else {
 			v.Detail = fmt.Sprintf("%d kernel.text frames differ from baseline (event dropped or silent)", len(frames))

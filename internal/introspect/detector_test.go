@@ -34,15 +34,14 @@ func newDetRig(t *testing.T, capacity int) *detRig {
 		t.Fatal(err)
 	}
 	wall := timing.NewFakeWall()
-	ch := NewChannel(capacity, wall)
+	ch := NewChannel(capacity)
+	ch.SetObserver(&obs.Hooks{Wall: wall})
 	m.SetObserver(&obs.Hooks{Introspect: ch})
-	det, err := NewDetector(ch, m, dtBase, dtSize, DetectorConfig{
-		PatchCmds: []uint8{dtCmd},
-		Wall:      wall,
-	})
+	det, err := NewDetector(ch, m, dtBase, dtSize, DetectorConfig{PatchCmds: []uint8{dtCmd}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	det.SetObserver(&obs.Hooks{Wall: wall})
 	return &detRig{m: m, ch: ch, det: det, wall: wall}
 }
 
@@ -257,7 +256,7 @@ func TestDetectorBackgroundLoop(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ch := NewChannel(64, nil) // background loop: real clock
+	ch := NewChannel(64) // background loop: real clock
 	m.SetObserver(&obs.Hooks{Introspect: ch})
 	det, err := NewDetector(ch, m, dtBase, dtSize, DetectorConfig{PatchCmds: []uint8{dtCmd}})
 	if err != nil {
@@ -302,7 +301,7 @@ func TestDetectorNilSafety(t *testing.T) {
 	if st := d.Stats(); st != (DetectorStats{}) {
 		t.Fatalf("nil detector stats %+v", st)
 	}
-	if _, err := NewDetector(NewChannel(1, nil), nil, 0, 0, DetectorConfig{}); err == nil {
+	if _, err := NewDetector(NewChannel(1), nil, 0, 0, DetectorConfig{}); err == nil {
 		t.Fatal("NewDetector accepted nil memory")
 	}
 }

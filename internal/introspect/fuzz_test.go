@@ -3,8 +3,6 @@ package introspect
 import (
 	"bytes"
 	"testing"
-
-	"kshot/internal/timing"
 )
 
 // FuzzEventChannel drives arbitrary interleavings of emits, arm
@@ -24,7 +22,7 @@ func FuzzEventChannel(f *testing.F) {
 		}
 		capacity := int(ops[0]&0x0F) + 1 // 1..16: small enough to overflow
 		ops = ops[1:]
-		ch := NewChannel(capacity, timing.NewFakeWall())
+		ch := NewChannel(capacity)
 		var tapped uint64
 		ch.SetTap(func(Event) { tapped++ })
 

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"kshot/internal/obs"
-	"kshot/internal/timing"
 )
 
 // Config is the user-facing introspection configuration
@@ -154,8 +153,7 @@ type Tap func(Event)
 // safe on a nil receiver (they do nothing), so producing layers hold
 // an optional *Channel-shaped sink and call unconditionally.
 type Channel struct {
-	ch   chan Event
-	wall timing.WallClock
+	ch chan Event
 
 	seq       atomic.Uint64
 	emitted   atomic.Uint64
@@ -168,22 +166,20 @@ type Channel struct {
 }
 
 // NewChannel creates a channel holding at most capacity events
-// (DefaultCapacity when <= 0). wall anchors event timestamps; nil uses
-// the real clock.
-func NewChannel(capacity int, wall timing.WallClock) *Channel {
+// (DefaultCapacity when <= 0). Events are stamped by the installed
+// handle's clock (obs.Hooks.Wall), the real clock when none is.
+func NewChannel(capacity int) *Channel {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	if wall == nil {
-		wall = timing.Real()
-	}
-	return &Channel{ch: make(chan Event, capacity), wall: wall}
+	return &Channel{ch: make(chan Event, capacity)}
 }
 
 var _ obs.Introspector = (*Channel)(nil)
 
 // SetObserver installs (or, with nil, removes) observability hooks;
-// emits and drops are counted under obs.CtrIntrospectEvents/Drops.
+// emits and drops are counted under obs.CtrIntrospectEvents/Drops and
+// stamped by the handle's clock.
 func (c *Channel) SetObserver(h *obs.Hooks) {
 	if c == nil {
 		return
@@ -264,13 +260,13 @@ func (c *Channel) emit(ev Event) {
 	if c == nil {
 		return
 	}
+	h := c.obs.Load()
 	ev.Seq = c.seq.Add(1)
-	ev.At = c.wall.Now()
+	ev.At = h.Now()
 	if t := c.tap.Load(); t != nil {
 		(*t)(ev)
 	}
 	c.emitted.Add(1)
-	h := c.obs.Load()
 	h.Count(obs.CtrIntrospectEvents, 1)
 	select {
 	case c.ch <- ev:

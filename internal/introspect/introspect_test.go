@@ -9,8 +9,7 @@ import (
 )
 
 func TestChannelAccounting(t *testing.T) {
-	wall := timing.NewFakeWall()
-	ch := NewChannel(2, wall)
+	ch := NewChannel(2)
 
 	ch.OnCodeEpoch(1)
 	ch.OnCodeEpoch(2)
@@ -41,7 +40,7 @@ func TestChannelAccounting(t *testing.T) {
 }
 
 func TestChannelTapSeesDroppedEvents(t *testing.T) {
-	ch := NewChannel(1, timing.NewFakeWall())
+	ch := NewChannel(1)
 	var tapped []Event
 	ch.SetTap(func(ev Event) { tapped = append(tapped, ev) })
 
@@ -65,7 +64,7 @@ func TestChannelTapSeesDroppedEvents(t *testing.T) {
 }
 
 func TestChannelStepGating(t *testing.T) {
-	ch := NewChannel(4, timing.NewFakeWall())
+	ch := NewChannel(4)
 	ch.OnStep(0, 0x40, 3)
 	if st := ch.Stats(); st.Emitted != 0 {
 		t.Fatalf("disarmed channel emitted a step event: %+v", st)
@@ -87,7 +86,7 @@ func TestChannelStepGating(t *testing.T) {
 }
 
 func TestChannelObserverCounters(t *testing.T) {
-	ch := NewChannel(1, timing.NewFakeWall())
+	ch := NewChannel(1)
 	h := obs.NewHooks(16, timing.NewFakeWall())
 	ch.SetObserver(h)
 	ch.OnCodeEpoch(1)
@@ -139,7 +138,7 @@ func TestChannelFedByMemoryHooks(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ch := NewChannel(8, timing.NewFakeWall())
+	ch := NewChannel(8)
 	m.SetObserver(&obs.Hooks{Introspect: ch})
 
 	if err := m.Write(mem.PrivKernel, 0x10040, []byte{1, 2, 3}); err != nil {

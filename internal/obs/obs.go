@@ -13,10 +13,12 @@
 // events are overwritten and counted as dropped — the drop counter is
 // the honesty witness (dropped == emitted − retained, always).
 //
-// Time sourcing goes through timing.WallClock: under timing.FakeWall
-// every event timestamp is a pure function of the run's schedule, so a
-// rendered trace replays byte-identically — which is what lets the
-// evaluation report be golden-tested.
+// Time sourcing goes through the handle's one timing.WallClock
+// (Hooks.Wall): every layer that waits or stamps a time reads it from
+// the handle it already holds. Under timing.FakeWall every event
+// timestamp is a pure function of the run's schedule, so a rendered
+// trace replays byte-identically — which is what lets the evaluation
+// report be golden-tested.
 package obs
 
 import (
@@ -140,11 +142,19 @@ const (
 const DefaultTraceCapacity = 4096
 
 // Hooks is the one instrumentation handle a layer accepts: a tracer, a
-// metrics registry, a fault-injection set and an introspection sink.
-// A nil *Hooks (or nil fields) is a valid, permanently-quiet observer.
+// metrics registry, a fault-injection set, an introspection sink and
+// the wall clock. A nil *Hooks (or nil fields) is a valid,
+// permanently-quiet observer on the real clock.
 type Hooks struct {
 	Tracer  *Tracer
 	Metrics *Metrics
+
+	// Wall paces every real-time wait the layer makes (retry backoff,
+	// injected latency and stalls) and stamps trace events,
+	// introspection events and verdicts. Nil means the real clock;
+	// tests pass timing.FakeWall so waits are instant and timestamps
+	// replay.
+	Wall timing.WallClock
 
 	// Faults, when non-nil, injects the chaos suite's planned faults at
 	// the layer's injection points (see Fault).
@@ -207,30 +217,45 @@ func (h *Hooks) Fault(pt faultinject.Point) (faultinject.Fault, bool) {
 	return f, ok
 }
 
-// NewHooks builds a Hooks with a tracer of the given capacity and a
-// fresh metrics registry. clock stamps events; nil means the real
-// clock, tests pass timing.FakeWall for replayable traces.
+// Clock returns the handle's wall clock, the real clock when the
+// handle or its Wall is nil.
+func (h *Hooks) Clock() timing.WallClock {
+	if h == nil || h.Wall == nil {
+		return timing.Real()
+	}
+	return h.Wall
+}
+
+// Now reads the handle's wall clock (see Clock).
+func (h *Hooks) Now() time.Time { return h.Clock().Now() }
+
+// NewHooks builds a Hooks with a tracer of the given capacity, a fresh
+// metrics registry and clock as its Wall; nil means the real clock,
+// tests pass timing.FakeWall for replayable traces.
 func NewHooks(traceCapacity int, clock timing.WallClock) *Hooks {
 	return &Hooks{
-		Tracer:  NewTracer(traceCapacity, clock),
+		Tracer:  NewTracer(traceCapacity),
 		Metrics: NewMetrics(),
+		Wall:    clock,
 	}
 }
 
-// Span records a completed phase span with its virtual duration.
+// Span records a completed phase span with its virtual duration,
+// stamped by the handle's clock.
 func (h *Hooks) Span(phase Phase, id string, wave int, dur time.Duration, bytes int) {
-	if h == nil {
+	if h == nil || h.Tracer == nil {
 		return
 	}
-	h.Tracer.Emit(Event{Kind: KindSpan, Phase: phase, ID: id, Wave: wave, Dur: dur, Bytes: bytes})
+	h.Tracer.Emit(Event{At: h.Now(), Kind: KindSpan, Phase: phase, ID: id, Wave: wave, Dur: dur, Bytes: bytes})
 }
 
-// Point records an instantaneous phase marker.
+// Point records an instantaneous phase marker, stamped by the handle's
+// clock.
 func (h *Hooks) Point(phase Phase, id string, wave int) {
-	if h == nil {
+	if h == nil || h.Tracer == nil {
 		return
 	}
-	h.Tracer.Emit(Event{Kind: KindPoint, Phase: phase, ID: id, Wave: wave})
+	h.Tracer.Emit(Event{At: h.Now(), Kind: KindPoint, Phase: phase, ID: id, Wave: wave})
 }
 
 // Count adds delta to the named counter.

@@ -21,6 +21,9 @@ func TestNilSafety(t *testing.T) {
 	h.Count(CtrApplied, 1)
 	h.Observe(HistBatchSize, 3)
 	h.ObserveDur(HistSMIPause, time.Millisecond)
+	if h.Now().IsZero() || (&Hooks{}).Clock() == nil {
+		t.Error("a handle without a Wall must read the real clock")
+	}
 
 	var tr *Tracer
 	tr.Emit(Event{})
@@ -46,7 +49,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestTracerRingDropsOldest(t *testing.T) {
-	tr := NewTracer(4, timing.NewFakeWall())
+	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
 		tr.Emit(Event{Kind: KindPoint, Phase: PhaseWave, ID: "e", Wave: i})
 	}
@@ -72,11 +75,11 @@ func TestTracerRingDropsOldest(t *testing.T) {
 
 func TestTracerRenderDeterministic(t *testing.T) {
 	render := func() string {
-		tr := NewTracer(8, timing.NewFakeWall())
-		tr.Emit(Event{Kind: KindSpan, Phase: PhaseFetch, ID: "CVE-X", Wave: -1, Dur: 1500 * time.Nanosecond, Bytes: 40})
-		tr.Emit(Event{Kind: KindPoint, Phase: PhaseWave, ID: "wave[0]:2", Wave: 0})
+		h := NewHooks(8, timing.NewFakeWall())
+		h.Span(PhaseFetch, "CVE-X", -1, 1500*time.Nanosecond, 40)
+		h.Point(PhaseWave, "wave[0]:2", 0)
 		var b strings.Builder
-		if err := tr.Snapshot().RenderText(&b); err != nil {
+		if err := h.Tracer.Snapshot().RenderText(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -97,7 +100,7 @@ func TestTracerRenderDeterministic(t *testing.T) {
 }
 
 func TestTracerConcurrentEmit(t *testing.T) {
-	tr := NewTracer(64, timing.NewFakeWall())
+	tr := NewTracer(64)
 	const goroutines, each = 8, 500
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

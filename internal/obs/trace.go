@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"kshot/internal/timing"
 )
 
 // EventKind distinguishes span events (with a duration) from
@@ -25,8 +23,8 @@ const (
 type Event struct {
 	// Seq is the global emission index (0-based), assigned by Emit.
 	Seq uint64
-	// At is the wall timestamp from the tracer's clock. Under
-	// timing.FakeWall it is deterministic.
+	// At is the wall timestamp from the emitting handle's clock
+	// (Hooks.Wall). Under timing.FakeWall it is deterministic.
 	At    time.Time
 	Kind  EventKind
 	Phase Phase
@@ -66,8 +64,6 @@ func usString(d time.Duration) string {
 // the ring wraps, the oldest event is overwritten and counted dropped.
 // All methods are safe on a nil receiver and for concurrent use.
 type Tracer struct {
-	clock timing.WallClock
-
 	mu      sync.Mutex
 	buf     []Event
 	emitted uint64
@@ -75,29 +71,24 @@ type Tracer struct {
 }
 
 // NewTracer builds a tracer retaining at most capacity events
-// (DefaultTraceCapacity if capacity <= 0). clock stamps events; nil
-// means the real clock.
-func NewTracer(capacity int, clock timing.WallClock) *Tracer {
+// (DefaultTraceCapacity if capacity <= 0).
+func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	if clock == nil {
-		clock = timing.Real()
-	}
-	return &Tracer{clock: clock, buf: make([]Event, 0, capacity)}
+	return &Tracer{buf: make([]Event, 0, capacity)}
 }
 
-// Emit appends the event to the ring, stamping Seq and At. On a full
+// Emit appends the event to the ring, stamping Seq; At is the caller's
+// (Hooks.Span and Point stamp it from the handle's clock). On a full
 // ring the oldest retained event is overwritten and the drop counter
 // advances, so emitted == retained + dropped always holds.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil {
 		return
 	}
-	now := t.clock.Now()
 	t.mu.Lock()
 	ev.Seq = t.emitted
-	ev.At = now
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, ev)
 	} else {

@@ -6,7 +6,6 @@ import (
 	"kshot/internal/faultinject"
 	"kshot/internal/obs"
 	"kshot/internal/options"
-	"kshot/internal/timing"
 )
 
 // Rollout tuning defaults.
@@ -62,7 +61,6 @@ type config struct {
 
 	store    Store
 	faults   func(Target) *faultinject.Set
-	wall     timing.WallClock
 	obs      *obs.Hooks
 	progress func(WaveResult)
 }
@@ -286,19 +284,11 @@ func WithTargetFaults(fn func(Target) *faultinject.Set) Option {
 	}
 }
 
-// WithWallClock sets the clock pacing real-time waits on every
-// target (retry backoff, injected latency). Tests pass
-// timing.FakeWall.
-func WithWallClock(wc timing.WallClock) Option {
-	return func(c *config) error {
-		c.wall = wc
-		return nil
-	}
-}
-
 // WithObserver installs rollout-level observability hooks: wave and
 // target counters under the rollout.* namespace plus the per-target
-// pause histogram.
+// pause histogram. The handle's clock (obs.Hooks.Wall) goes into every
+// target's handle, pacing its real-time waits (retry backoff, injected
+// latency); tests pass timing.FakeWall.
 func WithObserver(ob *obs.Hooks) Option {
 	return func(c *config) error {
 		c.obs = ob

@@ -36,7 +36,6 @@ import (
 
 	"kshot/internal/core"
 	"kshot/internal/obs"
-	"kshot/internal/timing"
 )
 
 // Target is one fleet member: a machine the rollout will patch,
@@ -53,7 +52,6 @@ type Patcher interface {
 	ApplyAll(ctx context.Context, cves []string, opts ...core.ApplyOption) (*core.BatchReport, error)
 	Rollback(ctx context.Context, cve string) (*core.Report, error)
 	SetObserver(*obs.Hooks)
-	SetWallClock(timing.WallClock)
 	Close()
 }
 
@@ -310,28 +308,25 @@ func (r *Rollout) Run(ctx context.Context) (*Result, error) {
 		r.waves = append(r.waves, wr)
 		r.st.NextWave = w + 1
 		if wr.RolledBack {
-			we := &WaveError{Wave: w, Unhealthy: wr.Unhealthy}
-			waveErrs = append(waveErrs, we)
-			halt := ""
-			if w == 0 {
-				halt = "canary wave rolled back"
-			} else if frac := r.failedFractionLocked(); frac > r.cfg.haltFrac && w+1 < len(r.st.Waves) {
-				halt = fmt.Sprintf("%.0f%% of the fleet failed or rolled back (budget %.0f%%)",
-					frac*100, r.cfg.haltFrac*100)
-			}
-			if halt != "" {
-				r.st.Halted = true
-				perr := r.persistLocked()
-				r.mu.Unlock()
-				r.notify(wr)
-				if perr != nil {
-					return r.result(), perr
-				}
-				return r.result(), &HaltError{Wave: w, Reason: halt, Err: we}
-			}
+			waveErrs = append(waveErrs, &WaveError{Wave: w, Unhealthy: wr.Unhealthy})
 		} else if w == 0 {
 			r.st.Baseline = wr.MeanDowntime
 			r.cfg.obs.ObserveDur(obs.HistRolloutBaseline, wr.MeanDowntime)
+		}
+		// One halt decision per wave gate. The failure budget protects
+		// waves that have not run yet: a rolled-back wave or a passed
+		// one (e.g. under WithUnhealthyTolerance) can tip the fleetwide
+		// fraction over it, but once no waves remain there is nothing
+		// left to halt.
+		halt := ""
+		if wr.RolledBack && w == 0 {
+			halt = "canary wave rolled back"
+		} else if frac := r.failedFractionLocked(); frac > r.cfg.haltFrac && w+1 < len(r.st.Waves) {
+			halt = fmt.Sprintf("%.0f%% of the fleet failed or rolled back (budget %.0f%%)",
+				frac*100, r.cfg.haltFrac*100)
+		}
+		if halt != "" {
+			r.st.Halted = true
 		}
 		perr := r.persistLocked()
 		r.mu.Unlock()
@@ -339,22 +334,14 @@ func (r *Rollout) Run(ctx context.Context) (*Result, error) {
 		if perr != nil {
 			return r.result(), perr
 		}
-		// The failure budget protects waves that have not run yet: a
-		// passed wave can still tip the fleetwide fraction over it
-		// (e.g. under WithUnhealthyTolerance), but once no waves
-		// remain there is nothing left to halt.
-		if frac := func() float64 { r.mu.Lock(); defer r.mu.Unlock(); return r.failedFractionLocked() }(); frac > r.cfg.haltFrac && w+1 < len(r.st.Waves) {
-			r.mu.Lock()
-			r.st.Halted = true
-			perr := r.persistLocked()
-			r.mu.Unlock()
-			if perr != nil {
-				return r.result(), perr
+		if halt != "" {
+			// A rolled-back wave halts on its own error; a passed one
+			// on the waves that rolled back before it.
+			haltErr := errors.Join(waveErrs...)
+			if wr.RolledBack {
+				haltErr = waveErrs[len(waveErrs)-1]
 			}
-			return r.result(), &HaltError{Wave: w,
-				Reason: fmt.Sprintf("%.0f%% of the fleet failed or rolled back (budget %.0f%%)",
-					frac*100, r.cfg.haltFrac*100),
-				Err: errors.Join(waveErrs...)}
+			return r.result(), &HaltError{Wave: w, Reason: halt, Err: haltErr}
 		}
 	}
 	return r.result(), errors.Join(waveErrs...)
@@ -567,14 +554,12 @@ func (r *Rollout) runTarget(ctx context.Context, t Target, pmu *sync.Mutex, patc
 	patchers[t.ID] = p
 	pmu.Unlock()
 
-	hooks := &obs.Hooks{Metrics: obs.NewMetrics()}
+	// Each target's handle runs on the rollout handle's clock.
+	hooks := &obs.Hooks{Metrics: obs.NewMetrics(), Wall: r.cfg.obs.Clock()}
 	if r.cfg.faults != nil {
 		hooks.Faults = r.cfg.faults(t)
 	}
 	p.SetObserver(hooks)
-	if r.cfg.wall != nil {
-		p.SetWallClock(r.cfg.wall)
-	}
 
 	rep, runErr := p.ApplyAll(ctx, r.cfg.cves)
 	if rep != nil {

@@ -16,7 +16,6 @@ import (
 	"kshot/internal/core"
 	"kshot/internal/obs"
 	"kshot/internal/options"
-	"kshot/internal/timing"
 )
 
 // fakePatcher implements Patcher without booting a machine. Each
@@ -71,8 +70,6 @@ func (f *fakePatcher) SetObserver(h *obs.Hooks) {
 	f.hooks = h
 	f.mu.Unlock()
 }
-
-func (f *fakePatcher) SetWallClock(timing.WallClock) {}
 
 func (f *fakePatcher) Close() {
 	f.mu.Lock()
@@ -401,6 +398,55 @@ func TestHaltThresholdStopsFleetwideFailure(t *testing.T) {
 	}
 	if pending == 0 {
 		t.Fatalf("halt left no pending targets; rollout ran to completion")
+	}
+}
+
+// saveLog is a Store recording the wave cursor and halt flag of every
+// save.
+type saveLog struct {
+	MemStore
+	mu    sync.Mutex
+	saves []State
+}
+
+func (s *saveLog) Save(st *State) error {
+	s.mu.Lock()
+	s.saves = append(s.saves, State{NextWave: st.NextWave, Halted: st.Halted})
+	s.mu.Unlock()
+	return s.MemStore.Save(st)
+}
+
+// A passed wave that tips the failure budget halts with one gate save
+// carrying Halted, and a HaltError with no wave error behind it.
+func TestPassedWaveHaltSavesOnce(t *testing.T) {
+	var bad string
+	ff := newFakeFleet(func(id string, p *fakePatcher) {
+		if id == bad {
+			p.applyErr = errors.New("patch refused")
+		}
+	})
+	store := &saveLog{}
+	r := rollout(t, ff, WithUnhealthyTolerance(0.9), WithHaltThreshold(0.05), WithStateStore(store))
+	bad = r.Plan()[1].Targets[0] // 1 of 16 failed: over the 5% budget
+	res, err := r.Run(context.Background())
+	var he *HaltError
+	if !errors.As(err, &he) || he.Wave != 1 || he.Err != nil {
+		t.Fatalf("err = %v (wave %d, wave error %v), want a HaltError at wave 1 with no wave error", err, he.Wave, he.Err)
+	}
+	if len(res.Waves) != 2 || res.Waves[1].RolledBack || !res.Halted {
+		t.Fatalf("waves %+v halted=%v, want wave 1 passed and the rollout halted", res.Waves, res.Halted)
+	}
+	gate := 0
+	for _, sv := range store.saves {
+		if sv.NextWave == 2 {
+			gate++
+			if !sv.Halted {
+				t.Errorf("wave 1's gate saved without Halted")
+			}
+		}
+	}
+	if gate != 1 {
+		t.Fatalf("wave 1's gate saved %d times, want 1", gate)
 	}
 }
 

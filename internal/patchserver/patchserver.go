@@ -44,7 +44,6 @@ import (
 	"kshot/internal/patch"
 	"kshot/internal/sgx"
 	"kshot/internal/sgxprep"
-	"kshot/internal/timing"
 	"kshot/internal/wire"
 )
 
@@ -915,16 +914,10 @@ const DefaultDialTimeout = 5 * time.Second
 // DialOption tunes a Client.
 type DialOption func(*Client)
 
-// WithClientWallClock sets the clock pacing injected fetch latency
-// (real time when nil). The chaos suite passes timing.FakeWall so no
-// injected delay depends on the host clock.
-func WithClientWallClock(wc timing.WallClock) DialOption {
-	return func(c *Client) { c.wall = wc }
-}
-
 // WithClientObserver installs the instrumentation handle at dial
 // time, so the dial-path fault (faultinject.DialError) can fire on the
-// connect itself (see Client.SetObserver).
+// connect itself (see Client.SetObserver). The handle's clock paces
+// injected fetch latency.
 func WithClientObserver(ob *obs.Hooks) DialOption {
 	return func(c *Client) { c.obs.Store(ob) }
 }
@@ -941,11 +934,6 @@ type Client struct {
 	// mu serializes request bursts: one exchange owns the connection
 	// end to end.
 	mu sync.Mutex
-
-	// wallMu guards the wall clock, so SetWallClock never blocks
-	// behind an exchange.
-	wallMu sync.Mutex
-	wall   timing.WallClock
 
 	obs atomic.Pointer[obs.Hooks]
 }
@@ -972,28 +960,11 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// SetWallClock replaces the clock that paces injected fetch latency
-// (real time when nil).
-func (c *Client) SetWallClock(wc timing.WallClock) {
-	c.wallMu.Lock()
-	defer c.wallMu.Unlock()
-	c.wall = wc
-}
-
 // SetObserver installs (or, with nil, removes) the instrumentation
 // handle counting per-CVE fetch outcomes; its fault set is consulted on
-// the dial and on every fetch result.
+// the dial and on every fetch result, and its clock paces injected
+// fetch latency.
 func (c *Client) SetObserver(ob *obs.Hooks) { c.obs.Store(ob) }
-
-// clock returns the clock pacing injected latency.
-func (c *Client) clock() timing.WallClock {
-	c.wallMu.Lock()
-	defer c.wallMu.Unlock()
-	if c.wall == nil {
-		return timing.Real()
-	}
-	return c.wall
-}
 
 func (c *Client) roundTrip(ctx context.Context, req *request) (*response, error) {
 	resps, err := c.roundTrips(ctx, []*request{req})
@@ -1101,7 +1072,7 @@ func (c *Client) FetchPatches(ctx context.Context, cves []string) ([]FetchResult
 	for i, cve := range cves {
 		reqs[i] = &request{Kind: kindPatch, CVE: cve}
 	}
-	wall, ob := c.clock(), c.obs.Load()
+	ob := c.obs.Load()
 	resps, err := c.roundTrips(ctx, reqs)
 	if err != nil {
 		return nil, err
@@ -1114,7 +1085,7 @@ func (c *Client) FetchPatches(ctx context.Context, cves []string) ([]FetchResult
 		// latency (an induced timeout when ctx expires first), a
 		// failed fetch, or a truncated body the enclave must reject.
 		if f, ok := ob.Fault(faultinject.FetchDelay); ok {
-			if !wall.Sleep(ctx, f.Delay) {
+			if !ob.Clock().Sleep(ctx, f.Delay) {
 				return nil, ctx.Err()
 			}
 		}

@@ -58,7 +58,7 @@ func TestRetryBackoffUsesInjectedClock(t *testing.T) {
 		MaxRetries: 3,
 		Backoff:    200 * time.Millisecond,
 		Retryable:  retryableRefused,
-		Clock:      fake,
+		Obs:        &obs.Hooks{Wall: fake},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -164,7 +164,7 @@ func TestInjectedWorkerStall(t *testing.T) {
 	fi := faultinject.New(faultinject.Exact(
 		faultinject.Fault{Point: faultinject.PipelineStall, Call: 0, Delay: 500 * time.Millisecond},
 	))
-	res, err := Run(context.Background(), b, cveList(8), Config{BatchSize: 4, Workers: 1, Clock: fake, Obs: &obs.Hooks{Faults: fi}})
+	res, err := Run(context.Background(), b, cveList(8), Config{BatchSize: 4, Workers: 1, Obs: &obs.Hooks{Faults: fi, Wall: fake}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

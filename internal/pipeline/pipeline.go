@@ -1,10 +1,10 @@
 // Package pipeline is KShot's concurrent multi-CVE patch manager. It
-// fans Stage 1 of Figure 2 (fetching encrypted patches) out across a
-// worker pool, coalesces the fetched members into batches, and hands
-// each batch to a backend that runs Stages 2–4 (enclave prepare-many,
-// staging, one SMI for the whole batch). A single member — a
-// one-member batch, a retry, a degraded member — takes the same
-// backend call with a one-member slice. Delivery is strictly in
+// coalesces the requested CVEs into batches, runs Stage 1 of Figure 2
+// (fetching encrypted patches) for later batches ahead of delivery,
+// and hands each batch to a backend that runs Stages 2–4 (enclave
+// prepare-many, staging, one SMI for the whole batch). A single
+// member — a one-member batch, a retry, a degraded member — takes the
+// same backend call with a one-member slice. Delivery is strictly in
 // request order — enclave preparation places members at a running
 // mem_X cursor, so batch k+1's placement assumes batch k applied
 // first — but fetching for later batches overlaps the preparation and
@@ -55,8 +55,9 @@ type Config struct {
 	// single SMI.
 	BatchSize int
 
-	// Workers is the number of concurrent batch fetchers. With one
-	// (or with one batch), Run fetches each batch inline.
+	// Workers is the number of batches fetched ahead of delivery, by
+	// one prefetcher in request order. With one (or with one batch),
+	// Run fetches each batch inline.
 	Workers int
 
 	// MaxRetries bounds per-member redelivery attempts after a
@@ -72,16 +73,12 @@ type Config struct {
 	// nothing is retryable.
 	Retryable func(error) bool
 
-	// Clock paces retry backoff and injected stalls. Nil means real
-	// time; tests inject timing.FakeWall so runs never depend on the
-	// host clock.
-	Clock timing.WallClock
-
 	// Obs, when non-nil, records pipeline-level metrics (batch sizes,
 	// delivery-mode counters, per-member attempt counts) and batch
 	// markers in the trace. Its fault set injects faults at the
-	// pipeline's own seams: worker stalls before fetches and context
-	// cancellation at stage boundaries.
+	// pipeline's own seams: fetch stalls before fetches and context
+	// cancellation at stage boundaries. Its clock paces retry backoff
+	// and injected stalls (real time when nil).
 	Obs *obs.Hooks
 }
 
@@ -103,9 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retryable == nil {
 		c.Retryable = func(error) bool { return false }
-	}
-	if c.Clock == nil {
-		c.Clock = timing.Real()
 	}
 	return c
 }
@@ -219,23 +213,25 @@ func Run(ctx context.Context, b Backend, cves []string, cfg Config) (*Result, er
 		batches = append(batches, members[i:end])
 	}
 
-	// Fetch fan-out: a worker pool pulls batch indices and fetches
-	// each batch's blobs concurrently. Results land in per-batch
-	// buffered channels so no worker ever blocks on the deliverer.
-	// With one fetch slot (one worker, or one batch) there is nothing
-	// to overlap: the deliverer fetches each batch inline right before
-	// delivering it, so a single goroutine touches every injection
-	// point and a seeded fault schedule replays at identical call
-	// indices on every run.
+	// Prefetch: one goroutine fetches the batches in request order,
+	// at most Workers ahead of delivery (Workers-1 waiting in the
+	// channel, one in hand). The backend serializes fetches (a System
+	// has one server connection), so more fetchers would only queue
+	// there, in whatever order they got in, while delivery waits for
+	// batch 0. With one fetch slot (one worker, or one batch) there is
+	// nothing to overlap: the deliverer fetches each batch inline right
+	// before delivering it, so a single goroutine touches every
+	// injection point and a seeded fault schedule replays at identical
+	// call indices on every run.
 	type fetchOut struct {
 		fetched []Fetched
 		err     error
 	}
 	fetchBatch := func(i int) fetchOut {
-		// Injected worker stall: the fetch worker wedges for a while
-		// before issuing its call (a slow or contended helper thread).
+		// Injected fetch stall: the helper wedges for a while before
+		// issuing its call (a slow or contended helper thread).
 		if f, ok := cfg.Obs.Fault(faultinject.PipelineStall); ok {
-			cfg.Clock.Sleep(ctx, f.Delay)
+			cfg.Obs.Clock().Sleep(ctx, f.Delay)
 		}
 		ids := make([]string, len(batches[i]))
 		for j, m := range batches[i] {
@@ -244,28 +240,15 @@ func Run(ctx context.Context, b Backend, cves []string, cfg Config) (*Result, er
 		f, err := b.FetchMany(ctx, ids)
 		return fetchOut{f, err}
 	}
-	workers := min(cfg.Workers, len(batches))
-	var outs []chan fetchOut
-	if workers > 1 {
-		outs = make([]chan fetchOut, len(batches))
-		for i := range outs {
-			outs[i] = make(chan fetchOut, 1)
-		}
-		idxCh := make(chan int)
-		for w := 0; w < workers; w++ {
-			go func() {
-				for i := range idxCh {
-					outs[i] <- fetchBatch(i)
-				}
-			}()
-		}
+	var ahead chan fetchOut
+	if workers := min(cfg.Workers, len(batches)); workers > 1 {
+		ahead = make(chan fetchOut, workers-1)
 		go func() {
-			defer close(idxCh)
-			for i := range batches {
+			for i := 0; i < len(batches) && ctx.Err() == nil; i++ {
+				fo := fetchBatch(i)
 				select {
-				case idxCh <- i:
+				case ahead <- fo:
 				case <-ctx.Done():
-					return
 				}
 			}
 		}()
@@ -276,7 +259,7 @@ func Run(ctx context.Context, b Backend, cves []string, cfg Config) (*Result, er
 	for i, batch := range batches {
 		boundary() // fetch → delivery hand-off
 		var fo fetchOut
-		if outs == nil {
+		if ahead == nil {
 			if err := ctx.Err(); err != nil {
 				markUnprocessed(batches[i:], err)
 				return res, err
@@ -284,7 +267,7 @@ func Run(ctx context.Context, b Backend, cves []string, cfg Config) (*Result, er
 			fo = fetchBatch(i)
 		} else {
 			select {
-			case fo = <-outs[i]:
+			case fo = <-ahead:
 			case <-ctx.Done():
 				markUnprocessed(batches[i:], ctx.Err())
 				return res, ctx.Err()
@@ -393,7 +376,7 @@ func deliverFallback(ctx context.Context, b Backend, m *Member, res *Result) {
 // until it lands, the error stops being retryable, or attempts run
 // out. Only this member is redelivered — its batch mates are done.
 func retryMember(ctx context.Context, b Backend, m *Member, cfg Config, res *Result) {
-	bo := timing.NewBackoff(cfg.Clock, cfg.Backoff)
+	bo := timing.NewBackoff(cfg.Obs.Clock(), cfg.Backoff)
 	for attempt := 0; attempt < cfg.MaxRetries && m.Err != nil && cfg.Retryable(m.Err); attempt++ {
 		// The backoff sleep honors cancellation: a cancelled context
 		// interrupts the wait immediately instead of letting a long

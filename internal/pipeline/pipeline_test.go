@@ -346,3 +346,52 @@ func TestRunEmpty(t *testing.T) {
 		t.Fatalf("empty run: res=%+v err=%v", res, err)
 	}
 }
+
+// connBackend is a fakeBackend whose fetches serialize on one mutex, as
+// every fetch of a System does on its one server connection, and
+// records which batch took the connection in what order.
+type connBackend struct {
+	*fakeBackend
+	conn  sync.Mutex
+	order []string // first CVE of each fetched batch, in fetch order
+}
+
+func (c *connBackend) FetchMany(ctx context.Context, cves []string) ([]Fetched, error) {
+	c.conn.Lock()
+	defer c.conn.Unlock()
+	c.order = append(c.order, cves[0])
+	time.Sleep(100 * time.Microsecond) // the burst's round trip
+	return c.fakeBackend.FetchMany(ctx, cves)
+}
+
+// Batches are fetched in request order whatever the number of fetch
+// slots: delivery waits for batch 0, so fetching a later batch first
+// only delays it.
+func TestPrefetchInRequestOrder(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		for _, size := range []int{1, 2} {
+			t.Run(fmt.Sprintf("workers=%d/batch=%d", workers, size), func(t *testing.T) {
+				for run := 0; run < 10; run++ {
+					b := &connBackend{fakeBackend: newFakeBackend()}
+					cves := cveList(10)
+					res, err := Run(context.Background(), b, cves, Config{BatchSize: size, Workers: workers})
+					if err != nil {
+						t.Fatalf("Run: %v", err)
+					}
+					var want []string
+					for i := 0; i < len(cves); i += size {
+						want = append(want, cves[i])
+					}
+					if fmt.Sprint(b.order) != fmt.Sprint(want) {
+						t.Fatalf("run %d: batches fetched in order %v, want %v", run, b.order, want)
+					}
+					for _, m := range res.Members {
+						if m.Err != nil {
+							t.Fatalf("run %d: %s: %v", run, m.CVE, m.Err)
+						}
+					}
+				}
+			})
+		}
+	}
+}

@@ -494,7 +494,6 @@ var (
 	WithHaltThreshold      = orchestrator.WithHaltThreshold
 	WithStateStore         = orchestrator.WithStateStore
 	WithTargetFaults       = orchestrator.WithTargetFaults
-	WithWallClock          = orchestrator.WithWallClock
 	WithRolloutObserver    = orchestrator.WithObserver
 	WithProgress           = orchestrator.WithProgress
 )

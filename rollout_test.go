@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 
+	"kshot/internal/obs"
 	"kshot/internal/timing"
 )
 
@@ -75,8 +76,9 @@ func runChaosRollout(t *testing.T, seed int64) (*Rollout, *RolloutResult, error,
 		// Chaos: ~3% of the fleet refuses all SMI deliveries mid-patch.
 		WithTargetFaults(FaultFraction(seed, 0.03, SMIFaults(64)...)),
 		// Determinism mode: with syncFetchTarget's fetches, a virtual
-		// wall clock makes fault schedules and timing replay.
-		WithWallClock(timing.NewFakeWall()),
+		// wall clock on the rollout handle makes fault schedules and
+		// timing replay on every target.
+		WithRolloutObserver(&obs.Hooks{Wall: timing.NewFakeWall()}),
 		// The faulted wave must roll back without stopping the rollout:
 		// this test is about completion, not the failure budget.
 		WithHaltThreshold(1),
