@@ -253,9 +253,6 @@ func (o *Options) Validate() error {
 		if o.Introspection.SweepEvery < 0 {
 			return bad("WithIntrospection", "sweep period must be >= 0, got %v", o.Introspection.SweepEvery)
 		}
-		if o.Introspection.GroomThreshold < 0 {
-			return bad("WithIntrospection", "groom threshold must be >= 0, got %d", o.Introspection.GroomThreshold)
-		}
 	}
 	return nil
 }
@@ -524,7 +521,6 @@ func (s *System) layerHooks(ob *obs.Hooks) *obs.Hooks {
 func (s *System) wire() {
 	ob := s.obs
 	s.Machine.Mem.SetObserver(ob)
-	s.Machine.SetObserver(ob)
 	s.SMM.SetObserver(ob)
 	s.Handler.SetObserver(ob)
 	s.intr.SetObserver(ob)
@@ -541,22 +537,18 @@ func (s *System) wire() {
 }
 
 // EnableIntrospection wires the event-driven integrity layer into this
-// System: the memory, execution, and SMM hooks feed a bounded event
-// channel, and a Detector baselines kernel.text now and classifies
-// later changes into typed verdicts. NewSystemCtx calls it when
-// Options.Introspection is set; tests and the adversary harness may
-// also call it directly on an already-provisioned System. Enabling
-// twice is an error (the baseline would silently move).
+// System: the memory and SMM hooks feed a bounded event channel with
+// exec-write and SMI events, and a Detector baselines kernel.text now
+// and classifies later changes into typed verdicts. NewSystemCtx calls
+// it when Options.Introspection is set; tests and the adversary
+// harness may also call it directly on an already-provisioned System.
+// Enabling twice is an error (the baseline would silently move).
 func (s *System) EnableIntrospection(cfg introspect.Config) error {
 	if s.det != nil {
 		return fmt.Errorf("core: introspection already enabled")
 	}
 	ch := introspect.NewChannel(cfg.Capacity)
-	ch.Arm(cfg.ArmSteps)
-	det, err := introspect.NewDetector(ch, s.Machine.Mem, kernel.TextBase, kernel.TextRegionSize, introspect.DetectorConfig{
-		PatchCmds:      []uint8{uint8(smmpatch.CmdProcessPackage)},
-		GroomThreshold: cfg.GroomThreshold,
-	})
+	det, err := introspect.NewDetector(ch, s.Machine.Mem, kernel.TextBase, kernel.TextRegionSize, uint8(smmpatch.CmdProcessPackage))
 	if err != nil {
 		return err
 	}
@@ -859,7 +851,7 @@ func (s *System) smi(staged []smmpatch.BatchMember) ([]uint32, []smmpatch.Outcom
 	}
 	// The pipeline announces its own package SMIs to the detector; one
 	// this trusted path did not announce is a replayed artifact.
-	s.det.ExpectSMI(uint8(smmpatch.CmdProcessPackage))
+	s.det.ExpectSMI()
 	s.det.BeginTrustedWindow()
 	smiErr := s.SMM.Trigger(smmpatch.CmdProcessPackage, 0)
 	// Closing the window rebaselines atomically: a background sweep

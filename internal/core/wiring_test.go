@@ -248,12 +248,11 @@ func TestWiringOrder(t *testing.T) {
 
 // Handle swaps race with a running guest, background sweeps and SMIs:
 // each layer publishes its handle so that readers see either the old
-// or the new one, and the engines take their sink at a unit boundary.
-// Run under -race.
+// or the new one. Run under -race.
 func TestObserverSwapWhileGuestRuns(t *testing.T) {
 	d := newDeployment(t, "4.4", kcrypto.HashSHA256)
 	s := d.System
-	if err := s.EnableIntrospection(introspect.Config{ArmSteps: true, SweepEvery: time.Millisecond}); err != nil {
+	if err := s.EnableIntrospection(introspect.Config{SweepEvery: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})

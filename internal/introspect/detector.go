@@ -80,20 +80,6 @@ type DetectorStats struct {
 	Detections uint64
 }
 
-// DetectorConfig parameterizes a Detector. The zero value is usable.
-type DetectorConfig struct {
-	// PatchCmds are the SMI commands that legitimately modify kernel
-	// text and therefore must be announced via ExpectSMI before they
-	// fire. Core passes the process-package and process-batch
-	// commands.
-	PatchCmds []uint8
-
-	// GroomThreshold is how many consecutive activeness refusals of
-	// one patch raise ActivenessGroomed. <= 0 means
-	// DefaultGroomThreshold.
-	GroomThreshold int
-}
-
 // DefaultGroomThreshold is the consecutive-refusal count that flags
 // grooming: one refusal is normal contention, two a busy target; three
 // in a row with no success in between is someone sitting on the
@@ -109,13 +95,12 @@ type Detector struct {
 	mem   *mem.Physical
 	base  uint64
 	size  uint64
-	patch map[uint8]bool
-	groom int
+	patch uint8 // the SMI command that legitimately rewrites kernel text
 
 	mu       sync.Mutex
 	good     *mem.Snapshot
 	verdicts []Verdict
-	expected map[uint8]int  // announced patch SMIs not yet observed
+	expected int            // announced patch SMIs not yet observed
 	refusals map[string]int // consecutive activeness refusals per CVE
 	inSMI    bool           // event-stream SMI bracket, carried across sweeps
 	windows  int            // open trusted SMI windows (Begin/EndTrustedWindow)
@@ -133,29 +118,22 @@ type Detector struct {
 // NewDetector creates a detector sweeping [base, base+size) of m
 // against a baseline taken now. ch supplies the typed events (it may
 // be nil: the detector then degrades to pure frame-diff sweeping).
-func NewDetector(ch *Channel, m *mem.Physical, base, size uint64, cfg DetectorConfig) (*Detector, error) {
+// patchCmd is the SMI command that legitimately modifies kernel text
+// and therefore must be announced via ExpectSMI before it fires; core
+// passes the process-package command.
+func NewDetector(ch *Channel, m *mem.Physical, base, size uint64, patchCmd uint8) (*Detector, error) {
 	if m == nil {
 		return nil, fmt.Errorf("introspect: detector needs a memory to sweep")
 	}
-	groom := cfg.GroomThreshold
-	if groom <= 0 {
-		groom = DefaultGroomThreshold
-	}
-	d := &Detector{
+	return &Detector{
 		ch:       ch,
 		mem:      m,
 		base:     base,
 		size:     size,
-		patch:    make(map[uint8]bool, len(cfg.PatchCmds)),
-		groom:    groom,
+		patch:    patchCmd,
 		good:     m.Snapshot(),
-		expected: make(map[uint8]int),
 		refusals: make(map[string]int),
-	}
-	for _, c := range cfg.PatchCmds {
-		d.patch[c] = true
-	}
-	return d, nil
+	}, nil
 }
 
 // SetObserver installs (or, with nil, removes) observability hooks;
@@ -205,12 +183,12 @@ func (d *Detector) EndTrustedWindow() {
 // ExpectSMI announces one upcoming patch-processing SMI as
 // pipeline-initiated. Sweep consumes announcements in order; a patch
 // SMI with no outstanding announcement is a replay.
-func (d *Detector) ExpectSMI(cmd uint8) {
+func (d *Detector) ExpectSMI() {
 	if d == nil {
 		return
 	}
 	d.mu.Lock()
-	d.expected[cmd]++
+	d.expected++
 	d.mu.Unlock()
 }
 
@@ -224,12 +202,12 @@ func (d *Detector) NoteActiveRefusal(cve string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.refusals[cve]++
-	if d.refusals[cve] >= d.groom {
+	if d.refusals[cve] >= DefaultGroomThreshold {
 		d.refusals[cve] = 0
 		d.raiseLocked(Verdict{
 			Kind:   ActivenessGroomed,
 			CVE:    cve,
-			Detail: fmt.Sprintf("%d consecutive activeness refusals for %s", d.groom, cve),
+			Detail: fmt.Sprintf("%d consecutive activeness refusals for %s", DefaultGroomThreshold, cve),
 		})
 	}
 }
@@ -317,9 +295,9 @@ func (d *Detector) Sweep() []Verdict {
 		switch ev.Kind {
 		case KindSMIEnter:
 			d.inSMI = true
-			if d.patch[ev.Cmd] {
-				if d.expected[ev.Cmd] > 0 {
-					d.expected[ev.Cmd]--
+			if ev.Cmd == d.patch {
+				if d.expected > 0 {
+					d.expected--
 				} else {
 					d.raiseLocked(Verdict{
 						Kind:   StalePatchReplay,

@@ -37,7 +37,7 @@ func newDetRig(t *testing.T, capacity int) *detRig {
 	ch := NewChannel(capacity)
 	ch.SetObserver(&obs.Hooks{Wall: wall})
 	m.SetObserver(&obs.Hooks{Introspect: ch})
-	det, err := NewDetector(ch, m, dtBase, dtSize, DetectorConfig{PatchCmds: []uint8{dtCmd}})
+	det, err := NewDetector(ch, m, dtBase, dtSize, dtCmd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestDetectorTamperOutsideSMI(t *testing.T) {
 
 func TestDetectorLegitimateWriteInsideSMI(t *testing.T) {
 	r := newDetRig(t, 64)
-	r.det.ExpectSMI(dtCmd)
+	r.det.ExpectSMI()
 	r.ch.OnSMIEnter(dtCmd)
 	r.write(t, dtBase+0x80, []byte{0x90, 0x90})
 	r.ch.OnSMIExit(dtCmd, time.Millisecond)
@@ -93,7 +93,7 @@ func TestDetectorLegitimateWriteInsideSMI(t *testing.T) {
 // window: the bracket state must carry into the next sweep.
 func TestDetectorSMIBracketSpansSweeps(t *testing.T) {
 	r := newDetRig(t, 64)
-	r.det.ExpectSMI(dtCmd)
+	r.det.ExpectSMI()
 	r.ch.OnSMIEnter(dtCmd)
 	if vs := r.det.Sweep(); len(vs) != 0 {
 		t.Fatalf("mid-SMI sweep raised %v", vs)
@@ -117,7 +117,7 @@ func TestDetectorTrustedWindowDefersDiff(t *testing.T) {
 
 	// Pipeline announces and enters its SMI, writes text… and a sweep
 	// fires before the window closes: silence, not tamper-detected.
-	r.det.ExpectSMI(dtCmd)
+	r.det.ExpectSMI()
 	r.det.BeginTrustedWindow()
 	r.ch.OnSMIEnter(dtCmd)
 	r.write(t, dtBase+0x100, []byte{0xAA, 0xBB})
@@ -169,7 +169,7 @@ func TestDetectorTrustedWindowNests(t *testing.T) {
 func TestDetectorStaleReplay(t *testing.T) {
 	r := newDetRig(t, 64)
 	// Announced SMI: clean.
-	r.det.ExpectSMI(dtCmd)
+	r.det.ExpectSMI()
 	r.ch.OnSMIEnter(dtCmd)
 	r.ch.OnSMIExit(dtCmd, 0)
 	if vs := r.det.Sweep(); len(vs) != 0 {
@@ -212,7 +212,7 @@ func TestDetectorRebaselineDoesNotLaunderEvents(t *testing.T) {
 // still catch the damage.
 func TestDetectorDiffBackstopCatchesDroppedEvent(t *testing.T) {
 	r := newDetRig(t, 1)
-	r.ch.OnCodeEpoch(1) // occupies the single slot
+	r.ch.OnSMIExit(0x4B, 0) // an earlier SMI's exit occupies the single slot
 	r.write(t, dtBase+0x200, []byte{0xDD})
 	if st := r.ch.Stats(); st.Dropped == 0 {
 		t.Fatal("test setup: tamper event was not dropped")
@@ -258,7 +258,7 @@ func TestDetectorBackgroundLoop(t *testing.T) {
 	}
 	ch := NewChannel(64) // background loop: real clock
 	m.SetObserver(&obs.Hooks{Introspect: ch})
-	det, err := NewDetector(ch, m, dtBase, dtSize, DetectorConfig{PatchCmds: []uint8{dtCmd}})
+	det, err := NewDetector(ch, m, dtBase, dtSize, dtCmd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestDetectorBackgroundLoop(t *testing.T) {
 func TestDetectorNilSafety(t *testing.T) {
 	var d *Detector
 	rebaseline(d)
-	d.ExpectSMI(dtCmd)
+	d.ExpectSMI()
 	d.NoteActiveRefusal("x")
 	d.NoteApplied("x")
 	d.SetObserver(nil)
@@ -301,7 +301,7 @@ func TestDetectorNilSafety(t *testing.T) {
 	if st := d.Stats(); st != (DetectorStats{}) {
 		t.Fatalf("nil detector stats %+v", st)
 	}
-	if _, err := NewDetector(NewChannel(1), nil, 0, 0, DetectorConfig{}); err == nil {
+	if _, err := NewDetector(NewChannel(1), nil, 0, 0, dtCmd); err == nil {
 		t.Fatal("NewDetector accepted nil memory")
 	}
 }

@@ -3,10 +3,11 @@ package introspect
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
-// FuzzEventChannel drives arbitrary interleavings of emits, arm
-// toggles, and receives through the bounded channel and holds it to
+// FuzzEventChannel drives arbitrary interleavings of emits and
+// receives through the bounded channel and holds it to
 // its accounting identity: at quiescence every emitted event is
 // exactly one of delivered, buffered, or dropped; receives come out
 // in FIFO order with strictly increasing sequence numbers; and the
@@ -43,19 +44,9 @@ func FuzzEventChannel(f *testing.F) {
 			case 0:
 				ch.OnExecWrite(uint64(op)<<4, int(op%7)+1, emitted)
 				emitted++
-			case 1:
-				ch.OnCodeEpoch(emitted)
+			case 1, 2, 3, 4:
+				ch.OnSMIExit(op, time.Duration(emitted))
 				emitted++
-			case 2:
-				ch.OnCacheFlush(int(op%4), emitted)
-				emitted++
-			case 3:
-				ch.Arm(true)
-				ch.OnStep(int(op%4), uint64(op), 1)
-				emitted++
-			case 4:
-				ch.Arm(false)
-				ch.OnStep(0, uint64(op), 1) // disarmed: must not emit
 			case 5:
 				ch.OnSMIEnter(op)
 				emitted++

@@ -1,6 +1,6 @@
 // Package introspect is the event-driven kernel-integrity layer: a
 // typed, bounded, drop-counting event channel fed by cheap nil-safe
-// hooks in the memory, execution, and SMM layers, plus a Detector
+// hooks in the memory and SMM layers, plus a Detector
 // (detector.go) that sweeps kernel text between SMIs and classifies
 // what it finds into typed verdicts.
 //
@@ -9,16 +9,16 @@
 // attacker who keeps acting while patching is in flight, so this
 // package turns the existing snapshot/frame-diff and code-epoch
 // machinery into continuous monitoring, modeled on sev-step's typed
-// event channel: every write into executable memory, every code-epoch
-// bump, every block-cache invalidation, and every SMI entry/exit
-// becomes an Event. Producers never block — when the bounded buffer is
-// full the event is counted as dropped, and the Detector's frame-diff
-// sweep is the backstop that still catches what the dropped event
-// described.
+// event channel: every write into executable memory and every SMI
+// entry/exit becomes an Event — the three kinds the Detector and the
+// adversary taps read. Producers never block — when the bounded buffer
+// is full the incoming event is counted as dropped, and the Detector's
+// frame-diff sweep is the backstop that still catches what the dropped
+// event described.
 //
 // Import shape: introspect imports mem and obs (the Detector diffs
 // frames and both halves publish counters); the producing layers (mem,
-// isa, smm) therefore must NOT import introspect. They call the one
+// smm) therefore must NOT import introspect. They call the one
 // sink interface obs.Introspector, carried on their obs.Hooks handle;
 // *Channel implements it, and core puts the channel on the handle it
 // gives every layer.
@@ -34,7 +34,7 @@ import (
 // Config is the user-facing introspection configuration
 // (kshot.WithIntrospection / core.Options.Introspection). The zero
 // value enables introspection with defaults: a DefaultCapacity event
-// buffer, manual sweeps only, step events disarmed.
+// buffer and manual sweeps only.
 type Config struct {
 	// Capacity bounds the event buffer; <= 0 means DefaultCapacity.
 	Capacity int
@@ -44,16 +44,6 @@ type Config struct {
 	// Detector.Sweep calls (deterministic tests) and to the pipeline's
 	// own rebaseline points.
 	SweepEvery time.Duration
-
-	// ArmSteps enables per-unit step events from boot. They are the
-	// only high-rate event kind; leave false unless the investigation
-	// needs instruction-granularity ordering.
-	ArmSteps bool
-
-	// GroomThreshold overrides how many consecutive activeness
-	// refusals of one patch raise ActivenessGroomed; <= 0 means
-	// DefaultGroomThreshold.
-	GroomThreshold int
 }
 
 // Kind classifies one introspection event.
@@ -65,20 +55,6 @@ const (
 	// SMI window (the SMM handler applying or reverting a patch);
 	// anywhere else it is direct evidence of kernel-text tampering.
 	KindExecWrite Kind = iota + 1
-
-	// KindCodeEpoch is a code-epoch bump without byte attribution:
-	// SetPerms or a snapshot Restore invalidated cached translations.
-	KindCodeEpoch
-
-	// KindCacheFlush is a vCPU block engine discarding its predecoded
-	// cache after observing an epoch mismatch — the execution layer
-	// noticing that code changed under it.
-	KindCacheFlush
-
-	// KindStep is one retired dispatch unit on a vCPU. Emitted only
-	// while the channel is armed (Arm), since per-unit events are the
-	// one hook with a per-instruction-scale rate.
-	KindStep
 
 	// KindSMIEnter and KindSMIExit bracket one SMI: enter fires before
 	// the world switch pauses the machine, exit fires while it is
@@ -92,12 +68,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindExecWrite:
 		return "exec-write"
-	case KindCodeEpoch:
-		return "code-epoch"
-	case KindCacheFlush:
-		return "cache-flush"
-	case KindStep:
-		return "step"
 	case KindSMIEnter:
 		return "smi-enter"
 	case KindSMIExit:
@@ -115,10 +85,9 @@ type Event struct {
 	Seq   uint64
 	Kind  Kind
 	At    time.Time
-	CPU   int           // emitting vCPU, -1 when not CPU-attributed
 	Addr  uint64        // exec-write: first byte written
-	Len   int           // exec-write: bytes written; step: instructions retired
-	Epoch uint64        // code epoch after the event (write/epoch/flush kinds)
+	Len   int           // exec-write: bytes written
+	Epoch uint64        // exec-write: code epoch after the write
 	Cmd   uint8         // SMI command (enter/exit kinds)
 	Pause time.Duration // SMI exit: virtual OS pause this SMI cost
 }
@@ -160,9 +129,8 @@ type Channel struct {
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
 
-	armed atomic.Bool
-	tap   atomic.Pointer[Tap]
-	obs   atomic.Pointer[obs.Hooks]
+	tap atomic.Pointer[Tap]
+	obs atomic.Pointer[obs.Hooks]
 }
 
 // NewChannel creates a channel holding at most capacity events
@@ -198,20 +166,6 @@ func (c *Channel) SetTap(t Tap) {
 	}
 	c.tap.Store(&t)
 }
-
-// Arm enables (or disables) per-unit step events. Disarmed is the
-// default: step events are the only high-rate kind, so they are opt-in
-// per investigation, like single-stepping in sev-step.
-func (c *Channel) Arm(on bool) {
-	if c == nil {
-		return
-	}
-	c.armed.Store(on)
-}
-
-// StepArmed reports whether per-unit step events are wanted; the
-// execution layer checks it before paying for the emit.
-func (c *Channel) StepArmed() bool { return c != nil && c.armed.Load() }
 
 // Stats returns the accounting snapshot.
 func (c *Channel) Stats() Stats {
@@ -255,7 +209,8 @@ func (c *Channel) Drain(dst []Event) []Event {
 }
 
 // emit stamps, taps, counts, and offers the event; a full buffer drops
-// it (counted) rather than blocking the producer.
+// the incoming event (counted) rather than blocking the producer, so
+// the events already buffered are kept.
 func (c *Channel) emit(ev Event) {
 	if c == nil {
 		return
@@ -279,40 +234,18 @@ func (c *Channel) emit(ev Event) {
 // OnExecWrite implements obs.Introspector: a write landed in
 // executable memory, bumping the code epoch to epoch.
 func (c *Channel) OnExecWrite(addr uint64, n int, epoch uint64) {
-	c.emit(Event{Kind: KindExecWrite, CPU: -1, Addr: addr, Len: n, Epoch: epoch})
-}
-
-// OnCodeEpoch implements obs.Introspector: the code epoch moved
-// without byte attribution (SetPerms, snapshot Restore).
-func (c *Channel) OnCodeEpoch(epoch uint64) {
-	c.emit(Event{Kind: KindCodeEpoch, CPU: -1, Epoch: epoch})
-}
-
-// OnCacheFlush implements obs.Introspector: a vCPU block engine
-// discarded its predecoded cache at the given epoch.
-func (c *Channel) OnCacheFlush(cpu int, epoch uint64) {
-	c.emit(Event{Kind: KindCacheFlush, CPU: cpu, Epoch: epoch})
-}
-
-// OnStep implements obs.Introspector: one dispatch unit retired.
-// Emitted only while armed, mirroring the producer-side gate so a
-// disarm between check and call stays harmless.
-func (c *Channel) OnStep(cpu int, rip uint64, retired int) {
-	if !c.StepArmed() {
-		return
-	}
-	c.emit(Event{Kind: KindStep, CPU: cpu, Addr: rip, Len: retired})
+	c.emit(Event{Kind: KindExecWrite, Addr: addr, Len: n, Epoch: epoch})
 }
 
 // OnSMIEnter implements obs.Introspector: an SMI is about to pause the
 // machine.
 func (c *Channel) OnSMIEnter(cmd uint8) {
-	c.emit(Event{Kind: KindSMIEnter, CPU: -1, Cmd: cmd})
+	c.emit(Event{Kind: KindSMIEnter, Cmd: cmd})
 }
 
 // OnSMIExit implements obs.Introspector: the SMI handler finished;
 // pause is the full virtual OS pause it cost. The machine is still
 // paused when this fires.
 func (c *Channel) OnSMIExit(cmd uint8, pause time.Duration) {
-	c.emit(Event{Kind: KindSMIExit, CPU: -1, Cmd: cmd, Pause: pause})
+	c.emit(Event{Kind: KindSMIExit, Cmd: cmd, Pause: pause})
 }

@@ -11,17 +11,17 @@ import (
 func TestChannelAccounting(t *testing.T) {
 	ch := NewChannel(2)
 
-	ch.OnCodeEpoch(1)
-	ch.OnCodeEpoch(2)
-	ch.OnCodeEpoch(3) // buffer full: dropped, counted
+	ch.OnExecWrite(0x100, 1, 1)
+	ch.OnExecWrite(0x200, 1, 2)
+	ch.OnExecWrite(0x300, 1, 3) // buffer full: dropped, counted
 	st := ch.Stats()
 	if st.Emitted != 3 || st.Buffered != 2 || st.Dropped != 1 || st.Delivered != 0 {
 		t.Fatalf("stats after emits = %+v", st)
 	}
 
 	ev, ok := ch.TryRecv()
-	if !ok || ev.Kind != KindCodeEpoch || ev.Epoch != 1 {
-		t.Fatalf("TryRecv = %+v, %v; want first code-epoch event", ev, ok)
+	if !ok || ev.Kind != KindExecWrite || ev.Epoch != 1 {
+		t.Fatalf("TryRecv = %+v, %v; want first exec-write event", ev, ok)
 	}
 	ev2, ok := ch.TryRecv()
 	if !ok || ev2.Epoch != 2 || ev2.Seq <= ev.Seq {
@@ -57,31 +57,9 @@ func TestChannelTapSeesDroppedEvents(t *testing.T) {
 	}
 
 	ch.SetTap(nil)
-	ch.OnCodeEpoch(9)
+	ch.OnSMIExit(0x50, 0)
 	if len(tapped) != 2 {
 		t.Fatal("removed tap still invoked")
-	}
-}
-
-func TestChannelStepGating(t *testing.T) {
-	ch := NewChannel(4)
-	ch.OnStep(0, 0x40, 3)
-	if st := ch.Stats(); st.Emitted != 0 {
-		t.Fatalf("disarmed channel emitted a step event: %+v", st)
-	}
-	ch.Arm(true)
-	if !ch.StepArmed() {
-		t.Fatal("StepArmed false after Arm(true)")
-	}
-	ch.OnStep(1, 0x44, 5)
-	ev, ok := ch.TryRecv()
-	if !ok || ev.Kind != KindStep || ev.CPU != 1 || ev.Addr != 0x44 || ev.Len != 5 {
-		t.Fatalf("step event = %+v, %v", ev, ok)
-	}
-	ch.Arm(false)
-	ch.OnStep(1, 0x48, 1)
-	if _, ok := ch.TryRecv(); ok {
-		t.Fatal("disarmed channel delivered a step event")
 	}
 }
 
@@ -89,8 +67,8 @@ func TestChannelObserverCounters(t *testing.T) {
 	ch := NewChannel(1)
 	h := obs.NewHooks(16, timing.NewFakeWall())
 	ch.SetObserver(h)
-	ch.OnCodeEpoch(1)
-	ch.OnCodeEpoch(2) // dropped
+	ch.OnSMIEnter(0x50)
+	ch.OnSMIExit(0x50, 0) // dropped
 	if got := h.Metrics.Counter(obs.CtrIntrospectEvents).Value(); got != 2 {
 		t.Errorf("%s = %d, want 2", obs.CtrIntrospectEvents, got)
 	}
@@ -102,17 +80,10 @@ func TestChannelObserverCounters(t *testing.T) {
 func TestChannelNilSafety(t *testing.T) {
 	var ch *Channel
 	ch.OnExecWrite(1, 2, 3)
-	ch.OnCodeEpoch(4)
-	ch.OnCacheFlush(0, 5)
-	ch.OnStep(0, 6, 7)
 	ch.OnSMIEnter(0x50)
 	ch.OnSMIExit(0x50, 0)
-	ch.Arm(true)
 	ch.SetTap(func(Event) {})
 	ch.SetObserver(nil)
-	if ch.StepArmed() {
-		t.Fatal("nil channel reports armed")
-	}
 	if st := ch.Stats(); st != (Stats{}) {
 		t.Fatalf("nil channel stats = %+v", st)
 	}

@@ -37,8 +37,6 @@ package isa
 // epoch after writing, so even self-modifying code never runs a stale
 // successor instruction within the same block.
 
-import "kshot/internal/obs"
-
 const (
 	// blockCap bounds the instructions decoded into one block, so a
 	// huge straight-line function still interleaves with the step
@@ -80,7 +78,7 @@ type Block struct {
 	preds      []pred
 
 	// succ caches the last two blocks dispatched right after this one
-	// in the current code epoch, most recent first. runUnit follows a
+	// in the current code epoch, most recent first. RunUnit follows a
 	// link only when its start equals RIP, so a link is an exact
 	// shortcut for the blocks map lookup it replaces.
 	succ [2]*Block
@@ -119,12 +117,6 @@ type Engine struct {
 
 	stats EngineStats
 	links uint64 // dispatches served by a block link (counted in Hits too)
-
-	// intr, when non-nil, receives cache-flush events and (while
-	// armed) per-unit step events; cpuID attributes them to the owning
-	// vCPU. Set only while the vCPU is quiescent.
-	intr  obs.Introspector
-	cpuID int
 }
 
 // NewEngine creates a block-dispatch engine over the CPU.
@@ -135,23 +127,11 @@ func NewEngine(c *CPU) *Engine {
 // Stats returns the cache counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
 
-// SetIntrospect installs (or, with nil, removes) the introspection
-// sink, attributing events to vCPU cpu. Call only while the owning
-// vCPU is quiescent (e.g. with the machine paused); the engine itself
-// is single-goroutine.
-func (e *Engine) SetIntrospect(s obs.Introspector, cpu int) {
-	e.intr = s
-	e.cpuID = cpu
-}
-
 func (e *Engine) flush(epoch uint64) {
 	e.blocks = make(map[uint64]*Block)
 	e.prev = nil
 	e.epoch = epoch
 	e.stats.Flushes++
-	if e.intr != nil {
-		e.intr.OnCacheFlush(e.cpuID, epoch)
-	}
 }
 
 // RunUnit executes one dispatch unit — one basic block, or one oracle
@@ -161,17 +141,6 @@ func (e *Engine) flush(epoch uint64) {
 // Callers must hold the CPU quiescent for the duration (the machine
 // brackets each unit between SMI pause points).
 func (e *Engine) RunUnit(budget int) (int, error) {
-	n, err := e.runUnit(budget)
-	// Per-unit step events are sev-step-style single-stepping at
-	// dispatch-unit granularity; the armed check keeps the disarmed
-	// cost to one predictable branch per unit.
-	if s := e.intr; s != nil && s.StepArmed() {
-		s.OnStep(e.cpuID, e.C.RIP, n)
-	}
-	return n, err
-}
-
-func (e *Engine) runUnit(budget int) (int, error) {
 	c := e.C
 	if ep := c.M.CodeEpoch(); ep != e.epoch {
 		e.flush(ep)

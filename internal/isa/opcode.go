@@ -11,6 +11,9 @@
 // opcodes are simplified but preserve the properties patching cares
 // about: variable instruction length, relative branches that need
 // fix-ups when code moves, and absolute data references.
+//
+// The package carries no instrumentation handle: the block engine
+// learns of code changes only through memory's code epoch (block.go).
 package isa
 
 import "fmt"

@@ -18,7 +18,6 @@ import (
 
 	"kshot/internal/isa"
 	"kshot/internal/mem"
-	"kshot/internal/obs"
 )
 
 // Default layout constants for the simulated target machine.
@@ -149,28 +148,6 @@ func (m *Machine) VCPU(i int) *VCPU { return m.vcpus[i] }
 // ErrStopped. Stop is idempotent and safe to race with Call.
 func (m *Machine) Stop() {
 	m.stopOnce.Do(func() { close(m.quit) })
-}
-
-// SetObserver installs (or, with nil, removes) the instrumentation
-// handle's introspection sink on every vCPU that runs through the block
-// engine (blocks and lockstep dispatch; the pure oracle has no cache
-// to observe and no unit-level hook). The machine is paused for the
-// handoff so engines only ever see the sink change at a unit boundary.
-func (m *Machine) SetObserver(h *obs.Hooks) {
-	var sink obs.Introspector
-	if h != nil {
-		sink = h.Introspect
-	}
-	m.gate.pause()
-	defer m.gate.resume()
-	for _, v := range m.vcpus {
-		switch r := v.runner.(type) {
-		case *isa.Engine:
-			r.SetIntrospect(sink, v.ID)
-		case *isa.Lockstep:
-			r.Engine().SetIntrospect(sink, v.ID)
-		}
-	}
 }
 
 // Pause halts every vCPU at an instruction boundary and returns once

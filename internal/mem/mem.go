@@ -259,8 +259,9 @@ type Physical struct {
 	// obs, when non-nil, is the layer's instrumentation handle. Its
 	// fault set injects faults into non-SMM writes to the mem_W staging
 	// region (bit flips, access faults) for the chaos suite; its
-	// introspection sink receives code-integrity events (writes into
-	// executable memory, unattributed code-epoch bumps). Published
+	// introspection sink receives a write into executable memory as
+	// an exec-write event; epoch bumps without byte attribution
+	// (SetPerms, Restore) emit nothing. Published
 	// atomically, so installing or removing it never takes a lock the
 	// access fast path would notice: the disabled path costs one
 	// pointer load on the already-rare mem_W and exec-write branches.
@@ -374,17 +375,14 @@ func (m *Physical) SetPerms(name string, ps Perms) error {
 		return fmt.Errorf("set perms %q: no such region", name)
 	}
 	r.perms.Store(ps.pack())
-	ep := m.codeGen.Add(1)
-	if in := m.introspector(); in != nil {
-		in.OnCodeEpoch(ep)
-	}
+	m.codeGen.Add(1)
 	return nil
 }
 
 // SetObserver installs (or, with nil, removes) the instrumentation
 // handle: its fault set is consulted on helper writes into mem_W, and
-// its introspection sink is notified of code-integrity events. Data
-// reads and writes never see it.
+// its introspection sink is notified of writes into executable memory.
+// Data reads and writes never see it.
 func (m *Physical) SetObserver(h *obs.Hooks) { m.obs.Store(h) }
 
 // introspector returns the installed introspection sink, or nil.

@@ -358,10 +358,7 @@ func (m *Physical) Restore(s *Snapshot) error {
 	m.unlockMask(^uint64(0), true)
 	// Restoring swaps frame contents without going through access(), so
 	// any cached code translation may now be stale.
-	ep := m.codeGen.Add(1)
-	if in := m.introspector(); in != nil {
-		in.OnCodeEpoch(ep)
-	}
+	m.codeGen.Add(1)
 	return nil
 }
 

@@ -1,7 +1,8 @@
 // Package obs is KShot's zero-dependency observability layer: a
 // fixed-capacity ring-buffer event tracer and a metrics registry. A
 // *Hooks handle bundles them with the two other instruments a layer
-// can carry — a fault-injection set and an introspection sink — so
+// can carry — a fault-injection set and an introspection sink for
+// exec writes and SMI entry/exit — so
 // each instrumented layer takes exactly one handle, through one
 // SetObserver. Its methods are safe on a nil receiver, so every
 // instrumented layer pays one predictable branch when observability is
@@ -160,38 +161,20 @@ type Hooks struct {
 	// the layer's injection points (see Fault).
 	Faults *faultinject.Set
 
-	// Introspect, when non-nil, receives the layer's code-integrity,
-	// execution and SMI events.
+	// Introspect, when non-nil, receives the layer's exec-write and
+	// SMI events.
 	Introspect Introspector
 }
 
-// Introspector receives the events the introspection layer watches,
-// from memory (OnExecWrite, OnCodeEpoch), the vCPU block engines
-// (OnCacheFlush, OnStep, StepArmed) and SMI delivery (OnSMIEnter,
-// OnSMIExit). introspect.Channel is the implementation; each layer
-// calls only its own events.
+// Introspector receives the events the introspection layer reads:
+// writes into executable memory (OnExecWrite, from memory) and SMI
+// entry and exit (OnSMIEnter, OnSMIExit, from SMI delivery).
+// introspect.Channel is the implementation; each layer calls only its
+// own events.
 type Introspector interface {
 	// OnExecWrite fires after a write (or zero) lands in executable
 	// memory; epoch is the code epoch the write bumped to.
 	OnExecWrite(addr uint64, n int, epoch uint64)
-
-	// OnCodeEpoch fires after the code epoch moves without byte
-	// attribution (SetPerms, snapshot Restore).
-	OnCodeEpoch(epoch uint64)
-
-	// OnCacheFlush fires when a vCPU's block engine discards its
-	// predecoded cache after observing a code-epoch move.
-	OnCacheFlush(cpu int, epoch uint64)
-
-	// OnStep fires once per retired dispatch unit while StepArmed —
-	// rip is the unit's resulting RIP, retired the instructions it
-	// covered.
-	OnStep(cpu int, rip uint64, retired int)
-
-	// StepArmed gates OnStep: the engine checks it before paying for
-	// the per-unit emit, so disarmed introspection costs one predictable
-	// branch per unit.
-	StepArmed() bool
 
 	// OnSMIEnter fires when an SMI is accepted, before the world
 	// switch pauses the machine.

@@ -563,31 +563,19 @@ func (r *Rollout) runTarget(ctx context.Context, t Target, pmu *sync.Mutex, patc
 
 	rep, runErr := p.ApplyAll(ctx, r.cfg.cves)
 	if rep != nil {
+		var downtime time.Duration
 		for _, pr := range rep.Reports {
 			out.applied = append(out.applied, pr.ID)
+			downtime += pr.Stages.SMMTotal()
+		}
+		if len(rep.Reports) > 0 {
+			out.downtime = downtime / time.Duration(len(rep.Reports))
 		}
 		out.failures = len(rep.Failed)
 		out.pause = rep.SMMPause
 	}
-	out.downtime = meanDowntime(hooks)
 	out.err = runErr
 	return out
-}
-
-// meanDowntime reads the mean per-patch SMM downtime back from a
-// target's obs metrics — the "existing obs metrics" leg of the health
-// gate (patch.downtime_us histogram).
-func meanDowntime(hooks *obs.Hooks) time.Duration {
-	if hooks == nil || hooks.Metrics == nil {
-		return 0
-	}
-	snap := hooks.Metrics.Snapshot()
-	for _, h := range snap.Hists {
-		if h.Name == obs.HistDowntime && h.Count > 0 {
-			return time.Duration(h.Sum / float64(h.Count) * float64(time.Microsecond))
-		}
-	}
-	return 0
 }
 
 // result assembles the final accounting. Safe to call at any point;

@@ -19,9 +19,9 @@ import (
 )
 
 // fakePatcher implements Patcher without booting a machine. Each
-// applied patch records downtimeUS into the observer the rollout
-// installs, so the health gate reads it back the same way it reads a
-// real system's metrics.
+// applied patch reports downtimeUS as its SMM stage time, so the
+// health gate reads it from the report the same way it reads a real
+// system's.
 type fakePatcher struct {
 	applyErr     error
 	failCVEs     map[string]error
@@ -30,7 +30,6 @@ type fakePatcher struct {
 	pause        time.Duration
 
 	mu        sync.Mutex
-	hooks     *obs.Hooks
 	rollbacks []string
 	closed    bool
 }
@@ -46,11 +45,9 @@ func (f *fakePatcher) ApplyAll(ctx context.Context, cves []string, opts ...core.
 			rep.Failed[cve] = err
 			continue
 		}
-		rep.Reports = append(rep.Reports, &core.Report{ID: cve})
-		f.mu.Lock()
-		h := f.hooks
-		f.mu.Unlock()
-		h.Observe(obs.HistDowntime, f.downtimeUS)
+		rep.Reports = append(rep.Reports, &core.Report{ID: cve, Stages: core.StageTimes{
+			Apply: time.Duration(f.downtimeUS * float64(time.Microsecond)),
+		}})
 	}
 	return rep, nil
 }
@@ -65,11 +62,7 @@ func (f *fakePatcher) Rollback(ctx context.Context, cve string) (*core.Report, e
 	return &core.Report{ID: cve}, nil
 }
 
-func (f *fakePatcher) SetObserver(h *obs.Hooks) {
-	f.mu.Lock()
-	f.hooks = h
-	f.mu.Unlock()
-}
+func (f *fakePatcher) SetObserver(*obs.Hooks) {}
 
 func (f *fakePatcher) Close() {
 	f.mu.Lock()

@@ -84,10 +84,10 @@ type TargetState struct {
 	// SMM for its ApplyAll.
 	Pause time.Duration
 
-	// Downtime is the mean per-patch SMM downtime read back from the
-	// target's obs metrics (the patch.downtime_us histogram) — the
-	// number the phase-time regression gate compares against the
-	// canary baseline.
+	// Downtime is the mean per-patch SMM downtime of the target's
+	// applied patches (their reports' Stages.SMMTotal) — the number
+	// the phase-time regression gate compares against the canary
+	// baseline.
 	Downtime time.Duration
 
 	// Err records the terminal error of a failed run, if any.

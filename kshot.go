@@ -290,8 +290,7 @@ func WithTemplateCache(tc *TemplateCache) Option {
 
 // IntrospectConfig configures the event-driven kernel-text integrity
 // layer (see WithIntrospection). The zero value enables introspection
-// with defaults: a bounded event buffer, manual sweeps only, per-unit
-// step events disarmed.
+// with defaults: a bounded event buffer and manual sweeps only.
 type IntrospectConfig = introspect.Config
 
 // IntrospectVerdict is one typed detection raised by the introspection
@@ -300,8 +299,9 @@ type IntrospectConfig = introspect.Config
 type IntrospectVerdict = introspect.Verdict
 
 // WithIntrospection enables continuous kernel-text integrity
-// monitoring: cheap hooks in the memory, execution, and SMM layers
-// feed a typed, bounded, drop-counting event channel, and a detector
+// monitoring: cheap hooks in the memory and SMM layers feed writes
+// into executable memory and SMI entries and exits to a typed,
+// bounded, drop-counting event channel, and a detector
 // sweeps kernel.text against the last-known-good snapshot between
 // SMIs, classifying writes outside SMI windows, unannounced patch
 // SMIs, and activeness-check starvation into typed verdicts.
