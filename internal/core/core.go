@@ -607,8 +607,8 @@ func (s *System) reloadEnclave() error {
 // Close releases the system's resources. An attached System first
 // sends a pending status record (a Rollback's or Protect's, say) in one
 // round trip bounded by closeAckTimeout. Memory goes last, once the
-// detector, enclave, client and machine have stopped: its exclusively
-// owned frames return to the frame pool for the next fork, and any
+// detector, enclave, client and machine have stopped: the leaves and
+// pages it owns alone return to their pools for the next fork, and any
 // later access to the system's memory faults.
 func (s *System) Close() {
 	s.statusMu.Lock()
@@ -854,6 +854,9 @@ func (s *System) smi(staged []smmpatch.BatchMember) ([]uint32, []smmpatch.Outcom
 	s.det.ExpectSMI()
 	s.det.BeginTrustedWindow()
 	smiErr := s.SMM.Trigger(smmpatch.CmdProcessPackage, 0)
+	if errors.Is(smiErr, smm.ErrRefused) {
+		s.det.RetractSMI() // no SMI-enter will consume the announcement
+	}
 	// Closing the window rebaselines atomically: a background sweep
 	// can never diff this SMI's text changes against the old baseline.
 	s.det.EndTrustedWindow()

@@ -4,9 +4,11 @@ import (
 	"context"
 	"testing"
 
+	"kshot/internal/faultinject"
 	"kshot/internal/introspect"
 	"kshot/internal/kcrypto"
 	"kshot/internal/mem"
+	"kshot/internal/smmpatch"
 )
 
 // introspectedRun provisions a 2-vCPU System with an event buffer of
@@ -88,4 +90,37 @@ func TestIntrospectionBuffersOnlyReadKinds(t *testing.T) {
 	if tamper.Addr != addr {
 		t.Fatalf("verdict addr = %#x, want %#x (the write's event was dropped): %s", tamper.Addr, addr, tamper.Detail)
 	}
+}
+
+// TestRefusedSMIRetractsAnnouncement: the pipeline announces its
+// package SMI to the detector before raising it. When the chipset
+// refuses that SMI, no SMI-enter follows, so the announcement must be
+// withdrawn; otherwise it absorbs the next unannounced package SMI and
+// a replay of the still-staged directory goes unnamed.
+func TestRefusedSMIRetractsAnnouncement(t *testing.T) {
+	d := newDeployment(t, "4.4", kcrypto.HashSHA256, "CVE-2014-0196")
+	s := d.System
+	if err := s.EnableIntrospection(introspect.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := s.Attach(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s.SetObserver(faultHooks(faultinject.New(faultinject.Exact(faultinject.Fault{Point: faultinject.SMMRefuse, Call: 0}))))
+	if _, err := s.Apply(ctx, d.Entries[0].CVE); err == nil {
+		t.Fatal("Apply succeeded over a refused package SMI")
+	}
+	if vs := s.Introspection().Sweep(); len(vs) != 0 {
+		t.Fatalf("refused SMI raised verdicts %v", vs)
+	}
+
+	// Replay the staged directory with a package SMI nobody announced.
+	_ = s.SMM.Trigger(smmpatch.CmdProcessPackage, 0)
+	for _, v := range s.Introspection().Sweep() {
+		if v.Kind == introspect.StalePatchReplay {
+			return
+		}
+	}
+	t.Fatal("unannounced package SMI after a refused one raised no StalePatchReplay")
 }

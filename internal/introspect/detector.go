@@ -192,6 +192,19 @@ func (d *Detector) ExpectSMI() {
 	d.mu.Unlock()
 }
 
+// RetractSMI withdraws the latest announcement: its SMI was refused
+// before it entered SMM, so no SMI-enter will consume it.
+func (d *Detector) RetractSMI() {
+	if d == nil {
+		return
+	}
+	d.mu.Lock()
+	if d.expected > 0 {
+		d.expected--
+	}
+	d.mu.Unlock()
+}
+
 // NoteActiveRefusal records one activeness refusal of the given patch;
 // the threshold'th consecutive refusal raises ActivenessGroomed and
 // resets the streak.

@@ -42,9 +42,10 @@ func TestGuestPathAllocs(t *testing.T) {
 		}
 	}
 
-	// A store into a fresh frame takes a recycled frame once a released
-	// Physical has filled the pool. The race detector drops a quarter
-	// of the pool's puts, so this half runs without it.
+	// A store into a fresh frame takes a recycled page (and, the first
+	// time, a recycled leaf) once a released Physical has filled the
+	// pools. The race detector drops a quarter of the pools' puts, so
+	// this half runs without it.
 	if raceEnabled {
 		return
 	}
@@ -67,5 +68,16 @@ func TestGuestPathAllocs(t *testing.T) {
 		next++
 	}); n != 0 {
 		t.Errorf("WriteU64 to a fresh frame: %v allocations per call after warm-up, want 0", n)
+	}
+	// Zero of whole pages recycles them, so storing into the pages again
+	// takes them back from the pool. Four pages a run outnumber what the
+	// donor left pooled, so a Zero that dropped its pages would show.
+	if n := testing.AllocsPerRun(runs, func() {
+		check(fresh.Zero(PrivKernel, 0, 4*FrameSize))
+		for p := uint64(0); p < 4; p++ {
+			check(fresh.WriteU64(PrivKernel, p*FrameSize+8, 1))
+		}
+	}); n != 0 {
+		t.Errorf("Zero of 4 pages, then a store into each: %v allocations per call, want 0", n)
 	}
 }

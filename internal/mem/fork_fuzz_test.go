@@ -10,30 +10,44 @@ import (
 // takes random read/write/zero/perm traffic that must match a fresh
 // oracle holding the same initial bytes, and after every sequence the
 // template must diff clean against its pre-fork snapshot — no op on
-// the fork may leak through a shared frame. The fork is then released
-// and a second fork replays the sequence at shifted addresses against
-// a fresh oracle, ending with a whole-memory compare: a dirty-mask miss
-// would leak the first fork's bytes through a recycled frame.
+// the fork may leak through a shared leaf or page. The template's RAM
+// spans two leaf edges and leaves its middle leaf absent, so the fork
+// path-copies resident leaves and materializes an absent one. The fork
+// is then released and a second fork replays the sequence at shifted
+// addresses against a fresh oracle, ending with a whole-memory
+// compare: a recycled page that kept its old bytes, or a recycled leaf
+// that kept its old page slots, would leak the first fork's writes.
 func FuzzForkMem(f *testing.F) {
 	f.Add([]byte{0x01, 0x00, 0x10, 0x00, 0x20, 0x00})
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09})
 	f.Add(bytes.Repeat([]byte{0x81, 0x42, 0x24, 0x18}, 24))
+	const (
+		ramSize  = 2*leafSpan + 4*FrameSize
+		mmioBase = 2*leafSpan + 8*FrameSize
+	)
+	// striped reports whether the template writes its stripe into page
+	// fr: every 16th page, except in the middle leaf, which stays
+	// absent.
+	striped := func(fr uint64) bool { return fr%16 == 0 && fr>>leafShift != 1 }
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		template := New(fuzzPhysSize)
-		if _, err := template.Map("ram", 0, 12*FrameSize, Perms{Kernel: PermRW, User: PermR}); err != nil {
+		if _, err := template.Map("ram", 0, ramSize, Perms{Kernel: PermRW, User: PermR}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := template.Map("mmio", 14*FrameSize, FrameSize, Perms{SMM: PermRW}); err != nil {
+		if _, err := template.Map("mmio", mmioBase, 4*FrameSize, Perms{SMM: PermRW}); err != nil {
 			t.Fatal(err)
 		}
 		// Deterministic template contents: a recognizable stripe in
-		// every second frame (the others stay lazily zero, so the fork
-		// inherits a mix of resident and absent frames).
+		// some pages (the others stay lazily zero, so the fork
+		// inherits a mix of resident and absent pages and leaves).
 		stripe := make([]byte, 512)
 		for i := range stripe {
 			stripe[i] = byte(i*7 + 3)
 		}
-		for fr := uint64(0); fr < 12; fr += 2 {
+		for fr := uint64(0); fr < ramSize/FrameSize; fr++ {
+			if !striped(fr) {
+				continue
+			}
 			if err := template.Write(PrivKernel, fr*FrameSize+128, stripe); err != nil {
 				t.Fatal(err)
 			}
@@ -44,14 +58,16 @@ func FuzzForkMem(f *testing.F) {
 		// region layout.
 		newOracle := func() *refMem {
 			ref := newRefMem(fuzzPhysSize)
-			if err := ref.mapRegion("ram", 0, 12*FrameSize, Perms{Kernel: PermRW, User: PermR}); err != nil {
+			if err := ref.mapRegion("ram", 0, ramSize, Perms{Kernel: PermRW, User: PermR}); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.mapRegion("mmio", 14*FrameSize, FrameSize, Perms{SMM: PermRW}); err != nil {
+			if err := ref.mapRegion("mmio", mmioBase, 4*FrameSize, Perms{SMM: PermRW}); err != nil {
 				t.Fatal(err)
 			}
-			for fr := uint64(0); fr < 12; fr += 2 {
-				copy(ref.data[fr*FrameSize+128:], stripe)
+			for fr := uint64(0); fr < ramSize/FrameSize; fr++ {
+				if striped(fr) {
+					copy(ref.data[fr*FrameSize+128:], stripe)
+				}
 			}
 			return ref
 		}
@@ -59,12 +75,12 @@ func FuzzForkMem(f *testing.F) {
 		child, ref := template.Fork(), newOracle()
 		replayForkOps(t, template, snap, child, ref, ops, 0)
 
-		// Recycle the fork's frames into a second fork. Different
-		// addresses make it write where the first fork did not, so any
-		// stale block shows in the whole-memory compare.
+		// Recycle the fork's leaves and pages into a second fork.
+		// Different addresses make it write where the first fork did
+		// not, so any stale byte shows in the whole-memory compare.
 		child.Release()
 		child, ref = template.Fork(), newOracle()
-		replayForkOps(t, template, snap, child, ref, ops, 5*FrameSize+3*4096+333)
+		replayForkOps(t, template, snap, child, ref, ops, leafSpan/2+3*FrameSize+333)
 		got := make([]byte, fuzzPhysSize)
 		child.readFrames(0, got)
 		if !bytes.Equal(got, ref.data) {
@@ -72,7 +88,7 @@ func FuzzForkMem(f *testing.F) {
 			for got[i] == ref.data[i] {
 				i++
 			}
-			t.Fatalf("second fork byte %#x = %#x, oracle %#x: a recycled frame leaked", i, got[i], ref.data[i])
+			t.Fatalf("second fork byte %#x = %#x, oracle %#x: a recycled page leaked", i, got[i], ref.data[i])
 		}
 
 		// The template saw none of it: identical to its pre-fork
@@ -84,13 +100,16 @@ func FuzzForkMem(f *testing.F) {
 		if len(tmplDirty) != 0 {
 			t.Fatalf("fork traffic dirtied template frames %v", tmplDirty)
 		}
-		for fr := uint64(0); fr < 12; fr += 2 {
+		for fr := uint64(0); fr < ramSize/FrameSize; fr++ {
+			if !striped(fr) {
+				continue
+			}
 			got := make([]byte, len(stripe))
 			if err := template.Read(PrivKernel, fr*FrameSize+128, got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, stripe) {
-				t.Fatalf("template frame %d corrupted by fork traffic", fr)
+				t.Fatalf("template page %d corrupted by fork traffic", fr)
 			}
 		}
 	})
@@ -114,7 +133,7 @@ func replayForkOps(t *testing.T, template *Physical, snap *Snapshot, child *Phys
 		priv := Priv(b[1]%4) + 1
 		addr := ((uint64(b[2])<<8|uint64(b[3]))*61 + shift) % (fuzzPhysSize + FrameSize)
 		lb := take(2)
-		n := (uint64(lb[0])<<8 | uint64(lb[1])) % (FrameSize + 17)
+		n := fuzzSpan(lb[0], lb[1])
 
 		switch op {
 		case 0: // Read on the fork
@@ -155,11 +174,11 @@ func replayForkOps(t *testing.T, template *Physical, snap *Snapshot, child *Phys
 				t.Fatalf("step %d: fork diff vs template snapshot: %v", step, err)
 			}
 			var want []uint64
+			tmpl := make([]byte, fuzzPhysSize)
+			template.readFrames(0, tmpl)
 			for fr := uint64(0); fr < fuzzPhysSize/FrameSize; fr++ {
 				a := fr * FrameSize
-				tmpl := make([]byte, FrameSize)
-				template.readFrames(a, tmpl)
-				if !bytes.Equal(ref.data[a:a+FrameSize], tmpl) {
+				if !bytes.Equal(ref.data[a:a+FrameSize], tmpl[a:a+FrameSize]) {
 					want = append(want, fr)
 				}
 			}

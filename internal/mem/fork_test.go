@@ -232,3 +232,89 @@ func TestForkConcurrentWriters(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentLeafCopy races the path copy of one shared leaf. Right
+// after a Fork, 8 goroutines each write their own page of the same
+// leaf, so several may copy the leaf at once and all but one lose the
+// CompareAndSwap on its root slot, while readers load the leaf's other
+// pages through whichever copy is published. Every write must land in
+// the child and none in the template, which must diff clean against
+// its pre-fork snapshot.
+func TestConcurrentLeafCopy(t *testing.T) {
+	const (
+		writers = 8
+		readers = 4
+		rounds  = 50
+		leafIdx = 1
+	)
+	base := uint64(leafIdx * leafSpan)
+	tmpl := New(4 * leafSpan)
+	mustMap(t, tmpl, "ram", 0, 4*leafSpan, Perms{Kernel: PermRW})
+	fill := bytes.Repeat([]byte{0x5A}, leafSpan)
+	if err := tmpl.Write(PrivKernel, base, fill); err != nil {
+		t.Fatal(err)
+	}
+	snap := tmpl.Snapshot()
+	// Writer w owns page 5w+1 of the leaf: distinct pages in distinct
+	// shards. Readers walk the pages no writer owns.
+	owned := func(j uint64) bool { return j%5 == 1 && j/5 < writers }
+	for round := 0; round < rounds; round++ {
+		child := tmpl.Fork()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := uint64(0); w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := child.WriteU64(PrivKernel, base+(5*w+1)*FrameSize+8, w+1); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		for r := uint64(0); r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				buf := make([]byte, 16)
+				for j := r; j < leafPages; j += readers {
+					if owned(j) {
+						continue
+					}
+					if err := child.Read(PrivKernel, base+j*FrameSize, buf); err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(buf, fill[:len(buf)]) {
+						t.Errorf("round %d: child page %d reads %x during the path copy", round, j, buf)
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+
+		for w := uint64(0); w < writers; w++ {
+			addr := base + (5*w+1)*FrameSize + 8
+			if v, err := child.ReadU64(PrivKernel, addr); err != nil || v != w+1 {
+				t.Fatalf("round %d: child page %d = %#x, %v; want writer %d's value", round, 5*w+1, v, err, w+1)
+			}
+			if v, err := tmpl.ReadU64(PrivKernel, addr); err != nil || v != 0x5A5A5A5A5A5A5A5A {
+				t.Fatalf("round %d: template page %d = %#x, %v; a child write leaked", round, 5*w+1, v, err)
+			}
+		}
+		dirty, err := child.DiffFrames(snap)
+		if err != nil || len(dirty) != writers {
+			t.Fatalf("round %d: child diff = %v, %v; want the %d written pages", round, dirty, err, writers)
+		}
+		if dirty, err := tmpl.DiffFrames(snap); err != nil || len(dirty) != 0 {
+			t.Fatalf("round %d: template diff vs pre-fork snapshot = %v, %v; want clean", round, dirty, err)
+		}
+		child.Release()
+	}
+}

@@ -2,10 +2,10 @@ package mem
 
 import "testing"
 
-// BenchmarkFork measures the constant-ish cost of a COW fork of a
-// default-size Physical with a modest resident set: the region-table
-// copy, the slot-slice allocation, and one shared-flag pass over the
-// resident frames. No frame data is copied.
+// BenchmarkFork measures the cost of a COW fork of a default-size
+// Physical with a modest resident set: the region-table copy, the
+// 256-slot root allocation, and one shared-flag pass over the resident
+// leaves. No page is touched.
 func BenchmarkFork(b *testing.B) {
 	m := New(256 << 20)
 	if _, err := m.Map("ram", 0, 64*FrameSize, Perms{Kernel: PermRW}); err != nil {

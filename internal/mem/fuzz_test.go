@@ -11,9 +11,9 @@ import (
 // refMem is a deliberately naive flat-array model of Physical used as
 // the differential-fuzz oracle: one contiguous byte slice, linear
 // region scans, per-byte permission checks. It shares no code with the
-// sparse store, so agreement between the two is evidence the frame
-// bookkeeping, COW cloning, and region-table swaps preserve the
-// original semantics.
+// sparse store, so agreement between the two is evidence the page
+// table bookkeeping, copy-on-write path copies, and region-table swaps
+// preserve the original semantics.
 type refMem struct {
 	size uint64
 	data []byte
@@ -110,29 +110,36 @@ func sameFault(err error, want *Fault) bool {
 }
 
 // fuzzRegions is the palette of mappings the fuzz interpreter can
-// toggle: overlapping candidates, mixed permissions, a frame-unaligned
-// region, and one butting against the end of physical memory.
+// toggle: overlapping candidates, mixed permissions, a page-unaligned
+// region, regions straddling both leaf edges, and one butting against
+// the end of physical memory.
 var fuzzRegions = []struct {
 	name string
 	base uint64
 	size uint64
 	ps   Perms
 }{
-	{"ram", 0, 4 * FrameSize, Perms{Kernel: PermRW, User: PermR}},
-	{"text", 4 * FrameSize, 2 * FrameSize, Perms{Kernel: PermR | PermX, SMM: PermRWX}},
-	{"odd", 6*FrameSize + 0x123, FrameSize / 2, Perms{Kernel: PermRW}},
-	{"wide", 2 * FrameSize, 8 * FrameSize, Perms{Kernel: PermRWX}}, // overlaps ram/text/odd
+	{"ram", 0, leafSpan - 2*FrameSize, Perms{Kernel: PermRW, User: PermR}},
+	{"text", leafSpan - 2*FrameSize, 4 * FrameSize, Perms{Kernel: PermR | PermX, SMM: PermRWX}}, // straddles the first leaf edge
+	{"odd", leafSpan + 2*FrameSize + 0x123, FrameSize / 2, Perms{Kernel: PermRW}},
+	{"wide", leafSpan / 2, leafSpan + leafSpan/2 + 8*FrameSize, Perms{Kernel: PermRWX}}, // overlaps ram/text/odd, crosses both leaf edges
 	{"tail", fuzzPhysSize - FrameSize/4, FrameSize / 4, Perms{SMM: PermRW}},
-	{"gap", 10 * FrameSize, FrameSize, Perms{Enclave: PermRW}},
+	{"gap", 2*leafSpan + 10*FrameSize, 2 * FrameSize, Perms{Enclave: PermRW}},
 }
 
-const fuzzPhysSize = 16 * FrameSize // 1 MiB: 16 frames, cheap to diff flat
+// fuzzPhysSize is two whole leaves and 16 pages of a third, so fuzzed
+// spans reach both leaf edges and a partial last leaf.
+const fuzzPhysSize = 2*leafSpan + 16*FrameSize
+
+// fuzzSpan draws an access length from two fuzz bytes: up to four
+// pages and a bit, so a span crosses at most five page boundaries.
+func fuzzSpan(hi, lo byte) uint64 { return (uint64(hi)<<8 | uint64(lo)) % (4*FrameSize + 17) }
 
 // FuzzSparseMemAccess feeds random op sequences to the sparse store
 // and the flat oracle and requires byte- and fault-identical behavior,
 // including across Map/SetPerms epoch bumps (which must invalidate the
 // fetch RegionCache) and Snapshot/Restore cycles. ReadU64 and WriteU64
-// exercise the guest's 8-byte path, whose one-frame case takes a
+// exercise the guest's 8-byte path, whose one-page case takes a
 // single shard and whose straddling case takes two.
 func FuzzSparseMemAccess(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07})
@@ -162,10 +169,10 @@ func FuzzSparseMemAccess(f *testing.F) {
 			priv := Priv(b[1]%4) + 1
 			addr := (uint64(b[2])<<8 | uint64(b[3])) * 67 % (fuzzPhysSize + FrameSize) // may exceed size
 			lb := take(2)
-			n := (uint64(lb[0])<<8 | uint64(lb[1])) % (FrameSize + 17) // spans ≤ 2 frame boundaries
+			n := fuzzSpan(lb[0], lb[1])
 			if op >= 8 {
 				// 8-byte accesses ignore n; lb's first byte steps off
-				// the 67-byte address grid so every frame boundary is
+				// the 67-byte address grid so every page boundary is
 				// reachable.
 				addr += uint64(lb[0]) % 67
 			}

@@ -11,11 +11,13 @@
 // enforces exactly those checks in software so that a forbidden access
 // faults the same way the hardware would.
 //
-// Storage is sparse: physical memory is backed by 64 KiB frames
-// allocated lazily on first write (see sparse.go), so constructing a
-// machine costs nothing proportional to its physical size, reads of
+// Storage is sparse: physical memory is backed by 4 KiB pages
+// allocated lazily on first write and reached through a two-level
+// table of 1 MiB leaves (see sparse.go), so constructing a machine
+// costs one root slot per MiB of physical size, reads of
 // never-written memory observe zeros without allocating, and
-// copy-on-write snapshots share clean frames with the live store.
+// copy-on-write snapshots and forks copy only the root, sharing clean
+// leaves and pages with the live store.
 package mem
 
 import (
@@ -237,14 +239,14 @@ func (t *regionTable) at(addr uint64) *Region {
 	return nil
 }
 
-// Physical is the machine's physical memory: a sparse frame store
+// Physical is the machine's physical memory: a sparse page store
 // overlaid with access-controlled regions. The zero value is unusable;
 // construct with New.
 //
 // Physical is safe for concurrent use. All vCPUs, the SMM handler and
-// enclave threads share one Physical. Accesses to disjoint frames
-// proceed in parallel (locking is sharded by frame); accesses that
-// touch the same frame serialize, so the simulator itself stays
+// enclave threads share one Physical. Accesses to disjoint pages
+// proceed in parallel (locking is sharded by page); accesses that
+// touch the same page serialize, so the simulator itself stays
 // data-race free even when the simulated kernel races.
 type Physical struct {
 	size uint64
@@ -252,8 +254,8 @@ type Physical struct {
 	tab   atomic.Pointer[regionTable]
 	mapMu sync.Mutex // serializes Map/Release table swaps
 
-	// Sparse frame store; see sparse.go.
-	frames []atomic.Pointer[frame]
+	// Sparse page store: one slot per leaf; see sparse.go.
+	root   []atomic.Pointer[leaf]
 	shards [lockShards]sync.RWMutex
 
 	// obs, when non-nil, is the layer's instrumentation handle. Its
@@ -283,11 +285,12 @@ type Physical struct {
 
 // New creates a physical memory of the given size with no mapped
 // regions. Every access faults until regions are mapped. No backing
-// storage is allocated up front: frames materialize on first write.
+// storage is allocated up front, only the root: leaves and pages
+// materialize on first write.
 func New(size uint64) *Physical {
 	m := &Physical{
-		size:   size,
-		frames: make([]atomic.Pointer[frame], (size+FrameSize-1)>>FrameShift),
+		size: size,
+		root: make([]atomic.Pointer[leaf], (size+leafSpan-1)/leafSpan),
 	}
 	m.tab.Store(&regionTable{byName: map[string]*Region{}})
 	return m
@@ -553,7 +556,7 @@ func (m *Physical) FetchCached(priv Priv, addr uint64, dst []byte, c *RegionCach
 }
 
 // Zero clears n bytes at addr on behalf of priv. It validates exactly
-// like a Write of n zero bytes, but wholly covered frames are released
+// like a Write of n zero bytes, but wholly covered pages are released
 // back to the sparse store instead of being cleared byte by byte, so
 // scrubbing a large range (a KUP-style whole-kernel replacement) is
 // cheap and shrinks resident memory.

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// releaseFrames is the number of frames the Release tests map: enough
-// that the scribbling Physical drains every frame a release pooled.
-const releaseFrames = 8
+// releaseFrames is the number of frames (pages) the Release tests map:
+// two whole leaves, enough that the scribbling Physical drains every
+// page and leaf a release pooled.
+const releaseFrames = 2 * leafPages
 
 // newReleaseMem returns a Physical with one kernel RWX region covering
 // releaseFrames frames.
@@ -20,9 +21,9 @@ func newReleaseMem(t *testing.T) *Physical {
 	return m
 }
 
-// scribble takes as many frames from the pool as a release can have
-// put there and fills each one with 0xEE. A frame wrongly pooled while
-// still reachable elsewhere gets overwritten.
+// scribble takes as many pages and leaves from the pools as a release
+// can have put there and fills each page with 0xEE. A page or leaf
+// wrongly pooled while still reachable elsewhere gets overwritten.
 func scribble(t *testing.T) {
 	t.Helper()
 	m := newReleaseMem(t)
@@ -52,19 +53,20 @@ func TestRelease(t *testing.T) {
 	}{
 		{"shared frames are never pooled", func(t *testing.T) {
 			tmpl := newReleaseMem(t)
-			if err := tmpl.Write(PrivKernel, 0, pattern(4*FrameSize, 1)); err != nil {
+			if err := tmpl.Write(PrivKernel, leafSpan-2*FrameSize, pattern(4*FrameSize, 1)); err != nil {
 				t.Fatal(err)
 			}
 			snap := tmpl.Snapshot()
 			child := tmpl.Fork()
-			// At release the child holds template frames, a clone it
-			// shares with the grandchild, and frames it wrote after
-			// the grandchild fork (its only exclusive ones).
-			if err := child.Write(PrivKernel, FrameSize+5, []byte("child")); err != nil {
+			// At release the child holds template leaves, a leaf copy
+			// it shares with the grandchild, and the leaf copy and
+			// pages it wrote after the grandchild fork (its only
+			// exclusive ones).
+			if err := child.Write(PrivKernel, leafSpan+FrameSize+5, []byte("child")); err != nil {
 				t.Fatal(err)
 			}
 			grand := child.Fork()
-			if err := child.Write(PrivKernel, 4*FrameSize, pattern(4*FrameSize, 7)); err != nil {
+			if err := child.Write(PrivKernel, leafSpan-FrameSize, pattern(4*FrameSize, 7)); err != nil {
 				t.Fatal(err)
 			}
 			tmplBytes, grandBytes := readAll(tmpl), readAll(grand)
@@ -84,7 +86,7 @@ func TestRelease(t *testing.T) {
 		}},
 		{"recycled frames read zero outside the new owner's writes", func(t *testing.T) {
 			// One fully written frame, one partial frame, and a
-			// full-frame clone of a shared template frame.
+			// full-frame copy of a shared template frame.
 			tmpl := newReleaseMem(t)
 			if err := tmpl.Write(PrivKernel, 2*FrameSize, pattern(FrameSize, 3)); err != nil {
 				t.Fatal(err)
@@ -93,7 +95,7 @@ func TestRelease(t *testing.T) {
 			if err := old.Write(PrivKernel, 0, pattern(FrameSize, 5)); err != nil {
 				t.Fatal(err)
 			}
-			if err := old.Write(PrivKernel, FrameSize+3*4096-2, pattern(9000, 9)); err != nil {
+			if err := old.Write(PrivKernel, FrameSize+FrameSize/2-2, pattern(FrameSize/4, 9)); err != nil {
 				t.Fatal(err)
 			}
 			if err := old.Write(PrivKernel, 2*FrameSize+100, []byte{0}); err != nil {
@@ -104,7 +106,7 @@ func TestRelease(t *testing.T) {
 			fresh := newReleaseMem(t)
 			want := make([]byte, fresh.size)
 			for f := uint64(0); f < releaseFrames; f++ {
-				addr := f*FrameSize + 4096*(f%16) + 77
+				addr := f*FrameSize + (f*509)%(FrameSize-11)
 				src := pattern(11, byte(f))
 				if err := fresh.Write(PrivKernel, addr, src); err != nil {
 					t.Fatal(err)
@@ -117,6 +119,29 @@ func TestRelease(t *testing.T) {
 					i++
 				}
 				t.Fatalf("recycled frame leaks byte %#x at %#x", got[i], i)
+			}
+		}},
+		{"a recycled leaf comes back empty", func(t *testing.T) {
+			old := newReleaseMem(t)
+			if err := old.Write(PrivKernel, 0, pattern(leafSpan, 4)); err != nil {
+				t.Fatal(err)
+			}
+			old.Release()
+
+			fresh := newReleaseMem(t)
+			if err := fresh.Write(PrivKernel, 3*FrameSize+1, []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+			l := fresh.root[0].Load()
+			for j := range l.pages {
+				if j != 3 && l.pages[j].Load() != nil {
+					t.Fatalf("leaf holds page %d its owner never wrote", j)
+				}
+			}
+			want := make([]byte, fresh.size)
+			want[3*FrameSize+1] = 1
+			if !bytes.Equal(readAll(fresh), want) {
+				t.Fatal("recycled leaf reads bytes its owner never wrote")
 			}
 		}},
 		{"access after Release faults", func(t *testing.T) {

@@ -7,99 +7,111 @@ import (
 	"sync/atomic"
 )
 
-// Sparse frame store. Physical memory is split into fixed 64 KiB
-// frames, materialized on first write; a nil frame slot reads as
-// zeros. Frame access is guarded by sharded rwmutexes (shard = frame
-// index mod lockShards) so concurrent vCPUs touching disjoint frames
-// never serialize on a global lock, while accesses to the same frame
-// still serialize and keep the simulator data-race free.
+// Sparse page store. Physical memory is split into 4 KiB pages,
+// materialized on first write and reached through a two-level table:
+// the root has one slot per 1 MiB leaf, and a leaf has one slot per
+// page. A nil leaf or page slot reads as zeros. Page access is guarded
+// by sharded rwmutexes (shard = page index mod lockShards) so
+// concurrent vCPUs touching disjoint pages never serialize on a global
+// lock, while accesses to the same page still serialize and keep the
+// simulator data-race free.
 //
-// Snapshots are copy-on-write at frame granularity: Snapshot marks
-// every live frame shared and records its pointer; the next write to a
-// shared frame clones it first. A frame pointer that still matches the
-// snapshot therefore proves the frame's bytes are untouched, which is
-// what lets DiffFrames find dirty memory without comparing (or even
-// allocating) the clean majority.
+// Snapshot, Fork and Restore copy or swap only the root and mark its
+// leaves shared. The first write under a shared leaf path-copies that
+// leaf (256 page pointers) and then copies the one page it writes. A
+// leaf or page pointer that still matches the snapshot's therefore
+// proves its bytes untouched, which is what lets DiffFrames find dirty
+// memory without comparing (or even allocating) the clean majority.
 //
-// A released Physical (Release) hands its exclusively owned frames to
-// a package-wide pool; the next materialization anywhere takes one
-// back and clears only the 4 KiB blocks its last owner wrote.
+// A released Physical (Release) hands the leaves and pages it owns
+// alone to package-wide pools, and Zero hands over the wholly cleared
+// pages it owns alone; a recycled leaf comes back empty and a recycled
+// page is cleared whole before reuse.
+//
+// Ownership rules. Each shared flag is set-only: an object becomes
+// exclusive again only as a fresh copy.
+//
+//   - A leaf with shared == false is reachable from exactly one root. A
+//     page with shared == false is reachable from exactly one leaf. A
+//     Physical owns a page alone when the page and its leaf are both
+//     unshared. Only such pages, and unshared leaves, go back to their
+//     pools.
+//   - Fork, Snapshot and Restore mark leaves shared under every shard
+//     lock. They touch no page.
+//   - A shared leaf never changes. A writer holds its page's shard. It
+//     path-copies an absent or shared leaf, and it marks every page it
+//     copies shared before it publishes the copy with CompareAndSwap on
+//     the root slot; a writer that loses the race puts its copy back
+//     and retries. Under its own leaf it writes an unshared page in
+//     place and copies a shared one.
+//   - A reader holds its page's shard and loads the leaf, then the page.
+//
+// TestConcurrentLeafCopy races the path copy, TestRelease pins what
+// goes back to the pools, and FuzzForkMem checks the rules end to end
+// against a flat oracle.
 
 const (
 	// FrameShift is log2 of the frame size.
-	FrameShift = 16
+	FrameShift = 12
 	// FrameSize is the allocation and copy-on-write granule of the
-	// sparse store.
+	// sparse store: one page.
 	FrameSize = 1 << FrameShift
 
-	// blockShift is log2 of the dirty-tracking block: a recycled
-	// frame is cleared in 4 KiB blocks, one dirty bit each.
-	blockShift = 12
-	// allBlocks is the dirty mask of a frame whose every block may be
-	// non-zero.
-	allBlocks = 1<<(FrameSize>>blockShift) - 1
+	// leafShift is log2 of the pages per leaf.
+	leafShift = 8
+	// leafPages is the number of page slots in a leaf.
+	leafPages = 1 << leafShift
+	// leafSpan is the bytes one leaf covers (1 MiB).
+	leafSpan = FrameSize << leafShift
 
-	// lockShards is the number of frame-lock shards. It must be a
+	// lockShards is the number of page-lock shards. It must be a
 	// power of two no larger than 64 (shard sets are tracked in a
 	// uint64 bitmask).
 	lockShards = 64
 )
 
-// frame is one 64 KiB unit of backing storage.
-type frame struct {
-	// shared is set while at least one snapshot or forked Physical
-	// references this frame; writers must clone instead of mutating in
-	// place. The flag is monotonic (set-only): a frame can become
-	// cross-referenced, but a clone — the only way back to exclusive
-	// ownership — is a fresh frame object. It is atomic rather than
-	// shard-lock protected because after Fork the same frame object is
-	// reachable from Physicals with independent shard locks; atomicity
-	// plus monotonicity keeps the invariant race-free: a frame is only
-	// ever published to a second owner *after* shared is set, so a
-	// writer that observes shared==false holds the frame exclusively.
+// page is one 4 KiB unit of backing storage.
+type page struct {
+	// shared is set once a second leaf may reference the page; writers
+	// must copy it instead of mutating it in place. It is atomic rather
+	// than shard-lock protected because after Fork the same page is
+	// reachable from Physicals with independent shard locks.
 	shared atomic.Bool
-	// dirty has bit i set when 4 KiB block i may be non-zero. Writers
-	// update it under the frame's shard lock; zeroFrame uses it to
-	// clear a recycled frame in only the blocks its last owner wrote.
-	dirty uint16
-	data  [FrameSize]byte
+	data   [FrameSize]byte
 }
 
-// framePool holds frames released by closed Physicals. Only frames no
-// snapshot or other Physical can reach (shared == false) ever enter
-// it. New returns zeroed frames with an empty dirty mask.
-var framePool = sync.Pool{New: func() any { return new(frame) }}
+// leaf is one 1 MiB slice of the page table.
+type leaf struct {
+	// shared is set once a second root (a snapshot or another
+	// Physical) may reference the leaf. A shared leaf never changes.
+	shared atomic.Bool
+	pages  [leafPages]atomic.Pointer[page]
+}
 
-// zeroFrame returns an exclusively owned all-zero frame, recycled from
-// the pool when one is available.
-func zeroFrame() *frame {
-	fr := framePool.Get().(*frame)
-	for d := fr.dirty; d != 0; d &= d - 1 {
-		b := bits.TrailingZeros16(d)
-		clear(fr.data[b<<blockShift : (b+1)<<blockShift])
+// at returns page slot j of l, or nil when l is absent.
+func (l *leaf) at(j uint64) *page {
+	if l == nil {
+		return nil
 	}
-	fr.dirty = 0
-	return fr
+	return l.pages[j].Load()
 }
 
-// cloneFrame returns an exclusively owned copy of src — the
-// copy-on-write step for a shared frame.
-func cloneFrame(src *frame) *frame {
-	fr := framePool.Get().(*frame)
-	fr.data = src.data
-	fr.dirty = allBlocks
-	return fr
+// Pools of the pages and leaves released Physicals owned alone. A
+// pooled leaf is empty; a pooled page still holds its old bytes.
+var (
+	pagePool = sync.Pool{New: func() any { return new(page) }}
+	leafPool = sync.Pool{New: func() any { return new(leaf) }}
+)
+
+// share sets a shared flag. It skips the store when the flag is
+// already set: a template's flags sit beside bytes every fork reads.
+func share(f *atomic.Bool) {
+	if !f.Load() {
+		f.Store(true)
+	}
 }
 
-// blockMask returns the dirty bits of the blocks overlapped by the
-// in-frame span [off, off+n), n > 0.
-func blockMask(off, n uint64) uint16 {
-	first := off >> blockShift
-	last := (off + n - 1) >> blockShift
-	return uint16(uint32(1)<<(last+1) - uint32(1)<<first)
-}
-
-// shardMask returns the bitmask of lock shards covering frames
+// shardMask returns the bitmask of lock shards covering pages
 // [first, last].
 func shardMask(first, last uint64) uint64 {
 	if last-first+1 >= lockShards {
@@ -134,9 +146,66 @@ func (m *Physical) unlockMask(mask uint64, write bool) {
 	}
 }
 
+// pageAt returns page idx, or nil when it is absent. The caller holds
+// the page's shard.
+func (m *Physical) pageAt(idx uint64) *page {
+	return m.root[idx>>leafShift].Load().at(idx & (leafPages - 1))
+}
+
+// ownLeaf returns leaf i of m's root, path-copying it first when it
+// is absent or shared. The caller holds the shard of the page it is
+// about to write; writers of the leaf's other pages may race here, so
+// the copy is published with CompareAndSwap and a loser retries.
+func (m *Physical) ownLeaf(i uint64) *leaf {
+	slot := &m.root[i]
+	for {
+		old := slot.Load()
+		if old != nil && !old.shared.Load() {
+			return old
+		}
+		l := leafPool.Get().(*leaf)
+		if old != nil {
+			for j := range old.pages {
+				if pg := old.pages[j].Load(); pg != nil {
+					share(&pg.shared)
+					l.pages[j].Store(pg)
+				}
+			}
+		}
+		if slot.CompareAndSwap(old, l) {
+			return l
+		}
+		// Drop the copied pointers only: the pages stay with old.
+		for j := range l.pages {
+			l.pages[j].Store(nil)
+		}
+		leafPool.Put(l)
+	}
+}
+
+// writablePage returns page idx as m's own, path-copying its leaf and
+// then materializing an absent page or copying a shared one. The
+// caller holds the page's shard exclusively.
+func (m *Physical) writablePage(idx uint64) *page {
+	slot := &m.ownLeaf(idx >> leafShift).pages[idx&(leafPages-1)]
+	pg := slot.Load()
+	switch {
+	case pg == nil:
+		pg = pagePool.Get().(*page)
+		clear(pg.data[:])
+		slot.Store(pg)
+	case pg.shared.Load():
+		src := pg
+		pg = pagePool.Get().(*page)
+		pg.data = src.data
+		slot.Store(pg)
+	}
+	return pg
+}
+
 // readFrames copies [addr, addr+len(dst)) into dst. The span must be
-// pre-validated and in bounds. A span inside one frame — nearly every
-// guest access — takes that frame's shard directly.
+// pre-validated and in bounds. A span inside one page — nearly every
+// guest access — takes that page's shard directly.
 func (m *Physical) readFrames(addr uint64, dst []byte) {
 	first, last := addr>>FrameShift, (addr+uint64(len(dst))-1)>>FrameShift
 	if first == last {
@@ -155,11 +224,11 @@ func (m *Physical) readFrames(addr uint64, dst []byte) {
 }
 
 // readFrame copies bytes from addr into dst up to the end of addr's
-// frame and returns how many it copied. The caller holds the shard.
+// page and returns how many it copied. The caller holds the shard.
 func (m *Physical) readFrame(addr uint64, dst []byte) int {
 	off := addr & (FrameSize - 1)
-	if fr := m.frames[addr>>FrameShift].Load(); fr != nil {
-		return copy(dst, fr.data[off:])
+	if pg := m.pageAt(addr >> FrameShift); pg != nil {
+		return copy(dst, pg.data[off:])
 	}
 	n := min(len(dst), int(FrameSize-off))
 	clear(dst[:n])
@@ -167,10 +236,10 @@ func (m *Physical) readFrame(addr uint64, dst []byte) int {
 }
 
 // writeFrames copies src to [addr, addr+len(src)), materializing or
-// cloning frames as needed. The span must be pre-validated and in
+// copying pages as needed. The span must be pre-validated and in
 // bounds. Holding every covered shard for the whole span keeps
-// multi-frame writes atomic with respect to concurrent readers, like
-// the single-mutex store this replaces; a one-frame span takes its
+// multi-page writes atomic with respect to concurrent readers, like
+// the single-mutex store this replaces; a one-page span takes its
 // shard directly.
 func (m *Physical) writeFrames(addr uint64, src []byte) {
 	first, last := addr>>FrameShift, (addr+uint64(len(src))-1)>>FrameShift
@@ -189,28 +258,18 @@ func (m *Physical) writeFrames(addr uint64, src []byte) {
 	m.unlockMask(mask, true)
 }
 
-// writeFrame copies src to addr up to the end of addr's frame and
-// returns how many bytes it copied. A nil frame is materialized and a
-// shared one cloned first. The caller holds the shard exclusively.
+// writeFrame copies src to addr up to the end of addr's page and
+// returns how many bytes it copied. The caller holds the shard
+// exclusively.
 func (m *Physical) writeFrame(addr uint64, src []byte) int {
-	idx, off := addr>>FrameShift, addr&(FrameSize-1)
-	fr := m.frames[idx].Load()
-	switch {
-	case fr == nil:
-		fr = zeroFrame()
-		m.frames[idx].Store(fr)
-	case fr.shared.Load():
-		fr = cloneFrame(fr)
-		m.frames[idx].Store(fr)
-	}
-	n := copy(fr.data[off:], src)
-	fr.dirty |= blockMask(off, uint64(n))
-	return n
+	return copy(m.writablePage(addr >> FrameShift).data[addr&(FrameSize-1):], src)
 }
 
-// zeroFrames clears [addr, addr+n): wholly covered frames are released
-// (a nil slot reads as zeros), partially covered edge frames are
-// cleared in place (after a copy-on-write clone if shared).
+// zeroFrames clears [addr, addr+n): wholly covered pages are dropped
+// (a nil slot reads as zeros) and, when m owns them alone, go back to
+// the page pool; partially covered edge pages are cleared in place
+// (after a copy if shared). Absent pages are already zero and are
+// skipped.
 func (m *Physical) zeroFrames(addr, n uint64) {
 	first := addr >> FrameShift
 	last := (addr + n - 1) >> FrameShift
@@ -219,37 +278,32 @@ func (m *Physical) zeroFrames(addr, n uint64) {
 	for cur := addr; cur < addr+n; {
 		idx := cur >> FrameShift
 		base := idx << FrameShift
-		end := base + FrameSize
-		if cur == base && end <= addr+n {
-			m.frames[idx].Store(nil)
-			cur = end
-			continue
-		}
-		if end > addr+n {
-			end = addr + n
-		}
-		fr := m.frames[idx].Load()
-		if fr != nil {
-			if fr.shared.Load() {
-				fr = cloneFrame(fr)
-				m.frames[idx].Store(fr)
+		end := min(base+FrameSize, addr+n)
+		switch {
+		case m.pageAt(idx) == nil:
+		case cur == base && end == base+FrameSize:
+			slot := &m.ownLeaf(idx >> leafShift).pages[idx&(leafPages-1)]
+			if pg := slot.Swap(nil); !pg.shared.Load() {
+				pagePool.Put(pg)
 			}
-			clear(fr.data[cur-base : end-base])
+		default:
+			clear(m.writablePage(idx).data[cur-base : end-base])
 		}
 		cur = end
 	}
 	m.unlockMask(mask, true)
 }
 
-// Release ends m's lifetime and recycles its memory. Every frame slot
-// is emptied, and the frames m owned exclusively (shared == false) go
-// back to the frame pool; frames a snapshot, the fork template or a
+// Release ends m's lifetime and recycles its memory. Every root slot
+// is emptied; the leaves m owned alone (shared == false) are emptied
+// too and go back to the leaf pool, and their unshared pages to the
+// page pool. Leaves and pages a snapshot, the fork template or a
 // sibling fork can still reach are only dropped, so their owners keep
 // them byte for byte. Release also publishes an empty region table:
 // any later Read, Write, Fetch or Zero faults as unmapped rather than
 // reading zeros. An access that validated just before Release runs
-// against the emptied slots under the shard locks, so it never reaches
-// a recycled frame. Releasing twice is a no-op.
+// against the emptied root under the shard locks, so it never reaches
+// a recycled page. Releasing twice is a no-op.
 func (m *Physical) Release() {
 	m.mapMu.Lock()
 	tab := m.tab.Load()
@@ -262,15 +316,26 @@ func (m *Physical) Release() {
 	m.mapMu.Unlock()
 
 	m.lockMask(^uint64(0), true)
-	for i := range m.frames {
-		fr := m.frames[i].Load()
-		if fr == nil {
+	for i := range m.root {
+		l := m.root[i].Load()
+		if l == nil {
 			continue
 		}
-		m.frames[i].Store(nil)
-		if !fr.shared.Load() {
-			framePool.Put(fr)
+		m.root[i].Store(nil)
+		if l.shared.Load() {
+			continue
 		}
+		for j := range l.pages {
+			pg := l.pages[j].Load()
+			if pg == nil {
+				continue
+			}
+			l.pages[j].Store(nil)
+			if !pg.shared.Load() {
+				pagePool.Put(pg)
+			}
+		}
+		leafPool.Put(l)
 	}
 	m.unlockMask(^uint64(0), true)
 }
@@ -279,45 +344,49 @@ func (m *Physical) Release() {
 // materialized (the sparse store's actual footprint, as opposed to
 // Size(), the simulated physical size), split by ownership.
 type ResidentStats struct {
-	// SharedBytes counts resident frames that may also back a
+	// SharedBytes counts resident pages that may also back a
 	// snapshot, the fork template, or sibling forks — the memory a
 	// fleet of forks amortizes across targets.
 	SharedBytes uint64
-	// PrivateBytes counts resident frames this Physical owns
-	// exclusively — its copy-on-write dirty set.
+	// PrivateBytes counts resident pages this Physical owns
+	// alone — its copy-on-write dirty set.
 	PrivateBytes uint64
 }
 
-// ResidentStats returns the materialized footprint split into frames
-// shared with snapshots/forks versus frames private to this Physical.
+// ResidentStats returns the materialized footprint split into pages
+// shared with snapshots/forks versus pages private to this Physical.
 // For a forked System the private figure is the true marginal memory
 // cost of that fork.
 func (m *Physical) ResidentStats() ResidentStats {
 	var st ResidentStats
-	for i := range m.frames {
-		mu := &m.shards[i&(lockShards-1)]
-		mu.RLock()
-		fr := m.frames[i].Load()
-		if fr != nil {
-			if fr.shared.Load() {
+	m.lockMask(^uint64(0), false)
+	for i := range m.root {
+		l := m.root[i].Load()
+		if l == nil {
+			continue
+		}
+		for j := range l.pages {
+			switch pg := l.pages[j].Load(); {
+			case pg == nil:
+			case l.shared.Load() || pg.shared.Load():
 				st.SharedBytes += FrameSize
-			} else {
+			default:
 				st.PrivateBytes += FrameSize
 			}
 		}
-		mu.RUnlock()
 	}
+	m.unlockMask(^uint64(0), false)
 	return st
 }
 
-// Snapshot is a frame-granular copy-on-write capture of a Physical's
-// contents. Taking one is O(frames) pointer work — no memory is
-// copied; the store copies a frame only when it is next written.
+// Snapshot is a copy-on-write capture of a Physical's contents: a copy
+// of its root. Taking one copies no memory and touches no page; the
+// store copies a leaf and a page only when they are next written.
 // Snapshots stay valid until the Physical is garbage; Restore and
 // DiffFrames accept only snapshots of the same Physical.
 type Snapshot struct {
-	m      *Physical
-	frames []*frame // nil entries are all-zero frames
+	m    *Physical
+	root []*leaf // nil entries are all-zero leaves
 }
 
 // Snapshot captures the current memory contents copy-on-write. It does
@@ -325,14 +394,13 @@ type Snapshot struct {
 // independently of contents, exactly as physical RAM is independent of
 // attribute programming.
 func (m *Physical) Snapshot() *Snapshot {
-	s := &Snapshot{m: m, frames: make([]*frame, len(m.frames))}
+	s := &Snapshot{m: m, root: make([]*leaf, len(m.root))}
 	m.lockMask(^uint64(0), true)
-	for i := range m.frames {
-		fr := m.frames[i].Load()
-		if fr != nil {
-			fr.shared.Store(true)
+	for i := range m.root {
+		if l := m.root[i].Load(); l != nil {
+			share(&l.shared)
+			s.root[i] = l
 		}
-		s.frames[i] = fr
 	}
 	m.unlockMask(^uint64(0), true)
 	return s
@@ -343,32 +411,33 @@ func (m *Physical) Snapshot() *Snapshot {
 // can be restored repeatedly — the reset step of a chaos cycle. A
 // forked Physical may also restore a snapshot of any ancestor in its
 // fork chain (rewinding the fork to template state); the ancestor is
-// unaffected, since restored frames stay copy-on-write.
+// unaffected, since restored leaves stay copy-on-write.
 func (m *Physical) Restore(s *Snapshot) error {
 	if s == nil || !m.ownsSnapshot(s) {
 		return errSnapshotForeign
 	}
 	m.lockMask(^uint64(0), true)
-	for i, fr := range s.frames {
-		if fr != nil {
-			fr.shared.Store(true)
+	for i, l := range s.root {
+		if l != nil {
+			share(&l.shared)
 		}
-		m.frames[i].Store(fr)
+		m.root[i].Store(l)
 	}
 	m.unlockMask(^uint64(0), true)
-	// Restoring swaps frame contents without going through access(), so
+	// Restoring swaps page contents without going through access(), so
 	// any cached code translation may now be stale.
 	m.codeGen.Add(1)
 	return nil
 }
 
-// DiffFrames returns the indices of frames whose bytes differ from the
-// snapshot, in ascending order. Frames still sharing the snapshot's
-// backing pointer are equal by construction and are skipped without a
-// byte compare; only frames written since the snapshot (or written
-// before it and zeroed since, etc.) are compared content-wise, so a
-// pristine-byte sweep costs O(dirty), not O(physical size). Use
-// FrameAddr to map an index to its physical base address.
+// DiffFrames returns the indices of frames (pages) whose bytes differ
+// from the snapshot, in ascending order. A leaf still pointer-equal to
+// the snapshot's is skipped whole, and a page still sharing the
+// snapshot's backing pointer is skipped without a byte compare; only
+// pages written since the snapshot (or written before it and zeroed
+// since, etc.) are compared content-wise, so a pristine-byte sweep
+// costs O(dirty), not O(physical size). Use FrameAddr to map an index
+// to its physical base address.
 func (m *Physical) DiffFrames(s *Snapshot) ([]uint64, error) {
 	return m.diffFrames(s, 0, m.size)
 }
@@ -387,7 +456,7 @@ func (errSnapshot) Error() string { return "mem: snapshot belongs to a different
 
 // ownsSnapshot reports whether s was taken of m or of an ancestor in
 // m's fork chain. Ancestor snapshots are byte-compatible: Fork
-// preserves size and frame geometry, so diffing a fork against its
+// preserves size and table geometry, so diffing a fork against its
 // template's snapshot is exactly the "what did this fork touch?"
 // question the isolation suite asks.
 func (m *Physical) ownsSnapshot(s *Snapshot) bool {
@@ -407,30 +476,32 @@ func (m *Physical) diffFrames(s *Snapshot, base, size uint64) ([]uint64, error) 
 		return nil, nil
 	}
 	first := base >> FrameShift
-	last := (base + size - 1) >> FrameShift
-	if last >= uint64(len(m.frames)) {
-		last = uint64(len(m.frames)) - 1
-	}
+	last := min((base+size-1)>>FrameShift, (m.size-1)>>FrameShift)
 	var dirty []uint64
 	m.lockMask(^uint64(0), false)
-	for idx := first; idx <= last; idx++ {
-		cur := m.frames[idx].Load()
-		old := s.frames[idx]
-		if cur == old {
-			continue // shared frames never mutate, so pointer-equal means byte-equal
+	for idx := first; idx <= last; {
+		li := idx >> leafShift
+		end := min(last, (li+1)<<leafShift-1)
+		// Shared leaves and pages never mutate, so pointer-equal
+		// means byte-equal.
+		if cur, old := m.root[li].Load(), s.root[li]; cur != old {
+			for ; idx <= end; idx++ {
+				j := idx & (leafPages - 1)
+				if !pagesEqual(cur.at(j), old.at(j)) {
+					dirty = append(dirty, idx)
+				}
+			}
 		}
-		if !framesEqual(cur, old) {
-			dirty = append(dirty, idx)
-		}
+		idx = end + 1
 	}
 	m.unlockMask(^uint64(0), false)
 	return dirty, nil
 }
 
-// framesEqual compares two frames, treating nil as all zeros.
-func framesEqual(a, b *frame) bool {
+// pagesEqual compares two pages, treating nil as all zeros.
+func pagesEqual(a, b *page) bool {
 	switch {
-	case a == nil && b == nil:
+	case a == b:
 		return true
 	case a == nil:
 		return isZero(b.data[:])
@@ -441,9 +512,9 @@ func framesEqual(a, b *frame) bool {
 	}
 }
 
-var zeroFrameData [FrameSize]byte
+var zeroPageData [FrameSize]byte
 
-func isZero(b []byte) bool { return bytes.Equal(b, zeroFrameData[:]) }
+func isZero(b []byte) bool { return bytes.Equal(b, zeroPageData[:]) }
 
-// FrameAddr returns the physical base address of frame idx.
+// FrameAddr returns the physical base address of frame (page) idx.
 func FrameAddr(idx uint64) uint64 { return idx << FrameShift }

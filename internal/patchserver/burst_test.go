@@ -237,3 +237,51 @@ func TestBurstBypassFaultSameCVE(t *testing.T) {
 		t.Errorf("bypass fault fired %d times, want 1", set.Fired())
 	}
 }
+
+// TestRecycledReaderAfterCutSession runs two sessions one after the
+// other through serveConn. The first ends in the middle of a frame
+// header, leaving its bytes in the session's reader; the second, which
+// may get that reader back from the pool, must have its burst answered
+// as if the first never happened.
+func TestRecycledReaderAfterCutSession(t *testing.T) {
+	srv, _ := newTestServer(t, burstCVEs[:2]...)
+	session := func(send []byte, want int) []*response {
+		client, server := net.Pipe()
+		defer client.Close()
+		done := make(chan struct{})
+		srv.wg.Add(1)
+		srv.live.Add(1)
+		go func() { srv.serveConn(server); close(done) }()
+		_ = client.SetDeadline(time.Now().Add(5 * time.Second))
+		go func() { _, _ = client.Write(send) }()
+		rd := bufio.NewReader(client)
+		resps := make([]*response, want)
+		for i := range resps {
+			resps[i] = readResponse(t, rd)
+		}
+		client.Close()
+		<-done
+		return resps
+	}
+
+	cut := appendRequest(nil, helloRequest())
+	cut = append(cut, appendRequest(nil, patchRequest(burstCVEs[0]))[:3]...)
+	if r := session(cut, 1)[0]; len(r.ServerKey) != 32 {
+		t.Fatalf("first session's hello response = %+v", r)
+	}
+
+	var burst []byte
+	for _, r := range []*request{helloRequest(), patchRequest(burstCVEs[1]), patchRequest(burstCVEs[0])} {
+		burst = appendRequest(burst, r)
+	}
+	resps := session(burst, 3)
+	key := resps[0].ServerKey
+	if resps[0].Err != "" || len(key) != 32 {
+		t.Fatalf("second session's hello response = %+v", resps[0])
+	}
+	for i, want := range []string{burstCVEs[1], burstCVEs[0]} {
+		if got := blobID(t, key, resps[i+1]); got != want {
+			t.Errorf("second session's response %d carries %s, want %s", i+1, got, want)
+		}
+	}
+}

@@ -564,7 +564,8 @@ type session struct {
 }
 
 func (s *Server) serveConn(conn net.Conn) {
-	rd := bufio.NewReader(conn)
+	rd := connReaders.Get().(*bufio.Reader)
+	rd.Reset(conn)
 	out := outBufs.Get().(*[]byte)
 	// Pending responses, written when the next request is not already
 	// buffered (see frameBuffered): a pipelined burst is answered with
@@ -586,6 +587,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		_ = flush() // whatever ended the session, answered requests get their responses
 		*out = pending
 		outBufs.Put(out)
+		rd.Reset(nil) // drop the connection and any bytes of a cut-off frame
+		connReaders.Put(rd)
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -663,6 +666,13 @@ const flushThreshold = 64 << 10
 // outBufs recycles per-session response buffers, so a short session
 // (one hello and one burst) does not grow a fresh buffer.
 var outBufs = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
+
+// connReaders recycles the sessions' request readers: a fleet rollout
+// opens one connection per target. A session's requests are copied out
+// of the reader (readFrame), so none outlives its session. The client
+// keeps a reader of its own per connection, because a canceled
+// exchange can still be reading after Close.
+var connReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
 // serveBurst answers a burst in request order, appending to resps. A
 // hello or status request runs alone, after everything before it; the

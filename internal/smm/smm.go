@@ -68,6 +68,10 @@ var (
 	// ErrUnclaimedSMI is returned when no handler is registered for a
 	// triggered command.
 	ErrUnclaimedSMI = errors.New("smm: unclaimed SMI command")
+	// ErrRefused wraps an SMI the chipset dropped before entering SMM
+	// (faultinject.SMMRefuse): no handler ran and no SMI-enter was
+	// reported.
+	ErrRefused = errors.New("smm: SMI refused")
 )
 
 // Handler is an SMM handler body, invoked with the machine paused.
@@ -201,7 +205,7 @@ func (c *Controller) Trigger(cmd Command, arg uint64) error {
 	// world switch, so no state is saved and nothing pauses — the
 	// failure mode of a hostile platform suppressing patching.
 	if f, ok := ob.Fault(faultinject.SMMRefuse); ok {
-		return fmt.Errorf("smm: SMI %#02x refused: %w", uint8(cmd), f.Err())
+		return fmt.Errorf("%w: %#02x: %w", ErrRefused, uint8(cmd), f.Err())
 	}
 
 	if ob != nil {
