@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet nogob test race short bench benchsmoke benchjson benchmark-test check fuzz cover api apicheck corpus corpussmoke adversary-smoke
+.PHONY: all build fmt vet nogob test race short benchsmoke benchmark-test check fuzz cover api apicheck corpus corpussmoke adversary-smoke
 
 # Per-target budget for the fuzz smoke pass (see `fuzz` below).
 FUZZTIME ?= 30s
@@ -39,19 +39,10 @@ short:
 race:
 	$(GO) test -race ./...
 
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
-
 # One iteration of every benchmark in the tree — catches benchmarks
 # that bit-rot without paying for statistically meaningful timings.
 benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
-
-# Machine-readable evaluation results (JSON) for dashboards and diffing
-# runs; see cmd/kshot-bench -json.
-BENCHJSON ?= bench.json
-benchjson:
-	$(GO) run ./cmd/kshot-bench -json -table2 -table3 -table5 -pipeline -detect -detect-trials 5 -detect-ops 5000 -o $(BENCHJSON) > /dev/null
 
 # The repo benchmark (benchmark/) is its own Go module, so the root
 # `go test ./...` never builds it; this vets it and runs its smoke and

@@ -76,6 +76,53 @@ func firstDiff(want, got string) string {
 	return fmt.Sprintf("line counts differ: want %d lines, got %d", len(wl), len(gl))
 }
 
+// goldenDoc is the part of the golden document the tests below read.
+type goldenDoc struct {
+	SizeSweep  []evalharness.SizePoint         `json:"size_sweep"`
+	Table5     []evalharness.ComparisonRow     `json:"table5"`
+	Pipeline   evalharness.PipelinedComparison `json:"pipeline"`
+	FigureCVEs []evalharness.CVEPoint          `json:"figure_cves"`
+}
+
+// readGolden decodes the committed golden document, which
+// TestGoldenPaperArtifacts keeps equal to a fresh run.
+func readGolden(t *testing.T) goldenDoc {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden", goldenArtifacts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc goldenDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// TestPipelinedBeatsSerial is the acceptance gate for the batched
+// pipeline: applying all 30 Table I CVEs through ApplyAll must take
+// strictly fewer than 30 SMM world switches and strictly less total
+// virtual OS pause than the serial per-patch path, while every patch
+// still lands. It reads the golden document's pipeline entry.
+func TestPipelinedBeatsSerial(t *testing.T) {
+	p := readGolden(t).Pipeline
+	if p.Patches != 30 {
+		t.Fatalf("pipeline applied %d patches, want 30", p.Patches)
+	}
+	if p.SerialSMIs != 30 {
+		t.Errorf("serial mode took %d SMIs, want exactly 30", p.SerialSMIs)
+	}
+	if p.BatchSMIs >= 30 {
+		t.Errorf("batched mode took %d SMIs, want strictly fewer than 30", p.BatchSMIs)
+	}
+	if p.BatchPause >= p.SerialPause {
+		t.Errorf("batched pause %v not below serial pause %v", p.BatchPause, p.SerialPause)
+	}
+	if p.Degraded != 0 || p.Retries != 0 {
+		t.Errorf("unexpected degradations (%d) or retries (%d) on an idle machine", p.Degraded, p.Retries)
+	}
+}
+
 // TestExperimentsMatchGolden keeps EXPERIMENTS.md honest against the
 // golden file:
 //   - every "paper → measured" cell of Tables II and III reads exactly
@@ -86,21 +133,12 @@ func firstDiff(want, got string) string {
 //   - every cell of the pipelined ApplyAll table reads what kshot-bench
 //     -pipeline prints (counts, report.Us pauses, the reduction to 0.1 %);
 //   - every number the Figure 4 and Figure 5 prose quotes reads the
-//     golden per-CVE stages (see figureProse).
+//     golden per-CVE stages (see figureProse);
+//   - the SHA-256 verify and pause and the prep-location blow-ups the
+//     Ablations section quotes read the golden size sweep (see
+//     ablationProse).
 func TestExperimentsMatchGolden(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "golden", goldenArtifacts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		SizeSweep  []evalharness.SizePoint         `json:"size_sweep"`
-		Table5     []evalharness.ComparisonRow     `json:"table5"`
-		Pipeline   evalharness.PipelinedComparison `json:"pipeline"`
-		FigureCVEs []evalharness.CVEPoint          `json:"figure_cves"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
+	doc := readGolden(t)
 	bySize := make(map[string]evalharness.SizePoint, len(doc.SizeSweep))
 	for _, p := range doc.SizeSweep {
 		bySize[report.Bytes(p.Size)] = p
@@ -197,7 +235,9 @@ func TestExperimentsMatchGolden(t *testing.T) {
 		t.Errorf("pipelined table: found %d mode rows, want %d", rows, len(wantPipelined))
 	}
 
-	for heading, phrases := range figureProse(t, doc.FigureCVEs) {
+	sections := figureProse(t, doc.FigureCVEs)
+	sections["## Ablations "] = ablationProse(t, bySize)
+	for heading, phrases := range sections {
 		prose := strings.Join(strings.Fields(section(string(md), heading)), " ")
 		for _, p := range phrases {
 			if !strings.Contains(prose, p) {
@@ -232,7 +272,6 @@ func figureProse(t *testing.T, pts []evalharness.CVEPoint) map[string][]string {
 		}
 		return lo, hi
 	}
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	wholeUs := func(f func(evalharness.CVEPoint) time.Duration) string {
 		lo, hi := span(func(p evalharness.CVEPoint) float64 { return us(f(p)) })
 		return thousands(lo) + "–" + thousands(hi)
@@ -278,6 +317,33 @@ func figureProse(t *testing.T, pts []evalharness.CVEPoint) map[string][]string {
 		us(pts[0].Stages.Switch), us(pts[0].Stages.KeyGen)))
 	return map[string][]string{"## Figure 4 ": fig4, "## Figure 5 ": fig5}
 }
+
+// ablationProse returns the phrases the Ablations section must contain
+// for the golden size sweep: the SHA-256 verify and OS pause at 400 KB
+// in whole µs, and the pause blow-up of preprocessing inside the SMM
+// handler, (SMM total + Preprocess) / SMM total, at 4 KB and 400 KB.
+func ablationProse(t *testing.T, bySize map[string]evalharness.SizePoint) []string {
+	t.Helper()
+	point := func(size int) evalharness.SizePoint {
+		p, ok := bySize[report.Bytes(size)]
+		if !ok {
+			t.Fatalf("golden size_sweep lacks %s", report.Bytes(size))
+		}
+		return p
+	}
+	blowup := func(p evalharness.SizePoint) float64 {
+		return float64(p.SMMTotal()+p.Preprocess) / float64(p.SMMTotal())
+	}
+	p4k, p400k := point(4<<10), point(400<<10)
+	return []string{
+		fmt.Sprintf("verify drops %.0f µs →", us(p400k.Verify)),
+		fmt.Sprintf("pause drops %.0f µs →", us(p400k.SMMTotal())),
+		fmt.Sprintf("pause up %.0f× at 4 KB and %.0f× at 400 KB", blowup(p4k), blowup(p400k)),
+	}
+}
+
+// us converts d to microseconds.
+func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // thousands rounds v to a whole number and groups its digits by
 // thousands with commas, as EXPERIMENTS writes large µs values.

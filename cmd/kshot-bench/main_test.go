@@ -92,24 +92,38 @@ func TestZeroCountsRejected(t *testing.T) {
 // exactly one JSON object whose keys are the selected data-bearing
 // experiments and nothing else.
 func TestJSONDocumentKeys(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-json", "-table2", "-table5"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(strings.NewReader(out.String()))
-	var doc map[string]json.RawMessage
-	if err := dec.Decode(&doc); err != nil {
-		t.Fatalf("stdout is not a JSON object: %v\n%.300s", err, out.String())
-	}
-	if dec.More() {
-		t.Errorf("trailing output after the JSON document:\n%.300s", out.String())
-	}
-	var got []string
-	for k := range doc {
-		got = append(got, k)
-	}
-	sort.Strings(got)
-	if want := []string{"size_sweep", "table5"}; !slices.Equal(got, want) {
-		t.Errorf("JSON keys %v, want exactly %v", got, want)
+	for _, tc := range []struct {
+		args []string
+		want []string
+		long bool // skipped in -short mode, as TestDetectionBenchSmoke is
+	}{
+		{[]string{"-json", "-table2", "-table5"}, []string{"size_sweep", "table5"}, false},
+		{[]string{"-json", "-detect", "-detect-trials", "1", "-detect-ops", "1000"}, []string{"detection"}, true},
+	} {
+		t.Run(strings.Join(tc.args[1:], " "), func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("detection run skipped in -short mode")
+			}
+			var out strings.Builder
+			if err := run(tc.args, &out); err != nil {
+				t.Fatal(err)
+			}
+			dec := json.NewDecoder(strings.NewReader(out.String()))
+			var doc map[string]json.RawMessage
+			if err := dec.Decode(&doc); err != nil {
+				t.Fatalf("stdout is not a JSON object: %v\n%.300s", err, out.String())
+			}
+			if dec.More() {
+				t.Errorf("trailing output after the JSON document:\n%.300s", out.String())
+			}
+			var got []string
+			for k := range doc {
+				got = append(got, k)
+			}
+			sort.Strings(got)
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("JSON keys %v, want exactly %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"kshot/internal/cvebench"
 	"kshot/internal/mem"
@@ -384,4 +385,54 @@ func TestTemplateClosedRejectsForks(t *testing.T) {
 	if _, err := sys.Apply(context.Background(), f.Entry.CVE); err != nil {
 		t.Fatalf("pre-Close fork broken by template Close: %v", err)
 	}
+}
+
+// BenchmarkProvision measures target provisioning two ways: cold, with
+// no template cache (each System boots a single-use template — kernel
+// build, machine bring-up — and forks it once), versus forked from a
+// cached template (COW pages, per-fork secrets, SMRAM lock). Neither
+// touches the server: attach and the bootstrap SMI wait for first
+// contact. The forked/cold ns/op ratio is the template-cache payoff;
+// systems_per_sec is the fleet provisioning rate either mode sustains.
+func BenchmarkProvision(b *testing.B) {
+	e, ok := cvebench.Get("CVE-2014-0196")
+	if !ok {
+		b.Fatal("unknown CVE CVE-2014-0196")
+	}
+	srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(e)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	srv.RegisterPatch(e.SourcePatch())
+	opts := Options{ExtraFiles: map[string]string{e.File: e.Vuln}, ServerAddr: srv.Addr()}
+	provision := func(b *testing.B, opts Options) {
+		sys, err := NewSystemCtx(context.Background(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Close()
+	}
+
+	b.Run("cold", func(b *testing.B) {
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			provision(b, opts)
+		}
+		b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "systems_per_sec")
+	})
+	b.Run("forked", func(b *testing.B) {
+		cached := opts
+		cached.TemplateCache = NewTemplateCache()
+		defer cached.TemplateCache.Close()
+		// Boot the template outside the timed region: it is a one-time
+		// per-configuration cost the fleet amortizes.
+		provision(b, cached)
+		b.ResetTimer()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			provision(b, cached)
+		}
+		b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "systems_per_sec")
+	})
 }

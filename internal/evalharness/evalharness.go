@@ -11,9 +11,9 @@
 //	RQ1        — correct patching of all 30 CVEs (exploit before/after)
 //	§VI-C3     — Sysbench-style whole-system overhead
 //
-// It is shared by the root bench_test.go (which reports the same
-// numbers as testing.B metrics) and by cmd/kshot-bench (which prints
-// the tables and writes EXPERIMENTS-style output).
+// cmd/kshot-bench is its one front end: it prints the tables, or emits
+// their numbers as one JSON document (-json), which the golden file
+// cmd/kshot-bench/testdata/golden/paper_artifacts.json pins.
 package evalharness
 
 import (

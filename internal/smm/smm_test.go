@@ -322,17 +322,3 @@ func TestNilClockDefaults(t *testing.T) {
 		t.Error("nil clock not defaulted")
 	}
 }
-
-func TestModelFixedCostsMatchPaper(t *testing.T) {
-	// §VI-C2 constants must be preserved verbatim in the model.
-	model := timing.Calibrated()
-	if model.SMMEntry != 12900*time.Nanosecond {
-		t.Errorf("SMMEntry = %v", model.SMMEntry)
-	}
-	if model.SMMExit != 21700*time.Nanosecond {
-		t.Errorf("SMMExit = %v", model.SMMExit)
-	}
-	if model.KeyGen != 5200*time.Nanosecond {
-		t.Errorf("KeyGen = %v", model.KeyGen)
-	}
-}

@@ -50,8 +50,8 @@
 //	result, _ := roll.Run(ctx)
 //
 // See the examples directory for runnable end-to-end scenarios and
-// bench_test.go for the harness regenerating every table and figure of
-// the paper's evaluation.
+// cmd/kshot-bench for the harness regenerating every table and figure
+// of the paper's evaluation.
 package kshot
 
 import (
