@@ -92,6 +92,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzEventChannel -fuzztime=$(FUZZTIME) -run '^$$' ./internal/introspect/
 	$(GO) test -fuzz=FuzzPatchDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/patch/
 	$(GO) test -fuzz=FuzzPatchEncode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/patch/
+	$(GO) test -fuzz=FuzzPackageUnmarshal -fuzztime=$(FUZZTIME) -run '^$$' ./internal/patch/
 	$(GO) test -fuzz=FuzzStateDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/orchestrator/
 	$(GO) test -fuzz=FuzzMAC -fuzztime=$(FUZZTIME) -run '^$$' ./internal/kcrypto/
 

@@ -179,8 +179,10 @@ type System struct {
 
 	// deliverMu serializes Stages 2–4 of every delivery: the handler's
 	// cursors, the mem_W directory and the package SMI hold one package
-	// at a time.
+	// at a time. args, under it, is the buffer every FnPrepare argument
+	// block is encoded into; the ECALL copies it into the enclave.
 	deliverMu sync.Mutex
+	args      []byte
 
 	// pending is the newest MAC'd status record an SMI wrote (a package
 	// SMI's or Protect's) that the server has not acknowledged yet (Seq
@@ -743,7 +745,8 @@ func (s *System) deliver(ctx context.Context, op patch.Op, members []*pipeline.M
 		}
 		prep = append(prep, sgxprep.Member{Op: op, Data: body})
 	}
-	out, err := s.ecall(sgxprep.FnPrepare, sgxprep.EncodePrepareArgs(&sgxprep.PrepareArgs{Members: prep, SMMPub: smmPub, MemXCursor: memX, DataCursor: data}))
+	s.args = sgxprep.AppendPrepareArgs(s.args[:0], &sgxprep.PrepareArgs{Members: prep, SMMPub: smmPub, MemXCursor: memX, DataCursor: data})
+	out, err := s.ecall(sgxprep.FnPrepare, s.args)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrEnclavePrepare, err)
 	}

@@ -12,8 +12,13 @@
 // previously captured patch packages.
 //
 // The per-package path allocates little. MAC, VerifyMAC and DeriveKey
-// compute RFC 2104 HMAC-SHA256 over stack buffers, and
-// Session.DecryptInPlace decrypts into its own argument: the returned
+// compute RFC 2104 HMAC-SHA256 over stack buffers. A Session moves
+// bytes without a buffer of its own in either direction: Seal appends
+// nonce || ciphertext to the caller's buffer, and encrypts in place a
+// plaintext the caller already wrote where its ciphertext goes (the
+// enclave marshals a package into its slot of the result block; the
+// patch server appends a blob to the response frame it is writing).
+// DecryptInPlace decrypts into its own argument: the returned
 // plaintext aliases the ciphertext, which no longer holds ciphertext
 // afterwards. A caller decrypts in place only a buffer it owns — one
 // nothing else reads, and that it does not need again as ciphertext.
@@ -28,6 +33,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Session is a symmetric transport cipher keyed by a derived channel
@@ -53,29 +59,37 @@ func NewSession(key []byte, rng io.Reader) (*Session, error) {
 	return &Session{block: block, rng: rng}, nil
 }
 
-// nonceSize is the AES-CTR IV length prefixed to every ciphertext.
-const nonceSize = aes.BlockSize
+// NonceSize is the length of the AES-CTR IV that leads every sealed
+// message.
+const NonceSize = aes.BlockSize
 
-// Encrypt returns nonce || AES-CTR(plaintext).
-func (s *Session) Encrypt(plaintext []byte) ([]byte, error) {
-	out := make([]byte, nonceSize+len(plaintext))
-	if _, err := io.ReadFull(s.rng, out[:nonceSize]); err != nil {
-		return nil, fmt.Errorf("session encrypt: %w", err)
+// Seal appends nonce || AES-CTR(plaintext) to dst, with a fresh nonce,
+// and returns the extended slice. To seal in place, the caller writes
+// the plaintext where its ciphertext goes, NonceSize bytes past the end
+// of dst and within dst's capacity; Seal then draws the nonce into the
+// gap and encrypts the plaintext over itself. Any other plaintext must
+// not overlap that range. A dst too small for the result grows into a
+// fresh array, and the plaintext is then read from where it is.
+func (s *Session) Seal(dst, plaintext []byte) ([]byte, error) {
+	n := len(dst)
+	out := slices.Grow(dst, NonceSize+len(plaintext))[:n+NonceSize+len(plaintext)]
+	if _, err := io.ReadFull(s.rng, out[n:n+NonceSize]); err != nil {
+		return dst, fmt.Errorf("session seal: %w", err)
 	}
-	cipher.NewCTR(s.block, out[:nonceSize]).XORKeyStream(out[nonceSize:], plaintext)
+	cipher.NewCTR(s.block, out[n:n+NonceSize]).XORKeyStream(out[n+NonceSize:], plaintext)
 	return out, nil
 }
 
-// DecryptInPlace reverses Encrypt in place. The plaintext it returns
-// aliases ciphertext[nonceSize:]: the call overwrites the caller's
+// DecryptInPlace reverses Seal in place. The plaintext it returns
+// aliases ciphertext[NonceSize:]: the call overwrites the caller's
 // ciphertext, so the caller must own the buffer, and must copy it first
 // if it still needs the ciphertext afterwards.
 func (s *Session) DecryptInPlace(ciphertext []byte) ([]byte, error) {
-	if len(ciphertext) < nonceSize {
+	if len(ciphertext) < NonceSize {
 		return nil, fmt.Errorf("session decrypt: ciphertext too short (%d bytes)", len(ciphertext))
 	}
-	body := ciphertext[nonceSize:]
-	cipher.NewCTR(s.block, ciphertext[:nonceSize]).XORKeyStream(body, body)
+	body := ciphertext[NonceSize:]
+	cipher.NewCTR(s.block, ciphertext[:NonceSize]).XORKeyStream(body, body)
 	return body, nil
 }
 

@@ -26,12 +26,12 @@ func TestSessionRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := []byte("patch payload bytes")
-	ct, err := s.Encrypt(msg)
+	ct, err := s.Seal(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ct) != len(msg)+nonceSize {
-		t.Errorf("ciphertext length %d, want %d", len(ct), len(msg)+nonceSize)
+	if len(ct) != len(msg)+NonceSize {
+		t.Errorf("ciphertext length %d, want %d", len(ct), len(msg)+NonceSize)
 	}
 	if bytes.Contains(ct, msg) {
 		t.Error("ciphertext contains plaintext")
@@ -54,7 +54,7 @@ func TestDecryptInPlaceAliasesInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := []byte("sealed package body")
-	ct, err := s.Encrypt(msg)
+	ct, err := s.Seal(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,18 +62,61 @@ func TestDecryptInPlaceAliasesInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pt) != len(msg) || &pt[0] != &ct[nonceSize] {
+	if len(pt) != len(msg) || &pt[0] != &ct[NonceSize] {
 		t.Fatal("plaintext does not alias the ciphertext past its nonce")
 	}
-	if !bytes.Equal(ct[nonceSize:], msg) {
+	if !bytes.Equal(ct[NonceSize:], msg) {
 		t.Error("ciphertext buffer does not hold the plaintext after decryption")
+	}
+}
+
+// TestSealInPlace pins Seal's two ways of taking its plaintext: written
+// NonceSize bytes past dst's end, it is encrypted where it lies, with
+// no new array; anywhere else it is read and appended. Under the same
+// entropy both give the bytes a fresh buffer gets, and what dst held
+// stays in front of them.
+func TestSealInPlace(t *testing.T) {
+	msg := []byte("a package marshaled into its slot")
+	s, _ := NewSession(make([]byte, 32), newDetRand(9))
+	want, err := s.Seal(nil, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("frame header")
+
+	buf := make([]byte, len(prefix)+NonceSize, len(prefix)+len(want))
+	copy(buf, prefix)
+	buf = append(buf, msg...)
+	s, _ = NewSession(make([]byte, 32), newDetRand(9))
+	got, err := s.Seal(buf[:len(prefix)], buf[len(prefix)+NonceSize:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &buf[0] {
+		t.Error("an in-place seal moved the buffer")
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Errorf("in-place seal gave %x, want %q || %x", got, prefix, want)
+	}
+
+	small := append(make([]byte, 0, len(prefix)), prefix...)
+	s, _ = NewSession(make([]byte, 32), newDetRand(9))
+	got, err = s.Seal(small, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Errorf("appending seal gave %x, want %q || %x", got, prefix, want)
+	}
+	if pt, err := s.DecryptInPlace(got[len(prefix):]); err != nil || !bytes.Equal(pt, msg) {
+		t.Errorf("sealed message opens to %q, %v", pt, err)
 	}
 }
 
 func TestSessionNoncesUnique(t *testing.T) {
 	s, _ := NewSession(make([]byte, 32), newDetRand(5))
-	c1, _ := s.Encrypt([]byte("same message"))
-	c2, _ := s.Encrypt([]byte("same message"))
+	c1, _ := s.Seal(nil, []byte("same message"))
+	c2, _ := s.Seal(nil, []byte("same message"))
 	if bytes.Equal(c1, c2) {
 		t.Error("two encryptions identical — nonce reuse")
 	}
@@ -107,7 +150,7 @@ func TestQuickEndToEndChannel(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ct, err := sa.Encrypt(msg)
+		ct, err := sa.Seal(nil, msg)
 		if err != nil {
 			return false
 		}

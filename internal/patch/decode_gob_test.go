@@ -9,7 +9,6 @@ import (
 
 	"kshot/internal/corpusgen"
 	"kshot/internal/cvebench"
-	"kshot/internal/kcrypto"
 	"kshot/internal/kernel"
 	"kshot/internal/patch"
 	"kshot/internal/patchserver"
@@ -51,10 +50,6 @@ func requireMatchesGob(t *testing.T, name string, plain []byte) {
 // configuration. Table I splits into conflict-free waves, one server
 // tree each, because two of its entries define the same function.
 func TestDecodeMatchesGob(t *testing.T) {
-	sess, err := kcrypto.NewSession(make([]byte, 32), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, wave := range cvebench.ConflictFreeWaves(cvebench.All()) {
 		srv, err := patchserver.New(patchserver.WithTreeProvider(cvebench.TreeProviderFor(wave...)))
 		if err != nil {
@@ -68,13 +63,9 @@ func TestDecodeMatchesGob(t *testing.T) {
 			for _, ftrace := range []bool{true, false} {
 				info := patchserver.OSInfo{Version: version, Ftrace: ftrace, Inline: true}
 				for _, e := range wave {
-					blob, err := srv.BuildPatchBlob(info, e.CVE, sess)
+					plain, err := srv.PatchPlaintext(info, e.CVE)
 					if err != nil {
 						t.Fatalf("%s %+v: %v", e.CVE, info, err)
-					}
-					plain, err := sess.DecryptInPlace(blob)
-					if err != nil {
-						t.Fatal(err)
 					}
 					requireMatchesGob(t, fmt.Sprintf("%s %+v", e.CVE, info), plain)
 				}

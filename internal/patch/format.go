@@ -1,9 +1,12 @@
 package patch
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
+	"kshot/internal/isa"
 	"kshot/internal/kcrypto"
 )
 
@@ -44,10 +47,20 @@ type Package struct {
 // flags, four addresses and sizes, payload length and payload hash.
 const funcHeaderSize = 2 + 1 + 1 + 4*8 + 4 + kcrypto.DigestSize
 
-// marshalSize is the length of p's wire package, so Marshal fills one
-// exactly sized buffer.
-func marshalSize(p *Prepared) int {
-	n := len(wireMagic) + 3 + 1 + len(p.ID) + 1 + len(p.KernelVersion) + 2 + 2
+// globalHeaderSize is the fixed part of a global entry: name length,
+// address and init length.
+const globalHeaderSize = 1 + 8 + 4
+
+// packageSize is the length of a wire package's header and trailing
+// digest around its entries.
+func packageSize(id, kernelVersion string) int {
+	return len(wireMagic) + 3 + 1 + len(id) + 1 + len(kernelVersion) + 2 + 2 + kcrypto.DigestSize
+}
+
+// MarshalSize is the length of p's wire package: what AppendMarshal
+// appends for it.
+func MarshalSize(p *Prepared) int {
+	n := packageSize(p.ID, p.KernelVersion)
 	for _, f := range p.Funcs {
 		n += funcHeaderSize + len(f.Payload) + 1 + len(f.Name)
 		if f.TAddr != 0 {
@@ -55,33 +68,56 @@ func marshalSize(p *Prepared) int {
 		}
 	}
 	for _, g := range p.Globals {
-		n += 1 + len(g.Name) + 8 + 4 + len(g.Init)
+		n += globalHeaderSize + len(g.Name) + len(g.Init)
 	}
-	return n + kcrypto.DigestSize
+	return n
 }
 
-// Marshal encodes a prepared patch into the wire format.
-func Marshal(p *Prepared, op Op, alg kcrypto.HashAlg) ([]byte, error) {
-	b := make([]byte, 0, marshalSize(p))
+// PreparedSize bounds the wire package Prepare and AppendMarshal make
+// of bp at any cursors: placement moves addresses, never lengths. It
+// is exact unless a replaced function sits at address 0 (its package
+// then carries no trampoline).
+func PreparedSize(bp *BinaryPatch) int {
+	n := packageSize(bp.ID, bp.KernelVersion)
+	for _, f := range bp.Funcs {
+		n += funcHeaderSize + len(f.Payload) + 1 + len(f.Name)
+		if !f.New {
+			n += isa.LenBranch
+		}
+	}
+	for _, g := range bp.Globals {
+		n += globalHeaderSize + len(g.Name) + len(g.Init)
+		if g.Init == nil && g.New { // preparedInit's zeros
+			n += int(g.Size)
+		}
+	}
+	return n
+}
+
+// AppendMarshal appends the wire encoding of a prepared patch to dst.
+// On error it returns dst as it was.
+func AppendMarshal(dst []byte, p *Prepared, op Op, alg kcrypto.HashAlg) ([]byte, error) {
+	start := len(dst)
+	b := slices.Grow(dst, MarshalSize(p))
 	b = append(b, wireMagic...)
 	b = append(b, wireVersion, byte(op), byte(alg))
 	var err error
 	if b, err = appendStr8(b, p.ID); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if b, err = appendStr8(b, p.KernelVersion); err != nil {
-		return nil, err
+		return dst, err
 	}
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Funcs)))
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Globals)))
 
 	for _, f := range p.Funcs {
 		if len(f.Payload) > 1<<31 {
-			return nil, fmt.Errorf("marshal %s: payload too large", f.Name)
+			return dst, fmt.Errorf("marshal %s: payload too large", f.Name)
 		}
 		sum, err := kcrypto.Sum(alg, f.Payload)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		b = binary.LittleEndian.AppendUint16(b, f.Seq)
 		var flags uint8
@@ -100,21 +136,21 @@ func Marshal(p *Prepared, op Op, alg kcrypto.HashAlg) ([]byte, error) {
 		b = append(b, sum[:]...)
 		b = append(b, f.Payload...)
 		if f.TAddr != 0 {
-			if len(f.TrampolineBytes) != 5 {
-				return nil, fmt.Errorf("marshal %s: trampoline must be 5 bytes", f.Name)
+			if len(f.TrampolineBytes) != isa.LenBranch {
+				return dst, fmt.Errorf("marshal %s: trampoline must be 5 bytes", f.Name)
 			}
 			b = append(b, f.TrampolineBytes...)
 		}
 		// Name travels after the fixed header (for journaling and
 		// diagnostics on the SMM side).
 		if b, err = appendStr8(b, f.Name); err != nil {
-			return nil, err
+			return dst, err
 		}
 	}
 
 	for _, g := range p.Globals {
 		if b, err = appendStr8(b, g.Name); err != nil {
-			return nil, err
+			return dst, err
 		}
 		b = binary.LittleEndian.AppendUint64(b, g.Addr)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(g.Init)))
@@ -123,17 +159,17 @@ func Marshal(p *Prepared, op Op, alg kcrypto.HashAlg) ([]byte, error) {
 
 	// Whole-package digest (always SHA-256: header integrity is not
 	// the ablation's subject).
-	sum, err := kcrypto.Sum(kcrypto.HashSHA256, b)
-	if err != nil {
-		return nil, err
-	}
+	sum := sha256.Sum256(b[start:])
 	return append(b, sum[:]...), nil
 }
 
 // Unmarshal decodes and structurally validates a wire package,
 // including the whole-package digest. Per-function payload digests are
 // surfaced for the caller to verify (the SMM handler recomputes them
-// as its own integrity step).
+// as its own integrity step). The package's byte fields — payloads,
+// trampolines and global inits — alias data: the caller owns data, and
+// must neither change it while it uses the package nor keep a byte
+// field past that without copying it.
 func Unmarshal(data []byte) (*Package, error) {
 	if len(data) < len(wireMagic)+3+kcrypto.DigestSize {
 		return nil, fmt.Errorf("package: truncated (%d bytes)", len(data))
@@ -166,12 +202,24 @@ func Unmarshal(data []byte) (*Package, error) {
 	pkg.KernelVersion = r.str8()
 	nf := int(r.u16())
 	ng := int(r.u16())
+	// Every entry takes at least its fixed header, so counts the rest
+	// of the input cannot hold are refused before anything is sized
+	// for them.
+	if r.err == nil && nf*(funcHeaderSize+1)+ng*globalHeaderSize > len(r.buf)-r.pos {
+		return nil, fmt.Errorf("package: %d functions and %d globals overrun the input", nf, ng)
+	}
+	pkg.Funcs = make([]PreparedFunc, 0, nf)
+	pkg.FuncHashes = make([][kcrypto.DigestSize]byte, 0, nf)
+	pkg.Globals = make([]PreparedGlobal, 0, ng)
 
 	for i := 0; i < nf; i++ {
 		var f PreparedFunc
 		f.Seq = r.u16()
 		f.Type = Type(r.u8())
 		flags := r.u8()
+		if flags&^(flagNew|flagTraced) != 0 {
+			return nil, fmt.Errorf("package: func %d: unknown flags %#x", i, flags)
+		}
 		f.New = flags&flagNew != 0
 		f.Traced = flags&flagTraced != 0
 		f.TAddr = r.u64()
@@ -181,9 +229,9 @@ func Unmarshal(data []byte) (*Package, error) {
 		size := int(r.u32())
 		var h [kcrypto.DigestSize]byte
 		copy(h[:], r.bytes(kcrypto.DigestSize))
-		f.Payload = append([]byte(nil), r.bytes(size)...)
+		f.Payload = r.blob(size)
 		if f.TAddr != 0 {
-			f.TrampolineBytes = append([]byte(nil), r.bytes(5)...)
+			f.TrampolineBytes = r.bytes(isa.LenBranch)
 		}
 		f.Name = r.str8()
 		if r.err != nil {
@@ -197,7 +245,7 @@ func Unmarshal(data []byte) (*Package, error) {
 		g.Name = r.str8()
 		g.Addr = r.u64()
 		n := int(r.u32())
-		g.Init = append([]byte(nil), r.bytes(n)...)
+		g.Init = r.blob(n)
 		if r.err != nil {
 			return nil, fmt.Errorf("package: global %d: %w", i, r.err)
 		}
@@ -210,13 +258,6 @@ func Unmarshal(data []byte) (*Package, error) {
 		return nil, fmt.Errorf("package: %d trailing bytes", len(r.buf)-r.pos)
 	}
 	return pkg, nil
-}
-
-// MarshalRollback encodes a rollback command package for the given
-// patch ID.
-func MarshalRollback(id, kernelVersion string) ([]byte, error) {
-	p := &Prepared{ID: id, KernelVersion: kernelVersion}
-	return Marshal(p, OpRollback, kcrypto.HashSHA256)
 }
 
 func appendStr8(b []byte, s string) ([]byte, error) {
@@ -241,9 +282,18 @@ func (r *reader) bytes(n int) []byte {
 		r.err = fmt.Errorf("truncated at offset %d (want %d bytes)", r.pos, n)
 		return nil
 	}
-	out := r.buf[r.pos : r.pos+n]
+	out := r.buf[r.pos : r.pos+n : r.pos+n]
 	r.pos += n
 	return out
+}
+
+// blob returns the next n bytes as a slice of the input, or nil when n
+// is 0.
+func (r *reader) blob(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	return r.bytes(n)
 }
 
 func (r *reader) u8() uint8 {

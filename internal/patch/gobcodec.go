@@ -36,7 +36,11 @@ func Encode(bp *BinaryPatch) []byte {
 // cannot have written is refused: a non-minimal uint, a field delta
 // past the struct's last field, a bool other than 0 or 1, a length or
 // count larger than the remaining input, a value that overflows its
-// field, a missing struct terminator, and trailing bytes.
+// field, a missing struct terminator, and trailing bytes. The patch's
+// byte fields (payloads and global inits) alias data, which the caller
+// must own and leave unchanged while it uses the patch: the enclave
+// decodes its private copy of the ECALL arguments, and Prepare copies
+// each payload before relocating it.
 func Decode(data []byte) (*BinaryPatch, error) {
 	if !bytes.HasPrefix(data, typePrefix) {
 		return nil, errors.New("patch: decode: gob type definitions differ from this build's")
@@ -265,7 +269,8 @@ func (c *gobCodec) text(v *string) {
 	c.buf = c.buf[n:]
 }
 
-// blob visits a byte-slice field. It reads into a copy the result owns.
+// blob visits a byte-slice field. It reads a slice of the input, capped
+// at its length so an append to it cannot write over what follows.
 func (c *gobCodec) blob(s *gobStruct, v *[]byte) {
 	if !c.field(s, len(*v) > 0) {
 		return
@@ -274,7 +279,7 @@ func (c *gobCodec) blob(s *gobStruct, v *[]byte) {
 		c.putUint(uint64(len(*v)))
 		c.buf = append(c.buf, *v...)
 	} else if n := c.count(); n > 0 {
-		*v = bytes.Clone(c.buf[:n])
+		*v = c.buf[:n:n]
 		c.buf = c.buf[n:]
 	}
 }

@@ -399,14 +399,15 @@ func TestFormatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := Marshal(p, OpPatch, kcrypto.HashSHA256)
+	wire, err := AppendMarshal(nil, p, OpPatch, kcrypto.HashSHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Marshal presizes its buffer: a size that misses a field would
-	// leave spare capacity or regrow.
-	if len(wire) != cap(wire) {
-		t.Errorf("Marshal filled %d bytes of a %d-byte buffer", len(wire), cap(wire))
+	// The enclave sizes a package's slot by MarshalSize, and the result
+	// block by PreparedSize before it prepares: a size that misses a
+	// field would overrun the slot or regrow the block.
+	if len(wire) != MarshalSize(p) || len(wire) != PreparedSize(bp) {
+		t.Errorf("AppendMarshal wrote %d bytes; MarshalSize says %d, PreparedSize %d", len(wire), MarshalSize(p), PreparedSize(bp))
 	}
 	pkg, err := Unmarshal(wire)
 	if err != nil {
@@ -445,7 +446,7 @@ func TestFormatDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := Marshal(p, OpPatch, kcrypto.HashSHA256)
+	wire, err := AppendMarshal(nil, p, OpPatch, kcrypto.HashSHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,10 +468,15 @@ func TestFormatDetectsCorruption(t *testing.T) {
 }
 
 func TestMarshalRollback(t *testing.T) {
-	wire, err := MarshalRollback("CVE-RB", "3.14")
+	prefix := []byte("result block")
+	wire, err := AppendMarshal(prefix, &Prepared{ID: "CVE-RB", KernelVersion: "3.14"}, OpRollback, kcrypto.HashSHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if string(wire[:len(prefix)]) != string(prefix) {
+		t.Fatalf("AppendMarshal overwrote its prefix: %q", wire[:len(prefix)])
+	}
+	wire = wire[len(prefix):]
 	pkg, err := Unmarshal(wire)
 	if err != nil {
 		t.Fatal(err)

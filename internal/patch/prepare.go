@@ -104,11 +104,7 @@ func Prepare(bp *BinaryPatch, kernelSyms *isa.SymTab, place Placement, memXCurso
 			}
 			addr := place.DataAllocBase + dataOff
 			newAddrs[g.Name] = addr
-			init := g.Init
-			if init == nil {
-				init = make([]byte, g.Size)
-			}
-			p.Globals = append(p.Globals, PreparedGlobal{Name: g.Name, Addr: addr, Init: init})
+			p.Globals = append(p.Globals, PreparedGlobal{Name: g.Name, Addr: addr, Init: preparedInit(g)})
 			dataOff += g.Size
 			continue
 		}
@@ -116,7 +112,7 @@ func Prepare(bp *BinaryPatch, kernelSyms *isa.SymTab, place Placement, memXCurso
 		if !ok || sym.Kind != isa.SymObject {
 			return nil, fmt.Errorf("prepare %s: global %q not in running kernel", bp.ID, g.Name)
 		}
-		p.Globals = append(p.Globals, PreparedGlobal{Name: g.Name, Addr: sym.Addr, Init: g.Init})
+		p.Globals = append(p.Globals, PreparedGlobal{Name: g.Name, Addr: sym.Addr, Init: preparedInit(g)})
 	}
 	p.DataUsed = dataOff - dataCursor
 
@@ -214,6 +210,15 @@ func Prepare(bp *BinaryPatch, kernelSyms *isa.SymTab, place Placement, memXCurso
 		p.Funcs = append(p.Funcs, pf)
 	}
 	return p, nil
+}
+
+// preparedInit is the bytes Prepare installs for g: its Init, or zeros
+// for a new variable that has none.
+func preparedInit(g GlobalEdit) []byte {
+	if g.Init == nil && g.New {
+		return make([]byte, g.Size)
+	}
+	return g.Init
 }
 
 func alignUp(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }

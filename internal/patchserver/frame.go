@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 
+	"kshot/internal/kcrypto"
 	"kshot/internal/wire"
 )
 
@@ -95,12 +96,21 @@ func decodeRequest(body []byte, r *request) error {
 	return d.Finish()
 }
 
+// appendResponse appends r's frame to b. A patch response the server
+// built (crypt set) is sealed for its session straight into the frame;
+// if the seal fails, the frame carries its error instead.
 func appendResponse(b []byte, r *response) []byte {
 	b, start := beginFrame(b)
 	b = wire.AppendString(b, r.Err)
 	b = wire.AppendBytes(b, r.ServerKey)
-	b = wire.AppendBytes(b, r.Blob)
-	return endFrame(b, start)
+	if r.crypt == nil {
+		return endFrame(wire.AppendBytes(b, r.Blob), start)
+	}
+	sealed, err := r.crypt.Seal(wire.AppendUvarint(b, uint64(kcrypto.NonceSize+len(r.plain))), r.plain)
+	if err != nil {
+		return appendResponse(b[:start], &response{Err: err.Error()})
+	}
+	return endFrame(sealed, start)
 }
 
 func decodeResponse(body []byte) (*response, error) {

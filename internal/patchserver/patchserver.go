@@ -90,8 +90,13 @@ type response struct {
 	// hello
 	ServerKey []byte
 
-	// patch
-	Blob []byte
+	// patch: Blob is the sealed patch the client reads. The server
+	// sets plain and crypt instead: the cached plaintext artifact and
+	// the session's cipher, which appendResponse seals it with straight
+	// into the frame.
+	Blob  []byte
+	plain []byte
+	crypt *kcrypto.Session
 }
 
 // TreeProvider returns the full kernel source tree for a version —
@@ -667,11 +672,13 @@ const flushThreshold = 64 << 10
 // (one hello and one burst) does not grow a fresh buffer.
 var outBufs = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
 
-// connReaders recycles the sessions' request readers: a fleet rollout
-// opens one connection per target. A session's requests are copied out
-// of the reader (readFrame), so none outlives its session. The client
-// keeps a reader of its own per connection, because a canceled
-// exchange can still be reading after Close.
+// connReaders recycles the connections' frame readers, the server
+// sessions' and the clients' alike: a fleet rollout opens one
+// connection per target. Frames are copied out of the reader
+// (readFrame), so no frame outlives its reader's connection. A session
+// returns its reader when it ends; a Client returns its reader on
+// Close, once no exchange holds it (a canceled exchange can still be
+// reading in the background).
 var connReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
 // serveBurst answers a burst in request order, appending to resps. A
@@ -724,13 +731,14 @@ func (s *Server) servePatches(sess *session, reqs []request, resps []response) {
 	wg.Wait()
 }
 
-// patchResponse builds the response to one patch request.
+// patchResponse builds the response to one patch request: the
+// plaintext artifact, which the ordered append seals for the session.
 func (s *Server) patchResponse(sess *session, cve string) response {
-	blob, err := s.BuildPatchBlob(sess.info, cve, sess.crypt)
+	plain, err := s.PatchPlaintext(sess.info, cve)
 	if err != nil {
 		return response{Err: err.Error()}
 	}
-	return response{Blob: blob}
+	return response{plain: plain, crypt: sess.crypt}
 }
 
 // handle answers one hello or status request; patch requests are
@@ -828,23 +836,23 @@ func (s *Server) bypassCache(info OSInfo, cve string) {
 	}
 }
 
-// BuildPatchBlob returns the encrypted binary patch for (info, cve),
-// encrypting for the given session. The underlying plaintext artifact
-// — rebuild pre/post kernels with the target's exact configuration,
-// extract the binary diff, encode — is served from the bounded
+// PatchPlaintext returns the plaintext binary patch for (info, cve):
+// rebuild pre/post kernels with the target's exact configuration,
+// extract the binary diff, encode. It is served from the bounded
 // single-flight build cache: concurrent identical requests share one
-// build, later ones hit the cache. Encryption always runs per call, so
-// every session's ciphertext is keyed to its own channel. A patch
-// registered prebuilt (RegisterBinaryPatch) skips the cache and the
-// build. A patch request is served by bypassCache, then this; it is
-// exposed for in-process use by benchmarks that bypass TCP.
-func (s *Server) BuildPatchBlob(info OSInfo, cve string, crypt *kcrypto.Session) ([]byte, error) {
+// build, later ones hit the cache. A patch registered prebuilt
+// (RegisterBinaryPatch) skips the cache and the build. The result is
+// shared and must not be changed. A patch request is served by
+// bypassCache, then this; the session's seal runs as the response is
+// appended to its frame, so every session's ciphertext is keyed to its
+// own channel.
+func (s *Server) PatchPlaintext(info OSInfo, cve string) ([]byte, error) {
 	s.mu.Lock()
 	sp, ok := s.patches[cve]
 	plain, prebuilt := s.prebuilt[cve]
 	s.mu.Unlock()
 	if prebuilt {
-		return crypt.Encrypt(plain)
+		return plain, nil
 	}
 	if !ok {
 		return nil, fmt.Errorf("no patch registered for %q", cve)
@@ -872,19 +880,16 @@ func (s *Server) BuildPatchBlob(info OSInfo, cve string, crypt *kcrypto.Session)
 	case outcomeCoalesced:
 		ob.Count(obs.CtrCacheCoalesced, 1)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return crypt.Encrypt(plain)
+	return plain, err
 }
 
 // buildPlain performs the expensive part once per cache key: rebuild
 // the pre- and post-patch kernels with the target's configuration,
 // extract the function-level binary diff, and encode it. The
-// result is plaintext — per-session encryption happens per request in
-// BuildPatchBlob, which is what keeps the cache safe to share across
-// targets (§V-A's confidentiality argument needs ciphertext per
-// channel, not per build).
+// result is plaintext — per-session encryption happens per response,
+// as it is appended to the frame, which is what keeps the cache safe
+// to share across targets (§V-A's confidentiality argument needs
+// ciphertext per channel, not per build).
 func (s *Server) buildPlain(info OSInfo, sp kernel.SourcePatch) ([]byte, error) {
 	pre, err := s.trees(info.Version)
 	if err != nil {
@@ -939,11 +944,12 @@ func WithClientObserver(ob *obs.Hooks) DialOption {
 // caller, never retried on a fresh connection.
 type Client struct {
 	conn net.Conn
-	rd   *bufio.Reader
 
 	// mu serializes request bursts: one exchange owns the connection
-	// end to end.
+	// end to end. rd, under it, is the connection's pooled frame
+	// reader, nil once Close has returned it.
 	mu sync.Mutex
+	rd *bufio.Reader
 
 	obs atomic.Pointer[obs.Hooks]
 }
@@ -963,12 +969,27 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 	if err != nil {
 		return nil, fmt.Errorf("patchserver dial: %w", err)
 	}
-	c.conn, c.rd = conn, bufio.NewReader(conn)
+	rd := connReaders.Get().(*bufio.Reader)
+	rd.Reset(conn)
+	c.conn, c.rd = conn, rd
 	return c, nil
 }
 
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close closes the connection and returns its reader to the pool. A
+// canceled exchange still running in the background holds the reader
+// until its read fails on the closed connection, so Close waits for it
+// to release c.mu first. Later calls fail with net.ErrClosed.
+func (c *Client) Close() error {
+	err := c.conn.Close()
+	c.mu.Lock()
+	if c.rd != nil {
+		c.rd.Reset(nil)
+		connReaders.Put(c.rd)
+		c.rd = nil
+	}
+	c.mu.Unlock()
+	return err
+}
 
 // SetObserver installs (or, with nil, removes) the instrumentation
 // handle counting per-CVE fetch outcomes; its fault set is consulted on
@@ -1027,6 +1048,9 @@ func (c *Client) roundTrips(ctx context.Context, reqs []*request) ([]*response, 
 func (c *Client) exchange(reqs []*request) ([]*response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.rd == nil {
+		return nil, fmt.Errorf("patchserver send: %w", net.ErrClosed)
+	}
 	var burst []byte
 	for _, req := range reqs {
 		burst = appendRequest(burst, req)

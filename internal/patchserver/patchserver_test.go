@@ -1,9 +1,12 @@
 package patchserver
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"net"
 	"strings"
 	"testing"
 
@@ -524,6 +527,70 @@ func TestFetchCancellationKeepsClientUsable(t *testing.T) {
 	// stays framed and a follow-up fetch works.
 	if _, err := fetchOne(context.Background(), c, entries[0].CVE); err != nil {
 		t.Fatalf("fetch after cancellation: %v", err)
+	}
+}
+
+// TestClientReaderRecycledAfterCanceledExchange cancels a fetch while
+// its exchange waits on a server that never answers, so the exchange
+// goes on reading in the background with the connection's pooled
+// reader. Close must not hand that reader back while the exchange can
+// still read it: it closes the connection, waits for the exchange to
+// release the client, and only then returns the reader. (CI repeats
+// this test under -race, which flags a reader reset mid-read.) The
+// client then holds no reader, and a later fetch fails cleanly.
+func TestClientReaderRecycledAfterCanceledExchange(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	silent := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			close(silent)
+			return
+		}
+		// Wait for the request to arrive, then never answer.
+		_, _ = bufio.NewReader(conn).Peek(frameHeader)
+		silent <- conn
+	}()
+	c, err := Dial(context.Background(), ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.FetchPatches(ctx, []string{"CVE-2014-0196"})
+		errc <- err
+	}()
+	conn, ok := <-silent
+	if !ok {
+		t.Fatal("the server side never accepted")
+	}
+	defer conn.Close()
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled fetch returned %v", err)
+	}
+	if c.mu.TryLock() {
+		c.mu.Unlock()
+		t.Fatal("the canceled exchange is not reading in the background")
+	}
+
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c.rd != nil {
+		t.Error("Close kept the connection's reader")
+	}
+	if !c.mu.TryLock() {
+		t.Fatal("Close returned while the exchange still held the client")
+	}
+	c.mu.Unlock()
+	if _, err := fetchOne(context.Background(), c, "CVE-2014-0196"); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("fetch after Close returned %v, want net.ErrClosed", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"kshot/internal/patch"
@@ -18,15 +19,16 @@ import (
 // non-canonical field, any member op other than patch.OpPatch or
 // patch.OpRollback, and any trailing byte. Decoded byte fields alias
 // the input: the enclave's copy is private, because ECall copies the
-// arguments before entering the program.
+// arguments before entering the program, and the helper's result block
+// is the one ECall returned, which nothing else holds.
 
-// EncodePrepareArgs encodes the FnPrepare argument block.
-func EncodePrepareArgs(a *PrepareArgs) []byte {
+// AppendPrepareArgs appends the FnPrepare argument block to dst.
+func AppendPrepareArgs(dst []byte, a *PrepareArgs) []byte {
 	n := len(a.SMMPub) + 4*binary.MaxVarintLen64
 	for _, m := range a.Members {
 		n += len(m.Data) + 2*binary.MaxVarintLen64
 	}
-	b := wire.AppendUvarint(make([]byte, 0, n), uint64(len(a.Members)))
+	b := wire.AppendUvarint(slices.Grow(dst, n), uint64(len(a.Members)))
 	for _, m := range a.Members {
 		b = wire.AppendUvarint(b, uint64(m.Op))
 		b = wire.AppendBytes(b, m.Data)
@@ -65,27 +67,37 @@ func DecodePrepareArgs(data []byte) (PrepareArgs, error) {
 	return a, nil
 }
 
-// encodeResults encodes the FnPrepare result block: its byte fields
-// plus a maximal varint for each length and number size it.
-func encodeResults(ms []MemberResult) []byte {
-	n := binary.MaxVarintLen64
-	for i := range ms {
-		m := &ms[i]
-		n += len(m.Ciphertext) + len(m.EnclavePub) + len(m.ID) + len(m.Err) + 8*binary.MaxVarintLen64
-	}
-	b := wire.AppendUvarint(make([]byte, 0, n), uint64(len(ms)))
-	for i := range ms {
-		m := &ms[i]
-		b = wire.AppendBytes(b, m.Ciphertext)
-		b = wire.AppendBytes(b, m.EnclavePub)
-		b = wire.AppendString(b, m.ID)
-		b = wire.AppendUvarint(b, m.MemXUsed)
-		b = wire.AppendUvarint(b, m.DataUsed)
-		b = wire.AppendUvarint(b, uint64(m.PayloadBytes))
-		b = wire.AppendVarint(b, int64(m.Prep))
-		b = wire.AppendString(b, m.Err)
-	}
-	return b
+// The FnPrepare result block is a member count and then one record
+// per member: its ciphertext, enclave salt and ID, the mem_X and data
+// bytes it uses, its payload bytes, its preparation time and its
+// error. The enclave writes each record in place (prepare), so a
+// successful member's ciphertext is sealed where it lies.
+
+// resultSize bounds the record of a successful member whose ciphertext
+// is ct bytes and whose ID is id bytes: its byte fields plus a maximal
+// varint for each length and number. (A failed member's record holds
+// no ciphertext, but the text of its error.)
+func resultSize(ct, id int) int {
+	return ct + 32 + id + 8*binary.MaxVarintLen64
+}
+
+// appendResult appends m's whole record: the record of a failed member,
+// which carries no ciphertext or salt.
+func appendResult(b []byte, m *MemberResult) []byte {
+	b = wire.AppendBytes(b, m.Ciphertext)
+	b = wire.AppendBytes(b, m.EnclavePub)
+	return appendResultTail(b, m)
+}
+
+// appendResultTail appends the fields of m's record after its
+// ciphertext and salt.
+func appendResultTail(b []byte, m *MemberResult) []byte {
+	b = wire.AppendString(b, m.ID)
+	b = wire.AppendUvarint(b, m.MemXUsed)
+	b = wire.AppendUvarint(b, m.DataUsed)
+	b = wire.AppendUvarint(b, uint64(m.PayloadBytes))
+	b = wire.AppendVarint(b, int64(m.Prep))
+	return wire.AppendString(b, m.Err)
 }
 
 // DecodeResults decodes a FnPrepare result block.

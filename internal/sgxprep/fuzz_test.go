@@ -20,7 +20,7 @@ var envelopes = []struct {
 }{
 	{FnPrepare, func(b []byte) (func() []byte, error) {
 		a, err := DecodePrepareArgs(b)
-		return func() []byte { return EncodePrepareArgs(&a) }, err
+		return func() []byte { return AppendPrepareArgs(nil, &a) }, err
 	}},
 }
 
@@ -29,16 +29,16 @@ var envelopes = []struct {
 func envelopeSeeds() [][]byte {
 	rollback := Member{Op: patch.OpRollback, Data: []byte("CVE-FIX")}
 	return [][]byte{
-		EncodePrepareArgs(&PrepareArgs{Members: patchMembers([]byte("a"), nil, []byte("bc")), SMMPub: testNonce, MemXCursor: 1 << 20}),
-		EncodePrepareArgs(&PrepareArgs{Members: patchMembers([]byte("sealed blob")), SMMPub: testNonce, MemXCursor: 192, DataCursor: 64}),
+		AppendPrepareArgs(nil, &PrepareArgs{Members: patchMembers([]byte("a"), nil, []byte("bc")), SMMPub: testNonce, MemXCursor: 1 << 20}),
+		AppendPrepareArgs(nil, &PrepareArgs{Members: patchMembers([]byte("sealed blob")), SMMPub: testNonce, MemXCursor: 192, DataCursor: 64}),
 		{0x80, 0x00},                   // non-minimal uvarint
 		{0xff, 0xff, 0xff, 0xff, 0x0f}, // count or length far past the input
 		{0x02, 0x01},                   // truncated field
 		{0x00, 0x00, 0x00, 0x00, 0x00}, // trailing byte after a zero PrepareArgs
 		{0x04, 0x01, 0x00, 0x01, 0x00}, // more members than the input can hold
-		EncodePrepareArgs(&PrepareArgs{Members: []Member{rollback}, SMMPub: testNonce}),
-		EncodePrepareArgs(&PrepareArgs{Members: append(patchMembers([]byte("sealed blob")), rollback), SMMPub: testNonce, MemXCursor: 192}),
-		EncodePrepareArgs(&PrepareArgs{Members: []Member{{Op: patch.OpRollback + 1, Data: []byte("CVE-FIX")}}, SMMPub: testNonce}),
+		AppendPrepareArgs(nil, &PrepareArgs{Members: []Member{rollback}, SMMPub: testNonce}),
+		AppendPrepareArgs(nil, &PrepareArgs{Members: append(patchMembers([]byte("sealed blob")), rollback), SMMPub: testNonce, MemXCursor: 192}),
+		AppendPrepareArgs(nil, &PrepareArgs{Members: []Member{{Op: patch.OpRollback + 1, Data: []byte("CVE-FIX")}}, SMMPub: testNonce}),
 	}
 }
 

@@ -118,7 +118,7 @@ func (f *multiFixture) serverBlob(t *testing.T, bp *patch.BinaryPatch) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := sess.Encrypt(plain)
+	ct, err := sess.Seal(nil, plain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package sgxprep
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -27,6 +28,7 @@ import (
 	"kshot/internal/patch"
 	"kshot/internal/sgx"
 	"kshot/internal/timing"
+	"kshot/internal/wire"
 )
 
 // FnPrepare is the enclave's one ECALL. It prepares an ordered list of
@@ -132,7 +134,7 @@ type Config struct {
 	Rand io.Reader
 
 	// SessionRoot is the 32-byte SGX↔SMM channel root (required):
-	// sealForSMM draws a fresh random 32-byte salt per package and
+	// seal draws a fresh random 32-byte salt per package and
 	// seals with HMAC(root, smmNonce, salt), publishing the salt
 	// through the EnclavePub slot. The same root is provisioned into
 	// the SMM handler before SMRAM lock. See smmpatch.Config.SessionRoot
@@ -213,6 +215,10 @@ func (p *Program) ECall(env *sgx.Env, fn int, args []byte) ([]byte, error) {
 // nonce. Preprocessing costs are computed directly from the model (not
 // clock spans) so the per-member numbers stay exact when pipelined
 // fetches advance the shared clock concurrently.
+//
+// The result block is allocated once, sized from the decoded patches,
+// and each member's package is marshaled into its slot there and
+// sealed in place, so no package exists anywhere else.
 func (p *Program) prepare(env *sgx.Env, in *PrepareArgs) ([]byte, error) {
 	// Only patch blobs come from the server, so a call without one
 	// never reads the server key.
@@ -228,40 +234,55 @@ func (p *Program) prepare(env *sgx.Env, in *PrepareArgs) ([]byte, error) {
 		}
 	}
 
-	curX, curD := in.MemXCursor, in.DataCursor
-	out := make([]MemberResult, len(in.Members))
+	decoded := make([]decodedBlob, len(in.Members))
+	size := binary.MaxVarintLen64
 	for i, m := range in.Members {
-		mr := &out[i]
-		var wire []byte
+		d := &decoded[i]
+		wireSize, id := 0, 0
+		if m.Op == patch.OpRollback {
+			wireSize, id = patch.MarshalSize(p.rollbackPackage(string(m.Data))), len(m.Data)
+		} else if d.bp, d.err = decodeBlob(serverSession, m.Data); d.err == nil {
+			wireSize, id = patch.PreparedSize(d.bp), len(d.bp.ID)
+		}
+		size += resultSize(kcrypto.NonceSize+wireSize, id)
+	}
+
+	curX, curD := in.MemXCursor, in.DataCursor
+	b := wire.AppendUvarint(make([]byte, 0, size), uint64(len(in.Members)))
+	for i, m := range in.Members {
+		start := len(b)
+		var mr MemberResult
 		var err error
 		if m.Op == patch.OpRollback {
-			wire, err = p.rollbackWire(mr, string(m.Data))
-		} else {
-			wire, err = p.patchWire(mr, serverSession, m.Data, curX, curD)
-		}
-		if err == nil {
-			mr.Ciphertext, mr.EnclavePub, err = p.sealForSMM(wire, in.SMMPub)
+			b, err = p.appendRollback(b, &mr, string(m.Data), in.SMMPub)
+		} else if err = decoded[i].err; err == nil {
+			b, err = p.appendPatch(b, &mr, decoded[i].bp, curX, curD, in.SMMPub)
 		}
 		if err != nil {
 			// A failed member consumes no allocation: cursors advance
 			// only past successful members, matching the SMM handler,
 			// which skips failed ones.
-			*mr = MemberResult{ID: mr.ID, Err: err.Error()}
+			b = appendResult(b[:start], &MemberResult{ID: mr.ID, Err: err.Error()})
 			continue
 		}
 		curX += mr.MemXUsed
 		curD += mr.DataUsed
 	}
-	return encodeResults(out), nil
+	return b, nil
 }
 
-// patchWire decrypts and preprocesses one patch member's server blob at
-// the cursors, recording its ID, allocation and cost in mr, and returns
-// the package for sealing.
-func (p *Program) patchWire(mr *MemberResult, serverSession *kcrypto.Session, blob []byte, curX, curD uint64) ([]byte, error) {
-	// blob aliases the enclave's private copy of the ECALL arguments
-	// (sgx.Enclave.ECall copies them on every call), so it decrypts in
-	// place.
+// decodedBlob is one patch member's server blob, decrypted and decoded
+// ahead of preparation, or the error that stopped it.
+type decodedBlob struct {
+	bp  *patch.BinaryPatch
+	err error
+}
+
+// decodeBlob decrypts and decodes a server blob. blob aliases the
+// enclave's private copy of the ECALL arguments (sgx.Enclave.ECall
+// copies them on every call), so it decrypts in place, and the patch
+// it returns aliases that plaintext.
+func decodeBlob(serverSession *kcrypto.Session, blob []byte) (*patch.BinaryPatch, error) {
 	plain, err := serverSession.DecryptInPlace(blob)
 	if err != nil {
 		return nil, fmt.Errorf("server blob: %w", err)
@@ -270,56 +291,90 @@ func (p *Program) patchWire(mr *MemberResult, serverSession *kcrypto.Session, bl
 	if err != nil {
 		return nil, fmt.Errorf("server blob decode: %w", err)
 	}
+	return bp, nil
+}
+
+// appendPatch preprocesses one decoded patch member at the cursors,
+// recording its ID, allocation and cost in mr, and appends its sealed
+// result record to b.
+func (p *Program) appendPatch(b []byte, mr *MemberResult, bp *patch.BinaryPatch, curX, curD uint64, smmNonce []byte) ([]byte, error) {
 	mr.ID = bp.ID
 	if bp.KernelVersion != p.cfg.KernelVersion {
-		return nil, fmt.Errorf("patch for kernel %q, running %q", bp.KernelVersion, p.cfg.KernelVersion)
+		return b, fmt.Errorf("patch for kernel %q, running %q", bp.KernelVersion, p.cfg.KernelVersion)
 	}
 	prepared, err := patch.Prepare(bp, p.symtab, p.cfg.Placement, curX, curD)
 	if err != nil {
-		return nil, err
+		return b, err
 	}
-	wire, err := patch.Marshal(prepared, patch.OpPatch, p.cfg.HashAlg)
+	b, slot, err := appendPackage(b, prepared, patch.OpPatch, p.cfg.HashAlg)
 	if err != nil {
-		return nil, err
+		return b, err
 	}
 	mr.MemXUsed, mr.DataUsed = prepared.MemXUsed, prepared.DataUsed
 	mr.PayloadBytes = bp.PayloadBytes()
 	mr.Prep = timing.Linear(p.cfg.Model.PrepFixed, p.cfg.Model.PrepPerByte, mr.PayloadBytes)
 	p.cfg.Clock.Advance(mr.Prep)
 	p.obs.Span(obs.PhasePrep, bp.ID, -1, mr.Prep, mr.PayloadBytes)
-	return wire, nil
+	return p.seal(b, slot, mr, smmNonce)
 }
 
-// rollbackWire records a rollback member undoing patch id, at the
-// model's fixed preprocessing cost, and returns its command package.
-func (p *Program) rollbackWire(mr *MemberResult, id string) ([]byte, error) {
+// appendRollback records a rollback member undoing patch id, at the
+// model's fixed preprocessing cost, and appends its sealed result
+// record to b.
+func (p *Program) appendRollback(b []byte, mr *MemberResult, id string, smmNonce []byte) ([]byte, error) {
 	mr.ID = id
-	wire, err := patch.MarshalRollback(id, p.cfg.KernelVersion)
+	b, slot, err := appendPackage(b, p.rollbackPackage(id), patch.OpRollback, kcrypto.HashSHA256)
 	if err != nil {
-		return nil, err
+		return b, err
 	}
 	mr.Prep = p.cfg.Model.PrepFixed
 	p.cfg.Clock.Advance(mr.Prep)
 	p.obs.Span(obs.PhasePrep, "rollback:"+id, -1, mr.Prep, 0)
-	return wire, nil
+	return p.seal(b, slot, mr, smmNonce)
 }
 
-// sealForSMM encrypts the wire package for the mem_W channel under
-// HMAC(root, smmNonce, salt) with a fresh salt, which the enclave
-// contributes through the EnclavePub slot. The SMM side consumes its
-// nonce per package, so a sealed package never opens twice.
-func (p *Program) sealForSMM(wire, smmNonce []byte) (ct, salt []byte, err error) {
-	salt = make([]byte, 32)
+// rollbackPackage is the command undoing patch id: a package with no
+// entries, naming the patch.
+func (p *Program) rollbackPackage(id string) *patch.Prepared {
+	return &patch.Prepared{ID: id, KernelVersion: p.cfg.KernelVersion}
+}
+
+// appendPackage opens a member's result record, whose first field is
+// its ciphertext: the ciphertext's length, room for the seal's nonce,
+// and then pp's wire package, marshaled in place. It returns the offset
+// of the ciphertext for seal.
+func appendPackage(b []byte, pp *patch.Prepared, op patch.Op, alg kcrypto.HashAlg) ([]byte, int, error) {
+	n := patch.MarshalSize(pp)
+	b = wire.AppendUvarint(b, uint64(kcrypto.NonceSize+n))
+	slot := len(b)
+	b, err := patch.AppendMarshal(append(b, make([]byte, kcrypto.NonceSize)...), pp, op, alg)
+	if err != nil {
+		return b, 0, err
+	}
+	if got := len(b) - slot - kcrypto.NonceSize; got != n {
+		return b, 0, fmt.Errorf("sgxprep: package of %d bytes, sized %d", got, n)
+	}
+	return b, slot, nil
+}
+
+// seal encrypts the package appendPackage left past the nonce gap at
+// b[slot:] for the mem_W channel, in place, under HMAC(root, smmNonce,
+// salt) with a fresh salt, which the enclave contributes through the
+// EnclavePub slot, and appends the rest of mr's result record. The SMM
+// side consumes its nonce per package, so a sealed package never opens
+// twice.
+func (p *Program) seal(b []byte, slot int, mr *MemberResult, smmNonce []byte) ([]byte, error) {
+	salt := make([]byte, 32)
 	if _, err := io.ReadFull(p.rng, salt); err != nil {
-		return nil, nil, fmt.Errorf("sgxprep: salt: %w", err)
+		return b, fmt.Errorf("sgxprep: salt: %w", err)
 	}
 	key := kcrypto.DeriveKey(p.cfg.SessionRoot, smmNonce, salt)
 	session, err := kcrypto.NewSession(key[:], p.rng)
 	if err != nil {
-		return nil, nil, err
+		return b, err
 	}
-	if ct, err = session.Encrypt(wire); err != nil {
-		return nil, nil, err
+	if b, err = session.Seal(b[:slot], b[slot+kcrypto.NonceSize:]); err != nil {
+		return b, err
 	}
-	return ct, salt, nil
+	return appendResultTail(wire.AppendBytes(b, salt), mr), nil
 }

@@ -150,7 +150,7 @@ func (f *fixture) serverBlob(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := sess.Encrypt(plain)
+	ct, err := sess.Seal(nil, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func patchMembers(blobs ...[]byte) []Member {
 // prepareCall runs one FnPrepare ECALL and decodes its results.
 func prepareCall(t *testing.T, e *sgx.Enclave, a *PrepareArgs) []MemberResult {
 	t.Helper()
-	out, err := e.ECall(FnPrepare, EncodePrepareArgs(a))
+	out, err := e.ECall(FnPrepare, AppendPrepareArgs(nil, a))
 	if err != nil {
 		t.Fatalf("FnPrepare: %v", err)
 	}
@@ -255,7 +255,7 @@ func TestRejectsWrongServerKey(t *testing.T) {
 	wrong := make([]byte, 32)
 	sess, _ := kcrypto.NewSession(wrong, nil)
 	plain := patch.Encode(f.bp)
-	ct, _ := sess.Encrypt(plain)
+	ct, _ := sess.Seal(nil, plain)
 	if res := f.prepareBlob(t, ct); res.Err == "" || len(res.Ciphertext) != 0 {
 		t.Errorf("blob under wrong key accepted: %+v", res)
 	}
@@ -277,7 +277,7 @@ func TestRejectsBadECall(t *testing.T) {
 	// Functions 1 and 2 were the single-patch prepare and the rollback
 	// prepare; both are now one-member FnPrepare calls.
 	for _, fn := range []int{1, 2} {
-		args := EncodePrepareArgs(&PrepareArgs{Members: []Member{{Op: patch.OpRollback, Data: []byte("CVE-FIX")}}, SMMPub: testNonce})
+		args := AppendPrepareArgs(nil, &PrepareArgs{Members: []Member{{Op: patch.OpRollback, Data: []byte("CVE-FIX")}}, SMMPub: testNonce})
 		if _, err := f.enclave.ECall(fn, args); err == nil {
 			t.Errorf("retired ecall %d accepted", fn)
 		}
@@ -287,7 +287,7 @@ func TestRejectsBadECall(t *testing.T) {
 	}
 	// An op SMM does not dispatch on is refused before any member is
 	// prepared.
-	args := EncodePrepareArgs(&PrepareArgs{Members: []Member{{Op: patch.OpRollback + 1, Data: []byte("CVE-FIX")}}, SMMPub: testNonce})
+	args := AppendPrepareArgs(nil, &PrepareArgs{Members: []Member{{Op: patch.OpRollback + 1, Data: []byte("CVE-FIX")}}, SMMPub: testNonce})
 	if _, err := f.enclave.ECall(FnPrepare, args); err == nil || !strings.Contains(err.Error(), "op 3") {
 		t.Errorf("unknown member op: err = %v, want a refusal naming op 3", err)
 	}

@@ -226,7 +226,7 @@ func TestActivenessCatchesReturnAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := patch.Marshal(p, patch.OpPatch, kcrypto.HashSHA256)
+	wire, err := patch.AppendMarshal(nil, p, patch.OpPatch, kcrypto.HashSHA256)
 	if err != nil {
 		t.Fatal(err)
 	}

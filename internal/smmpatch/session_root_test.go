@@ -5,15 +5,14 @@ import (
 	"testing"
 
 	"kshot/internal/mem"
-	"kshot/internal/patch"
 	"kshot/internal/sgxprep"
 	"kshot/internal/timing"
 )
 
 // The SGX↔SMM channel: the handler and the enclave share a 32-byte
 // channel root and derive per-package session keys from (root, SMM
-// nonce, enclave salt). The rig's sealPackage plays sgxprep's
-// sealForSMM.
+// nonce, enclave salt). The rig's sealPackage plays the enclave's
+// seal.
 
 var testRoot = bytes.Repeat([]byte{0x42}, 32)
 
@@ -23,7 +22,7 @@ var testRoot = bytes.Repeat([]byte{0x42}, 32)
 // package charges the model's per-patch key-generation cost.
 func TestSessionRootAppliesPatch(t *testing.T) {
 	r := newRig(t)
-	rollback, err := patch.MarshalRollback("RIG-ROOT-1", "4.4")
+	rollback, err := rollbackWire("RIG-ROOT-1")
 	if err != nil {
 		t.Fatal(err)
 	}

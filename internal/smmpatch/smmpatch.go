@@ -116,12 +116,20 @@ type Breakdown struct {
 	Apply   time.Duration
 }
 
+// The journal keeps nothing that aliases a package: Unmarshal's
+// packages alias the plaintext SMM decrypted, which is dropped after
+// the SMI. What the journal needs of a package, it copies or reads
+// back from memory.
+
+// trampolineLen is the length of a trampoline, a jmp rel32.
+const trampolineLen = isa.LenBranch
+
 // appliedFunc journals one installed function patch.
 type appliedFunc struct {
 	name         string
-	trampolineAt uint64
-	original     []byte // bytes the trampoline overwrote (nil for new funcs)
-	trampoline   []byte
+	trampolineAt uint64              // 0 for new funcs, which have no trampoline
+	original     [trampolineLen]byte // bytes the trampoline overwrote
+	trampoline   [trampolineLen]byte
 	paddr        uint64
 	payloadHash  [kcrypto.DigestSize]byte
 	payloadLen   int
@@ -130,8 +138,7 @@ type appliedFunc struct {
 // appliedGlobal journals one data edit for rollback.
 type appliedGlobal struct {
 	addr     uint64
-	original []byte
-	applied  []byte
+	original []byte // bytes the edit overwrote, read from memory; nil when it wrote none
 }
 
 // appliedPatch is one journal entry.
@@ -454,7 +461,7 @@ func (h *Handler) applyPatchCore(ctx *smm.Context, pkg *patch.Package, bd *Break
 
 	// Step two (§V-C): global/data edits.
 	for _, g := range pkg.Globals {
-		ag := appliedGlobal{addr: g.Addr, applied: g.Init}
+		ag := appliedGlobal{addr: g.Addr}
 		if len(g.Init) > 0 {
 			orig := make([]byte, len(g.Init))
 			if err := ctx.Read(g.Addr, orig); err != nil {
@@ -484,8 +491,9 @@ func (h *Handler) applyPatchCore(ctx *smm.Context, pkg *patch.Package, bd *Break
 			payloadLen:  len(f.Payload),
 		}
 		if f.TAddr != 0 {
-			orig := make([]byte, len(f.TrampolineBytes))
-			if err := ctx.Read(f.TrampolineAt, orig); err != nil {
+			// Unmarshal hands out trampolines of exactly trampolineLen
+			// bytes.
+			if err := ctx.Read(f.TrampolineAt, af.original[:]); err != nil {
 				return abort(fmt.Errorf("smmpatch: journal %s: %w", f.Name, err))
 			}
 			if err := ctx.Write(f.TrampolineAt, f.TrampolineBytes); err != nil {
@@ -493,8 +501,7 @@ func (h *Handler) applyPatchCore(ctx *smm.Context, pkg *patch.Package, bd *Break
 			}
 			ctx.Charge(0, ctx.Model().ApplyPerByte, len(f.TrampolineBytes))
 			af.trampolineAt = f.TrampolineAt
-			af.original = orig
-			af.trampoline = append([]byte(nil), f.TrampolineBytes...)
+			copy(af.trampoline[:], f.TrampolineBytes)
 		}
 		entry.funcs = append(entry.funcs, af)
 
@@ -521,9 +528,9 @@ func (h *Handler) applyPatchCore(ctx *smm.Context, pkg *patch.Package, bd *Break
 // (best effort — the targets were writable moments ago).
 func (h *Handler) undoPartial(ctx *smm.Context, entry *appliedPatch) {
 	for i := len(entry.funcs) - 1; i >= 0; i-- {
-		f := entry.funcs[i]
+		f := &entry.funcs[i]
 		if f.trampolineAt != 0 {
-			_ = ctx.Write(f.trampolineAt, f.original)
+			_ = ctx.Write(f.trampolineAt, f.original[:])
 		}
 	}
 	for i := len(entry.globals) - 1; i >= 0; i-- {
@@ -548,11 +555,11 @@ func (h *Handler) rollbackCore(ctx *smm.Context, pkg *patch.Package, bd *Breakdo
 	}
 	// Restore trampoline sites (reverse order) and global edits.
 	for i := len(last.funcs) - 1; i >= 0; i-- {
-		f := last.funcs[i]
+		f := &last.funcs[i]
 		if f.trampolineAt == 0 {
 			continue
 		}
-		if err := ctx.Write(f.trampolineAt, f.original); err != nil {
+		if err := ctx.Write(f.trampolineAt, f.original[:]); err != nil {
 			return "", fmt.Errorf("smmpatch: rollback %s: %w", f.name, err)
 		}
 		ctx.Charge(0, ctx.Model().ApplyPerByte, len(f.original))
@@ -580,16 +587,17 @@ func (h *Handler) rollbackCore(ctx *smm.Context, pkg *patch.Package, bd *Breakdo
 func (h *Handler) handleIntrospect(ctx *smm.Context, _ uint64) error {
 	tampered := false
 	for _, j := range h.journal {
-		for _, f := range j.funcs {
+		for k := range j.funcs {
+			f := &j.funcs[k]
 			if f.trampolineAt != 0 {
-				cur := make([]byte, len(f.trampoline))
-				if err := ctx.Read(f.trampolineAt, cur); err != nil {
+				var cur [trampolineLen]byte
+				if err := ctx.Read(f.trampolineAt, cur[:]); err != nil {
 					return h.fail(ctx, err)
 				}
 				ctx.Charge(0, ctx.Model().VerifyPerByte, len(cur))
-				if string(cur) != string(f.trampoline) {
+				if cur != f.trampoline {
 					tampered = true
-					if err := ctx.Write(f.trampolineAt, f.trampoline); err != nil {
+					if err := ctx.Write(f.trampolineAt, f.trampoline[:]); err != nil {
 						return h.fail(ctx, err)
 					}
 				}

@@ -60,7 +60,10 @@ const rigFixed = `
 .endfunc
 `
 
-func newRig(t *testing.T) *rig {
+// newRig boots the rig kernel with a locked controller whose handler
+// has run its bootstrap key exchange. Each register func adds a test
+// command to the controller before the lock.
+func newRig(t *testing.T, register ...func(*smm.Controller, *Handler)) *rig {
 	t.Helper()
 	st, err := kernel.BaseTree("4.4")
 	if err != nil {
@@ -104,6 +107,9 @@ func newRig(t *testing.T) *rig {
 	}
 	if err := h.Register(ctrl); err != nil {
 		t.Fatal(err)
+	}
+	for _, reg := range register {
+		reg(ctrl, h)
 	}
 	if err := ctrl.Lock(); err != nil {
 		t.Fatal(err)
@@ -151,7 +157,7 @@ func (r *rig) sealMember(t *testing.T, root, wire []byte) BatchMember {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := sess.Encrypt(wire)
+	ct, err := sess.Seal(nil, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +218,17 @@ func (r *rig) preparedPatch(t *testing.T, id string) *patch.Prepared {
 
 func (r *rig) wirePatch(t *testing.T, id string) []byte {
 	t.Helper()
-	wire, err := patch.Marshal(r.preparedPatch(t, id), patch.OpPatch, kcrypto.HashSHA256)
+	wire, err := patch.AppendMarshal(nil, r.preparedPatch(t, id), patch.OpPatch, kcrypto.HashSHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return wire
+}
+
+// rollbackWire marshals the rollback command for patch id, as the
+// enclave does: a package with no entries that names the patch.
+func rollbackWire(id string) ([]byte, error) {
+	return patch.AppendMarshal(nil, &patch.Prepared{ID: id, KernelVersion: "4.4"}, patch.OpRollback, kcrypto.HashSHA256)
 }
 
 func TestHandlerAppliesPatch(t *testing.T) {
@@ -264,7 +276,7 @@ func TestReplayRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Roll the patch back so a successful replay would be visible.
-	rbWire, err := patch.MarshalRollback("RIG-1", "4.4")
+	rbWire, err := rollbackWire("RIG-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +327,7 @@ func TestVersionSkewRejected(t *testing.T) {
 	r := newRig(t)
 	p := r.preparedPatch(t, "RIG-1")
 	p.KernelVersion = "3.14"
-	wire, err := patch.Marshal(p, patch.OpPatch, kcrypto.HashSHA256)
+	wire, err := patch.AppendMarshal(nil, p, patch.OpPatch, kcrypto.HashSHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +381,7 @@ func TestMisplacedPayloadRejected(t *testing.T) {
 	// Point the payload outside mem_X: at the kernel text itself.
 	ksym, _ := r.preImg.Img.Symbols.Lookup("sys_compute")
 	p.Funcs[0].PAddr = ksym.Addr
-	wire, err := patch.Marshal(p, patch.OpPatch, kcrypto.HashSHA256)
+	wire, err := patch.AppendMarshal(nil, p, patch.OpPatch, kcrypto.HashSHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +401,7 @@ func TestRollbackOrderEnforced(t *testing.T) {
 	if err := r.process(t); err != nil {
 		t.Fatal(err)
 	}
-	wire, err := patch.MarshalRollback("RIG-OTHER", "4.4")
+	wire, err := rollbackWire("RIG-OTHER")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +436,7 @@ func TestRollbackVerifiedByFrameDiff(t *testing.T) {
 		t.Fatal("applied patch left no dirty text frames")
 	}
 
-	wire, err := patch.MarshalRollback("RIG-1", "4.4")
+	wire, err := rollbackWire("RIG-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +519,7 @@ func TestPartialFailureUndone(t *testing.T) {
 		// was already mutated.
 		{Name: "bogus", Addr: 0x1, Init: []byte{1}},
 	}
-	wire, err := patch.Marshal(p, patch.OpPatch, kcrypto.HashSHA256)
+	wire, err := patch.AppendMarshal(nil, p, patch.OpPatch, kcrypto.HashSHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +553,7 @@ func TestPartialFailureUndone(t *testing.T) {
 func TestDirectoryDispatchesPerMember(t *testing.T) {
 	r := newRig(t)
 	wire := r.wirePatch(t, "RIG-1")
-	rb, err := patch.MarshalRollback("RIG-1", "4.4")
+	rb, err := rollbackWire("RIG-1")
 	if err != nil {
 		t.Fatal(err)
 	}
