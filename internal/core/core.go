@@ -179,10 +179,8 @@ type System struct {
 
 	// deliverMu serializes Stages 2–4 of every delivery: the handler's
 	// cursors, the mem_W directory and the package SMI hold one package
-	// at a time. args, under it, is the buffer every FnPrepare argument
-	// block is encoded into; the ECALL copies it into the enclave.
+	// at a time.
 	deliverMu sync.Mutex
-	args      []byte
 
 	// pending is the newest MAC'd status record an SMI wrote (a package
 	// SMI's or Protect's) that the server has not acknowledged yet (Seq
@@ -745,8 +743,10 @@ func (s *System) deliver(ctx context.Context, op patch.Op, members []*pipeline.M
 		}
 		prep = append(prep, sgxprep.Member{Op: op, Data: body})
 	}
-	s.args = sgxprep.AppendPrepareArgs(s.args[:0], &sgxprep.PrepareArgs{Members: prep, SMMPub: smmPub, MemXCursor: memX, DataCursor: data})
-	out, err := s.ecall(sgxprep.FnPrepare, s.args)
+	args := argBufs.Get().(*[]byte)
+	*args = sgxprep.AppendPrepareArgs((*args)[:0], &sgxprep.PrepareArgs{Members: prep, SMMPub: smmPub, MemXCursor: memX, DataCursor: data})
+	out, err := s.ecall(sgxprep.FnPrepare, *args)
+	argBufs.Put(args)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrEnclavePrepare, err)
 	}
@@ -813,6 +813,11 @@ func (s *System) deliver(ctx context.Context, op patch.Op, members []*pipeline.M
 	}
 	return nil
 }
+
+// argBufs recycles the FnPrepare argument blocks of every System. The
+// ECALL copies its arguments into the enclave, so a block is free again
+// once it returns, and an idle System holds none.
+var argBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // pass charges Stage 3, the helper copying a sealed package into
 // reserved memory, and returns its virtual time.

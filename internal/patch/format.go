@@ -73,27 +73,6 @@ func MarshalSize(p *Prepared) int {
 	return n
 }
 
-// PreparedSize bounds the wire package Prepare and AppendMarshal make
-// of bp at any cursors: placement moves addresses, never lengths. It
-// is exact unless a replaced function sits at address 0 (its package
-// then carries no trampoline).
-func PreparedSize(bp *BinaryPatch) int {
-	n := packageSize(bp.ID, bp.KernelVersion)
-	for _, f := range bp.Funcs {
-		n += funcHeaderSize + len(f.Payload) + 1 + len(f.Name)
-		if !f.New {
-			n += isa.LenBranch
-		}
-	}
-	for _, g := range bp.Globals {
-		n += globalHeaderSize + len(g.Name) + len(g.Init)
-		if g.Init == nil && g.New { // preparedInit's zeros
-			n += int(g.Size)
-		}
-	}
-	return n
-}
-
 // AppendMarshal appends the wire encoding of a prepared patch to dst.
 // On error it returns dst as it was.
 func AppendMarshal(dst []byte, p *Prepared, op Op, alg kcrypto.HashAlg) ([]byte, error) {

@@ -403,11 +403,11 @@ func TestFormatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The enclave sizes a package's slot by MarshalSize, and the result
-	// block by PreparedSize before it prepares: a size that misses a
-	// field would overrun the slot or regrow the block.
-	if len(wire) != MarshalSize(p) || len(wire) != PreparedSize(bp) {
-		t.Errorf("AppendMarshal wrote %d bytes; MarshalSize says %d, PreparedSize %d", len(wire), MarshalSize(p), PreparedSize(bp))
+	// The enclave writes a package's length, MarshalSize, before it
+	// marshals the package in place: a size that misses a field would
+	// misframe the result block.
+	if len(wire) != MarshalSize(p) {
+		t.Errorf("AppendMarshal wrote %d bytes; MarshalSize says %d", len(wire), MarshalSize(p))
 	}
 	pkg, err := Unmarshal(wire)
 	if err != nil {

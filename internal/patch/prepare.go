@@ -99,7 +99,9 @@ func Prepare(bp *BinaryPatch, kernelSyms *isa.SymTab, place Placement, memXCurso
 	for _, g := range bp.Globals {
 		if g.New {
 			dataOff = alignUp(dataOff, 8)
-			if dataOff+g.Size > place.DataAllocSize {
+			// Size comes from the server blob: compare it without a sum
+			// that could wrap, before preparedInit allocates its zeros.
+			if dataOff > place.DataAllocSize || g.Size > place.DataAllocSize-dataOff {
 				return nil, fmt.Errorf("prepare %s: data allocation area exhausted", bp.ID)
 			}
 			addr := place.DataAllocBase + dataOff

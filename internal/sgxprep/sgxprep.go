@@ -15,7 +15,6 @@ package sgxprep
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -216,9 +215,9 @@ func (p *Program) ECall(env *sgx.Env, fn int, args []byte) ([]byte, error) {
 // clock spans) so the per-member numbers stay exact when pipelined
 // fetches advance the shared clock concurrently.
 //
-// The result block is allocated once, sized from the decoded patches,
-// and each member's package is marshaled into its slot there and
-// sealed in place, so no package exists anywhere else.
+// Each member's package is marshaled straight into its record in the
+// result block and sealed there in place, so no package exists
+// anywhere else.
 func (p *Program) prepare(env *sgx.Env, in *PrepareArgs) ([]byte, error) {
 	// Only patch blobs come from the server, so a call without one
 	// never reads the server key.
@@ -234,29 +233,23 @@ func (p *Program) prepare(env *sgx.Env, in *PrepareArgs) ([]byte, error) {
 		}
 	}
 
-	decoded := make([]decodedBlob, len(in.Members))
-	size := binary.MaxVarintLen64
-	for i, m := range in.Members {
-		d := &decoded[i]
-		wireSize, id := 0, 0
-		if m.Op == patch.OpRollback {
-			wireSize, id = patch.MarshalSize(p.rollbackPackage(string(m.Data))), len(m.Data)
-		} else if d.bp, d.err = decodeBlob(serverSession, m.Data); d.err == nil {
-			wireSize, id = patch.PreparedSize(d.bp), len(d.bp.ID)
-		}
-		size += resultSize(kcrypto.NonceSize+wireSize, id)
+	// A sealed package runs smaller than the server blob it comes from,
+	// so the members' input holds a batch's result block without
+	// regrowing it; appendPackage grows the block where it does not.
+	size := 0
+	for _, m := range in.Members {
+		size += len(m.Data)
 	}
-
 	curX, curD := in.MemXCursor, in.DataCursor
 	b := wire.AppendUvarint(make([]byte, 0, size), uint64(len(in.Members)))
-	for i, m := range in.Members {
+	for _, m := range in.Members {
 		start := len(b)
 		var mr MemberResult
 		var err error
 		if m.Op == patch.OpRollback {
 			b, err = p.appendRollback(b, &mr, string(m.Data), in.SMMPub)
-		} else if err = decoded[i].err; err == nil {
-			b, err = p.appendPatch(b, &mr, decoded[i].bp, curX, curD, in.SMMPub)
+		} else {
+			b, err = p.appendPatch(b, &mr, serverSession, m.Data, curX, curD, in.SMMPub)
 		}
 		if err != nil {
 			// A failed member consumes no allocation: cursors advance
@@ -271,33 +264,21 @@ func (p *Program) prepare(env *sgx.Env, in *PrepareArgs) ([]byte, error) {
 	return b, nil
 }
 
-// decodedBlob is one patch member's server blob, decrypted and decoded
-// ahead of preparation, or the error that stopped it.
-type decodedBlob struct {
-	bp  *patch.BinaryPatch
-	err error
-}
-
-// decodeBlob decrypts and decodes a server blob. blob aliases the
-// enclave's private copy of the ECALL arguments (sgx.Enclave.ECall
-// copies them on every call), so it decrypts in place, and the patch
-// it returns aliases that plaintext.
-func decodeBlob(serverSession *kcrypto.Session, blob []byte) (*patch.BinaryPatch, error) {
+// appendPatch decrypts and preprocesses one patch member's server blob
+// at the cursors, recording its ID, allocation and cost in mr, and
+// appends its sealed result record to b.
+func (p *Program) appendPatch(b []byte, mr *MemberResult, serverSession *kcrypto.Session, blob []byte, curX, curD uint64, smmNonce []byte) ([]byte, error) {
+	// blob aliases the enclave's private copy of the ECALL arguments
+	// (sgx.Enclave.ECall copies them on every call), so it decrypts in
+	// place, and the patch decoded from it aliases that plaintext.
 	plain, err := serverSession.DecryptInPlace(blob)
 	if err != nil {
-		return nil, fmt.Errorf("server blob: %w", err)
+		return b, fmt.Errorf("server blob: %w", err)
 	}
 	bp, err := patch.Decode(plain)
 	if err != nil {
-		return nil, fmt.Errorf("server blob decode: %w", err)
+		return b, fmt.Errorf("server blob decode: %w", err)
 	}
-	return bp, nil
-}
-
-// appendPatch preprocesses one decoded patch member at the cursors,
-// recording its ID, allocation and cost in mr, and appends its sealed
-// result record to b.
-func (p *Program) appendPatch(b []byte, mr *MemberResult, bp *patch.BinaryPatch, curX, curD uint64, smmNonce []byte) ([]byte, error) {
 	mr.ID = bp.ID
 	if bp.KernelVersion != p.cfg.KernelVersion {
 		return b, fmt.Errorf("patch for kernel %q, running %q", bp.KernelVersion, p.cfg.KernelVersion)
@@ -323,7 +304,9 @@ func (p *Program) appendPatch(b []byte, mr *MemberResult, bp *patch.BinaryPatch,
 // record to b.
 func (p *Program) appendRollback(b []byte, mr *MemberResult, id string, smmNonce []byte) ([]byte, error) {
 	mr.ID = id
-	b, slot, err := appendPackage(b, p.rollbackPackage(id), patch.OpRollback, kcrypto.HashSHA256)
+	// The command is a package with no entries, naming the patch.
+	cmd := &patch.Prepared{ID: id, KernelVersion: p.cfg.KernelVersion}
+	b, slot, err := appendPackage(b, cmd, patch.OpRollback, kcrypto.HashSHA256)
 	if err != nil {
 		return b, err
 	}
@@ -333,28 +316,17 @@ func (p *Program) appendRollback(b []byte, mr *MemberResult, id string, smmNonce
 	return p.seal(b, slot, mr, smmNonce)
 }
 
-// rollbackPackage is the command undoing patch id: a package with no
-// entries, naming the patch.
-func (p *Program) rollbackPackage(id string) *patch.Prepared {
-	return &patch.Prepared{ID: id, KernelVersion: p.cfg.KernelVersion}
-}
-
 // appendPackage opens a member's result record, whose first field is
 // its ciphertext: the ciphertext's length, room for the seal's nonce,
-// and then pp's wire package, marshaled in place. It returns the offset
-// of the ciphertext for seal.
+// and then pp's wire package, marshaled in place. It first makes room
+// in b for the whole record, which seal completes, and returns the
+// offset of the ciphertext for seal.
 func appendPackage(b []byte, pp *patch.Prepared, op patch.Op, alg kcrypto.HashAlg) ([]byte, int, error) {
 	n := patch.MarshalSize(pp)
-	b = wire.AppendUvarint(b, uint64(kcrypto.NonceSize+n))
+	b = wire.AppendUvarint(slices.Grow(b, resultSize(kcrypto.NonceSize+n, len(pp.ID))), uint64(kcrypto.NonceSize+n))
 	slot := len(b)
 	b, err := patch.AppendMarshal(append(b, make([]byte, kcrypto.NonceSize)...), pp, op, alg)
-	if err != nil {
-		return b, 0, err
-	}
-	if got := len(b) - slot - kcrypto.NonceSize; got != n {
-		return b, 0, fmt.Errorf("sgxprep: package of %d bytes, sized %d", got, n)
-	}
-	return b, slot, nil
+	return b, slot, err
 }
 
 // seal encrypts the package appendPackage left past the nonce gap at

@@ -3,6 +3,7 @@ package sgxprep
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -266,6 +267,30 @@ func TestRejectsVersionMismatch(t *testing.T) {
 	f.bp.KernelVersion = "3.14"
 	if res := f.prepare(t); !strings.Contains(res.Err, "3.14") {
 		t.Errorf("version mismatch not rejected: %q", res.Err)
+	}
+}
+
+// A new global's size comes from the server blob, which carries no
+// MAC: one past the data allocation area is a member error before
+// anything is allocated for it, including a size whose sum with the
+// cursor wraps.
+func TestRejectsOversizedNewGlobal(t *testing.T) {
+	f := newFixture(t, kcrypto.HashSHA256)
+	good := f.serverBlob(t)
+	for _, size := range []uint64{1 << 50, ^uint64(0) - 7} {
+		f.bp.Globals = []patch.GlobalEdit{{Name: "huge", New: true, Size: size}}
+		ms := prepareCall(t, f.enclave, &PrepareArgs{
+			Members:    patchMembers(f.serverBlob(t), slices.Clone(good)),
+			SMMPub:     testNonce,
+			DataCursor: 16,
+		})
+		if len(ms) != 2 || !strings.Contains(ms[0].Err, "data allocation area exhausted") {
+			t.Errorf("size %#x: results = %+v, want the first member refused", size, ms)
+			continue
+		}
+		if ms[1].Err != "" || ms[1].MemXUsed == 0 {
+			t.Errorf("size %#x: the member after a refused one failed: %+v", size, ms[1])
+		}
 	}
 }
 
